@@ -7,12 +7,15 @@ use quda_dirac::WilsonParams;
 use quda_fields::gauge_gen::{random_spinor_field, weak_field};
 use quda_fields::precision::Single;
 use quda_fields::SpinorFieldCb;
-use quda_lattice::geometry::{LatticeDims, Parity};
-use quda_lattice::partition::TimePartition;
+use quda_lattice::geometry::{LatticeDims, Parity, DIR_T};
+use quda_lattice::partition::DecompPlan;
 use quda_lattice::stencil::Stencil;
 use quda_math::gamma::{GammaBasis, SpinBasis};
+use quda_multigpu::ghost::{recv_faces, send_faces};
 use quda_multigpu::rank_op::{CommStrategy, ParallelWilsonCloverOp};
+use quda_solvers::operator::LinearOperator;
 use std::hint::black_box;
+use std::slice::{from_mut, from_ref};
 
 fn dims() -> LatticeDims {
     LatticeDims::new(8, 8, 8, 8)
@@ -23,6 +26,8 @@ fn bench_ghost_exchange(c: &mut Criterion) {
     let host = random_spinor_field(d, 1);
     let basis = SpinBasis::new(GammaBasis::NonRelativistic);
     let stencil = Stencil::new(d, true);
+    // A single-rank plan: the T faces loop back to the sender.
+    let plan = DecompPlan::new(d, [1, 1, 1, 1]);
     let mut group = c.benchmark_group("ghost");
     group.sample_size(20);
     group.bench_function("self_exchange_single", |b| {
@@ -31,14 +36,11 @@ fn bench_ghost_exchange(c: &mut Criterion) {
         let mut f = SpinorFieldCb::<Single>::new(d, true);
         f.upload(&host, Parity::Odd);
         b.iter(|| {
-            quda_multigpu::exchange_spinor_ghosts(
-                black_box(&mut comm),
-                &mut f,
-                &basis,
-                &stencil,
-                false,
-            )
-            .expect("exchange")
+            let comm = black_box(&mut comm);
+            let (one, odd) = (&[true], Parity::Odd);
+            send_faces(comm, from_ref(&f), one, &basis, &stencil, &plan, DIR_T, odd, false)
+                .expect("send");
+            recv_faces(comm, from_mut(&mut f), one, &plan, DIR_T).expect("recv")
         })
     });
     group.finish();
@@ -48,22 +50,20 @@ fn bench_parallel_matpc(c: &mut Criterion) {
     let d = dims();
     let cfg = weak_field(d, 0.1, 5);
     let wp = WilsonParams { mass: 0.2, c_sw: 1.0 };
-    let part = TimePartition::new(d, 1);
+    let plan = DecompPlan::new(d, [1, 1, 1, 1]);
     let mut group = c.benchmark_group("parallel_matpc");
     group.sample_size(10);
     for strategy in [CommStrategy::NoOverlap, CommStrategy::Overlap] {
         let mut world = quda_comm::comm_world(1);
         let comm = world.pop().unwrap();
-        let mut op = ParallelWilsonCloverOp::<Single>::new(&cfg, part, 0, comm, wp, strategy)
+        let mut op = ParallelWilsonCloverOp::<Single>::new_grid(&cfg, plan, 0, comm, wp, strategy)
             .expect("op init");
         let host = random_spinor_field(d, 6);
-        let mut x = quda_solvers::operator::LinearOperator::alloc(&op);
+        let mut x = op.alloc();
         x.upload(&host, Parity::Odd);
-        let mut out = quda_solvers::operator::LinearOperator::alloc(&op);
+        let mut out = op.alloc();
         let name = format!("{strategy:?}");
-        group.bench_function(&name, |b| {
-            b.iter(|| op.apply_matpc_par(black_box(&mut out), &mut x, false))
-        });
+        group.bench_function(&name, |b| b.iter(|| op.apply(black_box(&mut out), &mut x)));
     }
     group.finish();
 }

@@ -65,16 +65,6 @@ pub const COLLECTIVE_MAX: u32 = INTERNAL_BASE + 2;
 /// Allreduce-max reply broadcast (root → leaf).
 pub const COLLECTIVE_MAX_REPLY: u32 = INTERNAL_BASE + 3;
 
-/// The gauge-ghost tag for a parity index (0 = even, 1 = odd) on the
-/// legacy temporal axis.
-pub fn gauge(parity: usize) -> u32 {
-    if parity == 0 {
-        GAUGE_EVEN
-    } else {
-        GAUGE_ODD
-    }
-}
-
 /// The spinor-face tag for lattice dimension `dim` (0..=3 = X,Y,Z,T) and
 /// travel direction. The T axis maps onto the original 1-d tags so the
 /// legacy wire streams keep their values.
@@ -157,12 +147,6 @@ mod tests {
             let internal = name.starts_with("COLLECTIVE");
             assert_eq!(is_internal(*tag), internal, "{name} on the wrong side of INTERNAL_BASE");
         }
-    }
-
-    #[test]
-    fn gauge_tags_by_parity() {
-        assert_eq!(gauge(0), GAUGE_EVEN);
-        assert_eq!(gauge(1), GAUGE_ODD);
     }
 
     #[test]

@@ -301,7 +301,7 @@ impl Communicator {
             }
             FaultAction::Duplicate => {
                 self.put(to, tag, seq, framed.clone())?;
-                self.put(to, tag, seq, framed)?;
+                self.put_duplicate(to, tag, seq, framed);
             }
             FaultAction::Truncate => {
                 self.store_pristine(to, tag, seq, payload);
@@ -328,6 +328,15 @@ impl Communicator {
             self.shared.alive[to].store(false, Ordering::SeqCst);
             CommError::RankDead { rank: to }
         })
+    }
+
+    /// The injected second copy of a duplicated frame. It is the wire's
+    /// artefact, not a message the application sent: a receiver that
+    /// consumed the first copy, finished and hung up is healthy, so a copy
+    /// the channel cannot deliver is a lost duplicate — no error, and the
+    /// liveness board is left alone.
+    fn put_duplicate(&mut self, to: usize, tag: u32, seq: u64, frame: Bytes) {
+        let _ = self.senders[to].send(Message { from: self.rank, tag, seq, frame });
     }
 
     fn store_pristine(&self, to: usize, tag: u32, seq: u64, payload: Bytes) {
@@ -933,6 +942,27 @@ mod tests {
         assert_eq!(unpack_f64(&c0.recv(1, 5).unwrap()).unwrap(), vec![1.0]);
         assert_eq!(unpack_f64(&c0.recv(1, 5).unwrap()).unwrap(), vec![2.0]);
         assert!(c0.stats().duplicates_dropped >= 1);
+    }
+
+    #[test]
+    fn duplicate_lost_to_a_finished_receiver_is_not_a_death() {
+        // The interleaving behind the `duplicated_faces_are_deduplicated`
+        // flake, forced: the receiver consumes the first copy, finishes and
+        // drops its endpoint *before* the injected second copy is put.
+        let mut world = comm_world_with(2, fast_config(), None);
+        let mut c1 = world.pop().unwrap();
+        let mut c0 = world.pop().unwrap();
+        let framed = frame(&pack_f64(&[1.0]));
+        c1.put(0, 5, 0, framed.clone()).unwrap();
+        assert_eq!(unpack_f64(&c0.recv(1, 5).unwrap()).unwrap(), vec![1.0]);
+        drop(c0);
+        // Re-arm the board entry the receiver's own `Drop` cleared, so the
+        // assertion sees only what the duplicate path itself writes.
+        c1.shared.alive[0].store(true, Ordering::SeqCst);
+        c1.put_duplicate(0, 5, 0, framed.clone());
+        assert!(c1.shared.alive[0].load(Ordering::SeqCst), "lost duplicate marked the peer dead");
+        // A real message to the hung-up endpoint is still a located death.
+        assert_eq!(c1.put(0, 5, 1, framed), Err(CommError::RankDead { rank: 0 }));
     }
 
     #[test]

@@ -57,10 +57,10 @@ use std::sync::Arc;
 
 use quda_dirac::WilsonParams;
 use quda_fields::host::{GaugeConfig, HostSpinorField};
-use quda_lattice::partition::TimePartition;
+use quda_lattice::partition::DecompPlan;
 use quda_multigpu::driver::{
-    solve_full_parallel_elastic, solve_full_parallel_multi, verify_full_solution, ElasticPolicy,
-    ParallelSolveSpec,
+    solve_full_grid_elastic, solve_full_grid_multi, verify_full_solution, ElasticPolicy,
+    GridSolveSpec,
 };
 use quda_multigpu::perf::{evaluate, solver_memory_per_gpu, PerfInput};
 use quda_solvers::params::SolverParams;
@@ -365,7 +365,7 @@ impl Quda {
         let cfg = Arc::clone(self.selected()?);
         let (spec, wilson, mem) = self.solve_spec(&cfg, source, param)?;
         let policy = ElasticPolicy { max_rank_deaths: param.max_rank_deaths, chaos: chaos.clone() };
-        let elastic = solve_full_parallel_elastic(&cfg, source, &spec, &policy, param.trace)
+        let elastic = solve_full_grid_elastic(&cfg, source, &spec, &policy, param.trace)
             .map_err(QudaError::Comm)?;
         let (solve, recovery) = (elastic.solve, elastic.recovery);
         let (x, result) = (solve.solution, solve.result);
@@ -416,7 +416,7 @@ impl Quda {
         // any rank threads exist — every rank the call below spawns reaches
         // the collectives unconditionally.
         // quda-lint: allow(rank-branch-collective)
-        let multi = solve_full_parallel_multi(&cfg, sources, &spec, chaos, param.trace)
+        let multi = solve_full_grid_multi(&cfg, sources, &spec, chaos, param.trace)
             .map_err(QudaError::Comm)?;
         let mut out = Vec::with_capacity(sources.len());
         for ((x, result), source) in multi.solutions.into_iter().zip(multi.results).zip(sources) {
@@ -443,23 +443,15 @@ impl Quda {
         cfg: &GaugeConfig,
         source: &HostSpinorField,
         param: &QudaInvertParam,
-    ) -> Result<(ParallelSolveSpec, WilsonParams, usize), QudaError> {
+    ) -> Result<(GridSolveSpec, WilsonParams, usize), QudaError> {
         if source.dims != cfg.dims {
             return Err(QudaError::DimsMismatch);
         }
         let num_gpus = param.num_gpus.max(1);
-        if cfg.dims.t % num_gpus != 0 {
-            return Err(QudaError::BadPartition(format!(
-                "T={} not divisible by {num_gpus} GPUs",
-                cfg.dims.t
-            )));
-        }
-        if (cfg.dims.t / num_gpus) % 2 != 0 || cfg.dims.t / num_gpus < 2 {
-            return Err(QudaError::BadPartition(format!(
-                "local T extent {} must be even and >= 2",
-                cfg.dims.t / num_gpus
-            )));
-        }
+        // The interface's decomposition is the paper's: `num_gpus` temporal
+        // slices.
+        let plan =
+            DecompPlan::try_new(cfg.dims, [1, 1, 1, num_gpus]).map_err(QudaError::BadPartition)?;
         let mem = solver_memory_per_gpu(cfg.dims, num_gpus, param.mode);
         let capacity = {
             let dev = quda_gpusim::memory::DeviceMemory::new(self.device.gpu.ram_bytes());
@@ -469,8 +461,8 @@ impl Quda {
             return Err(QudaError::OutOfDeviceMemory { required: mem, available: capacity });
         }
         let wilson = WilsonParams { mass: param.mass, c_sw: param.c_sw };
-        let spec = ParallelSolveSpec {
-            part: TimePartition::new(cfg.dims, num_gpus),
+        let spec = GridSolveSpec {
+            plan,
             wilson,
             mode: param.mode,
             strategy: param.strategy,

@@ -60,8 +60,8 @@ pub struct QudaInvertParam {
     pub lockstep: bool,
     /// Rank deaths the inversion may survive by checkpointing at
     /// reliable-update boundaries and resuming on a rebuilt world
-    /// (DESIGN.md §12). The default `0` is bit-identical to the classic
-    /// fail-fast driver: no checkpoints, first death aborts.
+    /// (DESIGN.md §12). The default `0` is the fail-fast driver: no
+    /// checkpoints, first death aborts.
     pub max_rank_deaths: usize,
     /// Right-hand sides the caller intends to solve together. A hint for
     /// the inversion service's batcher (capped by the library's

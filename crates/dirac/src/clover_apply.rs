@@ -1,23 +1,9 @@
 //! Clover-term application kernels on checkerboard fields.
 
-use crate::dslash::MAX_RHS_BATCH;
+use crate::dslash::{Lanes, MAX_RHS_BATCH};
 use quda_fields::precision::Precision;
 use quda_fields::{CloverFieldCb, SpinorFieldCb};
 use quda_math::clover::CloverBasisMap;
-
-/// Compact the active lane indices of `active` into `buf`, returning the
-/// populated prefix — the branch-free mask idiom shared with
-/// [`crate::dslash::dslash_cb_multi`].
-fn compact_active(active: &[bool], buf: &mut [usize; MAX_RHS_BATCH]) -> usize {
-    let mut n_active = 0;
-    for (r, &a) in active.iter().enumerate() {
-        if a {
-            buf[n_active] = r;
-            n_active += 1;
-        }
-    }
-    n_active
-}
 
 /// `out[cb] = T[cb] · in[cb]` where `T` is a packed clover-type field
 /// (either the shifted term `(4+m) + A` or its inverse), applied to spinors
@@ -70,11 +56,11 @@ pub fn clover_apply_cb_multi<P: Precision>(
         assert_eq!(input.sites(), term.sites());
     }
     let mut idx_buf = [0usize; MAX_RHS_BATCH];
-    let n_active = compact_active(active, &mut idx_buf);
-    if n_active == 0 {
-        return;
-    }
-    let idxs = &idx_buf[..n_active];
+    let idxs = match Lanes::select(active, &mut idx_buf) {
+        Lanes::None => return,
+        Lanes::One(r) => return clover_apply_cb(&mut outs[r], term, &ins[r], map),
+        Lanes::Many(idxs) => idxs,
+    };
     (0..term.sites()).for_each(|cb| {
         let t = term.get(cb);
         for &r in idxs {
@@ -108,11 +94,11 @@ pub fn clover_axpy_cb_multi<P: Precision>(
         assert_eq!(b.sites(), term.sites());
     }
     let mut idx_buf = [0usize; MAX_RHS_BATCH];
-    let n_active = compact_active(active, &mut idx_buf);
-    if n_active == 0 {
-        return;
-    }
-    let idxs = &idx_buf[..n_active];
+    let idxs = match Lanes::select(active, &mut idx_buf) {
+        Lanes::None => return,
+        Lanes::One(r) => return clover_axpy_cb(&mut outs[r], term, &as_[r], s, &bs[r], map),
+        Lanes::Many(idxs) => idxs,
+    };
     (0..term.sites()).for_each(|cb| {
         let t = term.get(cb);
         for &r in idxs {
@@ -226,6 +212,63 @@ mod tests {
             clover_axpy_cb(&mut scalar, &term, &ins[r], -0.25, &bs[r], &map);
             for cb in 0..term.sites() {
                 assert_eq!(outs2[r].get(cb), scalar.get(cb), "axpy r={r} cb={cb}");
+            }
+        }
+
+        check_one_lane::<Double>();
+        check_one_lane::<quda_fields::precision::Single>();
+        check_one_lane::<quda_fields::precision::Half>();
+        check_one_lane::<quda_fields::precision::Quarter>();
+    }
+
+    /// One active lane of a full-width batch takes the scalar kernels: that
+    /// lane must match them bit for bit and the seven masked outputs must
+    /// stay untouched, at every precision.
+    fn check_one_lane<P: Precision>() {
+        use quda_math::real::Real;
+        let d = dims();
+        let cfg = weak_field(d, 0.12, 31);
+        let mut term = CloverFieldCb::<P>::new(d);
+        for (cb, a) in clover_sites_cb(&cfg, 1.1, Parity::Even).iter().enumerate() {
+            term.set(cb, &a.shifted(4.3));
+        }
+        let map = CloverBasisMap::new();
+        let field = |seed: u64| {
+            let mut f = SpinorFieldCb::<P>::new(d, false);
+            f.upload(&random_spinor_field(d, seed), Parity::Even);
+            f
+        };
+        let ins: Vec<_> = (0..MAX_RHS_BATCH).map(|k| field(40 + k as u64)).collect();
+        let bs: Vec<_> = (0..MAX_RHS_BATCH).map(|k| field(80 + k as u64)).collect();
+        let sentinel = quda_math::spinor::Spinor::point(1, 2).scale_re(P::Arith::from_f64(0.75));
+        let fresh = || {
+            let mut f = SpinorFieldCb::<P>::new(d, false);
+            f.fill_sites(|_| sentinel);
+            f
+        };
+        let untouched = fresh();
+        let s = P::Arith::from_f64(-0.25);
+        for lane in [0, MAX_RHS_BATCH / 2, MAX_RHS_BATCH - 1] {
+            let mut active = [false; MAX_RHS_BATCH];
+            active[lane] = true;
+            let mut applied: Vec<_> = (0..MAX_RHS_BATCH).map(|_| fresh()).collect();
+            clover_apply_cb_multi(&mut applied, &term, &ins, &map, &active);
+            let mut apply_scalar = fresh();
+            clover_apply_cb(&mut apply_scalar, &term, &ins[lane], &map);
+            let mut combined: Vec<_> = (0..MAX_RHS_BATCH).map(|_| fresh()).collect();
+            clover_axpy_cb_multi(&mut combined, &term, &ins, s, &bs, &map, &active);
+            let mut axpy_scalar = fresh();
+            clover_axpy_cb(&mut axpy_scalar, &term, &ins[lane], s, &bs[lane], &map);
+            for r in 0..MAX_RHS_BATCH {
+                let (ea, ec) = if r == lane {
+                    (&apply_scalar, &axpy_scalar)
+                } else {
+                    (&untouched, &untouched)
+                };
+                for cb in 0..term.sites() {
+                    assert_eq!(applied[r].get(cb), ea.get(cb), "apply lane={lane} r={r} cb={cb}");
+                    assert_eq!(combined[r].get(cb), ec.get(cb), "axpy lane={lane} r={r} cb={cb}");
+                }
             }
         }
     }

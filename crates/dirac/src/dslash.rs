@@ -50,6 +50,40 @@ const PAR_THRESHOLD: usize = 4096;
 /// RHS block itself dominates, Eq. 3–5).
 pub const MAX_RHS_BATCH: usize = 8;
 
+/// Which kernel a `_multi` launch runs, chosen from the one thing it can
+/// observe: how many lanes of the `active` mask are set. The batched sweeps
+/// stage a [`MAX_RHS_BATCH`]-wide block per site to amortize the link /
+/// clover decode across lanes; with a single lane there is nothing to
+/// amortize and the staging only costs, so that lane runs the scalar kernel.
+/// Per lane the two kernels are bit-identical, so the choice is invisible
+/// above this crate.
+pub(crate) enum Lanes<'a> {
+    /// Nothing to do.
+    None,
+    /// One active lane at this index: the scalar kernel.
+    One(usize),
+    /// The compacted active indices: the batched sweep, whose site loop
+    /// never branches on the mask.
+    Many(&'a [usize]),
+}
+
+impl<'a> Lanes<'a> {
+    pub(crate) fn select(active: &[bool], buf: &'a mut [usize; MAX_RHS_BATCH]) -> Self {
+        let mut n_active = 0;
+        for (r, &a) in active.iter().enumerate() {
+            if a {
+                buf[n_active] = r;
+                n_active += 1;
+            }
+        }
+        match n_active {
+            0 => Lanes::None,
+            1 => Lanes::One(buf[0]),
+            n => Lanes::Many(&buf[..n]),
+        }
+    }
+}
+
 /// Apply one parity of the hopping term:
 /// `out(x) = Σ_μ P∓μ U_μ(x) ψ(x+μ) + P±μ U†_μ(x−μ) ψ(x−μ)`
 /// for `x` of `out_parity`, reading `input` (the opposite parity).
@@ -104,7 +138,9 @@ pub fn dslash_cb<P: Precision>(
 /// values, operation order, rounding — is exactly that of [`dslash_cb`],
 /// so batched and sequential launches produce bit-identical outputs; the
 /// only difference is that the (possibly compressed) link is decoded once
-/// per `(site, μ)` instead of once per RHS.
+/// per `(site, μ)` instead of once per RHS. With exactly one active lane
+/// there is nothing to amortize and the launch *is* [`dslash_cb`] on that
+/// lane.
 #[allow(clippy::too_many_arguments)]
 pub fn dslash_cb_multi<P: Precision>(
     outs: &mut [SpinorFieldCb<P>],
@@ -120,20 +156,15 @@ pub fn dslash_cb_multi<P: Precision>(
     assert_eq!(outs.len(), inputs.len(), "outs/inputs must pair up per RHS");
     assert_eq!(active.len(), inputs.len(), "active mask must cover every RHS");
     assert!(inputs.len() <= MAX_RHS_BATCH, "batch exceeds MAX_RHS_BATCH");
-    // Compact the active RHS indices into a stack array so the site loop
-    // never branches on the mask.
     let mut idx_buf = [0usize; MAX_RHS_BATCH];
-    let mut n_active = 0;
-    for (r, &a) in active.iter().enumerate() {
-        if a {
-            idx_buf[n_active] = r;
-            n_active += 1;
+    let idxs = match Lanes::select(active, &mut idx_buf) {
+        Lanes::None => return,
+        Lanes::One(r) => {
+            let (out, input) = (&mut outs[r], &inputs[r]);
+            return dslash_cb(out, gauge, input, out_parity, stencil, basis, dagger, region);
         }
-    }
-    if n_active == 0 {
-        return;
-    }
-    let idxs = &idx_buf[..n_active];
+        Lanes::Many(idxs) => idxs,
+    };
     let table = stencil.for_parity(out_parity);
     let sites = inputs[idxs[0]].sites();
     let in_region = |cb: usize| match region {
@@ -339,8 +370,8 @@ fn ghost_half<P: Precision>(
     h
 }
 
-/// Gather the raw 12 components a neighbor will need from one face site of
-/// `field` — the sending half of Fig. 3.
+/// Gather the raw 12 components a neighbor will need from one temporal face
+/// site of `field` — the `dir = T` case of [`gather_face_site_dim`].
 ///
 /// `to_forward` selects which face is being gathered: `true` gathers the
 /// *last* time-slice (sent forward, becoming the receiver's backward ghost,
@@ -348,7 +379,7 @@ fn ghost_half<P: Precision>(
 /// `false` gathers the first time-slice (sent backward, the receiver's
 /// forward ghost). With `dagger` the projector roles (and hence which spin
 /// components are copied) swap.
-pub fn gather_face_site<P: Precision>(
+fn gather_face_site<P: Precision>(
     field: &SpinorFieldCb<P>,
     basis: &SpinBasis,
     stencil: &Stencil,
@@ -383,8 +414,8 @@ pub fn gather_face_site<P: Precision>(
 ///
 /// `to_forward` gathers the last (`true`) or first (`false`) `dir`-slice;
 /// `parity` is the checkerboard parity of `field`. For `dir = 3` (the
-/// diagonal P±4) this is byte-identical to [`gather_face_site`]: a raw copy
-/// of the two kept spin components, the receiver supplying the factor 2.
+/// diagonal P±4) this is a raw copy of the two kept spin components, the
+/// receiver supplying the factor 2 (Section VI-C footnote 3).
 /// For X/Y/Z the projector is non-diagonal, so the *sender* applies the full
 /// projection and the receiver consumes the stored half directly.
 #[allow(clippy::too_many_arguments)]
@@ -749,10 +780,86 @@ mod tests {
                 }
             }
         }
-        check::<Double>();
-        check::<Single>();
-        check::<quda_fields::precision::Half>();
-        check::<quda_fields::precision::Quarter>();
+        // One active lane of a full-width batch takes the scalar kernel:
+        // that lane must equal `dslash_cb` bit for bit in every region, and
+        // the seven masked outputs must stay untouched.
+        fn check_one_lane<P: Precision>() {
+            let d = LatticeDims::new(4, 4, 4, 6);
+            let open = [true, false, false, true];
+            let cfg = weak_field(d, 0.2, 17);
+            let mut gauge = GaugeFieldCb::<P>::new(d, true);
+            gauge.upload(&cfg);
+            let basis = SpinBasis::new(GammaBasis::NonRelativistic);
+            let stencil = Stencil::with_open(d, open);
+            let sentinel = Spinor::point(1, 2).scale_re(P::Arith::from_f64(0.75));
+            let fresh = || {
+                let mut f = SpinorFieldCb::<P>::new(d, false);
+                f.fill_sites(|_| sentinel);
+                f
+            };
+            let inputs: Vec<SpinorFieldCb<P>> = (0..MAX_RHS_BATCH)
+                .map(|r| {
+                    let mut full = SpinorFieldCb::<P>::new(d, false);
+                    full.upload(&random_spinor_field(d, 100 + r as u64), Parity::Odd);
+                    let mut dev = SpinorFieldCb::<P>::new_open(d, open);
+                    dev.fill_sites(|cb| full.get(cb));
+                    dev
+                })
+                .collect();
+            let mut regions = vec![DslashRegion::All, DslashRegion::Interior, DslashRegion::Faces];
+            regions.extend((0..4).map(DslashRegion::FacesDim));
+            let untouched = fresh();
+            for lane in [0, MAX_RHS_BATCH / 2, MAX_RHS_BATCH - 1] {
+                let mut active = [false; MAX_RHS_BATCH];
+                active[lane] = true;
+                for &region in &regions {
+                    let mut outs: Vec<SpinorFieldCb<P>> =
+                        (0..MAX_RHS_BATCH).map(|_| fresh()).collect();
+                    dslash_cb_multi(
+                        &mut outs,
+                        &gauge,
+                        &inputs,
+                        Parity::Even,
+                        &stencil,
+                        &basis,
+                        false,
+                        region,
+                        &active,
+                    );
+                    let mut single = fresh();
+                    dslash_cb(
+                        &mut single,
+                        &gauge,
+                        &inputs[lane],
+                        Parity::Even,
+                        &stencil,
+                        &basis,
+                        false,
+                        region,
+                    );
+                    for (r, out) in outs.iter().enumerate() {
+                        let expect = if r == lane { &single } else { &untouched };
+                        for cb in 0..out.sites() {
+                            assert_eq!(
+                                out.get(cb),
+                                expect.get(cb),
+                                "lane={lane} {region:?} rhs={r} cb={cb}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        macro_rules! all_precisions {
+            ($f:ident) => {
+                $f::<Double>();
+                $f::<Single>();
+                $f::<quda_fields::precision::Half>();
+                $f::<quda_fields::precision::Quarter>();
+            };
+        }
+        all_precisions!(check);
+        all_precisions!(check_one_lane);
     }
 
     #[test]

@@ -27,8 +27,6 @@ pub mod op;
 pub mod reference;
 
 pub use cpu_opt::{CpuDslash, FlatSpinor};
-pub use dslash::{
-    dslash_cb, dslash_cb_multi, gather_face_site, gather_face_site_dim, DslashRegion, MAX_RHS_BATCH,
-};
+pub use dslash::{dslash_cb, dslash_cb_multi, gather_face_site_dim, DslashRegion, MAX_RHS_BATCH};
 pub use op::{WilsonCloverOp, INNER_PARITY, SOLVE_PARITY};
 pub use reference::WilsonParams;

@@ -9,7 +9,8 @@
 //!   in the pad, spinor ghost end zone;
 //! * [`stencil`] — precomputed neighbor tables with temporal-boundary
 //!   classification for the multi-GPU domain decomposition;
-//! * [`partition`] — the 1-d temporal slicing of Section VI-A.
+//! * [`partition`] — the process-grid decomposition; the 1-d temporal
+//!   slicing of Section VI-A is its `1×1×1×N` plan.
 
 #![warn(missing_docs)]
 
@@ -20,5 +21,4 @@ pub mod stencil;
 
 pub use geometry::{Coord, LatticeDims, Parity, DIR_T, DIR_X, DIR_Y, DIR_Z};
 pub use layout::{species, FieldLayout, NVec};
-pub use partition::TimePartition;
 pub use stencil::{BoundaryKind, NeighborRef, ParityStencil, Stencil};

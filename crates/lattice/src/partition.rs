@@ -2,103 +2,21 @@
 //!
 //! The paper parallelizes "by only dividing the time dimension, with the
 //! full extent of the spatial dimensions confined to a single GPU", slicing
-//! T into N equal local extents ([`TimePartition`], Section VI-A). Ranks
-//! are arranged on a periodic 1-d ring; rank `r` owns global time-slices
-//! `[r·T/N, (r+1)·T/N)`.
+//! T into N equal local extents (Section VI-A): rank `r` of a periodic 1-d
+//! ring owns global time-slices `[r·T/N, (r+1)·T/N)`.
 //!
-//! [`DecompPlan`] generalizes this to the multi-dimensional process grids
-//! of the sequel paper (arXiv:1109.2935): up to `nx×ny×nz×nt` domains with
-//! a periodic ring per partitioned dimension. A 1×1×1×N plan is exactly the
-//! 1-d temporal slice.
+//! [`DecompPlan`] is the one decomposition type: the multi-dimensional
+//! process grids of the sequel paper (arXiv:1109.2935), up to `nx×ny×nz×nt`
+//! domains with a periodic ring per partitioned dimension. The paper's
+//! temporal slicing is the plan `[1, 1, 1, N]`.
 
 use crate::geometry::{Coord, LatticeDims};
-
-/// A 1-d temporal partition of a global lattice over `n_ranks` domains.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct TimePartition {
-    /// The full lattice.
-    pub global: LatticeDims,
-    /// Number of domains (GPUs).
-    pub n_ranks: usize,
-}
-
-impl TimePartition {
-    /// Create a partition; `T` must divide evenly by `n_ranks` and every
-    /// local extent must stay even (for the checkerboard indexing).
-    pub fn new(global: LatticeDims, n_ranks: usize) -> Self {
-        assert!(n_ranks >= 1, "need at least one rank");
-        assert!(global.t % n_ranks == 0, "T={} not divisible by n_ranks={}", global.t, n_ranks);
-        let local_t = global.t / n_ranks;
-        assert!(local_t >= 2 && local_t % 2 == 0, "local T extent {local_t} must be even and >= 2");
-        TimePartition { global, n_ranks }
-    }
-
-    /// Local T extent `T/N`.
-    #[inline(always)]
-    pub fn local_t(&self) -> usize {
-        self.global.t / self.n_ranks
-    }
-
-    /// The local lattice dimensions on every rank.
-    pub fn local_dims(&self) -> LatticeDims {
-        LatticeDims::new(self.global.x, self.global.y, self.global.z, self.local_t())
-    }
-
-    /// Local sites per rank: `V/N`.
-    pub fn local_volume(&self) -> usize {
-        self.global.volume() / self.n_ranks
-    }
-
-    /// Rank owning global time-slice `t`.
-    #[inline(always)]
-    pub fn rank_of_t(&self, t: usize) -> usize {
-        debug_assert!(t < self.global.t);
-        t / self.local_t()
-    }
-
-    /// Local time-slice of global `t` on its owning rank.
-    #[inline(always)]
-    pub fn local_t_of(&self, t: usize) -> usize {
-        t % self.local_t()
-    }
-
-    /// Global time-slice of local slice `lt` on rank `rank`.
-    #[inline(always)]
-    pub fn global_t_of(&self, rank: usize, lt: usize) -> usize {
-        debug_assert!(rank < self.n_ranks && lt < self.local_t());
-        rank * self.local_t() + lt
-    }
-
-    /// Forward neighbor on the periodic rank ring.
-    #[inline(always)]
-    pub fn forward_rank(&self, rank: usize) -> usize {
-        (rank + 1) % self.n_ranks
-    }
-
-    /// Backward neighbor on the periodic rank ring.
-    #[inline(always)]
-    pub fn backward_rank(&self, rank: usize) -> usize {
-        (rank + self.n_ranks - 1) % self.n_ranks
-    }
-
-    /// Whether the domain boundaries are real (more than one rank). A
-    /// single-rank "partition" keeps periodic wraps local.
-    #[inline(always)]
-    pub fn is_partitioned(&self) -> bool {
-        self.n_ranks > 1
-    }
-
-    /// Face sites per parity exchanged with each neighbor: `Vs/2`.
-    pub fn face_sites_cb(&self) -> usize {
-        self.global.half_spatial_volume()
-    }
-}
 
 /// A process grid decomposing a global lattice over up to four dimensions.
 ///
 /// Rank `r` sits at grid coordinates `coords_of(r)` with the X grid
-/// coordinate fastest, so a `[1, 1, 1, N]` plan numbers ranks exactly like
-/// the 1-d [`TimePartition`] ring (`rank == ct`). Each partitioned
+/// coordinate fastest, so a `[1, 1, 1, N]` plan numbers ranks along the
+/// paper's 1-d temporal ring (`rank == ct`). Each partitioned
 /// dimension forms an independent periodic ring; every local extent is
 /// even and at least 2, which keeps local checkerboard parity equal to
 /// global parity (all domain origins are even in every coordinate).
@@ -131,11 +49,6 @@ impl DecompPlan {
             }
         }
         Ok(DecompPlan { global, grid })
-    }
-
-    /// The plan equivalent to a 1-d temporal partition.
-    pub fn from_time(part: &TimePartition) -> Self {
-        DecompPlan { global: part.global, grid: [1, 1, 1, part.n_ranks] }
     }
 
     /// The full lattice.
@@ -246,39 +159,43 @@ impl DecompPlan {
 mod tests {
     use super::*;
 
+    fn time_plan(global: LatticeDims, n: usize) -> DecompPlan {
+        DecompPlan::new(global, [1, 1, 1, n])
+    }
+
     #[test]
     fn paper_partitions_are_valid() {
         // The configurations measured in Section VII.
         let big = LatticeDims::spatial_cube(32, 256);
         let small = LatticeDims::spatial_cube(24, 128);
         for n in [1usize, 2, 4, 8, 16, 32] {
-            let p = TimePartition::new(big, n);
-            assert_eq!(p.local_t() * n, 256);
-            let q = TimePartition::new(small, n);
-            assert_eq!(q.local_t() * n, 128);
+            assert_eq!(time_plan(big, n).local_extent(3) * n, 256);
+            assert_eq!(time_plan(small, n).local_extent(3) * n, 128);
         }
         // Weak scaling local volumes: 32^4 and 24^3x32 per GPU.
-        assert_eq!(TimePartition::new(big, 8).local_dims(), LatticeDims::hypercubic(32));
-        assert_eq!(TimePartition::new(small, 4).local_dims(), LatticeDims::new(24, 24, 24, 32));
+        assert_eq!(time_plan(big, 8).local_dims(), LatticeDims::hypercubic(32));
+        assert_eq!(time_plan(small, 4).local_dims(), LatticeDims::new(24, 24, 24, 32));
     }
 
     #[test]
     fn rank_time_mapping_roundtrip() {
-        let p = TimePartition::new(LatticeDims::new(4, 4, 4, 16), 4);
+        // Rank r of a temporal plan owns global slices [r·T/N, (r+1)·T/N).
+        let p = time_plan(LatticeDims::new(4, 4, 4, 16), 4);
+        assert_eq!(p.active_dims().collect::<Vec<_>>(), vec![3]);
         for t in 0..16 {
-            let r = p.rank_of_t(t);
-            let lt = p.local_t_of(t);
-            assert_eq!(p.global_t_of(r, lt), t);
+            let (r, lt) = (t / 4, t % 4);
+            assert_eq!(p.coords_of(r), [0, 0, 0, r]);
+            assert_eq!(p.global_coord(r, Coord::new(1, 2, 3, lt)), Coord::new(1, 2, 3, t));
         }
     }
 
     #[test]
     fn ring_topology() {
-        let p = TimePartition::new(LatticeDims::new(4, 4, 4, 16), 4);
-        assert_eq!(p.forward_rank(3), 0);
-        assert_eq!(p.backward_rank(0), 3);
+        let p = time_plan(LatticeDims::new(4, 4, 4, 16), 4);
+        assert_eq!(p.neighbor(3, 3, true), 0);
+        assert_eq!(p.neighbor(0, 3, false), 3);
         for r in 0..4 {
-            assert_eq!(p.backward_rank(p.forward_rank(r)), r);
+            assert_eq!(p.neighbor(p.neighbor(r, 3, true), 3, false), r);
         }
     }
 
@@ -286,55 +203,34 @@ mod tests {
     fn local_volume_sums_to_global() {
         let d = LatticeDims::new(8, 8, 8, 32);
         for n in [1, 2, 4, 8, 16] {
-            let p = TimePartition::new(d, n);
-            assert_eq!(p.local_volume() * n, d.volume());
+            assert_eq!(time_plan(d, n).local_dims().volume() * n, d.volume());
         }
     }
 
     #[test]
     fn single_rank_is_unpartitioned() {
-        let p = TimePartition::new(LatticeDims::new(4, 4, 4, 8), 1);
-        assert!(!p.is_partitioned());
-        assert!(TimePartition::new(LatticeDims::new(4, 4, 4, 8), 2).is_partitioned());
+        assert!(!time_plan(LatticeDims::new(4, 4, 4, 8), 1).is_partitioned());
+        assert!(time_plan(LatticeDims::new(4, 4, 4, 8), 2).is_partitioned());
     }
 
     #[test]
     #[should_panic(expected = "not divisible")]
     fn indivisible_t_rejected() {
-        TimePartition::new(LatticeDims::new(4, 4, 4, 10), 4);
+        time_plan(LatticeDims::new(4, 4, 4, 10), 4);
     }
 
     #[test]
     #[should_panic(expected = "must be even")]
     fn odd_local_t_rejected() {
         // T=12 over 6 ranks -> local T=2 ok; over 12 ranks -> local T=1 bad.
-        TimePartition::new(LatticeDims::new(4, 4, 4, 12), 6);
-        TimePartition::new(LatticeDims::new(4, 4, 4, 12), 12);
+        time_plan(LatticeDims::new(4, 4, 4, 12), 6);
+        time_plan(LatticeDims::new(4, 4, 4, 12), 12);
     }
 
     #[test]
     fn face_sites() {
-        let p = TimePartition::new(LatticeDims::spatial_cube(24, 128), 8);
-        assert_eq!(p.face_sites_cb(), 24 * 24 * 24 / 2);
-    }
-
-    #[test]
-    fn one_d_plan_matches_time_partition() {
-        let d = LatticeDims::new(8, 8, 8, 16);
-        let part = TimePartition::new(d, 4);
-        let plan = DecompPlan::from_time(&part);
-        assert_eq!(plan, DecompPlan::new(d, [1, 1, 1, 4]));
-        assert_eq!(plan.n_ranks(), 4);
-        assert_eq!(plan.local_dims(), part.local_dims());
-        assert_eq!(plan.face_sites_cb(3), part.face_sites_cb());
-        for r in 0..4 {
-            // Rank numbering and ring topology coincide with the 1-d ring.
-            assert_eq!(plan.coords_of(r), [0, 0, 0, r]);
-            assert_eq!(plan.neighbor(r, 3, true), part.forward_rank(r));
-            assert_eq!(plan.neighbor(r, 3, false), part.backward_rank(r));
-            assert_eq!(plan.origin(r), Coord::new(0, 0, 0, part.global_t_of(r, 0)));
-        }
-        assert_eq!(plan.active_dims().collect::<Vec<_>>(), vec![3]);
+        let p = time_plan(LatticeDims::spatial_cube(24, 128), 8);
+        assert_eq!(p.face_sites_cb(3), 24 * 24 * 24 / 2);
     }
 
     #[test]

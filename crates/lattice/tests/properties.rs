@@ -2,9 +2,9 @@
 //! shapes: index bijectivity, stencil involution, layout disjointness.
 
 use proptest::prelude::*;
-use quda_lattice::geometry::{LatticeDims, Parity};
+use quda_lattice::geometry::{Coord, LatticeDims, Parity};
 use quda_lattice::layout::{FieldLayout, NVec};
-use quda_lattice::partition::TimePartition;
+use quda_lattice::partition::DecompPlan;
 use quda_lattice::stencil::{BoundaryKind, Stencil};
 
 fn arb_dims() -> impl Strategy<Value = LatticeDims> {
@@ -107,15 +107,16 @@ proptest! {
     fn partitions_tile_the_time_axis(d in arb_dims(), log_n in 0usize..3) {
         let n = 1usize << log_n;
         prop_assume!(d.t % n == 0 && (d.t / n) % 2 == 0 && d.t / n >= 2);
-        let part = TimePartition::new(d, n);
+        let plan = DecompPlan::new(d, [1, 1, 1, n]);
+        let local_t = plan.local_extent(3);
         let mut owner = vec![usize::MAX; d.t];
         for rank in 0..n {
-            for lt in 0..part.local_t() {
-                let g = part.global_t_of(rank, lt);
+            for lt in 0..local_t {
+                let g = plan.global_coord(rank, Coord::new(0, 0, 0, lt)).t;
                 prop_assert_eq!(owner[g], usize::MAX, "time slice owned twice");
                 owner[g] = rank;
-                prop_assert_eq!(part.rank_of_t(g), rank);
-                prop_assert_eq!(part.local_t_of(g), lt);
+                prop_assert_eq!(g / local_t, rank);
+                prop_assert_eq!(g % local_t, lt);
             }
         }
         prop_assert!(owner.iter().all(|&o| o != usize::MAX));

@@ -7,12 +7,12 @@
 use crate::rank_op::{CommStrategy, ParallelWilsonCloverOp};
 use crate::reshard::{CheckpointStore, GlobalCheckpoint};
 use crate::slice::{gather_spinor_grid, slice_spinor_grid};
-use quda_comm::{CommConfig, CommError, CommStats, FaultPlan, LockstepConfig};
+use quda_comm::{CommConfig, CommError, CommStats, Communicator, FaultPlan, LockstepConfig};
 use quda_dirac::WilsonParams;
 use quda_fields::host::{GaugeConfig, HostSpinorField};
 use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
 use quda_lattice::geometry::Parity;
-use quda_lattice::partition::{DecompPlan, TimePartition};
+use quda_lattice::partition::DecompPlan;
 use quda_obs::{Phase, Recorder, Trace, TraceConfig};
 use quda_solvers::blas;
 use quda_solvers::checkpoint::{CheckpointSink, NoCheckpoint, SolverCheckpoint};
@@ -100,42 +100,8 @@ impl Default for ChaosSpec {
     }
 }
 
-/// Everything needed to run one parallel solve over a 1-d temporal
-/// partition (the paper's decomposition). Convertible to the general
-/// process-grid spec with [`ParallelSolveSpec::to_grid`].
-#[derive(Copy, Clone, Debug)]
-pub struct ParallelSolveSpec {
-    /// Temporal partition (global dims + rank count).
-    pub part: TimePartition,
-    /// Operator parameters.
-    pub wilson: WilsonParams,
-    /// Precision mode.
-    pub mode: PrecisionMode,
-    /// Face-exchange strategy.
-    pub strategy: CommStrategy,
-    /// Krylov method.
-    pub solver: SolverKind,
-    /// Solver controls.
-    pub params: SolverParams,
-}
-
-impl ParallelSolveSpec {
-    /// The equivalent process-grid spec (a `1×1×1×N` plan). Solving either
-    /// spec produces bit-identical results.
-    pub fn to_grid(&self) -> GridSolveSpec {
-        GridSolveSpec {
-            plan: DecompPlan::from_time(&self.part),
-            wilson: self.wilson,
-            mode: self.mode,
-            strategy: self.strategy,
-            solver: self.solver,
-            params: self.params,
-        }
-    }
-}
-
-/// Everything needed to run one parallel solve over an arbitrary 4-d
-/// process grid ([`DecompPlan`]).
+/// Everything needed to run one parallel solve over a 4-d process grid
+/// ([`DecompPlan`]); the paper's temporal slicing is the `1×1×1×N` plan.
 #[derive(Copy, Clone, Debug)]
 pub struct GridSolveSpec {
     /// Process-grid decomposition (global dims + grid extents).
@@ -197,7 +163,7 @@ impl CommHealth {
 
 /// The full outcome of a traced parallel solve: the solution, the solver
 /// statistics, the recorded phase [`Trace`], and the communication-health
-/// summary. Produced by [`solve_full_parallel_traced`].
+/// summary. Produced by [`solve_full_grid_elastic`].
 #[derive(Clone, Debug)]
 pub struct TracedSolve {
     /// Global solution (both parities).
@@ -210,93 +176,21 @@ pub struct TracedSolve {
     pub comm: CommHealth,
 }
 
-/// Run the full even-odd solve `M x = b` in parallel. Returns the global
-/// solution (both parities) and the (rank-identical) solve statistics.
+/// Run the full even-odd solve `M x = b` over a 4-d process grid with the
+/// default options: no injected faults, fail-fast, tracing off. Returns the
+/// global solution (both parities) and the (rank-identical) solve
+/// statistics.
 ///
-/// Fails with the first (in rank order) communication error when a rank
-/// dies, times out, or exhausts its retries — the whole world is torn down
-/// rather than left hanging.
-pub fn solve_full_parallel(
-    cfg: &GaugeConfig,
-    b: &HostSpinorField,
-    spec: &ParallelSolveSpec,
-) -> Result<(HostSpinorField, SolveResult), CommError> {
-    solve_full_parallel_chaos(cfg, b, spec, &ChaosSpec::default())
-}
-
-/// [`solve_full_parallel`] under an explicit fault-injection and timeout
-/// policy. The fault plan (if any) is applied to both the high- and
-/// low-precision communicator worlds.
-pub fn solve_full_parallel_chaos(
-    cfg: &GaugeConfig,
-    b: &HostSpinorField,
-    spec: &ParallelSolveSpec,
-    chaos: &ChaosSpec,
-) -> Result<(HostSpinorField, SolveResult), CommError> {
-    solve_full_parallel_traced(cfg, b, spec, chaos, TraceConfig::Off)
-        .map(|ts| (ts.solution, ts.result))
-}
-
-/// [`solve_full_parallel_chaos`] with phase tracing: every rank's
-/// communicator, ghost exchange, dslash, and solver loop record spans into
-/// a world-shared [`Recorder`], returned as [`TracedSolve::trace`]
-/// alongside the per-rank communication-health summary.
-pub fn solve_full_parallel_traced(
-    cfg: &GaugeConfig,
-    b: &HostSpinorField,
-    spec: &ParallelSolveSpec,
-    chaos: &ChaosSpec,
-    trace: TraceConfig,
-) -> Result<TracedSolve, CommError> {
-    solve_full_grid_traced(cfg, b, &spec.to_grid(), chaos, trace)
-}
-
-/// Run the full even-odd solve `M x = b` over a 4-d process grid. A
-/// `1×1×1×N` plan is bit-identical to [`solve_full_parallel`] on the same
-/// rank count.
+/// Fails with the root-cause communication error when a rank dies, times
+/// out, or exhausts its retries — the whole world is torn down rather than
+/// left hanging.
 pub fn solve_full_grid(
     cfg: &GaugeConfig,
     b: &HostSpinorField,
     spec: &GridSolveSpec,
 ) -> Result<(HostSpinorField, SolveResult), CommError> {
-    solve_full_grid_chaos(cfg, b, spec, &ChaosSpec::default())
-}
-
-/// [`solve_full_grid`] under an explicit fault-injection and timeout
-/// policy.
-pub fn solve_full_grid_chaos(
-    cfg: &GaugeConfig,
-    b: &HostSpinorField,
-    spec: &GridSolveSpec,
-    chaos: &ChaosSpec,
-) -> Result<(HostSpinorField, SolveResult), CommError> {
-    solve_full_grid_traced(cfg, b, spec, chaos, TraceConfig::Off).map(|ts| (ts.solution, ts.result))
-}
-
-/// [`solve_full_grid_chaos`] with phase tracing (see
-/// [`solve_full_parallel_traced`]). Per-dimension wire and exterior phases
-/// (`wire_x` ... `exterior_z`) appear in the trace for multi-dimensional
-/// plans.
-pub fn solve_full_grid_traced(
-    cfg: &GaugeConfig,
-    b: &HostSpinorField,
-    spec: &GridSolveSpec,
-    chaos: &ChaosSpec,
-    trace: TraceConfig,
-) -> Result<TracedSolve, CommError> {
-    match spec.mode {
-        PrecisionMode::Double => run_world::<Double, Double>(cfg, b, spec, false, chaos, trace),
-        PrecisionMode::Single => run_world::<Single, Single>(cfg, b, spec, false, chaos, trace),
-        PrecisionMode::Half => run_world::<Half, Half>(cfg, b, spec, false, chaos, trace),
-        PrecisionMode::SingleHalf => run_world::<Single, Half>(cfg, b, spec, true, chaos, trace),
-        PrecisionMode::DoubleHalf => run_world::<Double, Half>(cfg, b, spec, true, chaos, trace),
-        PrecisionMode::DoubleSingle => {
-            run_world::<Double, Single>(cfg, b, spec, true, chaos, trace)
-        }
-        PrecisionMode::DoubleQuarter => {
-            run_world::<Double, Quarter>(cfg, b, spec, true, chaos, trace)
-        }
-    }
+    solve_full_grid_elastic(cfg, b, spec, &ElasticPolicy::default(), TraceConfig::Off)
+        .map(|es| (es.solve.solution, es.solve.result))
 }
 
 /// How far the elastic driver is allowed to go to keep a solve alive
@@ -304,7 +198,7 @@ pub fn solve_full_grid_traced(
 #[derive(Clone, Debug, Default)]
 pub struct ElasticPolicy {
     /// Rank deaths the solve may survive before giving up and surfacing
-    /// the error. `0` is *bit-identical* to the fail-fast driver: no
+    /// the error. `0` (the default) *is* the fail-fast driver: no
     /// checkpoints are taken and the first death aborts the world.
     pub max_rank_deaths: usize,
     /// Fault-injection and timeout policy applied to every world
@@ -356,16 +250,22 @@ pub struct ElasticSolve {
     pub recovery: RecoveryReport,
 }
 
-/// [`solve_full_grid_traced`] that *survives rank death*: every rank
-/// deposits checkpoints into a world-shared store at reliable-update
-/// boundaries, and when a rank dies (or its thread panics) mid-solve the
-/// supervisor tears the world down, assembles the newest globally
-/// consistent checkpoint, re-shards it onto a fresh world, and resumes
-/// mid-Krylov — up to [`ElasticPolicy::max_rank_deaths`] times.
+/// [`solve_full_grid`] under an explicit fault-injection, timeout and
+/// recovery policy, with phase tracing: every rank's communicator, ghost
+/// exchange, dslash, and solver loop record spans into a world-shared
+/// [`Recorder`], returned as [`TracedSolve::trace`] (per-dimension wire and
+/// exterior phases `wire_x` ... `exterior_z` for multi-dimensional plans)
+/// alongside the per-rank communication-health summary.
 ///
-/// With a budget of `0` the checkpoint sink is disabled and the attempt
-/// runs the exact classic rank bodies — bit-identical to
-/// [`solve_full_grid_traced`], failing fast on the first death.
+/// The solve *survives rank death*: every rank deposits checkpoints into a
+/// world-shared store at reliable-update boundaries, and when a rank dies
+/// (or its thread panics) mid-solve the supervisor tears the world down,
+/// assembles the newest globally consistent checkpoint, re-shards it onto a
+/// fresh world, and resumes mid-Krylov — up to
+/// [`ElasticPolicy::max_rank_deaths`] times.
+///
+/// With a budget of `0` the checkpoint sink is disabled (zero cost, no
+/// deposits) and the first death fails the solve fast.
 pub fn solve_full_grid_elastic(
     cfg: &GaugeConfig,
     b: &HostSpinorField,
@@ -394,17 +294,6 @@ pub fn solve_full_grid_elastic(
             run_world_elastic::<Double, Quarter>(cfg, b, spec, true, policy, trace)
         }
     }
-}
-
-/// [`solve_full_grid_elastic`] over a 1-d temporal partition.
-pub fn solve_full_parallel_elastic(
-    cfg: &GaugeConfig,
-    b: &HostSpinorField,
-    spec: &ParallelSolveSpec,
-    policy: &ElasticPolicy,
-    trace: TraceConfig,
-) -> Result<ElasticSolve, CommError> {
-    solve_full_grid_elastic(cfg, b, &spec.to_grid(), policy, trace)
 }
 
 fn run_world_elastic<H: Precision, L: Precision>(
@@ -436,8 +325,7 @@ fn run_world_elastic<H: Precision, L: Precision>(
             lockstep: policy.chaos.lockstep,
         };
         // A zero death budget disables the sink entirely: no deposits, no
-        // resume state — `run_attempt` then runs the exact classic rank
-        // bodies, keeping budget 0 bit-identical to the fail-fast path.
+        // resume state — the fail-fast path pays nothing for elasticity.
         let elastic =
             if policy.max_rank_deaths == 0 { None } else { Some((&store, resume.as_ref())) };
         let attempt = run_attempt::<H, L>(cfg, b, spec, mixed, &chaos, &recorder, elastic);
@@ -491,26 +379,6 @@ fn run_world_elastic<H: Precision, L: Precision>(
     }
 }
 
-fn run_world<H: Precision, L: Precision>(
-    cfg: &GaugeConfig,
-    b: &HostSpinorField,
-    spec: &GridSolveSpec,
-    mixed: bool,
-    chaos: &ChaosSpec,
-    trace: TraceConfig,
-) -> Result<TracedSolve, CommError> {
-    let plan = spec.plan;
-    let recorder = Recorder::new(plan.n_ranks(), trace);
-    let (locals, stats, per_rank) =
-        run_attempt::<H, L>(cfg, b, spec, mixed, chaos, &recorder, None)?;
-    Ok(TracedSolve {
-        solution: gather_spinor_grid(&locals, &plan),
-        result: stats,
-        trace: recorder.finish(),
-        comm: CommHealth::from_per_rank(per_rank),
-    })
-}
-
 /// Recover a readable message from a rank thread's panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -522,61 +390,52 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Spawn one world incarnation (thread per rank), run the solve on every
-/// rank, and join. `elastic` wires each rank to the shared
-/// [`CheckpointStore`] and, after a recovery, hands it its re-sharded slice
-/// of the resume snapshot; `None` is the classic fail-fast path with
-/// checkpointing disabled (bit-identical to the pre-elastic driver).
-fn run_attempt<H: Precision, L: Precision>(
-    cfg: &GaugeConfig,
-    b: &HostSpinorField,
-    spec: &GridSolveSpec,
-    mixed: bool,
+/// Spawn one world incarnation — a thread per rank, each holding its
+/// endpoint of a high- and a low-precision communicator world wired to the
+/// shared recorder and the chaos policy — run `body` on every rank, and
+/// join. Returns the rank bodies' outputs in rank order, or the root cause
+/// of the first failure.
+fn run_ranks<T: Send>(
+    n_ranks: usize,
     chaos: &ChaosSpec,
     recorder: &Recorder,
-    elastic: Option<(&Arc<CheckpointStore>, Option<&GlobalCheckpoint>)>,
-) -> Result<(Vec<HostSpinorField>, SolveResult, Vec<CommStats>), CommError> {
-    let plan = spec.plan;
-    let world_hi = quda_comm::comm_world_with(plan.n_ranks(), chaos.comm, chaos.plan.clone());
-    let world_lo = quda_comm::comm_world_with(plan.n_ranks(), chaos.comm, chaos.plan.clone());
-    let handles: Vec<_> = world_hi
-        .into_iter()
-        .zip(world_lo)
-        .enumerate()
-        .map(|(rank, (mut comm_hi, mut comm_lo))| {
-            let cfg = cfg.clone();
-            let b = b.clone();
-            let spec = *spec;
-            // Both precision worlds of a rank feed the same per-rank buffer.
-            let tracer = recorder.tracer(rank);
-            comm_hi.set_tracer(tracer.clone());
-            comm_lo.set_tracer(tracer);
-            if let Some(ls) = chaos.lockstep {
-                comm_hi.enable_lockstep(ls);
-                comm_lo.enable_lockstep(ls);
-            }
-            let sink = elastic.map(|(store, resume)| RankSink {
-                store: Arc::clone(store),
-                rank,
-                resume: resume.map(|g| g.reshard::<H>(&plan, rank)),
-            });
-            std::thread::spawn(move || {
-                run_rank::<H, L>(&cfg, &b, &spec, rank, comm_hi, comm_lo, mixed, sink)
+    body: impl Fn(usize, Communicator, Communicator) -> Result<T, CommError> + Sync,
+) -> Result<Vec<T>, CommError> {
+    let world_hi = quda_comm::comm_world_with(n_ranks, chaos.comm, chaos.plan.clone());
+    let world_lo = quda_comm::comm_world_with(n_ranks, chaos.comm, chaos.plan.clone());
+    let mut results: Vec<Result<T, CommError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = world_hi
+            .into_iter()
+            .zip(world_lo)
+            .enumerate()
+            .map(|(rank, (mut comm_hi, mut comm_lo))| {
+                // Both precision worlds of a rank feed the same per-rank buffer.
+                let tracer = recorder.tracer(rank);
+                comm_hi.set_tracer(tracer.clone());
+                comm_lo.set_tracer(tracer);
+                if let Some(ls) = chaos.lockstep {
+                    comm_hi.enable_lockstep(ls);
+                    comm_lo.enable_lockstep(ls);
+                }
+                let body = &body;
+                scope.spawn(move || body(rank, comm_hi, comm_lo))
             })
-        })
-        .collect();
-    // Handles are in rank order. A panicked rank thread (its communicator
-    // is marked dead by `Drop`, so peers unblock) is reported as
-    // `RankPanicked` carrying the panic message — distinct from a rank the
-    // fault plan killed, which reports its own `RankDead`.
-    let mut results: Vec<Result<_, CommError>> = handles
-        .into_iter()
-        .enumerate()
-        .map(|(rank, h)| match h.join() {
-            Ok(r) => r,
-            Err(payload) => Err(CommError::RankPanicked { rank, message: panic_message(payload) }),
-        })
-        .collect();
+            .collect();
+        // Handles are in rank order. A panicked rank thread (its
+        // communicator is marked dead by `Drop`, so peers unblock) is
+        // reported as `RankPanicked` carrying the panic message — distinct
+        // from a rank the fault plan killed, which reports its own
+        // `RankDead`.
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(rank, h)| {
+                h.join().unwrap_or_else(|payload| {
+                    Err(CommError::RankPanicked { rank, message: panic_message(payload) })
+                })
+            })
+            .collect()
+    });
     // Prefer the root cause over cascade effects: a rank whose own thread
     // panicked, or that reports its *own* death (fault-killed), is the
     // origin; every other rank merely observed a neighbour going silent
@@ -593,12 +452,36 @@ fn run_attempt<H: Precision, L: Precision>(
             }
         }
     }
-    let mut locals = Vec::with_capacity(results.len());
+    results.into_iter().collect()
+}
+
+/// Run the solve on one world incarnation. `elastic` wires each rank to the
+/// shared [`CheckpointStore`] and, after a recovery, hands it its re-sharded
+/// slice of the resume snapshot; `None` is the fail-fast path with
+/// checkpointing disabled.
+fn run_attempt<H: Precision, L: Precision>(
+    cfg: &GaugeConfig,
+    b: &HostSpinorField,
+    spec: &GridSolveSpec,
+    mixed: bool,
+    chaos: &ChaosSpec,
+    recorder: &Recorder,
+    elastic: Option<(&Arc<CheckpointStore>, Option<&GlobalCheckpoint>)>,
+) -> Result<(Vec<HostSpinorField>, SolveResult, Vec<CommStats>), CommError> {
+    let plan = spec.plan;
+    let ranks = run_ranks(plan.n_ranks(), chaos, recorder, |rank, comm_hi, comm_lo| {
+        let sink = elastic.map(|(store, resume)| RankSink {
+            store: Arc::clone(store),
+            rank,
+            resume: resume.map(|g| g.reshard::<H>(&plan, rank)),
+        });
+        run_rank::<H, L>(cfg, b, spec, rank, comm_hi, comm_lo, mixed, sink)
+    })?;
+    let mut locals = Vec::with_capacity(ranks.len());
     let mut stats: Option<SolveResult> = None;
     let mut comm_recoveries = 0;
-    let mut per_rank = Vec::with_capacity(results.len());
-    for r in results {
-        let (x, res, comm) = r?;
+    let mut per_rank = Vec::with_capacity(ranks.len());
+    for (x, res, comm) in ranks {
         comm_recoveries += res.comm_recoveries;
         if stats.is_none() {
             stats = Some(res);
@@ -638,23 +521,23 @@ fn run_rank<H: Precision, L: Precision>(
     b: &HostSpinorField,
     spec: &GridSolveSpec,
     rank: usize,
-    comm_hi: quda_comm::Communicator,
-    comm_lo: quda_comm::Communicator,
+    comm_hi: Communicator,
+    comm_lo: Communicator,
     mixed: bool,
     sink: Option<RankSink>,
 ) -> Result<(HostSpinorField, SolveResult, CommStats), CommError> {
-    // The classic path hands the solver the disabled sink, which makes the
-    // checkpoint machinery zero-cost and the numerics bit-identical.
+    // The fail-fast path hands the solver the disabled sink, which makes
+    // the checkpoint machinery zero-cost.
     let mut elastic_sink;
-    let mut classic_sink;
+    let mut no_sink;
     let sink: &mut dyn CheckpointSink = match sink {
         Some(s) => {
             elastic_sink = s;
             &mut elastic_sink
         }
         None => {
-            classic_sink = NoCheckpoint;
-            &mut classic_sink
+            no_sink = NoCheckpoint;
+            &mut no_sink
         }
     };
     let plan = spec.plan;
@@ -758,25 +641,14 @@ pub struct MultiSolve {
     pub comm: CommHealth,
 }
 
-/// Run a batched multi-RHS even-odd solve over a 1-d temporal partition.
+/// Run a batched multi-RHS even-odd solve over a 4-d process grid.
 ///
 /// Every system shares the gauge field, operator, and solver controls; the
 /// Krylov sweeps are fused through the blocked solvers so the gauge links
 /// are read once per sweep — and one face message per direction is sent —
 /// for the whole block. Each returned solution and iteration count is
-/// **bit-identical** to what [`solve_full_parallel`] produces for that
-/// source alone (the batched-equivalence suite enforces this).
-pub fn solve_full_parallel_multi(
-    cfg: &GaugeConfig,
-    bs: &[HostSpinorField],
-    spec: &ParallelSolveSpec,
-    chaos: &ChaosSpec,
-    trace: TraceConfig,
-) -> Result<MultiSolve, CommError> {
-    solve_full_grid_multi(cfg, bs, &spec.to_grid(), chaos, trace)
-}
-
-/// [`solve_full_parallel_multi`] over an arbitrary 4-d process grid.
+/// **bit-identical** to what [`solve_full_grid`] produces for that source
+/// alone (the batched-equivalence suite enforces this).
 pub fn solve_full_grid_multi(
     cfg: &GaugeConfig,
     bs: &[HostSpinorField],
@@ -823,58 +695,16 @@ fn run_world_multi<H: Precision, L: Precision>(
 ) -> Result<MultiSolve, CommError> {
     let plan = spec.plan;
     let recorder = Recorder::new(plan.n_ranks(), trace);
-    let world_hi = quda_comm::comm_world_with(plan.n_ranks(), chaos.comm, chaos.plan.clone());
-    let world_lo = quda_comm::comm_world_with(plan.n_ranks(), chaos.comm, chaos.plan.clone());
-    let handles: Vec<_> = world_hi
-        .into_iter()
-        .zip(world_lo)
-        .enumerate()
-        .map(|(rank, (mut comm_hi, mut comm_lo))| {
-            let cfg = cfg.clone();
-            let bs = bs.to_vec();
-            let spec = *spec;
-            let tracer = recorder.tracer(rank);
-            comm_hi.set_tracer(tracer.clone());
-            comm_lo.set_tracer(tracer);
-            if let Some(ls) = chaos.lockstep {
-                comm_hi.enable_lockstep(ls);
-                comm_lo.enable_lockstep(ls);
-            }
-            std::thread::spawn(move || {
-                run_rank_multi::<H, L>(&cfg, &bs, &spec, rank, comm_hi, comm_lo, mixed)
-            })
-        })
-        .collect();
-    // Same root-cause attribution as the single-RHS attempt: panics first,
-    // then a rank reporting its own death, then cascade errors.
-    let mut rank_results: Vec<Result<_, CommError>> = handles
-        .into_iter()
-        .enumerate()
-        .map(|(rank, h)| match h.join() {
-            Ok(r) => r,
-            Err(payload) => Err(CommError::RankPanicked { rank, message: panic_message(payload) }),
-        })
-        .collect();
-    if let Some(i) =
-        rank_results.iter().position(|r| matches!(r, Err(CommError::RankPanicked { .. })))
-    {
-        rank_results.swap_remove(i)?;
-    }
-    for (rank, r) in rank_results.iter().enumerate() {
-        if let Err(CommError::RankDead { rank: dead }) = r {
-            if *dead == rank {
-                return Err(CommError::RankDead { rank: *dead });
-            }
-        }
-    }
+    let ranks = run_ranks(plan.n_ranks(), chaos, &recorder, |rank, comm_hi, comm_lo| {
+        run_rank_multi::<H, L>(cfg, bs, spec, rank, comm_hi, comm_lo, mixed)
+    })?;
     let n = bs.len();
     let mut by_rhs: Vec<Vec<HostSpinorField>> =
         (0..n).map(|_| Vec::with_capacity(plan.n_ranks())).collect();
     let mut results: Option<Vec<SolveResult>> = None;
     let mut comm_recoveries = 0;
-    let mut per_rank = Vec::with_capacity(rank_results.len());
-    for r in rank_results {
-        let (fields, res, comm) = r?;
+    let mut per_rank = Vec::with_capacity(ranks.len());
+    for (fields, res, comm) in ranks {
         comm_recoveries += comm.recovered;
         if results.is_none() {
             results = Some(res);
@@ -905,8 +735,8 @@ fn run_rank_multi<H: Precision, L: Precision>(
     bs: &[HostSpinorField],
     spec: &GridSolveSpec,
     rank: usize,
-    comm_hi: quda_comm::Communicator,
-    comm_lo: quda_comm::Communicator,
+    comm_hi: Communicator,
+    comm_lo: Communicator,
     mixed: bool,
 ) -> Result<(Vec<HostSpinorField>, Vec<SolveResult>, CommStats), CommError> {
     let plan = spec.plan;
@@ -1039,15 +869,11 @@ mod tests {
     use quda_fields::gauge_gen::{random_spinor_field, weak_field};
     use quda_lattice::geometry::LatticeDims;
 
-    fn spec(
-        ranks: usize,
-        mode: PrecisionMode,
-        strategy: CommStrategy,
-        tol: f64,
-    ) -> ParallelSolveSpec {
+    /// The paper's decomposition: `ranks` temporal slices of 4×4×2×8.
+    fn spec(ranks: usize, mode: PrecisionMode, strategy: CommStrategy, tol: f64) -> GridSolveSpec {
         let d = LatticeDims::new(4, 4, 2, 8);
-        ParallelSolveSpec {
-            part: TimePartition::new(d, ranks),
+        GridSolveSpec {
+            plan: DecompPlan::new(d, [1, 1, 1, ranks]),
             wilson: WilsonParams { mass: 0.3, c_sw: 1.0 },
             mode,
             strategy,
@@ -1056,10 +882,22 @@ mod tests {
         }
     }
 
-    fn run(spec: &ParallelSolveSpec, seed: u64) -> (f64, SolveResult) {
-        let cfg = weak_field(spec.part.global, 0.15, seed);
-        let b = random_spinor_field(spec.part.global, seed + 1);
-        let (x, res) = solve_full_parallel(&cfg, &b, spec).expect("solve");
+    /// Fail-fast solve under an explicit chaos policy.
+    fn solve_chaos(
+        cfg: &GaugeConfig,
+        b: &HostSpinorField,
+        spec: &GridSolveSpec,
+        chaos: &ChaosSpec,
+    ) -> Result<(HostSpinorField, SolveResult), CommError> {
+        let policy = ElasticPolicy { max_rank_deaths: 0, chaos: chaos.clone() };
+        solve_full_grid_elastic(cfg, b, spec, &policy, TraceConfig::Off)
+            .map(|es| (es.solve.solution, es.solve.result))
+    }
+
+    fn run(spec: &GridSolveSpec, seed: u64) -> (f64, SolveResult) {
+        let cfg = weak_field(spec.plan.global(), 0.15, seed);
+        let b = random_spinor_field(spec.plan.global(), seed + 1);
+        let (x, res) = solve_full_grid(&cfg, &b, spec).expect("solve");
         let rel = verify_full_solution(&cfg, &spec.wilson, &x, &b);
         (rel, res)
     }
@@ -1075,10 +913,10 @@ mod tests {
     fn overlap_strategy_gives_same_answer() {
         let s1 = spec(2, PrecisionMode::Double, CommStrategy::NoOverlap, 1e-10);
         let s2 = spec(2, PrecisionMode::Double, CommStrategy::Overlap, 1e-10);
-        let cfg = weak_field(s1.part.global, 0.15, 9);
-        let b = random_spinor_field(s1.part.global, 10);
-        let (x1, r1) = solve_full_parallel(&cfg, &b, &s1).expect("solve");
-        let (x2, r2) = solve_full_parallel(&cfg, &b, &s2).expect("solve");
+        let cfg = weak_field(s1.plan.global(), 0.15, 9);
+        let b = random_spinor_field(s1.plan.global(), 10);
+        let (x1, r1) = solve_full_grid(&cfg, &b, &s1).expect("solve");
+        let (x2, r2) = solve_full_grid(&cfg, &b, &s2).expect("solve");
         // Identical numerics: same iteration count, bit-identical solutions
         // (deterministic reductions make this exact).
         assert_eq!(r1.iterations, r2.iterations);
@@ -1089,10 +927,10 @@ mod tests {
     fn four_rank_matches_one_rank() {
         let s1 = spec(1, PrecisionMode::Double, CommStrategy::NoOverlap, 1e-10);
         let s4 = spec(4, PrecisionMode::Double, CommStrategy::Overlap, 1e-10);
-        let cfg = weak_field(s1.part.global, 0.15, 21);
-        let b = random_spinor_field(s1.part.global, 22);
-        let (x1, r1) = solve_full_parallel(&cfg, &b, &s1).expect("solve");
-        let (x4, r4) = solve_full_parallel(&cfg, &b, &s4).expect("solve");
+        let cfg = weak_field(s1.plan.global(), 0.15, 21);
+        let b = random_spinor_field(s1.plan.global(), 22);
+        let (x1, r1) = solve_full_grid(&cfg, &b, &s1).expect("solve");
+        let (x4, r4) = solve_full_grid(&cfg, &b, &s4).expect("solve");
         assert!(r1.converged && r4.converged);
         let dist = x1.max_site_dist(&x4);
         assert!(dist < 1e-10, "1-rank vs 4-rank distance {dist}");
@@ -1119,16 +957,16 @@ mod tests {
         for mode in [PrecisionMode::Double, PrecisionMode::SingleHalf] {
             let tol = if mode == PrecisionMode::Double { 1e-10 } else { 2e-6 };
             let s = spec(2, mode, CommStrategy::NoOverlap, tol);
-            let cfg = weak_field(s.part.global, 0.15, 51);
+            let cfg = weak_field(s.plan.global(), 0.15, 51);
             let bs: Vec<HostSpinorField> =
-                (0..3).map(|k| random_spinor_field(s.part.global, 60 + k)).collect();
+                (0..3).map(|k| random_spinor_field(s.plan.global(), 60 + k)).collect();
             let multi =
-                solve_full_parallel_multi(&cfg, &bs, &s, &ChaosSpec::default(), TraceConfig::Off)
+                solve_full_grid_multi(&cfg, &bs, &s, &ChaosSpec::default(), TraceConfig::Off)
                     .expect("batched solve");
             assert_eq!(multi.solutions.len(), 3);
             assert_eq!(multi.results.len(), 3);
             for (k, b) in bs.iter().enumerate() {
-                let (x_solo, r_solo) = solve_full_parallel(&cfg, b, &s).expect("solo solve");
+                let (x_solo, r_solo) = solve_full_grid(&cfg, b, &s).expect("solo solve");
                 assert!(multi.results[k].converged, "mode {mode:?} rhs {k} did not converge");
                 assert_eq!(
                     multi.results[k].iterations, r_solo.iterations,
@@ -1146,11 +984,11 @@ mod tests {
     #[test]
     fn batched_solve_records_batch_phase_span() {
         let s = spec(2, PrecisionMode::Double, CommStrategy::NoOverlap, 1e-10);
-        let cfg = weak_field(s.part.global, 0.15, 71);
+        let cfg = weak_field(s.plan.global(), 0.15, 71);
         let bs: Vec<HostSpinorField> =
-            (0..2).map(|k| random_spinor_field(s.part.global, 80 + k)).collect();
+            (0..2).map(|k| random_spinor_field(s.plan.global(), 80 + k)).collect();
         let multi =
-            solve_full_parallel_multi(&cfg, &bs, &s, &ChaosSpec::default(), TraceConfig::Summary)
+            solve_full_grid_multi(&cfg, &bs, &s, &ChaosSpec::default(), TraceConfig::Summary)
                 .expect("batched solve");
         let breakdown = multi.trace.breakdown();
         let batch = breakdown.get(Phase::Batch).expect("no Batch span recorded");
@@ -1162,8 +1000,8 @@ mod tests {
         // A 4-rank world where rank 2 goes dead mid-exchange must terminate
         // with `RankDead` within the timeout — never hang (ISSUE acceptance).
         let s = spec(4, PrecisionMode::Double, CommStrategy::NoOverlap, 1e-10);
-        let cfg = weak_field(s.part.global, 0.15, 5);
-        let b = random_spinor_field(s.part.global, 6);
+        let cfg = weak_field(s.plan.global(), 0.15, 5);
+        let b = random_spinor_field(s.plan.global(), 6);
         let chaos = ChaosSpec {
             plan: Some(quda_comm::FaultPlan::new(77).kill_rank(2, 25)),
             comm: CommConfig {
@@ -1173,8 +1011,7 @@ mod tests {
             ..ChaosSpec::default()
         };
         let t0 = std::time::Instant::now();
-        let err = solve_full_parallel_chaos(&cfg, &b, &s, &chaos)
-            .expect_err("a dead rank must abort the solve");
+        let err = solve_chaos(&cfg, &b, &s, &chaos).expect_err("a dead rank must abort the solve");
         assert_eq!(err, CommError::RankDead { rank: 2 });
         assert!(
             t0.elapsed() < std::time::Duration::from_secs(30),
@@ -1191,8 +1028,8 @@ mod tests {
         // converges to garbage; with it, the world tears down with the
         // divergent rank identified (ISSUE 6 acceptance).
         let s = spec(2, PrecisionMode::Double, CommStrategy::NoOverlap, 1e-10);
-        let cfg = weak_field(s.part.global, 0.15, 23);
-        let b = random_spinor_field(s.part.global, 24);
+        let cfg = weak_field(s.plan.global(), 0.15, 23);
+        let b = random_spinor_field(s.plan.global(), 24);
         let chaos = ChaosSpec {
             plan: Some(quda_comm::FaultPlan::new(5).skip_collective(1, 5)),
             comm: CommConfig {
@@ -1202,7 +1039,7 @@ mod tests {
             lockstep: Some(LockstepConfig { check_every: 1 }),
         };
         let t0 = std::time::Instant::now();
-        let err = solve_full_parallel_chaos(&cfg, &b, &s, &chaos)
+        let err = solve_chaos(&cfg, &b, &s, &chaos)
             .expect_err("a skipped collective must abort the solve");
         match err {
             CommError::LockstepDivergence { rank, .. } => assert_eq!(rank, 1),
@@ -1221,15 +1058,14 @@ mod tests {
         // the solve is bit-identical to the fault-free one and the recovery
         // events are visible in the result (ISSUE acceptance).
         let s = spec(2, PrecisionMode::Double, CommStrategy::NoOverlap, 1e-10);
-        let cfg = weak_field(s.part.global, 0.15, 13);
-        let b = random_spinor_field(s.part.global, 14);
-        let (x_clean, r_clean) = solve_full_parallel(&cfg, &b, &s).expect("fault-free solve");
+        let cfg = weak_field(s.plan.global(), 0.15, 13);
+        let b = random_spinor_field(s.plan.global(), 14);
+        let (x_clean, r_clean) = solve_full_grid(&cfg, &b, &s).expect("fault-free solve");
         let chaos = ChaosSpec {
             plan: Some(quda_comm::FaultPlan::new(99).drop(0.01)),
             ..ChaosSpec::default()
         };
-        let (x_lossy, r_lossy) =
-            solve_full_parallel_chaos(&cfg, &b, &s, &chaos).expect("lossy solve");
+        let (x_lossy, r_lossy) = solve_chaos(&cfg, &b, &s, &chaos).expect("lossy solve");
         assert!(r_lossy.converged);
         assert!(r_lossy.comm_recoveries > 0, "expected drops to be recovered");
         assert_eq!(r_clean.iterations, r_lossy.iterations);
@@ -1242,15 +1078,14 @@ mod tests {
         // Bit-flips and truncations are caught by the frame checksum/length
         // check and replayed from the pristine store — still bit-identical.
         let s = spec(2, PrecisionMode::Double, CommStrategy::Overlap, 1e-10);
-        let cfg = weak_field(s.part.global, 0.15, 17);
-        let b = random_spinor_field(s.part.global, 18);
-        let (x_clean, r_clean) = solve_full_parallel(&cfg, &b, &s).expect("fault-free solve");
+        let cfg = weak_field(s.plan.global(), 0.15, 17);
+        let b = random_spinor_field(s.plan.global(), 18);
+        let (x_clean, r_clean) = solve_full_grid(&cfg, &b, &s).expect("fault-free solve");
         let chaos = ChaosSpec {
             plan: Some(quda_comm::FaultPlan::new(7).bit_flip(0.01).truncate(0.005)),
             ..ChaosSpec::default()
         };
-        let (x_lossy, r_lossy) =
-            solve_full_parallel_chaos(&cfg, &b, &s, &chaos).expect("corrupted solve");
+        let (x_lossy, r_lossy) = solve_chaos(&cfg, &b, &s, &chaos).expect("corrupted solve");
         assert!(r_lossy.converged);
         assert!(r_lossy.comm_recoveries > 0);
         assert_eq!(r_clean.iterations, r_lossy.iterations);
@@ -1264,9 +1099,9 @@ mod tests {
     #[cfg(feature = "chaos")]
     fn chaos_soak_combined_faults_stay_bit_identical() {
         let s = spec(4, PrecisionMode::DoubleHalf, CommStrategy::Overlap, 1e-10);
-        let cfg = weak_field(s.part.global, 0.15, 51);
-        let b = random_spinor_field(s.part.global, 52);
-        let (x_clean, r_clean) = solve_full_parallel(&cfg, &b, &s).expect("fault-free solve");
+        let cfg = weak_field(s.plan.global(), 0.15, 51);
+        let b = random_spinor_field(s.plan.global(), 52);
+        let (x_clean, r_clean) = solve_full_grid(&cfg, &b, &s).expect("fault-free solve");
         for seed in [1u64, 2, 3] {
             let chaos = ChaosSpec {
                 plan: Some(
@@ -1279,8 +1114,8 @@ mod tests {
                 ),
                 ..ChaosSpec::default()
             };
-            let (x, r) = solve_full_parallel_chaos(&cfg, &b, &s, &chaos)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let (x, r) =
+                solve_chaos(&cfg, &b, &s, &chaos).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert!(r.converged, "seed {seed}");
             assert!(r.comm_recoveries > 0, "seed {seed}: no faults actually landed");
             assert_eq!(r_clean.iterations, r.iterations, "seed {seed}");
@@ -1294,8 +1129,8 @@ mod tests {
         // death) must surface as `RankPanicked` carrying the panic message
         // — previously it was mislabelled as a plain `RankDead`.
         let s = spec(4, PrecisionMode::Double, CommStrategy::NoOverlap, 1e-10);
-        let cfg = weak_field(s.part.global, 0.15, 5);
-        let b = random_spinor_field(s.part.global, 6);
+        let cfg = weak_field(s.plan.global(), 0.15, 5);
+        let b = random_spinor_field(s.plan.global(), 6);
         let chaos = ChaosSpec {
             plan: Some(quda_comm::FaultPlan::new(3).panic_rank(1, 30)),
             comm: CommConfig {
@@ -1304,8 +1139,8 @@ mod tests {
             },
             ..ChaosSpec::default()
         };
-        let err = solve_full_parallel_chaos(&cfg, &b, &s, &chaos)
-            .expect_err("a panicked rank must abort the solve");
+        let err =
+            solve_chaos(&cfg, &b, &s, &chaos).expect_err("a panicked rank must abort the solve");
         match err {
             CommError::RankPanicked { rank, message } => {
                 assert_eq!(rank, 1);
@@ -1318,9 +1153,9 @@ mod tests {
     #[test]
     fn elastic_solve_survives_a_rank_death() {
         let s = spec(2, PrecisionMode::DoubleHalf, CommStrategy::NoOverlap, 1e-10);
-        let cfg = weak_field(s.part.global, 0.15, 61);
-        let b = random_spinor_field(s.part.global, 62);
-        let (x_clean, r_clean) = solve_full_parallel(&cfg, &b, &s).expect("fault-free solve");
+        let cfg = weak_field(s.plan.global(), 0.15, 61);
+        let b = random_spinor_field(s.plan.global(), 62);
+        let (x_clean, r_clean) = solve_full_grid(&cfg, &b, &s).expect("fault-free solve");
         let policy = ElasticPolicy {
             max_rank_deaths: 1,
             chaos: ChaosSpec {
@@ -1332,7 +1167,7 @@ mod tests {
                 ..ChaosSpec::default()
             },
         };
-        let es = solve_full_parallel_elastic(&cfg, &b, &s, &policy, TraceConfig::Off)
+        let es = solve_full_grid_elastic(&cfg, &b, &s, &policy, TraceConfig::Off)
             .expect("elastic solve must survive one death");
         assert!(es.solve.result.converged);
         assert_eq!(es.recovery.deaths_survived(), 1);
@@ -1351,21 +1186,24 @@ mod tests {
     #[test]
     fn elastic_budget_zero_is_bit_identical_fail_fast() {
         let s = spec(2, PrecisionMode::Double, CommStrategy::NoOverlap, 1e-10);
-        let cfg = weak_field(s.part.global, 0.15, 71);
-        let b = random_spinor_field(s.part.global, 72);
-        // Fault-free: budget 0 must give the bit-identical classic answer
-        // (no checkpoints, no extra collectives, same numerics).
+        let cfg = weak_field(s.plan.global(), 0.15, 71);
+        let b = random_spinor_field(s.plan.global(), 72);
+        // Fault-free, the budget must not touch the numerics: budget 0 (sink
+        // disabled, no checkpoints) and budget 1 (a deposit at every
+        // reliable-update boundary) give the bit-identical answer.
         let policy = ElasticPolicy { max_rank_deaths: 0, chaos: ChaosSpec::default() };
-        let es = solve_full_parallel_elastic(&cfg, &b, &s, &policy, TraceConfig::Off)
+        let es = solve_full_grid_elastic(&cfg, &b, &s, &policy, TraceConfig::Off)
             .expect("fault-free solve");
-        let (x_classic, r_classic) = solve_full_parallel(&cfg, &b, &s).expect("classic solve");
-        assert_eq!(es.solve.solution.max_site_dist(&x_classic), 0.0);
-        assert_eq!(es.solve.result.iterations, r_classic.iterations);
-        assert_eq!(es.solve.result.final_residual, r_classic.final_residual);
+        let policy = ElasticPolicy { max_rank_deaths: 1, chaos: ChaosSpec::default() };
+        let armed = solve_full_grid_elastic(&cfg, &b, &s, &policy, TraceConfig::Off)
+            .expect("fault-free solve with a death budget");
+        assert_eq!(es.solve.solution.max_site_dist(&armed.solve.solution), 0.0);
+        assert_eq!(es.solve.result.iterations, armed.solve.result.iterations);
+        assert_eq!(es.solve.result.final_residual, armed.solve.result.final_residual);
         assert_eq!(es.recovery.deaths_survived(), 0);
         assert_eq!(es.recovery.checkpoints_taken, 0);
-        // With a kill injected, budget 0 fails fast with the same typed
-        // error as the classic driver.
+        assert!(armed.recovery.checkpoints_taken > 0);
+        // With a kill injected, budget 0 fails fast with the typed error.
         let chaos = ChaosSpec {
             plan: Some(quda_comm::FaultPlan::new(77).kill_rank(1, 25)),
             comm: CommConfig {
@@ -1375,7 +1213,7 @@ mod tests {
             ..ChaosSpec::default()
         };
         let policy = ElasticPolicy { max_rank_deaths: 0, chaos };
-        let err = solve_full_parallel_elastic(&cfg, &b, &s, &policy, TraceConfig::Off)
+        let err = solve_full_grid_elastic(&cfg, &b, &s, &policy, TraceConfig::Off)
             .expect_err("budget 0 must fail fast");
         assert_eq!(err, CommError::RankDead { rank: 1 });
     }
@@ -1386,9 +1224,9 @@ mod tests {
     #[cfg(feature = "chaos")]
     fn chaos_soak_two_sequential_deaths_with_lossy_wire() {
         let s = spec(4, PrecisionMode::DoubleHalf, CommStrategy::Overlap, 1e-10);
-        let cfg = weak_field(s.part.global, 0.15, 81);
-        let b = random_spinor_field(s.part.global, 82);
-        let (x_clean, _) = solve_full_parallel(&cfg, &b, &s).expect("fault-free solve");
+        let cfg = weak_field(s.plan.global(), 0.15, 81);
+        let b = random_spinor_field(s.plan.global(), 82);
+        let (x_clean, _) = solve_full_grid(&cfg, &b, &s).expect("fault-free solve");
         let rel_clean = verify_full_solution(&cfg, &s.wilson, &x_clean, &b);
         let policy = ElasticPolicy {
             max_rank_deaths: 2,
@@ -1406,7 +1244,7 @@ mod tests {
                 ..ChaosSpec::default()
             },
         };
-        let es = solve_full_parallel_elastic(&cfg, &b, &s, &policy, TraceConfig::Off)
+        let es = solve_full_grid_elastic(&cfg, &b, &s, &policy, TraceConfig::Off)
             .expect("elastic solve must survive both deaths");
         assert!(es.solve.result.converged);
         assert_eq!(es.recovery.deaths_survived(), 2);

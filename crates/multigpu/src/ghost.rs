@@ -24,13 +24,17 @@
 //! the extra normalization constant for each (12 component) spinor is also
 //! required" (Section VI-C). The format is identical for every dimension;
 //! only face areas and tags differ.
+//!
+//! There is one exchange: a slice of right-hand sides with an `active`
+//! mask, addressed by a plan and a dimension. The paper's single-field
+//! temporal exchange is the one-element slice on a `1×1×1×N` plan.
 
 use bytes::Bytes;
 use quda_comm::{tags, CommError, Communicator, DecodeError};
-use quda_dirac::{gather_face_site, gather_face_site_dim};
+use quda_dirac::gather_face_site_dim;
 use quda_fields::precision::Precision;
 use quda_fields::{GaugeFieldCb, SpinorFieldCb};
-use quda_lattice::geometry::{LatticeDims, Parity, DIR_T};
+use quda_lattice::geometry::Parity;
 use quda_lattice::partition::DecompPlan;
 use quda_lattice::stencil::Stencil;
 use quda_math::half;
@@ -127,8 +131,8 @@ pub fn face_wire_bytes<P: Precision>(face_sites: usize) -> usize {
 /// performance model (which works from `PrecisionTag`s, not generics).
 ///
 /// `n_rhs` is the number of right-hand sides riding in one fused message
-/// (the batched exchange concatenates the RHS blocks face-by-face, so the
-/// payload scales linearly); the classic single-RHS paths pass 1.
+/// (the exchange concatenates the RHS blocks face-by-face, so the payload
+/// scales linearly).
 pub fn face_wire_bytes_dyn(
     storage_bytes: usize,
     needs_norm: bool,
@@ -140,286 +144,23 @@ pub fn face_wire_bytes_dyn(
     data + norms
 }
 
-/// Gather both boundary faces of `field` and start the sends (Fig. 3's
-/// device-to-host gather + non-blocking message passing).
-pub fn send_faces<P: Precision>(
-    comm: &mut Communicator,
-    field: &SpinorFieldCb<P>,
-    basis: &quda_math::gamma::SpinBasis,
-    stencil: &Stencil,
-    dagger: bool,
-) -> Result<(), CommError> {
-    let faces = field.face_sites();
-    assert!(faces > 0, "field has no ghost end zone");
-    let tracer = comm.tracer().clone();
-    // Last time-slice → forward neighbor.
-    let fwd_wire = {
-        let mut gather = tracer.span(Phase::Gather);
-        let mut fwd = Vec::with_capacity(faces * HALF_SPINOR_REALS);
-        for f in 0..faces {
-            let h = gather_face_site(field, basis, stencil, true, f, dagger);
-            for r in h.to_reals() {
-                fwd.push(r.to_f64());
-            }
-        }
-        let wire = encode_face::<P>(&fwd);
-        gather.set_bytes(wire.len() as u64);
-        wire
-    };
-    comm.send(comm.forward(), tags::FACE_T_FWD, fwd_wire)?;
-    // First time-slice → backward neighbor.
-    let bwd_wire = {
-        let mut gather = tracer.span(Phase::Gather);
-        let mut bwd = Vec::with_capacity(faces * HALF_SPINOR_REALS);
-        for f in 0..faces {
-            let h = gather_face_site(field, basis, stencil, false, f, dagger);
-            for r in h.to_reals() {
-                bwd.push(r.to_f64());
-            }
-        }
-        let wire = encode_face::<P>(&bwd);
-        gather.set_bytes(wire.len() as u64);
-        wire
-    };
-    comm.send(comm.backward(), tags::FACE_T_BWD, bwd_wire)
-}
-
-/// Receive both faces and store them in the ghost end zone.
-pub fn recv_faces<P: Precision>(
-    comm: &mut Communicator,
-    field: &mut SpinorFieldCb<P>,
-) -> Result<(), CommError> {
-    let faces = field.face_sites();
-    let tracer = comm.tracer().clone();
-    // One scratch buffer serves both directions' decodes.
-    let mut values = Vec::with_capacity(faces * HALF_SPINOR_REALS);
-    // From the backward neighbor: its last slice = our backward ghost.
-    let from = comm.backward();
-    let payload = {
-        let mut wire = tracer.span(Phase::Wire);
-        let payload = comm.recv(from, tags::FACE_T_FWD)?;
-        wire.set_bytes(payload.len() as u64);
-        payload
-    };
-    {
-        let _scatter = tracer.span(Phase::Scatter);
-        decode_face_into::<P>(&payload, faces, &mut values).map_err(|error| CommError::Decode {
-            from,
-            tag: tags::FACE_T_FWD,
-            error,
-        })?;
-        store_ghost(field, true, &values);
-    }
-    // From the forward neighbor: its first slice = our forward ghost.
-    let from = comm.forward();
-    let payload = {
-        let mut wire = tracer.span(Phase::Wire);
-        let payload = comm.recv(from, tags::FACE_T_BWD)?;
-        wire.set_bytes(payload.len() as u64);
-        payload
-    };
-    {
-        let _scatter = tracer.span(Phase::Scatter);
-        decode_face_into::<P>(&payload, faces, &mut values).map_err(|error| CommError::Decode {
-            from,
-            tag: tags::FACE_T_BWD,
-            error,
-        })?;
-        store_ghost(field, false, &values);
-    }
-    Ok(())
-}
-
-fn store_ghost<P: Precision>(field: &mut SpinorFieldCb<P>, backward: bool, values: &[f64]) {
-    let faces = field.face_sites();
-    assert_eq!(values.len(), faces * HALF_SPINOR_REALS);
-    for f in 0..faces {
-        let mut reals = [P::Arith::ZERO; HALF_SPINOR_REALS];
-        for (k, r) in reals.iter_mut().enumerate() {
-            *r = P::Arith::from_f64(values[f * HALF_SPINOR_REALS + k]);
-        }
-        let h = HalfSpinor::from_reals(&reals);
-        field.set_ghost(backward, f, &h);
-    }
-}
-
-/// Blocking exchange: send + receive (the no-overlap strategy's
-/// communication phase, Section VI-D1).
-pub fn exchange_spinor_ghosts<P: Precision>(
-    comm: &mut Communicator,
-    field: &mut SpinorFieldCb<P>,
-    basis: &quda_math::gamma::SpinBasis,
-    stencil: &Stencil,
-    dagger: bool,
-) -> Result<(), CommError> {
-    send_faces(comm, field, basis, stencil, dagger)?;
-    recv_faces(comm, field)
-}
-
-/// Gather both boundary faces of dimension `dim` and start the sends on
-/// that dimension's periodic rank ring. `parity` is the checkerboard
-/// parity of `field` (the X/Y/Z face enumerations are parity-dependent).
-///
-/// For `dim = 3` on a `1×1×1×N` plan this produces messages byte-identical
-/// to [`send_faces`]: same gather, same wire encoding, same tag values,
-/// same destination ranks.
-#[allow(clippy::too_many_arguments)]
-pub fn send_faces_dim<P: Precision>(
-    comm: &mut Communicator,
-    field: &SpinorFieldCb<P>,
-    basis: &quda_math::gamma::SpinBasis,
-    stencil: &Stencil,
-    plan: &DecompPlan,
-    dim: usize,
-    parity: Parity,
-    dagger: bool,
-) -> Result<(), CommError> {
-    let faces = field.face_sites_dim(dim);
-    assert!(field.has_ghost_dim(dim), "field has no ghost zone for dim {dim}");
-    let rank = comm.rank();
-    let tag_fwd = tags::face(dim, true);
-    let tag_bwd = tags::face(dim, false);
-    let tracer = comm.tracer().clone();
-    // Last dim-slice → forward neighbor on this dimension's ring.
-    let fwd_wire = {
-        let mut gather = tracer.span(Phase::Gather);
-        let mut fwd = Vec::with_capacity(faces * HALF_SPINOR_REALS);
-        for f in 0..faces {
-            let h = gather_face_site_dim(field, basis, stencil, dim, true, f, parity, dagger);
-            for r in h.to_reals() {
-                fwd.push(r.to_f64());
-            }
-        }
-        let wire = encode_face::<P>(&fwd);
-        gather.set_bytes(wire.len() as u64);
-        wire
-    };
-    comm.send(plan.neighbor(rank, dim, true), tag_fwd, fwd_wire)?;
-    // First dim-slice → backward neighbor.
-    let bwd_wire = {
-        let mut gather = tracer.span(Phase::Gather);
-        let mut bwd = Vec::with_capacity(faces * HALF_SPINOR_REALS);
-        for f in 0..faces {
-            let h = gather_face_site_dim(field, basis, stencil, dim, false, f, parity, dagger);
-            for r in h.to_reals() {
-                bwd.push(r.to_f64());
-            }
-        }
-        let wire = encode_face::<P>(&bwd);
-        gather.set_bytes(wire.len() as u64);
-        wire
-    };
-    comm.send(plan.neighbor(rank, dim, false), tag_bwd, bwd_wire)
-}
-
-/// Receive both faces of dimension `dim` and store them in that
-/// dimension's ghost zone. The wire wait is attributed to the
-/// per-dimension phase ([`Phase::wire_dim`]), so a multi-dimensional trace
-/// shows each direction's exposed communication separately.
-pub fn recv_faces_dim<P: Precision>(
-    comm: &mut Communicator,
-    field: &mut SpinorFieldCb<P>,
-    plan: &DecompPlan,
-    dim: usize,
-) -> Result<(), CommError> {
-    let faces = field.face_sites_dim(dim);
-    let rank = comm.rank();
-    let tag_fwd = tags::face(dim, true);
-    let tag_bwd = tags::face(dim, false);
-    let tracer = comm.tracer().clone();
-    // One scratch buffer serves both directions' decodes.
-    let mut values = Vec::with_capacity(faces * HALF_SPINOR_REALS);
-    // From the backward neighbor: its last slice = our backward ghost.
-    let from = plan.neighbor(rank, dim, false);
-    let payload = {
-        let mut wire = tracer.span(Phase::wire_dim(dim));
-        let payload = comm.recv(from, tag_fwd)?;
-        wire.set_bytes(payload.len() as u64);
-        payload
-    };
-    {
-        let _scatter = tracer.span(Phase::Scatter);
-        decode_face_into::<P>(&payload, faces, &mut values).map_err(|error| CommError::Decode {
-            from,
-            tag: tag_fwd,
-            error,
-        })?;
-        store_ghost_dim(field, dim, true, &values);
-    }
-    // From the forward neighbor: its first slice = our forward ghost.
-    let from = plan.neighbor(rank, dim, true);
-    let payload = {
-        let mut wire = tracer.span(Phase::wire_dim(dim));
-        let payload = comm.recv(from, tag_bwd)?;
-        wire.set_bytes(payload.len() as u64);
-        payload
-    };
-    {
-        let _scatter = tracer.span(Phase::Scatter);
-        decode_face_into::<P>(&payload, faces, &mut values).map_err(|error| CommError::Decode {
-            from,
-            tag: tag_bwd,
-            error,
-        })?;
-        store_ghost_dim(field, dim, false, &values);
-    }
-    Ok(())
-}
-
-fn store_ghost_dim<P: Precision>(
-    field: &mut SpinorFieldCb<P>,
-    dim: usize,
-    backward: bool,
-    values: &[f64],
-) {
-    let faces = field.face_sites_dim(dim);
-    assert_eq!(values.len(), faces * HALF_SPINOR_REALS);
-    for f in 0..faces {
-        let mut reals = [P::Arith::ZERO; HALF_SPINOR_REALS];
-        for (k, r) in reals.iter_mut().enumerate() {
-            *r = P::Arith::from_f64(values[f * HALF_SPINOR_REALS + k]);
-        }
-        let h = HalfSpinor::from_reals(&reals);
-        field.set_ghost_dim(dim, backward, f, &h);
-    }
-}
-
-/// Blocking exchange over every partitioned dimension of `plan`, in
-/// ascending dimension order: all sends first, then all receives (the
-/// no-overlap strategy's communication phase, generalized to a 4-d
-/// process grid).
-#[allow(clippy::too_many_arguments)]
-pub fn exchange_spinor_ghosts_grid<P: Precision>(
-    comm: &mut Communicator,
-    field: &mut SpinorFieldCb<P>,
-    basis: &quda_math::gamma::SpinBasis,
-    stencil: &Stencil,
-    plan: &DecompPlan,
-    parity: Parity,
-    dagger: bool,
-) -> Result<(), CommError> {
-    for dim in plan.active_dims() {
-        send_faces_dim(comm, field, basis, stencil, plan, dim, parity, dagger)?;
-    }
-    for dim in plan.active_dims() {
-        recv_faces_dim(comm, field, plan, dim)?;
-    }
-    Ok(())
-}
-
-/// Gather the `dim` boundary faces of every *active* RHS into one fused
-/// message per direction and start the sends.
+/// Gather the `dim` boundary faces of every *active* right-hand side into
+/// one fused message per direction and start the sends (Fig. 3's
+/// device-to-host gather + non-blocking message passing) on that
+/// dimension's periodic rank ring. `parity` is the checkerboard parity of
+/// `fields` (the X/Y/Z face enumerations are parity-dependent). A single
+/// field is the one-element slice with `active = &[true]`.
 ///
 /// The RHS blocks are concatenated face-by-face before encoding. Because
 /// every wire codec works in independent per-site blocks (plain reals for
 /// the float precisions, per-site quantization groups for half/quarter),
 /// encoding the concatenation is byte-identical to concatenating the
 /// per-RHS encodings — each RHS's decoded ghost values are bit-identical
-/// to what a single-RHS exchange would deliver, while the message *count*
-/// stays that of one RHS (the batching win: per-message latency and tag
-/// traffic amortize across the block).
+/// to what an exchange of that field alone would deliver, while the message
+/// *count* stays that of one RHS (the batching win: per-message latency and
+/// tag traffic amortize across the block).
 #[allow(clippy::too_many_arguments)]
-pub fn send_faces_dim_multi<P: Precision>(
+pub fn send_faces<P: Precision>(
     comm: &mut Communicator,
     fields: &[SpinorFieldCb<P>],
     active: &[bool],
@@ -432,7 +173,7 @@ pub fn send_faces_dim_multi<P: Precision>(
 ) -> Result<(), CommError> {
     assert_eq!(fields.len(), active.len());
     let n_active = active.iter().filter(|&&a| a).count();
-    assert!(n_active > 0, "fused send needs at least one active RHS");
+    assert!(n_active > 0, "face send needs at least one active RHS");
     let faces = fields[0].face_sites_dim(dim);
     let rank = comm.rank();
     let tracer = comm.tracer().clone();
@@ -461,10 +202,12 @@ pub fn send_faces_dim_multi<P: Precision>(
     comm.send(plan.neighbor(rank, dim, false), tags::face(dim, false), bwd_wire)
 }
 
-/// Receive both fused faces of dimension `dim` and scatter each RHS's
-/// segment into that field's ghost zone (the receiving half of
-/// [`send_faces_dim_multi`]).
-pub fn recv_faces_dim_multi<P: Precision>(
+/// Receive both fused faces of dimension `dim` and scatter each active
+/// RHS's segment into that field's ghost zone (the receiving half of
+/// [`send_faces`]). The wire wait is attributed to the per-dimension phase
+/// ([`Phase::wire_dim`]), so a multi-dimensional trace shows each
+/// direction's exposed communication separately.
+pub fn recv_faces<P: Precision>(
     comm: &mut Communicator,
     fields: &mut [SpinorFieldCb<P>],
     active: &[bool],
@@ -473,7 +216,7 @@ pub fn recv_faces_dim_multi<P: Precision>(
 ) -> Result<(), CommError> {
     assert_eq!(fields.len(), active.len());
     let n_active = active.iter().filter(|&&a| a).count();
-    assert!(n_active > 0, "fused receive needs at least one active RHS");
+    assert!(n_active > 0, "face receive needs at least one active RHS");
     let faces = fields[0].face_sites_dim(dim);
     let rank = comm.rank();
     let tag_fwd = tags::face(dim, true);
@@ -496,7 +239,7 @@ pub fn recv_faces_dim_multi<P: Precision>(
             .map_err(|error| CommError::Decode { from, tag: tag_fwd, error })?;
         for (k, (field, _)) in fields.iter_mut().zip(active.iter()).filter(|(_, &a)| a).enumerate()
         {
-            store_ghost_dim(field, dim, true, &values[k * seg..(k + 1) * seg]);
+            store_ghost(field, dim, true, &values[k * seg..(k + 1) * seg]);
         }
     }
     // From the forward neighbor: its first slices = our forward ghosts.
@@ -513,18 +256,36 @@ pub fn recv_faces_dim_multi<P: Precision>(
             .map_err(|error| CommError::Decode { from, tag: tag_bwd, error })?;
         for (k, (field, _)) in fields.iter_mut().zip(active.iter()).filter(|(_, &a)| a).enumerate()
         {
-            store_ghost_dim(field, dim, false, &values[k * seg..(k + 1) * seg]);
+            store_ghost(field, dim, false, &values[k * seg..(k + 1) * seg]);
         }
     }
     Ok(())
 }
 
-/// Blocking fused exchange over every partitioned dimension of `plan` for
-/// a whole RHS block: all sends first, then all receives — the batched
-/// analog of [`exchange_spinor_ghosts_grid`], with one message per
-/// `(dimension, direction)` regardless of the batch size.
+fn store_ghost<P: Precision>(
+    field: &mut SpinorFieldCb<P>,
+    dim: usize,
+    backward: bool,
+    values: &[f64],
+) {
+    let faces = field.face_sites_dim(dim);
+    assert_eq!(values.len(), faces * HALF_SPINOR_REALS);
+    for f in 0..faces {
+        let mut reals = [P::Arith::ZERO; HALF_SPINOR_REALS];
+        for (k, r) in reals.iter_mut().enumerate() {
+            *r = P::Arith::from_f64(values[f * HALF_SPINOR_REALS + k]);
+        }
+        let h = HalfSpinor::from_reals(&reals);
+        field.set_ghost_dim(dim, backward, f, &h);
+    }
+}
+
+/// Blocking exchange over every partitioned dimension of `plan`, in
+/// ascending dimension order: all sends first, then all receives (the
+/// no-overlap strategy's communication phase, Section VI-D1) — one message
+/// per `(dimension, direction)` regardless of the batch size.
 #[allow(clippy::too_many_arguments)]
-pub fn exchange_spinor_ghosts_grid_multi<P: Precision>(
+pub fn exchange_spinor_ghosts<P: Precision>(
     comm: &mut Communicator,
     fields: &mut [SpinorFieldCb<P>],
     active: &[bool],
@@ -535,76 +296,23 @@ pub fn exchange_spinor_ghosts_grid_multi<P: Precision>(
     dagger: bool,
 ) -> Result<(), CommError> {
     for dim in plan.active_dims() {
-        send_faces_dim_multi(comm, fields, active, basis, stencil, plan, dim, parity, dagger)?;
+        send_faces(comm, fields, active, basis, stencil, plan, dim, parity, dagger)?;
     }
     for dim in plan.active_dims() {
-        recv_faces_dim_multi(comm, fields, active, plan, dim)?;
+        recv_faces(comm, fields, active, plan, dim)?;
     }
     Ok(())
 }
 
-/// One-time exchange of the gauge ghost slice at program initialization
+/// One-time exchange of the gauge ghost slices at program initialization
 /// (Section VI-B: "since the link matrices are constant throughout the
 /// execution of the linear solver, we transfer the adjoining link matrices
-/// in the program initialization").
-///
-/// Each rank sends, per parity, the temporal links of its *last* time-slice
-/// forward; the receiver hides them in the pad region of its own gauge
-/// arrays.
+/// in the program initialization"), for every partitioned dimension of
+/// `plan`: per open dimension and parity, each rank sends the `U_dim` links
+/// of its *last* dim-slice forward on that dimension's ring; the receiver
+/// stores them in the per-dimension ghost-link store (for T, the pad region
+/// of its own gauge arrays) consumed by the backward hop of the dslash.
 pub fn exchange_gauge_ghosts<P: Precision>(
-    comm: &mut Communicator,
-    gauge: &mut GaugeFieldCb<P>,
-    dims: LatticeDims,
-) -> Result<(), CommError> {
-    let half_vs = dims.half_spatial_volume();
-    let mut flat = Vec::with_capacity(half_vs * 18);
-    for parity in [Parity::Even, Parity::Odd] {
-        let tag = tags::gauge(parity.as_usize());
-        flat.clear();
-        for face in 0..half_vs {
-            let cb = (dims.t - 1) * half_vs + face;
-            let u: Su3<f64> = gauge.link(parity, DIR_T, cb).cast();
-            for i in 0..3 {
-                for j in 0..3 {
-                    flat.push(u.m[i][j].re);
-                    flat.push(u.m[i][j].im);
-                }
-            }
-        }
-        comm.send(comm.forward(), tag, quda_comm::pack_f64(&flat))?;
-        let from = comm.backward();
-        let recv = quda_comm::unpack_f64(&comm.recv(from, tag)?)
-            .map_err(|error| CommError::Decode { from, tag, error })?;
-        if recv.len() != half_vs * 18 {
-            return Err(CommError::SizeMismatch { expected: half_vs * 18, got: recv.len() });
-        }
-        for face in 0..half_vs {
-            let mut u = Su3::zero();
-            let base = face * 18;
-            let mut k = 0;
-            for i in 0..3 {
-                for j in 0..3 {
-                    u.m[i][j] = quda_math::complex::C64::new(recv[base + k], recv[base + k + 1]);
-                    k += 2;
-                }
-            }
-            gauge.set_ghost_link(parity, DIR_T, face, &u);
-        }
-    }
-    Ok(())
-}
-
-/// One-time exchange of the gauge ghost slices for every partitioned
-/// dimension of `plan` (Section VI-B, generalized): per open dimension and
-/// parity, each rank sends the `U_dim` links of its *last* dim-slice
-/// forward on that dimension's ring; the receiver stores them in the
-/// per-dimension ghost-link store consumed by the backward hop of the
-/// dslash.
-///
-/// For a `1×1×1×N` plan the wire traffic is identical to
-/// [`exchange_gauge_ghosts`]: same link enumeration, same 18-f64 packing,
-/// same tag values, same destinations.
-pub fn exchange_gauge_ghosts_grid<P: Precision>(
     comm: &mut Communicator,
     gauge: &mut GaugeFieldCb<P>,
     plan: &DecompPlan,
@@ -660,17 +368,29 @@ mod tests {
     use super::*;
     use quda_fields::gauge_gen::random_spinor_field;
     use quda_fields::precision::{Double, Half, Single};
+    use quda_lattice::geometry::{LatticeDims, DIR_T};
     use quda_math::gamma::{GammaBasis, SpinBasis};
+    use std::slice::{from_mut, from_ref};
 
     fn dims() -> LatticeDims {
         LatticeDims::new(4, 4, 2, 4)
     }
+
+    /// A single-rank plan: sends on any dimension loop back to the sender,
+    /// so an explicit `dim` exchange reproduces the periodic wrap.
+    fn self_plan() -> DecompPlan {
+        DecompPlan::new(dims(), [1, 1, 1, 1])
+    }
+
+    /// One field, always active — the single-RHS parameter value.
+    const ONE: &[bool] = &[true];
 
     #[test]
     fn wire_bytes_match_payloads() {
         let d = dims();
         let basis = SpinBasis::new(GammaBasis::NonRelativistic);
         let stencil = Stencil::new(d, true);
+        let plan = self_plan();
         let host = random_spinor_field(d, 3);
         macro_rules! check {
             ($p:ty) => {{
@@ -678,15 +398,39 @@ mod tests {
                 let mut comm = world.pop().unwrap();
                 let mut f = SpinorFieldCb::<$p>::new(d, true);
                 f.upload(&host, Parity::Odd);
-                send_faces(&mut comm, &f, &basis, &stencil, false).unwrap();
+                let (odd, t) = (Parity::Odd, DIR_T);
+                send_faces(&mut comm, from_ref(&f), ONE, &basis, &stencil, &plan, t, odd, false)
+                    .unwrap();
                 let per_face = face_wire_bytes::<$p>(f.face_sites()) as u64;
                 assert_eq!(comm.sent_bytes(), 2 * per_face);
-                recv_faces(&mut comm, &mut f).unwrap(); // self-exchange drains the queue
+                // self-exchange drains the queue
+                recv_faces(&mut comm, from_mut(&mut f), ONE, &plan, t).unwrap();
             }};
         }
         check!(Double);
         check!(Single);
         check!(Half);
+    }
+
+    /// Loop the T faces of `f` back into its own ghost zone.
+    fn self_exchange_t<P: Precision>(f: &mut SpinorFieldCb<P>, basis: &SpinBasis, st: &Stencil) {
+        let mut world = quda_comm::comm_world(1);
+        let mut comm = world.pop().unwrap();
+        let plan = self_plan();
+        send_faces(&mut comm, from_ref(f), ONE, basis, st, &plan, DIR_T, Parity::Odd, false)
+            .unwrap();
+        recv_faces(&mut comm, from_mut(f), ONE, &plan, DIR_T).unwrap();
+    }
+
+    /// The projected T-face half spinor a neighbor would receive.
+    fn t_face<P: Precision>(
+        f: &SpinorFieldCb<P>,
+        basis: &SpinBasis,
+        stencil: &Stencil,
+        to_forward: bool,
+        face: usize,
+    ) -> HalfSpinor<P::Arith> {
+        gather_face_site_dim(f, basis, stencil, DIR_T, to_forward, face, Parity::Odd, false)
     }
 
     #[test]
@@ -698,23 +442,22 @@ mod tests {
         let basis = SpinBasis::new(GammaBasis::NonRelativistic);
         let stencil = Stencil::new(d, true);
         let host = random_spinor_field(d, 9);
-        let mut world = quda_comm::comm_world(1);
-        let mut comm = world.pop().unwrap();
         let mut f = SpinorFieldCb::<Double>::new(d, true);
         f.upload(&host, Parity::Odd);
-        exchange_spinor_ghosts(&mut comm, &mut f, &basis, &stencil, false).unwrap();
+        self_exchange_t(&mut f, &basis, &stencil);
         let faces = f.face_sites();
         for face in 0..faces {
-            let expect_b = gather_face_site(&f, &basis, &stencil, true, face, false);
+            let expect_b = t_face(&f, &basis, &stencil, true, face);
             assert_eq!(f.get_ghost(true, face), expect_b, "backward ghost face {face}");
-            let expect_f = gather_face_site(&f, &basis, &stencil, false, face, false);
+            let expect_f = t_face(&f, &basis, &stencil, false, face);
             assert_eq!(f.get_ghost(false, face), expect_f, "forward ghost face {face}");
         }
     }
 
     #[test]
     fn two_rank_exchange_crosses_domains() {
-        let d = dims();
+        let plan = DecompPlan::new(LatticeDims::new(4, 4, 2, 8), [1, 1, 1, 2]);
+        let d = plan.local_dims();
         let basis = SpinBasis::new(GammaBasis::NonRelativistic);
         let stencil = Stencil::new(d, true);
         let world = quda_comm::comm_world(2);
@@ -728,7 +471,17 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut f = SpinorFieldCb::<Double>::new(d, true);
                     f.upload(&host, Parity::Odd);
-                    exchange_spinor_ghosts(&mut comm, &mut f, &basis, &stencil, false).unwrap();
+                    exchange_spinor_ghosts(
+                        &mut comm,
+                        from_mut(&mut f),
+                        ONE,
+                        &basis,
+                        &stencil,
+                        &plan,
+                        Parity::Odd,
+                        false,
+                    )
+                    .unwrap();
                     (comm.rank(), f)
                 })
             })
@@ -740,14 +493,14 @@ mod tests {
         f1.upload(&hosts[1], Parity::Odd);
         let faces = f1.face_sites();
         for face in 0..faces {
-            let expect = gather_face_site(&f1, &basis, &stencil, false, face, false);
+            let expect = t_face(&f1, &basis, &stencil, false, face);
             assert_eq!(results[0].1.get_ghost(false, face), expect);
         }
         // Rank 1's backward ghost = rank 0's last-slice gather.
         let mut f0 = SpinorFieldCb::<Double>::new(d, true);
         f0.upload(&hosts[0], Parity::Odd);
         for face in 0..faces {
-            let expect = gather_face_site(&f0, &basis, &stencil, true, face, false);
+            let expect = t_face(&f0, &basis, &stencil, true, face);
             assert_eq!(results[1].1.get_ghost(true, face), expect);
         }
     }
@@ -758,13 +511,11 @@ mod tests {
         let basis = SpinBasis::new(GammaBasis::NonRelativistic);
         let stencil = Stencil::new(d, true);
         let host = random_spinor_field(d, 4);
-        let mut world = quda_comm::comm_world(1);
-        let mut comm = world.pop().unwrap();
         let mut f = SpinorFieldCb::<Half>::new(d, true);
         f.upload(&host, Parity::Odd);
-        exchange_spinor_ghosts(&mut comm, &mut f, &basis, &stencil, false).unwrap();
+        self_exchange_t(&mut f, &basis, &stencil);
         for face in 0..f.face_sites() {
-            let expect = gather_face_site(&f, &basis, &stencil, true, face, false);
+            let expect = t_face(&f, &basis, &stencil, true, face);
             let got = f.get_ghost(true, face);
             for i in 0..2 {
                 for c in 0..3 {
@@ -778,14 +529,15 @@ mod tests {
     #[test]
     fn fused_multi_rhs_exchange_bit_identical_to_sequential() {
         // The fused batched exchange must leave every active RHS's ghost
-        // zone bit-identical to what a single-RHS exchange delivers, at
-        // every wire precision, while sending one message per direction.
+        // zone bit-identical to what an exchange of that field alone
+        // delivers, at every wire precision, while sending one message per
+        // direction.
         fn check<P: Precision>() {
             let d = dims();
             let open = [false, false, false, true];
             let basis = SpinBasis::new(GammaBasis::NonRelativistic);
             let stencil = Stencil::new(d, true);
-            let plan = DecompPlan::new(d, [1, 1, 1, 1]);
+            let plan = self_plan();
             let n = 4;
             let mut fused: Vec<SpinorFieldCb<P>> = (0..n)
                 .map(|r| {
@@ -799,19 +551,9 @@ mod tests {
             let mut world = quda_comm::comm_world(1);
             let mut comm = world.pop().unwrap();
             let before = comm.sent_messages();
-            send_faces_dim_multi(
-                &mut comm,
-                &fused,
-                &active,
-                &basis,
-                &stencil,
-                &plan,
-                3,
-                Parity::Odd,
-                false,
-            )
-            .unwrap();
-            recv_faces_dim_multi(&mut comm, &mut fused, &active, &plan, 3).unwrap();
+            send_faces(&mut comm, &fused, &active, &basis, &stencil, &plan, 3, Parity::Odd, false)
+                .unwrap();
+            recv_faces(&mut comm, &mut fused, &active, &plan, 3).unwrap();
             assert_eq!(comm.sent_messages() - before, 2, "one fused message per direction");
             for r in 0..n {
                 if !active[r] {
@@ -819,9 +561,7 @@ mod tests {
                 }
                 let mut single = SpinorFieldCb::<P>::new_open(d, open);
                 single.upload(&random_spinor_field(d, 60 + r as u64), Parity::Odd);
-                send_faces_dim(&mut comm, &single, &basis, &stencil, &plan, 3, Parity::Odd, false)
-                    .unwrap();
-                recv_faces_dim(&mut comm, &mut single, &plan, 3).unwrap();
+                self_exchange_t(&mut single, &basis, &stencil);
                 for face in 0..single.face_sites_dim(3) {
                     for backward in [true, false] {
                         assert_eq!(
@@ -847,7 +587,7 @@ mod tests {
         let open = [false, false, false, true];
         let basis = SpinBasis::new(GammaBasis::NonRelativistic);
         let stencil = Stencil::new(d, true);
-        let plan = DecompPlan::new(d, [1, 1, 1, 1]);
+        let plan = self_plan();
         let n = 3;
         let mut fields: Vec<SpinorFieldCb<Half>> = (0..n)
             .map(|r| {
@@ -860,74 +600,48 @@ mod tests {
         let mut world = quda_comm::comm_world(1);
         let mut comm = world.pop().unwrap();
         let before = comm.sent_bytes();
-        send_faces_dim_multi(
-            &mut comm,
-            &fields,
-            &active,
-            &basis,
-            &stencil,
-            &plan,
-            3,
-            Parity::Odd,
-            false,
-        )
-        .unwrap();
+        send_faces(&mut comm, &fields, &active, &basis, &stencil, &plan, 3, Parity::Odd, false)
+            .unwrap();
         let faces = fields[0].face_sites_dim(3);
         let expect = face_wire_bytes_dyn(Half::STORAGE_BYTES, Half::NEEDS_NORM, faces, n) as u64;
         assert_eq!(comm.sent_bytes() - before, 2 * expect);
-        recv_faces_dim_multi(&mut comm, &mut fields, &active, &plan, 3).unwrap();
+        recv_faces(&mut comm, &mut fields, &active, &plan, 3).unwrap();
+    }
+
+    /// Run the gauge ghost exchange on a two-rank `plan` whose ranks hold
+    /// *identical* local configs (a translation-invariant world), so every
+    /// received ghost link must equal the rank's own last-slice link.
+    fn gauge_exchange_on_identical_ranks<P: Precision>(plan: DecompPlan) -> Vec<GaugeFieldCb<P>> {
+        let d = plan.local_dims();
+        let cfg = quda_fields::gauge_gen::weak_field(d, 0.2, 8);
+        let handles: Vec<_> = quda_comm::comm_world(2)
+            .into_iter()
+            .map(|mut comm| {
+                let cfg = cfg.clone();
+                std::thread::spawn(move || {
+                    let mut gauge = GaugeFieldCb::<P>::new(d, true);
+                    gauge.upload(&cfg);
+                    exchange_gauge_ghosts(&mut comm, &mut gauge, &plan).unwrap();
+                    gauge
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
 
     #[test]
     fn gauge_ghost_self_exchange_is_periodic() {
-        let d = dims();
-        let cfg = quda_fields::gauge_gen::weak_field(d, 0.2, 5);
-        let mut gauge = GaugeFieldCb::<Single>::new(d, true);
-        gauge.upload(&cfg);
-        let mut world = quda_comm::comm_world(1);
-        let mut comm = world.pop().unwrap();
-        exchange_gauge_ghosts(&mut comm, &mut gauge, d).unwrap();
+        let plan = DecompPlan::new(LatticeDims::new(4, 4, 2, 8), [1, 1, 1, 2]);
+        let d = plan.local_dims();
         let half_vs = d.half_spatial_volume();
-        for p in [Parity::Even, Parity::Odd] {
-            for face in 0..half_vs {
-                let cb_last = (d.t - 1) * half_vs + face;
-                let expect: Su3<f64> = gauge.link(p, DIR_T, cb_last).cast();
-                let got: Su3<f64> = gauge.ghost_link(p, DIR_T, face).cast();
-                assert!((got - expect).norm_sqr() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
-    fn grid_t_exchange_is_byte_identical_to_legacy() {
-        // On a 1×1×1×1 plan the T-dimension grid path must reproduce the
-        // legacy 1-d exchange exactly: same ghost contents, same bytes on
-        // the wire, same message count.
-        let d = dims();
-        let basis = SpinBasis::new(GammaBasis::NonRelativistic);
-        let stencil = Stencil::new(d, true);
-        let plan = DecompPlan::new(d, [1, 1, 1, 1]);
-        let host = random_spinor_field(d, 12);
-        let mut world = quda_comm::comm_world(1);
-        let mut comm = world.pop().unwrap();
-        let mut f_legacy = SpinorFieldCb::<Double>::new(d, true);
-        f_legacy.upload(&host, Parity::Odd);
-        let mut f_grid = SpinorFieldCb::<Double>::new_open(d, [false, false, false, true]);
-        f_grid.upload(&host, Parity::Odd);
-        exchange_spinor_ghosts(&mut comm, &mut f_legacy, &basis, &stencil, false).unwrap();
-        let legacy_bytes = comm.sent_bytes();
-        let legacy_msgs = comm.sent_messages();
-        send_faces_dim(&mut comm, &f_grid, &basis, &stencil, &plan, 3, Parity::Odd, false).unwrap();
-        recv_faces_dim(&mut comm, &mut f_grid, &plan, 3).unwrap();
-        assert_eq!(comm.sent_bytes(), 2 * legacy_bytes);
-        assert_eq!(comm.sent_messages(), 2 * legacy_msgs);
-        for face in 0..f_legacy.face_sites() {
-            for backward in [true, false] {
-                assert_eq!(
-                    f_legacy.get_ghost(backward, face),
-                    f_grid.get_ghost_dim(3, backward, face),
-                    "backward={backward} face={face}"
-                );
+        for gauge in gauge_exchange_on_identical_ranks::<Single>(plan) {
+            for p in [Parity::Even, Parity::Odd] {
+                for face in 0..half_vs {
+                    let cb_last = (d.t - 1) * half_vs + face;
+                    let expect: Su3<f64> = gauge.link(p, DIR_T, cb_last).cast();
+                    let got: Su3<f64> = gauge.ghost_link(p, DIR_T, face).cast();
+                    assert!((got - expect).norm_sqr() < 1e-10);
+                }
             }
         }
     }
@@ -948,8 +662,19 @@ mod tests {
         let mut f = SpinorFieldCb::<Double>::new_open(d, open);
         f.upload(&host, Parity::Odd);
         for dagger in [false, true] {
-            send_faces_dim(&mut comm, &f, &basis, &stencil, &plan, 0, Parity::Odd, dagger).unwrap();
-            recv_faces_dim(&mut comm, &mut f, &plan, 0).unwrap();
+            send_faces(
+                &mut comm,
+                from_ref(&f),
+                ONE,
+                &basis,
+                &stencil,
+                &plan,
+                0,
+                Parity::Odd,
+                dagger,
+            )
+            .unwrap();
+            recv_faces(&mut comm, from_mut(&mut f), ONE, &plan, 0).unwrap();
             for face in 0..f.face_sites_dim(0) {
                 let eb =
                     gather_face_site_dim(&f, &basis, &stencil, 0, true, face, Parity::Odd, dagger);
@@ -979,9 +704,10 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut f = SpinorFieldCb::<Double>::new_open(d, plan.open_dims());
                     f.upload(&host, Parity::Odd);
-                    exchange_spinor_ghosts_grid(
+                    exchange_spinor_ghosts(
                         &mut comm,
-                        &mut f,
+                        from_mut(&mut f),
+                        ONE,
                         &basis,
                         &stencil,
                         &plan,
@@ -1016,29 +742,10 @@ mod tests {
 
     #[test]
     fn grid_gauge_exchange_two_rank_z() {
-        // Two Z-ranks holding *identical* local configs: the received ghost
-        // links must equal each rank's own last Z-slice links (periodic
-        // wrap of a translation-invariant world).
-        let gd = LatticeDims::new(4, 4, 4, 4);
-        let plan = DecompPlan::new(gd, [1, 1, 2, 1]);
+        let plan = DecompPlan::new(LatticeDims::new(4, 4, 4, 4), [1, 1, 2, 1]);
         let d = plan.local_dims();
-        let cfg = quda_fields::gauge_gen::weak_field(d, 0.2, 8);
-        let world = quda_comm::comm_world(2);
-        let handles: Vec<_> = world
-            .into_iter()
-            .map(|mut comm| {
-                let cfg = cfg.clone();
-                std::thread::spawn(move || {
-                    let mut gauge = GaugeFieldCb::<Double>::new(d, true);
-                    gauge.upload(&cfg);
-                    exchange_gauge_ghosts_grid(&mut comm, &mut gauge, &plan).unwrap();
-                    gauge
-                })
-            })
-            .collect();
         let faces = Stencil::face_sites_dim(&d, 2);
-        for h in handles {
-            let gauge = h.join().unwrap();
+        for gauge in gauge_exchange_on_identical_ranks::<Double>(plan) {
             for p in [Parity::Even, Parity::Odd] {
                 for face in 0..faces {
                     let c = Stencil::face_coord(&d, 2, p, d.z - 1, face);

@@ -7,14 +7,13 @@
 //!   domains, including the globally-correct clover term;
 //! * [`ghost`] — dimension-generic spinor-face and gauge-ghost exchange
 //!   (Figs. 2, 3) over any [`DecompPlan`](quda_lattice::partition::DecompPlan)
-//!   process grid, with the legacy time-slice entry points as the
-//!   `1×1×1×N` special case;
+//!   process grid — one exchange for any batch of right-hand sides, the
+//!   paper's single-field time-slice exchange being batch 1 on `1×1×1×N`;
 //! * [`rank_op`] — the per-rank operator with the no-overlap and overlapped
 //!   communication strategies (Section VI-D), per-direction interior/face
 //!   scheduling, and globalized reductions (Section VI-E);
 //! * [`driver`] — thread-per-GPU solve driver covering every precision mode
-//!   of Section VII-A, over either a [`ParallelSolveSpec`] (1-d temporal)
-//!   or a [`GridSolveSpec`] (4-d process grid);
+//!   of Section VII-A over a [`GridSolveSpec`] (4-d process grid);
 //! * [`perf`] — the calibrated performance model that regenerates the
 //!   paper's weak/strong scaling figures on the simulated "9g" cluster;
 //! * [`multidim`] — the future-work extension: a 4-d (X,Y,Z,T) process-grid
@@ -35,23 +34,16 @@ pub mod reshard;
 pub mod slice;
 
 pub use driver::{
-    solve_full_grid, solve_full_grid_chaos, solve_full_grid_elastic, solve_full_grid_multi,
-    solve_full_grid_traced, solve_full_parallel, solve_full_parallel_chaos,
-    solve_full_parallel_elastic, solve_full_parallel_multi, solve_full_parallel_traced,
-    verify_full_solution, ChaosSpec, CommHealth, ElasticPolicy, ElasticSolve, GridSolveSpec,
-    MultiSolve, ParallelSolveSpec, PrecisionMode, RecoveryEvent, RecoveryReport, SolverKind,
-    TracedSolve,
+    solve_full_grid, solve_full_grid_elastic, solve_full_grid_multi, verify_full_solution,
+    ChaosSpec, CommHealth, ElasticPolicy, ElasticSolve, GridSolveSpec, MultiSolve, PrecisionMode,
+    RecoveryEvent, RecoveryReport, SolverKind, TracedSolve,
 };
 pub use ghost::{
-    decode_face_into, encode_face, exchange_gauge_ghosts, exchange_gauge_ghosts_grid,
-    exchange_spinor_ghosts, exchange_spinor_ghosts_grid, exchange_spinor_ghosts_grid_multi,
-    face_wire_bytes, face_wire_bytes_dyn,
+    decode_face_into, encode_face, exchange_gauge_ghosts, exchange_spinor_ghosts, face_wire_bytes,
+    face_wire_bytes_dyn,
 };
 pub use multidim::{best_grid, sustained_gflops_grid, ProcessGrid};
 pub use perf::{evaluate, min_gpus, solver_memory_per_gpu, PerfInput, PerfReport};
 pub use rank_op::{CommStrategy, ParallelWilsonCloverOp};
 pub use reshard::{CheckpointStore, GlobalCheckpoint, ReshardError, StoreStats};
-pub use slice::{
-    gather_spinor, gather_spinor_grid, local_clover, local_clover_grid, slice_config,
-    slice_config_grid, slice_spinor, slice_spinor_grid,
-};
+pub use slice::{gather_spinor_grid, local_clover_grid, slice_config_grid, slice_spinor_grid};

@@ -33,7 +33,7 @@ use quda_gpusim::transfer::{
 };
 use quda_lattice::geometry::LatticeDims;
 use quda_lattice::layout::{species, NVec};
-use quda_lattice::partition::TimePartition;
+use quda_lattice::partition::DecompPlan;
 
 /// Inputs of one performance evaluation.
 #[derive(Copy, Clone, Debug)]
@@ -74,6 +74,11 @@ impl PerfInput {
             calib: Calibration::default(),
             reliable_interval: 25.0,
         }
+    }
+
+    /// The paper's decomposition of this run shape: `ranks` temporal slices.
+    fn plan(&self) -> DecompPlan {
+        DecompPlan::new(self.global, [1, 1, 1, self.ranks])
     }
 }
 
@@ -167,10 +172,10 @@ fn clover_kernel(inp: &PerfInput, tag: PrecisionTag, sites: u64, axpy: bool) -> 
 
 /// Time of one hopping-term application *including* its face exchange.
 pub fn dslash_time(inp: &PerfInput, tag: PrecisionTag) -> f64 {
-    let part = TimePartition::new(inp.global, inp.ranks);
-    let ld = part.local_dims();
+    let plan = inp.plan();
+    let ld = plan.local_dims();
     let sites = ld.half_volume() as u64;
-    if !part.is_partitioned() {
+    if !plan.is_partitioned() {
         return dslash_kernel(inp, tag, sites);
     }
     let faces = ld.half_spatial_volume();
@@ -227,8 +232,7 @@ fn effective_bw(t: &quda_gpusim::calib::TransferCalib, dir: Direction, numa: Num
 
 /// Time of one even-odd operator application at precision `tag`.
 pub fn matpc_time(inp: &PerfInput, tag: PrecisionTag) -> f64 {
-    let part = TimePartition::new(inp.global, inp.ranks);
-    let sites = part.local_dims().half_volume() as u64;
+    let sites = inp.plan().local_dims().half_volume() as u64;
     2.0 * dslash_time(inp, tag)
         + clover_kernel(inp, tag, sites, false)
         + clover_kernel(inp, tag, sites, true)
@@ -236,8 +240,7 @@ pub fn matpc_time(inp: &PerfInput, tag: PrecisionTag) -> f64 {
 
 /// Blas + reduction time of one BiCGstab iteration at precision `tag`.
 pub fn blas_iteration_time(inp: &PerfInput, tag: PrecisionTag) -> f64 {
-    let part = TimePartition::new(inp.global, inp.ranks);
-    let sites = part.local_dims().half_volume() as u64;
+    let sites = inp.plan().local_dims().half_volume() as u64;
     let b = tag.storage_bytes() as u64;
     // One BiCGstab iteration: cdot, caxpyNorm, cDotProductNormB, caxpbypz,
     // caxpyNorm, cdot, cxpaypbz — 528 reals/site total, 7 launches.
@@ -257,8 +260,7 @@ pub fn blas_iteration_time(inp: &PerfInput, tag: PrecisionTag) -> f64 {
 
 /// Effective flops of one solver iteration (2 matvecs + blas), per rank.
 pub fn iteration_flops(inp: &PerfInput) -> u64 {
-    let part = TimePartition::new(inp.global, inp.ranks);
-    let sites = part.local_dims().half_volume() as u64;
+    let sites = inp.plan().local_dims().half_volume() as u64;
     2 * sites * quda_dirac::flops::MATPC_FLOPS_PER_SITE + sites * 1032
 }
 
@@ -270,8 +272,7 @@ pub fn evaluate(inp: &PerfInput) -> PerfReport {
     if inp.mode.is_mixed() {
         // Amortized reliable update: one outer matvec, the residual combine,
         // and two full-field precision conversions (copy-like kernels).
-        let part = TimePartition::new(inp.global, inp.ranks);
-        let sites = part.local_dims().half_volume() as u64;
+        let sites = inp.plan().local_dims().half_volume() as u64;
         let conv_bytes = sites * 24 * (outer.storage_bytes() + sloppy.storage_bytes()) as u64;
         let conv = kernel_time(
             &inp.calib.kernel,
@@ -291,7 +292,7 @@ pub fn evaluate(inp: &PerfInput) -> PerfReport {
     let kernels = {
         let mut one = *inp;
         one.ranks = 1;
-        one.global = TimePartition::new(inp.global, inp.ranks).local_dims();
+        one.global = inp.plan().local_dims();
         2.0 * matpc_time(&one, sloppy) + blas_iteration_time(&one, sloppy)
     };
     PerfReport {
@@ -307,13 +308,13 @@ pub fn evaluate(inp: &PerfInput) -> PerfReport {
 /// Device bytes one GPU needs to run the solver in `mode` on its share of
 /// `global` split over `ranks`.
 pub fn solver_memory_per_gpu(global: LatticeDims, ranks: usize, mode: PrecisionMode) -> usize {
-    let part = TimePartition::new(global, ranks);
-    let ld = part.local_dims();
+    let plan = DecompPlan::new(global, [1, 1, 1, ranks]);
+    let ld = plan.local_dims();
     let (outer, sloppy) = mode_tags(mode);
     let fields = |tag: PrecisionTag, spinors: usize, with_gauge: bool| -> usize {
         let b = tag.storage_bytes();
         let nvec = NVec::optimal_for_bytes(b);
-        let spinor_layout = species::spinor_cb(&ld, nvec, part.is_partitioned());
+        let spinor_layout = species::spinor_cb(&ld, nvec, plan.is_partitioned());
         let spinor_norm = if tag.needs_norm() {
             (spinor_layout.sites + spinor_layout.ghost_sites) * 4
         } else {

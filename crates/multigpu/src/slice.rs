@@ -1,20 +1,14 @@
 //! Scattering global host fields to domain sub-lattices and gathering them
 //! back — the data movement Chroma performs around a parallel QUDA solve.
 //!
-//! The `*_grid` functions address any [`DecompPlan`] process grid; the
-//! original time-slice entry points are thin wrappers over the equivalent
-//! `1×1×1×N` plan.
+//! Every function addresses a [`DecompPlan`] process grid; the paper's
+//! time-slicing is the `1×1×1×N` plan.
 
 use quda_fields::clover_build::{clover_site, sigma_matrices};
 use quda_fields::host::{GaugeConfig, HostSpinorField};
-use quda_lattice::geometry::{LatticeDims, Parity};
-use quda_lattice::partition::{DecompPlan, TimePartition};
+use quda_lattice::geometry::Parity;
+use quda_lattice::partition::DecompPlan;
 use quda_math::clover::CloverSite;
-
-/// The local gauge configuration of `rank`: its `T/N` time-slices.
-pub fn slice_config(global: &GaugeConfig, part: &TimePartition, rank: usize) -> GaugeConfig {
-    slice_config_grid(global, &DecompPlan::from_time(part), rank)
-}
 
 /// The local gauge configuration of `rank` under a process-grid plan.
 pub fn slice_config_grid(global: &GaugeConfig, plan: &DecompPlan, rank: usize) -> GaugeConfig {
@@ -30,15 +24,6 @@ pub fn slice_config_grid(global: &GaugeConfig, plan: &DecompPlan, rank: usize) -
     local
 }
 
-/// The local part of a host spinor field.
-pub fn slice_spinor(
-    global: &HostSpinorField,
-    part: &TimePartition,
-    rank: usize,
-) -> HostSpinorField {
-    slice_spinor_grid(global, &DecompPlan::from_time(part), rank)
-}
-
 /// The local part of a host spinor field under a process-grid plan.
 pub fn slice_spinor_grid(
     global: &HostSpinorField,
@@ -52,11 +37,6 @@ pub fn slice_spinor_grid(
         *local.get_mut(c) = *global.get(plan.global_coord(rank, c));
     }
     local
-}
-
-/// Reassemble a global field from every rank's local field (rank order).
-pub fn gather_spinor(locals: &[HostSpinorField], part: &TimePartition) -> HostSpinorField {
-    gather_spinor_grid(locals, &DecompPlan::from_time(part))
 }
 
 /// Reassemble a global field from every rank's local field (rank order)
@@ -75,22 +55,11 @@ pub fn gather_spinor_grid(locals: &[HostSpinorField], plan: &DecompPlan) -> Host
 }
 
 /// Compute the clover term for `rank`'s local sites **from the global
-/// configuration** — the clover leaves of boundary time-slices reach into
-/// neighboring domains, so a purely local computation would be wrong there.
+/// configuration** — the clover leaves of *any* boundary slice reach into
+/// the neighboring domain, so a purely local computation would be wrong
+/// there, and every parity-site is computed at its global coordinate.
 /// (Chroma hands QUDA a precomputed clover field for the same reason.)
-pub fn local_clover(
-    global: &GaugeConfig,
-    part: &TimePartition,
-    rank: usize,
-    c_sw: f64,
-) -> [Vec<CloverSite<f64>>; 2] {
-    local_clover_grid(global, &DecompPlan::from_time(part), rank, c_sw)
-}
-
-/// [`local_clover`] under a process-grid plan: clover leaves of *any*
-/// boundary slice (not just temporal) reach into the neighboring domain,
-/// so every parity-site is computed at its global coordinate. Local parity
-/// equals global parity because every domain origin is even.
+/// Local parity equals global parity because every domain origin is even.
 pub fn local_clover_grid(
     global: &GaugeConfig,
     plan: &DecompPlan,
@@ -110,40 +79,41 @@ pub fn local_clover_grid(
     [build(Parity::Even), build(Parity::Odd)]
 }
 
-/// Local dims helper for callers.
-pub fn local_dims(part: &TimePartition) -> LatticeDims {
-    part.local_dims()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use quda_fields::gauge_gen::{random_spinor_field, weak_field};
-    use quda_lattice::geometry::Coord;
+    use quda_lattice::geometry::{Coord, LatticeDims};
 
-    fn setup() -> (GaugeConfig, TimePartition) {
+    /// The paper's decomposition: four temporal slices of 4×4×2×8.
+    fn setup() -> (GaugeConfig, DecompPlan) {
         let d = LatticeDims::new(4, 4, 2, 8);
-        (weak_field(d, 0.15, 3), TimePartition::new(d, 4))
+        (weak_field(d, 0.15, 3), DecompPlan::new(d, [1, 1, 1, 4]))
+    }
+
+    /// Global coordinate of local `c` on temporal rank `rank`.
+    fn global_t(plan: &DecompPlan, rank: usize, c: Coord) -> Coord {
+        Coord::new(c.x, c.y, c.z, rank * plan.local_extent(3) + c.t)
     }
 
     #[test]
     fn slices_cover_global_config() {
-        let (cfg, part) = setup();
-        for rank in 0..part.n_ranks {
-            let local = slice_config(&cfg, &part, rank);
+        let (cfg, plan) = setup();
+        for rank in 0..plan.n_ranks() {
+            let local = slice_config_grid(&cfg, &plan, rank);
             for c in local.dims.coords() {
-                let gc = Coord::new(c.x, c.y, c.z, part.global_t_of(rank, c.t));
-                assert_eq!(local.link(c, 2), cfg.link(gc, 2));
+                assert_eq!(local.link(c, 2), cfg.link(global_t(&plan, rank, c), 2));
             }
         }
     }
 
     #[test]
     fn scatter_gather_roundtrip() {
-        let (_, part) = setup();
-        let global = random_spinor_field(part.global, 7);
-        let locals: Vec<_> = (0..part.n_ranks).map(|r| slice_spinor(&global, &part, r)).collect();
-        let back = gather_spinor(&locals, &part);
+        let (_, plan) = setup();
+        let global = random_spinor_field(plan.global(), 7);
+        let locals: Vec<_> =
+            (0..plan.n_ranks()).map(|r| slice_spinor_grid(&global, &plan, r)).collect();
+        let back = gather_spinor_grid(&locals, &plan);
         assert_eq!(back.max_site_dist(&global), 0.0);
     }
 
@@ -152,16 +122,15 @@ mod tests {
         // The sliced clover must agree with the full-lattice computation at
         // every local site — including the boundary slices where a naive
         // local computation would wrap incorrectly.
-        let (cfg, part) = setup();
+        let (cfg, plan) = setup();
         let global_both = quda_fields::clover_build::clover_both_parities(&cfg, 1.3);
         for rank in [0usize, 3] {
-            let local = local_clover(&cfg, &part, rank, 1.3);
-            let ld = part.local_dims();
+            let local = local_clover_grid(&cfg, &plan, rank, 1.3);
+            let ld = plan.local_dims();
             for p in [Parity::Even, Parity::Odd] {
                 for cb in 0..ld.half_volume() {
-                    let c = ld.cb_coord(p, cb);
-                    let gc = Coord::new(c.x, c.y, c.z, part.global_t_of(rank, c.t));
-                    let gcb = part.global.cb_index(gc);
+                    let gc = global_t(&plan, rank, ld.cb_coord(p, cb));
+                    let gcb = plan.global().cb_index(gc);
                     // Parities agree because local T extents are even.
                     assert_eq!(gc.parity(), p);
                     let expect = &global_both[p.as_usize()][gcb];
@@ -240,12 +209,12 @@ mod tests {
         // Sanity check of the *reason* for local_clover: computing the
         // clover from the sliced config (periodic local wrap) differs at
         // boundary time-slices.
-        let (cfg, part) = setup();
+        let (cfg, plan) = setup();
         let rank = 1;
-        let local_cfg = slice_config(&cfg, &part, rank);
+        let local_cfg = slice_config_grid(&cfg, &plan, rank);
         let naive = quda_fields::clover_build::clover_both_parities(&local_cfg, 1.0);
-        let correct = local_clover(&cfg, &part, rank, 1.0);
-        let ld = part.local_dims();
+        let correct = local_clover_grid(&cfg, &plan, rank, 1.0);
+        let ld = plan.local_dims();
         let mut boundary_diff = 0.0f64;
         for cb in 0..ld.half_volume() {
             let c = ld.cb_coord(Parity::Even, cb);

@@ -10,7 +10,7 @@ use quda_fields::host::HostSpinorField;
 use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
 use quda_fields::SpinorFieldCb;
 use quda_lattice::geometry::{Coord, LatticeDims, Parity};
-use quda_lattice::partition::{DecompPlan, TimePartition};
+use quda_lattice::partition::DecompPlan;
 use quda_lattice::stencil::Stencil;
 use quda_math::gamma::{GammaBasis, SpinBasis};
 use quda_math::half;
@@ -18,7 +18,8 @@ use quda_math::real::Real;
 use quda_math::spinor::HALF_SPINOR_REALS;
 use quda_multigpu::perf::{evaluate, PerfInput};
 use quda_multigpu::rank_op::{CommStrategy, ParallelWilsonCloverOp};
-use quda_multigpu::{exchange_spinor_ghosts_grid, gather_spinor, slice_spinor, PrecisionMode};
+use quda_multigpu::{exchange_spinor_ghosts, gather_spinor_grid, slice_spinor_grid, PrecisionMode};
+use std::slice::from_mut;
 
 /// The codec's wire round trip, recomputed from the same public
 /// `quantize_sites16/8` helpers the exchange uses: what a face value looks
@@ -72,8 +73,15 @@ fn codec_round_trip<P: Precision>(
             std::thread::spawn(move || {
                 let mut f = SpinorFieldCb::<P>::new_open(d, plan.open_dims());
                 f.upload(&host, parity);
-                exchange_spinor_ghosts_grid(
-                    &mut comm, &mut f, &basis, &stencil, &plan, parity, dagger,
+                exchange_spinor_ghosts(
+                    &mut comm,
+                    from_mut(&mut f),
+                    &[true],
+                    &basis,
+                    &stencil,
+                    &plan,
+                    parity,
+                    dagger,
                 )
                 .expect("exchange");
                 (comm.rank(), f)
@@ -219,7 +227,7 @@ proptest! {
         let mut expect = HostSpinorField::zero(dims);
         out.download(&mut expect, Parity::Odd);
         // Partitioned.
-        let part = TimePartition::new(dims, ranks);
+        let plan = DecompPlan::new(dims, [1, 1, 1, ranks]);
         let world = quda_comm::comm_world(ranks);
         let handles: Vec<_> = world
             .into_iter()
@@ -228,15 +236,16 @@ proptest! {
                 let cfg = cfg.clone();
                 let input = input.clone();
                 std::thread::spawn(move || {
-                    let mut op =
-                        ParallelWilsonCloverOp::<Double>::new(&cfg, part, rank, comm, wp, strategy)
-                            .expect("op init");
-                    let local = slice_spinor(&input, &part, rank);
+                    let mut op = ParallelWilsonCloverOp::<Double>::new_grid(
+                        &cfg, plan, rank, comm, wp, strategy,
+                    )
+                    .expect("op init");
+                    let local = slice_spinor_grid(&input, &plan, rank);
                     let mut x = quda_solvers::operator::LinearOperator::alloc(&op);
                     x.upload(&local, Parity::Odd);
                     let mut out = quda_solvers::operator::LinearOperator::alloc(&op);
-                    op.apply_matpc_par(&mut out, &mut x, dagger);
-                    let mut host = HostSpinorField::zero(part.local_dims());
+                    op.apply_matpc_par(from_mut(&mut out), from_mut(&mut x), &[true], dagger);
+                    let mut host = HostSpinorField::zero(plan.local_dims());
                     out.download(&mut host, Parity::Odd);
                     (rank, host)
                 })
@@ -245,7 +254,7 @@ proptest! {
         let mut locals: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         locals.sort_by_key(|(r, _)| *r);
         let locals: Vec<_> = locals.into_iter().map(|(_, f)| f).collect();
-        let got = gather_spinor(&locals, &part);
+        let got = gather_spinor_grid(&locals, &plan);
         let dist = expect.max_site_dist(&got);
         prop_assert!(
             dist < 1e-11,

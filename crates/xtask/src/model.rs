@@ -756,11 +756,11 @@ mod tests {
 
     #[test]
     fn tag_resolution_follows_lets_and_collapses_paths() {
-        let src = "fn a(&self) {\n    let tag = quda_comm::tags::gauge(parity.as_usize());\n    self.send(to, tag, v)?;\n}\n";
+        let src = "fn a(&self) {\n    let tag = quda_comm::tags::gauge_dim(dim, parity.as_usize());\n    self.send(to, tag, v)?;\n}\n";
         let (_, fns) = model_of(src);
         let f = &fns[0];
         let send = f.calls.iter().find(|c| c.callee == "send").expect("send");
-        assert_eq!(resolve_tag(f, &send.args[1]), "tags::gauge(parity.as_usize())");
+        assert_eq!(resolve_tag(f, &send.args[1]), "tags::gauge_dim(dim,parity.as_usize())");
         assert!(is_registry_tag(&resolve_tag(f, &send.args[1])));
         assert!(is_int_literal("17"));
         assert!(is_int_literal("0xffff_0000"));

@@ -5,8 +5,10 @@
 //! implementation that happens to agree:
 //!
 //! * a `1×1×1×N` process grid is **bit-identical** to the legacy time-slice
-//!   path — same iteration count, same matvec count, same true residual,
-//!   zero distance between solutions;
+//!   path it replaced — same iteration count, same matvec count, same true
+//!   residual, same solution bits, pinned as literals captured from the
+//!   legacy single-field exchange and its driver at the commit before
+//!   their deletion;
 //! * every valid 2-d / 3-d / 4-d grid converges to the same solution within
 //!   solver tolerance, with every rank passing the lockstep sanitizer at
 //!   `check_every: 1` (identical collective fingerprints on every rank);
@@ -18,11 +20,11 @@ use quda_dirac::WilsonParams;
 use quda_fields::gauge_gen::{random_spinor_field, weak_field};
 use quda_fields::host::{GaugeConfig, HostSpinorField};
 use quda_lattice::geometry::LatticeDims;
-use quda_lattice::partition::{DecompPlan, TimePartition};
+use quda_lattice::partition::DecompPlan;
 use quda_multigpu::rank_op::CommStrategy;
 use quda_multigpu::{
-    solve_full_grid, solve_full_grid_traced, solve_full_parallel, verify_full_solution, ChaosSpec,
-    GridSolveSpec, ParallelSolveSpec, PrecisionMode, SolverKind,
+    solve_full_grid, solve_full_grid_elastic, verify_full_solution, ChaosSpec, ElasticPolicy,
+    GridSolveSpec, PrecisionMode, SolverKind, TracedSolve,
 };
 use quda_obs::{Phase, TraceConfig};
 use quda_solvers::params::SolverParams;
@@ -42,45 +44,63 @@ fn grid_spec(plan: DecompPlan, strategy: CommStrategy, tol: f64) -> GridSolveSpe
     }
 }
 
-/// Lockstep sanitizer at maximum strictness: every rank's collective
-/// fingerprint is cross-checked on every operation.
-fn lockstep_chaos() -> ChaosSpec {
-    ChaosSpec { lockstep: Some(LockstepConfig { check_every: 1 }), ..ChaosSpec::default() }
+/// A fail-fast solve under the lockstep sanitizer at maximum strictness:
+/// every rank's collective fingerprint is cross-checked on every operation.
+fn solve_under_lockstep(
+    cfg: &GaugeConfig,
+    b: &HostSpinorField,
+    spec: &GridSolveSpec,
+    trace: TraceConfig,
+) -> Result<TracedSolve, quda_comm::CommError> {
+    let chaos =
+        ChaosSpec { lockstep: Some(LockstepConfig { check_every: 1 }), ..ChaosSpec::default() };
+    let policy = ElasticPolicy { max_rank_deaths: 0, chaos };
+    solve_full_grid_elastic(cfg, b, spec, &policy, trace).map(|es| es.solve)
+}
+
+/// FNV-1a over the solution's f64 bit patterns, site-major.
+fn solution_bits(x: &HostSpinorField) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for site in &x.data {
+        for color in site.s.iter().flat_map(|spin| &spin.c) {
+            for v in [color.re, color.im] {
+                h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
 }
 
 #[test]
 fn one_d_grid_is_bit_identical_to_legacy_time_slicing() {
-    // The grid driver on a 1×1×1×N plan must produce the *same messages in
-    // the same order with the same tags* as the legacy path, hence
-    // bit-identical numerics: equal iterations, matvecs, true residual, and
-    // exactly zero distance between the solutions.
+    // What the legacy 1-d path (its own partition type, single-field face
+    // exchange and driver entry point) produced on this problem, captured
+    // at the last commit that had it: (ranks, iterations,
+    // matvecs, final_residual bits, solution bits). The grid driver on the
+    // 1×1×1×N plan must keep reproducing them — same messages, same order,
+    // same arithmetic — under either strategy.
+    const LEGACY: [(usize, usize, u64, u64, u64); 3] = [
+        (1, 35, 71, 0x3dd8_9662_733c_a4c4, 0xfe08_c687_4638_8a12),
+        (2, 35, 71, 0x3dd8_9662_92f1_fd42, 0x78a8_b801_8253_22d2),
+        (4, 35, 71, 0x3dd8_9662_c57c_8327, 0x2c4a_0f23_f992_2fe6),
+    ];
     let d = LatticeDims::new(4, 4, 2, 8);
     let cfg = weak_field(d, 0.15, 101);
     let b = random_spinor_field(d, 102);
-    for ranks in [1usize, 2, 4] {
+    for (ranks, iterations, matvecs, residual_bits, x_bits) in LEGACY {
         for strategy in [CommStrategy::NoOverlap, CommStrategy::Overlap] {
-            let legacy_spec = ParallelSolveSpec {
-                part: TimePartition::new(d, ranks),
-                wilson: wilson(),
-                mode: PrecisionMode::Double,
-                strategy,
-                solver: SolverKind::BiCgStab,
-                params: SolverParams { tol: 1e-10, max_iter: 2000, delta: 1e-1 },
-            };
             let plan = DecompPlan::new(d, [1, 1, 1, ranks]);
-            assert_eq!(legacy_spec.to_grid().plan.grid(), plan.grid());
-            let (x_legacy, r_legacy) =
-                solve_full_parallel(&cfg, &b, &legacy_spec).expect("legacy solve");
-            let (x_grid, r_grid) =
+            let (x, r) =
                 solve_full_grid(&cfg, &b, &grid_spec(plan, strategy, 1e-10)).expect("grid solve");
-            assert!(r_legacy.converged && r_grid.converged);
-            assert_eq!(r_legacy.iterations, r_grid.iterations, "{ranks} ranks {strategy:?}");
-            assert_eq!(r_legacy.matvecs, r_grid.matvecs);
+            assert!(r.converged);
+            assert_eq!(r.iterations, iterations, "{ranks} ranks {strategy:?}");
+            assert_eq!(r.matvecs, matvecs);
             assert_eq!(
-                r_legacy.final_residual, r_grid.final_residual,
+                r.final_residual.to_bits(),
+                residual_bits,
                 "true residual must be bit-equal"
             );
-            assert_eq!(x_legacy.max_site_dist(&x_grid), 0.0, "{ranks} ranks {strategy:?}");
+            assert_eq!(solution_bits(&x), x_bits, "{ranks} ranks {strategy:?}");
         }
     }
 }
@@ -91,20 +111,14 @@ struct Reference {
     x: HostSpinorField,
 }
 
-/// The legacy 1-d solution on the ISSUE's 8×8×8×16 lattice, solved once.
+/// The paper's 1-d decomposition (1×1×1×4) of the ISSUE's 8×8×8×16 lattice,
+/// solved once.
 fn reference_8x8x8x16() -> Reference {
     let d = LatticeDims::new(8, 8, 8, 16);
     let cfg = weak_field(d, 0.1, 2024);
     let b = random_spinor_field(d, 2025);
-    let spec = ParallelSolveSpec {
-        part: TimePartition::new(d, 4),
-        wilson: wilson(),
-        mode: PrecisionMode::Double,
-        strategy: CommStrategy::Overlap,
-        solver: SolverKind::BiCgStab,
-        params: SolverParams { tol: 1e-9, max_iter: 2000, delta: 1e-1 },
-    };
-    let (x, r) = solve_full_parallel(&cfg, &b, &spec).expect("legacy reference solve");
+    let spec = grid_spec(DecompPlan::new(d, [1, 1, 1, 4]), CommStrategy::Overlap, 1e-9);
+    let (x, r) = solve_full_grid(&cfg, &b, &spec).expect("1-d reference solve");
     assert!(r.converged, "reference residual {}", r.final_residual);
     Reference { cfg, b, x }
 }
@@ -125,14 +139,9 @@ fn multi_dim_grids_converge_to_the_legacy_solution_under_lockstep() {
     ];
     for (label, grid) in cases {
         let plan = DecompPlan::new(d, grid);
-        let ts = solve_full_grid_traced(
-            &rf.cfg,
-            &rf.b,
-            &grid_spec(plan, CommStrategy::Overlap, 1e-9),
-            &lockstep_chaos(),
-            TraceConfig::Off,
-        )
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let spec = grid_spec(plan, CommStrategy::Overlap, 1e-9);
+        let ts = solve_under_lockstep(&rf.cfg, &rf.b, &spec, TraceConfig::Off)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert!(ts.result.converged, "{label}: residual {}", ts.result.final_residual);
         assert!(ts.comm.is_clean(), "{label}: dirty wire {:?}", ts.comm);
         let dist = rf.x.max_site_dist(&ts.solution);
@@ -151,14 +160,9 @@ fn overlap_schedule_exposes_per_direction_phases() {
     let cfg = weak_field(d, 0.12, 301);
     let b = random_spinor_field(d, 302);
     let plan = DecompPlan::new(d, [1, 2, 1, 2]);
-    let ts = solve_full_grid_traced(
-        &cfg,
-        &b,
-        &grid_spec(plan, CommStrategy::Overlap, 1e-9),
-        &lockstep_chaos(),
-        TraceConfig::Summary,
-    )
-    .expect("traced grid solve");
+    let spec = grid_spec(plan, CommStrategy::Overlap, 1e-9);
+    let ts =
+        solve_under_lockstep(&cfg, &b, &spec, TraceConfig::Summary).expect("traced grid solve");
     assert!(ts.result.converged);
     let bd = ts.trace.breakdown();
     for dim in 0..4 {

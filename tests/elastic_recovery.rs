@@ -9,11 +9,10 @@ use quda_core::{ChaosSpec, PrecisionMode, Quda, QudaInvertParam};
 use quda_dirac::WilsonParams;
 use quda_fields::gauge_gen::{random_spinor_field, weak_field};
 use quda_lattice::geometry::LatticeDims;
-use quda_lattice::partition::{DecompPlan, TimePartition};
+use quda_lattice::partition::DecompPlan;
 use quda_multigpu::driver::{
-    solve_full_grid_chaos, solve_full_grid_elastic, solve_full_parallel,
-    solve_full_parallel_elastic, verify_full_solution, ElasticPolicy, GridSolveSpec,
-    ParallelSolveSpec, SolverKind,
+    solve_full_grid, solve_full_grid_elastic, verify_full_solution, ElasticPolicy, GridSolveSpec,
+    SolverKind,
 };
 use quda_multigpu::rank_op::CommStrategy;
 use quda_obs::TraceConfig;
@@ -46,8 +45,7 @@ fn grid_2112_survives_two_sequential_deaths() {
     };
     let cfg = weak_field(global, 0.15, 101);
     let b = random_spinor_field(global, 102);
-    let (x_clean, r_clean) =
-        solve_full_grid_chaos(&cfg, &b, &spec, &ChaosSpec::default()).expect("fault-free solve");
+    let (x_clean, r_clean) = solve_full_grid(&cfg, &b, &spec).expect("fault-free solve");
     assert!(r_clean.converged);
     let rel_clean = verify_full_solution(&cfg, &spec.wilson, &x_clean, &b);
 
@@ -73,13 +71,13 @@ fn grid_2112_survives_two_sequential_deaths() {
     assert!(rel < 1e-9, "post-recovery residual {rel} (fault-free {rel_clean})");
 }
 
-/// The legacy 1x1x1x4 temporal decomposition survives two sequential
-/// deaths through the `ParallelSolveSpec` entry point.
+/// The paper's 1x1x1x4 temporal decomposition survives two sequential
+/// deaths.
 #[test]
 fn legacy_1114_survives_two_sequential_deaths() {
     let global = LatticeDims::new(4, 4, 2, 8);
-    let spec = ParallelSolveSpec {
-        part: TimePartition::new(global, 4),
+    let spec = GridSolveSpec {
+        plan: DecompPlan::new(global, [1, 1, 1, 4]),
         wilson: WilsonParams { mass: 0.3, c_sw: 1.0 },
         mode: PrecisionMode::DoubleHalf,
         strategy: CommStrategy::Overlap,
@@ -88,7 +86,7 @@ fn legacy_1114_survives_two_sequential_deaths() {
     };
     let cfg = weak_field(global, 0.15, 111);
     let b = random_spinor_field(global, 112);
-    let (x_clean, _) = solve_full_parallel(&cfg, &b, &spec).expect("fault-free solve");
+    let (x_clean, _) = solve_full_grid(&cfg, &b, &spec).expect("fault-free solve");
     let rel_clean = verify_full_solution(&cfg, &spec.wilson, &x_clean, &b);
 
     let policy = ElasticPolicy {
@@ -97,7 +95,7 @@ fn legacy_1114_survives_two_sequential_deaths() {
             FaultPlan::new(6).kill_rank_in_generation(0, 2, 150).kill_rank_in_generation(1, 0, 250),
         ),
     };
-    let es = solve_full_parallel_elastic(&cfg, &b, &spec, &policy, TraceConfig::Off)
+    let es = solve_full_grid_elastic(&cfg, &b, &spec, &policy, TraceConfig::Off)
         .expect("elastic solve must survive two sequential deaths");
     assert!(es.solve.result.converged);
     assert_eq!(es.recovery.deaths_survived(), 2);
@@ -109,8 +107,8 @@ fn legacy_1114_survives_two_sequential_deaths() {
 #[test]
 fn budget_exhaustion_surfaces_the_death() {
     let global = LatticeDims::new(4, 4, 2, 8);
-    let spec = ParallelSolveSpec {
-        part: TimePartition::new(global, 2),
+    let spec = GridSolveSpec {
+        plan: DecompPlan::new(global, [1, 1, 1, 2]),
         wilson: WilsonParams { mass: 0.3, c_sw: 1.0 },
         mode: PrecisionMode::Double,
         strategy: CommStrategy::NoOverlap,
@@ -125,7 +123,7 @@ fn budget_exhaustion_surfaces_the_death() {
             FaultPlan::new(7).kill_rank_in_generation(0, 1, 100).kill_rank_in_generation(1, 0, 100),
         ),
     };
-    let err = solve_full_parallel_elastic(&cfg, &b, &spec, &policy, TraceConfig::Off)
+    let err = solve_full_grid_elastic(&cfg, &b, &spec, &policy, TraceConfig::Off)
         .expect_err("the second death exceeds the budget");
     assert_eq!(err, CommError::RankDead { rank: 0 });
 }
@@ -190,8 +188,8 @@ fn invert_report_carries_recovery_telemetry() {
 #[test]
 fn panicked_rank_is_survivable_and_typed() {
     let global = LatticeDims::new(4, 4, 2, 8);
-    let spec = ParallelSolveSpec {
-        part: TimePartition::new(global, 2),
+    let spec = GridSolveSpec {
+        plan: DecompPlan::new(global, [1, 1, 1, 2]),
         wilson: WilsonParams { mass: 0.3, c_sw: 1.0 },
         mode: PrecisionMode::DoubleHalf,
         strategy: CommStrategy::NoOverlap,
@@ -204,7 +202,7 @@ fn panicked_rank_is_survivable_and_typed() {
         max_rank_deaths: 1,
         chaos: chaos_with(FaultPlan::new(10).panic_rank(0, 150)),
     };
-    let es = solve_full_parallel_elastic(&cfg, &b, &spec, &policy, TraceConfig::Off)
+    let es = solve_full_grid_elastic(&cfg, &b, &spec, &policy, TraceConfig::Off)
         .expect("elastic solve must survive a panicked rank");
     assert!(es.solve.result.converged);
     assert_eq!(es.recovery.deaths_survived(), 1);

@@ -9,12 +9,17 @@ use quda_dirac::WilsonParams;
 use quda_fields::gauge_gen::{random_spinor_field, weak_field};
 use quda_fields::precision::{Double, Half, Single};
 use quda_lattice::geometry::{LatticeDims, Parity};
-use quda_lattice::partition::TimePartition;
+use quda_lattice::partition::DecompPlan;
 use quda_multigpu::rank_op::{CommStrategy, ParallelWilsonCloverOp};
 use quda_solvers::operator::LinearOperator;
 
 fn dims() -> LatticeDims {
     LatticeDims::new(4, 4, 2, 8)
+}
+
+/// The paper's decomposition of [`dims`]: `ranks` temporal slices.
+fn t_plan(ranks: usize) -> DecompPlan {
+    DecompPlan::new(dims(), [1, 1, 1, ranks])
 }
 
 /// Run a closure on every rank of a 2-rank world, returning rank results.
@@ -35,13 +40,13 @@ fn on_two_ranks<T: Send + 'static>(
 
 fn traffic_for_one_matpc<P: quda_fields::precision::Precision>() -> (u64, u64) {
     let d = dims();
-    let part = TimePartition::new(d, 2);
+    let plan = t_plan(2);
     let cfg = weak_field(d, 0.1, 3);
     let host = random_spinor_field(d, 4);
     let results = on_two_ranks(move |rank, comm| {
-        let mut op = ParallelWilsonCloverOp::<P>::new(
+        let mut op = ParallelWilsonCloverOp::<P>::new_grid(
             &cfg,
-            part,
+            plan,
             rank,
             comm,
             WilsonParams { mass: 0.3, c_sw: 1.0 },
@@ -51,9 +56,9 @@ fn traffic_for_one_matpc<P: quda_fields::precision::Precision>() -> (u64, u64) {
         let init_bytes = op.comm.sent_bytes();
         let init_msgs = op.comm.sent_messages();
         let mut x = op.alloc();
-        x.upload(&quda_multigpu::slice_spinor(&host, &part, rank), Parity::Odd);
+        x.upload(&quda_multigpu::slice_spinor_grid(&host, &plan, rank), Parity::Odd);
         let mut out = op.alloc();
-        op.apply_matpc_par(&mut out, &mut x, false);
+        op.apply(&mut out, &mut x);
         (op.comm.sent_bytes() - init_bytes, op.comm.sent_messages() - init_msgs)
     });
     results[0]
@@ -78,12 +83,12 @@ fn face_messages_carry_exactly_12_reals_per_site() {
 #[test]
 fn gauge_ghost_exchanged_once_at_init() {
     let d = dims();
-    let part = TimePartition::new(d, 2);
+    let plan = t_plan(2);
     let cfg = weak_field(d, 0.1, 9);
     let results = on_two_ranks(move |rank, comm| {
-        let op = ParallelWilsonCloverOp::<Single>::new(
+        let op = ParallelWilsonCloverOp::<Single>::new_grid(
             &cfg,
-            part,
+            plan,
             rank,
             comm,
             WilsonParams { mass: 0.3, c_sw: 1.0 },
@@ -103,16 +108,16 @@ fn gauge_ghost_exchanged_once_at_init() {
 #[test]
 fn overlap_and_no_overlap_send_identical_traffic() {
     let d = dims();
-    let part = TimePartition::new(d, 2);
+    let plan = t_plan(2);
     let cfg = weak_field(d, 0.1, 5);
     let host = random_spinor_field(d, 6);
     let count = |strategy: CommStrategy| {
         let cfg = cfg.clone();
         let host = host.clone();
         let results = on_two_ranks(move |rank, comm| {
-            let mut op = ParallelWilsonCloverOp::<Single>::new(
+            let mut op = ParallelWilsonCloverOp::<Single>::new_grid(
                 &cfg,
-                part,
+                plan,
                 rank,
                 comm,
                 WilsonParams { mass: 0.3, c_sw: 1.0 },
@@ -121,9 +126,9 @@ fn overlap_and_no_overlap_send_identical_traffic() {
             .expect("op init");
             let base = op.comm.sent_bytes();
             let mut x = op.alloc();
-            x.upload(&quda_multigpu::slice_spinor(&host, &part, rank), Parity::Odd);
+            x.upload(&quda_multigpu::slice_spinor_grid(&host, &plan, rank), Parity::Odd);
             let mut out = op.alloc();
-            op.apply_matpc_par(&mut out, &mut x, false);
+            op.apply(&mut out, &mut x);
             op.comm.sent_bytes() - base
         });
         results[0]
@@ -138,12 +143,12 @@ fn reductions_count_matches_solver_structure() {
     let d = dims();
     let cfg = weak_field(d, 0.1, 7);
     let host = random_spinor_field(d, 8);
-    let part = TimePartition::new(d, 1);
+    let plan = t_plan(1);
     let mut world = quda_comm::comm_world(1);
     let comm = world.pop().unwrap();
-    let mut op = ParallelWilsonCloverOp::<Double>::new(
+    let mut op = ParallelWilsonCloverOp::<Double>::new_grid(
         &cfg,
-        part,
+        plan,
         0,
         comm,
         WilsonParams { mass: 0.3, c_sw: 1.0 },
@@ -190,53 +195,11 @@ fn on_two_faulty_ranks<T: Send + 'static>(
     handles.into_iter().map(|h| h.join().unwrap()).collect()
 }
 
-/// One matpc application on a 2-rank world under `plan`; returns each rank's
-/// (max |out - reference|, recovery stats) where the reference is the same
-/// application on a fault-free world.
+/// One matpc application on the paper's 2-rank temporal world under `plan`;
+/// returns each rank's (max |out - reference|, recovery stats) where the
+/// reference is the same application on a fault-free world.
 fn matpc_under_faults(plan: quda_comm::FaultPlan) -> Vec<(f64, quda_comm::CommStats)> {
-    let d = dims();
-    let part = TimePartition::new(d, 2);
-    let cfg = weak_field(d, 0.1, 11);
-    let host = random_spinor_field(d, 12);
-
-    let apply = move |rank: usize, comm: quda_comm::Communicator| {
-        let mut op = ParallelWilsonCloverOp::<Double>::new(
-            &cfg,
-            part,
-            rank,
-            comm,
-            WilsonParams { mass: 0.3, c_sw: 1.0 },
-            CommStrategy::NoOverlap,
-        )
-        .expect("op init");
-        let mut x = op.alloc();
-        x.upload(&quda_multigpu::slice_spinor(&host, &part, rank), Parity::Odd);
-        let mut out = op.alloc();
-        op.apply_matpc_par(&mut out, &mut x, false);
-        assert!(op.comm_fault().is_none(), "fault: {:?}", op.comm_fault());
-        let mut vals = Vec::with_capacity(out.sites() * 24);
-        for cb in 0..out.sites() {
-            let site = out.get(cb);
-            for sp in 0..4 {
-                for co in 0..3 {
-                    vals.push(site.s[sp].c[co].re);
-                    vals.push(site.s[sp].c[co].im);
-                }
-            }
-        }
-        (vals, op.comm_stats())
-    };
-
-    let clean = on_two_ranks(apply.clone());
-    let faulty = on_two_faulty_ranks(plan, quda_comm::CommConfig::default(), apply);
-    clean
-        .into_iter()
-        .zip(faulty)
-        .map(|((cv, _), (fv, stats))| {
-            let dist = cv.iter().zip(&fv).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-            (dist, stats)
-        })
-        .collect()
+    grid_matpc_under_faults(dims(), [1, 1, 1, 2], plan)
 }
 
 #[test]
@@ -298,7 +261,6 @@ fn grid_matpc_under_faults(
     grid: [usize; 4],
     plan: quda_comm::FaultPlan,
 ) -> Vec<(f64, quda_comm::CommStats)> {
-    use quda_lattice::partition::DecompPlan;
     let decomp = DecompPlan::new(dims, grid);
     let cfg = weak_field(dims, 0.1, 31);
     let host = random_spinor_field(dims, 32);
@@ -316,7 +278,7 @@ fn grid_matpc_under_faults(
         let mut x = op.alloc();
         x.upload(&quda_multigpu::slice_spinor_grid(&host, &decomp, rank), Parity::Odd);
         let mut out = op.alloc();
-        op.apply_matpc_par(&mut out, &mut x, false);
+        op.apply(&mut out, &mut x);
         assert!(op.comm_fault().is_none(), "fault: {:?}", op.comm_fault());
         let mut vals = Vec::with_capacity(out.sites() * 24);
         for cb in 0..out.sites() {
@@ -377,9 +339,8 @@ fn corrupted_z_faces_are_detected_and_retransmitted() {
 /// *located* `RankDead` within the timeout — never a hang (ISSUE 7
 /// satellite: the non-T faces inherit the full failure-detection protocol).
 fn dead_rank_is_located(dims: LatticeDims, grid: [usize; 4]) {
-    use quda_lattice::partition::DecompPlan;
     use quda_multigpu::{
-        solve_full_grid_chaos, ChaosSpec, GridSolveSpec, PrecisionMode, SolverKind,
+        solve_full_grid_elastic, ChaosSpec, ElasticPolicy, GridSolveSpec, PrecisionMode, SolverKind,
     };
     let spec = GridSolveSpec {
         plan: DecompPlan::new(dims, grid),
@@ -402,7 +363,8 @@ fn dead_rank_is_located(dims: LatticeDims, grid: [usize; 4]) {
         ..ChaosSpec::default()
     };
     let t0 = std::time::Instant::now();
-    let err = solve_full_grid_chaos(&cfg, &b, &spec, &chaos)
+    let policy = ElasticPolicy { max_rank_deaths: 0, chaos };
+    let err = solve_full_grid_elastic(&cfg, &b, &spec, &policy, quda_obs::TraceConfig::Off)
         .expect_err("a dead rank must abort the grid solve");
     assert_eq!(err, quda_comm::CommError::RankDead { rank: 1 });
     assert!(
