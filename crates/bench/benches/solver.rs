@@ -10,6 +10,7 @@ use quda_solvers::operator::MatPcOp;
 use quda_solvers::params::SolverParams;
 use quda_solvers::{bicgstab, bicgstab_defect_correction, bicgstab_reliable, blas, cgnr};
 use std::hint::black_box;
+use std::slice::{from_mut, from_ref};
 
 fn dims() -> LatticeDims {
     LatticeDims::new(4, 4, 4, 8)
@@ -32,9 +33,10 @@ fn bench_uniform_solvers(c: &mut Criterion) {
             blas::zero(&mut x);
             black_box(bicgstab(
                 &mut op64,
-                &mut x,
-                &b64,
+                from_mut(&mut x),
+                from_ref(&b64),
                 &SolverParams { tol: 1e-10, max_iter: 500, delta: 0.0 },
+                &mut [],
             ))
         })
     });
@@ -44,9 +46,10 @@ fn bench_uniform_solvers(c: &mut Criterion) {
             blas::zero(&mut x);
             black_box(cgnr(
                 &mut op64,
-                &mut x,
-                &b64,
+                from_mut(&mut x),
+                from_ref(&b64),
                 &SolverParams { tol: 1e-10, max_iter: 1000, delta: 0.0 },
+                &mut [],
             ))
         })
     });
@@ -60,9 +63,10 @@ fn bench_uniform_solvers(c: &mut Criterion) {
             blas::zero(&mut x);
             black_box(bicgstab(
                 &mut op32,
-                &mut x,
-                &b32,
+                from_mut(&mut x),
+                from_ref(&b32),
                 &SolverParams { tol: 1e-5, max_iter: 500, delta: 0.0 },
+                &mut [],
             ))
         })
     });
@@ -88,14 +92,28 @@ fn bench_mixed_solvers(c: &mut Criterion) {
         bch.iter(|| {
             let mut x = quda_solvers::operator::LinearOperator::alloc(&hi);
             blas::zero(&mut x);
-            black_box(bicgstab_reliable(&mut hi, &mut lo_half, &mut x, &b, &params))
+            black_box(bicgstab_reliable(
+                &mut hi,
+                &mut lo_half,
+                from_mut(&mut x),
+                from_ref(&b),
+                &params,
+                &mut [],
+            ))
         })
     });
     group.bench_function("reliable_double_single", |bch| {
         bch.iter(|| {
             let mut x = quda_solvers::operator::LinearOperator::alloc(&hi);
             blas::zero(&mut x);
-            black_box(bicgstab_reliable(&mut hi, &mut lo_single, &mut x, &b, &params))
+            black_box(bicgstab_reliable(
+                &mut hi,
+                &mut lo_single,
+                from_mut(&mut x),
+                from_ref(&b),
+                &params,
+                &mut [],
+            ))
         })
     });
     group.bench_function("defect_correction_double_single", |bch| {

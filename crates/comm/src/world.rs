@@ -198,17 +198,6 @@ impl Communicator {
         self.size
     }
 
-    /// Rank of the forward neighbor on the periodic ring (the time-sliced
-    /// decomposition's topology).
-    pub fn forward(&self) -> usize {
-        (self.rank + 1) % self.size
-    }
-
-    /// Rank of the backward neighbor.
-    pub fn backward(&self) -> usize {
-        (self.rank + self.size - 1) % self.size
-    }
-
     /// The timeout/retry policy this communicator runs under.
     pub fn config(&self) -> &CommConfig {
         &self.config
@@ -737,12 +726,20 @@ mod tests {
         }
     }
 
+    /// `rank`'s forward and backward neighbours on a periodic ring of
+    /// `size` ranks (the topology the ring tests below exercise).
+    fn ring(rank: usize, size: usize) -> (usize, usize) {
+        ((rank + 1) % size, (rank + size - 1) % size)
+    }
+
     #[test]
     fn ring_topology() {
         let world = comm_world(4);
-        assert_eq!(world[0].backward(), 3);
-        assert_eq!(world[3].forward(), 0);
-        assert_eq!(world[2].forward(), 3);
+        for (i, c) in world.iter().enumerate() {
+            assert_eq!((c.rank(), c.size()), (i, 4));
+        }
+        assert_eq!(ring(0, 4), (1, 3));
+        assert_eq!(ring(3, 4), (0, 2));
     }
 
     #[test]
@@ -1067,8 +1064,7 @@ mod tests {
                         // Mix point-to-point ring traffic with reductions so
                         // all three collective kinds enter the fingerprint.
                         for round in 0..6 {
-                            let fwd = c.forward();
-                            let bwd = c.backward();
+                            let (fwd, bwd) = ring(c.rank(), c.size());
                             c.send(fwd, 17, pack_f64(&[round as f64])).unwrap();
                             let _ = c.recv(bwd, 17).unwrap();
                             let v = (c.rank() + 1) as f64 * (round + 1) as f64;
@@ -1178,8 +1174,8 @@ mod chaos_tests {
             .into_iter()
             .map(|mut c| {
                 thread::spawn(move || {
-                    let fwd = c.forward();
-                    let bwd = c.backward();
+                    let (rank, size) = (c.rank(), c.size());
+                    let (fwd, bwd) = ((rank + 1) % size, (rank + size - 1) % size);
                     let mut sum = 0.0;
                     for i in 0..200u64 {
                         c.send(fwd, 17, pack_f64(&[i as f64 + c.rank() as f64 * 0.5])).unwrap();

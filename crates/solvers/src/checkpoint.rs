@@ -16,10 +16,10 @@
 //! checksum over everything that precedes it. Corruption anywhere in the
 //! buffer surfaces as a typed [`CheckpointError`], never a panic.
 //!
-//! Solvers do not talk to storage directly: they hand snapshots to a
-//! [`CheckpointSink`] and ask it for a resume point at entry. The
-//! [`NoCheckpoint`] sink (the default for the classic entry points) reports
-//! itself disabled so the non-elastic hot path does literally zero extra
+//! Solvers do not talk to storage directly: they take one
+//! [`CheckpointSink`] per right-hand side, hand each lane's snapshots to its
+//! sink and ask it for a resume point at entry. An empty sink slice is the
+//! non-elastic path: nothing is captured, so it does literally zero extra
 //! work. There is no RNG state to capture — every solver in this crate is
 //! deterministic — and comm sequence state is deliberately *not* included:
 //! a replacement world rebuilds its links (and their sequence numbers)
@@ -482,16 +482,41 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Capture the current solver state and deposit it into `sink` under a
-/// [`Phase::Checkpoint`] span (with the payload size and epoch recorded on
-/// the span). Shared by every solver's checkpoint sites.
+/// Deposit and refresh cadence, in iterations, of the uniform-precision
+/// solvers: BiCGstab deposits a snapshot and CGNR refreshes its rollback
+/// copy (and deposits) every this many iterations — cheap enough to be
+/// negligible, frequent enough that a rollback or resume loses little
+/// progress (DESIGN.md §7, §12).
+pub(crate) const CHECKPOINT_EVERY: usize = 16;
+
+impl CheckpointCounters {
+    /// Counters of a warm-start snapshot: the uniform-precision solvers
+    /// rebuild their residual from the iterate at entry, so only progress
+    /// counters travel with it.
+    pub(crate) fn warm_start(epoch: u64, iterations: usize, matvecs: u64, r2: f64) -> Self {
+        CheckpointCounters {
+            epoch,
+            iterations: iterations as u64,
+            matvecs_hi: matvecs,
+            r2,
+            ..Default::default()
+        }
+    }
+}
+
+/// Capture lane `k`'s solver state and deposit it into that lane's sink
+/// under a [`Phase::Checkpoint`] span (with the payload size and epoch
+/// recorded on the span). A no-op when `sinks` is empty. Shared by every
+/// solver's checkpoint sites.
 pub(crate) fn deposit<P: Precision>(
-    sink: &mut dyn CheckpointSink,
+    sinks: &mut [&mut dyn CheckpointSink],
+    k: usize,
     tracer: &Tracer,
     counters: CheckpointCounters,
     x: &SpinorFieldCb<P>,
     r: Option<&SpinorFieldCb<P>>,
 ) {
+    let Some(sink) = sinks.get_mut(k) else { return };
     let mut span = tracer.span(Phase::Checkpoint);
     span.set_iter(counters.epoch);
     let ck = SolverCheckpoint::capture(counters, x, r);
@@ -499,38 +524,33 @@ pub(crate) fn deposit<P: Precision>(
     sink.save(ck);
 }
 
-/// Where a solver deposits snapshots and looks for a resume point.
+/// Ask lane `k`'s sink for a resume snapshot and hand it to `restore`
+/// under a [`Phase::Recovery`] span. Returns the snapshot's counters when
+/// `restore` accepted it; `None` without a sink, without a snapshot, or
+/// when the snapshot does not fit the solve (the check is deterministic
+/// and identical on every rank, so all ranks fall back together).
+pub(crate) fn resume(
+    sinks: &mut [&mut dyn CheckpointSink],
+    k: usize,
+    tracer: &Tracer,
+    restore: impl FnOnce(&SolverCheckpoint) -> bool,
+) -> Option<CheckpointCounters> {
+    let ck = sinks.get_mut(k)?.resume()?;
+    let mut span = tracer.span(Phase::Recovery);
+    span.set_bytes(ck.payload_bytes() as u64);
+    restore(&ck).then_some(ck.counters)
+}
+
+/// Where a solver deposits one right-hand side's snapshots and looks for
+/// its resume point.
 ///
 /// `resume` is consulted once at solve entry; `save` is called at every
-/// checkpoint boundary. Implementations must be cheap when disabled —
-/// solvers skip capture work entirely when [`CheckpointSink::enabled`]
-/// returns `false`.
+/// checkpoint boundary.
 pub trait CheckpointSink {
     /// Deposit a fresh snapshot.
     fn save(&mut self, ckpt: SolverCheckpoint);
     /// A snapshot to resume from, if the supervisor installed one.
     fn resume(&mut self) -> Option<SolverCheckpoint>;
-    /// Whether snapshots are wanted at all.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The disabled sink: never resumes, discards saves, and reports itself
-/// disabled so solvers skip capture work on the classic (non-elastic) path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoCheckpoint;
-
-impl CheckpointSink for NoCheckpoint {
-    fn save(&mut self, _ckpt: SolverCheckpoint) {}
-
-    fn resume(&mut self) -> Option<SolverCheckpoint> {
-        None
-    }
-
-    fn enabled(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -633,16 +653,5 @@ mod tests {
             SolverCheckpoint::from_bytes(&bytes[..4]),
             Err(CheckpointError::Truncated { expected: 8, got: 4 })
         );
-    }
-
-    #[test]
-    fn disabled_sink_never_resumes() {
-        let mut sink = NoCheckpoint;
-        assert!(!sink.enabled());
-        assert!(sink.resume().is_none());
-        let dims = LatticeDims::new(2, 2, 2, 4);
-        let x = sample_field(dims);
-        sink.save(SolverCheckpoint::capture(CheckpointCounters::default(), &x, None));
-        assert!(sink.resume().is_none());
     }
 }

@@ -9,12 +9,38 @@
 //! * [`cg`](mod@cg) — CG on the normal equations (CGNR);
 //! * [`mixed`] — mixed-precision reliable updates and the defect-correction
 //!   baseline (Section V-D);
-//! * [`multi`] — blocked multi-RHS variants of the above, batching
-//!   compatible systems through fused gauge sweeps while staying
-//!   bit-identical per RHS (DESIGN.md §14);
+//! * [`checkpoint`] — the per-lane snapshots and sinks of elastic
+//!   resilience (DESIGN.md §12);
 //! * [`params`] — solver parameters matching Section VII-A;
 //! * [`spectral`] — power/inverse-power spectrum probes quantifying the
 //!   condition-number claims of Section II.
+//!
+//! There is one implementation per method, and it is blocked: every solver
+//! takes a slice of right-hand sides (a single system is the one-element
+//! slice, `std::slice::from_mut`/`from_ref`) so a batch shares each gauge
+//! sweep through [`operator::LinearOperator::apply_multi`] while every
+//! scalar recurrence stays *per lane* (DESIGN.md §14):
+//!
+//! * each right-hand side carries its own residual, search direction,
+//!   scalar state (α, β, ρ, ω, …), rollback copy, recovery budget and
+//!   checkpoint sink;
+//! * the per-lane reductions of each algorithmic point are packed, in lane
+//!   order, into **one fused vector allreduce**
+//!   ([`operator::LinearOperator::reduce_vec`]). A vector allreduce
+//!   combines every component in the same rank order as a scalar
+//!   allreduce, so each lane's reduced values — and therefore its
+//!   iteration count and solution — do not depend on the rest of the
+//!   batch, while the collective count per iteration is a constant;
+//! * a lane that converges (or breaks down) drops out of the *active
+//!   mask*: its vectors are frozen and the remaining lanes keep iterating
+//!   in a smaller fused sweep.
+//!
+//! Every active-mask decision is derived from globally reduced values, so
+//! the mask is identical on every rank and the collective stream stays
+//! rank-uniform (the `QUDA_LOCKSTEP=1` sanitizer passes). Rollbacks,
+//! reliable updates, and true-residual tails go through the single-lane
+//! operator paths, which the `apply_multi` contract guarantees are
+//! bit-identical to the batched sweep.
 
 #![warn(missing_docs)]
 // The no-panic invariant (xtask lint rule `no-panic`), also machine-checked
@@ -26,21 +52,19 @@ pub mod blas;
 pub mod cg;
 pub mod checkpoint;
 pub mod mixed;
-pub mod multi;
 pub mod operator;
 pub mod params;
 pub mod spectral;
 #[cfg(test)]
 pub(crate) mod test_faults;
 
-pub use bicgstab::{bicgstab, bicgstab_ckpt};
-pub use cg::{cgnr, cgnr_ckpt};
+pub use bicgstab::bicgstab;
+pub use cg::cgnr;
 pub use checkpoint::{
-    CheckpointCounters, CheckpointError, CheckpointSink, NoCheckpoint, SolverCheckpoint,
-    CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    CheckpointCounters, CheckpointError, CheckpointSink, SolverCheckpoint, CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
 };
-pub use mixed::{bicgstab_defect_correction, bicgstab_reliable, bicgstab_reliable_ckpt};
-pub use multi::{bicgstab_multi, bicgstab_reliable_multi, cgnr_multi};
+pub use mixed::{bicgstab_defect_correction, bicgstab_reliable};
 pub use operator::{LinearOperator, MatPcOp, OpFault};
 pub use params::{SolveResult, SolverParams};
 pub use spectral::{estimate_spectrum, lambda_max, lambda_min, SpectrumEstimate};

@@ -17,8 +17,8 @@
 //!   iterations" (Section V-D); the ablation benchmark quantifies it.
 
 use crate::blas::{self, BlasCounters};
-use crate::checkpoint::{self, CheckpointCounters, CheckpointSink, NoCheckpoint};
-use crate::operator::{residual_norm2, traced, traced_iter, LinearOperator};
+use crate::checkpoint::{self, CheckpointCounters, CheckpointSink};
+use crate::operator::{residual_norm2, residual_norm2_multi, traced, traced_iter, LinearOperator};
 use crate::params::{SolveResult, SolverParams};
 use quda_fields::precision::Precision;
 use quda_fields::SpinorFieldCb;
@@ -34,10 +34,12 @@ pub(crate) const MAX_RECOVERIES: u64 = 8;
 
 /// A reliable update that *grows* the true residual by more than this
 /// factor is treated as corrupted state rather than ordinary sloppy drift.
-pub(crate) const DIVERGE_FACTOR: f64 = 1e6;
+const DIVERGE_FACTOR: f64 = 1e6;
 
-/// Outcome of one sloppy BiCGstab iteration (including any reliable
-/// update): drives the control flow of [`bicgstab_reliable`]'s main loop.
+/// Outcome of one lane's sloppy BiCGstab iteration (including any reliable
+/// update), recorded per lane and resolved once per fused sweep of
+/// [`bicgstab_reliable`]'s main loop.
+#[derive(Clone, Copy)]
 enum Step {
     /// Iteration completed normally; keep going.
     Continue,
@@ -56,7 +58,7 @@ enum Step {
 
 /// Add a low-precision correction into a high-precision vector:
 /// `x_hi += conv(e_lo)`.
-pub(crate) fn accumulate<H: Precision, L: Precision>(
+fn accumulate<H: Precision, L: Precision>(
     x_hi: &mut SpinorFieldCb<H>,
     e_lo: &SpinorFieldCb<L>,
     scratch_hi: &mut SpinorFieldCb<H>,
@@ -66,358 +68,438 @@ pub(crate) fn accumulate<H: Precision, L: Precision>(
     blas::axpy(1.0, scratch_hi, x_hi, c);
 }
 
-/// Mixed-precision BiCGstab with reliable updates.
+/// Mixed-precision BiCGstab with reliable updates, for every `k` of
+/// `M̂ xs[k] = bs[k]`; a single system is the batch of one.
 ///
 /// `H` is the outer ("true") precision, `L` the sloppy precision the Krylov
 /// iteration runs in. The paper's production modes are double-half,
-/// single-half, and (for reference) double-single.
+/// single-half, and (for reference) double-single. The sloppy sweeps are
+/// fused across the active block; reliable updates, rollbacks and the tail
+/// run per lane in high precision through the single-RHS operator paths.
 ///
-/// The solve is *self-healing* (DESIGN.md §7): the high-precision solution
-/// is checkpointed at every good reliable update, and any non-finite or
-/// wildly diverged quantity (e.g. a corrupted global reduction) rolls the
-/// solve back to that checkpoint and rebuilds the Krylov space from a fresh
-/// true residual. Rollbacks are counted in [`SolveResult::recoveries`] and
-/// capped; a fault reported by the operators' [`LinearOperator::fault`]
-/// hook (a dead rank, say) is not recoverable and aborts the solve with
-/// [`SolveResult::error`] set.
-pub fn bicgstab_reliable<H: Precision, L: Precision>(
-    op_hi: &mut dyn LinearOperator<H>,
-    op_lo: &mut dyn LinearOperator<L>,
-    x: &mut SpinorFieldCb<H>,
-    b: &SpinorFieldCb<H>,
-    params: &SolverParams,
-) -> SolveResult {
-    bicgstab_reliable_ckpt(op_hi, op_lo, x, b, params, &mut NoCheckpoint)
-}
-
-/// [`bicgstab_reliable`] with an elastic-resilience checkpoint sink.
+/// The solve is *self-healing* per lane (DESIGN.md §7): the high-precision
+/// solution is checkpointed at every good reliable update, and any
+/// non-finite or wildly diverged quantity (e.g. a corrupted global
+/// reduction) rolls that lane back to its checkpoint and rebuilds its
+/// Krylov space from a fresh true residual. Rollbacks are counted in
+/// [`SolveResult::recoveries`] and capped; a fault reported by the
+/// operators' [`LinearOperator::fault`] hook (a dead rank, say) is not
+/// recoverable and aborts the in-flight lanes with [`SolveResult::error`]
+/// set.
 ///
-/// When `sink` is enabled, the solver deposits a [`SolverCheckpoint`] at
-/// solve entry and at every good reliable update — the points where the
+/// `sinks` is empty (no checkpointing) or holds one sink per lane. Each
+/// lane deposits a [`SolverCheckpoint`](crate::checkpoint::SolverCheckpoint)
+/// at entry and at every good reliable update — the points where its
 /// high-precision state has just been validated against the true residual.
 /// Because the reliable-update decision is made from a globally reduced
 /// norm, every rank deposits the same epochs at the same iterations, so no
 /// extra collectives are needed and the numerics are bit-identical to the
-/// checkpoint-free solve.
-///
-/// If `sink.resume()` yields a snapshot, the solve rolls *forward* from it
-/// instead of starting at zero: the iterate and true residual are restored
-/// and the Krylov space is rebuilt from the restored residual — exactly the
-/// protocol the corruption-rollback path already uses — and all progress
-/// counters continue from their checkpointed values. The supervisor must
-/// install a resume snapshot on either all ranks or none, since resuming
-/// changes the collective stream.
-pub fn bicgstab_reliable_ckpt<H: Precision, L: Precision>(
+/// checkpoint-free solve. If a lane's sink yields a resume snapshot, that
+/// lane rolls *forward* from it: the iterate and true residual are
+/// restored, the entry residual is skipped, the Krylov space is rebuilt
+/// from the restored residual — the protocol the rollback path uses — and
+/// all progress counters continue from their checkpointed values. The
+/// supervisor must install a resume snapshot on either all ranks or none,
+/// since resuming changes the collective stream.
+pub fn bicgstab_reliable<H: Precision, L: Precision>(
     op_hi: &mut dyn LinearOperator<H>,
     op_lo: &mut dyn LinearOperator<L>,
-    x: &mut SpinorFieldCb<H>,
-    b: &SpinorFieldCb<H>,
+    xs: &mut [SpinorFieldCb<H>],
+    bs: &[SpinorFieldCb<H>],
     params: &SolverParams,
-    sink: &mut dyn CheckpointSink,
-) -> SolveResult {
-    let mut c = BlasCounters::default();
-    let mut matvecs_lo: u64 = 0;
-    let mut matvecs_hi: u64 = 0;
-    let mut reliable_updates: u64 = 0;
+    sinks: &mut [&mut dyn CheckpointSink],
+) -> Vec<SolveResult> {
+    let n = xs.len();
+    assert_eq!(bs.len(), n, "solution/source batch length mismatch");
+    assert!(sinks.is_empty() || sinks.len() == n, "one checkpoint sink per lane, or none");
+    if n == 0 {
+        return Vec::new();
+    }
     // Both operators live on the same rank; either handle reaches the same
     // per-rank recorder. The sloppy one drives the iteration, so use it.
     let tracer = op_lo.tracer();
+    let mut cs: Vec<BlasCounters> = (0..n).map(|_| BlasCounters::default()).collect();
+    // Each lane's scalar progress state is exactly what its checkpoint
+    // carries: epoch, iterations, matvecs, reliable updates, rollbacks,
+    // stall count, and the residual norms the update logic tracks.
+    let mut st = vec![CheckpointCounters::default(); n];
+    let mut converged = vec![false; n];
+    let mut abort_error: Vec<Option<String>> = (0..n).map(|_| None).collect();
+    let mut history: Vec<Vec<f64>> = (0..n).map(|_| Vec::with_capacity(params.max_iter)).collect();
+    // Slots resolved before the loop (zero sources, converged guesses).
+    let mut results: Vec<Option<SolveResult>> = (0..n).map(|_| None).collect();
 
-    let b_local = traced(&tracer, Phase::Blas, || blas::norm2(b, &mut c));
-    let b_norm2 = traced(&tracer, Phase::Reduce, || op_hi.reduce(b_local));
-    if b_norm2 == 0.0 {
-        blas::zero(x);
-        return SolveResult { converged: true, ..Default::default() };
+    let mut b_norm2 = vec![0.0f64; n];
+    for k in 0..n {
+        b_norm2[k] = traced(&tracer, Phase::Blas, || blas::norm2(&bs[k], &mut cs[k]));
     }
-    let target2 = params.tol * params.tol * b_norm2;
+    traced(&tracer, Phase::Reduce, || op_hi.reduce_vec(&mut b_norm2));
+    for k in 0..n {
+        if b_norm2[k] == 0.0 {
+            blas::zero(&mut xs[k]);
+            results[k] = Some(SolveResult { converged: true, ..Default::default() });
+        }
+    }
+    let target2: Vec<f64> = (0..n).map(|k| params.tol * params.tol * b_norm2[k]).collect();
 
     // A resume snapshot installed by the elastic supervisor: restore the
-    // iterate and true residual instead of starting from the caller's
-    // guess. A snapshot that does not fit this solve (wrong precision or
-    // geometry) is ignored — the check is deterministic and identical on
-    // every rank, so all ranks fall back together.
-    let mut r_hi = op_hi.alloc();
-    let mut resumed: Option<CheckpointCounters> = None;
-    if let Some(ck) = sink.resume() {
-        let mut span = tracer.span(Phase::Recovery);
-        span.set_bytes(ck.payload_bytes() as u64);
-        if ck.has_residual() && ck.restore_x(x).is_ok() && ck.restore_r(&mut r_hi).is_ok() {
-            resumed = Some(ck.counters);
+    // lane's iterate and true residual instead of starting from the
+    // caller's guess, and continue its counters.
+    let mut r_his: Vec<_> = (0..n).map(|_| op_hi.alloc()).collect();
+    let mut resumed = vec![false; n];
+    for k in 0..n {
+        if results[k].is_some() {
+            continue;
+        }
+        let (x, r_hi) = (&mut xs[k], &mut r_his[k]);
+        if let Some(ctr) = checkpoint::resume(sinks, k, &tracer, |ck| {
+            ck.has_residual() && ck.restore_x(x).is_ok() && ck.restore_r(r_hi).is_ok()
+        }) {
+            st[k] = ctr;
+            resumed[k] = true;
         }
     }
 
-    // True residual in high precision (restored, or computed fresh).
-    let mut r2;
-    if let Some(ctr) = resumed {
-        r2 = ctr.r2;
-        matvecs_hi = ctr.matvecs_hi;
-        matvecs_lo = ctr.matvecs_lo;
-        reliable_updates = ctr.reliable_updates;
-    } else {
-        r2 = residual_norm2(op_hi, &mut r_hi, x, b, &mut c);
-        matvecs_hi += 1;
-        if r2 <= target2 {
-            return SolveResult {
-                converged: true,
-                final_residual: (r2 / b_norm2).sqrt(),
-                matvecs: matvecs_hi,
-                op_flops: matvecs_hi * op_hi.flops_per_apply(),
-                blas: c,
-                ..Default::default()
-            };
+    // Entry true residuals of the other lanes in high precision: one fused
+    // sweep, one fused reduction.
+    let live: Vec<bool> = (0..n).map(|k| results[k].is_none() && !resumed[k]).collect();
+    if live.iter().any(|&l| l) {
+        let mut r2 = vec![0.0f64; n];
+        residual_norm2_multi(op_hi, &mut r_his, xs, bs, &mut cs, &live, &mut r2);
+        for k in 0..n {
+            if !live[k] {
+                continue;
+            }
+            st[k].matvecs_hi += 1;
+            st[k].r2 = r2[k];
+            st[k].last_update_r2 = r2[k];
+            if r2[k] <= target2[k] {
+                results[k] = Some(SolveResult {
+                    converged: true,
+                    final_residual: (r2[k] / b_norm2[k]).sqrt(),
+                    matvecs: st[k].matvecs_hi,
+                    op_flops: st[k].matvecs_hi * op_hi.flops_per_apply(),
+                    blas: std::mem::take(&mut cs[k]),
+                    ..Default::default()
+                });
+            }
         }
     }
-    let mut maxrr = r2.sqrt();
+    let mut active: Vec<bool> = (0..n).map(|k| results[k].is_none()).collect();
 
-    // Sloppy-precision working set.
-    let mut r = op_lo.alloc();
-    r.convert_from(&r_hi);
-    let mut r0 = op_lo.alloc();
-    blas::copy(&mut r0, &r, &mut c);
-    let mut p = op_lo.alloc();
-    blas::copy(&mut p, &r, &mut c);
-    let mut v = op_lo.alloc();
-    let mut t = op_lo.alloc();
-    let mut x_sloppy = op_lo.alloc();
-    blas::zero(&mut x_sloppy);
-    let mut scratch_hi = op_hi.alloc();
-    // Rollback checkpoint: the high-precision solution as of the last known
-    // good state (start, then every good reliable update).
-    let mut checkpoint_x = op_hi.alloc();
-    blas::copy(&mut checkpoint_x, x, &mut c);
-    let mut recoveries: u64 = resumed.map_or(0, |ctr| ctr.recoveries);
-    let mut abort_error: Option<String> = None;
-
-    let mut rho = C64::new(r2, 0.0);
-    let mut iterations = resumed.map_or(0, |ctr| ctr.iterations as usize);
-    let mut converged = false;
-    // Stall detection: when successive reliable updates stop improving the
-    // true residual, the outer precision's rounding floor has been reached
-    // and further sloppy iterations are wasted.
-    let mut last_update_r2 = resumed.map_or(r2, |ctr| ctr.last_update_r2);
-    let mut stalls = resumed.map_or(0u32, |ctr| ctr.stalls);
-    // Sized for the worst case so steady-state pushes never reallocate.
-    let mut history = Vec::with_capacity(params.max_iter);
-
-    // Elastic checkpointing: deposit a snapshot of the just-validated
-    // state at entry (epoch continues across incarnations), so a rank
-    // death before the first reliable update still leaves a consistent
-    // resume point behind.
-    let mut ckpt_epoch: u64 = resumed.map_or(0, |ctr| ctr.epoch);
-    if sink.enabled() {
-        ckpt_epoch += 1;
-        checkpoint::deposit(
-            sink,
-            &tracer,
-            CheckpointCounters {
-                epoch: ckpt_epoch,
-                iterations: iterations as u64,
-                matvecs_hi,
-                matvecs_lo,
-                reliable_updates,
-                recoveries,
-                stalls,
-                r2,
-                maxrr,
-                last_update_r2,
-            },
-            x,
-            Some(&r_hi),
-        );
+    // Sloppy-precision working sets.
+    let mut rs: Vec<_> = (0..n).map(|_| op_lo.alloc()).collect();
+    let mut r0s: Vec<_> = (0..n).map(|_| op_lo.alloc()).collect();
+    let mut ps: Vec<_> = (0..n).map(|_| op_lo.alloc()).collect();
+    let mut vs: Vec<_> = (0..n).map(|_| op_lo.alloc()).collect();
+    let mut ts: Vec<_> = (0..n).map(|_| op_lo.alloc()).collect();
+    let mut x_sloppys: Vec<_> = (0..n).map(|_| op_lo.alloc()).collect();
+    let mut scratch_his: Vec<_> = (0..n).map(|_| op_hi.alloc()).collect();
+    // Per-lane rollback checkpoints: the high-precision solution as of the
+    // last known good state (start, then every good reliable update).
+    let mut checkpoint_xs: Vec<_> = (0..n).map(|_| op_hi.alloc()).collect();
+    for k in 0..n {
+        if !active[k] {
+            continue;
+        }
+        st[k].maxrr = st[k].r2.sqrt();
+        rs[k].convert_from(&r_his[k]);
+        blas::copy(&mut r0s[k], &rs[k], &mut cs[k]);
+        blas::copy(&mut ps[k], &rs[k], &mut cs[k]);
+        blas::zero(&mut x_sloppys[k]);
+        blas::copy(&mut checkpoint_xs[k], &xs[k], &mut cs[k]);
+        // Deposit the just-validated entry state (the epoch continues
+        // across incarnations), so a rank death before the first reliable
+        // update still leaves a consistent resume point behind.
+        st[k].epoch += 1;
+        checkpoint::deposit(sinks, k, &tracer, st[k], &xs[k], Some(&r_his[k]));
     }
+    let mut rho: Vec<C64> = (0..n).map(|k| C64::new(st[k].r2, 0.0)).collect();
+    let mut alphas = vec![C64::new(0.0, 0.0); n];
+    let mut omegas = vec![C64::new(0.0, 0.0); n];
+    let mut stage = vec![false; n];
+    let mut steps = vec![Step::Continue; n];
+    // Staging buffers for the fused sloppy-precision reductions (stale
+    // slots of dropped lanes are summed but never read). Reliable updates
+    // stay on the per-lane high-precision paths.
+    let mut red_a = vec![0.0f64; 2 * n]; // r0·v as (re, im) per lane
+    let mut red_b = vec![0.0f64; n]; // ‖s‖² per lane
+    let mut red_d = vec![0.0f64; 3 * n]; // (t·s re, t·s im, ‖t‖²) / (‖r‖², ρ re, ρ im)
+    let mut sweep: u64 = 0;
 
-    while iterations < params.max_iter {
+    loop {
+        for k in 0..n {
+            if active[k] && st[k].iterations >= params.max_iter as u64 {
+                active[k] = false;
+            }
+        }
+        if !active.iter().any(|&a| a) {
+            break;
+        }
         // A fault parked by a poisoned operator (dead rank, exhausted
         // retries) is terminal: no rollback can bring the peer back.
         if let Some(f) = op_lo.fault().or_else(|| op_hi.fault()) {
-            abort_error = Some(f.message);
+            for k in 0..n {
+                if active[k] {
+                    // Abort path, entered at most once per batch.
+                    // quda-lint: allow(hot-alloc)
+                    abort_error[k] = Some(f.message.clone());
+                    active[k] = false;
+                }
+            }
             break;
         }
-        let iter_tag = iterations as u64 + 1;
-        let step = 'body: {
-            traced_iter(&tracer, Phase::Matvec, iter_tag, || op_lo.apply(&mut v, &mut p));
-            matvecs_lo += 1;
-            let r0v_local = traced(&tracer, Phase::Blas, || blas::cdot(&r0, &v, &mut c));
-            let r0v = traced(&tracer, Phase::Reduce, || op_lo.reduce_c(r0v_local));
+        sweep += 1;
+        // v = M̂ p for the whole active block: one fused sloppy sweep.
+        traced_iter(&tracer, Phase::Matvec, sweep, || op_lo.apply_multi(&mut vs, &mut ps, &active));
+        stage.copy_from_slice(&active);
+        steps.fill(Step::Continue);
+        // α needs the globally reduced r0·v before the half-step residual
+        // can be formed, so the sweep's scalar work runs in packed passes
+        // around each fused collective.
+        for k in 0..n {
+            if !active[k] {
+                continue;
+            }
+            st[k].matvecs_lo += 1;
+            let r0v_local =
+                traced(&tracer, Phase::Blas, || blas::cdot(&r0s[k], &vs[k], &mut cs[k]));
+            red_a[2 * k] = r0v_local.re;
+            red_a[2 * k + 1] = r0v_local.im;
+        }
+        traced(&tracer, Phase::Reduce, || op_lo.reduce_vec(&mut red_a));
+        for k in 0..n {
+            if !active[k] {
+                continue;
+            }
+            let r0v = C64::new(red_a[2 * k], red_a[2 * k + 1]);
             if !r0v.re.is_finite() || !r0v.im.is_finite() {
-                break 'body Step::Corrupt;
+                steps[k] = Step::Corrupt;
+                stage[k] = false;
+                continue;
             }
-            if r0v.norm_sqr() == 0.0 || rho.norm_sqr() == 0.0 {
-                break 'body Step::Breakdown;
+            if r0v.norm_sqr() == 0.0 || rho[k].norm_sqr() == 0.0 {
+                steps[k] = Step::Breakdown;
+                stage[k] = false;
+                continue;
             }
-            let alpha = rho.div(r0v);
-            let s_local =
-                traced(&tracer, Phase::Blas, || blas::caxpy_norm(-alpha, &v, &mut r, &mut c));
-            let s2 = traced(&tracer, Phase::Reduce, || op_lo.reduce(s_local));
-            if !s2.is_finite() {
-                break 'body Step::Corrupt;
+            let alpha = rho[k].div(r0v);
+            alphas[k] = alpha;
+            red_b[k] = traced(&tracer, Phase::Blas, || {
+                blas::caxpy_norm(-alpha, &vs[k], &mut rs[k], &mut cs[k])
+            });
+        }
+        traced(&tracer, Phase::Reduce, || op_lo.reduce_vec(&mut red_b));
+        for k in 0..n {
+            if stage[k] && !red_b[k].is_finite() {
+                steps[k] = Step::Corrupt;
+                stage[k] = false;
             }
-            traced_iter(&tracer, Phase::Matvec, iter_tag, || op_lo.apply(&mut t, &mut r));
-            matvecs_lo += 1;
-            let (ts, tt) = {
-                let (dot, n) = traced(&tracer, Phase::Blas, || blas::cdot_norm_a(&t, &r, &mut c));
-                traced(&tracer, Phase::Reduce, || (op_lo.reduce_c(dot), op_lo.reduce(n)))
-            };
-            if !tt.is_finite() || !ts.re.is_finite() || !ts.im.is_finite() {
-                break 'body Step::Corrupt;
+        }
+        if stage.iter().any(|&s| s) {
+            // t = M̂ s for the systems still in flight this sweep.
+            traced_iter(&tracer, Phase::Matvec, sweep, || {
+                op_lo.apply_multi(&mut ts, &mut rs, &stage)
+            });
+            for k in 0..n {
+                if !stage[k] {
+                    continue;
+                }
+                st[k].matvecs_lo += 1;
+                let (dot, nn) =
+                    traced(&tracer, Phase::Blas, || blas::cdot_norm_a(&ts[k], &rs[k], &mut cs[k]));
+                red_d[3 * k] = dot.re;
+                red_d[3 * k + 1] = dot.im;
+                red_d[3 * k + 2] = nn;
+            }
+            traced(&tracer, Phase::Reduce, || op_lo.reduce_vec(&mut red_d));
+        }
+        for k in 0..n {
+            if !stage[k] {
+                continue;
+            }
+            let ts_c = C64::new(red_d[3 * k], red_d[3 * k + 1]);
+            let tt = red_d[3 * k + 2];
+            if !tt.is_finite() || !ts_c.re.is_finite() || !ts_c.im.is_finite() {
+                steps[k] = Step::Corrupt;
+                stage[k] = false;
+                continue;
             }
             if tt == 0.0 {
-                break 'body Step::Exhausted;
+                steps[k] = Step::Exhausted;
+                stage[k] = false;
+                continue;
             }
-            let omega = ts.scale(1.0 / tt);
-            let r2_local = traced(&tracer, Phase::Blas, || {
-                blas::caxpbypz(alpha, &p, omega, &r, &mut x_sloppy, &mut c);
-                blas::caxpy_norm(-omega, &t, &mut r, &mut c)
+            let omega = ts_c.scale(1.0 / tt);
+            omegas[k] = omega;
+            let (r2_local, rho_local) = traced(&tracer, Phase::Blas, || {
+                blas::caxpbypz(alphas[k], &ps[k], omega, &rs[k], &mut x_sloppys[k], &mut cs[k]);
+                let r2_local = blas::caxpy_norm(-omega, &ts[k], &mut rs[k], &mut cs[k]);
+                (r2_local, blas::cdot(&r0s[k], &rs[k], &mut cs[k]))
             });
-            let r2_iter = traced(&tracer, Phase::Reduce, || op_lo.reduce(r2_local));
-            if !r2_iter.is_finite() {
-                break 'body Step::Corrupt;
+            red_d[3 * k] = r2_local;
+            red_d[3 * k + 1] = rho_local.re;
+            red_d[3 * k + 2] = rho_local.im;
+        }
+        if stage.iter().any(|&s| s) {
+            traced(&tracer, Phase::Reduce, || op_lo.reduce_vec(&mut red_d));
+        }
+        for k in 0..n {
+            if !stage[k] {
+                continue;
             }
-            let rho_local = traced(&tracer, Phase::Blas, || blas::cdot(&r0, &r, &mut c));
-            let rho_new = traced(&tracer, Phase::Reduce, || op_lo.reduce_c(rho_local));
-            let beta = rho_new.div(rho) * alpha.div(omega);
-            rho = rho_new;
-            traced(&tracer, Phase::Blas, || {
-                blas::cxpaypbz(&r, -(beta * omega), &v, beta, &mut p, &mut c)
-            });
-            iterations += 1;
-            history.push((r2_iter / b_norm2).sqrt());
-
-            let r_norm = r2_iter.sqrt();
-            maxrr = maxrr.max(r_norm);
-            let want_update = r_norm < params.delta * maxrr || r2_iter <= target2;
-            if want_update {
-                // A guard (not a closure) so the `break 'body` exits below
-                // still close the span on the way out.
-                let mut ru_span = tracer.span(Phase::ReliableUpdate);
-                ru_span.set_iter(iter_tag);
-                // Reliable update: accumulate and recompute the true
-                // residual in high precision.
-                accumulate(x, &x_sloppy, &mut scratch_hi, &mut c);
-                blas::zero(&mut x_sloppy);
-                r2 = residual_norm2(op_hi, &mut r_hi, x, b, &mut c);
-                matvecs_hi += 1;
-                reliable_updates += 1;
-                if !r2.is_finite() || r2 > last_update_r2 * DIVERGE_FACTOR {
+            let s = &mut st[k];
+            steps[k] = 'body: {
+                let r2_iter = red_d[3 * k];
+                if !r2_iter.is_finite() {
                     break 'body Step::Corrupt;
                 }
-                if r2 <= target2 {
-                    break 'body Step::Converged;
-                }
-                if r2 >= last_update_r2 * 0.8 {
-                    stalls += 1;
-                    if stalls >= 3 {
-                        break 'body Step::Floor;
+                let rho_new = C64::new(red_d[3 * k + 1], red_d[3 * k + 2]);
+                let omega = omegas[k];
+                let beta = rho_new.div(rho[k]) * alphas[k].div(omega);
+                rho[k] = rho_new;
+                traced(&tracer, Phase::Blas, || {
+                    blas::cxpaypbz(&rs[k], -(beta * omega), &vs[k], beta, &mut ps[k], &mut cs[k])
+                });
+                s.iterations += 1;
+                history[k].push((r2_iter / b_norm2[k]).sqrt());
+
+                let r_norm = r2_iter.sqrt();
+                s.maxrr = s.maxrr.max(r_norm);
+                let want_update = r_norm < params.delta * s.maxrr || r2_iter <= target2[k];
+                if want_update {
+                    // A guard (not a closure) so the `break 'body` exits
+                    // below still close the span on the way out.
+                    let mut ru_span = tracer.span(Phase::ReliableUpdate);
+                    ru_span.set_iter(sweep);
+                    // Reliable update: accumulate and recompute the true
+                    // residual in high precision, for this lane only.
+                    accumulate(&mut xs[k], &x_sloppys[k], &mut scratch_his[k], &mut cs[k]);
+                    blas::zero(&mut x_sloppys[k]);
+                    s.r2 = residual_norm2(op_hi, &mut r_his[k], &mut xs[k], &bs[k], &mut cs[k]);
+                    s.matvecs_hi += 1;
+                    s.reliable_updates += 1;
+                    if !s.r2.is_finite() || s.r2 > s.last_update_r2 * DIVERGE_FACTOR {
+                        break 'body Step::Corrupt;
                     }
-                } else {
-                    stalls = 0;
+                    if s.r2 <= target2[k] {
+                        break 'body Step::Converged;
+                    }
+                    if s.r2 >= s.last_update_r2 * 0.8 {
+                        s.stalls += 1;
+                        if s.stalls >= 3 {
+                            break 'body Step::Floor;
+                        }
+                    } else {
+                        s.stalls = 0;
+                    }
+                    s.last_update_r2 = s.r2;
+                    rs[k].convert_from(&r_his[k]);
+                    s.maxrr = s.r2.sqrt();
+                    // The search direction p survives the update (single
+                    // Krylov space); only ρ is re-evaluated against the
+                    // refreshed residual.
+                    rho[k] = op_lo.reduce_c(blas::cdot(&r0s[k], &rs[k], &mut cs[k]));
+                    // This state passed the high-precision check: refresh
+                    // this lane's rollback checkpoint and deposit it for
+                    // the elastic supervisor. The reliable-update decision
+                    // came from a globally reduced norm, so every rank
+                    // deposits this epoch.
+                    blas::copy(&mut checkpoint_xs[k], &xs[k], &mut cs[k]);
+                    s.epoch += 1;
+                    checkpoint::deposit(sinks, k, &tracer, *s, &xs[k], Some(&r_his[k]));
                 }
-                last_update_r2 = r2;
-                r.convert_from(&r_hi);
-                maxrr = r2.sqrt();
-                // The search direction p survives the update (single Krylov
-                // space); only ρ is re-evaluated against the refreshed
-                // residual.
-                rho = op_lo.reduce_c(blas::cdot(&r0, &r, &mut c));
-                // This state passed the high-precision check: refresh the
-                // rollback checkpoint.
-                blas::copy(&mut checkpoint_x, x, &mut c);
-                // ... and deposit it for the elastic supervisor. The
-                // reliable-update decision came from a globally reduced
-                // norm, so every rank deposits this epoch.
-                if sink.enabled() {
-                    ckpt_epoch += 1;
-                    checkpoint::deposit(
-                        sink,
-                        &tracer,
-                        CheckpointCounters {
-                            epoch: ckpt_epoch,
-                            iterations: iterations as u64,
-                            matvecs_hi,
-                            matvecs_lo,
-                            reliable_updates,
-                            recoveries,
-                            stalls,
-                            r2,
-                            maxrr,
-                            last_update_r2,
-                        },
-                        x,
-                        Some(&r_hi),
-                    );
-                }
+                Step::Continue
+            };
+        }
+        // Resolve each lane's step once per sweep.
+        for k in 0..n {
+            if !active[k] {
+                continue;
             }
-            Step::Continue
-        };
-        match step {
-            Step::Continue => {}
-            Step::Converged => {
-                converged = true;
-                break;
-            }
-            Step::Floor | Step::Exhausted => break,
-            Step::Breakdown => {
-                // BiCGstab breakdown: re-seed the shadow residual.
-                blas::copy(&mut r0, &r, &mut c);
-                rho = C64::new(op_lo.reduce(blas::norm2(&r, &mut c)), 0.0);
-                blas::copy(&mut p, &r, &mut c);
-            }
-            Step::Corrupt => {
-                // NaN caused by a comm failure is not transient; surface
-                // the typed fault instead of burning the rollback budget.
-                if let Some(f) = op_lo.fault().or_else(|| op_hi.fault()) {
-                    abort_error = Some(f.message);
-                    break;
+            match steps[k] {
+                Step::Continue => {}
+                Step::Converged => {
+                    converged[k] = true;
+                    active[k] = false;
                 }
-                recoveries += 1;
-                if recoveries > MAX_RECOVERIES {
-                    // Formatted at most once per solve, on the abort path
-                    // that ends the iteration loop.
-                    // quda-lint: allow(hot-alloc)
-                    abort_error = Some(format!(
-                        "corrupted solver state persisted after {MAX_RECOVERIES} rollbacks"
-                    ));
-                    break;
+                Step::Floor | Step::Exhausted => {
+                    active[k] = false;
                 }
-                // Roll back to the checkpoint and rebuild the Krylov space
-                // from a freshly computed true residual.
-                blas::copy(x, &checkpoint_x, &mut c);
-                r2 = residual_norm2(op_hi, &mut r_hi, x, b, &mut c);
-                matvecs_hi += 1;
-                r.convert_from(&r_hi);
-                blas::copy(&mut r0, &r, &mut c);
-                blas::copy(&mut p, &r, &mut c);
-                blas::zero(&mut x_sloppy);
-                rho = C64::new(r2, 0.0);
-                maxrr = r2.sqrt();
-                last_update_r2 = r2;
-                stalls = 0;
+                Step::Breakdown => {
+                    // BiCGstab breakdown: re-seed the shadow residual.
+                    blas::copy(&mut r0s[k], &rs[k], &mut cs[k]);
+                    rho[k] = C64::new(op_lo.reduce(blas::norm2(&rs[k], &mut cs[k])), 0.0);
+                    blas::copy(&mut ps[k], &rs[k], &mut cs[k]);
+                }
+                Step::Corrupt => {
+                    // NaN caused by a comm failure is not transient;
+                    // surface the typed fault instead of burning the
+                    // rollback budget.
+                    if let Some(f) = op_lo.fault().or_else(|| op_hi.fault()) {
+                        // quda-lint: allow(hot-alloc)
+                        abort_error[k] = Some(f.message);
+                        active[k] = false;
+                        continue;
+                    }
+                    let s = &mut st[k];
+                    s.recoveries += 1;
+                    if s.recoveries > MAX_RECOVERIES {
+                        // Formatted at most once per lane, on its abort path.
+                        // quda-lint: allow(hot-alloc)
+                        abort_error[k] = Some(format!(
+                            "corrupted solver state persisted after {MAX_RECOVERIES} rollbacks"
+                        ));
+                        active[k] = false;
+                        continue;
+                    }
+                    // Roll this lane back to its checkpoint and rebuild its
+                    // Krylov space from a fresh true residual.
+                    blas::copy(&mut xs[k], &checkpoint_xs[k], &mut cs[k]);
+                    s.r2 = residual_norm2(op_hi, &mut r_his[k], &mut xs[k], &bs[k], &mut cs[k]);
+                    s.matvecs_hi += 1;
+                    rs[k].convert_from(&r_his[k]);
+                    blas::copy(&mut r0s[k], &rs[k], &mut cs[k]);
+                    blas::copy(&mut ps[k], &rs[k], &mut cs[k]);
+                    blas::zero(&mut x_sloppys[k]);
+                    rho[k] = C64::new(s.r2, 0.0);
+                    s.maxrr = s.r2.sqrt();
+                    s.last_update_r2 = s.r2;
+                    s.stalls = 0;
+                }
             }
         }
     }
 
-    // Fold in any un-accumulated sloppy progress (pointless after a
-    // terminal error — the sloppy state is untrustworthy).
-    if !converged && abort_error.is_none() {
-        accumulate(x, &x_sloppy, &mut scratch_hi, &mut c);
-        r2 = residual_norm2(op_hi, &mut r_hi, x, b, &mut c);
-        matvecs_hi += 1;
-        converged = r2 <= target2;
+    // Per-lane tails: fold in any un-accumulated sloppy progress (pointless
+    // after a terminal error — the sloppy state is untrustworthy).
+    for k in 0..n {
+        if results[k].is_some() {
+            continue;
+        }
+        let s = &mut st[k];
+        if !converged[k] && abort_error[k].is_none() {
+            accumulate(&mut xs[k], &x_sloppys[k], &mut scratch_his[k], &mut cs[k]);
+            s.r2 = residual_norm2(op_hi, &mut r_his[k], &mut xs[k], &bs[k], &mut cs[k]);
+            s.matvecs_hi += 1;
+            converged[k] = s.r2 <= target2[k];
+        }
+        results[k] = Some(SolveResult {
+            converged: converged[k],
+            iterations: s.iterations as usize,
+            matvecs: s.matvecs_lo + s.matvecs_hi,
+            reliable_updates: s.reliable_updates,
+            final_residual: (s.r2 / b_norm2[k]).sqrt(),
+            op_flops: s.matvecs_lo * op_lo.flops_per_apply()
+                + s.matvecs_hi * op_hi.flops_per_apply(),
+            blas: std::mem::take(&mut cs[k]),
+            residual_history: std::mem::take(&mut history[k]),
+            recoveries: s.recoveries,
+            comm_recoveries: 0,
+            error: abort_error[k].take(),
+        });
     }
-
-    SolveResult {
-        converged,
-        iterations,
-        matvecs: matvecs_lo + matvecs_hi,
-        reliable_updates,
-        final_residual: (r2 / b_norm2).sqrt(),
-        op_flops: matvecs_lo * op_lo.flops_per_apply() + matvecs_hi * op_hi.flops_per_apply(),
-        blas: c,
-        residual_history: history,
-        recoveries,
-        comm_recoveries: 0,
-        error: abort_error,
-    }
+    results.into_iter().map(|r| r.unwrap_or_default()).collect()
 }
 
 /// Mixed-precision defect correction (restarted inner solves) — the
@@ -459,12 +541,17 @@ pub fn bicgstab_defect_correction<H: Precision, L: Precision>(
     while r2 > target2 && outer < max_outer && iterations < params.max_iter {
         b_lo.convert_from(&r_hi);
         blas::zero(&mut e_lo);
+        let inner_params =
+            SolverParams { tol: inner_tol, max_iter: params.max_iter - iterations, delta: 0.0 };
         let inner = crate::bicgstab::bicgstab(
             op_lo,
-            &mut e_lo,
-            &b_lo,
-            &SolverParams { tol: inner_tol, max_iter: params.max_iter - iterations, delta: 0.0 },
-        );
+            std::slice::from_mut(&mut e_lo),
+            std::slice::from_ref(&b_lo),
+            &inner_params,
+            &mut [],
+        )
+        .pop()
+        .unwrap_or_default();
         iterations += inner.iterations;
         history.extend(inner.residual_history.iter().copied());
         matvecs += inner.matvecs;
@@ -510,9 +597,21 @@ mod tests {
     use quda_fields::gauge_gen::{random_spinor_field, weak_field};
     use quda_fields::precision::{Double, Half, Single};
     use quda_lattice::geometry::{LatticeDims, Parity};
+    use std::slice::{from_mut, from_ref};
 
     fn dims() -> LatticeDims {
         LatticeDims::new(4, 4, 4, 4)
+    }
+
+    /// Batch-1 reliable BiCGstab from the guess in `x`.
+    fn reliable<H: Precision, L: Precision>(
+        hi: &mut dyn LinearOperator<H>,
+        lo: &mut dyn LinearOperator<L>,
+        x: &mut SpinorFieldCb<H>,
+        b: &SpinorFieldCb<H>,
+        params: &SolverParams,
+    ) -> SolveResult {
+        bicgstab_reliable(hi, lo, from_mut(x), from_ref(b), params, &mut []).remove(0)
     }
 
     fn ops<H: Precision, L: Precision>(seed: u64) -> (MatPcOp<H>, MatPcOp<L>, SpinorFieldCb<H>) {
@@ -533,7 +632,7 @@ mod tests {
         let mut x = hi.alloc();
         blas::zero(&mut x);
         let params = SolverParams { tol: 1e-10, max_iter: 2000, delta: 1e-2 };
-        let res = bicgstab_reliable(&mut hi, &mut lo, &mut x, &b, &params);
+        let res = reliable(&mut hi, &mut lo, &mut x, &b, &params);
         assert!(res.converged, "residual {}", res.final_residual);
         assert!(res.reliable_updates > 0, "expected at least one reliable update");
     }
@@ -550,7 +649,7 @@ mod tests {
         blas::zero(&mut x);
         let mut params = SolverParams::paper_defaults("single-half");
         params.tol = 2e-7;
-        let res = bicgstab_reliable(&mut hi, &mut lo, &mut x, &b, &params);
+        let res = reliable(&mut hi, &mut lo, &mut x, &b, &params);
         assert!(res.converged, "residual {}", res.final_residual);
         assert!(res.final_residual <= 2e-7);
         assert!(res.reliable_updates > 0);
@@ -564,7 +663,7 @@ mod tests {
         let mut x = hi.alloc();
         blas::zero(&mut x);
         let params = SolverParams { tol: 1e-12, max_iter: 4000, delta: 1e-2 };
-        let res = bicgstab_reliable(&mut hi, &mut lo, &mut x, &b, &params);
+        let res = reliable(&mut hi, &mut lo, &mut x, &b, &params);
         assert!(res.converged, "residual {}", res.final_residual);
         assert!(res.final_residual <= 1e-12);
         assert!(res.reliable_updates >= 2);
@@ -576,10 +675,10 @@ mod tests {
         let params = SolverParams { tol: 1e-11, max_iter: 2000, delta: 1e-2 };
         let mut x_mixed = hi.alloc();
         blas::zero(&mut x_mixed);
-        bicgstab_reliable(&mut hi, &mut lo, &mut x_mixed, &b, &params);
+        reliable(&mut hi, &mut lo, &mut x_mixed, &b, &params);
         let mut x_pure = hi.alloc();
         blas::zero(&mut x_pure);
-        crate::bicgstab::bicgstab(&mut hi, &mut x_pure, &b, &params);
+        crate::bicgstab::bicgstab(&mut hi, from_mut(&mut x_pure), from_ref(&b), &params, &mut []);
         let mut diff2 = 0.0;
         for cb in 0..x_pure.sites() {
             diff2 += (x_mixed.get(cb) - x_pure.get(cb)).norm_sqr();
@@ -603,16 +702,18 @@ mod tests {
     fn corrupted_reduction_rolls_back_and_reconverges() {
         use crate::test_faults::FaultyOp;
         let (mut hi, lo, b) = ops::<Double, Single>(6);
-        // Corrupt one sloppy global reduction mid-solve (call 12 lands a
-        // few iterations in): the solver must roll back to its checkpoint
-        // and still reach the target.
-        let mut lo = FaultyOp::corrupting(lo, 12, f64::NAN);
+        // Corrupt one sloppy global reduction mid-solve: each sloppy
+        // iteration is four collectives and the first reliable update
+        // comes at iteration 6, so collective 13 is the r0·v of iteration
+        // 4. The solver must roll back to its entry checkpoint and still
+        // reach the target.
+        let mut lo = FaultyOp::corrupting(lo, 13, f64::NAN);
         let mut x = hi.alloc();
         blas::zero(&mut x);
         let params = SolverParams { tol: 1e-10, max_iter: 2000, delta: 1e-2 };
-        let res = bicgstab_reliable(&mut hi, &mut lo, &mut x, &b, &params);
+        let res = reliable(&mut hi, &mut lo, &mut x, &b, &params);
         assert!(res.converged, "residual {} error {:?}", res.final_residual, res.error);
-        assert!(res.recoveries >= 1, "expected a rollback, got {}", res.recoveries);
+        assert_eq!(res.recoveries, 1, "one transient needs exactly one rollback");
         assert!(res.error.is_none());
         assert!(res.final_residual <= 1e-10);
         // The recovered solution solves the same system: check against a
@@ -620,7 +721,7 @@ mod tests {
         let (mut hi2, mut lo2, b2) = ops::<Double, Single>(6);
         let mut x_clean = hi2.alloc();
         blas::zero(&mut x_clean);
-        let clean = bicgstab_reliable(&mut hi2, &mut lo2, &mut x_clean, &b2, &params);
+        let clean = reliable(&mut hi2, &mut lo2, &mut x_clean, &b2, &params);
         assert!(clean.converged);
         assert_eq!(clean.recoveries, 0);
         let mut diff2 = 0.0;
@@ -639,7 +740,7 @@ mod tests {
         let mut x = hi.alloc();
         blas::zero(&mut x);
         let params = SolverParams { tol: 1e-10, max_iter: 2000, delta: 1e-2 };
-        let res = bicgstab_reliable(&mut hi, &mut lo, &mut x, &b, &params);
+        let res = reliable(&mut hi, &mut lo, &mut x, &b, &params);
         assert!(!res.converged);
         assert!(res.error.is_some(), "persistent corruption must surface an error");
         assert!(res.recoveries >= super::MAX_RECOVERIES);
@@ -653,7 +754,7 @@ mod tests {
         let mut x = hi.alloc();
         blas::zero(&mut x);
         let params = SolverParams { tol: 1e-10, max_iter: 2000, delta: 1e-2 };
-        let res = bicgstab_reliable(&mut hi, &mut lo, &mut x, &b, &params);
+        let res = reliable(&mut hi, &mut lo, &mut x, &b, &params);
         assert!(!res.converged);
         assert_eq!(res.error.as_deref(), Some("recv from rank 2 tag 1: rank 2 is dead"));
         assert_eq!(res.iterations, 0, "fault must abort before iterating");
@@ -675,7 +776,7 @@ mod tests {
         let params = SolverParams { tol: 1e-8, max_iter: 20_000, delta: 1e-1 };
         let mut x1 = hi.alloc();
         blas::zero(&mut x1);
-        let rel = bicgstab_reliable(&mut hi, &mut lo, &mut x1, &b, &params);
+        let rel = reliable(&mut hi, &mut lo, &mut x1, &b, &params);
         let mut x2 = hi.alloc();
         blas::zero(&mut x2);
         let dc = bicgstab_defect_correction(&mut hi, &mut lo, &mut x2, &b, &params, 1e-1);

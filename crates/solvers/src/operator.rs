@@ -190,6 +190,37 @@ pub fn residual_norm2<P: Precision>(
     traced(&tracer, Phase::Reduce, || op.reduce(local))
 }
 
+/// Compute `rs[k] ← bs[k] − M̂ xs[k]` and the *global* `‖rs[k]‖²` into
+/// `out[k]` for every lane with `live[k]`, in one fused sweep and one
+/// fused reduction.
+///
+/// Bit-identical per lane to [`residual_norm2`]: the
+/// [`LinearOperator::apply_multi`] contract pins the batched mat-vec to
+/// the single apply, and [`LinearOperator::reduce_vec`] combines each
+/// component in the same rank order as the scalar allreduce. Dead lanes
+/// keep their `out` slot untouched locally (the collective still sums the
+/// stale slot; it is never read back).
+pub(crate) fn residual_norm2_multi<P: Precision>(
+    op: &mut dyn LinearOperator<P>,
+    rs: &mut [SpinorFieldCb<P>],
+    xs: &mut [SpinorFieldCb<P>],
+    bs: &[SpinorFieldCb<P>],
+    cs: &mut [BlasCounters],
+    live: &[bool],
+    out: &mut [f64],
+) {
+    let tracer = op.tracer();
+    traced(&tracer, Phase::Matvec, || op.apply_multi(rs, xs, live));
+    for (k, alive) in live.iter().enumerate() {
+        if *alive {
+            out[k] = traced(&tracer, Phase::Blas, || {
+                crate::blas::xmy_norm(&bs[k], &mut rs[k], &mut cs[k])
+            });
+        }
+    }
+    traced(&tracer, Phase::Reduce, || op.reduce_vec(out));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

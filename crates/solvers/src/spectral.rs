@@ -242,10 +242,12 @@ mod tests {
             blas::zero(&mut x);
             let res = crate::bicgstab::bicgstab(
                 &mut op,
-                &mut x,
-                &b,
+                std::slice::from_mut(&mut x),
+                std::slice::from_ref(&b),
                 &SolverParams { tol: 1e-9, max_iter: 2000, delta: 0.0 },
-            );
+                &mut [],
+            )
+            .remove(0);
             assert!(res.converged);
             counts.push(res.iterations);
             let seed = seed_vec(&op, 22);

@@ -8,15 +8,19 @@ use quda_fields::SpinorFieldCb;
 use quda_lattice::geometry::LatticeDims;
 use quda_math::complex::C64;
 
-/// Wraps an operator and corrupts the result of the `corrupt_at`-th call to
-/// `reduce` (1-based; 0 disables), or — when `fault` is set — behaves like
-/// a poisoned partitioned operator: every reduction returns NaN and the
-/// fault hook reports the error.
+/// Wraps an operator and corrupts the `corrupt_at`-th collective (1-based;
+/// 0 disables), or — when `fault` is set — behaves like a poisoned
+/// partitioned operator: every reduction returns NaN and the fault hook
+/// reports the error.
+///
+/// A collective is one call to `reduce`, `reduce_c` or `reduce_vec`,
+/// whatever its width — one allreduce on a partitioned run — and a hit
+/// replaces that call's whole output with `corruption`.
 pub(crate) struct FaultyOp<P: Precision, O: LinearOperator<P>> {
     pub inner: O,
     pub corrupt_at: u64,
     pub corruption: f64,
-    pub reduce_calls: u64,
+    pub collectives: u64,
     /// Corrupt every reduction from `corrupt_at` onward instead of just the
     /// one (models persistent rather than transient corruption).
     pub persistent: bool,
@@ -30,7 +34,7 @@ impl<P: Precision, O: LinearOperator<P>> FaultyOp<P, O> {
             inner,
             corrupt_at,
             corruption,
-            reduce_calls: 0,
+            collectives: 0,
             persistent: false,
             fault: None,
             _p: std::marker::PhantomData,
@@ -41,12 +45,22 @@ impl<P: Precision, O: LinearOperator<P>> FaultyOp<P, O> {
         FaultyOp { persistent: true, ..FaultyOp::corrupting(inner, corrupt_at, corruption) }
     }
 
+    /// Count one collective; whether it is to be corrupted.
+    fn hit(&mut self) -> bool {
+        self.collectives += 1;
+        if self.persistent {
+            self.corrupt_at > 0 && self.collectives >= self.corrupt_at
+        } else {
+            self.collectives == self.corrupt_at
+        }
+    }
+
     pub fn poisoned(inner: O, message: &str) -> Self {
         FaultyOp {
             inner,
             corrupt_at: 0,
             corruption: f64::NAN,
-            reduce_calls: 0,
+            collectives: 0,
             persistent: false,
             fault: Some(message.to_string()),
             _p: std::marker::PhantomData,
@@ -85,13 +99,7 @@ impl<P: Precision, O: LinearOperator<P>> LinearOperator<P> for FaultyOp<P, O> {
         if self.fault.is_some() {
             return f64::NAN;
         }
-        self.reduce_calls += 1;
-        let hit = if self.persistent {
-            self.corrupt_at > 0 && self.reduce_calls >= self.corrupt_at
-        } else {
-            self.reduce_calls == self.corrupt_at
-        };
-        if hit {
+        if self.hit() {
             return self.corruption;
         }
         self.inner.reduce(local)
@@ -101,7 +109,20 @@ impl<P: Precision, O: LinearOperator<P>> LinearOperator<P> for FaultyOp<P, O> {
         if self.fault.is_some() {
             return C64::new(f64::NAN, f64::NAN);
         }
+        if self.hit() {
+            return C64::new(self.corruption, self.corruption);
+        }
         self.inner.reduce_c(local)
+    }
+
+    fn reduce_vec(&mut self, locals: &mut [f64]) {
+        if self.fault.is_some() {
+            locals.fill(f64::NAN);
+        } else if self.hit() {
+            locals.fill(self.corruption);
+        } else {
+            self.inner.reduce_vec(locals);
+        }
     }
 
     fn fault(&self) -> Option<OpFault> {

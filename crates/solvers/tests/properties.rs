@@ -82,10 +82,12 @@ proptest! {
         blas::zero(&mut x);
         let res = quda_solvers::bicgstab(
             &mut op,
-            &mut x,
-            &b,
+            std::slice::from_mut(&mut x),
+            std::slice::from_ref(&b),
             &SolverParams { tol: 1e-9, max_iter: 500, delta: 0.0 },
-        );
+            &mut [],
+        )
+        .remove(0);
         prop_assert!(res.converged, "mass={mass} seed={seed} residual={}", res.final_residual);
         prop_assert!(res.final_residual < 1e-8);
     }
@@ -108,10 +110,12 @@ proptest! {
             blas::zero(&mut x);
             let res = quda_solvers::bicgstab(
                 &mut op,
-                &mut x,
-                &b,
+                std::slice::from_mut(&mut x),
+                std::slice::from_ref(&b),
                 &SolverParams { tol: 1e-8, max_iter: 2000, delta: 0.0 },
-            );
+                &mut [],
+            )
+            .remove(0);
             prop_assert!(res.converged);
             iters.push(res.iterations);
         }

@@ -12,6 +12,7 @@ use quda_lattice::geometry::{LatticeDims, Parity};
 use quda_solvers::operator::{LinearOperator, MatPcOp};
 use quda_solvers::params::SolverParams;
 use quda_solvers::{bicgstab_reliable, blas};
+use std::slice::{from_mut, from_ref};
 
 fn dims() -> LatticeDims {
     LatticeDims::new(4, 4, 4, 4)
@@ -63,7 +64,8 @@ fn double_quarter_reliable_updates_still_converge() {
     let mut x = hi.alloc();
     blas::zero(&mut x);
     let params = SolverParams { tol: 1e-8, max_iter: 8000, delta: 0.3 };
-    let res = bicgstab_reliable(&mut hi, &mut lo, &mut x, &b, &params);
+    let res = bicgstab_reliable(&mut hi, &mut lo, from_mut(&mut x), from_ref(&b), &params, &mut [])
+        .remove(0);
     assert!(res.converged, "double-quarter failed: residual {}", res.final_residual);
     assert!(res.final_residual <= 1e-8);
     assert!(res.reliable_updates >= 2);
@@ -84,12 +86,22 @@ fn quarter_needs_more_iterations_than_half() {
     let mut lo_half = MatPcOp::new(WilsonCloverOp::<Half>::from_config(&cfg, wp));
     let mut x1 = hi.alloc();
     blas::zero(&mut x1);
-    let res_half = bicgstab_reliable(&mut hi, &mut lo_half, &mut x1, &b, &params);
+    let res_half =
+        bicgstab_reliable(&mut hi, &mut lo_half, from_mut(&mut x1), from_ref(&b), &params, &mut [])
+            .remove(0);
 
     let mut lo_quarter = MatPcOp::new(WilsonCloverOp::<Quarter>::from_config(&cfg, wp));
     let mut x2 = hi.alloc();
     blas::zero(&mut x2);
-    let res_quarter = bicgstab_reliable(&mut hi, &mut lo_quarter, &mut x2, &b, &params);
+    let res_quarter = bicgstab_reliable(
+        &mut hi,
+        &mut lo_quarter,
+        from_mut(&mut x2),
+        from_ref(&b),
+        &params,
+        &mut [],
+    )
+    .remove(0);
 
     assert!(res_half.converged && res_quarter.converged);
     assert!(

@@ -29,6 +29,7 @@ use quda_solvers::cg::cgnr;
 use quda_solvers::mixed::bicgstab_reliable;
 use quda_solvers::operator::{LinearOperator, MatPcOp};
 use quda_solvers::params::SolverParams;
+use std::slice::{from_mut, from_ref};
 
 struct CountingAlloc;
 
@@ -94,7 +95,7 @@ fn cg_allocs(op: &mut MatPcOp<Double>, b: &SpinorFieldCb<Double>, max_iter: usiz
     let params = SolverParams { tol: 0.0, max_iter, delta: 0.0 };
     let mut iterations = 0;
     let n = allocs_during(|| {
-        let res = cgnr(op, &mut x, b, &params);
+        let res = cgnr(op, from_mut(&mut x), from_ref(b), &params, &mut []).remove(0);
         iterations = res.iterations;
     });
     assert_eq!(iterations, max_iter, "solve must be iteration-capped, not converged");
@@ -117,7 +118,8 @@ fn bicgstab_allocs(
     let mut iterations = 0;
     let mut updates = 0;
     let n = allocs_during(|| {
-        let res = bicgstab_reliable(op_hi, op_lo, &mut x, b, &params);
+        let res = bicgstab_reliable(op_hi, op_lo, from_mut(&mut x), from_ref(b), &params, &mut [])
+            .remove(0);
         iterations = res.iterations;
         updates = res.reliable_updates;
     });

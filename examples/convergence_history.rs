@@ -17,6 +17,7 @@ use quda_lattice::geometry::{LatticeDims, Parity};
 use quda_solvers::operator::{LinearOperator, MatPcOp};
 use quda_solvers::params::SolverParams;
 use quda_solvers::{bicgstab, bicgstab_reliable, blas};
+use std::slice::{from_mut, from_ref};
 
 fn bar(log_r: f64) -> String {
     // Map log10(residual) in [-12, 0] to a bar of 48 chars.
@@ -38,10 +39,12 @@ fn main() {
 
     let mut x1 = hi.alloc();
     blas::zero(&mut x1);
-    let pure = bicgstab(&mut hi, &mut x1, &b, &params);
+    let pure = bicgstab(&mut hi, from_mut(&mut x1), from_ref(&b), &params, &mut []).remove(0);
     let mut x2 = hi.alloc();
     blas::zero(&mut x2);
-    let mixed = bicgstab_reliable(&mut hi, &mut lo, &mut x2, &b, &params);
+    let mixed =
+        bicgstab_reliable(&mut hi, &mut lo, from_mut(&mut x2), from_ref(&b), &params, &mut [])
+            .remove(0);
 
     println!(
         "uniform double BiCGstab ({} iterations, residual {:.1e}):",

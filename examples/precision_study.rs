@@ -75,7 +75,15 @@ fn reliable_vs_defect_correction() {
 
     let mut x1 = quda_solvers::operator::LinearOperator::alloc(&hi);
     blas::zero(&mut x1);
-    let rel = bicgstab_reliable(&mut hi, &mut lo, &mut x1, &b, &params);
+    let rel = bicgstab_reliable(
+        &mut hi,
+        &mut lo,
+        std::slice::from_mut(&mut x1),
+        std::slice::from_ref(&b),
+        &params,
+        &mut [],
+    )
+    .remove(0);
     let mut x2 = quda_solvers::operator::LinearOperator::alloc(&hi);
     blas::zero(&mut x2);
     let dc = bicgstab_defect_correction(&mut hi, &mut lo, &mut x2, &b, &params, 1e-1);

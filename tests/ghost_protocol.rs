@@ -161,10 +161,12 @@ fn reductions_count_matches_solver_structure() {
     quda_solvers::blas::zero(&mut x);
     let res = quda_solvers::bicgstab(
         &mut op,
-        &mut x,
-        &b,
+        std::slice::from_mut(&mut x),
+        std::slice::from_ref(&b),
         &quda_solvers::params::SolverParams { tol: 1e-9, max_iter: 200, delta: 0.0 },
-    );
+        &mut [],
+    )
+    .remove(0);
     assert!(res.converged);
     // Per iteration: r0·v, ‖s‖, (t·s, ‖t‖), ‖r‖, r0·r — at least 4
     // reduction kernels per iteration plus setup/teardown.
