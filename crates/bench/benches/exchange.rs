@@ -63,7 +63,9 @@ fn bench_parallel_matpc(c: &mut Criterion) {
         x.upload(&host, Parity::Odd);
         let mut out = op.alloc();
         let name = format!("{strategy:?}");
-        group.bench_function(&name, |b| b.iter(|| op.apply(black_box(&mut out), &mut x)));
+        let (out, x) = (from_mut(&mut out), from_mut(&mut x));
+        group
+            .bench_function(&name, |b| b.iter(|| op.apply(black_box(&mut *out), &mut *x, &[true])));
     }
     group.finish();
 }

@@ -8,9 +8,11 @@
 //!   projectors, compressed links, ghost zones, and interior/face splitting
 //!   for communication overlap;
 //! * [`clover_apply`] — packed clover-term application;
-//! * [`op`] — the single-device operator: full matrix, even-odd (Schur)
-//!   preconditioned `M̂`, its dagger and normal form, source preparation
-//!   and solution reconstruction;
+//! * [`op`] — the operator's device fields and the one even-odd (Schur)
+//!   composition: `M̂` and its dagger, source preparation and solution
+//!   reconstruction, batched over right-hand sides ([`MatPcOp`]) and
+//!   generic over the [`Halo`] that fills each hop's ghost zones
+//!   ([`NoHalo`] on a single device, the face exchange on a rank);
 //! * [`flops`] — the effective operation/byte counts (3696 flops and 2976
 //!   single-precision bytes per site, as quoted in Section V-A);
 //! * [`cpu_opt`] — a cache-friendly, Rayon-parallel CPU hopping kernel,
@@ -28,5 +30,5 @@ pub mod reference;
 
 pub use cpu_opt::{CpuDslash, FlatSpinor};
 pub use dslash::{dslash_cb, dslash_cb_multi, gather_face_site_dim, DslashRegion, MAX_RHS_BATCH};
-pub use op::{WilsonCloverOp, INNER_PARITY, SOLVE_PARITY};
+pub use op::{Halo, MatPcOp, NoHalo, WilsonCloverOp, INNER_PARITY, SOLVE_PARITY};
 pub use reference::WilsonParams;

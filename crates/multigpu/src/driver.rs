@@ -11,6 +11,7 @@ use quda_comm::{CommConfig, CommError, CommStats, Communicator, FaultPlan, Locks
 use quda_dirac::WilsonParams;
 use quda_fields::host::{GaugeConfig, HostSpinorField};
 use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
+use quda_fields::SpinorFieldCb;
 use quda_lattice::geometry::Parity;
 use quda_lattice::partition::DecompPlan;
 use quda_obs::{Phase, Recorder, Trace, TraceConfig};
@@ -543,9 +544,9 @@ impl CheckpointSink for RankSink {
     }
 }
 
-/// One rank's share of the solve of every source in `bs`: per-source
+/// One rank's share of the solve of every source in `bs`: one batched
 /// even-odd preparation, one blocked Krylov solve (a single source is the
-/// batch of one), per-source reconstruction. `sinks` holds one sink per
+/// batch of one), one batched reconstruction. `sinks` holds one sink per
 /// source on the elastic path and is empty on the fail-fast path.
 #[allow(clippy::too_many_arguments)]
 fn run_rank<H: Precision, L: Precision>(
@@ -569,25 +570,23 @@ fn run_rank<H: Precision, L: Precision>(
     )?;
     let n = bs.len();
 
-    // Per-source even-odd preparation: upload both parities and form
-    // b̂_o = b_o + ½ D_oe T_ee⁻¹ b_e for every source.
-    let mut b_evens = Vec::with_capacity(n);
-    let mut bhats = Vec::with_capacity(n);
-    let mut x_odds = Vec::with_capacity(n);
-    for b in bs {
-        let local_b = slice_spinor_grid(b, &plan, rank);
-        let mut b_even = op_hi.alloc();
-        b_even.upload(&local_b, Parity::Even);
-        let mut b_odd = op_hi.alloc();
-        b_odd.upload(&local_b, Parity::Odd);
-        let mut bhat = op_hi.alloc();
-        op_hi.prepare_source_par(&mut bhat, &b_even, &b_odd)?;
-        let mut x_odd = op_hi.alloc();
-        blas::zero(&mut x_odd);
-        b_evens.push(b_even);
-        bhats.push(bhat);
-        x_odds.push(x_odd);
-    }
+    // Even-odd preparation: upload both parities of every source and form
+    // b̂_o = b_o + ½ D_oe T_ee⁻¹ b_e for the whole batch in one call.
+    let all = vec![true; n];
+    let locals: Vec<_> = bs.iter().map(|b| slice_spinor_grid(b, &plan, rank)).collect();
+    let upload = |parity| -> Vec<SpinorFieldCb<H>> {
+        let field = |local| {
+            let mut f = op_hi.alloc();
+            f.upload(local, parity);
+            f
+        };
+        locals.iter().map(field).collect()
+    };
+    let (b_evens, b_odds) = (upload(Parity::Even), upload(Parity::Odd));
+    let mut bhats: Vec<_> = (0..n).map(|_| op_hi.alloc()).collect();
+    op_hi.prepare_source(&mut bhats, &b_evens, &b_odds, &all)?;
+    let mut x_odds: Vec<_> = (0..n).map(|_| op_hi.alloc()).collect();
+    x_odds.iter_mut().for_each(blas::zero);
     let mut sinks: Vec<&mut dyn CheckpointSink> =
         sinks.iter_mut().map(|s| s as &mut dyn CheckpointSink).collect();
 
@@ -642,16 +641,17 @@ fn run_rank<H: Precision, L: Precision>(
         return Err(e);
     }
 
-    // Per-source even reconstruction x_e = T_ee⁻¹ (b_e + ½ D_eo x_o).
-    let mut x_hosts = Vec::with_capacity(n);
-    for k in 0..n {
-        let mut x_even = op_hi.alloc();
-        op_hi.reconstruct_even_par(&mut x_even, &b_evens[k], &mut x_odds[k])?;
+    // Even reconstruction x_e = T_ee⁻¹ (b_e + ½ D_eo x_o), one call for the
+    // whole batch.
+    let mut x_evens: Vec<_> = (0..n).map(|_| op_hi.alloc()).collect();
+    op_hi.reconstruct_even(&mut x_evens, &b_evens, &mut x_odds, &all)?;
+    let download = |(x_even, x_odd): (&SpinorFieldCb<H>, &SpinorFieldCb<H>)| {
         let mut x_host = HostSpinorField::zero(plan.local_dims());
         x_even.download(&mut x_host, Parity::Even);
-        x_odds[k].download(&mut x_host, Parity::Odd);
-        x_hosts.push(x_host);
-    }
+        x_odd.download(&mut x_host, Parity::Odd);
+        x_host
+    };
+    let x_hosts = x_evens.iter().zip(&x_odds).map(download).collect();
     let rank_stats = op_hi.comm_stats().merged(lo_stats);
     Ok((x_hosts, results, rank_stats))
 }

@@ -1,32 +1,30 @@
 //! The per-rank parallel Wilson-clover operator (Section VI).
 //!
 //! Each rank owns one domain of a [`DecompPlan`] process grid (the paper's
-//! `T/N` time-slice being the `1×1×1×N` special case), a [`WilsonCloverOp`]
-//! built on the local volume with an *open* boundary in every partitioned
-//! dimension, and a [`Communicator`]. Every hopping-term application
-//! exchanges the spinor faces of each open dimension first — either
-//! blocking ([`CommStrategy::NoOverlap`]) or split around the interior
-//! kernel ([`CommStrategy::Overlap`], the three-stream scheme of Section
-//! VI-D2, with each direction's receive and exterior update progressing
-//! independently). Reductions are globalized through the communicator
-//! (Section VI-E).
+//! `T/N` time-slice being the `1×1×1×N` special case), a [`MatPcOp`] — the
+//! single-device even-odd composition — built on the local volume with an
+//! *open* boundary in every partitioned dimension, and a [`Communicator`].
+//! The composition runs unchanged; only its [`Halo`] differs: before every
+//! hopping term the rank exchanges the spinor faces of each open dimension —
+//! either blocking ([`CommStrategy::NoOverlap`]) or split around the
+//! interior kernel ([`CommStrategy::Overlap`], the three-stream scheme of
+//! Section VI-D2, with each direction's receive and exterior update
+//! progressing independently). Reductions are globalized through the
+//! communicator (Section VI-E).
 
 use crate::ghost::{exchange_gauge_ghosts, exchange_spinor_ghosts, recv_faces, send_faces};
 use crate::slice::{local_clover_grid, slice_config_grid};
 use quda_comm::{CommError, CommStats, Communicator};
-use quda_dirac::clover_apply::{clover_apply_cb, clover_apply_cb_multi, clover_axpy_cb_multi};
-use quda_dirac::dslash::{dslash_cb_multi, DslashRegion, MAX_RHS_BATCH};
-use quda_dirac::{WilsonCloverOp, WilsonParams, INNER_PARITY, SOLVE_PARITY};
+use quda_dirac::dslash::{dslash_cb_multi, DslashRegion};
+use quda_dirac::{Halo, MatPcOp, NoHalo, WilsonCloverOp, WilsonParams};
 use quda_fields::host::GaugeConfig;
 use quda_fields::precision::Precision;
 use quda_fields::SpinorFieldCb;
 use quda_lattice::geometry::{LatticeDims, Parity};
 use quda_lattice::partition::DecompPlan;
 use quda_math::complex::C64;
-use quda_math::real::Real;
 use quda_obs::{Phase, Tracer};
 use quda_solvers::operator::{LinearOperator, OpFault};
-use std::slice::from_mut;
 
 /// Communication strategy for the face exchange (Section VI-D).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -37,26 +35,17 @@ pub enum CommStrategy {
     Overlap,
 }
 
-/// The mask of a one-element block: a single right-hand side is batch 1 of
-/// the block path.
-const ONE: &[bool] = &[true];
-
 /// A rank's share of the parallelized even-odd Wilson-clover operator.
 pub struct ParallelWilsonCloverOp<P: Precision> {
-    /// The local single-device operator (open temporal boundary).
-    pub op: WilsonCloverOp<P>,
+    /// The local even-odd operator (open in every partitioned dimension)
+    /// and its per-lane scratch.
+    matpc: MatPcOp<P>,
     /// This rank's communicator endpoint.
     pub comm: Communicator,
     /// Face-exchange strategy.
     pub strategy: CommStrategy,
-    /// Whether the lattice is actually split (more than one rank).
-    pub partitioned: bool,
     /// The process-grid plan this rank belongs to.
     pub plan: DecompPlan,
-    // Per-RHS scratch (never empty), grown on demand to the largest block
-    // seen so steady-state sweeps never allocate.
-    tmp1s: Vec<SpinorFieldCb<P>>,
-    tmp2s: Vec<SpinorFieldCb<P>>,
     /// Face exchanges performed (2 per operator application).
     pub exchange_count: u64,
     // First communication error seen; once set the operator is *poisoned*:
@@ -65,73 +54,76 @@ pub struct ParallelWilsonCloverOp<P: Precision> {
     fault: Option<CommError>,
 }
 
-/// Apply the hopping term to a block of right-hand sides with the face
-/// exchange appropriate to the strategy, iterating the plan's partitioned
-/// dimensions: one fused face message per `(dimension, direction)` for the
-/// whole block, and one gauge-link decode per `(site, μ)` shared across it.
-/// Per active RHS the result is bit-identical to applying it alone. Free
-/// function so callers can split borrows across the operator's fields.
-#[allow(clippy::too_many_arguments)]
-fn dslash_exchanged<P: Precision>(
-    comm: &mut Communicator,
-    op: &WilsonCloverOp<P>,
-    plan: &DecompPlan,
+/// The rank's [`Halo`]: before each hop, exchange the faces of every
+/// partitioned dimension — one fused face message per `(dimension,
+/// direction)` for the whole block — blocking or split around the interior
+/// kernel as the strategy says. Per active RHS the result is bit-identical
+/// to applying it alone.
+struct GridHalo<'a> {
+    comm: &'a mut Communicator,
+    plan: &'a DecompPlan,
     strategy: CommStrategy,
-    partitioned: bool,
-    outs: &mut [SpinorFieldCb<P>],
-    inputs: &mut [SpinorFieldCb<P>],
-    active: &[bool],
-    out_parity: Parity,
-    dagger: bool,
-) -> Result<u64, CommError> {
-    let tracer = comm.tracer().clone();
-    let (gauge, stencil, basis) = (&op.gauge, &op.stencil, &op.basis);
-    if !partitioned {
-        let _kernel = tracer.span(Phase::Kernel);
-        let all = DslashRegion::All;
-        dslash_cb_multi(outs, gauge, inputs, out_parity, stencil, basis, dagger, all, active);
-        return Ok(0);
-    }
-    // The exchanged operand is the *input* spinor: the opposite parity of
-    // the slice being produced (the X/Y/Z face enumerations need it).
-    let in_parity = out_parity.other();
-    match strategy {
-        CommStrategy::NoOverlap => {
-            exchange_spinor_ghosts(comm, inputs, active, basis, stencil, plan, in_parity, dagger)?;
-            let _kernel = tracer.span(Phase::Kernel);
-            let all = DslashRegion::All;
-            dslash_cb_multi(outs, gauge, inputs, out_parity, stencil, basis, dagger, all, active);
+    exchanges: &'a mut u64,
+}
+
+impl<P: Precision> Halo<P> for GridHalo<'_> {
+    type Error = CommError;
+
+    fn hop(
+        &mut self,
+        op: &WilsonCloverOp<P>,
+        outs: &mut [SpinorFieldCb<P>],
+        ins: &mut [SpinorFieldCb<P>],
+        active: &[bool],
+        out_parity: Parity,
+        dagger: bool,
+    ) -> Result<(), CommError> {
+        let (comm, plan) = (&mut *self.comm, self.plan);
+        let tracer = comm.tracer().clone();
+        let (gauge, stencil, basis) = (&op.gauge, &op.stencil, &op.basis);
+        // The exchanged operand is the *input* spinor: the opposite parity of
+        // the slice being produced (the X/Y/Z face enumerations need it).
+        let in_parity = out_parity.other();
+        match self.strategy {
+            CommStrategy::Overlap if plan.is_partitioned() => {
+                for dim in plan.active_dims() {
+                    send_faces(comm, ins, active, basis, stencil, plan, dim, in_parity, dagger)?;
+                }
+                {
+                    // Compute running while all faces are in flight — the
+                    // hidden-communication window the breakdown's overlap
+                    // efficiency measures.
+                    let _interior = tracer.span(Phase::Interior);
+                    let region = DslashRegion::Interior;
+                    dslash_cb_multi(
+                        outs, gauge, ins, out_parity, stencil, basis, dagger, region, active,
+                    );
+                }
+                // Each direction progresses independently: as soon as one
+                // dimension's ghosts land, its boundary sites are updated,
+                // while the remaining directions are still in flight
+                // (ascending-dim order updates every boundary site exactly
+                // once — corner sites run with their last-arriving face).
+                for dim in plan.active_dims() {
+                    recv_faces(comm, ins, active, plan, dim)?;
+                    let _exterior = tracer.span(Phase::exterior_dim(dim));
+                    let region = DslashRegion::FacesDim(dim);
+                    dslash_cb_multi(
+                        outs, gauge, ins, out_parity, stencil, basis, dagger, region, active,
+                    );
+                }
+            }
+            _ => {
+                // Communicate up front (nothing to send on an unpartitioned
+                // plan), then one kernel over the whole volume.
+                exchange_spinor_ghosts(comm, ins, active, basis, stencil, plan, in_parity, dagger)?;
+                let _kernel = tracer.span(Phase::Kernel);
+                NoHalo::dslash(op, outs, ins, active, out_parity, dagger);
+            }
         }
-        CommStrategy::Overlap => {
-            for dim in plan.active_dims() {
-                send_faces(comm, inputs, active, basis, stencil, plan, dim, in_parity, dagger)?;
-            }
-            {
-                // Compute running while all faces are in flight — the
-                // hidden-communication window the breakdown's overlap
-                // efficiency measures.
-                let _interior = tracer.span(Phase::Interior);
-                let region = DslashRegion::Interior;
-                dslash_cb_multi(
-                    outs, gauge, inputs, out_parity, stencil, basis, dagger, region, active,
-                );
-            }
-            // Each direction progresses independently: as soon as one
-            // dimension's ghosts land, its boundary sites are updated,
-            // while the remaining directions are still in flight
-            // (ascending-dim order updates every boundary site exactly
-            // once — corner sites run with their last-arriving face).
-            for dim in plan.active_dims() {
-                recv_faces(comm, inputs, active, plan, dim)?;
-                let _exterior = tracer.span(Phase::exterior_dim(dim));
-                let region = DslashRegion::FacesDim(dim);
-                dslash_cb_multi(
-                    outs, gauge, inputs, out_parity, stencil, basis, dagger, region, active,
-                );
-            }
-        }
+        *self.exchanges += u64::from(plan.is_partitioned());
+        Ok(())
     }
-    Ok(1)
 }
 
 impl<P: Precision> ParallelWilsonCloverOp<P> {
@@ -164,16 +156,11 @@ impl<P: Precision> ParallelWilsonCloverOp<P> {
         );
         // No-op on an unpartitioned plan (no active dimensions).
         exchange_gauge_ghosts(&mut comm, &mut op.gauge, &plan)?;
-        let tmp1s = vec![op.alloc_spinor()];
-        let tmp2s = vec![op.alloc_spinor()];
         Ok(ParallelWilsonCloverOp {
-            op,
+            matpc: MatPcOp::new(op),
             comm,
             strategy,
-            partitioned: plan.is_partitioned(),
             plan,
-            tmp1s,
-            tmp2s,
             exchange_count: 0,
             fault: None,
         })
@@ -196,208 +183,96 @@ impl<P: Precision> ParallelWilsonCloverOp<P> {
         self.comm.stats()
     }
 
-    /// The parallel even-odd preconditioned application
-    /// `outs[r] = T_oo ins[r] − ¼ D_oe T_ee⁻¹ D_eo ins[r]` for every active
-    /// RHS of the block, with one fused face exchange before each hopping
-    /// term. A single right-hand side is the one-element block.
-    ///
-    /// Per active RHS the result is bit-identical to applying it alone;
-    /// inactive slots are left untouched. A communication failure does not
-    /// panic: it poisons the operator (see
-    /// [`ParallelWilsonCloverOp::take_comm_fault`]) and the application
-    /// becomes a no-op, which the calling solver notices via NaN reductions
-    /// and its fault poll.
-    pub fn apply_matpc_par(
+    /// Run one step of the even-odd composition through this rank's face
+    /// exchange. A poisoned operator refuses with its original error; a new
+    /// communication failure does not panic but poisons the operator.
+    fn exchanged(
+        &mut self,
+        step: impl FnOnce(&mut MatPcOp<P>, &mut GridHalo<'_>) -> Result<(), CommError>,
+    ) -> Result<(), CommError> {
+        if let Some(e) = &self.fault {
+            return Err(e.clone());
+        }
+        let mut halo = GridHalo {
+            comm: &mut self.comm,
+            plan: &self.plan,
+            strategy: self.strategy,
+            exchanges: &mut self.exchange_count,
+        };
+        step(&mut self.matpc, &mut halo).inspect_err(|e| self.fault = Some(e.clone()))
+    }
+
+    /// The parallel even-odd application `outs[r] = M̂ ins[r]` (`M̂†` with
+    /// `dagger`) for every active RHS, with one fused face exchange before
+    /// each hopping term. On a poisoned operator it is a no-op, which the
+    /// calling solver notices via NaN reductions and its fault poll.
+    fn apply_matpc(
         &mut self,
         outs: &mut [SpinorFieldCb<P>],
         ins: &mut [SpinorFieldCb<P>],
         active: &[bool],
         dagger: bool,
     ) {
-        if self.fault.is_some() {
-            return;
-        }
-        if let Err(e) = self.try_apply_matpc_par(outs, ins, active, dagger) {
-            self.fault = Some(e);
-        }
+        // The error is parked in `fault` for the solver's poll.
+        let _ = self.exchanged(|mat, halo| mat.matpc(halo, outs, ins, active, dagger));
     }
 
-    fn try_apply_matpc_par(
+    /// Source preparation `b̂_o = b_o + ½ D_oe T_ee⁻¹ b_e` for every active
+    /// RHS, with one fused face exchange for the whole batch.
+    pub fn prepare_source(
         &mut self,
         outs: &mut [SpinorFieldCb<P>],
-        ins: &mut [SpinorFieldCb<P>],
+        b_evens: &[SpinorFieldCb<P>],
+        b_odds: &[SpinorFieldCb<P>],
         active: &[bool],
-        dagger: bool,
     ) -> Result<(), CommError> {
-        let n = ins.len();
-        assert_eq!(outs.len(), n);
-        assert_eq!(active.len(), n);
-        assert!(n <= MAX_RHS_BATCH, "batch exceeds MAX_RHS_BATCH");
-        let n_active = active.iter().filter(|&&a| a).count();
-        if n_active == 0 {
-            return Ok(());
-        }
-        while self.tmp1s.len() < n {
-            self.tmp1s.push(self.op.alloc_spinor());
-            self.tmp2s.push(self.op.alloc_spinor());
-        }
-        self.exchange_count += dslash_exchanged(
-            &mut self.comm,
-            &self.op,
-            &self.plan,
-            self.strategy,
-            self.partitioned,
-            &mut self.tmp1s[..n],
-            ins,
-            active,
-            INNER_PARITY,
-            dagger,
-        )?;
-        clover_apply_cb_multi(
-            &mut self.tmp2s[..n],
-            &self.op.clover_inv[INNER_PARITY.as_usize()],
-            &self.tmp1s[..n],
-            &self.op.map,
-            active,
-        );
-        self.exchange_count += dslash_exchanged(
-            &mut self.comm,
-            &self.op,
-            &self.plan,
-            self.strategy,
-            self.partitioned,
-            &mut self.tmp1s[..n],
-            &mut self.tmp2s[..n],
-            active,
-            SOLVE_PARITY,
-            dagger,
-        )?;
-        clover_axpy_cb_multi(
-            outs,
-            &self.op.clover[SOLVE_PARITY.as_usize()],
-            ins,
-            P::Arith::from_f64(-0.25),
-            &self.tmp1s[..n],
-            &self.op.map,
-            active,
-        );
-        self.op.matpc_count.set(self.op.matpc_count.get() + n_active as u64);
-        Ok(())
-    }
-
-    /// Source preparation `b̂_o = b_o + ½ D_oe T_ee⁻¹ b_e` with exchanges.
-    pub fn prepare_source_par(
-        &mut self,
-        out: &mut SpinorFieldCb<P>,
-        b_even: &SpinorFieldCb<P>,
-        b_odd: &SpinorFieldCb<P>,
-    ) -> Result<(), CommError> {
-        if let Some(e) = &self.fault {
-            return Err(e.clone());
-        }
         let _span = self.comm.tracer().span(Phase::Prepare);
-        clover_apply_cb(
-            &mut self.tmp1s[0],
-            &self.op.clover_inv[INNER_PARITY.as_usize()],
-            b_even,
-            &self.op.map,
-        );
-        self.exchange_count += dslash_exchanged(
-            &mut self.comm,
-            &self.op,
-            &self.plan,
-            self.strategy,
-            self.partitioned,
-            &mut self.tmp2s[..1],
-            &mut self.tmp1s[..1],
-            ONE,
-            SOLVE_PARITY,
-            false,
-        )
-        .inspect_err(|e| {
-            self.fault = Some(e.clone());
-        })?;
-        let half_d = &self.tmp2s[0];
-        for cb in 0..out.sites() {
-            let v = b_odd.get(cb) + half_d.get(cb).scale_re(P::Arith::from_f64(0.5));
-            out.set(cb, &v);
-        }
-        Ok(())
+        self.exchanged(|mat, halo| mat.prepare_source(halo, outs, b_evens, b_odds, active))
     }
 
-    /// Even-parity reconstruction `x_e = T_ee⁻¹ (b_e + ½ D_eo x_o)`.
-    pub fn reconstruct_even_par(
+    /// Even-parity reconstruction `x_e = T_ee⁻¹ (b_e + ½ D_eo x_o)` for
+    /// every active RHS, with one fused face exchange for the whole batch.
+    pub fn reconstruct_even(
         &mut self,
-        x_even: &mut SpinorFieldCb<P>,
-        b_even: &SpinorFieldCb<P>,
-        x_odd: &mut SpinorFieldCb<P>,
+        x_evens: &mut [SpinorFieldCb<P>],
+        b_evens: &[SpinorFieldCb<P>],
+        x_odds: &mut [SpinorFieldCb<P>],
+        active: &[bool],
     ) -> Result<(), CommError> {
-        if let Some(e) = &self.fault {
-            return Err(e.clone());
-        }
         let _span = self.comm.tracer().span(Phase::Reconstruct);
-        self.exchange_count += dslash_exchanged(
-            &mut self.comm,
-            &self.op,
-            &self.plan,
-            self.strategy,
-            self.partitioned,
-            &mut self.tmp1s[..1],
-            from_mut(x_odd),
-            ONE,
-            INNER_PARITY,
-            false,
-        )
-        .inspect_err(|e| {
-            self.fault = Some(e.clone());
-        })?;
-        let tmp = &mut self.tmp1s[0];
-        for cb in 0..tmp.sites() {
-            let v = b_even.get(cb) + tmp.get(cb).scale_re(P::Arith::from_f64(0.5));
-            tmp.set(cb, &v);
-        }
-        clover_apply_cb(x_even, &self.op.clover_inv[INNER_PARITY.as_usize()], tmp, &self.op.map);
-        Ok(())
+        self.exchanged(|mat, halo| mat.reconstruct_even(halo, x_evens, b_evens, x_odds, active))
     }
 }
 
 impl<P: Precision> LinearOperator<P> for ParallelWilsonCloverOp<P> {
     fn dims(&self) -> LatticeDims {
-        self.op.dims
+        self.matpc.op.dims
     }
 
     fn alloc(&self) -> SpinorFieldCb<P> {
-        self.op.alloc_spinor()
+        self.matpc.op.alloc_spinor()
     }
 
-    fn apply(&mut self, out: &mut SpinorFieldCb<P>, input: &mut SpinorFieldCb<P>) {
-        self.apply_matpc_par(from_mut(out), from_mut(input), ONE, false);
-    }
-
-    fn apply_dagger(&mut self, out: &mut SpinorFieldCb<P>, input: &mut SpinorFieldCb<P>) {
-        self.apply_matpc_par(from_mut(out), from_mut(input), ONE, true);
-    }
-
-    fn apply_multi(
+    fn apply(
         &mut self,
         outs: &mut [SpinorFieldCb<P>],
         ins: &mut [SpinorFieldCb<P>],
         active: &[bool],
     ) {
-        self.apply_matpc_par(outs, ins, active, false);
+        self.apply_matpc(outs, ins, active, false);
     }
 
-    fn apply_dagger_multi(
+    fn apply_dagger(
         &mut self,
         outs: &mut [SpinorFieldCb<P>],
         ins: &mut [SpinorFieldCb<P>],
         active: &[bool],
     ) {
-        self.apply_matpc_par(outs, ins, active, true);
+        self.apply_matpc(outs, ins, active, true);
     }
 
     fn flops_per_apply(&self) -> u64 {
-        self.op.dims.half_volume() as u64 * quda_dirac::flops::MATPC_FLOPS_PER_SITE
+        self.matpc.op.dims.half_volume() as u64 * quda_dirac::flops::MATPC_FLOPS_PER_SITE
     }
 
     fn reduce(&mut self, local: f64) -> f64 {
@@ -456,8 +331,12 @@ mod tests {
     use quda_fields::gauge_gen::{random_spinor_field, weak_field};
     use quda_fields::host::HostSpinorField;
     use quda_fields::precision::Double;
+    use quda_math::spinor::Spinor;
+    use std::slice::from_mut;
 
     type RankOp = ParallelWilsonCloverOp<Double>;
+
+    const ONE: &[bool] = &[true];
 
     /// The paper's decomposition: 4×4×2×8 over two temporal ranks.
     fn global_setup() -> (GaugeConfig, DecompPlan, WilsonParams) {
@@ -536,7 +415,7 @@ mod tests {
         let locals = on_ranks(cfg, plan, wp, strategy, move |rank, op| {
             let mut x = upload(op, &slice_spinor_grid(&input, &plan, rank));
             let mut out = op.alloc();
-            op.apply_matpc_par(from_mut(&mut out), from_mut(&mut x), ONE, dagger);
+            op.apply_matpc(from_mut(&mut out), from_mut(&mut x), ONE, dagger);
             download(op, &out)
         });
         (expect, gather_spinor_grid(&locals, &plan))
@@ -603,43 +482,100 @@ mod tests {
         }
     }
 
+    /// `M̂ x_o`, `M̂† x_o`, `b̂_o` and `x_e` of every lane through `halo`,
+    /// each host field serving as both `x` and `b`; per lane the sites of
+    /// the four results, one after another.
+    fn eo_steps<H: Halo<Double>>(
+        mat: &mut MatPcOp<Double>,
+        halo: &mut H,
+        hosts: &[HostSpinorField],
+        active: &[bool],
+    ) -> Vec<Vec<Spinor<f64>>>
+    where
+        H::Error: std::fmt::Debug,
+    {
+        let field = |h: &HostSpinorField, parity| {
+            let mut f = mat.op.alloc_spinor();
+            f.upload(h, parity);
+            f
+        };
+        let evens: Vec<_> = hosts.iter().map(|h| field(h, Parity::Even)).collect();
+        let mut odds: Vec<_> = hosts.iter().map(|h| field(h, Parity::Odd)).collect();
+        let zeros = || -> Vec<_> { hosts.iter().map(|_| mat.op.alloc_spinor()).collect() };
+        let (mut m, mut md, mut bhat, mut xe) = (zeros(), zeros(), zeros(), zeros());
+        mat.matpc(halo, &mut m, &mut odds, active, false).unwrap();
+        mat.matpc(halo, &mut md, &mut odds, active, true).unwrap();
+        mat.prepare_source(halo, &mut bhat, &evens, &odds, active).unwrap();
+        mat.reconstruct_even(halo, &mut xe, &evens, &mut odds, active).unwrap();
+        let sites = |r: usize| {
+            let fields = [&m[r], &md[r], &bhat[r], &xe[r]];
+            fields.into_iter().flat_map(|f| (0..f.sites()).map(|cb| f.get(cb))).collect()
+        };
+        (0..hosts.len()).map(sites).collect()
+    }
+
+    /// [`eo_steps`] through the rank's own face exchange.
+    fn grid_steps(
+        op: &mut RankOp,
+        hosts: &[HostSpinorField],
+        active: &[bool],
+    ) -> Vec<Vec<Spinor<f64>>> {
+        let mut halo = GridHalo {
+            comm: &mut op.comm,
+            plan: &op.plan,
+            strategy: op.strategy,
+            exchanges: &mut op.exchange_count,
+        };
+        eo_steps(&mut op.matpc, &mut halo, hosts, active)
+    }
+
+    #[test]
+    fn grid_halo_on_one_rank_is_bit_identical_to_no_halo() {
+        // The halo is the only difference between the rank operator and the
+        // single device: on an unpartitioned plan the two agree bit for bit.
+        let d = LatticeDims::new(4, 4, 2, 8);
+        let (cfg, wp) = (weak_field(d, 0.15, 12), WilsonParams { mass: 0.2, c_sw: 1.0 });
+        let plan = DecompPlan::new(d, [1, 1, 1, 1]);
+        let hosts: Vec<_> = (0..2).map(|r| random_spinor_field(d, 60 + r)).collect();
+        let active = [true, true];
+        let mut single = MatPcOp::new(WilsonCloverOp::<Double>::from_config(&cfg, wp));
+        let expect = eo_steps(&mut single, &mut NoHalo, &hosts, &active);
+        for strategy in [CommStrategy::NoOverlap, CommStrategy::Overlap] {
+            let hosts = hosts.clone();
+            let got =
+                on_ranks(&cfg, plan, wp, strategy, move |_, op| grid_steps(op, &hosts, &active));
+            assert!(got[0] == expect, "{strategy:?}: grid halo differs from NoHalo");
+        }
+    }
+
     #[test]
     fn batched_matpc_bit_identical_to_sequential_across_ranks() {
-        // A 2-rank batched application must be bit-identical, per RHS, to
-        // applying each RHS alone — for both strategies, with a masked slot.
+        // A 2-rank batched M̂, M̂†, prepare and reconstruct must be
+        // bit-identical, per RHS, to running each RHS alone — for both
+        // strategies, with a masked slot left untouched.
         for strategy in [CommStrategy::NoOverlap, CommStrategy::Overlap] {
             let (cfg, plan, wp) = global_setup();
             let d = plan.local_dims();
-            let n = 3;
             let hosts: Vec<HostSpinorField> =
-                (0..n).map(|r| random_spinor_field(d, 90 + r as u64)).collect();
+                (0..3).map(|r| random_spinor_field(d, 90 + r)).collect();
             let active = [true, false, true];
-            let run = |batched: bool| -> Vec<Vec<HostSpinorField>> {
-                let hosts = hosts.clone();
-                on_ranks(&cfg, plan, wp, strategy, move |_, op| {
-                    let mut ins: Vec<_> = hosts.iter().map(|h| upload(op, h)).collect();
-                    let mut outs: Vec<_> = (0..ins.len()).map(|_| op.alloc()).collect();
-                    if batched {
-                        op.apply_matpc_par(&mut outs, &mut ins, &active, false);
-                    } else {
-                        for r in (0..ins.len()).filter(|&r| active[r]) {
-                            let (out, x) = (from_mut(&mut outs[r]), from_mut(&mut ins[r]));
-                            op.apply_matpc_par(out, x, ONE, false);
-                        }
-                    }
-                    outs.iter().map(|o| download(op, o)).collect()
-                })
-            };
-            let batched = run(true);
-            let sequential = run(false);
-            for rank in 0..plan.n_ranks() {
-                for r in 0..n {
-                    let dist = batched[rank][r].max_site_dist(&sequential[rank][r]);
-                    assert_eq!(
-                        dist, 0.0,
-                        "{strategy:?} rank={rank} rhs={r}: batched differs from sequential"
+            let per_rank = on_ranks(&cfg, plan, wp, strategy, move |_, op| {
+                let batched = grid_steps(op, &hosts, &active);
+                let alone: Vec<_> = (0..hosts.len())
+                    .filter(|&r| active[r])
+                    .map(|r| (r, grid_steps(op, &hosts[r..=r], ONE).remove(0)))
+                    .collect();
+                (batched, alone)
+            });
+            for (rank, (batched, alone)) in per_rank.into_iter().enumerate() {
+                for (r, lane) in alone {
+                    assert!(
+                        batched[r] == lane,
+                        "{strategy:?} rank={rank} rhs={r}: batched differs"
                     );
                 }
+                let masked = &batched[1];
+                assert!(masked.iter().all(|s| *s == Spinor::zero()), "masked slot touched");
             }
         }
     }
@@ -659,8 +595,8 @@ mod tests {
                 let mut xs: Vec<_> =
                     inputs.iter().map(|h| upload(op, &slice_spinor_grid(h, &plan, rank))).collect();
                 let mut ys: Vec<_> = (0..3).map(|_| op.alloc()).collect();
-                op.apply_matpc_par(&mut ys, &mut xs, &[true; 3], false);
-                op.apply_matpc_par(&mut xs, &mut ys, &[false, true, false], false);
+                op.apply_matpc(&mut ys, &mut xs, &[true; 3], false);
+                op.apply_matpc(&mut xs, &mut ys, &[false, true, false], false);
                 // Lane 1 finished in `xs`; lanes 0 and 2 stopped in `ys`.
                 [download(op, &ys[0]), download(op, &xs[1]), download(op, &ys[2])]
             });
@@ -677,16 +613,14 @@ mod tests {
     #[test]
     fn batched_matpc_sends_one_message_set_per_sweep() {
         // The whole point of the fused path: the wire message count of a
-        // batch-N application equals that of a batch-1 application.
+        // batch-N M̂, M̂†, prepare and reconstruct equals that of batch 1.
         let (cfg, plan, wp) = global_setup();
         let d = plan.local_dims();
         let count_msgs = |n: usize| -> u64 {
             let sent = on_ranks(&cfg, plan, wp, CommStrategy::NoOverlap, move |_, op| {
                 let before = op.comm.sent_messages();
-                let mut ins: Vec<_> =
-                    (0..n).map(|r| upload(op, &random_spinor_field(d, r as u64))).collect();
-                let mut outs: Vec<_> = (0..n).map(|_| op.alloc()).collect();
-                op.apply_matpc_par(&mut outs, &mut ins, &vec![true; n], false);
+                let hosts: Vec<_> = (0..n).map(|r| random_spinor_field(d, r as u64)).collect();
+                grid_steps(op, &hosts, &vec![true; n]);
                 op.comm.sent_messages() - before
             });
             sent.into_iter().max().unwrap()
@@ -709,8 +643,8 @@ mod tests {
         let counts = on_ranks(&cfg, plan, wp, CommStrategy::NoOverlap, |_, op| {
             let mut x = op.alloc();
             let mut out = op.alloc();
-            op.apply(&mut out, &mut x);
-            op.apply(&mut out, &mut x);
+            op.apply(from_mut(&mut out), from_mut(&mut x), ONE);
+            op.apply(from_mut(&mut out), from_mut(&mut x), ONE);
             op.exchange_count
         });
         assert_eq!(counts, vec![4, 4]); // 2 dslashes per application

@@ -19,6 +19,7 @@ use quda_math::spinor::HALF_SPINOR_REALS;
 use quda_multigpu::perf::{evaluate, PerfInput};
 use quda_multigpu::rank_op::{CommStrategy, ParallelWilsonCloverOp};
 use quda_multigpu::{exchange_spinor_ghosts, gather_spinor_grid, slice_spinor_grid, PrecisionMode};
+use quda_solvers::operator::LinearOperator;
 use std::slice::from_mut;
 
 /// The codec's wire round trip, recomputed from the same public
@@ -241,10 +242,15 @@ proptest! {
                     )
                     .expect("op init");
                     let local = slice_spinor_grid(&input, &plan, rank);
-                    let mut x = quda_solvers::operator::LinearOperator::alloc(&op);
+                    let mut x = op.alloc();
                     x.upload(&local, Parity::Odd);
-                    let mut out = quda_solvers::operator::LinearOperator::alloc(&op);
-                    op.apply_matpc_par(from_mut(&mut out), from_mut(&mut x), &[true], dagger);
+                    let mut out = op.alloc();
+                    let (outs, xs) = (from_mut(&mut out), from_mut(&mut x));
+                    if dagger {
+                        op.apply_dagger(outs, xs, &[true]);
+                    } else {
+                        op.apply(outs, xs, &[true]);
+                    }
                     let mut host = HostSpinorField::zero(plan.local_dims());
                     out.download(&mut host, Parity::Odd);
                     (rank, host)

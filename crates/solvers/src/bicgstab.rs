@@ -142,7 +142,7 @@ pub fn bicgstab<P: Precision>(
         }
         sweep += 1;
         // v = M̂ p for the whole active block: one fused gauge sweep.
-        traced_iter(&tracer, Phase::Matvec, sweep, || op.apply_multi(&mut vs, &mut ps, &active));
+        traced_iter(&tracer, Phase::Matvec, sweep, || op.apply(&mut vs, &mut ps, &active));
         stage.copy_from_slice(&active);
         // α needs the globally reduced r0·v before the half-step residual
         // can be formed, so the sweep's scalar work runs in packed passes
@@ -206,7 +206,7 @@ pub fn bicgstab<P: Precision>(
             continue;
         }
         // t = M̂ s for the systems still in flight this sweep.
-        traced_iter(&tracer, Phase::Matvec, sweep, || op.apply_multi(&mut ts, &mut rs, &stage));
+        traced_iter(&tracer, Phase::Matvec, sweep, || op.apply(&mut ts, &mut rs, &stage));
         // ω = <t, s> / <t, t>: both reductions in one collective.
         for k in 0..n {
             if !stage[k] {
@@ -405,7 +405,7 @@ mod tests {
         let res = solve(&mut op, &mut x, &b, &params);
         assert!(res.converged);
         let mut mx = op.alloc();
-        op.apply(&mut mx, &mut x);
+        op.apply(from_mut(&mut mx), from_mut(&mut x), &[true]);
         let mut diff2 = 0.0;
         for cb in 0..b.sites() {
             diff2 += (mx.get(cb) - b.get(cb)).norm_sqr();

@@ -13,6 +13,7 @@ use quda_fields::precision::Precision;
 use quda_fields::SpinorFieldCb;
 use quda_math::complex::C64;
 use quda_obs::Phase;
+use std::slice::from_mut;
 
 /// Solve `M̂ xs[k] = bs[k]` for every `k` via CG on the normal equations;
 /// a single system is the batch of one.
@@ -88,7 +89,7 @@ pub fn cgnr<P: Precision>(
             blas::copy(&mut b_works[k], &bs[k], &mut cs[k]);
         }
     }
-    op.apply_dagger_multi(&mut bps, &mut b_works, &active);
+    op.apply_dagger(&mut bps, &mut b_works, &active);
     let mut bp_norm2 = vec![0.0f64; n];
     for k in 0..n {
         if !active[k] {
@@ -103,8 +104,8 @@ pub fn cgnr<P: Precision>(
     // r = b' − A x with A = M̂†M̂ (each x may carry an initial guess).
     let mut mids: Vec<_> = (0..n).map(|_| op.alloc()).collect();
     let mut rs: Vec<_> = (0..n).map(|_| op.alloc()).collect();
-    op.apply_multi(&mut mids, xs, &active);
-    op.apply_dagger_multi(&mut rs, &mut mids, &active);
+    op.apply(&mut mids, xs, &active);
+    op.apply_dagger(&mut rs, &mut mids, &active);
     let mut rsq = vec![0.0f64; n];
     for k in 0..n {
         if !active[k] {
@@ -164,8 +165,8 @@ pub fn cgnr<P: Precision>(
         sweep += 1;
         // Ap = M̂† M̂ p for the whole active block: two fused gauge sweeps.
         traced_iter(&tracer, Phase::Matvec, sweep, || {
-            op.apply_multi(&mut mids, &mut ps, &active);
-            op.apply_dagger_multi(&mut aps, &mut mids, &active);
+            op.apply(&mut mids, &mut ps, &active);
+            op.apply_dagger(&mut aps, &mut mids, &active);
         });
         // α needs the globally reduced p·Ap before x and r can move, so
         // the sweep's scalar work runs in packed passes around each fused
@@ -234,8 +235,8 @@ pub fn cgnr<P: Precision>(
                 // checkpoint; the single-RHS applies are bit-identical to
                 // the fused sweep, so only this system is perturbed.
                 blas::copy(&mut xs[k], &checkpoint_xs[k], &mut cs[k]);
-                op.apply(&mut mids[k], &mut xs[k]);
-                op.apply_dagger(&mut rs[k], &mut mids[k]);
+                op.apply(from_mut(&mut mids[k]), from_mut(&mut xs[k]), &[true]);
+                op.apply_dagger(from_mut(&mut rs[k]), from_mut(&mut mids[k]), &[true]);
                 matvecs[k] += 2;
                 rsq[k] = op.reduce(blas::xmy_norm(&bps[k], &mut rs[k], &mut cs[k]));
                 blas::copy(&mut ps[k], &rs[k], &mut cs[k]);

@@ -4,7 +4,9 @@
 //!
 //! * [`blas`] — fused, cost-accounted BLAS1 kernels (Section V-E);
 //! * [`operator`] — the [`operator::LinearOperator`] abstraction with the
-//!   global-reduction hook the parallel solver needs (Section VI-E);
+//!   global-reduction hook the parallel solver needs (Section VI-E), and
+//!   its single-device implementation: `quda-dirac`'s batched even-odd
+//!   composition [`MatPcOp`] under the closed-boundary `NoHalo`;
 //! * [`bicgstab`](mod@bicgstab) — the production non-symmetric solver;
 //! * [`cg`](mod@cg) — CG on the normal equations (CGNR);
 //! * [`mixed`] — mixed-precision reliable updates and the defect-correction
@@ -18,7 +20,7 @@
 //! There is one implementation per method, and it is blocked: every solver
 //! takes a slice of right-hand sides (a single system is the one-element
 //! slice, `std::slice::from_mut`/`from_ref`) so a batch shares each gauge
-//! sweep through [`operator::LinearOperator::apply_multi`] while every
+//! sweep through [`operator::LinearOperator::apply`] while every
 //! scalar recurrence stays *per lane* (DESIGN.md §14):
 //!
 //! * each right-hand side carries its own residual, search direction,
@@ -38,9 +40,9 @@
 //! Every active-mask decision is derived from globally reduced values, so
 //! the mask is identical on every rank and the collective stream stays
 //! rank-uniform (the `QUDA_LOCKSTEP=1` sanitizer passes). Rollbacks,
-//! reliable updates, and true-residual tails go through the single-lane
-//! operator paths, which the `apply_multi` contract guarantees are
-//! bit-identical to the batched sweep.
+//! reliable updates, and true-residual tails apply the operator to a
+//! one-element batch, which the `apply` contract guarantees is
+//! bit-identical to that lane of the batched sweep.
 
 #![warn(missing_docs)]
 // The no-panic invariant (xtask lint rule `no-panic`), also machine-checked

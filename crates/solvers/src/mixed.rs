@@ -251,7 +251,7 @@ pub fn bicgstab_reliable<H: Precision, L: Precision>(
         }
         sweep += 1;
         // v = M̂ p for the whole active block: one fused sloppy sweep.
-        traced_iter(&tracer, Phase::Matvec, sweep, || op_lo.apply_multi(&mut vs, &mut ps, &active));
+        traced_iter(&tracer, Phase::Matvec, sweep, || op_lo.apply(&mut vs, &mut ps, &active));
         stage.copy_from_slice(&active);
         steps.fill(Step::Continue);
         // α needs the globally reduced r0·v before the half-step residual
@@ -298,9 +298,7 @@ pub fn bicgstab_reliable<H: Precision, L: Precision>(
         }
         if stage.iter().any(|&s| s) {
             // t = M̂ s for the systems still in flight this sweep.
-            traced_iter(&tracer, Phase::Matvec, sweep, || {
-                op_lo.apply_multi(&mut ts, &mut rs, &stage)
-            });
+            traced_iter(&tracer, Phase::Matvec, sweep, || op_lo.apply(&mut ts, &mut rs, &stage));
             for k in 0..n {
                 if !stage[k] {
                     continue;

@@ -8,12 +8,14 @@
 //! linear algebra reduction kernels" (Section VI-E).
 
 use crate::blas::BlasCounters;
-use quda_dirac::WilsonCloverOp;
+pub use quda_dirac::MatPcOp;
+use quda_dirac::NoHalo;
 use quda_fields::precision::Precision;
 use quda_fields::SpinorFieldCb;
 use quda_lattice::geometry::LatticeDims;
 use quda_math::complex::C64;
 use quda_obs::{Phase, Tracer};
+use std::slice::from_mut;
 
 /// A fault recorded by an operator implementation — typically a
 /// communication failure (dead peer, exhausted retries) on a partitioned
@@ -30,14 +32,31 @@ pub trait LinearOperator<P: Precision> {
     fn dims(&self) -> LatticeDims;
     /// Allocate a compatible workspace vector.
     fn alloc(&self) -> SpinorFieldCb<P>;
-    /// `out ← M̂ input`.
+    /// Batched `outs[r] ← M̂ ins[r]` for every `r` with `active[r]`; a
+    /// single field is the one-element batch (`std::slice::from_mut`,
+    /// `&[true]`).
     ///
-    /// `input` is mutable because a partitioned implementation fills its
-    /// ghost end zone in place before the stencil reads it — exactly what
-    /// the MPI face exchange does to the operand buffer (Section VI-C).
-    fn apply(&mut self, out: &mut SpinorFieldCb<P>, input: &mut SpinorFieldCb<P>);
-    /// `out ← M̂† input`.
-    fn apply_dagger(&mut self, out: &mut SpinorFieldCb<P>, input: &mut SpinorFieldCb<P>);
+    /// `ins` is mutable because a partitioned implementation fills its
+    /// ghost end zones in place before the stencil reads them — exactly
+    /// what the MPI face exchange does to the operand buffer (Section
+    /// VI-C). The contract every implementation keeps: per active RHS the
+    /// output is **bit-identical** to applying it alone, and inactive
+    /// slots are untouched — that is what lets the blocked solvers freeze
+    /// converged systems without perturbing the rest.
+    fn apply(
+        &mut self,
+        outs: &mut [SpinorFieldCb<P>],
+        ins: &mut [SpinorFieldCb<P>],
+        active: &[bool],
+    );
+    /// Batched `outs[r] ← M̂† ins[r]`; same contract as
+    /// [`LinearOperator::apply`].
+    fn apply_dagger(
+        &mut self,
+        outs: &mut [SpinorFieldCb<P>],
+        ins: &mut [SpinorFieldCb<P>],
+        active: &[bool],
+    );
     /// Effective flops of one `apply`.
     fn flops_per_apply(&self) -> u64;
     /// Globalize a local real reduction (allreduce on a partitioned run).
@@ -67,39 +86,6 @@ pub trait LinearOperator<P: Precision> {
     /// Number of local data sites.
     fn sites(&self) -> usize {
         self.dims().half_volume()
-    }
-    /// Batched `outs[r] ← M̂ ins[r]` for every `r` with `active[r]`.
-    ///
-    /// The default loops [`LinearOperator::apply`] per RHS; a partitioned
-    /// implementation overrides it with a fused sweep that reads each
-    /// gauge link once per site and ships one face message per direction
-    /// for the whole block. The contract every override must keep: per
-    /// active RHS the output is **bit-identical** to a single `apply`,
-    /// and inactive slots are untouched — that is what lets the blocked
-    /// solvers freeze converged systems without perturbing the rest.
-    fn apply_multi(
-        &mut self,
-        outs: &mut [SpinorFieldCb<P>],
-        ins: &mut [SpinorFieldCb<P>],
-        active: &[bool],
-    ) {
-        for ((out, input), _) in outs.iter_mut().zip(ins.iter_mut()).zip(active).filter(|(_, &a)| a)
-        {
-            self.apply(out, input);
-        }
-    }
-    /// Batched `outs[r] ← M̂† ins[r]`; same contract as
-    /// [`LinearOperator::apply_multi`].
-    fn apply_dagger_multi(
-        &mut self,
-        outs: &mut [SpinorFieldCb<P>],
-        ins: &mut [SpinorFieldCb<P>],
-        active: &[bool],
-    ) {
-        for ((out, input), _) in outs.iter_mut().zip(ins.iter_mut()).zip(active).filter(|(_, &a)| a)
-        {
-            self.apply_dagger(out, input);
-        }
     }
     /// A pending fault recorded by the implementation, if any.
     ///
@@ -136,24 +122,7 @@ pub fn traced_iter<R>(tracer: &Tracer, phase: Phase, iter: u64, f: impl FnOnce()
     f()
 }
 
-/// Single-device even-odd preconditioned Wilson-clover operator with owned
-/// scratch space.
-pub struct MatPcOp<P: Precision> {
-    /// The underlying operator and device fields.
-    pub op: WilsonCloverOp<P>,
-    tmp1: SpinorFieldCb<P>,
-    tmp2: SpinorFieldCb<P>,
-}
-
-impl<P: Precision> MatPcOp<P> {
-    /// Wrap an operator, allocating workspaces.
-    pub fn new(op: WilsonCloverOp<P>) -> Self {
-        let tmp1 = op.alloc_spinor();
-        let tmp2 = op.alloc_spinor();
-        MatPcOp { op, tmp1, tmp2 }
-    }
-}
-
+/// The single device: the even-odd composition with closed boundaries.
 impl<P: Precision> LinearOperator<P> for MatPcOp<P> {
     fn dims(&self) -> LatticeDims {
         self.op.dims
@@ -163,12 +132,22 @@ impl<P: Precision> LinearOperator<P> for MatPcOp<P> {
         self.op.alloc_spinor()
     }
 
-    fn apply(&mut self, out: &mut SpinorFieldCb<P>, input: &mut SpinorFieldCb<P>) {
-        self.op.apply_matpc(out, input, &mut self.tmp1, &mut self.tmp2, false);
+    fn apply(
+        &mut self,
+        outs: &mut [SpinorFieldCb<P>],
+        ins: &mut [SpinorFieldCb<P>],
+        active: &[bool],
+    ) {
+        let Ok(()) = self.matpc(&mut NoHalo, outs, ins, active, false);
     }
 
-    fn apply_dagger(&mut self, out: &mut SpinorFieldCb<P>, input: &mut SpinorFieldCb<P>) {
-        self.op.apply_matpc(out, input, &mut self.tmp1, &mut self.tmp2, true);
+    fn apply_dagger(
+        &mut self,
+        outs: &mut [SpinorFieldCb<P>],
+        ins: &mut [SpinorFieldCb<P>],
+        active: &[bool],
+    ) {
+        let Ok(()) = self.matpc(&mut NoHalo, outs, ins, active, true);
     }
 
     fn flops_per_apply(&self) -> u64 {
@@ -185,7 +164,7 @@ pub fn residual_norm2<P: Precision>(
     counters: &mut BlasCounters,
 ) -> f64 {
     let tracer = op.tracer();
-    traced(&tracer, Phase::Matvec, || op.apply(r, x));
+    traced(&tracer, Phase::Matvec, || op.apply(from_mut(r), from_mut(x), &[true]));
     let local = traced(&tracer, Phase::Blas, || crate::blas::xmy_norm(b, r, counters));
     traced(&tracer, Phase::Reduce, || op.reduce(local))
 }
@@ -195,8 +174,8 @@ pub fn residual_norm2<P: Precision>(
 /// fused reduction.
 ///
 /// Bit-identical per lane to [`residual_norm2`]: the
-/// [`LinearOperator::apply_multi`] contract pins the batched mat-vec to
-/// the single apply, and [`LinearOperator::reduce_vec`] combines each
+/// [`LinearOperator::apply`] contract pins the batched mat-vec to the
+/// one-lane apply, and [`LinearOperator::reduce_vec`] combines each
 /// component in the same rank order as the scalar allreduce. Dead lanes
 /// keep their `out` slot untouched locally (the collective still sums the
 /// stale slot; it is never read back).
@@ -210,7 +189,7 @@ pub(crate) fn residual_norm2_multi<P: Precision>(
     out: &mut [f64],
 ) {
     let tracer = op.tracer();
-    traced(&tracer, Phase::Matvec, || op.apply_multi(rs, xs, live));
+    traced(&tracer, Phase::Matvec, || op.apply(rs, xs, live));
     for (k, alive) in live.iter().enumerate() {
         if *alive {
             out[k] = traced(&tracer, Phase::Blas, || {
@@ -224,7 +203,7 @@ pub(crate) fn residual_norm2_multi<P: Precision>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quda_dirac::WilsonParams;
+    use quda_dirac::{WilsonCloverOp, WilsonParams};
     use quda_fields::gauge_gen::{random_spinor_field, weak_field};
     use quda_fields::precision::Double;
     use quda_lattice::geometry::Parity;
@@ -239,7 +218,7 @@ mod tests {
         let mut x = wrapped.alloc();
         x.upload(&host, Parity::Odd);
         let mut out = wrapped.alloc();
-        wrapped.apply(&mut out, &mut x);
+        wrapped.apply(from_mut(&mut out), from_mut(&mut x), &[true]);
         assert!(out.norm_sqr() > 0.0);
         assert_eq!(wrapped.flops_per_apply(), d.half_volume() as u64 * 3696);
         // Default reductions are identity.
@@ -256,7 +235,7 @@ mod tests {
         let mut x = wrapped.alloc();
         x.upload(&host, Parity::Odd);
         let mut b = wrapped.alloc();
-        wrapped.apply(&mut b, &mut x);
+        wrapped.apply(from_mut(&mut b), from_mut(&mut x), &[true]);
         let mut r = wrapped.alloc();
         let mut c = BlasCounters::default();
         let n = residual_norm2(&mut wrapped, &mut r, &mut x, &b, &mut c);

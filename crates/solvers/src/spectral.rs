@@ -14,6 +14,10 @@ use crate::params::SolverParams;
 use quda_fields::precision::Precision;
 use quda_fields::SpinorFieldCb;
 use quda_math::real::Real;
+use std::slice::from_mut;
+
+/// The mask of the one-field applications below.
+const ONE: &[bool] = &[true];
 
 /// Result of a spectral probe.
 #[derive(Copy, Clone, Debug)]
@@ -59,8 +63,8 @@ pub fn lambda_max<P: Precision>(
     let mut ax = op.alloc();
     let mut lambda = 0.0;
     for _ in 0..iterations {
-        op.apply(&mut mid, &mut x);
-        op.apply_dagger(&mut ax, &mut mid);
+        op.apply(from_mut(&mut mid), from_mut(&mut x), ONE);
+        op.apply_dagger(from_mut(&mut ax), from_mut(&mut mid), ONE);
         // Rayleigh quotient <x, Ax> (x normalized).
         lambda = op.reduce_c(blas::cdot(&x, &ax, &mut c)).re;
         std::mem::swap(&mut x, &mut ax);
@@ -126,8 +130,8 @@ fn solve_normal<P: Precision>(
     let mut rsq = op.reduce(blas::norm2(&r, c));
     let mut it = 0;
     while rsq > target2 && it < params.max_iter {
-        op.apply(&mut mid, &mut p);
-        op.apply_dagger(&mut ap, &mut mid);
+        op.apply(from_mut(&mut mid), from_mut(&mut p), ONE);
+        op.apply_dagger(from_mut(&mut ap), from_mut(&mut mid), ONE);
         let p_ap = op.reduce_c(blas::cdot(&p, &ap, c)).re;
         if p_ap <= 0.0 {
             break;

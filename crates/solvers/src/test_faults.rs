@@ -77,18 +77,28 @@ impl<P: Precision, O: LinearOperator<P>> LinearOperator<P> for FaultyOp<P, O> {
         self.inner.alloc()
     }
 
-    fn apply(&mut self, out: &mut SpinorFieldCb<P>, input: &mut SpinorFieldCb<P>) {
+    fn apply(
+        &mut self,
+        outs: &mut [SpinorFieldCb<P>],
+        ins: &mut [SpinorFieldCb<P>],
+        active: &[bool],
+    ) {
         if self.fault.is_some() {
             return;
         }
-        self.inner.apply(out, input);
+        self.inner.apply(outs, ins, active);
     }
 
-    fn apply_dagger(&mut self, out: &mut SpinorFieldCb<P>, input: &mut SpinorFieldCb<P>) {
+    fn apply_dagger(
+        &mut self,
+        outs: &mut [SpinorFieldCb<P>],
+        ins: &mut [SpinorFieldCb<P>],
+        active: &[bool],
+    ) {
         if self.fault.is_some() {
             return;
         }
-        self.inner.apply_dagger(out, input);
+        self.inner.apply_dagger(outs, ins, active);
     }
 
     fn flops_per_apply(&self) -> u64 {

@@ -12,6 +12,7 @@ use quda_lattice::geometry::{LatticeDims, Parity};
 use quda_lattice::partition::DecompPlan;
 use quda_multigpu::rank_op::{CommStrategy, ParallelWilsonCloverOp};
 use quda_solvers::operator::LinearOperator;
+use std::slice::from_mut;
 
 fn dims() -> LatticeDims {
     LatticeDims::new(4, 4, 2, 8)
@@ -58,7 +59,7 @@ fn traffic_for_one_matpc<P: quda_fields::precision::Precision>() -> (u64, u64) {
         let mut x = op.alloc();
         x.upload(&quda_multigpu::slice_spinor_grid(&host, &plan, rank), Parity::Odd);
         let mut out = op.alloc();
-        op.apply(&mut out, &mut x);
+        op.apply(from_mut(&mut out), from_mut(&mut x), &[true]);
         (op.comm.sent_bytes() - init_bytes, op.comm.sent_messages() - init_msgs)
     });
     results[0]
@@ -128,7 +129,7 @@ fn overlap_and_no_overlap_send_identical_traffic() {
             let mut x = op.alloc();
             x.upload(&quda_multigpu::slice_spinor_grid(&host, &plan, rank), Parity::Odd);
             let mut out = op.alloc();
-            op.apply(&mut out, &mut x);
+            op.apply(from_mut(&mut out), from_mut(&mut x), &[true]);
             op.comm.sent_bytes() - base
         });
         results[0]
@@ -280,7 +281,7 @@ fn grid_matpc_under_faults(
         let mut x = op.alloc();
         x.upload(&quda_multigpu::slice_spinor_grid(&host, &decomp, rank), Parity::Odd);
         let mut out = op.alloc();
-        op.apply(&mut out, &mut x);
+        op.apply(from_mut(&mut out), from_mut(&mut x), &[true]);
         assert!(op.comm_fault().is_none(), "fault: {:?}", op.comm_fault());
         let mut vals = Vec::with_capacity(out.sites() * 24);
         for cb in 0..out.sites() {
