@@ -1,45 +1,18 @@
 //! Clover-term application kernels on checkerboard fields.
 
-use crate::dslash::{Lanes, MAX_RHS_BATCH};
+use crate::dslash::{active_lanes, MAX_RHS_BATCH};
 use quda_fields::precision::Precision;
 use quda_fields::{CloverFieldCb, SpinorFieldCb};
 use quda_math::clover::CloverBasisMap;
 
-/// `out[cb] = T[cb] · in[cb]` where `T` is a packed clover-type field
-/// (either the shifted term `(4+m) + A` or its inverse), applied to spinors
-/// stored in the non-relativistic basis.
-pub fn clover_apply_cb<P: Precision>(
-    out: &mut SpinorFieldCb<P>,
-    term: &CloverFieldCb<P>,
-    input: &SpinorFieldCb<P>,
-    map: &CloverBasisMap,
-) {
-    assert_eq!(out.sites(), input.sites());
-    assert_eq!(term.sites(), input.sites());
-    out.fill_sites(|cb| map.apply_nr(&term.get(cb), &input.get(cb)));
-}
-
-/// Fused `out[cb] = T[cb]·a[cb] + s·b[cb]` — the final combine of the
-/// even-odd preconditioned operator (`s = −¼` against the double hop).
-pub fn clover_axpy_cb<P: Precision>(
-    out: &mut SpinorFieldCb<P>,
-    term: &CloverFieldCb<P>,
-    a: &SpinorFieldCb<P>,
-    s: P::Arith,
-    b: &SpinorFieldCb<P>,
-    map: &CloverBasisMap,
-) {
-    assert_eq!(a.sites(), b.sites());
-    out.fill_sites(|cb| map.apply_nr(&term.get(cb), &a.get(cb)) + b.get(cb).scale_re(s));
-}
-
-/// Batched [`clover_apply_cb`]: `outs[r][cb] = T[cb] · ins[r][cb]` for
-/// every lane with `active[r]`, decoding the packed clover site once for
-/// the whole block — the field-reuse that motivates multi-RHS batching.
-///
-/// Per active lane the output is bit-identical to [`clover_apply_cb`]
-/// (the decoded term is a pure read, and each lane's arithmetic chain is
-/// unchanged); inactive slots are untouched.
+/// `outs[r][cb] = T[cb] · ins[r][cb]` for every lane with `active[r]`,
+/// where `T` is a packed clover-type field (either the shifted term
+/// `(4+m) + A` or its inverse), applied to spinors stored in the
+/// non-relativistic basis. The packed clover site is decoded once for the
+/// whole block — the field-reuse that motivates multi-RHS batching — and
+/// each lane's arithmetic chain does not depend on the others, so a lane
+/// of a batch is bit-identical to that lane alone; inactive slots are
+/// untouched.
 pub fn clover_apply_cb_multi<P: Precision>(
     outs: &mut [SpinorFieldCb<P>],
     term: &CloverFieldCb<P>,
@@ -56,11 +29,7 @@ pub fn clover_apply_cb_multi<P: Precision>(
         assert_eq!(input.sites(), term.sites());
     }
     let mut idx_buf = [0usize; MAX_RHS_BATCH];
-    let idxs = match Lanes::select(active, &mut idx_buf) {
-        Lanes::None => return,
-        Lanes::One(r) => return clover_apply_cb(&mut outs[r], term, &ins[r], map),
-        Lanes::Many(idxs) => idxs,
-    };
+    let idxs = active_lanes(active, &mut idx_buf);
     (0..term.sites()).for_each(|cb| {
         let t = term.get(cb);
         for &r in idxs {
@@ -70,10 +39,11 @@ pub fn clover_apply_cb_multi<P: Precision>(
     });
 }
 
-/// Batched [`clover_axpy_cb`]: `outs[r][cb] = T[cb]·as_[r][cb] +
-/// s·bs[r][cb]` for every lane with `active[r]`, decoding the packed
-/// clover site once for the whole block. Per active lane bit-identical to
-/// [`clover_axpy_cb`]; inactive slots are untouched.
+/// Fused `outs[r][cb] = T[cb]·as_[r][cb] + s·bs[r][cb]` for every lane with
+/// `active[r]` — the final combine of the even-odd preconditioned operator
+/// (`s = −¼` against the double hop) — decoding the packed clover site once
+/// for the whole block. Per active lane bit-identical to that lane alone;
+/// inactive slots are untouched.
 pub fn clover_axpy_cb_multi<P: Precision>(
     outs: &mut [SpinorFieldCb<P>],
     term: &CloverFieldCb<P>,
@@ -94,11 +64,7 @@ pub fn clover_axpy_cb_multi<P: Precision>(
         assert_eq!(b.sites(), term.sites());
     }
     let mut idx_buf = [0usize; MAX_RHS_BATCH];
-    let idxs = match Lanes::select(active, &mut idx_buf) {
-        Lanes::None => return,
-        Lanes::One(r) => return clover_axpy_cb(&mut outs[r], term, &as_[r], s, &bs[r], map),
-        Lanes::Many(idxs) => idxs,
-    };
+    let idxs = active_lanes(active, &mut idx_buf);
     (0..term.sites()).for_each(|cb| {
         let t = term.get(cb);
         for &r in idxs {
@@ -113,11 +79,36 @@ mod tests {
     use super::*;
     use quda_fields::clover_build::clover_sites_cb;
     use quda_fields::gauge_gen::{random_spinor_field, weak_field};
-    use quda_fields::precision::Double;
+    use quda_fields::precision::{Double, Half, Quarter, Single};
     use quda_lattice::geometry::{LatticeDims, Parity};
+    use quda_math::real::Real;
+    use quda_math::spinor::Spinor;
+    use std::slice::{from_mut, from_ref};
 
     fn dims() -> LatticeDims {
         LatticeDims::new(4, 4, 2, 4)
+    }
+
+    /// `out = T·input`: batch 1 of [`clover_apply_cb_multi`].
+    fn apply1<P: Precision>(
+        out: &mut SpinorFieldCb<P>,
+        term: &CloverFieldCb<P>,
+        input: &SpinorFieldCb<P>,
+        map: &CloverBasisMap,
+    ) {
+        clover_apply_cb_multi(from_mut(out), term, from_ref(input), map, &[true]);
+    }
+
+    /// `out = T·a + s·b`: batch 1 of [`clover_axpy_cb_multi`].
+    fn axpy1<P: Precision>(
+        out: &mut SpinorFieldCb<P>,
+        term: &CloverFieldCb<P>,
+        a: &SpinorFieldCb<P>,
+        s: P::Arith,
+        b: &SpinorFieldCb<P>,
+        map: &CloverBasisMap,
+    ) {
+        clover_axpy_cb_multi(from_mut(out), term, from_ref(a), s, from_ref(b), map, &[true]);
     }
 
     #[test]
@@ -129,7 +120,7 @@ mod tests {
         input.upload(&host, Parity::Even);
         let mut out = SpinorFieldCb::<Double>::new(d, false);
         let map = CloverBasisMap::new();
-        clover_apply_cb(&mut out, &term, &input, &map);
+        apply1(&mut out, &term, &input, &map);
         for cb in 0..out.sites() {
             assert!((out.get(cb) - input.get(cb)).norm_sqr() < 1e-24);
         }
@@ -153,8 +144,8 @@ mod tests {
         let mut tx = SpinorFieldCb::<Double>::new(d, false);
         let mut back = SpinorFieldCb::<Double>::new(d, false);
         let map = CloverBasisMap::new();
-        clover_apply_cb(&mut tx, &term, &x, &map);
-        clover_apply_cb(&mut back, &inv, &tx, &map);
+        apply1(&mut tx, &term, &x, &map);
+        apply1(&mut back, &inv, &tx, &map);
         for cb in 0..x.sites() {
             let diff = (back.get(cb) - x.get(cb)).norm_sqr();
             assert!(diff < 1e-18, "cb={cb} diff={diff}");
@@ -162,115 +153,77 @@ mod tests {
     }
 
     #[test]
-    fn multi_kernels_bit_identical_to_scalar_and_skip_inactive() {
-        let d = dims();
-        let cfg = weak_field(d, 0.12, 31);
-        let sites = clover_sites_cb(&cfg, 1.1, Parity::Even);
-        let mut term = CloverFieldCb::<Double>::new(d);
-        for (cb, a) in sites.iter().enumerate() {
-            term.set(cb, &a.shifted(4.3));
-        }
-        let map = CloverBasisMap::new();
-        let n = 3usize;
-        let mut ins = Vec::new();
-        let mut bs = Vec::new();
-        for k in 0..n {
-            let mut f = SpinorFieldCb::<Double>::new(d, false);
-            f.upload(&random_spinor_field(d, 40 + k as u64), Parity::Even);
-            ins.push(f);
-            let mut g = SpinorFieldCb::<Double>::new(d, false);
-            g.upload(&random_spinor_field(d, 80 + k as u64), Parity::Even);
-            bs.push(g);
-        }
-        let active = [true, false, true];
-        let sentinel = quda_math::spinor::Spinor::point(1, 2).scale_re(7.5);
-
-        let mut outs: Vec<_> = (0..n).map(|_| SpinorFieldCb::<Double>::new(d, false)).collect();
-        for out in &mut outs {
-            out.fill_sites(|_| sentinel);
-        }
-        clover_apply_cb_multi(&mut outs, &term, &ins, &map, &active);
-        for r in 0..n {
-            let mut scalar = SpinorFieldCb::<Double>::new(d, false);
-            clover_apply_cb(&mut scalar, &term, &ins[r], &map);
-            for cb in 0..term.sites() {
-                if active[r] {
-                    assert_eq!(outs[r].get(cb), scalar.get(cb), "apply r={r} cb={cb}");
-                } else {
-                    assert_eq!(outs[r].get(cb), sentinel, "inactive slot touched r={r} cb={cb}");
+    fn every_lane_count_matches_batch_one() {
+        // Every batch width n, with all lanes active and with the first, a
+        // middle or the last lane masked: each active lane of both kernels
+        // must be bit-identical to a batch-1 launch on that lane and each
+        // masked slot must keep its sentinel.
+        fn check<P: Precision>() {
+            let d = dims();
+            let cfg = weak_field(d, 0.12, 31);
+            let mut term = CloverFieldCb::<P>::new(d);
+            for (cb, a) in clover_sites_cb(&cfg, 1.1, Parity::Even).iter().enumerate() {
+                term.set(cb, &a.shifted(4.3));
+            }
+            let map = CloverBasisMap::new();
+            let field = |seed: u64| {
+                let mut f = SpinorFieldCb::<P>::new(d, false);
+                f.upload(&random_spinor_field(d, seed), Parity::Even);
+                f
+            };
+            let ins: Vec<_> = (0..MAX_RHS_BATCH).map(|k| field(40 + k as u64)).collect();
+            let bs: Vec<_> = (0..MAX_RHS_BATCH).map(|k| field(80 + k as u64)).collect();
+            let sentinel = Spinor::point(1, 2).scale_re(P::Arith::from_f64(0.75));
+            let fresh = || {
+                let mut f = SpinorFieldCb::<P>::new(d, false);
+                f.fill_sites(|_| sentinel);
+                f
+            };
+            let untouched = fresh();
+            let s = P::Arith::from_f64(-0.25);
+            let mut applied1 = Vec::new();
+            let mut combined1 = Vec::new();
+            for (a, b) in ins.iter().zip(&bs) {
+                let (mut applied, mut combined) = (fresh(), fresh());
+                apply1(&mut applied, &term, a, &map);
+                axpy1(&mut combined, &term, a, s, b, &map);
+                applied1.push(applied);
+                combined1.push(combined);
+            }
+            for n in 1..=MAX_RHS_BATCH {
+                for masked in [None, Some(0), Some(n / 2), Some(n - 1)] {
+                    let active: Vec<bool> = (0..n).map(|r| Some(r) != masked).collect();
+                    let mut applied: Vec<_> = (0..n).map(|_| fresh()).collect();
+                    clover_apply_cb_multi(&mut applied, &term, &ins[..n], &map, &active);
+                    let mut combined: Vec<_> = (0..n).map(|_| fresh()).collect();
+                    clover_axpy_cb_multi(
+                        &mut combined,
+                        &term,
+                        &ins[..n],
+                        s,
+                        &bs[..n],
+                        &map,
+                        &active,
+                    );
+                    for r in 0..n {
+                        let (ea, ec) = if active[r] {
+                            (&applied1[r], &combined1[r])
+                        } else {
+                            (&untouched, &untouched)
+                        };
+                        for cb in 0..term.sites() {
+                            let at = format!("n={n} masked={masked:?} r={r} cb={cb}");
+                            assert_eq!(applied[r].get(cb), ea.get(cb), "apply {at}");
+                            assert_eq!(combined[r].get(cb), ec.get(cb), "axpy {at}");
+                        }
+                    }
                 }
             }
         }
-
-        let mut outs2: Vec<_> = (0..n).map(|_| SpinorFieldCb::<Double>::new(d, false)).collect();
-        clover_axpy_cb_multi(&mut outs2, &term, &ins, -0.25, &bs, &map, &active);
-        for r in 0..n {
-            if !active[r] {
-                continue;
-            }
-            let mut scalar = SpinorFieldCb::<Double>::new(d, false);
-            clover_axpy_cb(&mut scalar, &term, &ins[r], -0.25, &bs[r], &map);
-            for cb in 0..term.sites() {
-                assert_eq!(outs2[r].get(cb), scalar.get(cb), "axpy r={r} cb={cb}");
-            }
-        }
-
-        check_one_lane::<Double>();
-        check_one_lane::<quda_fields::precision::Single>();
-        check_one_lane::<quda_fields::precision::Half>();
-        check_one_lane::<quda_fields::precision::Quarter>();
-    }
-
-    /// One active lane of a full-width batch takes the scalar kernels: that
-    /// lane must match them bit for bit and the seven masked outputs must
-    /// stay untouched, at every precision.
-    fn check_one_lane<P: Precision>() {
-        use quda_math::real::Real;
-        let d = dims();
-        let cfg = weak_field(d, 0.12, 31);
-        let mut term = CloverFieldCb::<P>::new(d);
-        for (cb, a) in clover_sites_cb(&cfg, 1.1, Parity::Even).iter().enumerate() {
-            term.set(cb, &a.shifted(4.3));
-        }
-        let map = CloverBasisMap::new();
-        let field = |seed: u64| {
-            let mut f = SpinorFieldCb::<P>::new(d, false);
-            f.upload(&random_spinor_field(d, seed), Parity::Even);
-            f
-        };
-        let ins: Vec<_> = (0..MAX_RHS_BATCH).map(|k| field(40 + k as u64)).collect();
-        let bs: Vec<_> = (0..MAX_RHS_BATCH).map(|k| field(80 + k as u64)).collect();
-        let sentinel = quda_math::spinor::Spinor::point(1, 2).scale_re(P::Arith::from_f64(0.75));
-        let fresh = || {
-            let mut f = SpinorFieldCb::<P>::new(d, false);
-            f.fill_sites(|_| sentinel);
-            f
-        };
-        let untouched = fresh();
-        let s = P::Arith::from_f64(-0.25);
-        for lane in [0, MAX_RHS_BATCH / 2, MAX_RHS_BATCH - 1] {
-            let mut active = [false; MAX_RHS_BATCH];
-            active[lane] = true;
-            let mut applied: Vec<_> = (0..MAX_RHS_BATCH).map(|_| fresh()).collect();
-            clover_apply_cb_multi(&mut applied, &term, &ins, &map, &active);
-            let mut apply_scalar = fresh();
-            clover_apply_cb(&mut apply_scalar, &term, &ins[lane], &map);
-            let mut combined: Vec<_> = (0..MAX_RHS_BATCH).map(|_| fresh()).collect();
-            clover_axpy_cb_multi(&mut combined, &term, &ins, s, &bs, &map, &active);
-            let mut axpy_scalar = fresh();
-            clover_axpy_cb(&mut axpy_scalar, &term, &ins[lane], s, &bs[lane], &map);
-            for r in 0..MAX_RHS_BATCH {
-                let (ea, ec) = if r == lane {
-                    (&apply_scalar, &axpy_scalar)
-                } else {
-                    (&untouched, &untouched)
-                };
-                for cb in 0..term.sites() {
-                    assert_eq!(applied[r].get(cb), ea.get(cb), "apply lane={lane} r={r} cb={cb}");
-                    assert_eq!(combined[r].get(cb), ec.get(cb), "axpy lane={lane} r={r} cb={cb}");
-                }
-            }
-        }
+        check::<Double>();
+        check::<Single>();
+        check::<Half>();
+        check::<Quarter>();
     }
 
     #[test]
@@ -290,9 +243,9 @@ mod tests {
         a.upload(&ha, Parity::Even);
         b.upload(&hb, Parity::Even);
         let mut fused = SpinorFieldCb::<Double>::new(d, false);
-        clover_axpy_cb(&mut fused, &term, &a, -0.25, &b, &map);
+        axpy1(&mut fused, &term, &a, -0.25, &b, &map);
         let mut ta = SpinorFieldCb::<Double>::new(d, false);
-        clover_apply_cb(&mut ta, &term, &a, &map);
+        apply1(&mut ta, &term, &a, &map);
         for cb in 0..a.sites() {
             let expect = ta.get(cb) + b.get(cb).scale_re(-0.25);
             assert!((fused.get(cb) - expect).norm_sqr() < 1e-24);

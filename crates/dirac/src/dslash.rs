@@ -50,38 +50,19 @@ const PAR_THRESHOLD: usize = 4096;
 /// RHS block itself dominates, Eq. 3–5).
 pub const MAX_RHS_BATCH: usize = 8;
 
-/// Which kernel a `_multi` launch runs, chosen from the one thing it can
-/// observe: how many lanes of the `active` mask are set. The batched sweeps
-/// stage a [`MAX_RHS_BATCH`]-wide block per site to amortize the link /
-/// clover decode across lanes; with a single lane there is nothing to
-/// amortize and the staging only costs, so that lane runs the scalar kernel.
-/// Per lane the two kernels are bit-identical, so the choice is invisible
-/// above this crate.
-pub(crate) enum Lanes<'a> {
-    /// Nothing to do.
-    None,
-    /// One active lane at this index: the scalar kernel.
-    One(usize),
-    /// The compacted active indices: the batched sweep, whose site loop
-    /// never branches on the mask.
-    Many(&'a [usize]),
-}
-
-impl<'a> Lanes<'a> {
-    pub(crate) fn select(active: &[bool], buf: &'a mut [usize; MAX_RHS_BATCH]) -> Self {
-        let mut n_active = 0;
-        for (r, &a) in active.iter().enumerate() {
-            if a {
-                buf[n_active] = r;
-                n_active += 1;
-            }
-        }
-        match n_active {
-            0 => Lanes::None,
-            1 => Lanes::One(buf[0]),
-            n => Lanes::Many(&buf[..n]),
-        }
+/// The indices of the set lanes of `active`, in lane order, compacted into
+/// `buf`: the one place a `_multi` kernel reads the mask, so its site loop
+/// never branches on it.
+pub(crate) fn active_lanes<'a>(
+    active: &[bool],
+    buf: &'a mut [usize; MAX_RHS_BATCH],
+) -> &'a [usize] {
+    let mut n = 0;
+    for (r, _) in active.iter().enumerate().filter(|(_, &a)| a) {
+        buf[n] = r;
+        n += 1;
     }
+    &buf[..n]
 }
 
 /// Apply one parity of the hopping term:
@@ -90,7 +71,8 @@ impl<'a> Lanes<'a> {
 ///
 /// With `dagger` the projector signs swap (the adjoint hopping term).
 /// Ghost zones of `input` (and the pad-resident ghost links of `gauge`)
-/// are consulted where the stencil says the neighbor is off-domain.
+/// are consulted where the stencil says the neighbor is off-domain. This is
+/// batch 1 of [`dslash_cb_multi`].
 #[allow(clippy::too_many_arguments)]
 pub fn dslash_cb<P: Precision>(
     out: &mut SpinorFieldCb<P>,
@@ -102,31 +84,17 @@ pub fn dslash_cb<P: Precision>(
     dagger: bool,
     region: DslashRegion,
 ) {
-    let table = stencil.for_parity(out_parity);
-    let sites = out.sites();
-    let in_region = |cb: usize| match region {
-        DslashRegion::All => true,
-        DslashRegion::Interior => table.last_face_dim[cb].is_none(),
-        DslashRegion::Faces => table.last_face_dim[cb].is_some(),
-        DslashRegion::FacesDim(d) => table.last_face_dim[cb] == Some(d as u8),
-    };
-    let site_kernel = |cb: usize| -> Option<(usize, Spinor<P::Arith>)> {
-        if !in_region(cb) {
-            return None;
-        }
-        Some((cb, dslash_site(gauge, input, out_parity, stencil, basis, dagger, cb)))
-    };
-    if sites >= PAR_THRESHOLD {
-        let results: Vec<(usize, Spinor<P::Arith>)> =
-            (0..sites).into_par_iter().filter_map(site_kernel).collect();
-        for (cb, sp) in results {
-            out.set(cb, &sp);
-        }
-    } else {
-        // Sequential launches write straight through: no intermediate
-        // buffer, so a steady-state solver iteration stays allocation-free.
-        (0..sites).filter_map(site_kernel).for_each(|(cb, sp)| out.set(cb, &sp));
-    }
+    dslash_cb_multi(
+        std::slice::from_mut(out),
+        gauge,
+        std::slice::from_ref(input),
+        out_parity,
+        stencil,
+        basis,
+        dagger,
+        region,
+        &[true],
+    );
 }
 
 /// Batched multi-RHS hopping term: one gauge-link read per `(site, μ)`
@@ -135,12 +103,12 @@ pub fn dslash_cb<P: Precision>(
 /// `outs[r]` receives the hopping term of `inputs[r]` for every `r` with
 /// `active[r]`; inactive slots are left untouched (per-RHS convergence
 /// masking in the blocked solvers). Per RHS the arithmetic — operand
-/// values, operation order, rounding — is exactly that of [`dslash_cb`],
-/// so batched and sequential launches produce bit-identical outputs; the
-/// only difference is that the (possibly compressed) link is decoded once
-/// per `(site, μ)` instead of once per RHS. With exactly one active lane
-/// there is nothing to amortize and the launch *is* [`dslash_cb`] on that
-/// lane.
+/// values, operation order, rounding — does not depend on which other
+/// lanes ride along, so a lane of a batch is bit-identical to that lane
+/// launched alone; the only difference is that the (possibly compressed)
+/// link is decoded once per `(site, μ)` instead of once per RHS. The sweep
+/// is monomorphised on the active-lane count, so its per-site scratch is
+/// sized by the lanes that run, not by [`MAX_RHS_BATCH`].
 #[allow(clippy::too_many_arguments)]
 pub fn dslash_cb_multi<P: Precision>(
     outs: &mut [SpinorFieldCb<P>],
@@ -156,15 +124,38 @@ pub fn dslash_cb_multi<P: Precision>(
     assert_eq!(outs.len(), inputs.len(), "outs/inputs must pair up per RHS");
     assert_eq!(active.len(), inputs.len(), "active mask must cover every RHS");
     assert!(inputs.len() <= MAX_RHS_BATCH, "batch exceeds MAX_RHS_BATCH");
+    // One arm per lane count below; widening the batch means adding arms.
+    const _: () = assert!(MAX_RHS_BATCH == 8);
     let mut idx_buf = [0usize; MAX_RHS_BATCH];
-    let idxs = match Lanes::select(active, &mut idx_buf) {
-        Lanes::None => return,
-        Lanes::One(r) => {
-            let (out, input) = (&mut outs[r], &inputs[r]);
-            return dslash_cb(out, gauge, input, out_parity, stencil, basis, dagger, region);
-        }
-        Lanes::Many(idxs) => idxs,
-    };
+    let idxs = active_lanes(active, &mut idx_buf);
+    macro_rules! sweep_by_count {
+        ($($n:literal)+) => {
+            match idxs.len() {
+                $($n => sweep::<P, $n>(
+                    outs, gauge, inputs, idxs, out_parity, stencil, basis, dagger, region,
+                ),)+
+                _ => {} // no active lane
+            }
+        };
+    }
+    sweep_by_count!(1 2 3 4 5 6 7 8);
+}
+
+/// One launch over the `N` compacted lanes `idxs`: the region filter, the
+/// parallel/sequential split and the store loop of every Dslash.
+#[allow(clippy::too_many_arguments)]
+fn sweep<P: Precision, const N: usize>(
+    outs: &mut [SpinorFieldCb<P>],
+    gauge: &GaugeFieldCb<P>,
+    inputs: &[SpinorFieldCb<P>],
+    idxs: &[usize],
+    out_parity: Parity,
+    stencil: &Stencil,
+    basis: &SpinBasis,
+    dagger: bool,
+    region: DslashRegion,
+) {
+    let idxs: [usize; N] = std::array::from_fn(|k| idxs[k]);
     let table = stencil.for_parity(out_parity);
     let sites = inputs[idxs[0]].sites();
     let in_region = |cb: usize| match region {
@@ -173,87 +164,84 @@ pub fn dslash_cb_multi<P: Precision>(
         DslashRegion::Faces => table.last_face_dim[cb].is_some(),
         DslashRegion::FacesDim(d) => table.last_face_dim[cb] == Some(d as u8),
     };
-    let site_kernel = |cb: usize| -> Option<(usize, [Spinor<P::Arith>; MAX_RHS_BATCH])> {
-        if !in_region(cb) {
-            return None;
+    let site_kernel = |cb: usize| -> Option<(usize, [Spinor<P::Arith>; N])> {
+        in_region(cb).then(|| {
+            (cb, dslash_site(gauge, inputs, &idxs, out_parity, stencil, basis, dagger, cb))
+        })
+    };
+    let store = |(cb, accs): (usize, [Spinor<P::Arith>; N])| {
+        for (acc, &r) in accs.iter().zip(&idxs) {
+            outs[r].set(cb, acc);
         }
-        let mut accs = [Spinor::zero(); MAX_RHS_BATCH];
-        dslash_site_multi(gauge, inputs, idxs, out_parity, stencil, basis, dagger, cb, &mut accs);
-        Some((cb, accs))
     };
     if sites >= PAR_THRESHOLD {
-        let results: Vec<(usize, [Spinor<P::Arith>; MAX_RHS_BATCH])> =
+        let results: Vec<(usize, [Spinor<P::Arith>; N])> =
             (0..sites).into_par_iter().filter_map(site_kernel).collect();
-        for (cb, accs) in results {
-            for (k, &r) in idxs.iter().enumerate() {
-                outs[r].set(cb, &accs[k]);
-            }
-        }
+        results.into_iter().for_each(store);
     } else {
-        (0..sites).filter_map(site_kernel).for_each(|(cb, accs)| {
-            for (k, &r) in idxs.iter().enumerate() {
-                outs[r].set(cb, &accs[k]);
-            }
-        });
+        // Sequential launches write straight through: no intermediate
+        // buffer, so a steady-state solver iteration stays allocation-free.
+        (0..sites).filter_map(site_kernel).for_each(store);
     }
 }
 
-/// The per-site batched gather-multiply-reconstruct: identical per-RHS
-/// arithmetic to [`dslash_site`], with the link (and neighbor/ghost
-/// bookkeeping) resolved once per `(site, μ)` and reused across the block.
+/// The per-site gather-multiply-reconstruct for the `N` lanes `idxs`: the
+/// link (and neighbor/ghost bookkeeping) is resolved once per `(site, μ)`
+/// and reused across the block.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn dslash_site_multi<P: Precision>(
+fn dslash_site<P: Precision, const N: usize>(
     gauge: &GaugeFieldCb<P>,
     inputs: &[SpinorFieldCb<P>],
-    idxs: &[usize],
+    idxs: &[usize; N],
     out_parity: Parity,
     stencil: &Stencil,
     basis: &SpinBasis,
     dagger: bool,
     cb: usize,
-    accs: &mut [Spinor<P::Arith>; MAX_RHS_BATCH],
-) {
+) -> [Spinor<P::Arith>; N] {
     let table = stencil.for_parity(out_parity);
     let in_parity = out_parity.other();
-    let n = idxs.len();
-    // Two color vectors (the projected half-spinor) per RHS, staged into one
-    // block per hop: the gather loop (neighbor resolution, ghost branches,
-    // projection) and the link-apply loop each stay tight, and the link is
-    // decoded once for the whole block.
-    const LANES: usize = 2 * MAX_RHS_BATCH;
-    let mut block = [ColorVec::zero(); LANES];
+    let mut accs = [Spinor::zero(); N];
+    // The projected half-spinor (two color vectors) of every lane, staged
+    // into one block per hop: the gather loop (neighbor resolution, ghost
+    // branches, projection) and the link-apply loop each stay tight, and
+    // the link is decoded once for the whole block.
+    let mut block = [[ColorVec::zero(); 2]; N];
     for mu in 0..4 {
-        // Forward hop: the link lives on the output site — one decode for
-        // the whole RHS block.
+        // Forward hop uses P−μ (P+μ under dagger); the link lives on the
+        // output site.
         let proj_f = &basis.proj[mu][if dagger { 1 } else { 0 }];
         let nref = table.fwd[mu][cb];
         let u = gauge.link(out_parity, mu, cb);
-        for (k, &r) in idxs.iter().enumerate() {
+        for (h, &r) in block.iter_mut().zip(idxs) {
             let input = &inputs[r];
-            let h = match nref.kind {
+            *h = match nref.kind {
                 BoundaryKind::Interior => proj_f.project(&input.get(nref.idx as usize)),
                 BoundaryKind::GhostForward => {
                     if mu == DIR_T {
+                        // Diagonal P±4: raw 12-number copy, coefficient
+                        // applied here (Section VI-C footnote 3).
                         ghost_half::<P>(input, false, nref.idx as usize, proj_f)
                     } else {
+                        // Non-diagonal spatial projector: the sender already
+                        // applied the full projection, consume as-is.
                         input.get_ghost_dim(mu, false, nref.idx as usize)
                     }
                 }
                 BoundaryKind::GhostBackward => {
                     unreachable!("forward hop cannot use backward ghost")
                 }
-            };
-            block[2 * k] = h.h[0];
-            block[2 * k + 1] = h.h[1];
+            }
+            .h;
         }
-        for (k, acc) in accs[..n].iter_mut().enumerate() {
-            let t = HalfSpinor { h: [u.mul_vec(&block[2 * k]), u.mul_vec(&block[2 * k + 1])] };
+        for (acc, h) in accs.iter_mut().zip(&block) {
+            let t = HalfSpinor { h: [u.mul_vec(&h[0]), u.mul_vec(&h[1])] };
             *acc += proj_f.reconstruct(&t);
         }
 
-        // Backward hop: the neighbor-site (or pad ghost) link, again decoded
-        // once per block.
+        // Backward hop uses P+μ (P−μ under dagger); the link lives on the
+        // neighbor site (or in the pad ghost when off-domain).
         let proj_b = &basis.proj[mu][if dagger { 0 } else { 1 }];
         let nref = table.bwd[mu][cb];
         let (u, from_ghost) = match nref.kind {
@@ -263,9 +251,9 @@ fn dslash_site_multi<P: Precision>(
             }
             BoundaryKind::GhostForward => unreachable!("backward hop cannot use forward ghost"),
         };
-        for (k, &r) in idxs.iter().enumerate() {
+        for (h, &r) in block.iter_mut().zip(idxs) {
             let input = &inputs[r];
-            let h = if from_ghost {
+            *h = if from_ghost {
                 let face = nref.idx as usize;
                 if mu == DIR_T {
                     ghost_half::<P>(input, true, face, proj_b)
@@ -274,79 +262,15 @@ fn dslash_site_multi<P: Precision>(
                 }
             } else {
                 proj_b.project(&input.get(nref.idx as usize))
-            };
-            block[2 * k] = h.h[0];
-            block[2 * k + 1] = h.h[1];
+            }
+            .h;
         }
-        for (k, acc) in accs[..n].iter_mut().enumerate() {
-            let t =
-                HalfSpinor { h: [u.adj_mul_vec(&block[2 * k]), u.adj_mul_vec(&block[2 * k + 1])] };
+        for (acc, h) in accs.iter_mut().zip(&block) {
+            let t = HalfSpinor { h: [u.adj_mul_vec(&h[0]), u.adj_mul_vec(&h[1])] };
             *acc += proj_b.reconstruct(&t);
         }
     }
-}
-
-/// The per-site gather-multiply-reconstruct, shared by all launch shapes.
-#[inline]
-fn dslash_site<P: Precision>(
-    gauge: &GaugeFieldCb<P>,
-    input: &SpinorFieldCb<P>,
-    out_parity: Parity,
-    stencil: &Stencil,
-    basis: &SpinBasis,
-    dagger: bool,
-    cb: usize,
-) -> Spinor<P::Arith> {
-    let table = stencil.for_parity(out_parity);
-    let in_parity = out_parity.other();
-    let mut acc = Spinor::zero();
-    for mu in 0..4 {
-        // Forward hop uses P−μ (P+μ under dagger).
-        let proj_f = &basis.proj[mu][if dagger { 1 } else { 0 }];
-        let nref = table.fwd[mu][cb];
-        let h = match nref.kind {
-            BoundaryKind::Interior => proj_f.project(&input.get(nref.idx as usize)),
-            BoundaryKind::GhostForward => {
-                if mu == DIR_T {
-                    // Diagonal P±4: raw 12-number copy, coefficient applied
-                    // here (Section VI-C footnote 3).
-                    ghost_half::<P>(input, false, nref.idx as usize, proj_f)
-                } else {
-                    // Non-diagonal spatial projector: the sender already
-                    // applied the full projection, consume as-is.
-                    input.get_ghost_dim(mu, false, nref.idx as usize)
-                }
-            }
-            BoundaryKind::GhostBackward => unreachable!("forward hop cannot use backward ghost"),
-        };
-        let u = gauge.link(out_parity, mu, cb);
-        let t = HalfSpinor { h: [u.mul_vec(&h.h[0]), u.mul_vec(&h.h[1])] };
-        acc += proj_f.reconstruct(&t);
-
-        // Backward hop uses P+μ (P−μ under dagger); the link lives on the
-        // neighbor site (or in the pad ghost when off-domain).
-        let proj_b = &basis.proj[mu][if dagger { 0 } else { 1 }];
-        let nref = table.bwd[mu][cb];
-        let (h, u) = match nref.kind {
-            BoundaryKind::Interior => {
-                let idx = nref.idx as usize;
-                (proj_b.project(&input.get(idx)), gauge.link(in_parity, mu, idx))
-            }
-            BoundaryKind::GhostBackward => {
-                let face = nref.idx as usize;
-                let h = if mu == DIR_T {
-                    ghost_half::<P>(input, true, face, proj_b)
-                } else {
-                    input.get_ghost_dim(mu, true, face)
-                };
-                (h, gauge.ghost_link_dim(in_parity, mu, face))
-            }
-            BoundaryKind::GhostForward => unreachable!("backward hop cannot use forward ghost"),
-        };
-        let t = HalfSpinor { h: [u.adj_mul_vec(&h.h[0]), u.adj_mul_vec(&h.h[1])] };
-        acc += proj_b.reconstruct(&t);
-    }
-    acc
+    accs
 }
 
 /// Load a temporal ghost half-spinor and apply the diagonal projector's
@@ -387,9 +311,8 @@ fn gather_face_site<P: Precision>(
     face: usize,
     dagger: bool,
 ) -> HalfSpinor<P::Arith> {
-    // Receiver applies: backward ghost -> P(+) fwd... see dslash_site: the
-    // backward ghost is consumed with proj index (dagger ? 0 : 1); the
-    // forward ghost with (dagger ? 1 : 0); both for mu = T.
+    // The receiver consumes a backward ghost with proj index
+    // (dagger ? 0 : 1) and a forward ghost with (dagger ? 1 : 0), mu = T.
     let proj_idx = match (to_forward, dagger) {
         (true, false) => 1,  // receiver's backward gather uses P+4
         (true, true) => 0,   // dagger: P-4
@@ -462,31 +385,12 @@ pub fn dslash_site_count(stencil: &Stencil, region: DslashRegion) -> usize {
     }
 }
 
-/// Apply a constant scale to every site: used to build `−½ D` from `D`.
-/// For the float precisions this streams the blocked storage directly
-/// (every live real is `re·s`, exactly what `scale_re` computes per
-/// component); the normalized precisions go through the site combinator.
-pub fn scale_sites<P: Precision>(field: &mut SpinorFieldCb<P>, s: P::Arith) {
-    if let Some(blocks) = field.arith_blocks_mut() {
-        for b in blocks {
-            for r in b.iter_mut() {
-                *r *= s;
-            }
-        }
-        return;
-    }
-    field.update_sites(|_, v| v.scale_re(s));
-}
-
-/// Re-export of [`ColorVec`] to keep kernel signatures local.
-pub type Color<T> = ColorVec<T>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::{apply_hopping_dagger_host, apply_hopping_host};
     use quda_fields::gauge_gen::{random_spinor_field, weak_field};
-    use quda_fields::precision::{Double, Single};
+    use quda_fields::precision::{Double, Half, Quarter, Single};
     use quda_fields::HostSpinorField;
     use quda_lattice::geometry::LatticeDims;
     use quda_math::gamma::GammaBasis;
@@ -717,149 +621,188 @@ mod tests {
         assert_eq!(covered, d.half_volume());
     }
 
-    #[test]
-    fn batched_dslash_bit_identical_to_sequential() {
-        // The service's batching contract: a block of N right-hand sides
-        // through one sweep must be *bit-identical*, per RHS, to N
-        // independent single launches — at every precision.
-        fn check<P: Precision>() {
-            let d = LatticeDims::new(4, 4, 4, 6);
-            let cfg = weak_field(d, 0.2, 17);
-            let mut gauge = GaugeFieldCb::<P>::new(d, true);
-            gauge.upload(&cfg);
-            let basis = SpinBasis::new(GammaBasis::NonRelativistic);
-            let stencil = Stencil::new(d, false);
-            let n = 5;
-            let inputs: Vec<SpinorFieldCb<P>> = (0..n)
-                .map(|r| {
-                    let host = random_spinor_field(d, 100 + r as u64);
-                    let mut dev = SpinorFieldCb::<P>::new(d, false);
-                    dev.upload(&host, Parity::Odd);
-                    dev
-                })
-                .collect();
-            // Mask one RHS out to exercise convergence masking: its output
-            // slot must stay untouched.
-            let mut active = vec![true; n];
-            active[2] = false;
-            let mut outs: Vec<SpinorFieldCb<P>> =
-                (0..n).map(|_| SpinorFieldCb::<P>::new(d, false)).collect();
-            dslash_cb_multi(
-                &mut outs,
-                &gauge,
-                &inputs,
-                Parity::Even,
-                &stencil,
-                &basis,
-                false,
-                DslashRegion::All,
-                &active,
-            );
-            for r in 0..n {
-                let mut single = SpinorFieldCb::<P>::new(d, false);
-                dslash_cb(
-                    &mut single,
-                    &gauge,
-                    &inputs[r],
-                    Parity::Even,
-                    &stencil,
-                    &basis,
-                    false,
-                    DslashRegion::All,
-                );
-                for cb in 0..single.sites() {
-                    if active[r] {
-                        assert_eq!(outs[r].get(cb), single.get(cb), "rhs={r} cb={cb}");
-                    } else {
-                        assert_eq!(
-                            outs[r].get(cb),
-                            SpinorFieldCb::<P>::new(d, false).get(cb),
-                            "masked rhs={r} must stay untouched"
-                        );
-                    }
-                }
+    /// `n` Odd-parity inputs on a stencil open in `open`, with every site
+    /// and ghost filled (the ghosts by periodic self-exchange), and a gauge
+    /// field whose ghost links are the self-exchanged last slices.
+    fn open_fixture<P: Precision>(
+        d: LatticeDims,
+        open: [bool; 4],
+        n: usize,
+    ) -> (GaugeFieldCb<P>, Vec<SpinorFieldCb<P>>, SpinBasis, Stencil) {
+        let basis = SpinBasis::new(GammaBasis::NonRelativistic);
+        let stencil = Stencil::with_open(d, open);
+        let mut gauge = GaugeFieldCb::<P>::new(d, true);
+        gauge.upload(&weak_field(d, 0.2, 17));
+        let open_dims = || (0..4).filter(move |&m| open[m]);
+        for dim in open_dims() {
+            for face in 0..gauge.face_sites_dim(dim) {
+                let c = Stencil::face_coord(&d, dim, Parity::Odd, d.extent(dim) - 1, face);
+                let u: quda_math::su3::Su3<f64> =
+                    gauge.link(Parity::Odd, dim, d.cb_index(c)).cast();
+                gauge.set_ghost_link_dim(Parity::Odd, dim, face, &u);
             }
         }
-        // One active lane of a full-width batch takes the scalar kernel:
-        // that lane must equal `dslash_cb` bit for bit in every region, and
-        // the seven masked outputs must stay untouched.
-        fn check_one_lane<P: Precision>() {
-            let d = LatticeDims::new(4, 4, 4, 6);
-            let open = [true, false, false, true];
-            let cfg = weak_field(d, 0.2, 17);
-            let mut gauge = GaugeFieldCb::<P>::new(d, true);
-            gauge.upload(&cfg);
-            let basis = SpinBasis::new(GammaBasis::NonRelativistic);
-            let stencil = Stencil::with_open(d, open);
+        let inputs = (0..n)
+            .map(|r| {
+                let mut full = SpinorFieldCb::<P>::new(d, false);
+                full.upload(&random_spinor_field(d, 100 + r as u64), Parity::Odd);
+                let mut dev = SpinorFieldCb::<P>::new_open(d, open);
+                dev.fill_sites(|cb| full.get(cb));
+                for dim in open_dims() {
+                    for face in 0..dev.face_sites_dim(dim) {
+                        for backward in [true, false] {
+                            let h = gather_face_site_dim(
+                                &full,
+                                &basis,
+                                &stencil,
+                                dim,
+                                backward,
+                                face,
+                                Parity::Odd,
+                                false,
+                            );
+                            dev.set_ghost_dim(dim, backward, face, &h);
+                        }
+                    }
+                }
+                dev
+            })
+            .collect();
+        (gauge, inputs, basis, stencil)
+    }
+
+    #[test]
+    fn every_lane_count_matches_batch_one() {
+        // Every monomorphised width n, with all lanes active and with the
+        // first, a middle or the last lane masked: each active lane must be
+        // bit-identical to a batch-1 launch on that lane and each masked
+        // slot must keep its sentinel — both daggers, every region.
+        fn check<P: Precision>() {
+            let d = LatticeDims::new(4, 2, 2, 4);
+            let (gauge, inputs, basis, stencil) =
+                open_fixture::<P>(d, [true, false, false, true], MAX_RHS_BATCH);
             let sentinel = Spinor::point(1, 2).scale_re(P::Arith::from_f64(0.75));
             let fresh = || {
                 let mut f = SpinorFieldCb::<P>::new(d, false);
                 f.fill_sites(|_| sentinel);
                 f
             };
-            let inputs: Vec<SpinorFieldCb<P>> = (0..MAX_RHS_BATCH)
-                .map(|r| {
-                    let mut full = SpinorFieldCb::<P>::new(d, false);
-                    full.upload(&random_spinor_field(d, 100 + r as u64), Parity::Odd);
-                    let mut dev = SpinorFieldCb::<P>::new_open(d, open);
-                    dev.fill_sites(|cb| full.get(cb));
-                    dev
-                })
-                .collect();
+            let untouched = fresh();
             let mut regions = vec![DslashRegion::All, DslashRegion::Interior, DslashRegion::Faces];
             regions.extend((0..4).map(DslashRegion::FacesDim));
-            let untouched = fresh();
-            for lane in [0, MAX_RHS_BATCH / 2, MAX_RHS_BATCH - 1] {
-                let mut active = [false; MAX_RHS_BATCH];
-                active[lane] = true;
+            for dagger in [false, true] {
                 for &region in &regions {
-                    let mut outs: Vec<SpinorFieldCb<P>> =
-                        (0..MAX_RHS_BATCH).map(|_| fresh()).collect();
-                    dslash_cb_multi(
-                        &mut outs,
-                        &gauge,
-                        &inputs,
-                        Parity::Even,
-                        &stencil,
-                        &basis,
-                        false,
-                        region,
-                        &active,
-                    );
-                    let mut single = fresh();
-                    dslash_cb(
-                        &mut single,
-                        &gauge,
-                        &inputs[lane],
-                        Parity::Even,
-                        &stencil,
-                        &basis,
-                        false,
-                        region,
-                    );
-                    for (r, out) in outs.iter().enumerate() {
-                        let expect = if r == lane { &single } else { &untouched };
-                        for cb in 0..out.sites() {
-                            assert_eq!(
-                                out.get(cb),
-                                expect.get(cb),
-                                "lane={lane} {region:?} rhs={r} cb={cb}"
+                    let launch = |outs: &mut [SpinorFieldCb<P>], active: &[bool]| {
+                        let ins = &inputs[..outs.len()];
+                        let (parity, stencil, basis) = (Parity::Even, &stencil, &basis);
+                        dslash_cb_multi(
+                            outs, &gauge, ins, parity, stencil, basis, dagger, region, active,
+                        );
+                    };
+                    let singles: Vec<_> = inputs
+                        .iter()
+                        .map(|input| {
+                            let mut out = fresh();
+                            let (parity, stencil, basis) = (Parity::Even, &stencil, &basis);
+                            dslash_cb(
+                                &mut out, &gauge, input, parity, stencil, basis, dagger, region,
                             );
+                            out
+                        })
+                        .collect();
+                    for n in 1..=MAX_RHS_BATCH {
+                        for masked in [None, Some(0), Some(n / 2), Some(n - 1)] {
+                            let active: Vec<bool> = (0..n).map(|r| Some(r) != masked).collect();
+                            let mut outs: Vec<_> = (0..n).map(|_| fresh()).collect();
+                            launch(&mut outs, &active);
+                            for (r, out) in outs.iter().enumerate() {
+                                let expect = if active[r] { &singles[r] } else { &untouched };
+                                for cb in 0..out.sites() {
+                                    assert_eq!(
+                                        out.get(cb),
+                                        expect.get(cb),
+                                        "n={n} masked={masked:?} dagger={dagger} {region:?} \
+                                         rhs={r} cb={cb}"
+                                    );
+                                }
+                            }
                         }
                     }
                 }
             }
         }
-        macro_rules! all_precisions {
-            ($f:ident) => {
-                $f::<Double>();
-                $f::<Single>();
-                $f::<quda_fields::precision::Half>();
-                $f::<quda_fields::precision::Quarter>();
-            };
+        check::<Double>();
+        check::<Single>();
+        check::<Half>();
+        check::<Quarter>();
+    }
+
+    #[test]
+    fn parallel_sweep_matches_batch_one_and_reference() {
+        // 8×8×8×16 has PAR_THRESHOLD checkerboard sites, so every launch
+        // here runs the rayon branch of the sweep. Returns the batch-1
+        // outputs (the n = 1 launches) after checking every lane of
+        // batches of 3 and 8 against them bit for bit.
+        fn batch_one<P: Precision>(
+            cfg: &quda_fields::GaugeConfig,
+            hosts: &[HostSpinorField],
+            basis: &SpinBasis,
+            stencil: &Stencil,
+        ) -> Vec<SpinorFieldCb<P>> {
+            let d = cfg.dims;
+            let mut gauge = GaugeFieldCb::<P>::new(d, false);
+            gauge.upload(cfg);
+            let inputs: Vec<_> = hosts
+                .iter()
+                .map(|h| {
+                    let mut f = SpinorFieldCb::<P>::new(d, false);
+                    f.upload(h, Parity::Odd);
+                    f
+                })
+                .collect();
+            let (parity, region) = (Parity::Even, DslashRegion::All);
+            let singles: Vec<_> = inputs
+                .iter()
+                .map(|input| {
+                    let mut out = SpinorFieldCb::<P>::new(d, false);
+                    dslash_cb(&mut out, &gauge, input, parity, stencil, basis, false, region);
+                    out
+                })
+                .collect();
+            for n in [3, MAX_RHS_BATCH] {
+                let mut outs: Vec<_> = (0..n).map(|_| SpinorFieldCb::<P>::new(d, false)).collect();
+                let (ins, active) = (&inputs[..n], &[true; MAX_RHS_BATCH][..n]);
+                dslash_cb_multi(
+                    &mut outs, &gauge, ins, parity, stencil, basis, false, region, active,
+                );
+                for (r, out) in outs.iter().enumerate() {
+                    for cb in 0..out.sites() {
+                        assert_eq!(out.get(cb), singles[r].get(cb), "n={n} rhs={r} cb={cb}");
+                    }
+                }
+            }
+            singles
         }
-        all_precisions!(check);
-        all_precisions!(check_one_lane);
+        let d = LatticeDims::new(8, 8, 8, 16);
+        assert!(d.half_volume() >= PAR_THRESHOLD);
+        let cfg = weak_field(d, 0.2, 17);
+        let basis = SpinBasis::new(GammaBasis::NonRelativistic);
+        let stencil = Stencil::new(d, false);
+        let hosts: Vec<_> =
+            (0..MAX_RHS_BATCH).map(|r| random_spinor_field(d, 60 + r as u64)).collect();
+        batch_one::<Half>(&cfg, &hosts, &basis, &stencil);
+        let singles = batch_one::<Double>(&cfg, &hosts, &basis, &stencil);
+        let references: Vec<HostSpinorField> = (0..hosts.len())
+            .into_par_iter()
+            .map(|r| apply_hopping_host(&cfg, &basis, &hosts[r]))
+            .collect();
+        for (single, reference) in singles.iter().zip(&references) {
+            for cb in 0..single.sites() {
+                let expect = *reference.get_cb(Parity::Even, cb);
+                let got = single.get(cb).cast::<f64>();
+                assert!((got - expect).norm_sqr() < 1e-20, "cb={cb}");
+            }
+        }
     }
 
     #[test]

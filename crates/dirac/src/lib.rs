@@ -6,8 +6,11 @@
 //!   ground truth;
 //! * [`dslash`] — the optimized checkerboard hopping kernel with rank-2
 //!   projectors, compressed links, ghost zones, and interior/face splitting
-//!   for communication overlap;
-//! * [`clover_apply`] — packed clover-term application;
+//!   for communication overlap: one site body over a block of right-hand
+//!   sides, monomorphised on the active-lane count, of which a single field
+//!   ([`dslash_cb`]) is batch 1;
+//! * [`clover_apply`] — packed clover-term application over a block of
+//!   right-hand sides (a single field is the one-element slice);
 //! * [`op`] — the operator's device fields and the one even-odd (Schur)
 //!   composition: `M̂` and its dagger, source preparation and solution
 //!   reconstruction, batched over right-hand sides ([`MatPcOp`]) and

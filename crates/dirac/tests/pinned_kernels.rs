@@ -13,7 +13,7 @@
 //!   a periodic self-exchange (`gather_face_site_dim` on the same field);
 //! * the clover apply and the fused clover axpy — all four precisions.
 
-use quda_dirac::clover_apply::{clover_apply_cb, clover_axpy_cb};
+use quda_dirac::clover_apply::{clover_apply_cb_multi, clover_axpy_cb_multi};
 use quda_dirac::{dslash_cb, gather_face_site_dim, DslashRegion};
 use quda_fields::clover_build::clover_sites_cb;
 use quda_fields::gauge_gen::{random_spinor_field, weak_field};
@@ -25,6 +25,7 @@ use quda_math::clover::CloverBasisMap;
 use quda_math::gamma::{GammaBasis, SpinBasis};
 use quda_math::real::Real;
 use quda_math::su3::Su3;
+use std::slice::{from_mut, from_ref};
 
 /// Per precision: `dagger = false` then `true`, each over [`REGIONS`].
 const DSLASH_DOUBLE: [u64; 8] = [
@@ -167,9 +168,18 @@ fn clover_hashes<P: Precision>() -> [u64; 2] {
     };
     let (a, b) = (field(40), field(80));
     let mut applied = SpinorFieldCb::<P>::new(d, false);
-    clover_apply_cb(&mut applied, &term, &a, &map);
+    clover_apply_cb_multi(from_mut(&mut applied), &term, from_ref(&a), &map, &[true]);
     let mut combined = SpinorFieldCb::<P>::new(d, false);
-    clover_axpy_cb(&mut combined, &term, &a, P::Arith::from_f64(-0.25), &b, &map);
+    let s = P::Arith::from_f64(-0.25);
+    clover_axpy_cb_multi(
+        from_mut(&mut combined),
+        &term,
+        from_ref(&a),
+        s,
+        from_ref(&b),
+        &map,
+        &[true],
+    );
     [fnv1a(&applied), fnv1a(&combined)]
 }
 

@@ -583,7 +583,7 @@ mod tests {
     #[test]
     fn batch_dropping_to_one_lane_mid_sequence_matches_single_device() {
         // A block of 3 whose lanes 0 and 2 converge after the first sweep:
-        // the second sweep runs with one active lane (the scalar kernels
+        // the second sweep runs with one active lane (the width-1 sweep
         // below the mask) and must still be M̂² of that lane, while the
         // retired lanes keep their first-sweep values.
         let (cfg, plan, wp) = global_setup();
