@@ -46,6 +46,7 @@ impl<P: Precision> CloverFieldCb<P> {
 
     /// Store the clover term at site `cb` (given in f64; truncated to `P`).
     pub fn set(&mut self, cb: usize, site: &CloverSite<f64>) {
+        debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
         let mut stored = *site;
         if P::NEEDS_NORM {
             let norm = site.max_abs();
@@ -62,17 +63,14 @@ impl<P: Precision> CloverFieldCb<P> {
             }
         }
         let reals = stored.to_reals();
-        for (n, &r) in reals.iter().enumerate() {
-            self.data[self.layout.index(cb, n)] = P::store(P::Arith::from_f64(r));
-        }
+        self.layout.scatter(&mut self.data, cb, &reals, |r| P::store(P::Arith::from_f64(r)));
     }
 
     /// Load the clover term at site `cb`.
     pub fn get(&self, cb: usize) -> CloverSite<P::Arith> {
+        debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
         let mut reals = [P::Arith::ZERO; CLOVER_REALS];
-        for (n, r) in reals.iter_mut().enumerate() {
-            *r = P::load(self.data[self.layout.index(cb, n)]);
-        }
+        self.layout.gather(&self.data, cb, &mut reals, P::load);
         let mut site = CloverSite::from_reals(&reals);
         if P::NEEDS_NORM {
             let norm = P::Arith::from_f64(self.norm[cb] as f64);

@@ -75,34 +75,15 @@ impl<P: Precision> GaugeFieldCb<P> {
         self.layout.n_int
     }
 
-    fn write_reals(
-        buf: &mut [P::Elem],
-        layout: &FieldLayout,
-        site_or_pad: (bool, usize),
-        reals: &[f64],
-    ) {
-        for (n, &r) in reals.iter().enumerate() {
-            let i = match site_or_pad {
-                (false, site) => layout.index(site, n),
-                (true, slot) => layout.pad_index(slot, n),
-            };
-            buf[i] = P::store(P::Arith::from_f64(r));
-        }
+    /// Write one link's reals to block position `pos` (a site, or
+    /// [`FieldLayout::pad_pos`] of a ghost slot).
+    fn write_reals(buf: &mut [P::Elem], layout: &FieldLayout, pos: usize, reals: &[f64]) {
+        layout.scatter(buf, pos, reals, |r| P::store(P::Arith::from_f64(r)));
     }
 
-    fn read_reals(
-        buf: &[P::Elem],
-        layout: &FieldLayout,
-        site_or_pad: (bool, usize),
-        out: &mut [f64],
-    ) {
-        for (n, r) in out.iter_mut().enumerate() {
-            let i = match site_or_pad {
-                (false, site) => layout.index(site, n),
-                (true, slot) => layout.pad_index(slot, n),
-            };
-            *r = P::load(buf[i]).to_f64();
-        }
+    /// Read one link's reals from block position `pos`.
+    fn read_reals(buf: &[P::Elem], layout: &FieldLayout, pos: usize, out: &mut [f64]) {
+        layout.gather(buf, pos, out, |e| P::load(e).to_f64());
     }
 
     /// Serialize `u` into `out` (stack scratch — link reads and writes sit
@@ -153,22 +134,18 @@ impl<P: Precision> GaugeFieldCb<P> {
 
     /// Store the link `U_μ` at checkerboard site `cb` of `parity`.
     pub fn set_link(&mut self, parity: Parity, mu: usize, cb: usize, u: &Su3<f64>) {
+        debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
         let mut reals = [0.0f64; 18];
         let n = self.link_to_reals(u, &mut reals);
-        let layout = self.layout;
-        Self::write_reals(&mut self.data[parity.as_usize()][mu], &layout, (false, cb), &reals[..n]);
+        Self::write_reals(&mut self.data[parity.as_usize()][mu], &self.layout, cb, &reals[..n]);
     }
 
     /// Load (and, if compressed, reconstruct) the link `U_μ` at `cb`.
     pub fn link(&self, parity: Parity, mu: usize, cb: usize) -> Su3<P::Arith> {
+        debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
         let mut reals = [0.0f64; 18];
         let n = self.link_reals();
-        Self::read_reals(
-            &self.data[parity.as_usize()][mu],
-            &self.layout,
-            (false, cb),
-            &mut reals[..n],
-        );
+        Self::read_reals(&self.data[parity.as_usize()][mu], &self.layout, cb, &mut reals[..n]);
         self.reals_to_link(&reals[..n])
     }
 
@@ -176,25 +153,16 @@ impl<P: Precision> GaugeFieldCb<P> {
     pub fn set_ghost_link(&mut self, parity: Parity, mu: usize, face: usize, u: &Su3<f64>) {
         let mut reals = [0.0f64; 18];
         let n = self.link_to_reals(u, &mut reals);
-        let layout = self.layout;
-        Self::write_reals(
-            &mut self.data[parity.as_usize()][mu],
-            &layout,
-            (true, face),
-            &reals[..n],
-        );
+        let pos = self.layout.pad_pos(face);
+        Self::write_reals(&mut self.data[parity.as_usize()][mu], &self.layout, pos, &reals[..n]);
     }
 
     /// Load a ghost link from the pad region.
     pub fn ghost_link(&self, parity: Parity, mu: usize, face: usize) -> Su3<P::Arith> {
         let mut reals = [0.0f64; 18];
         let n = self.link_reals();
-        Self::read_reals(
-            &self.data[parity.as_usize()][mu],
-            &self.layout,
-            (true, face),
-            &mut reals[..n],
-        );
+        let pos = self.layout.pad_pos(face);
+        Self::read_reals(&self.data[parity.as_usize()][mu], &self.layout, pos, &mut reals[..n]);
         self.reals_to_link(&reals[..n])
     }
 

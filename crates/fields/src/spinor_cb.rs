@@ -91,10 +91,9 @@ impl<P: Precision> SpinorFieldCb<P> {
     /// Read the spinor at checkerboard site `cb`.
     #[inline]
     pub fn get(&self, cb: usize) -> Spinor<P::Arith> {
+        debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
         let mut reals = [P::Arith::ZERO; SPINOR_REALS];
-        for (n, r) in reals.iter_mut().enumerate() {
-            *r = P::load(self.data[self.layout.index(cb, n)]);
-        }
+        self.layout.gather(&self.data, cb, &mut reals, P::load);
         let mut sp = Spinor::from_reals(&reals);
         if P::NEEDS_NORM {
             sp = sp.scale_re(P::Arith::from_f64(self.norm[cb] as f64));
@@ -106,6 +105,7 @@ impl<P: Precision> SpinorFieldCb<P> {
     /// precision with a freshly computed per-site normalization).
     #[inline]
     pub fn set(&mut self, cb: usize, sp: &Spinor<P::Arith>) {
+        debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
         let mut stored = *sp;
         if P::NEEDS_NORM {
             let norm = sp.max_abs();
@@ -113,10 +113,7 @@ impl<P: Precision> SpinorFieldCb<P> {
             self.norm[cb] = norm as f32;
             stored = sp.scale_re(P::Arith::from_f64(1.0 / norm));
         }
-        let reals = stored.to_reals();
-        for (n, &r) in reals.iter().enumerate() {
-            self.data[self.layout.index(cb, n)] = P::store(r);
-        }
+        self.layout.scatter(&mut self.data, cb, &stored.to_reals(), P::store);
     }
 
     /// Read a ghost half spinor (`backward` selects which face's data).

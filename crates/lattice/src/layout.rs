@@ -14,6 +14,14 @@
 //! i = N_vec * ( stride * (n / N_vec) + x ) + n % N_vec ,   stride = sites + pad
 //! ```
 //!
+//! [`FieldLayout::index`] is that definition, kept as the test oracle (with
+//! [`FieldLayout::pad_index`] and [`FieldLayout::decompose`]). The field
+//! accessors never call it per real: they move a whole site through
+//! [`FieldLayout::gather`]/[`FieldLayout::scatter`], which match on `N_vec`
+//! once and walk the site's blocks with the width a compile-time constant,
+//! so the `k`-th block is the `N_vec`-real slice at
+//! `N_vec * (k * stride + x)` — one base plus fixed offsets, no divide.
+//!
 //! Spinor fields additionally carry a ghost *end zone* appended after all
 //! blocks (Section VI-C): `2 × face_sites` half-spinors (12 reals each), the
 //! first half holding the projected components received from the backward
@@ -125,6 +133,53 @@ impl FieldLayout {
         self.n_vec * (self.stride() * (n / self.n_vec) + self.sites + slot) + n % self.n_vec
     }
 
+    /// Block position of pad slot `slot` (0..pad), for
+    /// [`FieldLayout::gather`]/[`FieldLayout::scatter`]: `sites + slot`.
+    #[inline(always)]
+    pub fn pad_pos(&self, slot: usize) -> usize {
+        debug_assert!(slot < self.pad, "pad slot {slot} out of {}", self.pad);
+        self.sites + slot
+    }
+
+    /// Read the `n_int` reals stored at block position `pos` (a site, or
+    /// [`FieldLayout::pad_pos`] of a pad slot) into `out`, in internal order
+    /// `n`, converting each element with `load`. Reads exactly the elements
+    /// at `index(pos, n)`; one bounds check per block, no divide.
+    #[inline(always)]
+    pub fn gather<E: Copy, T>(&self, buf: &[E], pos: usize, out: &mut [T], load: impl Fn(E) -> T) {
+        debug_assert!(pos < self.stride(), "position {pos} out of {}", self.stride());
+        debug_assert_eq!(out.len(), self.n_int);
+        let stride = self.stride();
+        match self.n_vec {
+            1 => gather_nv::<1, E, T>(buf, stride, pos, out, load),
+            2 => gather_nv::<2, E, T>(buf, stride, pos, out, load),
+            4 => gather_nv::<4, E, T>(buf, stride, pos, out, load),
+            nv => unreachable!("n_vec {nv} is not an NVec width"),
+        }
+    }
+
+    /// Write the `n_int` reals of `reals` (internal order `n`) to block
+    /// position `pos`, converting each with `store`: the inverse of
+    /// [`FieldLayout::gather`], touching exactly the elements it reads.
+    #[inline(always)]
+    pub fn scatter<E, T: Copy>(
+        &self,
+        buf: &mut [E],
+        pos: usize,
+        reals: &[T],
+        store: impl Fn(T) -> E,
+    ) {
+        debug_assert!(pos < self.stride(), "position {pos} out of {}", self.stride());
+        debug_assert_eq!(reals.len(), self.n_int);
+        let stride = self.stride();
+        match self.n_vec {
+            1 => scatter_nv::<1, E, T>(buf, stride, pos, reals, store),
+            2 => scatter_nv::<2, E, T>(buf, stride, pos, reals, store),
+            4 => scatter_nv::<4, E, T>(buf, stride, pos, reals, store),
+            nv => unreachable!("n_vec {nv} is not an NVec width"),
+        }
+    }
+
     /// Index into the spinor ghost end zone.
     ///
     /// `backward == true` selects the first half of the end zone (data
@@ -163,6 +218,43 @@ impl FieldLayout {
     /// field types).
     pub fn device_bytes(&self, storage_bytes: usize) -> usize {
         self.total_len() * storage_bytes
+    }
+}
+
+/// [`FieldLayout::gather`] at compile-time width `NV`: block `k` of
+/// position `pos` starts at `NV * (k * stride + pos)`.
+#[inline(always)]
+fn gather_nv<const NV: usize, E: Copy, T>(
+    buf: &[E],
+    stride: usize,
+    pos: usize,
+    out: &mut [T],
+    load: impl Fn(E) -> T,
+) {
+    let mut at = NV * pos;
+    for block in out.chunks_exact_mut(NV) {
+        for (o, &e) in block.iter_mut().zip(&buf[at..at + NV]) {
+            *o = load(e);
+        }
+        at += NV * stride;
+    }
+}
+
+/// [`FieldLayout::scatter`] at compile-time width `NV`.
+#[inline(always)]
+fn scatter_nv<const NV: usize, E, T: Copy>(
+    buf: &mut [E],
+    stride: usize,
+    pos: usize,
+    reals: &[T],
+    store: impl Fn(T) -> E,
+) {
+    let mut at = NV * pos;
+    for block in reals.chunks_exact(NV) {
+        for (e, &r) in buf[at..at + NV].iter_mut().zip(block) {
+            *e = store(r);
+        }
+        at += NV * stride;
     }
 }
 
@@ -246,6 +338,27 @@ mod tests {
             for x in 0..l.sites - 1 {
                 assert_eq!(l.index(x + 1, n0), l.index(x, n0) + 4);
             }
+        }
+    }
+
+    #[test]
+    fn cursor_matches_index_at_every_width() {
+        for nv in [NVec::N1, NVec::N2, NVec::N4] {
+            let l = FieldLayout::new(6, 2, 12, nv, 2);
+            let mut buf = vec![usize::MAX; l.total_len()];
+            for pos in 0..l.stride() {
+                let tags: Vec<usize> = (0..12).map(|n| 100 * pos + n).collect();
+                l.scatter(&mut buf, pos, &tags, |t| t);
+                let mut back = [0usize; 12];
+                l.gather(&buf, pos, &mut back, |e| e);
+                assert_eq!(back[..], tags[..]);
+            }
+            for (n, &tag) in buf[..l.body_len()].iter().enumerate() {
+                let (pos, k) = (tag / 100, tag % 100);
+                let i = if pos < l.sites { l.index(pos, k) } else { l.pad_index(pos - 6, k) };
+                assert_eq!(i, n, "{nv:?}");
+            }
+            assert!(buf[l.body_len()..].iter().all(|&e| e == usize::MAX));
         }
     }
 

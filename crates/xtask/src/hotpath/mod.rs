@@ -3,10 +3,11 @@
 //! The paper's performance model (Eq. 3–5) says the solve is
 //! bandwidth-bound: every byte an inner loop spends on a fresh heap
 //! allocation, a bounds check, or a lock handshake is a byte not spent
-//! streaming gauge links. This pass encodes that budget as four
+//! streaming gauge links. This pass encodes that budget as five
 //! machine-checked rules over the hot crates (`solvers`, `dirac`,
-//! `multigpu`, `math`), built on the same masked-text lexer and sub-AST
-//! program model ([`crate::model`]) as the collective-ordering analysis:
+//! `multigpu`, `math`; `hot-div` also covers the field accessors), built
+//! on the same masked-text lexer and sub-AST program model
+//! ([`crate::model`]) as the collective-ordering analysis:
 //!
 //! * `hot-alloc` — no allocating constructs (`Vec::new`, `vec!`,
 //!   `.to_vec()`, `.collect()`, `.clone()`, `Box::new`, `format!`, ...)
@@ -20,6 +21,12 @@
 //! * `hot-lock` — no `Mutex`/`RwLock` acquisition inside a kernel loop.
 //! * `scratch-reuse` — hot pack/unpack/codec entry points take `&mut`
 //!   scratch buffers instead of returning freshly collected `Vec`s.
+//! * `hot-div` — the site-kernel modules and the field accessors
+//!   (`crates/fields/src/*_cb.rs`, `lattice/src/layout.rs`) must not
+//!   divide or take a modulo by a runtime value inside a loop, nor call a
+//!   layout's per-real `.index(site, n)`/`.pad_index(slot, n)` there; a
+//!   site's reals move through `FieldLayout::gather`/`scatter`,
+//!   monomorphised on the vector width.
 //!
 //! Findings use the same diagnostic format, `// quda-lint: allow(<rule>)`
 //! suppressions and test-code exemptions as the other passes.
@@ -37,11 +44,12 @@ pub fn analyze(files: &[SourceFile]) -> Vec<Diagnostic> {
     rules::hot_index(&model, &mut out);
     rules::hot_lock(&model, &mut out);
     rules::scratch_reuse(&model, &mut out);
+    rules::hot_div(&model, &mut out);
     out.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
     out
 }
 
 /// `(name, description)` of the hot-path rules, for `--list`.
-pub fn rule_list() -> [(&'static str, &'static str); 4] {
+pub fn rule_list() -> [(&'static str, &'static str); 5] {
     rules::rule_list()
 }

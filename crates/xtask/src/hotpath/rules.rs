@@ -1,6 +1,6 @@
-//! The four hot-path rules, evaluated over a [`Model`].
+//! The five hot-path rules, evaluated over a [`Model`].
 //!
-//! All four are per-function: the [`Model`]'s flat loop list plus
+//! All five are per-function: the [`Model`]'s flat loop list plus
 //! byte-range containment is enough to ask "does this construct sit in a
 //! loop body?", which is the whole question. Scope is the hot crates —
 //! the ones the bandwidth model of the paper (Eq. 3–5) budgets — so a
@@ -18,9 +18,11 @@ pub const HOT_INDEX: &str = "hot-index";
 pub const HOT_LOCK: &str = "hot-lock";
 /// See [`HOT_ALLOC`].
 pub const SCRATCH_REUSE: &str = "scratch-reuse";
+/// See [`HOT_ALLOC`].
+pub const HOT_DIV: &str = "hot-div";
 
 /// `(name, description)` of every hot-path rule, in reporting order.
-pub fn rule_list() -> [(&'static str, &'static str); 4] {
+pub fn rule_list() -> [(&'static str, &'static str); 5] {
     [
         (
             HOT_ALLOC,
@@ -43,6 +45,13 @@ pub fn rule_list() -> [(&'static str, &'static str); 4] {
             SCRATCH_REUSE,
             "hot pack/unpack/codec entry points must fill a &mut scratch buffer instead of \
              returning a freshly collected Vec, so steady-state iterations reuse capacity",
+        ),
+        (
+            HOT_DIV,
+            "site-kernel and field-accessor loops must not divide or take a modulo by a runtime \
+             value, nor address a layout per real through `.index(site, n)`/`.pad_index(..)`; \
+             walk a site's blocks with `FieldLayout::gather`/`scatter`, whose vector width is \
+             a compile-time constant",
         ),
     ]
 }
@@ -68,6 +77,16 @@ fn is_site_kernel_file(rel_path: &str) -> bool {
         && ["/blas.rs", "/su3.rs", "/cpu_opt.rs", "/dslash.rs", "/clover_apply.rs"]
             .iter()
             .any(|f| rel_path.ends_with(f))
+}
+
+/// The field accessors `hot-div` polices beside the site kernels: the
+/// device field containers of `quda-fields` (`spinor_cb.rs`, `gauge_cb.rs`,
+/// `clover_cb.rs`) and the Eq. 5 layout itself — the code every kernel
+/// calls once per site. Gauge generation and host-side fields in the same
+/// crate run at setup only and stay out of scope.
+fn is_accessor_file(rel_path: &str) -> bool {
+    (rel_path.starts_with("crates/fields/src/") && rel_path.ends_with("_cb.rs"))
+        || rel_path == "crates/lattice/src/layout.rs"
 }
 
 /// Emit unless the site is test code or suppressed.
@@ -282,6 +301,96 @@ pub fn scratch_reuse(model: &Model, out: &mut Vec<Diagnostic>) {
                 ),
                 out,
             );
+        }
+    }
+}
+
+/// Type suffixes of an integer literal (`8usize`, `0x10u32`).
+const INT_SUFFIXES: [&str; 12] =
+    ["u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize"];
+
+/// Is the right operand starting at `at` a compile-time divisor: an integer
+/// literal (`4`, `0x10`, `8usize`) or an ALL_CAPS constant path
+/// (`NV`, `HALF_SPINOR_REALS`, `P::STORAGE_BYTES`)? A float literal,
+/// a binding, a field or a parenthesised expression is not.
+fn is_const_divisor(masked: &str, at: usize) -> bool {
+    let bytes = masked.as_bytes();
+    let mut i = at;
+    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+        i += 1;
+    }
+    let start = i;
+    while i < bytes.len() && (is_ident_byte(bytes[i]) || bytes[i] == b':') {
+        i += 1;
+    }
+    let token = &masked[start..i];
+    let Some(&first) = token.as_bytes().first() else {
+        return false;
+    };
+    if first.is_ascii_digit() {
+        let float = bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit);
+        let digits = token.strip_prefix("0x").map_or_else(
+            || token.trim_end_matches(|c: char| !c.is_ascii_digit() && c != '_').len(),
+            |hex| 2 + hex.trim_end_matches(|c: char| !c.is_ascii_hexdigit() && c != '_').len(),
+        );
+        let suffix = &token[digits..];
+        return !float && (suffix.is_empty() || INT_SUFFIXES.contains(&suffix));
+    }
+    let last = token.rsplit("::").next().unwrap_or(token);
+    last.as_bytes().first().is_some_and(u8::is_ascii_uppercase)
+        && last.bytes().all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
+}
+
+/// Rule `hot-div`: inside a loop body of a site-kernel or field-accessor
+/// file, a `/` or `%` (or `/=`, `%=`) whose right operand is not a
+/// compile-time divisor, and any two-argument `.index(..)`/`.pad_index(..)`
+/// method call — the per-real Eq. 5 address, which divides by the
+/// layout's runtime `n_vec`. One finding per operator or call.
+pub fn hot_div(model: &Model, out: &mut Vec<Diagnostic>) {
+    for f in &model.fns {
+        let file = &model.files[f.file];
+        let rel = &file.rel_path;
+        if !(is_site_kernel_file(rel) || is_accessor_file(rel)) || f.loops.is_empty() {
+            continue;
+        }
+        let bytes = file.masked.as_bytes();
+        for at in f.body.0..f.body.1 {
+            let op = bytes[at];
+            if !(op == b'/' || op == b'%') || !in_loop(f, at) {
+                continue;
+            }
+            let rhs = if bytes.get(at + 1) == Some(&b'=') { at + 2 } else { at + 1 };
+            if is_const_divisor(&file.masked, rhs) {
+                continue;
+            }
+            report(
+                file,
+                HOT_DIV,
+                at,
+                format!(
+                    "`{}` by a runtime value inside a loop of a site-kernel/accessor module; \
+                     hoist it out of the loop or make the divisor a compile-time constant",
+                    op as char
+                ),
+                out,
+            );
+        }
+        for c in &f.calls {
+            let eq5 = c.callee == "index" || c.callee == "pad_index";
+            if c.is_method && eq5 && c.args.len() == 2 && in_loop(f, c.offset) {
+                report(
+                    file,
+                    HOT_DIV,
+                    c.offset,
+                    format!(
+                        "`.{}(..)` computes an Eq. 5 address per real inside a loop (a divide \
+                         and a modulo by the runtime n_vec each); move the site's reals with \
+                         FieldLayout::gather/scatter",
+                        c.callee
+                    ),
+                    out,
+                );
+            }
         }
     }
 }

@@ -116,3 +116,44 @@ fn workspace_analysis_is_clean_and_skips_fixtures() {
         report.diagnostics
     );
 }
+
+#[test]
+fn hot_div_fixture_exact_diagnostics() {
+    // Inside loops of an accessor module: the per-real `.index(site, n)`
+    // (3), a divide and a modulo by runtime bindings (10, 11), the per-real
+    // `.pad_index` with a `/=` by a runtime value (18) and a divide by a
+    // float literal (19). Integer-literal and ALL_CAPS divisors (literal,
+    // hex, suffixed, const generic, path constant), and a divide or an
+    // `.index` hoisted above the loop that then walks sites through
+    // `gather`, are clean.
+    let expected = [
+        (3, 26, "hot-div"),
+        (10, 23, "hot-div"),
+        (11, 26, "hot-div"),
+        (18, 21, "hot-div"),
+        (18, 41, "hot-div"),
+        (19, 27, "hot-div"),
+    ];
+    let text = include_str!("fixtures/hotpath_div.rs");
+    for path in [
+        "crates/fields/src/spinor_cb.rs",
+        "crates/lattice/src/layout.rs",
+        "crates/dirac/src/dslash.rs",
+    ] {
+        assert_diags(path, text, &expected);
+    }
+}
+
+#[test]
+fn hot_div_only_polices_kernel_and_accessor_files() {
+    // Setup-time code in the same crates (gauge generation, the stencil
+    // build) and hot-crate modules outside the site kernels may divide.
+    let text = include_str!("fixtures/hotpath_div.rs");
+    for path in [
+        "crates/fields/src/gauge_mc.rs",
+        "crates/lattice/src/stencil.rs",
+        "crates/solvers/src/cg.rs",
+    ] {
+        assert_diags(path, text, &[]);
+    }
+}
