@@ -8,6 +8,7 @@
 
 use quda_gpusim::cards::card_table;
 use quda_lattice::geometry::LatticeDims;
+use quda_lattice::partition::DecompPlan;
 use quda_multigpu::perf::{evaluate, PerfInput};
 use quda_multigpu::rank_op::CommStrategy;
 use quda_multigpu::PrecisionMode;
@@ -30,12 +31,10 @@ fn main() {
             "GPUs", "overlap Gflops", "no-ovl Gflops", "ovl gain"
         );
         for gpus in [8usize, 16, 32] {
-            let mut ov =
-                PerfInput::paper(global, gpus, PrecisionMode::SingleHalf, CommStrategy::Overlap);
+            let plan = DecompPlan::new(global, [1, 1, 1, gpus]);
+            let mut ov = PerfInput::paper(plan, PrecisionMode::SingleHalf, CommStrategy::Overlap);
             ov.gpu = *card;
-            let mut no =
-                PerfInput::paper(global, gpus, PrecisionMode::SingleHalf, CommStrategy::NoOverlap);
-            no.gpu = *card;
+            let no = PerfInput { strategy: CommStrategy::NoOverlap, ..ov };
             let ov_r = evaluate(&ov);
             let no_r = evaluate(&no);
             println!(

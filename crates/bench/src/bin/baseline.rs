@@ -21,8 +21,8 @@ use quda_core::{PrecisionMode, Quda, QudaInvertParam};
 use quda_fields::gauge_gen::weak_field;
 use quda_fields::host::HostSpinorField;
 use quda_lattice::geometry::{Coord, LatticeDims};
-use quda_multigpu::multidim::{best_grid, sustained_gflops_grid, ProcessGrid};
-use quda_multigpu::perf::PerfInput;
+use quda_lattice::partition::DecompPlan;
+use quda_multigpu::perf::{best_grid, PerfInput};
 use quda_multigpu::rank_op::CommStrategy;
 
 /// One modeled scaling curve as a JSON array (null = infeasible point).
@@ -42,13 +42,15 @@ fn curve_json(
     format!("[{}]", vals.join(", "))
 }
 
-/// One multi-dim model row: T-only vs best grid at a simulated rank count
-/// (ISSUE 7: a multi-dim perf trajectory for future PRs). Deterministic —
-/// pure model output.
-fn multidim_row(dims: LatticeDims, ranks: usize) -> String {
-    let inp =
-        PerfInput::paper(dims, ranks.clamp(1, 128), PrecisionMode::Single, CommStrategy::NoOverlap);
-    let t_only = sustained_gflops_grid(&inp, ProcessGrid::one_d(ranks))
+/// One process-grid model row: the paper's T-only slice vs the best grid
+/// at a simulated rank count. Deterministic — pure model output.
+fn grid_row(dims: LatticeDims, ranks: usize) -> String {
+    let inp = PerfInput::paper(
+        DecompPlan::new(dims, [1, 1, 1, 1]),
+        PrecisionMode::Single,
+        CommStrategy::NoOverlap,
+    );
+    let t_only = curve_point(dims, ranks, PrecisionMode::Single, CommStrategy::NoOverlap, false)
         .map_or_else(|| "null".to_string(), |g| format!("{g:.1}"));
     let (bg, bf) = best_grid(&inp, ranks).expect("at least one valid grid");
     format!(
@@ -211,17 +213,17 @@ fn main() {
         );
     }
     println!("    }},");
-    let multidim_ranks = [64usize, 128, 256];
+    let grid_ranks = [64usize, 128, 256];
     println!("    \"fig_multidim_strong_32c256_single\": [");
-    for (i, &ranks) in multidim_ranks.iter().enumerate() {
-        let comma = if i == multidim_ranks.len() - 1 { "" } else { "," };
-        println!("{}{comma}", multidim_row(LatticeDims::spatial_cube(32, 256), ranks));
+    for (i, &ranks) in grid_ranks.iter().enumerate() {
+        let comma = if i == grid_ranks.len() - 1 { "" } else { "," };
+        println!("{}{comma}", grid_row(LatticeDims::spatial_cube(32, 256), ranks));
     }
     println!("    ],");
     println!("    \"fig_multidim_weak_32c2t_single\": [");
-    for (i, &ranks) in multidim_ranks.iter().enumerate() {
-        let comma = if i == multidim_ranks.len() - 1 { "" } else { "," };
-        println!("{}{comma}", multidim_row(LatticeDims::new(32, 32, 32, 2 * ranks), ranks));
+    for (i, &ranks) in grid_ranks.iter().enumerate() {
+        let comma = if i == grid_ranks.len() - 1 { "" } else { "," };
+        println!("{}{comma}", grid_row(LatticeDims::new(32, 32, 32, 2 * ranks), ranks));
     }
     println!("    ]");
     println!("  }},");

@@ -7,6 +7,7 @@ use quda_dirac::cpu_opt::CpuDslash;
 use quda_fields::gauge_gen::weak_field;
 use quda_gpusim::cluster::CpuClusterModel;
 use quda_lattice::geometry::LatticeDims;
+use quda_lattice::partition::DecompPlan;
 use quda_multigpu::perf::{evaluate, PerfInput};
 use quda_multigpu::rank_op::CommStrategy;
 use quda_multigpu::PrecisionMode;
@@ -15,8 +16,8 @@ fn main() {
     let cpu = CpuClusterModel::jlab_9q(16);
     let cpu_gflops = cpu.sustained_gflops_sp();
     let global = LatticeDims::spatial_cube(32, 256);
-    let gpu =
-        evaluate(&PerfInput::paper(global, 32, PrecisionMode::SingleHalf, CommStrategy::Overlap));
+    let plan = DecompPlan::new(global, [1, 1, 1, 32]);
+    let gpu = evaluate(&PerfInput::paper(plan, PrecisionMode::SingleHalf, CommStrategy::Overlap));
     println!(
         "CPU baseline (9q): {} nodes, {} cores -> {:.0} Gflops (single, SSE)",
         cpu.nodes,

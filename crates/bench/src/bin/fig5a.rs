@@ -9,6 +9,7 @@
 use quda_bench::{curve_point, header, row, PAPER_GPU_COUNTS};
 use quda_gpusim::transfer::NumaPlacement;
 use quda_lattice::geometry::LatticeDims;
+use quda_lattice::partition::DecompPlan;
 use quda_multigpu::perf::{evaluate, PerfInput};
 use quda_multigpu::rank_op::CommStrategy;
 use quda_multigpu::PrecisionMode;
@@ -20,25 +21,12 @@ fn main() {
         &["sgl/no-ovl", "mix/no-ovl", "sgl/ovl", "mix/ovl", "mix/ovl-badNUMA"],
     );
     for gpus in PAPER_GPU_COUNTS {
-        let bad_numa = {
-            if global.t % gpus == 0 {
-                let mut inp = PerfInput::paper(
-                    global,
-                    gpus,
-                    PrecisionMode::SingleHalf,
-                    CommStrategy::Overlap,
-                );
-                inp.numa = NumaPlacement::Bad;
-                let r = evaluate(&inp);
-                if r.fits_memory {
-                    Some(r.sustained_gflops)
-                } else {
-                    None
-                }
-            } else {
-                None
-            }
-        };
+        let bad_numa = DecompPlan::try_new(global, [1, 1, 1, gpus]).ok().and_then(|plan| {
+            let mut inp = PerfInput::paper(plan, PrecisionMode::SingleHalf, CommStrategy::Overlap);
+            inp.numa = NumaPlacement::Bad;
+            let r = evaluate(&inp);
+            r.fits_memory.then_some(r.sustained_gflops)
+        });
         let vals = [
             curve_point(global, gpus, PrecisionMode::Single, CommStrategy::NoOverlap, true),
             curve_point(global, gpus, PrecisionMode::SingleHalf, CommStrategy::NoOverlap, true),

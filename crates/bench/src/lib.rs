@@ -25,6 +25,7 @@ pub mod batchbench;
 pub mod hotpath;
 
 use quda_lattice::geometry::LatticeDims;
+use quda_lattice::partition::DecompPlan;
 use quda_multigpu::perf::{evaluate, PerfInput};
 use quda_multigpu::rank_op::CommStrategy;
 use quda_multigpu::PrecisionMode;
@@ -43,10 +44,8 @@ pub fn curve_point(
     strategy: CommStrategy,
     enforce_memory: bool,
 ) -> Option<f64> {
-    if global.t % gpus != 0 || (global.t / gpus) % 2 != 0 || global.t / gpus < 2 {
-        return None;
-    }
-    let report = evaluate(&PerfInput::paper(global, gpus, mode, strategy));
+    let plan = DecompPlan::try_new(global, [1, 1, 1, gpus]).ok()?;
+    let report = evaluate(&PerfInput::paper(plan, mode, strategy));
     if enforce_memory && !report.fits_memory {
         return None;
     }

@@ -363,13 +363,13 @@ impl Quda {
         chaos: &ChaosSpec,
     ) -> Result<(HostSpinorField, InvertReport), QudaError> {
         let cfg = Arc::clone(self.selected()?);
-        let (spec, wilson, mem) = self.solve_spec(&cfg, source, param)?;
+        let (spec, mem) = self.solve_spec(&cfg, source, param)?;
         let policy = ElasticPolicy { max_rank_deaths: param.max_rank_deaths, chaos: chaos.clone() };
         let elastic = solve_full_grid_elastic(&cfg, source, &spec, &policy, param.trace)
             .map_err(QudaError::Comm)?;
         let (solve, recovery) = (elastic.solve, elastic.recovery);
         let (x, result) = (solve.solution, solve.result);
-        let stats = self.build_stats(&cfg, source, &x, &result, param, mem, &wilson);
+        let stats = self.build_stats(&cfg, source, &x, &result, &spec, mem);
         Ok((
             x,
             InvertReport {
@@ -405,7 +405,7 @@ impl Quda {
             ));
         }
         let cfg = Arc::clone(self.selected()?);
-        let (spec, wilson, mem) = self.solve_spec(&cfg, &sources[0], param)?;
+        let (spec, mem) = self.solve_spec(&cfg, &sources[0], param)?;
         for s in &sources[1..] {
             if s.dims != cfg.dims {
                 return Err(QudaError::DimsMismatch);
@@ -420,7 +420,7 @@ impl Quda {
             .map_err(QudaError::Comm)?;
         let mut out = Vec::with_capacity(sources.len());
         for ((x, result), source) in multi.solutions.into_iter().zip(multi.results).zip(sources) {
-            let stats = self.build_stats(&cfg, source, &x, &result, param, mem, &wilson);
+            let stats = self.build_stats(&cfg, source, &x, &result, &spec, mem);
             out.push((
                 x,
                 InvertReport {
@@ -443,7 +443,7 @@ impl Quda {
         cfg: &GaugeConfig,
         source: &HostSpinorField,
         param: &QudaInvertParam,
-    ) -> Result<(GridSolveSpec, WilsonParams, usize), QudaError> {
+    ) -> Result<(GridSolveSpec, usize), QudaError> {
         if source.dims != cfg.dims {
             return Err(QudaError::DimsMismatch);
         }
@@ -452,7 +452,7 @@ impl Quda {
         // slices.
         let plan =
             DecompPlan::try_new(cfg.dims, [1, 1, 1, num_gpus]).map_err(QudaError::BadPartition)?;
-        let mem = solver_memory_per_gpu(cfg.dims, num_gpus, param.mode);
+        let mem = solver_memory_per_gpu(&plan, param.mode);
         let capacity = {
             let dev = quda_gpusim::memory::DeviceMemory::new(self.device.gpu.ram_bytes());
             dev.capacity()
@@ -460,35 +460,31 @@ impl Quda {
         if self.enforce_memory && mem > capacity {
             return Err(QudaError::OutOfDeviceMemory { required: mem, available: capacity });
         }
-        let wilson = WilsonParams { mass: param.mass, c_sw: param.c_sw };
         let spec = GridSolveSpec {
             plan,
-            wilson,
+            wilson: WilsonParams { mass: param.mass, c_sw: param.c_sw },
             mode: param.mode,
             strategy: param.strategy,
             solver: param.solver,
             params: SolverParams { tol: param.tol, max_iter: param.max_iter, delta: param.delta },
         };
-        Ok((spec, wilson, mem))
+        Ok((spec, mem))
     }
 
     /// Independently verify one solution and fold in the performance
     /// model's view of the same run shape.
-    #[allow(clippy::too_many_arguments)]
     fn build_stats(
         &self,
         cfg: &GaugeConfig,
         source: &HostSpinorField,
         x: &HostSpinorField,
         result: &quda_solvers::params::SolveResult,
-        param: &QudaInvertParam,
+        spec: &GridSolveSpec,
         mem: usize,
-        wilson: &WilsonParams,
     ) -> InvertStats {
-        let true_residual = verify_full_solution(cfg, wilson, x, source);
+        let true_residual = verify_full_solution(cfg, &spec.wilson, x, source);
         // Performance model of this run shape on the simulated cluster.
-        let num_gpus = param.num_gpus.max(1);
-        let mut perf_in = PerfInput::paper(cfg.dims, num_gpus, param.mode, param.strategy);
+        let mut perf_in = PerfInput::paper(spec.plan, spec.mode, spec.strategy);
         perf_in.gpu = self.device.gpu;
         perf_in.numa = self.device.numa;
         let report = evaluate(&perf_in);
@@ -605,7 +601,8 @@ mod tests {
         assert!(q.enforce_memory);
         // Don't actually allocate the big lattice: just check the gate.
         let big = LatticeDims::spatial_cube(32, 256);
-        let need = solver_memory_per_gpu(big, 1, PrecisionMode::SingleHalf);
+        let need =
+            solver_memory_per_gpu(&DecompPlan::new(big, [1, 1, 1, 1]), PrecisionMode::SingleHalf);
         assert!(need > quda_gpusim::cards::gtx285().ram_bytes());
     }
 

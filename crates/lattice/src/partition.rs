@@ -155,6 +155,14 @@ impl DecompPlan {
     }
 }
 
+/// The grid extents as `nx×ny×nz×nt`, e.g. `4x1x1x16`.
+impl std::fmt::Display for DecompPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [nx, ny, nz, nt] = self.grid;
+        write!(f, "{nx}x{ny}x{nz}x{nt}")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,6 +239,18 @@ mod tests {
     fn face_sites() {
         let p = time_plan(LatticeDims::spatial_cube(24, 128), 8);
         assert_eq!(p.face_sites_cb(3), 24 * 24 * 24 / 2);
+        let big = LatticeDims::spatial_cube(32, 256);
+        let zt = DecompPlan::new(big, [1, 1, 2, 8]);
+        assert_eq!(zt.local_dims(), LatticeDims::new(32, 32, 16, 32));
+        assert_eq!(
+            [zt.face_sites_cb(2), zt.face_sites_cb(3)],
+            [32 * 32 * 32 / 2, 32 * 32 * 16 / 2]
+        );
+        let four_d = DecompPlan::new(big, [2, 2, 2, 2]);
+        assert_eq!(four_d.local_dims(), LatticeDims::new(16, 16, 16, 128));
+        assert_eq!(four_d.face_sites_cb(0), 16 * 16 * 128 / 2);
+        assert_eq!(four_d.face_sites_cb(3), 16 * 16 * 16 / 2);
+        assert_eq!(four_d.to_string(), "2x2x2x2");
     }
 
     #[test]

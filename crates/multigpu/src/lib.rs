@@ -14,11 +14,10 @@
 //!   scheduling, and globalized reductions (Section VI-E);
 //! * [`driver`] — thread-per-GPU solve driver covering every precision mode
 //!   of Section VII-A over a [`GridSolveSpec`] (4-d process grid);
-//! * [`perf`] — the calibrated performance model that regenerates the
-//!   paper's weak/strong scaling figures on the simulated "9g" cluster;
-//! * [`multidim`] — the future-work extension: a 4-d (X,Y,Z,T) process-grid
-//!   model quantifying when multi-dimensional decomposition wins,
-//!   cross-checked against the real exchange driver.
+//! * [`perf`] — the calibrated performance model of any `DecompPlan` run
+//!   shape: it regenerates the paper's weak/strong scaling figures on the
+//!   simulated "9g" cluster and, with [`best_grid`], quantifies when the
+//!   future-work multi-dimensional (X,Y,Z,T) grids beat the time slice.
 
 #![warn(missing_docs)]
 // The no-panic invariant (xtask lint rule `no-panic`), also machine-checked
@@ -27,7 +26,6 @@
 
 pub mod driver;
 pub mod ghost;
-pub mod multidim;
 pub mod perf;
 pub mod rank_op;
 pub mod reshard;
@@ -42,8 +40,7 @@ pub use ghost::{
     decode_face_into, encode_face, exchange_gauge_ghosts, exchange_spinor_ghosts, face_wire_bytes,
     face_wire_bytes_dyn,
 };
-pub use multidim::{best_grid, sustained_gflops_grid, ProcessGrid};
-pub use perf::{evaluate, min_gpus, solver_memory_per_gpu, PerfInput, PerfReport};
+pub use perf::{best_grid, evaluate, min_gpus, solver_memory_per_gpu, PerfInput, PerfReport};
 pub use rank_op::{CommStrategy, ParallelWilsonCloverOp};
 pub use reshard::{CheckpointStore, GlobalCheckpoint, ReshardError, StoreStats};
 pub use slice::{gather_spinor_grid, local_clover_grid, slice_config_grid, slice_spinor_grid};

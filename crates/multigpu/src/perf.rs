@@ -1,7 +1,9 @@
 //! Analytic performance model of the parallel solver on the simulated "9g"
-//! cluster — the engine behind the Fig. 4/5/6 reproductions.
+//! cluster — the engine behind the Fig. 4/5/6 reproductions and the
+//! multi-dimensional grid choice.
 //!
-//! The model composes, per solver iteration:
+//! The model evaluates one run shape, a [`DecompPlan`] process grid, and
+//! composes per solver iteration:
 //!
 //! * two even-odd operator applications, each = face exchange + hopping
 //!   kernel + two clover kernels, assembled on a [`Timeline`] with a single
@@ -19,6 +21,13 @@
 //! (Section VI-D1). Under the overlapped strategy copies become
 //! `cudaMemcpyAsync` with its much higher latency (Fig. 7) — which is the
 //! entire mechanism behind the mixed-precision plateau of Fig. 5(b).
+//!
+//! Every cut dimension of the plan runs that same exchange with its own
+//! face area: "only 12 numbers need be transferred" in all directions
+//! (footnote 3). The paper's `[1, 1, 1, N]` slicing runs out at `T/2`
+//! GPUs and keeps a constant face while the local volume shrinks; Section
+//! VI-A's multi-dimensional grids ([`best_grid`]) trade more messages for
+//! a smaller surface.
 
 use crate::driver::PrecisionMode;
 use crate::rank_op::CommStrategy;
@@ -27,7 +36,7 @@ use quda_gpusim::calib::Calibration;
 use quda_gpusim::cards::GpuSpec;
 use quda_gpusim::kernel::{kernel_time, KernelWork};
 use quda_gpusim::memory::DeviceMemory;
-use quda_gpusim::stream::Timeline;
+use quda_gpusim::stream::{EventId, Timeline};
 use quda_gpusim::transfer::{
     allreduce_time, network_time, pcie_time, CopyKind, Direction, NumaPlacement,
 };
@@ -35,13 +44,14 @@ use quda_lattice::geometry::LatticeDims;
 use quda_lattice::layout::{species, NVec};
 use quda_lattice::partition::DecompPlan;
 
+/// Sloppy iterations per reliable update (mixed modes).
+const RELIABLE_INTERVAL: f64 = 25.0;
+
 /// Inputs of one performance evaluation.
 #[derive(Copy, Clone, Debug)]
 pub struct PerfInput {
-    /// Global lattice.
-    pub global: LatticeDims,
-    /// GPU count (1-d temporal decomposition).
-    pub ranks: usize,
+    /// The global lattice and its process grid (one GPU per rank).
+    pub plan: DecompPlan,
     /// Solver precision mode.
     pub mode: PrecisionMode,
     /// Face-exchange strategy.
@@ -52,33 +62,24 @@ pub struct PerfInput {
     pub gpu: GpuSpec,
     /// Model constants.
     pub calib: Calibration,
-    /// Sloppy iterations per reliable update (mixed modes).
-    pub reliable_interval: f64,
 }
 
 impl PerfInput {
     /// The paper's testbed defaults for a given run shape.
-    pub fn paper(
-        global: LatticeDims,
-        ranks: usize,
-        mode: PrecisionMode,
-        strategy: CommStrategy,
-    ) -> Self {
+    pub fn paper(plan: DecompPlan, mode: PrecisionMode, strategy: CommStrategy) -> Self {
         PerfInput {
-            global,
-            ranks,
+            plan,
             mode,
             strategy,
             numa: NumaPlacement::Good,
             gpu: quda_gpusim::cards::gtx285(),
             calib: Calibration::default(),
-            reliable_interval: 25.0,
         }
     }
 
-    /// The paper's decomposition of this run shape: `ranks` temporal slices.
-    fn plan(&self) -> DecompPlan {
-        DecompPlan::new(self.global, [1, 1, 1, self.ranks])
+    /// Half the local volume: the sites one parity kernel covers.
+    fn sites(&self) -> u64 {
+        self.plan.local_dims().half_volume() as u64
     }
 }
 
@@ -170,56 +171,66 @@ fn clover_kernel(inp: &PerfInput, tag: PrecisionTag, sites: u64, axpy: bool) -> 
     )
 }
 
-/// Time of one hopping-term application *including* its face exchange.
+/// Time of one hopping-term application *including* its face exchange:
+/// one gather → wire → scatter chain per cut dimension of the plan.
 pub fn dslash_time(inp: &PerfInput, tag: PrecisionTag) -> f64 {
-    let plan = inp.plan();
-    let ld = plan.local_dims();
-    let sites = ld.half_volume() as u64;
-    if !plan.is_partitioned() {
-        return dslash_kernel(inp, tag, sites);
-    }
-    let faces = ld.half_spatial_volume();
-    let msg = face_bytes(tag, faces);
-    let t = &inp.calib.transfer;
-    let n = &inp.calib.network;
+    let (plan, t, n) = (&inp.plan, &inp.calib.transfer, &inp.calib.network);
+    let sites = inp.sites();
+    // Overlapping needs `cudaMemcpyAsync`, with its higher latency.
+    let latency = match inp.strategy {
+        CommStrategy::NoOverlap => t.sync_latency_s,
+        CommStrategy::Overlap => t.async_latency_s,
+    };
+    // One face of `msg` bytes over PCI-E in `copies` copies.
+    let copy = |copies: usize, msg: usize, dir: Direction| {
+        copies as f64 * latency + msg as f64 / effective_bw(t, dir, inp.numa)
+    };
+    let mut tl = Timeline::new(5); // 0 = GPU, 1/4 = copy engines, 2/3 = network
     match inp.strategy {
         CommStrategy::NoOverlap => {
-            // Gather both faces (sync copies, one per block), one message
-            // each way, scatter both faces, then one kernel over everything.
-            let gather_one = d2h_copies(tag) as f64 * t.sync_latency_s
-                + msg as f64 / effective_bw(t, Direction::D2H, inp.numa);
-            let scatter_one = h2d_copies(tag) as f64 * t.sync_latency_s
-                + msg as f64 / effective_bw(t, Direction::H2D, inp.numa);
-            let net = network_time(n, msg);
-            2.0 * gather_one + net + 2.0 * scatter_one + dslash_kernel(inp, tag, sites)
+            // Per cut dimension: gather both faces (one copy per block), one
+            // message each way, scatter both faces. Then one kernel over
+            // everything. Nothing overlaps.
+            for dim in plan.active_dims() {
+                let msg = face_bytes(tag, plan.face_sites_cb(dim));
+                let exchange = 2.0 * copy(d2h_copies(tag), msg, Direction::D2H)
+                    + network_time(n, msg)
+                    + 2.0 * copy(h2d_copies(tag), msg, Direction::H2D);
+                tl.enqueue(0, "exchange", exchange, &[]);
+            }
+            tl.enqueue(0, "dslash", dslash_kernel(inp, tag, sites), &[]);
         }
         CommStrategy::Overlap => {
             // Three CUDA streams (Section VI-D2). On GT200 a single copy
             // engine serializes every PCI-E transfer; Fermi parts have two
             // engines and "allow for bidirectional transfers over the PCI-E
-            // bus" (footnote 4), so D2H and H2D get separate lanes.
-            let mut tl = Timeline::new(5); // 0 = GPU, 1/4 = copy engines, 2/3 = network
+            // bus" (footnote 4), so D2H and H2D get separate lanes. Like the
+            // rank operator, every dimension's faces go out before any
+            // arrive.
             let h2d_engine = if inp.gpu.copy_engines >= 2 { 4 } else { 1 };
-            let d2h = |tlx: &mut Timeline, deps: &[quda_gpusim::stream::EventId]| {
-                let cost = d2h_copies(tag) as f64 * t.async_latency_s
-                    + msg as f64 / effective_bw(t, Direction::D2H, inp.numa);
-                tlx.enqueue(1, "d2h", cost, deps)
-            };
-            let h2d_cost = h2d_copies(tag) as f64 * t.async_latency_s
-                + msg as f64 / effective_bw(t, Direction::H2D, inp.numa);
-            let e_back = d2h(&mut tl, &[]);
-            let e_fwd = d2h(&mut tl, &[]);
-            let m_back = tl.enqueue(2, "net-back", network_time(n, msg), &[e_back]);
-            let m_fwd = tl.enqueue(3, "net-fwd", network_time(n, msg), &[e_fwd]);
-            let h_back = tl.enqueue(h2d_engine, "h2d", h2d_cost, &[m_back]);
-            let h_fwd = tl.enqueue(h2d_engine, "h2d", h2d_cost, &[m_fwd]);
-            let interior_sites = sites.saturating_sub(2 * faces as u64);
-            let _k_int = tl.enqueue(0, "interior", dslash_kernel(inp, tag, interior_sites), &[]);
-            let face_sites = (2 * faces as u64).min(sites);
-            tl.enqueue(0, "faces", dslash_kernel(inp, tag, face_sites), &[h_back, h_fwd]);
-            tl.makespan()
+            let mut wires = Vec::with_capacity(8); // two per cut dimension
+            let mut interior_sites = sites;
+            for dim in plan.active_dims() {
+                let msg = face_bytes(tag, plan.face_sites_cb(dim));
+                let back = tl.enqueue(1, "d2h", copy(d2h_copies(tag), msg, Direction::D2H), &[]);
+                let fwd = tl.enqueue(1, "d2h", copy(d2h_copies(tag), msg, Direction::D2H), &[]);
+                wires.push((msg, tl.enqueue(2, "net-back", network_time(n, msg), &[back])));
+                wires.push((msg, tl.enqueue(3, "net-fwd", network_time(n, msg), &[fwd])));
+                // Both faces of every cut dimension run in the face kernel.
+                interior_sites = interior_sites.saturating_sub(2 * plan.face_sites_cb(dim) as u64);
+            }
+            let scattered: Vec<EventId> = wires
+                .into_iter()
+                .map(|(msg, wire)| {
+                    let cost = copy(h2d_copies(tag), msg, Direction::H2D);
+                    tl.enqueue(h2d_engine, "h2d", cost, &[wire])
+                })
+                .collect();
+            tl.enqueue(0, "interior", dslash_kernel(inp, tag, interior_sites), &[]);
+            tl.enqueue(0, "faces", dslash_kernel(inp, tag, sites - interior_sites), &scattered);
         }
     }
+    tl.makespan()
 }
 
 fn effective_bw(t: &quda_gpusim::calib::TransferCalib, dir: Direction, numa: NumaPlacement) -> f64 {
@@ -232,7 +243,7 @@ fn effective_bw(t: &quda_gpusim::calib::TransferCalib, dir: Direction, numa: Num
 
 /// Time of one even-odd operator application at precision `tag`.
 pub fn matpc_time(inp: &PerfInput, tag: PrecisionTag) -> f64 {
-    let sites = inp.plan().local_dims().half_volume() as u64;
+    let sites = inp.sites();
     2.0 * dslash_time(inp, tag)
         + clover_kernel(inp, tag, sites, false)
         + clover_kernel(inp, tag, sites, true)
@@ -240,7 +251,7 @@ pub fn matpc_time(inp: &PerfInput, tag: PrecisionTag) -> f64 {
 
 /// Blas + reduction time of one BiCGstab iteration at precision `tag`.
 pub fn blas_iteration_time(inp: &PerfInput, tag: PrecisionTag) -> f64 {
-    let sites = inp.plan().local_dims().half_volume() as u64;
+    let sites = inp.sites();
     let b = tag.storage_bytes() as u64;
     // One BiCGstab iteration: cdot, caxpyNorm, cDotProductNormB, caxpbypz,
     // caxpyNorm, cdot, cxpaypbz — 528 reals/site total, 7 launches.
@@ -253,14 +264,15 @@ pub fn blas_iteration_time(inp: &PerfInput, tag: PrecisionTag) -> f64 {
     let launches = 6.0 * inp.calib.kernel.launch_overhead_s;
     // 4 of those kernels end in reductions: device→host result readback +
     // allreduce.
-    let reductions =
-        4.0 * (inp.calib.transfer.sync_latency_s + allreduce_time(&inp.calib.network, inp.ranks));
+    let reductions = 4.0
+        * (inp.calib.transfer.sync_latency_s
+            + allreduce_time(&inp.calib.network, inp.plan.n_ranks()));
     stream + launches + reductions
 }
 
 /// Effective flops of one solver iteration (2 matvecs + blas), per rank.
 pub fn iteration_flops(inp: &PerfInput) -> u64 {
-    let sites = inp.plan().local_dims().half_volume() as u64;
+    let sites = inp.sites();
     2 * sites * quda_dirac::flops::MATPC_FLOPS_PER_SITE + sites * 1032
 }
 
@@ -272,7 +284,7 @@ pub fn evaluate(inp: &PerfInput) -> PerfReport {
     if inp.mode.is_mixed() {
         // Amortized reliable update: one outer matvec, the residual combine,
         // and two full-field precision conversions (copy-like kernels).
-        let sites = inp.plan().local_dims().half_volume() as u64;
+        let sites = inp.sites();
         let conv_bytes = sites * 24 * (outer.storage_bytes() + sloppy.storage_bytes()) as u64;
         let conv = kernel_time(
             &inp.calib.kernel,
@@ -280,24 +292,22 @@ pub fn evaluate(inp: &PerfInput) -> PerfReport {
             &KernelWork { bytes: 2 * conv_bytes, flops: 0, storage_bytes: outer.storage_bytes() },
         );
         let update = matpc_time(inp, outer) + blas_iteration_time(inp, outer) * 0.5 + conv;
-        t_iter += update / inp.reliable_interval;
-        flops += (sites * quda_dirac::flops::MATPC_FLOPS_PER_SITE) as f64 / inp.reliable_interval;
+        t_iter += update / RELIABLE_INTERVAL;
+        flops += (sites * quda_dirac::flops::MATPC_FLOPS_PER_SITE) as f64 / RELIABLE_INTERVAL;
     }
     let per_gpu = flops / t_iter / 1e9;
-    let mem = solver_memory_per_gpu(inp.global, inp.ranks, inp.mode);
+    let mem = solver_memory_per_gpu(&inp.plan, inp.mode);
     let mut device = DeviceMemory::new(inp.gpu.ram_bytes());
     let fits = device.alloc("solver working set", mem).is_ok();
     // Kernel-only time: what the same iteration would cost with free,
     // instant communication.
     let kernels = {
-        let mut one = *inp;
-        one.ranks = 1;
-        one.global = inp.plan().local_dims();
+        let one = PerfInput { plan: DecompPlan::new(inp.plan.local_dims(), [1, 1, 1, 1]), ..*inp };
         2.0 * matpc_time(&one, sloppy) + blas_iteration_time(&one, sloppy)
     };
     PerfReport {
         iteration_time_s: t_iter,
-        sustained_gflops: per_gpu * inp.ranks as f64,
+        sustained_gflops: per_gpu * inp.plan.n_ranks() as f64,
         per_gpu_gflops: per_gpu,
         memory_per_gpu: mem,
         fits_memory: fits,
@@ -305,29 +315,37 @@ pub fn evaluate(inp: &PerfInput) -> PerfReport {
     }
 }
 
+/// Device bytes of one spinor field on a rank of `plan`: the padded body
+/// with its temporal ghost end zone, plus the X/Y/Z side ghosts of every
+/// open dimension, each with its half-precision norms — what
+/// `SpinorFieldCb::new_open` allocates.
+fn spinor_bytes(plan: &DecompPlan, tag: PrecisionTag) -> usize {
+    let b = tag.storage_bytes();
+    let layout = species::spinor_cb(&plan.local_dims(), NVec::optimal_for_bytes(b), plan.open(3));
+    let norm = if tag.needs_norm() { (layout.sites + layout.ghost_sites) * 4 } else { 0 };
+    let mut side_ghosts = 0;
+    for dim in (0..3).filter(|&dim| plan.open(dim)) {
+        // Both faces' half spinors, laid out as on the wire.
+        side_ghosts += 2 * face_bytes(tag, plan.face_sites_cb(dim));
+    }
+    layout.device_bytes(b) + norm + side_ghosts
+}
+
 /// Device bytes one GPU needs to run the solver in `mode` on its share of
-/// `global` split over `ranks`.
-pub fn solver_memory_per_gpu(global: LatticeDims, ranks: usize, mode: PrecisionMode) -> usize {
-    let plan = DecompPlan::new(global, [1, 1, 1, ranks]);
+/// `plan`.
+pub fn solver_memory_per_gpu(plan: &DecompPlan, mode: PrecisionMode) -> usize {
     let ld = plan.local_dims();
     let (outer, sloppy) = mode_tags(mode);
-    let fields = |tag: PrecisionTag, spinors: usize, with_gauge: bool| -> usize {
+    let fields = |tag: PrecisionTag, spinors: usize| -> usize {
         let b = tag.storage_bytes();
         let nvec = NVec::optimal_for_bytes(b);
-        let spinor_layout = species::spinor_cb(&ld, nvec, plan.is_partitioned());
-        let spinor_norm = if tag.needs_norm() {
-            (spinor_layout.sites + spinor_layout.ghost_sites) * 4
-        } else {
-            0
-        };
-        let spinor_bytes = spinor_layout.device_bytes(b) + spinor_norm;
         let gauge_layout = species::gauge_cb(&ld, nvec, true);
         let gauge_bytes = 8 * gauge_layout.device_bytes(b);
         let clover_layout = species::clover_cb(&ld, nvec);
         let clover_norm = if tag.needs_norm() { clover_layout.sites * 4 } else { 0 };
         // T_oo and T_ee⁻¹.
         let clover_bytes = 2 * (clover_layout.device_bytes(b) + clover_norm);
-        spinors * spinor_bytes + if with_gauge { gauge_bytes + clover_bytes } else { 0 }
+        spinors * spinor_bytes(plan, tag) + gauge_bytes + clover_bytes
     };
     if mode.is_mixed() {
         // Outer: x, b̂ (doubling as the allocation r0 was taken from),
@@ -337,36 +355,63 @@ pub fn solver_memory_per_gpu(global: LatticeDims, ranks: usize, mode: PrecisionM
         // must store data for both the single and half precision solves",
         // Section VII-C). The unpreconditioned source parities live in host
         // memory outside the solve.
-        fields(outer, 4, true) + fields(sloppy, 8, true)
+        fields(outer, 4) + fields(sloppy, 8)
     } else {
         // x, b̂ (aliasing r0 — the shadow residual IS the initial residual
         // for a zero guess), r, p, v, t + one operator workspace = 7
         // spinors.
-        fields(outer, 7, true)
+        fields(outer, 7)
     }
 }
 
-/// Smallest power-of-two GPU count (≥1) whose share of `global` fits the
-/// card in `mode`, respecting T divisibility. `None` if even the largest
-/// sensible partition does not fit.
+/// Smallest power-of-two GPU count (≥1) whose temporal slice of `global`
+/// fits the card in `mode`. `None` if even the largest sensible partition
+/// does not fit.
 pub fn min_gpus(global: LatticeDims, mode: PrecisionMode, gpu: &GpuSpec) -> Option<usize> {
-    let mut n = 1usize;
-    while n <= 256 {
-        if global.t % n == 0 && (global.t / n) >= 2 && (global.t / n) % 2 == 0 {
-            let mem = solver_memory_per_gpu(global, n, mode);
+    (0..=8).map(|k| 1usize << k).find(|&n| {
+        DecompPlan::try_new(global, [1, 1, 1, n]).is_ok_and(|plan| {
             let mut device = DeviceMemory::new(gpu.ram_bytes());
-            if device.alloc("solver", mem).is_ok() {
-                return Some(n);
+            device.alloc("solver", solver_memory_per_gpu(&plan, mode)).is_ok()
+        })
+    })
+}
+
+/// Every process grid of `ranks` GPUs on `global` with power-of-two
+/// extents, the paper's `[1, 1, 1, ranks]` slice included, X extent
+/// outermost.
+pub fn candidate_plans(global: LatticeDims, ranks: usize) -> Vec<DecompPlan> {
+    let pow2_divisors = |n: usize| {
+        (0..usize::BITS)
+            .map(|k| 1usize << k)
+            .take_while(move |&p| p <= n)
+            .filter(move |p| n % p == 0)
+    };
+    let mut out = Vec::new();
+    for nx in pow2_divisors(ranks) {
+        for ny in pow2_divisors(ranks / nx) {
+            for nz in pow2_divisors(ranks / nx / ny) {
+                out.extend(DecompPlan::try_new(global, [nx, ny, nz, ranks / nx / ny / nz]).ok());
             }
         }
-        n *= 2;
     }
-    None
+    out
+}
+
+/// The fastest process grid of `ranks` GPUs for `inp`'s global lattice,
+/// with its modeled aggregate Gflops; every other input is held fixed.
+pub fn best_grid(inp: &PerfInput, ranks: usize) -> Option<(DecompPlan, f64)> {
+    candidate_plans(inp.plan.global(), ranks)
+        .into_iter()
+        .map(|plan| (plan, evaluate(&PerfInput { plan, ..*inp }).sustained_gflops))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ghost::face_wire_bytes_dyn;
+    use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
+    use quda_fields::SpinorFieldCb;
     use quda_gpusim::cards::gtx285;
 
     fn inp(
@@ -375,7 +420,7 @@ mod tests {
         mode: PrecisionMode,
         strategy: CommStrategy,
     ) -> PerfInput {
-        PerfInput::paper(global, ranks, mode, strategy)
+        PerfInput::paper(DecompPlan::new(global, [1, 1, 1, ranks]), mode, strategy)
     }
 
     #[test]
@@ -518,8 +563,9 @@ mod tests {
     #[test]
     fn double_half_memory_exceeds_single_half() {
         let g = LatticeDims::spatial_cube(24, 128);
-        let dh = solver_memory_per_gpu(g, 4, PrecisionMode::DoubleHalf);
-        let sh = solver_memory_per_gpu(g, 4, PrecisionMode::SingleHalf);
+        let plan = DecompPlan::new(g, [1, 1, 1, 4]);
+        let dh = solver_memory_per_gpu(&plan, PrecisionMode::DoubleHalf);
+        let sh = solver_memory_per_gpu(&plan, PrecisionMode::SingleHalf);
         assert!(dh > sh);
     }
 
@@ -534,10 +580,112 @@ mod tests {
 
     #[test]
     fn face_bytes_match_ghost_module() {
-        use quda_fields::precision::{Double, Half, Single};
         let f = 1000;
         assert_eq!(face_bytes(PrecisionTag::Double, f), crate::ghost::face_wire_bytes::<Double>(f));
         assert_eq!(face_bytes(PrecisionTag::Single, f), crate::ghost::face_wire_bytes::<Single>(f));
         assert_eq!(face_bytes(PrecisionTag::Half, f), crate::ghost::face_wire_bytes::<Half>(f));
+    }
+
+    const TAGS: [PrecisionTag; 4] =
+        [PrecisionTag::Double, PrecisionTag::Single, PrecisionTag::Half, PrecisionTag::Quarter];
+
+    /// The 32³×256 single-precision no-overlap input of the grid scans.
+    fn grid_inp() -> PerfInput {
+        inp(LatticeDims::spatial_cube(32, 256), 1, PrecisionMode::Single, CommStrategy::NoOverlap)
+    }
+
+    fn t_only(ranks: usize) -> f64 {
+        let plan = DecompPlan::new(LatticeDims::spatial_cube(32, 256), [1, 1, 1, ranks]);
+        evaluate(&PerfInput { plan, ..grid_inp() }).sustained_gflops
+    }
+
+    #[test]
+    fn one_d_runs_out_of_time_extent() {
+        // 32^3x256 with local T >= 2 even: the pure-T slice stops at 128
+        // ranks; at 256 ranks only multi-dimensional grids remain.
+        let plans = candidate_plans(LatticeDims::spatial_cube(32, 256), 256);
+        assert!(!plans.is_empty());
+        assert!(plans.iter().all(|p| p.grid()[3] < 256), "pure 1-d cannot reach 256: {plans:?}");
+    }
+
+    #[test]
+    fn candidates_include_four_d_grids() {
+        // X- and Y-cut grids are enumerated too, including a fully 4-d one.
+        let dims = LatticeDims::spatial_cube(32, 256);
+        let grids: Vec<[usize; 4]> = candidate_plans(dims, 16).iter().map(|p| p.grid()).collect();
+        for grid in [[2, 2, 2, 2], [16, 1, 1, 1], [1, 1, 1, 16]] {
+            assert!(grids.contains(&grid), "{grid:?} missing from {grids:?}");
+        }
+        assert!(candidate_plans(dims, 16).iter().all(|p| p.n_ranks() == 16));
+        // X extent 32 with even local extents >= 2 caps nx at 16.
+        assert!(candidate_plans(dims, 32).iter().all(|p| p.grid()[0] <= 16));
+    }
+
+    #[test]
+    fn two_d_wins_at_large_gpu_counts() {
+        // The paper's motivation: surface/volume control. At 128 GPUs the
+        // T-only slice has local T = 2 (face sites = interior sites); a
+        // grid that also cuts X does better.
+        let (best, best_gflops) = best_grid(&grid_inp(), 128).unwrap();
+        assert!(best.grid()[3] < 128, "expected a multi-d grid to win, got {best}");
+        assert!(best_gflops > t_only(128), "multi-d {best_gflops} vs 1-d {}", t_only(128));
+    }
+
+    #[test]
+    fn small_counts_prefer_one_d() {
+        // At modest GPU counts the 1-d slice minimizes the number of cut
+        // directions — the reason the paper chose it.
+        let (best, gflops) = best_grid(&grid_inp(), 8).unwrap();
+        assert_eq!(best.grid(), [1, 1, 1, 8]);
+        assert_eq!(gflops, t_only(8));
+    }
+
+    #[test]
+    fn model_face_bytes_match_driver_wire_bytes() {
+        // For every candidate grid the model's per-direction message equals
+        // the byte count the exchange driver puts on the wire.
+        let dims = LatticeDims::new(8, 8, 8, 16);
+        for ranks in [2usize, 4, 8, 16] {
+            let plans = candidate_plans(dims, ranks);
+            assert!(!plans.is_empty(), "no candidate grids for {ranks} ranks");
+            for plan in plans {
+                for dim in plan.active_dims() {
+                    let sites = plan.face_sites_cb(dim);
+                    for tag in TAGS {
+                        assert_eq!(
+                            face_bytes(tag, sites),
+                            face_wire_bytes_dyn(tag.storage_bytes(), tag.needs_norm(), sites, 1),
+                            "grid {plan} dim {dim} tag {tag:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Bytes of the storage `SpinorFieldCb::new_open` allocates for one
+    /// local field of `plan`.
+    fn allocated_spinor_bytes<P: Precision>(plan: &DecompPlan) -> usize {
+        let f = SpinorFieldCb::<P>::new_open(plan.local_dims(), plan.open_dims());
+        let elems = f.data.len() + f.side_ghost.iter().map(Vec::len).sum::<usize>();
+        let norms = f.norm.len() + f.side_norm.iter().map(Vec::len).sum::<usize>();
+        elems * std::mem::size_of::<P::Elem>() + norms * std::mem::size_of::<f32>()
+    }
+
+    #[test]
+    fn spinor_bytes_match_allocated_fields() {
+        let plans = candidate_plans(LatticeDims::new(8, 8, 8, 16), 4);
+        assert!(plans.iter().any(|p| p.active_dims().count() > 1));
+        for plan in &plans {
+            let allocated = [
+                allocated_spinor_bytes::<Double>(plan),
+                allocated_spinor_bytes::<Single>(plan),
+                allocated_spinor_bytes::<Half>(plan),
+                allocated_spinor_bytes::<Quarter>(plan),
+            ];
+            for (tag, bytes) in TAGS.into_iter().zip(allocated) {
+                assert_eq!(spinor_bytes(plan, tag), bytes, "grid {plan} tag {tag:?}");
+            }
+        }
     }
 }

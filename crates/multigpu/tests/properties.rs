@@ -16,7 +16,7 @@ use quda_math::gamma::{GammaBasis, SpinBasis};
 use quda_math::half;
 use quda_math::real::Real;
 use quda_math::spinor::HALF_SPINOR_REALS;
-use quda_multigpu::perf::{evaluate, PerfInput};
+use quda_multigpu::perf::{candidate_plans, evaluate, PerfInput};
 use quda_multigpu::rank_op::{CommStrategy, ParallelWilsonCloverOp};
 use quda_multigpu::{exchange_spinor_ghosts, gather_spinor_grid, slice_spinor_grid, PrecisionMode};
 use quda_solvers::operator::LinearOperator;
@@ -271,6 +271,7 @@ proptest! {
     #[test]
     fn perf_model_invariants(
         log_ranks in 0usize..6,
+        pick in 0usize..64,
         mode in prop_oneof![
             Just(PrecisionMode::Single),
             Just(PrecisionMode::Double),
@@ -280,9 +281,12 @@ proptest! {
     ) {
         let ranks = 1usize << log_ranks;
         let global = LatticeDims::spatial_cube(24, 128);
-        prop_assume!(global.t % ranks == 0 && (global.t / ranks) % 2 == 0);
+        // Any power-of-two process grid of `ranks` GPUs, multi-d included.
+        let candidates = candidate_plans(global, ranks);
+        prop_assume!(!candidates.is_empty());
+        let plan = candidates[pick % candidates.len()];
         for strategy in [CommStrategy::NoOverlap, CommStrategy::Overlap] {
-            let r = evaluate(&PerfInput::paper(global, ranks, mode, strategy));
+            let r = evaluate(&PerfInput::paper(plan, mode, strategy));
             prop_assert!(r.iteration_time_s > 0.0);
             prop_assert!(r.sustained_gflops > 0.0);
             prop_assert!((0.0..=1.0).contains(&r.comm_fraction));
@@ -290,10 +294,12 @@ proptest! {
             // Aggregate = per-GPU × ranks.
             prop_assert!((r.sustained_gflops - r.per_gpu_gflops * ranks as f64).abs() < 1e-6 * r.sustained_gflops);
         }
-        // Memory shrinks (weakly) with more GPUs.
-        if global.t % (2 * ranks) == 0 && (global.t / (2 * ranks)) % 2 == 0 && global.t / (2 * ranks) >= 2 {
-            let m1 = quda_multigpu::solver_memory_per_gpu(global, ranks, mode);
-            let m2 = quda_multigpu::solver_memory_per_gpu(global, 2 * ranks, mode);
+        // Memory shrinks when the plan cuts T twice as finely.
+        let mut grid = plan.grid();
+        grid[3] *= 2;
+        if let Ok(finer) = DecompPlan::try_new(global, grid) {
+            let m1 = quda_multigpu::solver_memory_per_gpu(&plan, mode);
+            let m2 = quda_multigpu::solver_memory_per_gpu(&finer, mode);
             prop_assert!(m2 < m1);
         }
     }
