@@ -239,6 +239,11 @@ mod tests {
     fn face_sites() {
         let p = time_plan(LatticeDims::spatial_cube(24, 128), 8);
         assert_eq!(p.face_sites_cb(3), 24 * 24 * 24 / 2);
+    }
+
+    #[test]
+    fn face_site_accounting() {
+        let total = |p: &DecompPlan| p.active_dims().map(|d| p.face_sites_cb(d)).sum::<usize>();
         let big = LatticeDims::spatial_cube(32, 256);
         let zt = DecompPlan::new(big, [1, 1, 2, 8]);
         assert_eq!(zt.local_dims(), LatticeDims::new(32, 32, 16, 32));
@@ -246,10 +251,13 @@ mod tests {
             [zt.face_sites_cb(2), zt.face_sites_cb(3)],
             [32 * 32 * 32 / 2, 32 * 32 * 16 / 2]
         );
+        assert_eq!(total(&zt), 32 * 32 * 16 / 2 + 32 * 32 * 32 / 2);
         let four_d = DecompPlan::new(big, [2, 2, 2, 2]);
         assert_eq!(four_d.local_dims(), LatticeDims::new(16, 16, 16, 128));
         assert_eq!(four_d.face_sites_cb(0), 16 * 16 * 128 / 2);
         assert_eq!(four_d.face_sites_cb(3), 16 * 16 * 16 / 2);
+        // Three spatial faces of 16x16x128 plus one temporal face of 16^3.
+        assert_eq!(total(&four_d), 3 * (16 * 16 * 128 / 2) + 16 * 16 * 16 / 2);
         assert_eq!(four_d.to_string(), "2x2x2x2");
     }
 
