@@ -88,77 +88,6 @@ fn functional_json(mode: PrecisionMode, lockstep: bool) -> (String, f64) {
     (json, wall)
 }
 
-/// Elastic-resilience figures (ISSUE 8): checkpoint overhead as a percent
-/// of the fault-free wall, and per-death recovery latency under one and two
-/// injected rank deaths. The survival counters and convergence results are
-/// deterministic (fixed seeds, fixed kill schedules); the wall-derived
-/// numbers are host-dependent and informational, like
-/// `measured_wall_seconds`.
-fn recovery_json() -> String {
-    use quda_comm::FaultPlan;
-    use quda_core::ChaosSpec;
-
-    let dims = LatticeDims::new(8, 8, 8, 16);
-    let cfg = weak_field(dims, 0.1, 2024);
-    let source = HostSpinorField::point_source(dims, Coord::new(0, 0, 0, 0), 0, 0);
-    let solve = |deaths: usize, plan: Option<FaultPlan>| {
-        let mut quda = Quda::new(2).expect("context");
-        quda.load_gauge(cfg.clone()).expect("gauge load");
-        let param = QudaInvertParam::paper_mode(PrecisionMode::DoubleHalf, 2)
-            .with_mass(0.2)
-            .with_tol(1e-10)
-            .with_max_rank_deaths(deaths);
-        let chaos = ChaosSpec { plan, ..ChaosSpec::default() };
-        let start = std::time::Instant::now();
-        let (_, report) = quda.invert_with_chaos(&source, &param, &chaos).expect("invert");
-        (report, start.elapsed().as_secs_f64())
-    };
-    let latencies = |report: &quda_core::InvertReport| {
-        let ms: Vec<String> = report
-            .recovery
-            .events
-            .iter()
-            .map(|ev| format!("{:.3}", ev.latency.as_secs_f64() * 1e3))
-            .collect();
-        format!("[{}]", ms.join(", "))
-    };
-
-    let (_plain, wall_plain) = solve(0, None);
-    let (ckpt, wall_ckpt) = solve(2, None);
-    let overhead_pct = (wall_ckpt - wall_plain) / wall_plain * 100.0;
-    let (one, _) = solve(1, Some(FaultPlan::new(33).kill_rank_in_generation(0, 1, 200)));
-    let (two, _) = solve(
-        2,
-        Some(
-            FaultPlan::new(34)
-                .kill_rank_in_generation(0, 1, 200)
-                .kill_rank_in_generation(1, 0, 300),
-        ),
-    );
-    assert!(one.recovery.deaths_survived() == 1 && two.recovery.deaths_survived() == 2);
-
-    format!(
-        "{{\n    \"lattice\": \"8x8x8x16\", \"gpus\": 2, \"mode\": \"double_half\", \
-         \"tol\": 1e-10,\n    \
-         \"comment\": \"wall-derived figures are host-dependent, informational only\",\n    \
-         \"checkpoint\": {{\"checkpoints_taken\": {}, \"checkpoint_bytes\": {}, \
-         \"overhead_pct_of_fault_free_wall\": {:.1}}},\n    \
-         \"one_death\": {{\"deaths_survived\": 1, \"converged\": {}, \
-         \"true_residual\": {:.6e}, \"recovery_latency_ms\": {}}},\n    \
-         \"two_deaths\": {{\"deaths_survived\": 2, \"converged\": {}, \
-         \"true_residual\": {:.6e}, \"recovery_latency_ms\": {}}}\n  }}",
-        ckpt.recovery.checkpoints_taken,
-        ckpt.recovery.checkpoint_bytes,
-        overhead_pct,
-        one.converged,
-        one.true_residual,
-        latencies(&one),
-        two.converged,
-        two.true_residual,
-        latencies(&two),
-    )
-}
-
 fn main() {
     let measured = std::env::args().any(|a| a == "--measured");
     let weak24 = |gpus: usize| LatticeDims::new(24, 24, 24, 32 * gpus);
@@ -234,7 +163,6 @@ fn main() {
     println!("    \"double_half\": {double_half},");
     println!("    \"lockstep_counters_match\": {}", double_plain == double_lockstep);
     println!("  }},");
-    println!("  \"fig_recovery\": {},", recovery_json());
     println!("  \"fig_batch\": {},", quda_bench::batchbench::fig_batch_json());
     if measured {
         println!("  \"fig_hotpath\": {},", quda_bench::hotpath::fig_hotpath_json());

@@ -59,8 +59,7 @@ use quda_dirac::WilsonParams;
 use quda_fields::host::{GaugeConfig, HostSpinorField};
 use quda_lattice::partition::DecompPlan;
 use quda_multigpu::driver::{
-    solve_full_grid_elastic, solve_full_grid_multi, verify_full_solution, ElasticPolicy,
-    GridSolveSpec,
+    solve_full_grid_multi, verify_full_solution, ElasticPolicy, GridSolveSpec,
 };
 use quda_multigpu::perf::{evaluate, solver_memory_per_gpu, PerfInput};
 use quda_solvers::params::SolverParams;
@@ -293,19 +292,15 @@ impl Quda {
     /// an [`InvertReport`]: the classic [`InvertStats`] (including the
     /// performance model's timing of the same run shape) plus the measured
     /// phase breakdown and communication health of this run, governed by
-    /// [`QudaInvertParam::trace`].
+    /// [`QudaInvertParam::trace`]. It is [`Quda::invert_multi`] over the
+    /// one-element slice of `source`.
     pub fn invert(
         &mut self,
         source: &HostSpinorField,
         param: &QudaInvertParam,
     ) -> Result<(HostSpinorField, InvertReport), QudaError> {
-        let chaos = ChaosSpec {
-            lockstep: param
-                .lockstep
-                .then(|| quda_comm::LockstepConfig::from_env().unwrap_or_default()),
-            ..ChaosSpec::default()
-        };
-        self.invert_with_chaos(source, param, &chaos)
+        // One source in, one lane out.
+        self.invert_multi(std::slice::from_ref(source), param).map(|mut out| out.swap_remove(0))
     }
 
     /// Solve `M x = bᵢ` for a batch of right-hand sides sharing the gauge
@@ -317,11 +312,11 @@ impl Quda {
     /// set of face messages for the whole block. Each returned solution,
     /// iteration count, and residual is **bit-identical** to a standalone
     /// [`Quda::invert`] of that source (the batched-equivalence suite
-    /// enforces this at every precision). A batch of one *is* exactly
-    /// [`Quda::invert`]; batches above `quda_dirac::MAX_RHS_BATCH` are
-    /// rejected with [`QudaError::BatchTooLarge`], and batches of two or
-    /// more run the classic fail-fast driver, so they cannot be combined
-    /// with [`QudaInvertParam::max_rank_deaths`] above `0`.
+    /// enforces this at every precision); batches above
+    /// `quda_dirac::MAX_RHS_BATCH` are rejected with
+    /// [`QudaError::BatchTooLarge`]. With
+    /// [`QudaInvertParam::max_rank_deaths`] above `0` every lane survives
+    /// rank deaths, each resuming from its own checkpoint.
     pub fn invert_multi(
         &mut self,
         sources: &[HostSpinorField],
@@ -336,115 +331,56 @@ impl Quda {
         self.invert_multi_with_chaos(sources, param, &chaos)
     }
 
-    /// [`Quda::invert_multi`] under an explicit fault-injection policy.
+    /// [`Quda::invert_multi`] under an explicit fault-injection and timeout
+    /// policy — the entry point chaos tests and resilience benchmarks
+    /// drive, and the one implementation behind every inversion. With
+    /// [`QudaInvertParam::max_rank_deaths`] above `0` the solve runs
+    /// elastically: injected rank deaths are survived by rolling every lane
+    /// back to its last checkpoint on a rebuilt world, and every recovery is
+    /// reported in each lane's [`InvertReport::recovery`].
     pub fn invert_multi_with_chaos(
         &mut self,
         sources: &[HostSpinorField],
         param: &QudaInvertParam,
         chaos: &ChaosSpec,
     ) -> Result<Vec<(HostSpinorField, InvertReport)>, QudaError> {
-        match sources {
-            [] => Ok(Vec::new()),
-            [source] => Ok(vec![self.invert_with_chaos(source, param, chaos)?]),
-            _ => self.invert_batch(sources, param, chaos),
+        if sources.is_empty() {
+            return Ok(Vec::new());
         }
-    }
-
-    /// [`Quda::invert`] under an explicit fault-injection and timeout
-    /// policy — the entry point chaos tests and resilience benchmarks
-    /// drive. With [`QudaInvertParam::max_rank_deaths`] above `0` the solve
-    /// runs elastically: injected rank deaths are survived by rolling back
-    /// to the last checkpoint on a rebuilt world, and every recovery is
-    /// reported in [`InvertReport::recovery`].
-    pub fn invert_with_chaos(
-        &mut self,
-        source: &HostSpinorField,
-        param: &QudaInvertParam,
-        chaos: &ChaosSpec,
-    ) -> Result<(HostSpinorField, InvertReport), QudaError> {
-        let cfg = Arc::clone(self.selected()?);
-        let (spec, mem) = self.solve_spec(&cfg, source, param)?;
-        let policy = ElasticPolicy { max_rank_deaths: param.max_rank_deaths, chaos: chaos.clone() };
-        let elastic = solve_full_grid_elastic(&cfg, source, &spec, &policy, param.trace)
-            .map_err(QudaError::Comm)?;
-        let (solve, recovery) = (elastic.solve, elastic.recovery);
-        let (x, result) = (solve.solution, solve.result);
-        let stats = self.build_stats(&cfg, source, &x, &result, &spec, mem);
-        Ok((
-            x,
-            InvertReport {
-                stats,
-                phases: solve.trace.breakdown(),
-                comm: solve.comm,
-                trace: solve.trace,
-                recovery,
-                queue: QueueTelemetry::default(),
-            },
-        ))
-    }
-
-    /// The batch-of-two-or-more path behind [`Quda::invert_multi`]: one
-    /// blocked solve, then a per-RHS verified report.
-    fn invert_batch(
-        &mut self,
-        sources: &[HostSpinorField],
-        param: &QudaInvertParam,
-        chaos: &ChaosSpec,
-    ) -> Result<Vec<(HostSpinorField, InvertReport)>, QudaError> {
         if sources.len() > quda_dirac::MAX_RHS_BATCH {
             return Err(QudaError::BatchTooLarge {
                 requested: sources.len(),
                 max: quda_dirac::MAX_RHS_BATCH,
             });
         }
-        if param.max_rank_deaths > 0 {
-            return Err(QudaError::BadPartition(
-                "batched inversions run the classic fail-fast driver; retry failed batch \
-                 members as fresh requests instead of max_rank_deaths > 0"
-                    .to_owned(),
-            ));
-        }
         let cfg = Arc::clone(self.selected()?);
-        let (spec, mem) = self.solve_spec(&cfg, &sources[0], param)?;
-        for s in &sources[1..] {
-            if s.dims != cfg.dims {
-                return Err(QudaError::DimsMismatch);
-            }
-        }
-        // `max_rank_deaths` above is a rank-uniform request parameter, not
-        // the rank index, and this function runs on the driver thread before
-        // any rank threads exist — every rank the call below spawns reaches
-        // the collectives unconditionally.
-        // quda-lint: allow(rank-branch-collective)
-        let multi = solve_full_grid_multi(&cfg, sources, &spec, chaos, param.trace)
-            .map_err(QudaError::Comm)?;
-        let mut out = Vec::with_capacity(sources.len());
-        for ((x, result), source) in multi.solutions.into_iter().zip(multi.results).zip(sources) {
-            let stats = self.build_stats(&cfg, source, &x, &result, &spec, mem);
-            out.push((
-                x,
-                InvertReport {
-                    stats,
-                    phases: multi.trace.breakdown(),
-                    comm: multi.comm.clone(),
-                    trace: multi.trace.clone(),
-                    recovery: RecoveryReport::default(),
-                    queue: QueueTelemetry::default(),
-                },
-            ));
-        }
-        Ok(out)
+        let (spec, mem) = self.solve_spec(&cfg, sources, param)?;
+        let policy = ElasticPolicy { max_rank_deaths: param.max_rank_deaths, chaos: chaos.clone() };
+        let multi = solve_full_grid_multi(&cfg, sources, &spec, &policy, param.trace)?;
+        let phases = multi.trace.breakdown();
+        let lanes = multi.solutions.into_iter().zip(multi.results).zip(multi.recovery).zip(sources);
+        let report = |(((x, result), recovery), source): (_, &HostSpinorField)| {
+            let report = InvertReport {
+                stats: self.build_stats(&cfg, source, &x, &result, &spec, mem),
+                phases: phases.clone(),
+                comm: multi.comm.clone(),
+                trace: multi.trace.clone(),
+                recovery,
+                queue: QueueTelemetry::default(),
+            };
+            (x, report)
+        };
+        Ok(lanes.map(report).collect())
     }
 
-    /// Validate source/partition/memory and build the solve spec shared by
-    /// the single and batched paths.
+    /// Validate sources/partition/memory and build the solve spec.
     fn solve_spec(
         &self,
         cfg: &GaugeConfig,
-        source: &HostSpinorField,
+        sources: &[HostSpinorField],
         param: &QudaInvertParam,
     ) -> Result<(GridSolveSpec, usize), QudaError> {
-        if source.dims != cfg.dims {
+        if sources.iter().any(|s| s.dims != cfg.dims) {
             return Err(QudaError::DimsMismatch);
         }
         let num_gpus = param.num_gpus.max(1);
@@ -691,12 +627,26 @@ mod tests {
     }
 
     #[test]
-    fn batched_elastic_combination_rejected() {
+    fn batched_elastic_inversion_is_admitted() {
+        // A death budget on a batch is an ordinary request: fault-free, it
+        // completes bit-identically to the budget-0 batch, and every lane
+        // reports its own (empty) recovery with checkpoints deposited.
         let mut q = ctx_with_gauge();
-        let p = QudaInvertParam::paper_mode(PrecisionMode::Double, 2).with_max_rank_deaths(1);
+        let p =
+            QudaInvertParam::paper_mode(PrecisionMode::Double, 2).with_mass(0.3).with_tol(1e-10);
         let bs: Vec<HostSpinorField> =
             (0..2).map(|k| random_spinor_field(dims(), 40 + k)).collect();
-        assert!(matches!(q.invert_multi(&bs, &p), Err(QudaError::BadPartition(_))));
+        let plain = q.invert_multi(&bs, &p).unwrap();
+        let elastic = q.invert_multi(&bs, &p.with_max_rank_deaths(1)).unwrap();
+        assert_eq!(elastic.len(), 2);
+        for ((x, rep), (x_plain, rep_plain)) in elastic.iter().zip(&plain) {
+            assert!(rep.converged);
+            assert_eq!(rep.iterations, rep_plain.iterations);
+            assert_eq!(x.max_site_dist(x_plain), 0.0);
+            assert_eq!(rep.recovery.deaths_survived(), 0);
+            assert!(rep.recovery.checkpoints_taken > 0);
+            assert_eq!(rep_plain.recovery.checkpoints_taken, 0);
+        }
     }
 
     #[test]

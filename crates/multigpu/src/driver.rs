@@ -215,22 +215,22 @@ pub struct RecoveryEvent {
     pub dead_rank: usize,
     /// Human-readable root cause (`RankDead` or the panic message).
     pub cause: String,
-    /// Checkpoint epoch the replacement world resumed from, or `None` if
-    /// no consistent checkpoint could be assembled and the solve restarted
-    /// from scratch.
+    /// Checkpoint epoch the replacement world resumed this lane from, or
+    /// `None` if no consistent checkpoint of the lane could be assembled
+    /// and it restarted from scratch.
     pub resumed_epoch: Option<u64>,
     /// Wall-clock time to assemble and validate the resume snapshot.
     pub latency: Duration,
 }
 
-/// Recovery telemetry of an elastic solve.
+/// Recovery telemetry of one lane (right-hand side) of an elastic solve.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
     /// Every survived death, in order.
     pub events: Vec<RecoveryEvent>,
-    /// Checkpoints deposited across all ranks and incarnations.
+    /// The lane's checkpoints deposited across all ranks and incarnations.
     pub checkpoints_taken: u64,
-    /// Serialized checkpoint bytes written across all deposits.
+    /// Serialized bytes of those checkpoints.
     pub checkpoint_bytes: u64,
 }
 
@@ -258,15 +258,8 @@ pub struct ElasticSolve {
 /// exterior phases `wire_x` ... `exterior_z` for multi-dimensional plans)
 /// alongside the per-rank communication-health summary.
 ///
-/// The solve *survives rank death*: every rank deposits checkpoints into a
-/// world-shared store at reliable-update boundaries, and when a rank dies
-/// (or its thread panics) mid-solve the supervisor tears the world down,
-/// assembles the newest globally consistent checkpoint, re-shards it onto a
-/// fresh world, and resumes mid-Krylov — up to
-/// [`ElasticPolicy::max_rank_deaths`] times.
-///
-/// With a budget of `0` the checkpoint sink is disabled (zero cost, no
-/// deposits) and the first death fails the solve fast.
+/// This is [`solve_full_grid_multi`] over the one-element slice of `b`;
+/// see there for how a solve survives rank death.
 pub fn solve_full_grid_elastic(
     cfg: &GaugeConfig,
     b: &HostSpinorField,
@@ -274,43 +267,19 @@ pub fn solve_full_grid_elastic(
     policy: &ElasticPolicy,
     trace: TraceConfig,
 ) -> Result<ElasticSolve, CommError> {
-    let (mut multi, recovery) = solve_world(cfg, std::slice::from_ref(b), spec, policy, trace)?;
+    let mut multi = solve_full_grid_multi(cfg, std::slice::from_ref(b), spec, policy, trace)?;
     // One source in, one lane out; the fallbacks only keep this path
     // panic-free.
     let solution = multi.solutions.pop().unwrap_or_else(|| HostSpinorField::zero(cfg.dims));
     let result = multi.results.pop().unwrap_or_default();
-    Ok(ElasticSolve {
-        solve: TracedSolve { solution, result, trace: multi.trace, comm: multi.comm },
-        recovery,
-    })
-}
-
-/// Run the world loop of [`run_world`] at the precisions `spec.mode` names.
-fn solve_world(
-    cfg: &GaugeConfig,
-    bs: &[HostSpinorField],
-    spec: &GridSolveSpec,
-    policy: &ElasticPolicy,
-    trace: TraceConfig,
-) -> Result<(MultiSolve, RecoveryReport), CommError> {
-    match spec.mode {
-        PrecisionMode::Double => run_world::<Double, Double>(cfg, bs, spec, false, policy, trace),
-        PrecisionMode::Single => run_world::<Single, Single>(cfg, bs, spec, false, policy, trace),
-        PrecisionMode::Half => run_world::<Half, Half>(cfg, bs, spec, false, policy, trace),
-        PrecisionMode::SingleHalf => run_world::<Single, Half>(cfg, bs, spec, true, policy, trace),
-        PrecisionMode::DoubleHalf => run_world::<Double, Half>(cfg, bs, spec, true, policy, trace),
-        PrecisionMode::DoubleSingle => {
-            run_world::<Double, Single>(cfg, bs, spec, true, policy, trace)
-        }
-        PrecisionMode::DoubleQuarter => {
-            run_world::<Double, Quarter>(cfg, bs, spec, true, policy, trace)
-        }
-    }
+    let recovery = multi.recovery.pop().unwrap_or_default();
+    let solve = TracedSolve { solution, result, trace: multi.trace, comm: multi.comm };
+    Ok(ElasticSolve { solve, recovery })
 }
 
 /// The world loop: run the solve on a fresh world incarnation, and while
 /// the death budget allows, replace a world that lost a rank and resume
-/// from the newest globally consistent checkpoint.
+/// every lane from its own newest globally consistent checkpoint.
 fn run_world<H: Precision, L: Precision>(
     cfg: &GaugeConfig,
     bs: &[HostSpinorField],
@@ -318,14 +287,14 @@ fn run_world<H: Precision, L: Precision>(
     mixed: bool,
     policy: &ElasticPolicy,
     trace: TraceConfig,
-) -> Result<(MultiSolve, RecoveryReport), CommError> {
+) -> Result<MultiSolve, CommError> {
     let plan = spec.plan;
     // One recorder across every incarnation: recovery and checkpoint spans
     // of all generations land in the same per-rank buffers.
     let recorder = Recorder::new(plan.n_ranks(), trace);
-    let store = Arc::new(CheckpointStore::new(plan.n_ranks()));
-    let mut events: Vec<RecoveryEvent> = Vec::new();
-    let mut resume: Option<GlobalCheckpoint> = None;
+    let store = Arc::new(CheckpointStore::new(plan.n_ranks(), bs.len()));
+    let mut recovery = vec![RecoveryReport::default(); bs.len()];
+    let mut resume: Vec<Option<GlobalCheckpoint>> = vec![None; bs.len()];
     let mut generation: u32 = 0;
     loop {
         // Kills are generation-scoped: a schedule consumed by the previous
@@ -339,27 +308,25 @@ fn run_world<H: Precision, L: Precision>(
             comm: policy.chaos.comm,
             lockstep: policy.chaos.lockstep,
         };
-        // A zero death budget disables the sink entirely: no deposits, no
+        // A zero death budget disables the sinks entirely: no deposits, no
         // resume state — the fail-fast path pays nothing for elasticity.
         let elastic =
-            if policy.max_rank_deaths == 0 { None } else { Some((&store, resume.as_ref())) };
+            if policy.max_rank_deaths == 0 { None } else { Some((&store, resume.as_slice())) };
         let attempt = run_attempt::<H, L>(cfg, bs, spec, mixed, &chaos, &recorder, elastic);
         match attempt {
             Ok((solutions, results, per_rank)) => {
-                let st = store.stats();
-                return Ok((
-                    MultiSolve {
-                        solutions,
-                        results,
-                        trace: recorder.finish(),
-                        comm: CommHealth::from_per_rank(per_rank),
-                    },
-                    RecoveryReport {
-                        events,
-                        checkpoints_taken: st.checkpoints_taken,
-                        checkpoint_bytes: st.bytes_written,
-                    },
-                ));
+                for (lane, report) in recovery.iter_mut().enumerate() {
+                    let st = store.stats(lane);
+                    report.checkpoints_taken = st.checkpoints_taken;
+                    report.checkpoint_bytes = st.bytes_written;
+                }
+                return Ok(MultiSolve {
+                    solutions,
+                    results,
+                    trace: recorder.finish(),
+                    comm: CommHealth::from_per_rank(per_rank),
+                    recovery,
+                });
             }
             Err(e) => {
                 let dead_rank = match &e {
@@ -369,29 +336,42 @@ fn run_world<H: Precision, L: Precision>(
                     // lockstep divergence, ...) is not survivable.
                     _ => return Err(e),
                 };
-                if events.len() >= policy.max_rank_deaths {
+                if generation as usize >= policy.max_rank_deaths {
                     return Err(e);
                 }
-                // Roll every rank back to the newest globally consistent
-                // checkpoint. If none can be assembled (death before the
-                // first deposit landed everywhere, or a corrupt store) the
-                // replacement world restarts the solve from scratch.
-                let t0 = quda_obs::clock::monotonic();
-                resume = store.take_global::<H>(&plan).ok();
-                let latency = quda_obs::clock::monotonic().saturating_sub(t0);
+                resume = roll_back::<H>(&store, &plan, dead_rank, &e, &mut recovery);
                 generation += 1;
-                events.push(RecoveryEvent {
-                    dead_rank,
-                    // Cold: formatted once per rank death for the recovery
-                    // report, bounded by `max_rank_deaths`.
-                    // quda-lint: allow(hot-alloc)
-                    cause: e.to_string(),
-                    resumed_epoch: resume.as_ref().map(|g| g.epoch),
-                    latency,
-                });
             }
         }
     }
+}
+
+/// Roll every lane back to its own newest globally consistent checkpoint
+/// after `dead_rank` died with `cause`, and record the recovery in each
+/// lane's report. A lane with no consistent checkpoint (death before its
+/// first deposit landed everywhere, or a corrupt store) restarts from
+/// scratch on its own; the other lanes still resume. Cold: runs once per
+/// rank death, bounded by the death budget.
+fn roll_back<H: Precision>(
+    store: &CheckpointStore,
+    plan: &DecompPlan,
+    dead_rank: usize,
+    cause: &CommError,
+    recovery: &mut [RecoveryReport],
+) -> Vec<Option<GlobalCheckpoint>> {
+    let cause = cause.to_string();
+    let take = |(lane, report): (usize, &mut RecoveryReport)| {
+        let t0 = quda_obs::clock::monotonic();
+        let resume = store.take_global::<H>(plan, lane).ok();
+        report.events.push(RecoveryEvent {
+            dead_rank,
+            cause: cause.clone(),
+            resumed_epoch: resume.as_ref().map(|g| g.epoch),
+            latency: quda_obs::clock::monotonic().saturating_sub(t0),
+        });
+        resume
+    };
+    recovery.iter_mut().enumerate().map(take).collect()
 }
 
 /// Recover a readable message from a rank thread's panic payload.
@@ -471,9 +451,10 @@ fn run_ranks<T: Send>(
 }
 
 /// Run the solve on one world incarnation and gather each lane's global
-/// solution. `elastic` wires each rank to the shared [`CheckpointStore`]
-/// and, after a recovery, hands it its re-sharded slice of the resume
-/// snapshot; `None` is the fail-fast path with checkpointing disabled.
+/// solution. `elastic` wires every lane of each rank to the shared
+/// [`CheckpointStore`] and, after a recovery, hands it its re-sharded slice
+/// of that lane's resume snapshot; `None` is the fail-fast path with
+/// checkpointing disabled.
 #[allow(clippy::type_complexity)]
 fn run_attempt<H: Precision, L: Precision>(
     cfg: &GaugeConfig,
@@ -482,20 +463,23 @@ fn run_attempt<H: Precision, L: Precision>(
     mixed: bool,
     chaos: &ChaosSpec,
     recorder: &Recorder,
-    elastic: Option<(&Arc<CheckpointStore>, Option<&GlobalCheckpoint>)>,
+    elastic: Option<(&Arc<CheckpointStore>, &[Option<GlobalCheckpoint>])>,
 ) -> Result<(Vec<HostSpinorField>, Vec<SolveResult>, Vec<CommStats>), CommError> {
     let plan = spec.plan;
     let ranks = run_ranks(plan.n_ranks(), chaos, recorder, |rank, comm_hi, comm_lo| {
-        // The store is keyed by rank, so an elastic solve is a batch of
-        // one: one sink per rank, one lane per sink.
-        let sinks = elastic
-            .map(|(store, resume)| RankSink {
-                store: Arc::clone(store),
-                rank,
-                resume: resume.map(|g| g.reshard::<H>(&plan, rank)),
-            })
-            .into_iter()
-            .collect();
+        let sinks = match elastic {
+            None => Vec::new(),
+            Some((store, resume)) => resume
+                .iter()
+                .enumerate()
+                .map(|(lane, g)| RankSink {
+                    store: Arc::clone(store),
+                    rank,
+                    lane,
+                    resume: g.as_ref().map(|g| g.reshard::<H>(&plan, rank)),
+                })
+                .collect(),
+        };
         run_rank::<H, L>(cfg, bs, spec, rank, comm_hi, comm_lo, mixed, sinks)
     })?;
     let mut by_lane: Vec<Vec<HostSpinorField>> =
@@ -525,18 +509,19 @@ fn run_attempt<H: Precision, L: Precision>(
     Ok((solutions, results, per_rank))
 }
 
-/// One rank's checkpoint plumbing: snapshots go to the world-shared store,
-/// and the resume slice (installed by the supervisor after a recovery) is
-/// handed to the solver exactly once.
+/// One rank's checkpoint plumbing for one lane: snapshots go to the
+/// world-shared store, and the resume slice (installed by the supervisor
+/// after a recovery) is handed to the solver exactly once.
 struct RankSink {
     store: Arc<CheckpointStore>,
     rank: usize,
+    lane: usize,
     resume: Option<SolverCheckpoint>,
 }
 
 impl CheckpointSink for RankSink {
     fn save(&mut self, ckpt: SolverCheckpoint) {
-        self.store.deposit(self.rank, ckpt.counters.epoch, ckpt.to_bytes());
+        self.store.deposit(self.rank, self.lane, ckpt.counters.epoch, ckpt.to_bytes());
     }
 
     fn resume(&mut self) -> Option<SolverCheckpoint> {
@@ -657,8 +642,8 @@ fn run_rank<H: Precision, L: Precision>(
 }
 
 /// The full outcome of a batched multi-RHS parallel solve: per-RHS global
-/// solutions and solver statistics, plus the shared phase trace and
-/// communication-health record of the batch.
+/// solutions, solver statistics and recovery telemetry, plus the shared
+/// phase trace and communication-health record of the batch.
 #[derive(Clone, Debug)]
 pub struct MultiSolve {
     /// Global solutions (both parities), in RHS order.
@@ -671,22 +656,37 @@ pub struct MultiSolve {
     pub trace: Trace,
     /// World-wide communication-health record.
     pub comm: CommHealth,
+    /// Per-RHS recovery telemetry: every lane lists every survived death,
+    /// with the epoch *that lane* resumed from, and its own checkpoint
+    /// counts.
+    pub recovery: Vec<RecoveryReport>,
 }
 
-/// Run a batched multi-RHS even-odd solve over a 4-d process grid.
+/// Run a batched multi-RHS even-odd solve over a 4-d process grid under an
+/// explicit fault-injection, timeout and recovery policy — the one world
+/// loop every driver entry point runs (a single source is the batch of
+/// one).
 ///
 /// Every system shares the gauge field, operator, and solver controls; the
 /// Krylov sweeps are fused through the blocked solvers so the gauge links
 /// are read once per sweep — and one face message per direction is sent —
 /// for the whole block. Each returned solution and iteration count is
 /// **bit-identical** to what [`solve_full_grid`] produces for that source
-/// alone (the batched-equivalence suite enforces this). It is the world
-/// loop of [`solve_full_grid_elastic`] with a death budget of 0.
+/// alone (the batched-equivalence suite enforces this).
+///
+/// The solve *survives rank death*: every rank deposits each lane's
+/// checkpoints into a world-shared store keyed by rank and lane, and when a
+/// rank dies (or its thread panics) mid-solve the supervisor tears the world
+/// down, assembles each lane's newest globally consistent checkpoint,
+/// re-shards it onto a fresh world, and resumes mid-Krylov — up to
+/// [`ElasticPolicy::max_rank_deaths`] times. With a budget of `0` the
+/// checkpoint sinks are disabled (zero cost, no deposits) and the first
+/// death fails the solve fast.
 pub fn solve_full_grid_multi(
     cfg: &GaugeConfig,
     bs: &[HostSpinorField],
     spec: &GridSolveSpec,
-    chaos: &ChaosSpec,
+    policy: &ElasticPolicy,
     trace: TraceConfig,
 ) -> Result<MultiSolve, CommError> {
     assert!(
@@ -695,8 +695,16 @@ pub fn solve_full_grid_multi(
         bs.len(),
         quda_dirac::MAX_RHS_BATCH
     );
-    let policy = ElasticPolicy { max_rank_deaths: 0, chaos: chaos.clone() };
-    solve_world(cfg, bs, spec, &policy, trace).map(|(multi, _)| multi)
+    let (p, t) = (policy, trace);
+    match spec.mode {
+        PrecisionMode::Double => run_world::<Double, Double>(cfg, bs, spec, false, p, t),
+        PrecisionMode::Single => run_world::<Single, Single>(cfg, bs, spec, false, p, t),
+        PrecisionMode::Half => run_world::<Half, Half>(cfg, bs, spec, false, p, t),
+        PrecisionMode::SingleHalf => run_world::<Single, Half>(cfg, bs, spec, true, p, t),
+        PrecisionMode::DoubleHalf => run_world::<Double, Half>(cfg, bs, spec, true, p, t),
+        PrecisionMode::DoubleSingle => run_world::<Double, Single>(cfg, bs, spec, true, p, t),
+        PrecisionMode::DoubleQuarter => run_world::<Double, Quarter>(cfg, bs, spec, true, p, t),
+    }
 }
 
 /// Verify a solution of the *full* system on the host:
@@ -826,7 +834,7 @@ mod tests {
             let bs: Vec<HostSpinorField> =
                 (0..3).map(|k| random_spinor_field(s.plan.global(), 60 + k)).collect();
             let multi =
-                solve_full_grid_multi(&cfg, &bs, &s, &ChaosSpec::default(), TraceConfig::Off)
+                solve_full_grid_multi(&cfg, &bs, &s, &ElasticPolicy::default(), TraceConfig::Off)
                     .expect("batched solve");
             assert_eq!(multi.solutions.len(), 3);
             assert_eq!(multi.results.len(), 3);
@@ -853,7 +861,7 @@ mod tests {
         let bs: Vec<HostSpinorField> =
             (0..2).map(|k| random_spinor_field(s.plan.global(), 80 + k)).collect();
         let multi =
-            solve_full_grid_multi(&cfg, &bs, &s, &ChaosSpec::default(), TraceConfig::Summary)
+            solve_full_grid_multi(&cfg, &bs, &s, &ElasticPolicy::default(), TraceConfig::Summary)
                 .expect("batched solve");
         let breakdown = multi.trace.breakdown();
         let batch = breakdown.get(Phase::Batch).expect("no Batch span recorded");
@@ -1084,6 +1092,40 @@ mod tests {
         let policy = ElasticPolicy { max_rank_deaths: 0, chaos };
         let err = solve_full_grid_elastic(&cfg, &b, &s, &policy, TraceConfig::Off)
             .expect_err("budget 0 must fail fast");
+        assert_eq!(err, CommError::RankDead { rank: 1 });
+    }
+
+    #[test]
+    fn batched_budget_two_is_bit_identical_to_budget_zero_and_zero_fails_fast() {
+        // Arming the budget gives every lane of every rank a sink; the
+        // deposits must not move any lane's numerics by a bit.
+        let s = spec(2, PrecisionMode::DoubleHalf, CommStrategy::NoOverlap, 1e-10);
+        let cfg = weak_field(s.plan.global(), 0.15, 91);
+        let bs: Vec<HostSpinorField> =
+            (0..3).map(|k| random_spinor_field(s.plan.global(), 92 + k)).collect();
+        let solve = |max_rank_deaths, chaos| {
+            let policy = ElasticPolicy { max_rank_deaths, chaos };
+            solve_full_grid_multi(&cfg, &bs, &s, &policy, TraceConfig::Off)
+        };
+        let plain = solve(0, ChaosSpec::default()).expect("fault-free batch");
+        let armed = solve(2, ChaosSpec::default()).expect("fault-free batch with a budget");
+        for k in 0..3 {
+            assert!(plain.results[k].converged, "lane {k} did not converge");
+            assert_eq!(plain.solutions[k].max_site_dist(&armed.solutions[k]), 0.0, "lane {k}");
+            assert_eq!(plain.results[k].iterations, armed.results[k].iterations, "lane {k}");
+            assert_eq!(plain.recovery[k].checkpoints_taken, 0, "lane {k}");
+            assert!(armed.recovery[k].checkpoints_taken > 0, "lane {k} never deposited");
+        }
+        // With a kill injected, budget 0 fails the whole batch fast.
+        let chaos = ChaosSpec {
+            plan: Some(quda_comm::FaultPlan::new(78).kill_rank(1, 40)),
+            comm: CommConfig {
+                timeout: std::time::Duration::from_secs(2),
+                ..CommConfig::default()
+            },
+            ..ChaosSpec::default()
+        };
+        let err = solve(0, chaos).expect_err("budget 0 must fail fast");
         assert_eq!(err, CommError::RankDead { rank: 1 });
     }
 

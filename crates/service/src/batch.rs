@@ -38,6 +38,9 @@ pub struct BatchKey {
     pub trace: TraceConfig,
     /// Lockstep-sanitizer toggle.
     pub lockstep: bool,
+    /// Death budget (an elastic request must not run fail-fast behind a
+    /// budget-0 head, nor a fail-fast one pay for checkpoints).
+    pub max_rank_deaths: usize,
 }
 
 impl BatchKey {
@@ -56,6 +59,7 @@ impl BatchKey {
             num_gpus: param.num_gpus,
             trace: param.trace,
             lockstep: param.lockstep,
+            max_rank_deaths: param.max_rank_deaths,
         }
     }
 }
@@ -85,6 +89,7 @@ mod tests {
         assert_ne!(k, BatchKey::of(g, &base().with_tol(1e-9)));
         assert_ne!(k, BatchKey::of(g, &base().with_solver(SolverKind::Cgnr)));
         assert_ne!(k, BatchKey::of(g, &QudaInvertParam::paper_mode(PrecisionMode::SingleHalf, 2)));
+        assert_ne!(k, BatchKey::of(g, &base().with_max_rank_deaths(1)));
         // Even a same-value, different-bit-pattern float splits: -0.0 vs 0.0.
         assert_ne!(
             k,

@@ -44,10 +44,6 @@ pub enum ServiceError {
     UnknownGauge(ServiceGaugeId),
     /// The source dimensions do not match the gauge field's.
     DimsMismatch,
-    /// The request is malformed (e.g. asks for elastic recovery, which
-    /// batched service solves do not support — failed members are retried
-    /// as fresh requests instead).
-    Invalid(String),
     /// The service is shutting down; queued work it will not run is
     /// resolved with this error.
     ShuttingDown,
@@ -66,7 +62,6 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::UnknownGauge(id) => write!(f, "unknown or freed gauge handle {id:?}"),
             ServiceError::DimsMismatch => write!(f, "source dims do not match the gauge field"),
-            ServiceError::Invalid(why) => write!(f, "invalid request: {why}"),
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::Solve(e) => write!(f, "inversion failed: {e}"),
         }

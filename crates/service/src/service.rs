@@ -193,20 +193,12 @@ impl Service {
     /// Admit one solve request into its tenant's queue.
     ///
     /// Fails fast — before any queueing — on an unknown gauge handle, a
-    /// source/gauge shape mismatch, an unsupported parameter combination,
-    /// or a full tenant queue (backpressure: the caller decides whether
-    /// to retry, shed, or slow down).
+    /// source/gauge shape mismatch, or a full tenant queue (backpressure:
+    /// the caller decides whether to retry, shed, or slow down).
     pub fn submit(&self, req: SolveRequest) -> Result<Ticket, ServiceError> {
         let mut state = self.inner.lock();
         if state.shutdown {
             return Err(ServiceError::ShuttingDown);
-        }
-        if req.param.max_rank_deaths > 0 {
-            return Err(ServiceError::Invalid(
-                "batched service solves run the fail-fast driver; retry failed requests \
-                 instead of max_rank_deaths > 0"
-                    .to_owned(),
-            ));
         }
         let gauge = state
             .gauges
@@ -586,11 +578,29 @@ mod tests {
     }
 
     #[test]
-    fn elastic_requests_rejected() {
-        let service = Service::new(ServiceConfig::default());
-        let (_, mut req) = request(&service, 0, 1);
-        req.param = req.param.with_max_rank_deaths(1);
-        assert!(matches!(service.submit(req), Err(ServiceError::Invalid(_))));
+    fn elastic_requests_are_admitted_and_do_not_fuse_with_fail_fast_ones() {
+        let mut service = Service::new(ServiceConfig { max_batch: 4, ..ServiceConfig::default() });
+        let gauge = service.load_gauge(weak_field(dims(), 0.15, 7)).unwrap();
+        let submit = |seed, param: QudaInvertParam| {
+            let source = random_spinor_field(dims(), seed);
+            service.submit(SolveRequest { gauge, source, param }).unwrap()
+        };
+        let elastic = [1, 2].map(|seed| submit(seed, param().with_max_rank_deaths(1)));
+        let plain = submit(3, param());
+        service.start();
+        for t in elastic {
+            let (_, report) = t.wait().unwrap();
+            assert!(report.converged);
+            assert_eq!(report.queue.batch_size, 2);
+            assert!(report.recovery.checkpoints_taken > 0, "an elastic lane never deposited");
+        }
+        let (_, report) = plain.wait().unwrap();
+        assert!(report.converged);
+        assert_eq!(report.queue.batch_size, 1);
+        assert_eq!(report.recovery.checkpoints_taken, 0);
+        let stats = service.shutdown();
+        assert_eq!(stats.batches, 2);
+        assert_eq!(stats.completed, 3);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use quda_obs::Phase;
 /// `sinks` is empty (no checkpointing) or holds one sink per lane.
 /// Uniform-precision BiCGstab has no reliable-update boundary, so each
 /// lane deposits its iterate (BiCGstab recomputes `r = b − M̂x` at entry,
-/// so a resume is a warm start) at entry and every [`CHECKPOINT_EVERY`]
+/// so a resume is a warm start) at entry and every `CHECKPOINT_EVERY`
 /// iterations while not converged; iteration/matvec counters continue
 /// across incarnations.
 pub fn bicgstab<P: Precision>(

@@ -12,7 +12,7 @@
 //!
 //! Each kernel has two implementations with bit-identical results:
 //!
-//! * a [`fast`] path for the float precisions, which streams the blocked
+//! * a `fast` path for the float precisions, which streams the blocked
 //!   storage (Eq. 5) directly through `arith_blocks` — contiguous slices,
 //!   no per-real index computation, no bounds checks in the hot loop;
 //! * a per-site fallback for the normalized fixed-point precisions, built

@@ -20,7 +20,7 @@ use std::slice::from_mut;
 ///
 /// Like [`bicgstab_reliable`](crate::mixed::bicgstab_reliable), each lane
 /// keeps its own rollback copy of the solution, refreshed every
-/// [`CHECKPOINT_EVERY`] iterations, and its own recovery budget: a
+/// `CHECKPOINT_EVERY` iterations, and its own recovery budget: a
 /// corrupted (non-finite) reduction rolls that lane back and rebuilds its
 /// residual. A fault reported by [`LinearOperator::fault`] aborts every
 /// in-flight lane with [`SolveResult::error`] set.

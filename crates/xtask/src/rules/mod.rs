@@ -27,7 +27,7 @@ pub trait Lint {
     /// Whether the rule runs on this workspace-relative path.
     fn applies(&self, rel_path: &str) -> bool;
     /// Scan one file, pushing findings. Suppressions are handled by the
-    /// caller; rules emit unconditionally via [`emit`].
+    /// caller; rules emit unconditionally via `emit`.
     fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>);
 }
 

@@ -17,6 +17,7 @@ use quda_multigpu::driver::{
 use quda_multigpu::rank_op::CommStrategy;
 use quda_obs::TraceConfig;
 use quda_solvers::params::SolverParams;
+use std::slice::from_ref;
 use std::time::Duration;
 
 fn chaos_with(plan: FaultPlan) -> ChaosSpec {
@@ -151,7 +152,7 @@ fn zero_budget_invert_is_bit_identical_fail_fast() {
 
     // Under a kill, budget 0 fails fast with the classic typed error.
     let chaos = chaos_with(FaultPlan::new(8).kill_rank(1, 50));
-    let err = q.invert_with_chaos(&b, &p, &chaos).expect_err("budget 0 fails fast");
+    let err = q.invert_multi_with_chaos(from_ref(&b), &p, &chaos).expect_err("budget 0 fails fast");
     match err {
         quda_core::QudaError::Comm(CommError::RankDead { rank }) => assert_eq!(rank, 1),
         other => panic!("expected Comm(RankDead), got {other:?}"),
@@ -173,7 +174,8 @@ fn invert_report_carries_recovery_telemetry() {
         .with_tol(1e-10)
         .with_max_rank_deaths(1);
     let chaos = chaos_with(FaultPlan::new(9).kill_rank(1, 150));
-    let (x, report) = q.invert_with_chaos(&b, &p, &chaos).expect("elastic invert");
+    let (x, report) =
+        q.invert_multi_with_chaos(from_ref(&b), &p, &chaos).expect("elastic invert").swap_remove(0);
     assert!(report.stats.converged);
     assert!(report.stats.true_residual < 1e-9);
     assert!(x.norm_sqr() > 0.0);
@@ -181,6 +183,34 @@ fn invert_report_carries_recovery_telemetry() {
     assert_eq!(report.recovery.events[0].dead_rank, 1);
     assert!(report.recovery.events[0].latency > Duration::ZERO);
     assert!(report.recovery.checkpoints_taken > 0);
+}
+
+/// A batch of three right-hand sides survives a rank death through the
+/// public interface: every lane resumes from its own checkpoint, converges
+/// and verifies, and reports the death with the epoch it resumed from.
+#[test]
+fn batch_of_three_survives_a_rank_death() {
+    let dims = LatticeDims::new(4, 4, 2, 8);
+    let mut q = Quda::new(2).expect("context");
+    q.load_gauge(weak_field(dims, 0.15, 161)).expect("gauge");
+    let sources: Vec<_> = (0..3).map(|k| random_spinor_field(dims, 162 + k)).collect();
+    let p = QudaInvertParam::paper_mode(PrecisionMode::DoubleHalf, 2)
+        .with_mass(0.3)
+        .with_tol(1e-10)
+        .with_max_rank_deaths(1);
+    let chaos = chaos_with(FaultPlan::new(12).kill_rank(1, 150));
+    let lanes = q.invert_multi_with_chaos(&sources, &p, &chaos).expect("elastic batch");
+    assert_eq!(lanes.len(), 3);
+    for (k, (x, report)) in lanes.iter().enumerate() {
+        assert!(report.stats.converged, "lane {k} did not converge");
+        assert!(report.stats.true_residual < 1e-9, "lane {k}: residual {}", report.true_residual);
+        assert!(x.norm_sqr() > 0.0);
+        assert_eq!(report.recovery.deaths_survived(), 1, "lane {k}");
+        let ev = &report.recovery.events[0];
+        assert_eq!(ev.dead_rank, 1, "lane {k}");
+        assert!(ev.resumed_epoch.is_some(), "lane {k} restarted from scratch");
+        assert!(report.recovery.checkpoints_taken > 0, "lane {k}");
+    }
 }
 
 /// A panicking rank (injected bug) is classified as `RankPanicked` with
