@@ -12,9 +12,12 @@
 //!   reliable updates, the final residual's bits, and FNV-1a hashes of the
 //!   residual history's bits and of the solution's storage bytes;
 //! * the checkpoint protocol — each lane's deposit sequence as (epoch,
-//!   iterations, FNV-1a of the serialized snapshot), the outcome of
-//!   resuming from the second deposit, and the deposits the resumed solve
-//!   makes; alone and as a batch of 2 with one sink per lane.
+//!   iterations, FNV-1a of the snapshot's counters and restored sites), the
+//!   outcome of resuming from the second deposit, and the deposits the
+//!   resumed solve makes; alone and as a batch of 2 with one sink per lane.
+//!   The deposit hash covers what a resume reads back, not the wire
+//!   format's byte layout, so a format change that keeps the state keeps
+//!   the literals.
 
 use quda_dirac::{WilsonCloverOp, WilsonParams};
 use quda_fields::gauge_gen::{random_spinor_field, weak_field};
@@ -30,7 +33,7 @@ use quda_solvers::{bicgstab, bicgstab_reliable, blas, cgnr};
 /// residual history bits, FNV of the solution storage bytes).
 type Pin = (usize, u64, u64, u64, u64, u64);
 
-/// (epoch, iterations, FNV of `SolverCheckpoint::to_bytes`).
+/// (epoch, iterations, FNV of the counters and the restored sites).
 type Deposit = (u64, u64, u64);
 
 /// (iterations, matvecs, final_residual bits) of a resumed solve.
@@ -71,64 +74,64 @@ struct Protocol {
 
 const BICGSTAB_PROTOCOL: Protocol = Protocol {
     deposits: [
-        &[(1, 0, 0x5067729e3391b08e), (2, 16, 0x58a2d20a361db85a)],
-        &[(1, 0, 0x569e4bea3db8900a), (2, 16, 0x1bd2ae392be0af8b)],
+        &[(1, 0, 0x3a1aa12b22a42877), (2, 16, 0xfe8ce53635775e2e)],
+        &[(1, 0, 0x7aa0a4f636a1ed0f), (2, 16, 0xbadcccf7e7545c95)],
     ],
     resume: [(26, 55, 0x3dd5cf80c314be12), (26, 55, 0x3dd19102e21be061)],
-    resumed_deposits: [&[(3, 16, 0x183ee5f7c6ec6d63)], &[(3, 16, 0x4507ab334778dff6)]],
+    resumed_deposits: [&[(3, 16, 0xf4db61f350fddf33)], &[(3, 16, 0xb3144ec72f54acfe)]],
 };
 
 const CGNR_PROTOCOL: Protocol = Protocol {
     deposits: [
         &[
-            (1, 0, 0xf1f515eb91f0ae89),
-            (2, 16, 0x610e913308410223),
-            (3, 32, 0xc64316edd6b54a12),
-            (4, 48, 0xe7156cbee24290ac),
+            (1, 0, 0xf9a1bd6b4de1c13e),
+            (2, 16, 0x8db3e7da49238bb9),
+            (3, 32, 0x6817b08df49f0300),
+            (4, 48, 0x940cba7fb2c54f66),
         ],
         &[
-            (1, 0, 0xec64da56ce1bf4e6),
-            (2, 16, 0x84a418589049a9dc),
-            (3, 32, 0x4d71961b2a84e08e),
-            (4, 48, 0xe4eed5b4ea8a990e),
+            (1, 0, 0x758a7415bb0c9576),
+            (2, 16, 0x91fc5f4becf3344e),
+            (3, 32, 0x9ba726c7d949db6e),
+            (4, 48, 0x320c9eaffd8123cc),
         ],
     ],
     resume: [(49, 105, 0x3de06f7f7b033a65), (49, 105, 0x3de04e641422351d)],
     resumed_deposits: [
-        &[(3, 16, 0xed243302354c19b3), (4, 32, 0xe1dd65a7655c3baa), (5, 48, 0x050e981eed788293)],
-        &[(3, 16, 0xd65f26c493379afa), (4, 32, 0xe161a40227487ba5), (5, 48, 0x12aaf604c0c997f4)],
+        &[(3, 16, 0xac28b25abe957765), (4, 32, 0x80a8f4245af61fac), (5, 48, 0x5ddc1a7f91612ced)],
+        &[(3, 16, 0x7e208ba20d1feffc), (4, 32, 0xddca22bee4649e10), (5, 48, 0x4004bbeeb1695dd0)],
     ],
 };
 
 const RELIABLE_PROTOCOL: Protocol = Protocol {
     deposits: [
         &[
-            (1, 0, 0xfac71a4d866839f0),
-            (2, 7, 0xc0871e8230fc7bdf),
-            (3, 11, 0xd45c8b2f5cf5cae7),
-            (4, 17, 0x8133a2c77a9cdc75),
-            (5, 24, 0x8932ecd3d6db7e20),
+            (1, 0, 0x61c1840106635f18),
+            (2, 7, 0xf4119ffe48d0e7be),
+            (3, 11, 0x432a3283450854af),
+            (4, 17, 0x5374a06bff9c2761),
+            (5, 24, 0x977d4916cd757396),
         ],
         &[
-            (1, 0, 0x31b45dfa51d02eb9),
-            (2, 8, 0x2af0153efea1f400),
-            (3, 14, 0x90299eba267cf9ac),
-            (4, 21, 0x5650ce4398d37526),
+            (1, 0, 0x31174562a722bd69),
+            (2, 8, 0xd46609fae34a3a5b),
+            (3, 14, 0x79cb56f0c5cb0551),
+            (4, 21, 0xba76386989bb3c53),
         ],
     ],
     resume: [(29, 64, 0x3dcddeba72a6d7d0), (27, 60, 0x3dc53d597bf831fa)],
     resumed_deposits: [
         &[
-            (3, 7, 0xf8a666c378b12b7e),
-            (4, 13, 0x79d4c60e12183a99),
-            (5, 20, 0x8fccbc411b6898ed),
-            (6, 27, 0xcc619c22b762a56a),
+            (3, 7, 0xbf4fedca3a2a365f),
+            (4, 13, 0xeb8883931c55d10b),
+            (5, 20, 0xdc93d5cfe08c0d3e),
+            (6, 27, 0xbd348c26c0c97723),
         ],
         &[
-            (3, 8, 0x6fe8ef39961fb8ea),
-            (4, 15, 0xe6cfd91bcef735a7),
-            (5, 20, 0x9f39132c2ba7a41e),
-            (6, 25, 0xa35e43255f1d3200),
+            (3, 8, 0x7e47bd1d4194b402),
+            (4, 15, 0x3fbdcee5d04e4069),
+            (5, 20, 0x54cedc6f9e0c171b),
+            (6, 25, 0x931ca0de8d7c4d9c),
         ],
     ],
 };
@@ -267,12 +270,44 @@ impl CheckpointSink for Recording {
 }
 
 impl Recording {
-    fn deposits(&self) -> Vec<Deposit> {
+    /// Each deposit as a resume sees it: restored into fields shaped like
+    /// `like`, then hashed with its counters.
+    fn deposits(&self, like: &SpinorFieldCb<Double>) -> Vec<Deposit> {
         self.saved
             .iter()
-            .map(|c| (c.counters.epoch, c.counters.iterations, fnv1a(&c.to_bytes())))
+            .map(|c| (c.counters.epoch, c.counters.iterations, state_fnv(c, like)))
             .collect()
     }
+}
+
+/// FNV-1a of every counter and of the bits of every site of the restored
+/// `x` (and `r`, when the snapshot carries it).
+fn state_fnv(c: &SolverCheckpoint, like: &SpinorFieldCb<Double>) -> u64 {
+    let k = &c.counters;
+    let mut bytes = Vec::new();
+    for v in [k.epoch, k.iterations, k.matvecs_hi, k.matvecs_lo, k.reliable_updates, k.recoveries] {
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    bytes.extend_from_slice(&k.stalls.to_le_bytes());
+    for v in [k.r2, k.maxrr, k.last_update_r2] {
+        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    let mut push_sites = |f: &SpinorFieldCb<Double>| {
+        for cb in 0..f.sites() {
+            for v in f.get(cb).to_reals() {
+                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+    };
+    let mut x = like.clone();
+    c.restore_x(&mut x).expect("deposit restores into its own shape");
+    push_sites(&x);
+    if c.has_residual() {
+        let mut r = like.clone();
+        c.restore_r(&mut r).expect("residual restores into its own shape");
+        push_sites(&r);
+    }
+    fnv1a(&bytes)
 }
 
 fn zeros(n: usize, like: &SpinorFieldCb<Double>) -> Vec<SpinorFieldCb<Double>> {
@@ -305,7 +340,7 @@ fn check_protocol(
         let mut rec = Recording::default();
         let res = solve(&mut x, b, &mut [&mut rec]).remove(0);
         assert!(res.converged, "{what} lane {k}");
-        assert_eq!(rec.deposits(), pin.deposits[k], "{what} lane {k}: deposits");
+        assert_eq!(rec.deposits(&bs[k]), pin.deposits[k], "{what} lane {k}: deposits");
         // Resumed from the second deposit, from a zero guess.
         let mut x = zeros(1, &bs[k]);
         let mut resumed = Recording { resume: Some(rec.saved[1].clone()), ..Default::default() };
@@ -317,7 +352,7 @@ fn check_protocol(
             "{what} lane {k}: resumed outcome"
         );
         assert_eq!(
-            resumed.deposits(),
+            resumed.deposits(&bs[k]),
             pin.resumed_deposits[k],
             "{what} lane {k}: resumed deposits"
         );
@@ -328,7 +363,7 @@ fn check_protocol(
     let (mut r0, mut r1) = (Recording::default(), Recording::default());
     let res = solve(&mut xs, bs, &mut [&mut r0, &mut r1]);
     for (k, rec) in [r0, r1].iter().enumerate() {
-        assert_eq!(rec.deposits(), pin.deposits[k], "{what} batch lane {k}: deposits");
+        assert_eq!(rec.deposits(&bs[k]), pin.deposits[k], "{what} batch lane {k}: deposits");
         assert_eq!(res[k].iterations, solo[k].iterations, "{what} batch lane {k}");
         assert_eq!(res[k].matvecs, solo[k].matvecs, "{what} batch lane {k}");
         assert_eq!(res[k].final_residual.to_bits(), solo[k].final_residual.to_bits());
