@@ -56,7 +56,7 @@ fn bench_parallel_matpc(c: &mut Criterion) {
     for strategy in [CommStrategy::NoOverlap, CommStrategy::Overlap] {
         let mut world = quda_comm::comm_world(1);
         let comm = world.pop().unwrap();
-        let mut op = ParallelWilsonCloverOp::<Single>::new_grid(&cfg, plan, 0, comm, wp, strategy)
+        let mut op = ParallelWilsonCloverOp::<Single>::new(&cfg, plan, 0, comm, wp, strategy)
             .expect("op init");
         let host = random_spinor_field(d, 6);
         let mut x = op.alloc();

@@ -121,7 +121,7 @@ fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("primitives");
     // Layout indexing (Eq. 5).
     let d = dims();
-    let layout = species::spinor_cb(&d, NVec::N4, true);
+    let layout = species::spinor_cb(&d, NVec::N4);
     group.bench_function("layout_index", |b| {
         b.iter(|| {
             let mut acc = 0usize;
@@ -135,7 +135,7 @@ fn bench_primitives(c: &mut Criterion) {
     });
     // The same sites through the block cursor the field accessors use:
     // one gather of all 24 reals per site.
-    let data: Vec<f32> = (0..layout.total_len()).map(|i| i as f32).collect();
+    let data: Vec<f32> = (0..layout.body_len()).map(|i| i as f32).collect();
     group.bench_function("layout_gather", |b| {
         b.iter(|| {
             let mut acc = 0.0f32;

@@ -4,20 +4,25 @@
 //! sites of one parity, gathers the eight projected neighbor half-spinors,
 //! multiplies by the (possibly compressed) links, and reconstructs — using
 //! the compiled rank-2 projectors of [`quda_math::gamma::HalfProj`], the
-//! layout-aware field containers, and the ghost zones of Section VI when the
-//! temporal boundary is a domain boundary.
+//! layout-aware field containers, and the ghost zones of Section VI for
+//! every dimension the stencil marks open.
 //!
-//! The kernel can be restricted to the interior or face time-slices
-//! ([`DslashRegion`]) so the multi-GPU driver can overlap the interior
-//! computation with face communication (Section VI-D2).
+//! Every face, T included, is shipped as the sender's projection
+//! `P±μ ψ` and read back as stored. In the non-relativistic basis
+//! `P±4 = 1 ± γ4` is diag(2,2,0,0), so a T face is still a copy of two spin
+//! components (Section VI-C footnote 3) — scaled by 2, which moves no bit.
+//!
+//! The kernel can be restricted to the interior or to the boundary sites of
+//! the open dimensions ([`DslashRegion`]) so the multi-GPU driver can
+//! overlap the interior computation with face communication (Section
+//! VI-D2).
 
 use quda_fields::precision::Precision;
 use quda_fields::{GaugeFieldCb, SpinorFieldCb};
-use quda_lattice::geometry::{Parity, DIR_T};
+use quda_lattice::geometry::Parity;
 use quda_lattice::stencil::{BoundaryKind, Stencil};
 use quda_math::colorvec::ColorVec;
-use quda_math::gamma::{HalfProj, SpinBasis};
-use quda_math::real::Real;
+use quda_math::gamma::SpinBasis;
 use quda_math::spinor::{HalfSpinor, Spinor};
 use rayon::prelude::*;
 
@@ -218,17 +223,8 @@ fn dslash_site<P: Precision, const N: usize>(
             let input = &inputs[r];
             *h = match nref.kind {
                 BoundaryKind::Interior => proj_f.project(&input.get(nref.idx as usize)),
-                BoundaryKind::GhostForward => {
-                    if mu == DIR_T {
-                        // Diagonal P±4: raw 12-number copy, coefficient
-                        // applied here (Section VI-C footnote 3).
-                        ghost_half::<P>(input, false, nref.idx as usize, proj_f)
-                    } else {
-                        // Non-diagonal spatial projector: the sender already
-                        // applied the full projection, consume as-is.
-                        input.get_ghost_dim(mu, false, nref.idx as usize)
-                    }
-                }
+                // The sender already applied the projection.
+                BoundaryKind::GhostForward => input.get_ghost(mu, false, nref.idx as usize),
                 BoundaryKind::GhostBackward => {
                     unreachable!("forward hop cannot use backward ghost")
                 }
@@ -254,12 +250,7 @@ fn dslash_site<P: Precision, const N: usize>(
         for (h, &r) in block.iter_mut().zip(idxs) {
             let input = &inputs[r];
             *h = if from_ghost {
-                let face = nref.idx as usize;
-                if mu == DIR_T {
-                    ghost_half::<P>(input, true, face, proj_b)
-                } else {
-                    input.get_ghost_dim(mu, true, face)
-                }
+                input.get_ghost(mu, true, nref.idx as usize)
             } else {
                 proj_b.project(&input.get(nref.idx as usize))
             }
@@ -273,76 +264,16 @@ fn dslash_site<P: Precision, const N: usize>(
     accs
 }
 
-/// Load a temporal ghost half-spinor and apply the diagonal projector's
-/// coefficient (the stored data is the raw 12-component copy; the projector
-/// `1 ± γ4` contributes the factor 2, Section VI-C footnote 3).
-#[inline]
-fn ghost_half<P: Precision>(
-    input: &SpinorFieldCb<P>,
-    backward: bool,
-    face: usize,
-    proj: &HalfProj,
-) -> HalfSpinor<P::Arith> {
-    debug_assert!(proj.diagonal, "temporal ghosts require the diagonalized P±4");
-    let raw = input.get_ghost(backward, face);
-    let mut h = HalfSpinor::zero();
-    for i in 0..2 {
-        let (_, coeff) = proj.terms[i][0];
-        let c = P::Arith::from_f64(coeff.re);
-        h.h[i] = raw.h[i].scale_re(c);
-    }
-    h
-}
-
-/// Gather the raw 12 components a neighbor will need from one temporal face
-/// site of `field` — the `dir = T` case of [`gather_face_site_dim`].
-///
-/// `to_forward` selects which face is being gathered: `true` gathers the
-/// *last* time-slice (sent forward, becoming the receiver's backward ghost,
-/// carrying the components the receiver's `P+4`-like projector keeps);
-/// `false` gathers the first time-slice (sent backward, the receiver's
-/// forward ghost). With `dagger` the projector roles (and hence which spin
-/// components are copied) swap.
-fn gather_face_site<P: Precision>(
-    field: &SpinorFieldCb<P>,
-    basis: &SpinBasis,
-    stencil: &Stencil,
-    to_forward: bool,
-    face: usize,
-    dagger: bool,
-) -> HalfSpinor<P::Arith> {
-    // The receiver consumes a backward ghost with proj index
-    // (dagger ? 0 : 1) and a forward ghost with (dagger ? 1 : 0), mu = T.
-    let proj_idx = match (to_forward, dagger) {
-        (true, false) => 1,  // receiver's backward gather uses P+4
-        (true, true) => 0,   // dagger: P-4
-        (false, false) => 0, // receiver's forward gather uses P-4
-        (false, true) => 1,
-    };
-    let proj = &basis.proj[DIR_T][proj_idx];
-    debug_assert!(proj.diagonal);
-    let dims = stencil.dims;
-    let t = if to_forward { dims.t - 1 } else { 0 };
-    let half_vs = dims.half_spatial_volume();
-    let cb = t * half_vs + face;
-    let sp = field.get(cb);
-    // Raw copy of the two spin components the projector keeps (no factor 2;
-    // the receiver applies it).
-    HalfSpinor { h: [sp.s[proj.rows[0]], sp.s[proj.rows[1]]] }
-}
-
 /// Gather the projected half-spinor a neighbor will need from face site
 /// `face` of the `dir`-boundary of `field` (the sending half of Fig. 3,
 /// generalized to any dimension).
 ///
 /// `to_forward` gathers the last (`true`) or first (`false`) `dir`-slice;
-/// `parity` is the checkerboard parity of `field`. For `dir = 3` (the
-/// diagonal P±4) this is a raw copy of the two kept spin components, the
-/// receiver supplying the factor 2 (Section VI-C footnote 3).
-/// For X/Y/Z the projector is non-diagonal, so the *sender* applies the full
-/// projection and the receiver consumes the stored half directly.
+/// `parity` is the checkerboard parity of `field`. The *sender* applies the
+/// full projection in every dimension ("only 12 numbers need be
+/// transferred"), so the receiver consumes the stored half directly.
 #[allow(clippy::too_many_arguments)]
-pub fn gather_face_site_dim<P: Precision>(
+pub fn gather_face_site<P: Precision>(
     field: &SpinorFieldCb<P>,
     basis: &SpinBasis,
     stencil: &Stencil,
@@ -352,19 +283,10 @@ pub fn gather_face_site_dim<P: Precision>(
     parity: Parity,
     dagger: bool,
 ) -> HalfSpinor<P::Arith> {
-    if dir == DIR_T {
-        return gather_face_site(field, basis, stencil, to_forward, face, dagger);
-    }
-    // Same (to_forward, dagger) → projector-index convention as the T path:
-    // the receiver consumes a backward ghost with proj[mu][dagger ? 0 : 1]
-    // and a forward ghost with proj[mu][dagger ? 1 : 0].
-    let proj_idx = match (to_forward, dagger) {
-        (true, false) => 1,
-        (true, true) => 0,
-        (false, false) => 0,
-        (false, true) => 1,
-    };
-    let proj = &basis.proj[dir][proj_idx];
+    // A face sent forward becomes the receiver's backward ghost, which its
+    // backward hop consumes with proj[mu][dagger ? 0 : 1]; a face sent
+    // backward, its forward hop with proj[mu][dagger ? 1 : 0].
+    let proj = &basis.proj[dir][usize::from(to_forward != dagger)];
     let dims = stencil.dims;
     let fixed = if to_forward { dims.extent(dir) - 1 } else { 0 };
     let c = Stencil::face_coord(&dims, dir, parity, fixed, face);
@@ -392,8 +314,9 @@ mod tests {
     use quda_fields::gauge_gen::{random_spinor_field, weak_field};
     use quda_fields::precision::{Double, Half, Quarter, Single};
     use quda_fields::HostSpinorField;
-    use quda_lattice::geometry::LatticeDims;
+    use quda_lattice::geometry::{LatticeDims, DIR_T};
     use quda_math::gamma::GammaBasis;
+    use quda_math::real::Real;
 
     fn dims() -> LatticeDims {
         LatticeDims::new(4, 4, 4, 6)
@@ -537,15 +460,15 @@ mod tests {
         for cb in 0..dev_g.sites() {
             dev_g.set(cb, &dev.get(cb));
         }
-        let fs = dev_g.face_sites_dim(0);
+        let fs = dev_g.face_sites(0);
         for face in 0..fs {
             // Input parity is Odd; periodic self-exchange.
             let from_last =
-                gather_face_site_dim(&dev, &basis, &open, 0, true, face, Parity::Odd, false);
-            dev_g.set_ghost_dim(0, true, face, &from_last);
+                gather_face_site(&dev, &basis, &open, 0, true, face, Parity::Odd, false);
+            dev_g.set_ghost(0, true, face, &from_last);
             let from_first =
-                gather_face_site_dim(&dev, &basis, &open, 0, false, face, Parity::Odd, false);
-            dev_g.set_ghost_dim(0, false, face, &from_first);
+                gather_face_site(&dev, &basis, &open, 0, false, face, Parity::Odd, false);
+            dev_g.set_ghost(0, false, face, &from_first);
         }
         // Side ghost links: U_x on the last X-slice of the (same) domain,
         // parity of x−x̂ = Odd for Even output sites.
@@ -649,9 +572,9 @@ mod tests {
                 let mut dev = SpinorFieldCb::<P>::new_open(d, open);
                 dev.fill_sites(|cb| full.get(cb));
                 for dim in open_dims() {
-                    for face in 0..dev.face_sites_dim(dim) {
+                    for face in 0..dev.face_sites(dim) {
                         for backward in [true, false] {
-                            let h = gather_face_site_dim(
+                            let h = gather_face_site(
                                 &full,
                                 &basis,
                                 &stencil,
@@ -661,7 +584,7 @@ mod tests {
                                 Parity::Odd,
                                 false,
                             );
-                            dev.set_ghost_dim(dim, backward, face, &h);
+                            dev.set_ghost(dim, backward, face, &h);
                         }
                     }
                 }
@@ -896,8 +819,8 @@ mod tests {
             DslashRegion::All,
         );
 
-        // Build a ghost-bearing copy of the input and populate its end zone
-        // with the periodic wrap (self-exchange).
+        // Build a ghost-bearing copy of the input and populate its T ghost
+        // zone with the periodic wrap (self-exchange).
         let mut dev_g = SpinorFieldCb::<Double>::new(d, true);
         for cb in 0..dev_g.sites() {
             dev_g.set(cb, &dev_open.get(cb));
@@ -906,10 +829,12 @@ mod tests {
         for face in 0..half_vs {
             // Backward ghost of this domain = last slice of the (same)
             // domain under periodicity.
-            let from_last = gather_face_site(&dev_open, &basis, &open, true, face, false);
-            dev_g.set_ghost(true, face, &from_last);
-            let from_first = gather_face_site(&dev_open, &basis, &open, false, face, false);
-            dev_g.set_ghost(false, face, &from_first);
+            let from_last =
+                gather_face_site(&dev_open, &basis, &open, DIR_T, true, face, Parity::Odd, false);
+            dev_g.set_ghost(DIR_T, true, face, &from_last);
+            let from_first =
+                gather_face_site(&dev_open, &basis, &open, DIR_T, false, face, Parity::Odd, false);
+            dev_g.set_ghost(DIR_T, false, face, &from_first);
         }
         // Ghost links: the pad of the T-direction array must hold the links
         // of the last time-slice (periodic self-copy), parity of x−T̂ = Odd.

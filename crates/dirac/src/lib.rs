@@ -32,6 +32,6 @@ pub mod op;
 pub mod reference;
 
 pub use cpu_opt::{CpuDslash, FlatSpinor};
-pub use dslash::{dslash_cb, dslash_cb_multi, gather_face_site_dim, DslashRegion, MAX_RHS_BATCH};
+pub use dslash::{dslash_cb, dslash_cb_multi, gather_face_site, DslashRegion, MAX_RHS_BATCH};
 pub use op::{Halo, MatPcOp, NoHalo, WilsonCloverOp, INNER_PARITY, SOLVE_PARITY};
 pub use reference::WilsonParams;

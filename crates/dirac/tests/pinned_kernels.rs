@@ -10,11 +10,11 @@
 //! * `dslash_cb` — all four precisions × `dagger` ∈ {false, true} × the
 //!   regions `All`, `Interior`, `FacesDim(0)`, `FacesDim(3)`, on an open
 //!   `[true, false, false, true]` stencil whose spinor and link ghosts are
-//!   a periodic self-exchange (`gather_face_site_dim` on the same field);
+//!   a periodic self-exchange (`gather_face_site` on the same field);
 //! * the clover apply and the fused clover axpy — all four precisions.
 
 use quda_dirac::clover_apply::{clover_apply_cb_multi, clover_axpy_cb_multi};
-use quda_dirac::{dslash_cb, gather_face_site_dim, DslashRegion};
+use quda_dirac::{dslash_cb, gather_face_site, DslashRegion};
 use quda_fields::clover_build::clover_sites_cb;
 use quda_fields::gauge_gen::{random_spinor_field, weak_field};
 use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
@@ -127,9 +127,9 @@ fn dslash_hashes<P: Precision>() -> [u64; 8] {
         let mut input = SpinorFieldCb::<P>::new_open(d, OPEN);
         input.fill_sites(|cb| full.get(cb));
         for dim in (0..4).filter(|&m| OPEN[m]) {
-            for face in 0..input.face_sites_dim(dim) {
+            for face in 0..input.face_sites(dim) {
                 for backward in [true, false] {
-                    let h = gather_face_site_dim(
+                    let h = gather_face_site(
                         &full,
                         &basis,
                         &stencil,
@@ -139,7 +139,7 @@ fn dslash_hashes<P: Precision>() -> [u64; 8] {
                         Parity::Odd,
                         dagger,
                     );
-                    input.set_ghost_dim(dim, backward, face, &h);
+                    input.set_ghost(dim, backward, face, &h);
                 }
             }
         }

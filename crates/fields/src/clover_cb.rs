@@ -28,7 +28,7 @@ impl<P: Precision> CloverFieldCb<P> {
     pub fn new(dims: LatticeDims) -> Self {
         let n_vec = NVec::optimal_for_bytes(P::STORAGE_BYTES);
         let layout = species::clover_cb(&dims, n_vec);
-        let data = vec![P::Elem::default(); layout.total_len()];
+        let data = vec![P::Elem::default(); layout.body_len()];
         let norm = if P::NEEDS_NORM { vec![1.0; layout.sites] } else { Vec::new() };
         let mut f = CloverFieldCb { dims, layout, data, norm };
         let id = CloverSite::<f64>::identity();

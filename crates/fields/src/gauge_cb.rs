@@ -41,7 +41,7 @@ impl<P: Precision> GaugeFieldCb<P> {
     pub fn new(dims: LatticeDims, compressed: bool) -> Self {
         let n_vec = NVec::optimal_for_bytes(P::STORAGE_BYTES);
         let layout = species::gauge_cb(&dims, n_vec, compressed);
-        let make = || vec![P::Elem::default(); layout.total_len()];
+        let make = || vec![P::Elem::default(); layout.body_len()];
         let mut field = GaugeFieldCb {
             dims,
             layout,

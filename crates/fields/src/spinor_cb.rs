@@ -1,11 +1,14 @@
 //! Single-parity ("checkerboard") spinor fields in the QUDA device layout.
 //!
 //! The even-odd preconditioned solver works entirely on one parity, so this
-//! is the workhorse vector type. Storage follows Fig. 2: `24 / N_vec` blocks
-//! of `stride = V/2 + pad` short vectors, with the optional ghost end zone of
-//! Section VI-C appended after the blocks (`2 × Vs/2` half spinors, backward
-//! half first). In half precision a per-site `f32` normalization array rides
-//! along, extended by `2 × Vs/2` entries for the ghost half spinors.
+//! is the workhorse vector type. Site storage follows Fig. 2: `24 / N_vec`
+//! blocks of `stride = V/2 + pad` short vectors. Every open dimension of a
+//! process grid, T included, carries a ghost zone beside the body: `2 ×
+//! face_sites` half spinors, backward face first — Section VI-C's end zone,
+//! one per dimension. Keeping the ghosts outside the body means reductions
+//! never see them. In half and quarter precision a per-site `f32`
+//! normalization array rides along, and each ghost zone has its own
+//! per-half-spinor norms.
 
 use crate::host::HostSpinorField;
 use crate::precision::Precision;
@@ -21,25 +24,22 @@ pub struct SpinorFieldCb<P: Precision> {
     pub dims: LatticeDims,
     /// Memory layout (Eq. 5).
     pub layout: FieldLayout,
-    /// Blocked, padded element storage (plus ghost end zone when present).
+    /// Blocked, padded site storage (Eq. 5).
     pub data: Vec<P::Elem>,
-    /// Per-site normalization constants (half precision only; otherwise
-    /// empty). Ghost entries follow the site entries: backward face first.
+    /// Per-site normalization constants (half and quarter precision only;
+    /// otherwise empty).
     pub norm: Vec<f32>,
-    /// Which lattice dimensions carry ghost zones. The temporal ghost lives
-    /// in the end zone of `data` (Fig. 2); X/Y/Z ghosts — whose faces are
-    /// not contiguous in the checkerboard layout — live in the side arrays.
-    pub open: [bool; 4],
-    /// Side ghost storage for X/Y/Z (indexed `dir = 0..3`): `2 × face_sites`
-    /// half spinors, backward face first, matching the end-zone convention.
-    pub side_ghost: [Vec<P::Elem>; 3],
-    /// Side ghost normalization constants (half precision only), same order.
-    pub side_norm: [Vec<f32>; 3],
+    /// Ghost zone of each dimension `X..T`: `2 × face_sites` half spinors,
+    /// backward face first; empty for a closed dimension.
+    pub ghost: [Vec<P::Elem>; 4],
+    /// Ghost normalization constants (half and quarter precision only), one
+    /// per ghost half spinor, in the same order.
+    pub ghost_norm: [Vec<f32>; 4],
 }
 
 impl<P: Precision> SpinorFieldCb<P> {
-    /// Allocate a zero field; `with_ghost` reserves the temporal end zone
-    /// needed by a time-sliced multi-GPU operand.
+    /// Allocate a zero field; `with_ghost` opens the temporal dimension:
+    /// [`SpinorFieldCb::new_open`] at the paper's `1×1×1×N` slicing.
     pub fn new(dims: LatticeDims, with_ghost: bool) -> Self {
         Self::new_open(dims, [false, false, false, with_ghost])
     }
@@ -48,26 +48,20 @@ impl<P: Precision> SpinorFieldCb<P> {
     /// 4-d process-grid decomposition.
     pub fn new_open(dims: LatticeDims, open: [bool; 4]) -> Self {
         let n_vec = NVec::optimal_for_bytes(P::STORAGE_BYTES);
-        let layout = species::spinor_cb(&dims, n_vec, open[3]);
-        let data = vec![P::Elem::default(); layout.total_len()];
-        let norm =
-            if P::NEEDS_NORM { vec![1.0; layout.sites + layout.ghost_sites] } else { Vec::new() };
-        let side_ghost = std::array::from_fn(|dir| {
-            if open[dir] {
-                let fs = dims.volume() / dims.extent(dir) / 2;
-                vec![P::Elem::default(); 2 * fs * HALF_SPINOR_REALS]
-            } else {
-                Vec::new()
+        let layout = species::spinor_cb(&dims, n_vec);
+        let data = vec![P::Elem::default(); layout.body_len()];
+        let norm = if P::NEEDS_NORM { vec![1.0; layout.sites] } else { Vec::new() };
+        let mut ghost: [Vec<P::Elem>; 4] = Default::default();
+        let mut ghost_norm: [Vec<f32>; 4] = Default::default();
+        for dir in (0..4).filter(|&dir| open[dir]) {
+            // Both faces, backward first.
+            let slots = 2 * (dims.volume() / dims.extent(dir) / 2);
+            ghost[dir] = vec![P::Elem::default(); slots * HALF_SPINOR_REALS];
+            if P::NEEDS_NORM {
+                ghost_norm[dir] = vec![1.0; slots];
             }
-        });
-        let side_norm = std::array::from_fn(|dir| {
-            if P::NEEDS_NORM && open[dir] {
-                vec![1.0; 2 * (dims.volume() / dims.extent(dir) / 2)]
-            } else {
-                Vec::new()
-            }
-        });
-        SpinorFieldCb { dims, layout, data, norm, open, side_ghost, side_norm }
+        }
+        SpinorFieldCb { dims, layout, data, norm, ghost, ghost_norm }
     }
 
     /// Number of data sites (half volume).
@@ -76,16 +70,17 @@ impl<P: Precision> SpinorFieldCb<P> {
         self.layout.sites
     }
 
-    /// Whether the field carries a ghost end zone.
+    /// Whether the field carries a ghost zone for dimension `dir`.
     #[inline(always)]
-    pub fn has_ghost(&self) -> bool {
-        self.layout.ghost_sites > 0
+    pub fn has_ghost(&self, dir: usize) -> bool {
+        !self.ghost[dir].is_empty()
     }
 
-    /// Face sites per temporal ghost (Vs/2).
+    /// Face sites per parity of a `dir`-boundary slice (`V / L_dir / 2`;
+    /// `Vs/2` for T).
     #[inline(always)]
-    pub fn face_sites(&self) -> usize {
-        self.layout.ghost_sites / 2
+    pub fn face_sites(&self, dir: usize) -> usize {
+        self.dims.volume() / self.dims.extent(dir) / 2
     }
 
     /// Read the spinor at checkerboard site `cb`.
@@ -116,123 +111,66 @@ impl<P: Precision> SpinorFieldCb<P> {
         self.layout.scatter(&mut self.data, cb, &stored.to_reals(), P::store);
     }
 
-    /// Read a ghost half spinor (`backward` selects which face's data).
+    /// Read the ghost half spinor of dimension `dir` at face site `face`
+    /// (`backward` selects which face's data).
     #[inline]
-    pub fn get_ghost(&self, backward: bool, face: usize) -> HalfSpinor<P::Arith> {
+    pub fn get_ghost(&self, dir: usize, backward: bool, face: usize) -> HalfSpinor<P::Arith> {
+        let slot = self.ghost_slot(dir, backward, face);
+        let base = slot * HALF_SPINOR_REALS;
         let mut reals = [P::Arith::ZERO; HALF_SPINOR_REALS];
-        for (n, r) in reals.iter_mut().enumerate() {
-            *r = P::load(self.data[self.layout.ghost_index(backward, face, n)]);
+        for (r, &e) in reals.iter_mut().zip(&self.ghost[dir][base..base + HALF_SPINOR_REALS]) {
+            *r = P::load(e);
         }
         let mut h = HalfSpinor::from_reals(&reals);
         if P::NEEDS_NORM {
-            let ni = self.ghost_norm_index(backward, face);
-            let norm = P::Arith::from_f64(self.norm[ni] as f64);
+            let norm = P::Arith::from_f64(self.ghost_norm[dir][slot] as f64);
             h.h[0] = h.h[0].scale_re(norm);
             h.h[1] = h.h[1].scale_re(norm);
         }
         h
     }
 
-    /// Write a ghost half spinor.
+    /// Write the ghost half spinor of dimension `dir` at face site `face`
+    /// (quantizing in half precision with a freshly computed norm).
     #[inline]
-    pub fn set_ghost(&mut self, backward: bool, face: usize, h: &HalfSpinor<P::Arith>) {
+    pub fn set_ghost(&mut self, dir: usize, backward: bool, face: usize, h: &HalfSpinor<P::Arith>) {
+        let slot = self.ghost_slot(dir, backward, face);
+        let base = slot * HALF_SPINOR_REALS;
         let mut stored = *h;
         if P::NEEDS_NORM {
             let norm = h.h[0].max_abs().max(h.h[1].max_abs());
             let norm = if norm == 0.0 { 1.0 } else { norm };
-            let ni = self.ghost_norm_index(backward, face);
-            self.norm[ni] = norm as f32;
+            self.ghost_norm[dir][slot] = norm as f32;
             let inv = P::Arith::from_f64(1.0 / norm);
             stored.h[0] = stored.h[0].scale_re(inv);
             stored.h[1] = stored.h[1].scale_re(inv);
         }
         let reals = stored.to_reals();
-        for (n, &r) in reals.iter().enumerate() {
-            self.data[self.layout.ghost_index(backward, face, n)] = P::store(r);
+        for (e, &r) in self.ghost[dir][base..base + HALF_SPINOR_REALS].iter_mut().zip(&reals) {
+            *e = P::store(r);
         }
     }
 
+    /// Half-spinor slot of face site `face` in the `dir` ghost zone.
     #[inline(always)]
-    fn ghost_norm_index(&self, backward: bool, face: usize) -> usize {
-        self.layout.sites + if backward { 0 } else { self.face_sites() } + face
-    }
-
-    /// Face sites per parity of a `dir`-boundary slice (`V / L_dir / 2`).
-    /// For `dir = 3` this is the temporal face size `Vs/2`.
-    #[inline(always)]
-    pub fn face_sites_dim(&self, dir: usize) -> usize {
-        self.dims.volume() / self.dims.extent(dir) / 2
-    }
-
-    /// Whether the field carries a ghost zone for dimension `dir`.
-    #[inline(always)]
-    pub fn has_ghost_dim(&self, dir: usize) -> bool {
-        if dir == 3 {
-            self.has_ghost()
+    fn ghost_slot(&self, dir: usize, backward: bool, face: usize) -> usize {
+        let faces = self.ghost[dir].len() / (2 * HALF_SPINOR_REALS);
+        debug_assert!(face < faces, "face {face} out of {faces} in dim {dir}");
+        if backward {
+            face
         } else {
-            !self.side_ghost[dir].is_empty()
-        }
-    }
-
-    /// Read the ghost half spinor of dimension `dir` (`backward` selects
-    /// which face's data). `dir = 3` reads the legacy temporal end zone.
-    #[inline]
-    pub fn get_ghost_dim(&self, dir: usize, backward: bool, face: usize) -> HalfSpinor<P::Arith> {
-        if dir == 3 {
-            return self.get_ghost(backward, face);
-        }
-        let slot = if backward { 0 } else { self.face_sites_dim(dir) } + face;
-        let base = slot * HALF_SPINOR_REALS;
-        let mut reals = [P::Arith::ZERO; HALF_SPINOR_REALS];
-        for (n, r) in reals.iter_mut().enumerate() {
-            *r = P::load(self.side_ghost[dir][base + n]);
-        }
-        let mut h = HalfSpinor::from_reals(&reals);
-        if P::NEEDS_NORM {
-            let norm = P::Arith::from_f64(self.side_norm[dir][slot] as f64);
-            h.h[0] = h.h[0].scale_re(norm);
-            h.h[1] = h.h[1].scale_re(norm);
-        }
-        h
-    }
-
-    /// Write the ghost half spinor of dimension `dir`.
-    #[inline]
-    pub fn set_ghost_dim(
-        &mut self,
-        dir: usize,
-        backward: bool,
-        face: usize,
-        h: &HalfSpinor<P::Arith>,
-    ) {
-        if dir == 3 {
-            return self.set_ghost(backward, face, h);
-        }
-        let slot = if backward { 0 } else { self.face_sites_dim(dir) } + face;
-        let base = slot * HALF_SPINOR_REALS;
-        let mut stored = *h;
-        if P::NEEDS_NORM {
-            let norm = h.h[0].max_abs().max(h.h[1].max_abs());
-            let norm = if norm == 0.0 { 1.0 } else { norm };
-            self.side_norm[dir][slot] = norm as f32;
-            let inv = P::Arith::from_f64(1.0 / norm);
-            stored.h[0] = stored.h[0].scale_re(inv);
-            stored.h[1] = stored.h[1].scale_re(inv);
-        }
-        let reals = stored.to_reals();
-        for (n, &r) in reals.iter().enumerate() {
-            self.side_ghost[dir][base + n] = P::store(r);
+            faces + face
         }
     }
 
     /// Per-block contiguous site storage as arithmetic values — `Some`
     /// only for the float precisions, where the stored element *is* the
     /// arithmetic type. Each item is one block's `n_vec × sites` live
-    /// reals; pads and the ghost end zone are excluded by construction, so
+    /// reals; pads are excluded by construction, so
     /// streaming kernels can consume the items directly (site `x` owns the
     /// `n_vec` reals at `n_vec·x`, Eq. 5 with the block offset removed).
     pub fn arith_blocks(&self) -> Option<impl Iterator<Item = &[P::Arith]>> {
-        let body = P::arith_view(&self.data[..self.layout.body_len()])?;
+        let body = P::arith_view(&self.data)?;
         let row = self.layout.n_vec * self.layout.stride();
         let live = self.layout.n_vec * self.layout.sites;
         Some(body.chunks_exact(row).map(move |r| &r[..live]))
@@ -242,8 +180,7 @@ impl<P: Precision> SpinorFieldCb<P> {
     pub fn arith_blocks_mut(&mut self) -> Option<impl Iterator<Item = &mut [P::Arith]>> {
         let row = self.layout.n_vec * self.layout.stride();
         let live = self.layout.n_vec * self.layout.sites;
-        let body_len = self.layout.body_len();
-        let body = P::arith_view_mut(&mut self.data[..body_len])?;
+        let body = P::arith_view_mut(&mut self.data)?;
         Some(body.chunks_exact_mut(row).map(move |r| &mut r[..live]))
     }
 
@@ -297,9 +234,9 @@ impl<P: Precision> SpinorFieldCb<P> {
         }
     }
 
-    /// Squared 2-norm over data sites only — the end zone is excluded, which
-    /// is the whole point of storing ghosts outside the blocks (Section
-    /// VI-C: "when doing reductions, this end zone can be simply excluded").
+    /// Squared 2-norm over data sites only — ghosts are excluded, which is
+    /// the whole point of storing them outside the blocks (Section VI-C:
+    /// "when doing reductions, this end zone can be simply excluded").
     pub fn norm_sqr(&self) -> f64 {
         (0..self.sites()).map(|cb| self.get(cb).norm_sqr()).sum()
     }
@@ -331,15 +268,16 @@ impl<P: Precision> SpinorFieldCb<P> {
         }
     }
 
-    /// Device bytes occupied (data + normalization array + side ghosts).
+    /// Device bytes occupied (body + site norms + every ghost zone with its
+    /// norms).
     pub fn device_bytes(&self) -> usize {
-        let side: usize = self
-            .side_ghost
+        let ghosts: usize = self
+            .ghost
             .iter()
             .map(|g| g.len() * P::STORAGE_BYTES)
-            .chain(self.side_norm.iter().map(|n| n.len() * 4))
+            .chain(self.ghost_norm.iter().map(|n| n.len() * 4))
             .sum();
-        self.layout.device_bytes(P::STORAGE_BYTES) + self.norm.len() * 4 + side
+        self.layout.device_bytes(P::STORAGE_BYTES) + self.norm.len() * 4 + ghosts
     }
 }
 
@@ -414,16 +352,16 @@ mod tests {
         }
         let h =
             HalfSpinor { h: [sample_spinor(3).cast::<f32>().s[0], sample_spinor(4).cast().s[1]] };
-        for face in 0..f.face_sites() {
-            f.set_ghost(true, face, &h);
-            f.set_ghost(false, face, &h);
+        for face in 0..f.face_sites(3) {
+            f.set_ghost(3, true, face, &h);
+            f.set_ghost(3, false, face, &h);
         }
         for cb in 0..f.sites() {
             let expect = sample_spinor(cb).cast::<f32>();
             assert_eq!(f.get(cb), expect);
         }
-        assert_eq!(f.get_ghost(true, 0), h);
-        assert_eq!(f.get_ghost(false, f.face_sites() - 1), h);
+        assert_eq!(f.get_ghost(3, true, 0), h);
+        assert_eq!(f.get_ghost(3, false, f.face_sites(3) - 1), h);
     }
 
     #[test]
@@ -432,13 +370,14 @@ mod tests {
         let mut h = HalfSpinor::<f32>::zero();
         h.h[0].c[0].re = 3.0;
         h.h[1].c[2].im = -1.5;
-        f.set_ghost(false, 2, &h);
-        let got = f.get_ghost(false, 2);
+        f.set_ghost(3, false, 2, &h);
+        let got = f.get_ghost(3, false, 2);
         assert!((got.h[0].c[0].re - 3.0).abs() < 1e-3);
         assert!((got.h[1].c[2].im + 1.5).abs() < 1e-3);
         // The "end zone of size 2Vs elements added to the normalization
-        // field" (Section VI-C).
-        assert_eq!(f.norm.len(), f.sites() + 2 * f.face_sites());
+        // field" (Section VI-C), kept beside the site norms.
+        assert_eq!(f.norm.len(), f.sites());
+        assert_eq!(f.ghost_norm[3].len(), 2 * f.face_sites(3));
     }
 
     #[test]
@@ -449,8 +388,8 @@ mod tests {
         f.set(0, &sp);
         let mut h = HalfSpinor::zero();
         h.h[0].c[0].re = 100.0;
-        f.set_ghost(true, 0, &h);
-        f.set_ghost(false, 0, &h);
+        f.set_ghost(3, true, 0, &h);
+        f.set_ghost(3, false, 0, &h);
         assert_eq!(f.norm_sqr(), 4.0); // ghosts not double counted
     }
 
@@ -499,19 +438,19 @@ mod tests {
         let mut f = SpinorFieldCb::<Single>::new_open(d, [true, true, true, true]);
         let h =
             HalfSpinor { h: [sample_spinor(5).cast::<f32>().s[2], sample_spinor(6).cast().s[3]] };
+        // T is one open dimension among four: same store, same accessors.
         for dir in 0..4 {
-            assert!(f.has_ghost_dim(dir));
-            assert_eq!(f.face_sites_dim(dir), d.volume() / d.extent(dir) / 2);
+            assert!(f.has_ghost(dir));
+            assert_eq!(f.face_sites(dir), d.volume() / d.extent(dir) / 2);
+            assert_eq!(f.ghost[dir].len(), 2 * f.face_sites(dir) * HALF_SPINOR_REALS);
             for backward in [true, false] {
-                for face in 0..f.face_sites_dim(dir) {
-                    f.set_ghost_dim(dir, backward, face, &h);
-                    assert_eq!(f.get_ghost_dim(dir, backward, face), h);
+                for face in 0..f.face_sites(dir) {
+                    f.set_ghost(dir, backward, face, &h);
+                    assert_eq!(f.get_ghost(dir, backward, face), h);
                 }
             }
         }
-        // T side routes to the legacy end zone.
-        assert_eq!(f.get_ghost(true, 0), h);
-        assert_eq!(f.get_ghost(false, f.face_sites() - 1), h);
+        assert_eq!(f.data.len(), f.layout.body_len());
         // Sites are untouched by ghost writes.
         for cb in 0..f.sites() {
             assert_eq!(f.get(cb), Spinor::zero());
@@ -519,19 +458,19 @@ mod tests {
     }
 
     #[test]
-    fn side_ghost_half_precision_norms() {
+    fn half_precision_ghost_norms_in_any_dimension() {
         let d = dims();
         let mut f = SpinorFieldCb::<Half>::new_open(d, [false, true, false, false]);
-        assert!(f.has_ghost_dim(1));
-        assert!(!f.has_ghost_dim(0) && !f.has_ghost_dim(2) && !f.has_ghost_dim(3));
+        assert!(f.has_ghost(1));
+        assert!(!f.has_ghost(0) && !f.has_ghost(2) && !f.has_ghost(3));
         let mut h = HalfSpinor::<f32>::zero();
         h.h[0].c[1].re = 7.0;
         h.h[1].c[0].im = -2.5;
-        f.set_ghost_dim(1, false, 3, &h);
-        let got = f.get_ghost_dim(1, false, 3);
+        f.set_ghost(1, false, 3, &h);
+        let got = f.get_ghost(1, false, 3);
         assert!((got.h[0].c[1].re - 7.0).abs() < 1e-3);
         assert!((got.h[1].c[0].im + 2.5).abs() < 1e-3);
-        assert_eq!(f.side_norm[1].len(), 2 * f.face_sites_dim(1));
+        assert_eq!(f.ghost_norm[1].len(), 2 * f.face_sites(1));
     }
 
     #[test]

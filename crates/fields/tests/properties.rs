@@ -4,14 +4,84 @@
 use proptest::prelude::*;
 use quda_fields::gauge_gen::{random_spinor_field, weak_field};
 use quda_fields::host::HostSpinorField;
-use quda_fields::precision::{Double, Half, Single};
+use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
 use quda_fields::{GaugeFieldCb, SpinorFieldCb};
 use quda_lattice::geometry::{LatticeDims, Parity};
+use quda_math::real::Real;
+use quda_math::spinor::{HalfSpinor, HALF_SPINOR_REALS};
 
 fn arb_dims() -> impl Strategy<Value = LatticeDims> {
     let even = prop_oneof![Just(2usize), Just(4)];
     (even.clone(), even.clone(), even.clone(), prop_oneof![Just(4usize), Just(6)])
         .prop_map(|(x, y, z, t)| LatticeDims::new(x, y, z, t))
+}
+
+/// The half spinor written to face `face` of the `dir` ghost zone: entries
+/// in `{a, -a, 0}` with `a` a power of two that differs per zone, so the
+/// read-back is exact at every precision (the quantized norm is `a`) and
+/// any write landing in another zone or face shows.
+fn ghost_value<P: Precision>(
+    dir: usize,
+    backward: bool,
+    face: usize,
+    seed: u64,
+) -> HalfSpinor<P::Arith> {
+    let a = 2f64.powi(2 * dir as i32 + i32::from(backward) - 3);
+    let mut reals = [P::Arith::ZERO; HALF_SPINOR_REALS];
+    for (n, r) in reals.iter_mut().enumerate() {
+        *r = P::Arith::from_f64(match (face + n + seed as usize) % 3 {
+            0 => a,
+            1 => -a,
+            _ => 0.0,
+        });
+    }
+    HalfSpinor::from_reals(&reals)
+}
+
+/// Every ghost half spinor of every open dimension of `f` but `skip`, in
+/// store order.
+fn other_ghosts<P: Precision>(f: &SpinorFieldCb<P>, skip: usize) -> Vec<HalfSpinor<P::Arith>> {
+    let mut out = Vec::new();
+    for dir in (0..4).filter(|&dir| dir != skip && f.has_ghost(dir)) {
+        for backward in [true, false] {
+            out.extend((0..f.face_sites(dir)).map(|face| f.get_ghost(dir, backward, face)));
+        }
+    }
+    out
+}
+
+/// Write every face of every open dimension of a field opened on `open`,
+/// one dimension at a time: the sites, `norm_sqr` and the other
+/// dimensions' ghosts never move, and each ghost reads back what was
+/// written.
+fn ghost_isolation<P: Precision>(host: &HostSpinorField, open: [bool; 4], seed: u64) {
+    let mut dev = SpinorFieldCb::<P>::new_open(host.dims, open);
+    dev.upload(host, Parity::Odd);
+    let sites: Vec<_> = (0..dev.sites()).map(|cb| dev.get(cb)).collect();
+    let norm = dev.norm_sqr();
+    for dir in 0..4 {
+        assert_eq!(dev.has_ghost(dir), open[dir], "{} dim {dir}", P::NAME);
+        if !open[dir] {
+            continue;
+        }
+        let before = other_ghosts(&dev, dir);
+        for backward in [true, false] {
+            for face in 0..dev.face_sites(dir) {
+                dev.set_ghost(dir, backward, face, &ghost_value::<P>(dir, backward, face, seed));
+            }
+        }
+        for backward in [true, false] {
+            for face in 0..dev.face_sites(dir) {
+                let want = ghost_value::<P>(dir, backward, face, seed);
+                assert_eq!(dev.get_ghost(dir, backward, face), want, "{} dim {dir}", P::NAME);
+            }
+        }
+        assert_eq!(other_ghosts(&dev, dir), before, "{} dim {dir} leaked", P::NAME);
+    }
+    for (cb, sp) in sites.iter().enumerate() {
+        assert_eq!(dev.get(cb), *sp, "{} site {cb}", P::NAME);
+    }
+    assert_eq!(dev.norm_sqr().to_bits(), norm.to_bits(), "{}", P::NAME);
 }
 
 proptest! {
@@ -60,21 +130,17 @@ proptest! {
     }
 
     #[test]
-    fn ghost_writes_never_leak_into_sites(d in arb_dims(), seed in 0u64..1000) {
+    fn ghost_writes_never_leak_into_sites(
+        d in arb_dims(),
+        seed in 0u64..1000,
+        mask in 0u8..16,
+    ) {
+        let open = std::array::from_fn(|dir| mask & (1 << dir) != 0);
         let host = random_spinor_field(d, seed);
-        let mut dev = SpinorFieldCb::<Single>::new(d, true);
-        dev.upload(&host, Parity::Odd);
-        let before: Vec<_> = (0..dev.sites()).map(|cb| dev.get(cb)).collect();
-        let mut ghost = quda_math::spinor::HalfSpinor::zero();
-        ghost.h[0].c[0].re = 1e6;
-        for backward in [true, false] {
-            for f in 0..dev.face_sites() {
-                dev.set_ghost(backward, f, &ghost);
-            }
-        }
-        for cb in 0..dev.sites() {
-            prop_assert_eq!(dev.get(cb), before[cb]);
-        }
+        ghost_isolation::<Double>(&host, open, seed);
+        ghost_isolation::<Single>(&host, open, seed);
+        ghost_isolation::<Half>(&host, open, seed);
+        ghost_isolation::<Quarter>(&host, open, seed);
     }
 
     #[test]

@@ -22,15 +22,13 @@
 //! so the `k`-th block is the `N_vec`-real slice at
 //! `N_vec * (k * stride + x)` — one base plus fixed offsets, no divide.
 //!
-//! Spinor fields additionally carry a ghost *end zone* appended after all
-//! blocks (Section VI-C): `2 × face_sites` half-spinors (12 reals each), the
-//! first half holding the projected components received from the backward
-//! neighbor and the second half those from the forward neighbor. Keeping the
-//! ghosts *outside* the blocks keeps the main data contiguous so reduction
-//! kernels can simply exclude the end zone.
+//! A layout describes the Eq. 5 body only. Halo storage is not part of it:
+//! the gauge field's temporal ghost links sit in the pad slots
+//! ([`FieldLayout::pad_index`], Section VI-B), and a spinor field keeps the
+//! ghosts of every open dimension in per-dimension arrays beside its body,
+//! so a reduction over the body never sees a ghost.
 
 use crate::geometry::LatticeDims;
-use quda_math::spinor::HALF_SPINOR_REALS;
 
 /// Short-vector lengths used by QUDA (`float`, `float2`/`double`, `float4`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -78,18 +76,15 @@ pub struct FieldLayout {
     pub n_int: usize,
     /// Short-vector length.
     pub n_vec: usize,
-    /// Extra ghost sites appended as an end zone, each carrying
-    /// [`HALF_SPINOR_REALS`] reals (spinor fields only; 0 otherwise).
-    pub ghost_sites: usize,
 }
 
 impl FieldLayout {
     /// Build a layout; `n_int` must be divisible by `n_vec`.
-    pub fn new(sites: usize, pad: usize, n_int: usize, n_vec: NVec, ghost_sites: usize) -> Self {
+    pub fn new(sites: usize, pad: usize, n_int: usize, n_vec: NVec) -> Self {
         let nv = n_vec.value();
         assert!(n_int % nv == 0, "n_int={n_int} not divisible by n_vec={nv}");
         assert!(sites > 0);
-        FieldLayout { sites, pad, n_int, n_vec: nv, ghost_sites }
+        FieldLayout { sites, pad, n_int, n_vec: nv }
     }
 
     /// Distance between blocks in units of short vectors: `sites + pad`.
@@ -104,16 +99,10 @@ impl FieldLayout {
         self.n_int / self.n_vec
     }
 
-    /// Total reals of the main (blocked + padded) region.
+    /// Total reals of the blocked, padded body.
     #[inline(always)]
     pub fn body_len(&self) -> usize {
         self.blocks() * self.stride() * self.n_vec
-    }
-
-    /// Total reals including the ghost end zone.
-    #[inline(always)]
-    pub fn total_len(&self) -> usize {
-        self.body_len() + self.ghost_sites * HALF_SPINOR_REALS
     }
 
     /// Eq. 5: linear index of internal real `n` at site `x`.
@@ -180,24 +169,9 @@ impl FieldLayout {
         }
     }
 
-    /// Index into the spinor ghost end zone.
-    ///
-    /// `backward == true` selects the first half of the end zone (data
-    /// received from the backward neighbor, i.e. the `P+4`-projected upper
-    /// components), `false` the second half (forward neighbor, `P-4`).
-    #[inline(always)]
-    pub fn ghost_index(&self, backward: bool, face_site: usize, n: usize) -> usize {
-        let faces = self.ghost_sites / 2;
-        debug_assert!(face_site < faces);
-        debug_assert!(n < HALF_SPINOR_REALS);
-        let base = self.body_len();
-        let half = if backward { 0 } else { faces * HALF_SPINOR_REALS };
-        base + half + face_site * HALF_SPINOR_REALS + n
-    }
-
     /// Inverse of [`FieldLayout::index`], for testing and reshuffling:
     /// returns `(site, n)` for a body index, or `None` if the index falls in
-    /// padding or the ghost zone.
+    /// padding or beyond the body.
     pub fn decompose(&self, i: usize) -> Option<(usize, usize)> {
         if i >= self.body_len() {
             return None;
@@ -213,11 +187,10 @@ impl FieldLayout {
         Some((site, block * nv + within))
     }
 
-    /// Bytes of device memory this layout occupies at `storage_bytes` per
-    /// real (ghost normalization arrays are accounted separately by the
-    /// field types).
+    /// Bytes of device memory the body occupies at `storage_bytes` per real
+    /// (ghosts and normalization arrays are accounted by the field types).
     pub fn device_bytes(&self, storage_bytes: usize) -> usize {
-        self.total_len() * storage_bytes
+        self.body_len() * storage_bytes
     }
 }
 
@@ -269,13 +242,12 @@ pub mod species {
     /// Reals per full link matrix.
     pub const LINK_FULL_REALS: usize = 18;
 
-    /// Single-parity spinor layout with a `Vs/2` pad and a two-face ghost
-    /// end zone of `Vs/2` sites each (used by the even-odd solver).
-    pub fn spinor_cb(dims: &LatticeDims, n_vec: NVec, with_ghost: bool) -> FieldLayout {
+    /// Single-parity spinor layout with a `Vs/2` pad (used by the even-odd
+    /// solver).
+    pub fn spinor_cb(dims: &LatticeDims, n_vec: NVec) -> FieldLayout {
         let sites = dims.half_volume();
         let pad = dims.half_spatial_volume();
-        let ghost = if with_ghost { 2 * dims.half_spatial_volume() } else { 0 };
-        FieldLayout::new(sites, pad, SPINOR_REALS, n_vec, ghost)
+        FieldLayout::new(sites, pad, SPINOR_REALS, n_vec)
     }
 
     /// Single-parity compressed gauge layout (per direction μ) with the
@@ -286,14 +258,14 @@ pub mod species {
         let n_int = if compressed { LINK_COMPRESSED_REALS } else { LINK_FULL_REALS };
         // 18 is not divisible by 4; full storage uses N2.
         let n_vec = if !compressed && n_vec == NVec::N4 { NVec::N2 } else { n_vec };
-        FieldLayout::new(sites, pad, n_int, n_vec, 0)
+        FieldLayout::new(sites, pad, n_int, n_vec)
     }
 
     /// Single-parity clover layout (72 reals/site).
     pub fn clover_cb(dims: &LatticeDims, n_vec: NVec) -> FieldLayout {
         let sites = dims.half_volume();
         let pad = dims.half_spatial_volume();
-        FieldLayout::new(sites, pad, CLOVER_REALS, n_vec, 0)
+        FieldLayout::new(sites, pad, CLOVER_REALS, n_vec)
     }
 }
 
@@ -305,7 +277,7 @@ mod tests {
     #[test]
     fn eq4_reduces_to_eq5_with_zero_pad() {
         // With pad = 0, Eq. 5 is exactly Eq. 4.
-        let l = FieldLayout::new(100, 0, 24, NVec::N4, 0);
+        let l = FieldLayout::new(100, 0, 24, NVec::N4);
         let v = 100;
         for &(x, n) in &[(0usize, 0usize), (7, 3), (99, 23), (42, 12)] {
             let expect = 4 * (v * (n / 4) + x) + n % 4;
@@ -315,7 +287,7 @@ mod tests {
 
     #[test]
     fn index_is_bijective_over_body() {
-        let l = FieldLayout::new(48, 8, 24, NVec::N4, 0);
+        let l = FieldLayout::new(48, 8, 24, NVec::N4);
         let mut seen = vec![false; l.body_len()];
         for site in 0..l.sites {
             for n in 0..l.n_int {
@@ -333,7 +305,7 @@ mod tests {
     #[test]
     fn consecutive_sites_are_coalesced() {
         // Threads x and x+1 must read adjacent N_vec-real chunks.
-        let l = FieldLayout::new(64, 16, 24, NVec::N4, 0);
+        let l = FieldLayout::new(64, 16, 24, NVec::N4);
         for n0 in [0usize, 4, 20] {
             for x in 0..l.sites - 1 {
                 assert_eq!(l.index(x + 1, n0), l.index(x, n0) + 4);
@@ -344,8 +316,8 @@ mod tests {
     #[test]
     fn cursor_matches_index_at_every_width() {
         for nv in [NVec::N1, NVec::N2, NVec::N4] {
-            let l = FieldLayout::new(6, 2, 12, nv, 2);
-            let mut buf = vec![usize::MAX; l.total_len()];
+            let l = FieldLayout::new(6, 2, 12, nv);
+            let mut buf = vec![usize::MAX; l.body_len() + 2];
             for pos in 0..l.stride() {
                 let tags: Vec<usize> = (0..12).map(|n| 100 * pos + n).collect();
                 l.scatter(&mut buf, pos, &tags, |t| t);
@@ -364,7 +336,7 @@ mod tests {
 
     #[test]
     fn pad_region_disjoint_from_body() {
-        let l = FieldLayout::new(32, 8, 12, NVec::N4, 0);
+        let l = FieldLayout::new(32, 8, 12, NVec::N4);
         let mut body = vec![false; l.body_len()];
         for site in 0..l.sites {
             for n in 0..l.n_int {
@@ -396,34 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn spinor_ghost_end_zone_is_contiguous_and_after_body() {
-        let dims = LatticeDims::new(4, 4, 4, 8);
-        let l = species::spinor_cb(&dims, NVec::N4, true);
-        let faces = l.ghost_sites / 2;
-        assert_eq!(faces, dims.half_spatial_volume());
-        let mut expected = l.body_len();
-        for backward in [true, false] {
-            for fs in 0..faces {
-                for n in 0..12 {
-                    assert_eq!(l.ghost_index(backward, fs, n), expected);
-                    expected += 1;
-                }
-            }
-        }
-        assert_eq!(expected, l.total_len());
-    }
-
-    #[test]
-    fn reductions_can_exclude_end_zone() {
-        // The ghost end zone lies wholly beyond body_len, so a reduction over
-        // [0, body_len) never double counts ghosts (Section VI-C).
-        let dims = LatticeDims::new(4, 4, 4, 4);
-        let l = species::spinor_cb(&dims, NVec::N4, true);
-        assert!(l.ghost_index(true, 0, 0) >= l.body_len());
-        assert_eq!(l.total_len() - l.body_len(), l.ghost_sites * 12);
-    }
-
-    #[test]
     fn optimal_nvec_is_16_bytes() {
         assert_eq!(NVec::optimal_for_bytes(4), NVec::N4); // float4
         assert_eq!(NVec::optimal_for_bytes(8), NVec::N2); // double2
@@ -435,7 +379,7 @@ mod tests {
         // "in single precision ... 6 blocks would be needed to store the 24V
         // numbers that make up a color-spinor" (Fig. 2 caption).
         let dims = LatticeDims::new(4, 4, 4, 4);
-        let l = species::spinor_cb(&dims, NVec::N4, false);
+        let l = species::spinor_cb(&dims, NVec::N4);
         assert_eq!(l.blocks(), 6);
         // "in 2-row storage, the gauge field would need 3 blocks".
         let g = species::gauge_cb(&dims, NVec::N4, true);
@@ -452,14 +396,14 @@ mod tests {
 
     #[test]
     fn device_bytes_scale_with_storage() {
-        let l = FieldLayout::new(128, 32, 24, NVec::N4, 64);
-        assert_eq!(l.device_bytes(4), l.total_len() * 4);
-        assert_eq!(l.device_bytes(2), l.total_len() * 2);
+        let l = FieldLayout::new(128, 32, 24, NVec::N4);
+        assert_eq!(l.device_bytes(4), l.body_len() * 4);
+        assert_eq!(l.device_bytes(2), l.body_len() * 2);
     }
 
     #[test]
     #[should_panic(expected = "not divisible")]
     fn indivisible_nvec_rejected() {
-        FieldLayout::new(10, 0, 18, NVec::N4, 0);
+        FieldLayout::new(10, 0, 18, NVec::N4);
     }
 }

@@ -6,9 +6,9 @@
 //!   site indexing, periodic neighbors (paper Fig. 1);
 //! * [`layout`] — the QUDA device field layout of Eqs. 3–5 and Fig. 2:
 //!   `Nvec` short-vector blocking, partition-camping pad, gauge ghost slice
-//!   in the pad, spinor ghost end zone;
-//! * [`stencil`] — precomputed neighbor tables with temporal-boundary
-//!   classification for the multi-GPU domain decomposition;
+//!   in the pad;
+//! * [`stencil`] — precomputed neighbor tables that classify each hop
+//!   across an open dimension's boundary as a ghost reference;
 //! * [`partition`] — the process-grid decomposition; the 1-d temporal
 //!   slicing of Section VI-A is its `1×1×1×N` plan.
 

@@ -2,16 +2,15 @@
 //! operator, with explicit classification of domain-boundary crossings.
 //!
 //! The paper's multi-GPU decomposition slices only the time dimension
-//! (Section VI-A), so spatial neighbors always wrap periodically *within*
-//! the local volume, while temporal neighbors may cross into a neighboring
-//! GPU's domain. The 4-d generalization (arXiv:1109.2935) opens any subset
-//! of dimensions: a table built with [`Stencil::with_open`] marks crossings
-//! of each open dimension as ghost references carrying the per-dimension
-//! *face index* — the position of the site within its boundary slice —
-//! which is exactly the offset used in both the ghost zones of the spinor
-//! field and the ghost-link store of the gauge field.
+//! (Section VI-A); the 4-d generalization (arXiv:1109.2935) opens any subset
+//! of dimensions, the paper's case being `[false, false, false, true]`. A
+//! table built with [`Stencil::with_open`] marks crossings of each open
+//! dimension as ghost references carrying the per-dimension *face index* —
+//! the position of the site within its boundary slice — which is exactly
+//! the offset used in both the ghost zones of the spinor field and the
+//! ghost-link store of the gauge field.
 
-use crate::geometry::{Coord, LatticeDims, Parity, DIR_T, DIR_X, DIR_Y, DIR_Z};
+use crate::geometry::{Coord, LatticeDims, Parity, DIR_X, DIR_Y, DIR_Z};
 
 /// How a neighbor access resolves.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -42,11 +41,6 @@ pub struct ParityStencil {
     pub fwd: [Vec<NeighborRef>; 4],
     /// `bwd[mu][site]`: the −μ neighbor of each site.
     pub bwd: [Vec<NeighborRef>; 4],
-    /// For each site, `Some(face_idx)` if it lies on the first (t = 0)
-    /// time-slice — its backward-T gauge link must be read from the pad.
-    pub on_back_face: Vec<Option<u32>>,
-    /// For each site, `Some(face_idx)` if it lies on the last time-slice.
-    pub on_front_face: Vec<Option<u32>>,
     /// For each site, the *highest* open dimension on whose boundary the
     /// site lies (`None` = interior of every open dimension). Driving the
     /// exterior updates in ascending-dimension order and gating each site
@@ -61,9 +55,6 @@ pub struct ParityStencil {
 pub struct Stencil {
     /// Local lattice dimensions.
     pub dims: LatticeDims,
-    /// Whether temporal boundaries are domain boundaries (the 1-d slice's
-    /// flag, kept for the time-only decomposition; equals `open[3]`).
-    pub t_open: bool,
     /// Per-dimension domain-boundary flags, X..T. An open dimension's
     /// periodic wraps resolve to ghost references instead of local sites.
     pub open: [bool; 4],
@@ -73,7 +64,8 @@ pub struct Stencil {
 
 impl Stencil {
     /// Build the stencil for a local volume with only the temporal
-    /// boundary optionally open (the paper's 1-d slice).
+    /// boundary optionally open: [`Stencil::with_open`] at the paper's 1-d
+    /// slice.
     pub fn new(dims: LatticeDims, t_open: bool) -> Self {
         Self::with_open(dims, [false, false, false, t_open])
     }
@@ -83,7 +75,7 @@ impl Stencil {
     pub fn with_open(dims: LatticeDims, open: [bool; 4]) -> Self {
         let even = build_parity(&dims, Parity::Even, open);
         let odd = build_parity(&dims, Parity::Odd, open);
-        Stencil { dims, t_open: open[DIR_T], open, parity: [even, odd] }
+        Stencil { dims, open, parity: [even, odd] }
     }
 
     /// Table for a given output parity.
@@ -92,19 +84,12 @@ impl Stencil {
         &self.parity[p.as_usize()]
     }
 
-    /// Face index of a coordinate: its checkerboard position within the
-    /// time-slice (`cb mod Vs/2`). Identical for a site and its temporal
-    /// neighbor, which is what makes sender/receiver ghost offsets agree.
-    #[inline(always)]
-    pub fn face_index(dims: &LatticeDims, c: Coord) -> usize {
-        dims.cb_index(c) % dims.half_spatial_volume()
-    }
-
     /// Face index of a coordinate on a `dir`-boundary slice: its
     /// checkerboard position within that slice. One transverse coordinate
     /// is halved (Y for X-faces, X otherwise), so a site and its cross-face
     /// neighbor — which differ only in the `dir` coordinate — share the
-    /// index. For `dir == DIR_T` this equals [`Stencil::face_index`].
+    /// index. For `dir = 3` it is the site's checkerboard index modulo the
+    /// time-slice (`cb mod Vs/2`).
     #[inline(always)]
     pub fn face_index_dim(dims: &LatticeDims, c: Coord, dir: usize) -> usize {
         match dir {
@@ -170,14 +155,9 @@ fn build_parity(dims: &LatticeDims, out_parity: Parity, open: [bool; 4]) -> Pari
     let n = dims.half_volume();
     let mut fwd: [Vec<NeighborRef>; 4] = std::array::from_fn(|_| Vec::with_capacity(n));
     let mut bwd: [Vec<NeighborRef>; 4] = std::array::from_fn(|_| Vec::with_capacity(n));
-    let mut on_back_face = Vec::with_capacity(n);
-    let mut on_front_face = Vec::with_capacity(n);
     let mut last_face_dim = Vec::with_capacity(n);
     for cb in 0..n {
         let c = dims.cb_coord(out_parity, cb);
-        let face = Stencil::face_index(dims, c) as u32;
-        on_back_face.push((c.t == 0).then_some(face));
-        on_front_face.push((c.t == dims.t - 1).then_some(face));
         let mut last = None;
         for (dim, &is_open) in open.iter().enumerate() {
             if is_open && (c.get(dim) == 0 || c.get(dim) == dims.extent(dim) - 1) {
@@ -192,7 +172,7 @@ fn build_parity(dims: &LatticeDims, out_parity: Parity, open: [bool; 4]) -> Pari
             table.push(resolve(dims, c, mu, false, open));
         }
     }
-    ParityStencil { fwd, bwd, on_back_face, on_front_face, last_face_dim }
+    ParityStencil { fwd, bwd, last_face_dim }
 }
 
 fn resolve(dims: &LatticeDims, c: Coord, mu: usize, forward: bool, open: [bool; 4]) -> NeighborRef {
@@ -209,6 +189,7 @@ fn resolve(dims: &LatticeDims, c: Coord, mu: usize, forward: bool, open: [bool; 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::DIR_T;
 
     fn dims() -> LatticeDims {
         LatticeDims::new(4, 4, 6, 8)
@@ -309,26 +290,9 @@ mod tests {
             let t = s.for_parity(p);
             for cb in 0..d.half_volume() {
                 let c = d.cb_coord(p, cb);
-                assert_eq!(t.on_back_face[cb].is_some(), c.t == 0);
-                assert_eq!(t.on_front_face[cb].is_some(), c.t == d.t - 1);
-                if let Some(f) = t.on_back_face[cb] {
-                    assert_eq!(f as usize, Stencil::face_index(&d, c));
-                }
                 // With only T open, last_face_dim reduces to the T flags.
                 let on_t_face = c.t == 0 || c.t == d.t - 1;
                 assert_eq!(t.last_face_dim[cb], on_t_face.then_some(DIR_T as u8));
-            }
-        }
-    }
-
-    #[test]
-    fn face_index_agrees_between_site_and_temporal_neighbor() {
-        let d = dims();
-        for p in [Parity::Even, Parity::Odd] {
-            for cb in 0..d.half_volume() {
-                let c = d.cb_coord(p, cb);
-                let (nf, _) = d.neighbor(c, DIR_T, true);
-                assert_eq!(Stencil::face_index(&d, c), Stencil::face_index(&d, nf));
             }
         }
     }
@@ -351,17 +315,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn face_index_dim_matches_legacy_for_t() {
-        let d = dims();
-        for p in [Parity::Even, Parity::Odd] {
-            for cb in 0..d.half_volume() {
-                let c = d.cb_coord(p, cb);
-                assert_eq!(Stencil::face_index_dim(&d, c, DIR_T), Stencil::face_index(&d, c));
             }
         }
     }

@@ -50,7 +50,7 @@ proptest! {
         d in arb_dims(),
         nvec in prop_oneof![Just(NVec::N1), Just(NVec::N2), Just(NVec::N4)],
     ) {
-        let l = FieldLayout::new(d.half_volume(), d.half_spatial_volume(), 24, nvec, 0);
+        let l = FieldLayout::new(d.half_volume(), d.half_spatial_volume(), 24, nvec);
         let mut kind = vec![0u8; l.body_len()]; // 0 untouched, 1 site, 2 pad
         for site in 0..l.sites {
             for n in 0..l.n_int {
@@ -77,18 +77,18 @@ proptest! {
         n_int in prop_oneof![Just(12usize), Just(18), Just(24), Just(72)],
     ) {
         prop_assume!(n_int % nvec.value() == 0);
-        let l = FieldLayout::new(d.half_volume(), d.half_spatial_volume(), n_int, nvec, 2);
+        let l = FieldLayout::new(d.half_volume(), d.half_spatial_volume(), n_int, nvec);
         // The oracle: a block position is a site or `sites + slot`.
         let eq5 = |pos: usize, n: usize| {
             if pos < l.sites { l.index(pos, n) } else { l.pad_index(pos - l.sites, n) }
         };
         // Each element holds its own index, so a gather names what it read.
-        let ids: Vec<usize> = (0..l.total_len()).collect();
+        let ids: Vec<usize> = (0..l.body_len()).collect();
         let mut out = vec![0usize; n_int];
         // Scatter a tag unique to (pos, n) into a sentinel-filled buffer,
-        // counting the writes.
+        // counting the writes; a guard tail past the body catches overruns.
         const SENTINEL: usize = usize::MAX;
-        let mut buf = vec![SENTINEL; l.total_len()];
+        let mut buf = vec![SENTINEL; l.body_len() + n_int];
         let writes = std::cell::Cell::new(0usize);
         for pos in 0..l.stride() {
             if pos >= l.sites {
@@ -106,14 +106,14 @@ proptest! {
         }
         // Every body element holds the tag of the (pos, n) Eq. 5 maps to it,
         // and there were exactly as many writes as body elements, so no
-        // write landed anywhere else; the ghost end zone is untouched.
+        // write landed anywhere else; the guard tail is untouched.
         prop_assert_eq!(writes.get(), l.body_len());
         for (i, &tag) in buf.iter().enumerate() {
             if i < l.body_len() {
                 prop_assert!(tag != SENTINEL, "body element {} never written", i);
                 prop_assert_eq!(eq5(tag / n_int, tag % n_int), i);
             } else {
-                prop_assert_eq!(tag, SENTINEL, "ghost element {} written", i);
+                prop_assert_eq!(tag, SENTINEL, "element {} past the body written", i);
             }
         }
     }
@@ -123,7 +123,7 @@ proptest! {
         d in arb_dims(),
         nvec in prop_oneof![Just(NVec::N2), Just(NVec::N4)],
     ) {
-        let l = FieldLayout::new(d.half_volume(), 16, 24, nvec, 0);
+        let l = FieldLayout::new(d.half_volume(), 16, 24, nvec);
         let v = nvec.value();
         for n0 in (0..24).step_by(v) {
             for site in 0..l.sites.saturating_sub(1) {
@@ -168,20 +168,5 @@ proptest! {
             }
         }
         prop_assert!(owner.iter().all(|&o| o != usize::MAX));
-    }
-
-    #[test]
-    fn ghost_end_zone_never_overlaps_body(d in arb_dims()) {
-        let l = quda_lattice::layout::species::spinor_cb(&d, NVec::N4, true);
-        let body = l.body_len();
-        let faces = l.ghost_sites / 2;
-        for backward in [true, false] {
-            for f in 0..faces {
-                for n in 0..12 {
-                    let i = l.ghost_index(backward, f, n);
-                    prop_assert!(i >= body && i < l.total_len());
-                }
-            }
-        }
     }
 }

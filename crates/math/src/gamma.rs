@@ -241,8 +241,6 @@ pub struct HalfProj {
     pub rec_src: [usize; 4],
     /// Coefficient applied to that computed row (possibly zero).
     pub rec_coeff: [C64; 4],
-    /// True when this projector is diagonal in spin (temporal, NR basis).
-    pub diagonal: bool,
 }
 
 impl HalfProj {
@@ -304,9 +302,7 @@ impl HalfProj {
             assert!(k >= 1);
             nterms[i] = k;
         }
-        let diagonal =
-            PermPhase::from_dense(gamma).map(|pp| pp.perm == [0, 1, 2, 3]).unwrap_or(false);
-        HalfProj { dense: p, rows, terms, nterms, rec_src, rec_coeff, diagonal }
+        HalfProj { dense: p, rows, terms, nterms, rec_src, rec_coeff }
     }
 
     /// Project a full spinor to the two independent components.
@@ -564,7 +560,6 @@ mod tests {
         expect_m[3][3] = C64::new(2.0, 0.0);
         assert!(mat4_max_diff(pplus, &expect_p) < 1e-12);
         assert!(mat4_max_diff(pminus, &expect_m) < 1e-12);
-        assert!(b.proj[3][0].diagonal && b.proj[3][1].diagonal);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::rank_op::{CommStrategy, ParallelWilsonCloverOp};
 use crate::reshard::{CheckpointStore, GlobalCheckpoint};
-use crate::slice::{gather_spinor_grid, slice_spinor_grid};
+use crate::slice::{gather_spinor, slice_spinor};
 use quda_comm::{CommConfig, CommError, CommStats, Communicator, FaultPlan, LockstepConfig};
 use quda_dirac::WilsonParams;
 use quda_fields::host::{GaugeConfig, HostSpinorField};
@@ -505,7 +505,7 @@ fn run_attempt<H: Precision, L: Precision>(
     for res in &mut results {
         res.comm_recoveries = comm_recoveries;
     }
-    let solutions = by_lane.iter().map(|locals| gather_spinor_grid(locals, &plan)).collect();
+    let solutions = by_lane.iter().map(|locals| gather_spinor(locals, &plan)).collect();
     Ok((solutions, results, per_rank))
 }
 
@@ -545,20 +545,14 @@ fn run_rank<H: Precision, L: Precision>(
     mut sinks: Vec<RankSink>,
 ) -> Result<(Vec<HostSpinorField>, Vec<SolveResult>, CommStats), CommError> {
     let plan = spec.plan;
-    let mut op_hi = ParallelWilsonCloverOp::<H>::new_grid(
-        cfg,
-        plan,
-        rank,
-        comm_hi,
-        spec.wilson,
-        spec.strategy,
-    )?;
+    let mut op_hi =
+        ParallelWilsonCloverOp::<H>::new(cfg, plan, rank, comm_hi, spec.wilson, spec.strategy)?;
     let n = bs.len();
 
     // Even-odd preparation: upload both parities of every source and form
     // b̂_o = b_o + ½ D_oe T_ee⁻¹ b_e for the whole batch in one call.
     let all = vec![true; n];
-    let locals: Vec<_> = bs.iter().map(|b| slice_spinor_grid(b, &plan, rank)).collect();
+    let locals: Vec<_> = bs.iter().map(|b| slice_spinor(b, &plan, rank)).collect();
     let upload = |parity| -> Vec<SpinorFieldCb<H>> {
         let field = |local| {
             let mut f = op_hi.alloc();
@@ -587,7 +581,7 @@ fn run_rank<H: Precision, L: Precision>(
                 SolverKind::BiCgStab,
                 "mixed-precision modes use the reliably updated BiCGstab solver"
             );
-            let mut op_lo = ParallelWilsonCloverOp::<L>::new_grid(
+            let mut op_lo = ParallelWilsonCloverOp::<L>::new(
                 cfg,
                 plan,
                 rank,

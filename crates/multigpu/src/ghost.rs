@@ -5,14 +5,15 @@
 //! [`DecompPlan`],
 //!
 //! 1. gathers the projected 12 components of every site on its two boundary
-//!    slices (a raw copy for T, since `P±4` is diagonal — footnote 3; a
-//!    full sender-side projection for X/Y/Z, "it is true in general (for
-//!    all directions) that only 12 numbers need be transferred"),
+//!    slices — the sender-side projection `P±μ ψ` in every dimension, "it is
+//!    true in general (for all directions) that only 12 numbers need be
+//!    transferred" (for T, where `P±4` is diagonal, a copy of two spin
+//!    components scaled by 2 — footnote 3),
 //! 2. sends the last-slice face *forward* on that dimension's ring (it
 //!    becomes the receiver's backward ghost) and the first-slice face
 //!    *backward*,
 //! 3. stores received faces in the spinor field's ghost zone for that
-//!    dimension (the temporal end zone, or the X/Y/Z side arrays).
+//!    dimension, read back as stored by the Dslash.
 //!
 //! The send and receive halves are separate functions so the overlapped
 //! strategy can compute the interior volume between them and progress each
@@ -31,7 +32,7 @@
 
 use bytes::Bytes;
 use quda_comm::{tags, CommError, Communicator, DecodeError};
-use quda_dirac::gather_face_site_dim;
+use quda_dirac::gather_face_site;
 use quda_fields::precision::Precision;
 use quda_fields::{GaugeFieldCb, SpinorFieldCb};
 use quda_lattice::geometry::Parity;
@@ -174,17 +175,16 @@ pub fn send_faces<P: Precision>(
     assert_eq!(fields.len(), active.len());
     let n_active = active.iter().filter(|&&a| a).count();
     assert!(n_active > 0, "face send needs at least one active RHS");
-    let faces = fields[0].face_sites_dim(dim);
+    let faces = fields[0].face_sites(dim);
     let rank = comm.rank();
     let tracer = comm.tracer().clone();
     let gather_block = |to_forward: bool| -> Bytes {
         let mut gather = tracer.span(Phase::Gather);
         let mut vals = Vec::with_capacity(n_active * faces * HALF_SPINOR_REALS);
         for (field, _) in fields.iter().zip(active.iter()).filter(|(_, &a)| a) {
-            assert!(field.has_ghost_dim(dim), "field has no ghost zone for dim {dim}");
+            assert!(field.has_ghost(dim), "field has no ghost zone for dim {dim}");
             for f in 0..faces {
-                let h =
-                    gather_face_site_dim(field, basis, stencil, dim, to_forward, f, parity, dagger);
+                let h = gather_face_site(field, basis, stencil, dim, to_forward, f, parity, dagger);
                 for r in h.to_reals() {
                     vals.push(r.to_f64());
                 }
@@ -217,7 +217,7 @@ pub fn recv_faces<P: Precision>(
     assert_eq!(fields.len(), active.len());
     let n_active = active.iter().filter(|&&a| a).count();
     assert!(n_active > 0, "face receive needs at least one active RHS");
-    let faces = fields[0].face_sites_dim(dim);
+    let faces = fields[0].face_sites(dim);
     let rank = comm.rank();
     let tag_fwd = tags::face(dim, true);
     let tag_bwd = tags::face(dim, false);
@@ -268,7 +268,7 @@ fn store_ghost<P: Precision>(
     backward: bool,
     values: &[f64],
 ) {
-    let faces = field.face_sites_dim(dim);
+    let faces = field.face_sites(dim);
     assert_eq!(values.len(), faces * HALF_SPINOR_REALS);
     for f in 0..faces {
         let mut reals = [P::Arith::ZERO; HALF_SPINOR_REALS];
@@ -276,7 +276,7 @@ fn store_ghost<P: Precision>(
             *r = P::Arith::from_f64(values[f * HALF_SPINOR_REALS + k]);
         }
         let h = HalfSpinor::from_reals(&reals);
-        field.set_ghost_dim(dim, backward, f, &h);
+        field.set_ghost(dim, backward, f, &h);
     }
 }
 
@@ -401,7 +401,7 @@ mod tests {
                 let (odd, t) = (Parity::Odd, DIR_T);
                 send_faces(&mut comm, from_ref(&f), ONE, &basis, &stencil, &plan, t, odd, false)
                     .unwrap();
-                let per_face = face_wire_bytes::<$p>(f.face_sites()) as u64;
+                let per_face = face_wire_bytes::<$p>(f.face_sites(DIR_T)) as u64;
                 assert_eq!(comm.sent_bytes(), 2 * per_face);
                 // self-exchange drains the queue
                 recv_faces(&mut comm, from_mut(&mut f), ONE, &plan, t).unwrap();
@@ -430,14 +430,14 @@ mod tests {
         to_forward: bool,
         face: usize,
     ) -> HalfSpinor<P::Arith> {
-        gather_face_site_dim(f, basis, stencil, DIR_T, to_forward, face, Parity::Odd, false)
+        gather_face_site(f, basis, stencil, DIR_T, to_forward, face, Parity::Odd, false)
     }
 
     #[test]
     fn self_exchange_matches_periodic_wrap() {
         // On a 1-rank world the exchange must reproduce periodic boundary
         // data: backward ghost = own last slice, forward ghost = own first
-        // slice (raw projected components).
+        // slice (projected components).
         let d = dims();
         let basis = SpinBasis::new(GammaBasis::NonRelativistic);
         let stencil = Stencil::new(d, true);
@@ -445,12 +445,12 @@ mod tests {
         let mut f = SpinorFieldCb::<Double>::new(d, true);
         f.upload(&host, Parity::Odd);
         self_exchange_t(&mut f, &basis, &stencil);
-        let faces = f.face_sites();
+        let faces = f.face_sites(DIR_T);
         for face in 0..faces {
             let expect_b = t_face(&f, &basis, &stencil, true, face);
-            assert_eq!(f.get_ghost(true, face), expect_b, "backward ghost face {face}");
+            assert_eq!(f.get_ghost(DIR_T, true, face), expect_b, "backward ghost face {face}");
             let expect_f = t_face(&f, &basis, &stencil, false, face);
-            assert_eq!(f.get_ghost(false, face), expect_f, "forward ghost face {face}");
+            assert_eq!(f.get_ghost(DIR_T, false, face), expect_f, "forward ghost face {face}");
         }
     }
 
@@ -491,17 +491,17 @@ mod tests {
         // Rank 0's forward ghost must equal rank 1's first-slice gather.
         let mut f1 = SpinorFieldCb::<Double>::new(d, true);
         f1.upload(&hosts[1], Parity::Odd);
-        let faces = f1.face_sites();
+        let faces = f1.face_sites(DIR_T);
         for face in 0..faces {
             let expect = t_face(&f1, &basis, &stencil, false, face);
-            assert_eq!(results[0].1.get_ghost(false, face), expect);
+            assert_eq!(results[0].1.get_ghost(DIR_T, false, face), expect);
         }
         // Rank 1's backward ghost = rank 0's last-slice gather.
         let mut f0 = SpinorFieldCb::<Double>::new(d, true);
         f0.upload(&hosts[0], Parity::Odd);
         for face in 0..faces {
             let expect = t_face(&f0, &basis, &stencil, true, face);
-            assert_eq!(results[1].1.get_ghost(true, face), expect);
+            assert_eq!(results[1].1.get_ghost(DIR_T, true, face), expect);
         }
     }
 
@@ -514,9 +514,9 @@ mod tests {
         let mut f = SpinorFieldCb::<Half>::new(d, true);
         f.upload(&host, Parity::Odd);
         self_exchange_t(&mut f, &basis, &stencil);
-        for face in 0..f.face_sites() {
+        for face in 0..f.face_sites(DIR_T) {
             let expect = t_face(&f, &basis, &stencil, true, face);
-            let got = f.get_ghost(true, face);
+            let got = f.get_ghost(DIR_T, true, face);
             for i in 0..2 {
                 for c in 0..3 {
                     let err = (got.h[i].c[c].re - expect.h[i].c[c].re).abs();
@@ -562,11 +562,11 @@ mod tests {
                 let mut single = SpinorFieldCb::<P>::new_open(d, open);
                 single.upload(&random_spinor_field(d, 60 + r as u64), Parity::Odd);
                 self_exchange_t(&mut single, &basis, &stencil);
-                for face in 0..single.face_sites_dim(3) {
+                for face in 0..single.face_sites(3) {
                     for backward in [true, false] {
                         assert_eq!(
-                            fused[r].get_ghost_dim(3, backward, face),
-                            single.get_ghost_dim(3, backward, face),
+                            fused[r].get_ghost(3, backward, face),
+                            single.get_ghost(3, backward, face),
                             "rhs={r} backward={backward} face={face}"
                         );
                     }
@@ -602,7 +602,7 @@ mod tests {
         let before = comm.sent_bytes();
         send_faces(&mut comm, &fields, &active, &basis, &stencil, &plan, 3, Parity::Odd, false)
             .unwrap();
-        let faces = fields[0].face_sites_dim(3);
+        let faces = fields[0].face_sites(3);
         let expect = face_wire_bytes_dyn(Half::STORAGE_BYTES, Half::NEEDS_NORM, faces, n) as u64;
         assert_eq!(comm.sent_bytes() - before, 2 * expect);
         recv_faces(&mut comm, &mut fields, &active, &plan, 3).unwrap();
@@ -675,13 +675,12 @@ mod tests {
             )
             .unwrap();
             recv_faces(&mut comm, from_mut(&mut f), ONE, &plan, 0).unwrap();
-            for face in 0..f.face_sites_dim(0) {
-                let eb =
-                    gather_face_site_dim(&f, &basis, &stencil, 0, true, face, Parity::Odd, dagger);
-                assert_eq!(f.get_ghost_dim(0, true, face), eb, "bwd ghost face {face}");
+            for face in 0..f.face_sites(0) {
+                let eb = gather_face_site(&f, &basis, &stencil, 0, true, face, Parity::Odd, dagger);
+                assert_eq!(f.get_ghost(0, true, face), eb, "bwd ghost face {face}");
                 let ef =
-                    gather_face_site_dim(&f, &basis, &stencil, 0, false, face, Parity::Odd, dagger);
-                assert_eq!(f.get_ghost_dim(0, false, face), ef, "fwd ghost face {face}");
+                    gather_face_site(&f, &basis, &stencil, 0, false, face, Parity::Odd, dagger);
+                assert_eq!(f.get_ghost(0, false, face), ef, "fwd ghost face {face}");
             }
         }
     }
@@ -725,18 +724,17 @@ mod tests {
         // projection (already projected on the sender for X).
         let mut f1 = SpinorFieldCb::<Double>::new_open(d, plan.open_dims());
         f1.upload(&hosts[1], Parity::Odd);
-        for face in 0..f1.face_sites_dim(0) {
+        for face in 0..f1.face_sites(0) {
             let expect =
-                gather_face_site_dim(&f1, &basis, &stencil, 0, false, face, Parity::Odd, false);
-            assert_eq!(results[0].1.get_ghost_dim(0, false, face), expect);
+                gather_face_site(&f1, &basis, &stencil, 0, false, face, Parity::Odd, false);
+            assert_eq!(results[0].1.get_ghost(0, false, face), expect);
         }
         // Rank 1's backward X ghost = rank 0's last-slice projection.
         let mut f0 = SpinorFieldCb::<Double>::new_open(d, plan.open_dims());
         f0.upload(&hosts[0], Parity::Odd);
-        for face in 0..f0.face_sites_dim(0) {
-            let expect =
-                gather_face_site_dim(&f0, &basis, &stencil, 0, true, face, Parity::Odd, false);
-            assert_eq!(results[1].1.get_ghost_dim(0, true, face), expect);
+        for face in 0..f0.face_sites(0) {
+            let expect = gather_face_site(&f0, &basis, &stencil, 0, true, face, Parity::Odd, false);
+            assert_eq!(results[1].1.get_ghost(0, true, face), expect);
         }
     }
 

@@ -43,4 +43,4 @@ pub use ghost::{
 pub use perf::{best_grid, evaluate, min_gpus, solver_memory_per_gpu, PerfInput, PerfReport};
 pub use rank_op::{CommStrategy, ParallelWilsonCloverOp};
 pub use reshard::{CheckpointStore, GlobalCheckpoint, ReshardError, StoreStats};
-pub use slice::{gather_spinor_grid, local_clover_grid, slice_config_grid, slice_spinor_grid};
+pub use slice::{gather_spinor, local_clover, slice_config, slice_spinor};

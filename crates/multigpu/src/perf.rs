@@ -316,19 +316,18 @@ pub fn evaluate(inp: &PerfInput) -> PerfReport {
 }
 
 /// Device bytes of one spinor field on a rank of `plan`: the padded body
-/// with its temporal ghost end zone, plus the X/Y/Z side ghosts of every
-/// open dimension, each with its half-precision norms — what
-/// `SpinorFieldCb::new_open` allocates.
+/// and its site norms, plus both faces' ghosts of every open dimension with
+/// their norms, laid out as on the wire — what `SpinorFieldCb::new_open`
+/// allocates.
 fn spinor_bytes(plan: &DecompPlan, tag: PrecisionTag) -> usize {
     let b = tag.storage_bytes();
-    let layout = species::spinor_cb(&plan.local_dims(), NVec::optimal_for_bytes(b), plan.open(3));
-    let norm = if tag.needs_norm() { (layout.sites + layout.ghost_sites) * 4 } else { 0 };
-    let mut side_ghosts = 0;
-    for dim in (0..3).filter(|&dim| plan.open(dim)) {
-        // Both faces' half spinors, laid out as on the wire.
-        side_ghosts += 2 * face_bytes(tag, plan.face_sites_cb(dim));
+    let layout = species::spinor_cb(&plan.local_dims(), NVec::optimal_for_bytes(b));
+    let norm = if tag.needs_norm() { layout.sites * 4 } else { 0 };
+    let mut ghosts = 0;
+    for dim in plan.active_dims() {
+        ghosts += 2 * face_bytes(tag, plan.face_sites_cb(dim));
     }
-    layout.device_bytes(b) + norm + side_ghosts
+    layout.device_bytes(b) + norm + ghosts
 }
 
 /// Device bytes one GPU needs to run the solver in `mode` on its share of
@@ -667,8 +666,8 @@ mod tests {
     /// local field of `plan`.
     fn allocated_spinor_bytes<P: Precision>(plan: &DecompPlan) -> usize {
         let f = SpinorFieldCb::<P>::new_open(plan.local_dims(), plan.open_dims());
-        let elems = f.data.len() + f.side_ghost.iter().map(Vec::len).sum::<usize>();
-        let norms = f.norm.len() + f.side_norm.iter().map(Vec::len).sum::<usize>();
+        let elems = f.data.len() + f.ghost.iter().map(Vec::len).sum::<usize>();
+        let norms = f.norm.len() + f.ghost_norm.iter().map(Vec::len).sum::<usize>();
         elems * std::mem::size_of::<P::Elem>() + norms * std::mem::size_of::<f32>()
     }
 

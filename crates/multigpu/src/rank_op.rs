@@ -13,7 +13,7 @@
 //! communicator (Section VI-E).
 
 use crate::ghost::{exchange_gauge_ghosts, exchange_spinor_ghosts, recv_faces, send_faces};
-use crate::slice::{local_clover_grid, slice_config_grid};
+use crate::slice::{local_clover, slice_config};
 use quda_comm::{CommError, CommStats, Communicator};
 use quda_dirac::dslash::{dslash_cb_multi, DslashRegion};
 use quda_dirac::{Halo, MatPcOp, NoHalo, WilsonCloverOp, WilsonParams};
@@ -136,7 +136,7 @@ impl<P: Precision> ParallelWilsonCloverOp<P> {
     ///
     /// Fails with a [`CommError`] when the gauge ghost exchange cannot be
     /// completed (dead peer, timeout, unrecoverable corruption).
-    pub fn new_grid(
+    pub fn new(
         global: &GaugeConfig,
         plan: DecompPlan,
         rank: usize,
@@ -146,8 +146,8 @@ impl<P: Precision> ParallelWilsonCloverOp<P> {
     ) -> Result<Self, CommError> {
         assert_eq!(comm.rank(), rank);
         assert_eq!(comm.size(), plan.n_ranks());
-        let local_cfg = slice_config_grid(global, &plan, rank);
-        let clover = local_clover_grid(global, &plan, rank, wilson.c_sw);
+        let local_cfg = slice_config(global, &plan, rank);
+        let clover = local_clover(global, &plan, rank, wilson.c_sw);
         let mut op = WilsonCloverOp::<P>::from_config_open(
             &local_cfg,
             wilson,
@@ -327,7 +327,7 @@ impl<P: Precision> LinearOperator<P> for ParallelWilsonCloverOp<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::{gather_spinor_grid, slice_spinor_grid};
+    use crate::slice::{gather_spinor, slice_spinor};
     use quda_fields::gauge_gen::{random_spinor_field, weak_field};
     use quda_fields::host::HostSpinorField;
     use quda_fields::precision::Double;
@@ -360,7 +360,7 @@ mod tests {
             .map(|(rank, comm)| {
                 let (cfg, body) = (cfg.clone(), body.clone());
                 std::thread::spawn(move || {
-                    let mut op = RankOp::new_grid(&cfg, plan, rank, comm, wp, strategy).unwrap();
+                    let mut op = RankOp::new(&cfg, plan, rank, comm, wp, strategy).unwrap();
                     body(rank, &mut op)
                 })
             })
@@ -413,12 +413,12 @@ mod tests {
         let input = random_spinor_field(plan.global(), 5);
         let expect = reference_matpc(cfg, wp, &input, dagger, 1);
         let locals = on_ranks(cfg, plan, wp, strategy, move |rank, op| {
-            let mut x = upload(op, &slice_spinor_grid(&input, &plan, rank));
+            let mut x = upload(op, &slice_spinor(&input, &plan, rank));
             let mut out = op.alloc();
             op.apply_matpc(from_mut(&mut out), from_mut(&mut x), ONE, dagger);
             download(op, &out)
         });
-        (expect, gather_spinor_grid(&locals, &plan))
+        (expect, gather_spinor(&locals, &plan))
     }
 
     fn parallel_matpc(strategy: CommStrategy, dagger: bool) -> (HostSpinorField, HostSpinorField) {
@@ -593,7 +593,7 @@ mod tests {
             let inputs = hosts.clone();
             let per_rank = on_ranks(&cfg, plan, wp, strategy, move |rank, op| {
                 let mut xs: Vec<_> =
-                    inputs.iter().map(|h| upload(op, &slice_spinor_grid(h, &plan, rank))).collect();
+                    inputs.iter().map(|h| upload(op, &slice_spinor(h, &plan, rank))).collect();
                 let mut ys: Vec<_> = (0..3).map(|_| op.alloc()).collect();
                 op.apply_matpc(&mut ys, &mut xs, &[true; 3], false);
                 op.apply_matpc(&mut xs, &mut ys, &[false, true, false], false);
@@ -602,7 +602,7 @@ mod tests {
             });
             for (lane, powers) in [(0, 1), (1, 2), (2, 1)] {
                 let locals: Vec<_> = per_rank.iter().map(|r| r[lane].clone()).collect();
-                let got = gather_spinor_grid(&locals, &plan);
+                let got = gather_spinor(&locals, &plan);
                 let expect = reference_matpc(&cfg, wp, &hosts[lane], false, powers);
                 let dist = expect.max_site_dist(&got);
                 assert!(dist < 1e-12, "{strategy:?} lane {lane}: max site distance {dist}");

@@ -15,7 +15,7 @@
 //! re-sharded onto *any* [`DecompPlan`]-compatible replacement world via
 //! [`GlobalCheckpoint::reshard`].
 
-use crate::slice::{gather_spinor_grid, slice_spinor_grid};
+use crate::slice::{gather_spinor, slice_spinor};
 use quda_fields::host::HostSpinorField;
 use quda_fields::precision::Precision;
 use quda_fields::SpinorFieldCb;
@@ -207,7 +207,6 @@ fn assemble<H: Precision>(
         epoch = epoch.min(latest);
     }
     let mut counters: Option<CheckpointCounters> = None;
-    let mut open = [false; 4];
     let mut locals_x = Vec::with_capacity(rings.len());
     let mut locals_r = Vec::with_capacity(rings.len());
     let mut all_have_r = true;
@@ -216,10 +215,7 @@ fn assemble<H: Precision>(
         let ck = SolverCheckpoint::from_bytes(&dep.bytes)
             .map_err(|error| ReshardError::Corrupt { rank, error })?;
         match counters {
-            None => {
-                counters = Some(ck.counters);
-                open = ck.open();
-            }
+            None => counters = Some(ck.counters),
             // Checkpoints are cut at collectively decided boundaries,
             // so every rank's scalar state must agree bit-for-bit.
             Some(c) if c != ck.counters => {
@@ -227,13 +223,13 @@ fn assemble<H: Precision>(
             }
             Some(_) => {}
         }
-        let mut x = SpinorFieldCb::<H>::new_open(ck.dims(), ck.open());
+        let mut x = SpinorFieldCb::<H>::new(ck.dims(), false);
         ck.restore_x(&mut x).map_err(|error| ReshardError::Corrupt { rank, error })?;
         let mut x_host = HostSpinorField::zero(ck.dims());
         x.download(&mut x_host, Parity::Odd);
         locals_x.push(x_host);
         if ck.has_residual() {
-            let mut r = SpinorFieldCb::<H>::new_open(ck.dims(), ck.open());
+            let mut r = SpinorFieldCb::<H>::new(ck.dims(), false);
             ck.restore_r(&mut r).map_err(|error| ReshardError::Corrupt { rank, error })?;
             let mut r_host = HostSpinorField::zero(ck.dims());
             r.download(&mut r_host, Parity::Odd);
@@ -245,10 +241,9 @@ fn assemble<H: Precision>(
     Ok(GlobalCheckpoint {
         epoch,
         counters: counters.unwrap_or_default(),
-        open,
-        x: gather_spinor_grid(&locals_x, plan),
+        x: gather_spinor(&locals_x, plan),
         r: if all_have_r && locals_r.len() == rings.len() {
-            Some(gather_spinor_grid(&locals_r, plan))
+            Some(gather_spinor(&locals_r, plan))
         } else {
             None
         },
@@ -264,10 +259,6 @@ pub struct GlobalCheckpoint {
     pub epoch: u64,
     /// Rank-identical scalar solver state at that epoch.
     pub counters: CheckpointCounters,
-    /// Ghost-zone configuration the original ranks ran with (uniform across
-    /// ranks of a plan, and re-used so a re-sharded piece matches the
-    /// replacement operator's allocation exactly).
-    pub open: [bool; 4],
     /// Global iterate (odd-parity sites populated).
     pub x: HostSpinorField,
     /// Global true residual, when the checkpointing solver carries one.
@@ -278,12 +269,12 @@ impl GlobalCheckpoint {
     /// Slice this rank's share out of the global snapshot and repackage it
     /// as a [`SolverCheckpoint`] for the replacement world's solver.
     pub fn reshard<H: Precision>(&self, plan: &DecompPlan, rank: usize) -> SolverCheckpoint {
-        let local_x = slice_spinor_grid(&self.x, plan, rank);
-        let mut x = SpinorFieldCb::<H>::new_open(plan.local_dims(), self.open);
+        let local_x = slice_spinor(&self.x, plan, rank);
+        let mut x = SpinorFieldCb::<H>::new(plan.local_dims(), false);
         x.upload(&local_x, Parity::Odd);
         let r = self.r.as_ref().map(|r_global| {
-            let local_r = slice_spinor_grid(r_global, plan, rank);
-            let mut r = SpinorFieldCb::<H>::new_open(plan.local_dims(), self.open);
+            let local_r = slice_spinor(r_global, plan, rank);
+            let mut r = SpinorFieldCb::<H>::new(plan.local_dims(), false);
             r.upload(&local_r, Parity::Odd);
             r
         });
@@ -303,7 +294,7 @@ mod tests {
     }
 
     fn local_ck(plan: &DecompPlan, global: &HostSpinorField, rank: usize, epoch: u64) -> Vec<u8> {
-        let local = slice_spinor_grid(global, plan, rank);
+        let local = slice_spinor(global, plan, rank);
         let mut x = SpinorFieldCb::<Double>::new_open(plan.local_dims(), plan.open_dims());
         x.upload(&local, Parity::Odd);
         let counters = CheckpointCounters { epoch, iterations: epoch * 10, ..Default::default() };
@@ -336,7 +327,7 @@ mod tests {
         let piece = ck.reshard::<Double>(&fine, 1);
         assert_eq!(piece.counters.epoch, 1);
         assert!(piece.has_residual());
-        let mut back = SpinorFieldCb::<Double>::new_open(fine.local_dims(), ck.open);
+        let mut back = SpinorFieldCb::<Double>::new_open(fine.local_dims(), fine.open_dims());
         piece.restore_x(&mut back).expect("restore re-sharded piece");
     }
 

@@ -11,7 +11,7 @@ use quda_lattice::partition::DecompPlan;
 use quda_math::clover::CloverSite;
 
 /// The local gauge configuration of `rank` under a process-grid plan.
-pub fn slice_config_grid(global: &GaugeConfig, plan: &DecompPlan, rank: usize) -> GaugeConfig {
+pub fn slice_config(global: &GaugeConfig, plan: &DecompPlan, rank: usize) -> GaugeConfig {
     assert_eq!(global.dims, plan.global());
     let local_dims = plan.local_dims();
     let mut local = GaugeConfig::unit(local_dims);
@@ -25,11 +25,7 @@ pub fn slice_config_grid(global: &GaugeConfig, plan: &DecompPlan, rank: usize) -
 }
 
 /// The local part of a host spinor field under a process-grid plan.
-pub fn slice_spinor_grid(
-    global: &HostSpinorField,
-    plan: &DecompPlan,
-    rank: usize,
-) -> HostSpinorField {
+pub fn slice_spinor(global: &HostSpinorField, plan: &DecompPlan, rank: usize) -> HostSpinorField {
     assert_eq!(global.dims, plan.global());
     let local_dims = plan.local_dims();
     let mut local = HostSpinorField::zero(local_dims);
@@ -41,7 +37,7 @@ pub fn slice_spinor_grid(
 
 /// Reassemble a global field from every rank's local field (rank order)
 /// under a process-grid plan.
-pub fn gather_spinor_grid(locals: &[HostSpinorField], plan: &DecompPlan) -> HostSpinorField {
+pub fn gather_spinor(locals: &[HostSpinorField], plan: &DecompPlan) -> HostSpinorField {
     assert_eq!(locals.len(), plan.n_ranks());
     let mut global = HostSpinorField::zero(plan.global());
     let local_dims = plan.local_dims();
@@ -60,7 +56,7 @@ pub fn gather_spinor_grid(locals: &[HostSpinorField], plan: &DecompPlan) -> Host
 /// there, and every parity-site is computed at its global coordinate.
 /// (Chroma hands QUDA a precomputed clover field for the same reason.)
 /// Local parity equals global parity because every domain origin is even.
-pub fn local_clover_grid(
+pub fn local_clover(
     global: &GaugeConfig,
     plan: &DecompPlan,
     rank: usize,
@@ -100,7 +96,7 @@ mod tests {
     fn slices_cover_global_config() {
         let (cfg, plan) = setup();
         for rank in 0..plan.n_ranks() {
-            let local = slice_config_grid(&cfg, &plan, rank);
+            let local = slice_config(&cfg, &plan, rank);
             for c in local.dims.coords() {
                 assert_eq!(local.link(c, 2), cfg.link(global_t(&plan, rank, c), 2));
             }
@@ -111,9 +107,8 @@ mod tests {
     fn scatter_gather_roundtrip() {
         let (_, plan) = setup();
         let global = random_spinor_field(plan.global(), 7);
-        let locals: Vec<_> =
-            (0..plan.n_ranks()).map(|r| slice_spinor_grid(&global, &plan, r)).collect();
-        let back = gather_spinor_grid(&locals, &plan);
+        let locals: Vec<_> = (0..plan.n_ranks()).map(|r| slice_spinor(&global, &plan, r)).collect();
+        let back = gather_spinor(&locals, &plan);
         assert_eq!(back.max_site_dist(&global), 0.0);
     }
 
@@ -125,7 +120,7 @@ mod tests {
         let (cfg, plan) = setup();
         let global_both = quda_fields::clover_build::clover_both_parities(&cfg, 1.3);
         for rank in [0usize, 3] {
-            let local = local_clover_grid(&cfg, &plan, rank, 1.3);
+            let local = local_clover(&cfg, &plan, rank, 1.3);
             let ld = plan.local_dims();
             for p in [Parity::Even, Parity::Odd] {
                 for cb in 0..ld.half_volume() {
@@ -157,9 +152,8 @@ mod tests {
         let d = LatticeDims::new(4, 4, 4, 8);
         let plan = DecompPlan::new(d, [2, 1, 2, 2]);
         let global = random_spinor_field(d, 17);
-        let locals: Vec<_> =
-            (0..plan.n_ranks()).map(|r| slice_spinor_grid(&global, &plan, r)).collect();
-        let back = gather_spinor_grid(&locals, &plan);
+        let locals: Vec<_> = (0..plan.n_ranks()).map(|r| slice_spinor(&global, &plan, r)).collect();
+        let back = gather_spinor(&locals, &plan);
         assert_eq!(back.max_site_dist(&global), 0.0);
         // Each local field really is the rank's sub-block.
         for (r, local) in locals.iter().enumerate() {
@@ -179,7 +173,7 @@ mod tests {
         let cfg = weak_field(d, 0.15, 29);
         let global_both = quda_fields::clover_build::clover_both_parities(&cfg, 1.3);
         for rank in 0..plan.n_ranks() {
-            let local = local_clover_grid(&cfg, &plan, rank, 1.3);
+            let local = local_clover(&cfg, &plan, rank, 1.3);
             let ld = plan.local_dims();
             for p in [Parity::Even, Parity::Odd] {
                 for cb in 0..ld.half_volume() {
@@ -211,9 +205,9 @@ mod tests {
         // boundary time-slices.
         let (cfg, plan) = setup();
         let rank = 1;
-        let local_cfg = slice_config_grid(&cfg, &plan, rank);
+        let local_cfg = slice_config(&cfg, &plan, rank);
         let naive = quda_fields::clover_build::clover_both_parities(&local_cfg, 1.0);
-        let correct = local_clover_grid(&cfg, &plan, rank, 1.0);
+        let correct = local_clover(&cfg, &plan, rank, 1.0);
         let ld = plan.local_dims();
         let mut boundary_diff = 0.0f64;
         for cb in 0..ld.half_volume() {

@@ -4,7 +4,7 @@
 //! model must respect its structural invariants.
 
 use proptest::prelude::*;
-use quda_dirac::{gather_face_site_dim, WilsonCloverOp, WilsonParams};
+use quda_dirac::{gather_face_site, WilsonCloverOp, WilsonParams};
 use quda_fields::gauge_gen::{random_spinor_field, weak_field};
 use quda_fields::host::HostSpinorField;
 use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
@@ -18,7 +18,7 @@ use quda_math::real::Real;
 use quda_math::spinor::HALF_SPINOR_REALS;
 use quda_multigpu::perf::{candidate_plans, evaluate, PerfInput};
 use quda_multigpu::rank_op::{CommStrategy, ParallelWilsonCloverOp};
-use quda_multigpu::{exchange_spinor_ghosts, gather_spinor_grid, slice_spinor_grid, PrecisionMode};
+use quda_multigpu::{exchange_spinor_ghosts, gather_spinor, slice_spinor, PrecisionMode};
 use quda_solvers::operator::LinearOperator;
 use std::slice::from_mut;
 
@@ -96,21 +96,20 @@ fn codec_round_trip<P: Precision>(
         let peer = 1 - rank;
         let mut pf = SpinorFieldCb::<P>::new_open(d, plan.open_dims());
         pf.upload(&hosts[peer], parity);
-        let faces = pf.face_sites_dim(dim);
+        let faces = pf.face_sites(dim);
         // backward ghost ← peer's forward-sent face; forward ghost ← the
         // peer's backward-sent face.
         for (backward, to_forward) in [(true, true), (false, false)] {
             let mut vals = Vec::with_capacity(faces * HALF_SPINOR_REALS);
             for f in 0..faces {
-                let h =
-                    gather_face_site_dim(&pf, &basis, &stencil, dim, to_forward, f, parity, dagger);
+                let h = gather_face_site(&pf, &basis, &stencil, dim, to_forward, f, parity, dagger);
                 for x in h.to_reals() {
                     vals.push(x.to_f64());
                 }
             }
             let rt = wire_round_trip::<P>(&vals);
             for f in 0..faces {
-                let got = field.get_ghost_dim(dim, backward, f).to_reals();
+                let got = field.get_ghost(dim, backward, f).to_reals();
                 for k in 0..HALF_SPINOR_REALS {
                     let expect = P::Arith::from_f64(rt[f * HALF_SPINOR_REALS + k]).to_f64();
                     assert_eq!(
@@ -237,11 +236,11 @@ proptest! {
                 let cfg = cfg.clone();
                 let input = input.clone();
                 std::thread::spawn(move || {
-                    let mut op = ParallelWilsonCloverOp::<Double>::new_grid(
+                    let mut op = ParallelWilsonCloverOp::<Double>::new(
                         &cfg, plan, rank, comm, wp, strategy,
                     )
                     .expect("op init");
-                    let local = slice_spinor_grid(&input, &plan, rank);
+                    let local = slice_spinor(&input, &plan, rank);
                     let mut x = op.alloc();
                     x.upload(&local, Parity::Odd);
                     let mut out = op.alloc();
@@ -260,7 +259,7 @@ proptest! {
         let mut locals: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         locals.sort_by_key(|(r, _)| *r);
         let locals: Vec<_> = locals.into_iter().map(|(_, f)| f).collect();
-        let got = gather_spinor_grid(&locals, &plan);
+        let got = gather_spinor(&locals, &plan);
         let dist = expect.max_site_dist(&got);
         prop_assert!(
             dist < 1e-11,

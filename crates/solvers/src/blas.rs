@@ -7,7 +7,7 @@
 //! its flop/byte cost through [`BlasOp`] so the performance model can charge
 //! the 10–20% solver overhead the paper quotes honestly.
 //!
-//! All reductions run over data sites only — the ghost end zone is excluded
+//! All reductions run over data sites only — the ghost zones are excluded
 //! by construction (Section VI-C).
 //!
 //! Each kernel has two implementations with bit-identical results:

@@ -10,11 +10,16 @@
 //! The wire format is versioned and checksummed so a checkpoint written by
 //! one world incarnation can be validated before a replacement world trusts
 //! it: `"QCKP"` magic, format version, precision tag, local lattice
-//! geometry, the counter block, the raw *storage bytes* of every field
-//! array (bit-exact — no quantization round trip, so serialize/deserialize
-//! is the identity for all four precisions), and a trailing FNV-1a-64
+//! geometry, the counter block, the raw *storage bytes* of each field's
+//! sites — the Eq. 5 body and, in half and quarter precision, the site
+//! norms (bit-exact — no quantization round trip, so serialize/deserialize
+//! is the identity for all four precisions) — and a trailing FNV-1a-64
 //! checksum over everything that precedes it. Corruption anywhere in the
 //! buffer surfaces as a typed [`CheckpointError`], never a panic.
+//!
+//! Ghost zones are not solver state: the next face exchange rewrites them
+//! before anything reads them. So a snapshot restores into a field of the
+//! same geometry whatever its open dimensions.
 //!
 //! Solvers do not talk to storage directly: they take one
 //! [`CheckpointSink`] per right-hand side, hand each lane's snapshots to its
@@ -35,7 +40,7 @@ use std::fmt;
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"QCKP";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u16 = 1;
+pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// Why a checkpoint buffer was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,7 +74,7 @@ pub enum CheckpointError {
         /// Precision of the restore target.
         requested: PrecisionTag,
     },
-    /// Restore target has different lattice geometry or ghost shape.
+    /// Restore target has different lattice geometry.
     GeometryMismatch,
 }
 
@@ -138,22 +143,17 @@ pub struct CheckpointCounters {
     pub last_update_r2: f64,
 }
 
-/// Raw little-endian storage bytes of one field's arrays.
+/// Raw little-endian storage bytes of one field's sites: the Eq. 5 body
+/// and the site norms (empty above half precision).
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct FieldPayload {
     data: Vec<u8>,
     norm: Vec<u8>,
-    side_ghost: [Vec<u8>; 3],
-    side_norm: [Vec<u8>; 3],
 }
 
 impl FieldPayload {
     fn byte_len(&self) -> usize {
-        // Rank-local buffer-size accounting, not a numeric reduction.
-        self.data.len()
-            + self.norm.len()
-            + self.side_ghost.iter().map(Vec::len).sum::<usize>() // quda-lint: allow(global-reduce)
-            + self.side_norm.iter().map(Vec::len).sum::<usize>() // quda-lint: allow(global-reduce)
+        self.data.len() + self.norm.len()
     }
 }
 
@@ -166,21 +166,7 @@ fn encode_field<P: Precision>(f: &SpinorFieldCb<P>) -> FieldPayload {
     for &n in &f.norm {
         norm.extend_from_slice(&n.to_le_bytes());
     }
-    let side_ghost = std::array::from_fn(|d| {
-        let mut out = Vec::with_capacity(f.side_ghost[d].len() * P::STORAGE_BYTES);
-        for &e in &f.side_ghost[d] {
-            P::elem_to_le_bytes(e, &mut out);
-        }
-        out
-    });
-    let side_norm = std::array::from_fn(|d| {
-        let mut out = Vec::with_capacity(f.side_norm[d].len() * 4);
-        for &n in &f.side_norm[d] {
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        out
-    });
-    FieldPayload { data, norm, side_ghost, side_norm }
+    FieldPayload { data, norm }
 }
 
 fn decode_elems<P: Precision>(bytes: &[u8], out: &mut [P::Elem]) -> Result<(), CheckpointError> {
@@ -209,12 +195,7 @@ fn decode_field<P: Precision>(
     f: &mut SpinorFieldCb<P>,
 ) -> Result<(), CheckpointError> {
     decode_elems::<P>(&payload.data, &mut f.data)?;
-    decode_norms(&payload.norm, &mut f.norm)?;
-    for d in 0..3 {
-        decode_elems::<P>(&payload.side_ghost[d], &mut f.side_ghost[d])?;
-        decode_norms(&payload.side_norm[d], &mut f.side_norm[d])?;
-    }
-    Ok(())
+    decode_norms(&payload.norm, &mut f.norm)
 }
 
 /// FNV-1a 64-bit hash — small, dependency-free, and plenty for detecting
@@ -237,7 +218,6 @@ pub struct SolverCheckpoint {
     pub counters: CheckpointCounters,
     tag: PrecisionTag,
     dims: [u32; 4],
-    open: [bool; 4],
     x: FieldPayload,
     r: Option<FieldPayload>,
 }
@@ -245,8 +225,8 @@ pub struct SolverCheckpoint {
 impl SolverCheckpoint {
     /// Snapshot `x` (and optionally the true residual `r`) plus `counters`.
     ///
-    /// The raw storage bytes are copied, so the snapshot round-trips
-    /// bit-identically at every precision.
+    /// The raw storage bytes of the sites are copied, so the snapshot
+    /// round-trips bit-identically at every precision; ghosts are left out.
     pub fn capture<P: Precision>(
         counters: CheckpointCounters,
         x: &SpinorFieldCb<P>,
@@ -261,7 +241,6 @@ impl SolverCheckpoint {
                 x.dims.extent(2) as u32,
                 x.dims.extent(3) as u32,
             ],
-            open: x.open,
             x: encode_field(x),
             r: r.map(encode_field),
         }
@@ -282,11 +261,6 @@ impl SolverCheckpoint {
         )
     }
 
-    /// Ghost-zone configuration of the captured fields.
-    pub fn open(&self) -> [bool; 4] {
-        self.open
-    }
-
     /// Whether the snapshot carries the true residual vector.
     pub fn has_residual(&self) -> bool {
         self.r.is_some()
@@ -301,13 +275,14 @@ impl SolverCheckpoint {
         if P::TAG != self.tag {
             return Err(CheckpointError::PrecisionMismatch { stored: self.tag, requested: P::TAG });
         }
-        if f.dims != self.dims() || f.open != self.open {
+        if f.dims != self.dims() {
             return Err(CheckpointError::GeometryMismatch);
         }
         Ok(())
     }
 
-    /// Restore the iterate into `x` (geometry and precision must match).
+    /// Restore the iterate's sites into `x` (geometry and precision must
+    /// match; `x`'s ghost zones are left as they are).
     pub fn restore_x<P: Precision>(&self, x: &mut SpinorFieldCb<P>) -> Result<(), CheckpointError> {
         self.check_target(x)?;
         decode_field(&self.x, x)
@@ -331,13 +306,6 @@ impl SolverCheckpoint {
         for d in self.dims {
             out.extend_from_slice(&d.to_le_bytes());
         }
-        let mut open_mask = 0u8;
-        for (i, &o) in self.open.iter().enumerate() {
-            if o {
-                open_mask |= 1 << i;
-            }
-        }
-        out.push(open_mask);
         let c = &self.counters;
         for v in
             [c.epoch, c.iterations, c.matvecs_hi, c.matvecs_lo, c.reliable_updates, c.recoveries]
@@ -388,8 +356,6 @@ impl SolverCheckpoint {
             PrecisionTag::from_byte(tag_byte).ok_or(CheckpointError::BadPrecisionTag(tag_byte))?;
         let has_r = cur.u8()? != 0;
         let dims = [cur.u32()?, cur.u32()?, cur.u32()?, cur.u32()?];
-        let open_mask = cur.u8()?;
-        let open = std::array::from_fn(|i| open_mask & (1 << i) != 0);
         let counters = CheckpointCounters {
             epoch: cur.u64()?,
             iterations: cur.u64()?,
@@ -408,38 +374,26 @@ impl SolverCheckpoint {
         if remaining != 0 {
             return Err(CheckpointError::TrailingBytes(remaining));
         }
-        Ok(SolverCheckpoint { counters, tag, dims, open, x, r })
+        Ok(SolverCheckpoint { counters, tag, dims, x, r })
     }
 }
 
 fn write_payload(out: &mut Vec<u8>, p: &FieldPayload) {
-    let sections: [&[u8]; 8] = [
-        &p.data,
-        &p.norm,
-        &p.side_ghost[0],
-        &p.side_ghost[1],
-        &p.side_ghost[2],
-        &p.side_norm[0],
-        &p.side_norm[1],
-        &p.side_norm[2],
-    ];
-    for s in sections {
+    for s in [&p.data, &p.norm] {
         out.extend_from_slice(&(s.len() as u64).to_le_bytes());
         out.extend_from_slice(s);
     }
 }
 
 fn read_payload(cur: &mut Cursor<'_>) -> Result<FieldPayload, CheckpointError> {
-    let mut sections: [Vec<u8>; 8] = Default::default();
-    for s in &mut sections {
+    // Restore is a deposit boundary: the payload must own its bytes beyond
+    // the borrowed wire buffer, once per section per rollback.
+    let mut section = || -> Result<Vec<u8>, CheckpointError> {
         let len = cur.u64()? as usize;
-        // Restore is a deposit boundary: the payload must own its bytes
-        // beyond the borrowed wire buffer, once per section per rollback.
         // quda-lint: allow(hot-alloc)
-        *s = cur.take(len)?.to_vec();
-    }
-    let [data, norm, sg0, sg1, sg2, sn0, sn1, sn2] = sections;
-    Ok(FieldPayload { data, norm, side_ghost: [sg0, sg1, sg2], side_norm: [sn0, sn1, sn2] })
+        Ok(cur.take(len)?.to_vec())
+    };
+    Ok(FieldPayload { data: section()?, norm: section()? })
 }
 
 struct Cursor<'a> {
@@ -616,8 +570,10 @@ mod tests {
         );
         let mut wrong_dims = SpinorFieldCb::<Double>::new(LatticeDims::new(4, 4, 2, 6), true);
         assert_eq!(ck.restore_x(&mut wrong_dims), Err(CheckpointError::GeometryMismatch));
+        // Ghosts are not state: a closed field of the same geometry fits.
         let mut no_ghost = SpinorFieldCb::<Double>::new(dims, false);
-        assert_eq!(ck.restore_x(&mut no_ghost), Err(CheckpointError::GeometryMismatch));
+        assert_eq!(ck.restore_x(&mut no_ghost), Ok(()));
+        assert_eq!(no_ghost.data, x.data);
         let mut ok = SpinorFieldCb::<Double>::new(dims, true);
         assert_eq!(ck.restore_r(&mut ok), Err(CheckpointError::GeometryMismatch));
     }

@@ -37,7 +37,7 @@ pub trait LinearOperator<P: Precision> {
     /// `&[true]`).
     ///
     /// `ins` is mutable because a partitioned implementation fills its
-    /// ghost end zones in place before the stencil reads them — exactly
+    /// ghost zones in place before the stencil reads them — exactly
     /// what the MPI face exchange does to the operand buffer (Section
     /// VI-C). The contract every implementation keeps: per active RHS the
     /// output is **bit-identical** to applying it alone, and inactive

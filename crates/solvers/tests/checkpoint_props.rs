@@ -1,7 +1,9 @@
-//! Property tests for the elastic-resilience checkpoint format (ISSUE 8):
+//! Property tests for the elastic-resilience checkpoint format:
 //! serialize → deserialize is bit-identical for all four precisions over
 //! arbitrary (including odd-extent) local volumes, and corruption anywhere
-//! in the buffer is rejected with a typed error — never a panic.
+//! in the buffer is rejected with a typed error — never a panic. The
+//! format carries sites only, so a snapshot restores into a field of any
+//! ghost shape, and a version-1 buffer is refused by its version.
 
 use proptest::prelude::*;
 use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
@@ -9,7 +11,9 @@ use quda_fields::SpinorFieldCb;
 use quda_lattice::geometry::LatticeDims;
 use quda_math::real::Real;
 use quda_math::spinor::Spinor;
-use quda_solvers::checkpoint::{CheckpointCounters, SolverCheckpoint};
+use quda_solvers::checkpoint::{
+    CheckpointCounters, CheckpointError, SolverCheckpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+};
 
 /// Deterministically filled field: every site carries data derived from a
 /// cheap LCG so payload bytes are dense and non-trivial at every precision.
@@ -122,4 +126,91 @@ proptest! {
         let cut = (bytes.len() as f64 * pos_frac) as usize;
         prop_assert!(SolverCheckpoint::from_bytes(&bytes[..cut]).is_err());
     }
+}
+
+/// FNV-1a 64, the checkpoint trailer's hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn version_1_buffer_with_a_valid_checksum_is_refused() {
+    assert_eq!(CHECKPOINT_VERSION, 2);
+    // A version-1 header: magic, version, double tag, no residual, 2⁴
+    // dims, the open-faces mask, then the counters; the checksum is valid,
+    // so only the version can reject it.
+    let mut body = Vec::new();
+    body.extend_from_slice(&CHECKPOINT_MAGIC);
+    body.extend_from_slice(&1u16.to_le_bytes());
+    body.push(quda_fields::precision::PrecisionTag::Double.to_byte());
+    body.push(0);
+    for _ in 0..4 {
+        body.extend_from_slice(&2u32.to_le_bytes());
+    }
+    body.push(0b1000);
+    body.extend_from_slice(&[0u8; 6 * 8 + 4 + 3 * 8]);
+    let sum = fnv1a(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    assert_eq!(SolverCheckpoint::from_bytes(&body), Err(CheckpointError::UnsupportedVersion(1)));
+}
+
+/// Capture from a T-open field; restore into a closed and an all-open
+/// field of the same geometry; both hold the captured sites bit for bit.
+fn restores_across_ghost_shapes<P: Precision>(seed: u64) {
+    let dims = LatticeDims::new(4, 2, 4, 6);
+    let x = filled::<P>(dims, [false, false, false, true], seed);
+    let r = filled::<P>(dims, [false, false, false, true], seed + 1);
+    let ck = SolverCheckpoint::capture(CheckpointCounters::default(), &x, Some(&r));
+    let back = SolverCheckpoint::from_bytes(&ck.to_bytes()).expect("own bytes decode");
+    for open in [[false; 4], [true; 4]] {
+        let mut x2 = SpinorFieldCb::<P>::new_open(dims, open);
+        let mut r2 = SpinorFieldCb::<P>::new_open(dims, open);
+        back.restore_x(&mut x2).expect("sites restore into any ghost shape");
+        back.restore_r(&mut r2).expect("sites restore into any ghost shape");
+        for cb in 0..x.sites() {
+            assert_eq!(x2.get(cb), x.get(cb), "{} x site {cb}, open {open:?}", P::NAME);
+            assert_eq!(r2.get(cb), r.get(cb), "{} r site {cb}, open {open:?}", P::NAME);
+        }
+        assert_eq!(x2.norm, x.norm, "{} site norms, open {open:?}", P::NAME);
+        // A re-capture from the new shape is the same snapshot.
+        let again = SolverCheckpoint::capture(CheckpointCounters::default(), &x2, Some(&r2));
+        assert_eq!(again.to_bytes(), ck.to_bytes(), "{} open {open:?}", P::NAME);
+    }
+}
+
+#[test]
+fn t_open_capture_restores_into_closed_and_all_open_fields() {
+    restores_across_ghost_shapes::<Double>(11);
+    restores_across_ghost_shapes::<Single>(12);
+    restores_across_ghost_shapes::<Half>(13);
+    restores_across_ghost_shapes::<Quarter>(14);
+}
+
+/// `solvers.ckpt_bytes` of the ledger probe: one rank's 8⁴ double block of
+/// the 8³×16 two-rank solve, T open, deposited with x and r.
+#[test]
+fn ckpt_bytes_of_the_ledger_probe_drop_by_the_end_zones_and_the_mask() {
+    let dims = LatticeDims::new(8, 8, 8, 8);
+    let x = SpinorFieldCb::<Double>::new(dims, true);
+    let ck = SolverCheckpoint::capture(CheckpointCounters::default(), &x, Some(&x));
+    // Version 1 wrote 983,277 bytes for this snapshot. Per field it also
+    // carried the T end zone, 2 faces × 256 sites × 12 reals × 8 B =
+    // 49,152 B, and six more 8-byte section prefixes (the six X/Y/Z ghost
+    // and norm sections, empty here); once per checkpoint, the open-faces
+    // mask byte.
+    const V1_BYTES: usize = 983_277;
+    let end_zone = 2 * 256 * 12 * 8;
+    let dropped = 2 * (end_zone + 6 * 8) + 1;
+    assert_eq!(dropped, 98_401);
+    assert_eq!(ck.to_bytes().len(), V1_BYTES - dropped);
+    // What is left: the 101-byte v1 header less the mask, two sections per
+    // field (the padded body and the empty site norms), and the trailer.
+    let body = 24 * (dims.half_volume() + dims.half_spatial_volume()) * 8;
+    assert_eq!(ck.to_bytes().len(), 100 + 2 * (8 + body + 8) + 8);
+    assert_eq!(ck.payload_bytes(), 2 * body);
 }

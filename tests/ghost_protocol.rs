@@ -45,7 +45,7 @@ fn traffic_for_one_matpc<P: quda_fields::precision::Precision>() -> (u64, u64) {
     let cfg = weak_field(d, 0.1, 3);
     let host = random_spinor_field(d, 4);
     let results = on_two_ranks(move |rank, comm| {
-        let mut op = ParallelWilsonCloverOp::<P>::new_grid(
+        let mut op = ParallelWilsonCloverOp::<P>::new(
             &cfg,
             plan,
             rank,
@@ -57,7 +57,7 @@ fn traffic_for_one_matpc<P: quda_fields::precision::Precision>() -> (u64, u64) {
         let init_bytes = op.comm.sent_bytes();
         let init_msgs = op.comm.sent_messages();
         let mut x = op.alloc();
-        x.upload(&quda_multigpu::slice_spinor_grid(&host, &plan, rank), Parity::Odd);
+        x.upload(&quda_multigpu::slice_spinor(&host, &plan, rank), Parity::Odd);
         let mut out = op.alloc();
         op.apply(from_mut(&mut out), from_mut(&mut x), &[true]);
         (op.comm.sent_bytes() - init_bytes, op.comm.sent_messages() - init_msgs)
@@ -87,7 +87,7 @@ fn gauge_ghost_exchanged_once_at_init() {
     let plan = t_plan(2);
     let cfg = weak_field(d, 0.1, 9);
     let results = on_two_ranks(move |rank, comm| {
-        let op = ParallelWilsonCloverOp::<Single>::new_grid(
+        let op = ParallelWilsonCloverOp::<Single>::new(
             &cfg,
             plan,
             rank,
@@ -116,7 +116,7 @@ fn overlap_and_no_overlap_send_identical_traffic() {
         let cfg = cfg.clone();
         let host = host.clone();
         let results = on_two_ranks(move |rank, comm| {
-            let mut op = ParallelWilsonCloverOp::<Single>::new_grid(
+            let mut op = ParallelWilsonCloverOp::<Single>::new(
                 &cfg,
                 plan,
                 rank,
@@ -127,7 +127,7 @@ fn overlap_and_no_overlap_send_identical_traffic() {
             .expect("op init");
             let base = op.comm.sent_bytes();
             let mut x = op.alloc();
-            x.upload(&quda_multigpu::slice_spinor_grid(&host, &plan, rank), Parity::Odd);
+            x.upload(&quda_multigpu::slice_spinor(&host, &plan, rank), Parity::Odd);
             let mut out = op.alloc();
             op.apply(from_mut(&mut out), from_mut(&mut x), &[true]);
             op.comm.sent_bytes() - base
@@ -147,7 +147,7 @@ fn reductions_count_matches_solver_structure() {
     let plan = t_plan(1);
     let mut world = quda_comm::comm_world(1);
     let comm = world.pop().unwrap();
-    let mut op = ParallelWilsonCloverOp::<Double>::new_grid(
+    let mut op = ParallelWilsonCloverOp::<Double>::new(
         &cfg,
         plan,
         0,
@@ -269,7 +269,7 @@ fn grid_matpc_under_faults(
     let host = random_spinor_field(dims, 32);
 
     let apply = move |rank: usize, comm: quda_comm::Communicator| {
-        let mut op = ParallelWilsonCloverOp::<Double>::new_grid(
+        let mut op = ParallelWilsonCloverOp::<Double>::new(
             &cfg,
             decomp,
             rank,
@@ -279,7 +279,7 @@ fn grid_matpc_under_faults(
         )
         .expect("op init");
         let mut x = op.alloc();
-        x.upload(&quda_multigpu::slice_spinor_grid(&host, &decomp, rank), Parity::Odd);
+        x.upload(&quda_multigpu::slice_spinor(&host, &decomp, rank), Parity::Odd);
         let mut out = op.alloc();
         op.apply(from_mut(&mut out), from_mut(&mut x), &[true]);
         assert!(op.comm_fault().is_none(), "fault: {:?}", op.comm_fault());
