@@ -14,6 +14,7 @@ use crate::host::HostSpinorField;
 use crate::precision::Precision;
 use quda_lattice::geometry::{LatticeDims, Parity};
 use quda_lattice::layout::{species, FieldLayout, NVec};
+use quda_lattice::stencil::Stencil;
 use quda_math::real::Real;
 use quda_math::spinor::{HalfSpinor, Spinor, HALF_SPINOR_REALS, SPINOR_REALS};
 
@@ -55,7 +56,7 @@ impl<P: Precision> SpinorFieldCb<P> {
         let mut ghost_norm: [Vec<f32>; 4] = Default::default();
         for dir in (0..4).filter(|&dir| open[dir]) {
             // Both faces, backward first.
-            let slots = 2 * (dims.volume() / dims.extent(dir) / 2);
+            let slots = 2 * Stencil::face_sites_dim(&dims, dir);
             ghost[dir] = vec![P::Elem::default(); slots * HALF_SPINOR_REALS];
             if P::NEEDS_NORM {
                 ghost_norm[dir] = vec![1.0; slots];
@@ -80,7 +81,7 @@ impl<P: Precision> SpinorFieldCb<P> {
     /// `Vs/2` for T).
     #[inline(always)]
     pub fn face_sites(&self, dir: usize) -> usize {
-        self.dims.volume() / self.dims.extent(dir) / 2
+        Stencil::face_sites_dim(&self.dims, dir)
     }
 
     /// Read the spinor at checkerboard site `cb`.
