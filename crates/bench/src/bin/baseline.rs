@@ -4,17 +4,12 @@
 //! cargo run --release -p quda-bench --bin baseline > BENCH_baseline.json
 //! ```
 //!
-//! The committed `BENCH_baseline.json` gives future changes a before/after:
-//! everything under `"modeled"` and `"functional"` is deterministic (the
-//! calibrated performance model and the fixed-seed solves), so any diff
-//! there is a real behavior change, not measurement noise. Only
-//! `"measured_wall_seconds"` varies with the host; it is informational.
-//!
-//! With `--measured` the output additionally carries `"fig_hotpath"`:
-//! wall-clock kernel times for the streamed BLAS/dslash/face-codec hot
-//! paths against their naive per-site reference shapes (see
-//! [`quda_bench::hotpath`] for the clock methodology). Also
-//! host-dependent, also informational.
+//! The committed `BENCH_baseline.json` gives future changes a before/after.
+//! Everything in it is deterministic: `"modeled"` is the calibrated
+//! performance model and `"functional"` the fixed-seed solves, so any diff
+//! is a real behavior change, not measurement noise, and CI diffs the whole
+//! file. Host wall-clock times are not recorded here; the measured ledger
+//! (`ledger/`) owns them.
 
 use quda_bench::{curve_point, PAPER_GPU_COUNTS};
 use quda_core::{PrecisionMode, Quda, QudaInvertParam};
@@ -59,8 +54,8 @@ fn grid_row(dims: LatticeDims, ranks: usize) -> String {
     )
 }
 
-/// One functional fixed-seed solve; returns (json, wall_seconds).
-fn functional_json(mode: PrecisionMode, lockstep: bool) -> (String, f64) {
+/// One functional fixed-seed solve as a JSON object.
+fn functional_json(mode: PrecisionMode, lockstep: bool) -> String {
     let dims = LatticeDims::new(8, 8, 8, 16);
     let cfg = weak_field(dims, 0.1, 2024);
     let mut quda = Quda::new(2).expect("context");
@@ -68,10 +63,8 @@ fn functional_json(mode: PrecisionMode, lockstep: bool) -> (String, f64) {
     let source = HostSpinorField::point_source(dims, Coord::new(0, 0, 0, 0), 0, 0);
     let param =
         QudaInvertParam::paper_mode(mode, 2).with_mass(0.2).with_tol(1e-10).with_lockstep(lockstep);
-    let start = std::time::Instant::now();
     let (_, report) = quda.invert(&source, &param).expect("invert");
-    let wall = start.elapsed().as_secs_f64();
-    let json = format!(
+    format!(
         "{{\"converged\": {}, \"iterations\": {}, \"matvecs\": {}, \
          \"reliable_updates\": {}, \"true_residual\": {:.6e}, \
          \"effective_flops\": {}, \"modeled_seconds\": {:.6}, \
@@ -84,22 +77,20 @@ fn functional_json(mode: PrecisionMode, lockstep: bool) -> (String, f64) {
         report.effective_flops,
         report.modeled_seconds,
         report.modeled_gflops,
-    );
-    (json, wall)
+    )
 }
 
 fn main() {
-    let measured = std::env::args().any(|a| a == "--measured");
     let weak24 = |gpus: usize| LatticeDims::new(24, 24, 24, 32 * gpus);
     let strong32 = |_: usize| LatticeDims::spatial_cube(32, 256);
     let strong24 = |_: usize| LatticeDims::spatial_cube(24, 128);
 
-    let (double_plain, wall_double) = functional_json(PrecisionMode::Double, false);
-    let (double_lockstep, wall_lockstep) = functional_json(PrecisionMode::Double, true);
-    let (double_half, wall_half) = functional_json(PrecisionMode::DoubleHalf, false);
+    let double_plain = functional_json(PrecisionMode::Double, false);
+    let double_lockstep = functional_json(PrecisionMode::Double, true);
+    let double_half = functional_json(PrecisionMode::DoubleHalf, false);
 
     println!("{{");
-    println!("  \"schema\": \"quda-bench-baseline/v1\",");
+    println!("  \"schema\": \"quda-bench-baseline/v2\",");
     println!("  \"gpu_counts\": [1, 2, 4, 8, 16, 32],");
     println!("  \"modeled\": {{");
     println!("    \"fig4b_weak_24c32_overlap\": {{");
@@ -162,16 +153,6 @@ fn main() {
     println!("    \"double_lockstep\": {double_lockstep},");
     println!("    \"double_half\": {double_half},");
     println!("    \"lockstep_counters_match\": {}", double_plain == double_lockstep);
-    println!("  }},");
-    println!("  \"fig_batch\": {},", quda_bench::batchbench::fig_batch_json());
-    if measured {
-        println!("  \"fig_hotpath\": {},", quda_bench::hotpath::fig_hotpath_json());
-    }
-    println!("  \"measured_wall_seconds\": {{");
-    println!("    \"comment\": \"host-dependent, informational only\",");
-    println!("    \"double\": {wall_double:.3},");
-    println!("    \"double_lockstep\": {wall_lockstep:.3},");
-    println!("    \"double_half\": {wall_half:.3}");
     println!("  }}");
     println!("}}");
 }

@@ -18,11 +18,13 @@
 //! Absolute numbers come from a model of 2010 hardware; the *shapes* (who
 //! wins, by what factor, where curves cross or plateau) are the
 //! reproduction targets. EXPERIMENTS.md records paper-vs-model values.
+//!
+//! `baseline` collects the model curves and a few fixed-seed solves into
+//! `BENCH_baseline.json`, all deterministic. Host timings of kernels,
+//! solves and the service are the measured ledger's (`ledger/`), not this
+//! crate's.
 
 #![warn(missing_docs)]
-
-pub mod batchbench;
-pub mod hotpath;
 
 use quda_lattice::geometry::LatticeDims;
 use quda_lattice::partition::DecompPlan;

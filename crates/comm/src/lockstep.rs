@@ -215,11 +215,6 @@ impl LockstepState {
         }
     }
 
-    /// This rank's record at stream `index`, if still in the ring.
-    pub fn record_at(&self, index: u64) -> Option<LockstepRecord> {
-        self.ring.iter().find(|r| r.index == index).copied()
-    }
-
     /// Encode the contribution metadata block ([`META_F64S`] slots).
     pub fn contribution_meta(&self) -> Vec<f64> {
         let mut words = Vec::with_capacity(META_F64S);

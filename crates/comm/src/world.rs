@@ -227,11 +227,6 @@ impl Communicator {
         self.lockstep = Some(LockstepState::new(config));
     }
 
-    /// Whether the lockstep sanitizer is active on this rank.
-    pub fn lockstep_enabled(&self) -> bool {
-        self.lockstep.is_some()
-    }
-
     /// Non-blocking send (channel buffered, like an eager-protocol MPI
     /// send of a face-sized message). Fails with [`CommError::RankDead`]
     /// if this rank was fault-killed or the destination endpoint is gone.

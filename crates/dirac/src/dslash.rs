@@ -237,13 +237,13 @@ fn dslash_site<P: Precision, const N: usize>(
         }
 
         // Backward hop uses P+μ (P−μ under dagger); the link lives on the
-        // neighbor site (or in the pad ghost when off-domain).
+        // neighbor site (or in the ghost store when off-domain).
         let proj_b = &basis.proj[mu][if dagger { 0 } else { 1 }];
         let nref = table.bwd[mu][cb];
         let (u, from_ghost) = match nref.kind {
             BoundaryKind::Interior => (gauge.link(in_parity, mu, nref.idx as usize), false),
             BoundaryKind::GhostBackward => {
-                (gauge.ghost_link_dim(in_parity, mu, nref.idx as usize), true)
+                (gauge.ghost_link(in_parity, mu, nref.idx as usize), true)
             }
             BoundaryKind::GhostForward => unreachable!("backward hop cannot use forward ghost"),
         };
@@ -475,7 +475,7 @@ mod tests {
         for face in 0..fs {
             let c = Stencil::face_coord(&d, 0, Parity::Odd, d.x - 1, face);
             let u: quda_math::su3::Su3<f64> = gauge.link(Parity::Odd, 0, d.cb_index(c)).cast();
-            gauge.set_ghost_link_dim(Parity::Odd, 0, face, &u);
+            gauge.set_ghost_link(Parity::Odd, 0, face, &u);
         }
         let mut got = SpinorFieldCb::<Double>::new(d, false);
         dslash_cb(&mut got, &gauge, &dev_g, Parity::Even, &open, &basis, false, DslashRegion::All);
@@ -562,7 +562,7 @@ mod tests {
                 let c = Stencil::face_coord(&d, dim, Parity::Odd, d.extent(dim) - 1, face);
                 let u: quda_math::su3::Su3<f64> =
                     gauge.link(Parity::Odd, dim, d.cb_index(c)).cast();
-                gauge.set_ghost_link_dim(Parity::Odd, dim, face, &u);
+                gauge.set_ghost_link(Parity::Odd, dim, face, &u);
             }
         }
         let inputs = (0..n)

@@ -117,7 +117,7 @@ fn dslash_hashes<P: Precision>() -> [u64; 8] {
         for face in 0..gauge.face_sites_dim(dim) {
             let c = Stencil::face_coord(&d, dim, Parity::Odd, d.extent(dim) - 1, face);
             let u: Su3<f64> = gauge.link(Parity::Odd, dim, d.cb_index(c)).cast();
-            gauge.set_ghost_link_dim(Parity::Odd, dim, face, &u);
+            gauge.set_ghost_link(Parity::Odd, dim, face, &u);
         }
     }
     let mut full = SpinorFieldCb::<P>::new(d, false);

@@ -12,7 +12,7 @@
 //! [`CloverSite`] — the 72-real representation of the paper's footnote 1.
 
 use crate::host::GaugeConfig;
-use quda_lattice::geometry::{Coord, LatticeDims, Parity};
+use quda_lattice::geometry::{Coord, Parity};
 use quda_math::clover::{CloverBlock, CloverSite, BLOCK_DIM};
 use quda_math::complex::C64;
 use quda_math::gamma::{mat4_mul, mat4_scale, mat4_zero, GammaBasis, Mat4, SpinBasis};
@@ -183,15 +183,11 @@ pub fn clover_both_parities(cfg: &GaugeConfig, c_sw: f64) -> [Vec<CloverSite<f64
     [clover_sites_cb(cfg, c_sw, Parity::Even), clover_sites_cb(cfg, c_sw, Parity::Odd)]
 }
 
-/// Lattice dims accessor re-export for tests.
-pub fn dims_of(cfg: &GaugeConfig) -> LatticeDims {
-    cfg.dims
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gauge_gen::weak_field;
+    use quda_lattice::geometry::LatticeDims;
     use quda_math::gamma::mat4_adjoint;
 
     #[test]

@@ -4,15 +4,19 @@
 //! Storage is per parity and per direction: `data[parity][mu]` is one
 //! Eq. 5-blocked array of 12 (compressed) or 18 (full) reals per site. The
 //! pad of every block is one half spatial volume — exactly the size of one
-//! time-slice of links — so the ghost copy of `U_μ(x−T̂)` from the backward
-//! neighbor is written into the pad at the face index of the site
-//! ("the ghost zone of link matrices can be hidden entirely in the padding",
-//! Fig. 2).
+//! time-slice of links — so the ghost copy of `U_T(x−T̂)` from the backward
+//! neighbor is written into the pad of the T block at the face index of the
+//! site ("the ghost zone of link matrices can be hidden entirely in the
+//! padding", Fig. 2). X/Y/Z faces are not block pads; their ghost links
+//! live in `side_ghost`. One accessor pair,
+//! [`GaugeFieldCb::ghost_link`]/[`GaugeFieldCb::set_ghost_link`], routes
+//! every direction.
 
 use crate::host::GaugeConfig;
 use crate::precision::Precision;
-use quda_lattice::geometry::{LatticeDims, Parity};
+use quda_lattice::geometry::{LatticeDims, Parity, DIR_T};
 use quda_lattice::layout::{species, FieldLayout, NVec};
+use quda_lattice::stencil::Stencil;
 use quda_math::complex::Complex;
 use quda_math::real::Real;
 use quda_math::su3::{Su3, Su3Compressed};
@@ -149,38 +153,23 @@ impl<P: Precision> GaugeFieldCb<P> {
         self.reals_to_link(&reals[..n])
     }
 
-    /// Store a ghost link into the pad region at `face` (Section VI-B).
-    pub fn set_ghost_link(&mut self, parity: Parity, mu: usize, face: usize, u: &Su3<f64>) {
-        let mut reals = [0.0f64; 18];
-        let n = self.link_to_reals(u, &mut reals);
-        let pos = self.layout.pad_pos(face);
-        Self::write_reals(&mut self.data[parity.as_usize()][mu], &self.layout, pos, &reals[..n]);
-    }
-
-    /// Load a ghost link from the pad region.
-    pub fn ghost_link(&self, parity: Parity, mu: usize, face: usize) -> Su3<P::Arith> {
-        let mut reals = [0.0f64; 18];
-        let n = self.link_reals();
-        let pos = self.layout.pad_pos(face);
-        Self::read_reals(&self.data[parity.as_usize()][mu], &self.layout, pos, &mut reals[..n]);
-        self.reals_to_link(&reals[..n])
-    }
-
     /// Face sites per parity of a `dir`-boundary slice.
     #[inline(always)]
     pub fn face_sites_dim(&self, dir: usize) -> usize {
-        self.dims.volume() / self.dims.extent(dir) / 2
+        Stencil::face_sites_dim(&self.dims, dir)
     }
 
     /// Store the ghost copy of `U_dir` at face site `face` of the backward
-    /// `dir`-boundary. For `dir = 3` this is the legacy pad slice; for X/Y/Z
-    /// the side store is allocated lazily on first write.
-    pub fn set_ghost_link_dim(&mut self, parity: Parity, dir: usize, face: usize, u: &Su3<f64>) {
-        if dir == 3 {
-            return self.set_ghost_link(parity, 3, face, u);
-        }
+    /// `dir`-boundary. T lives in the pad of `data[parity][DIR_T]`
+    /// (Section VI-B); X/Y/Z go to `side_ghost`, allocated on first write.
+    pub fn set_ghost_link(&mut self, parity: Parity, dir: usize, face: usize, u: &Su3<f64>) {
         let mut reals = [0.0f64; 18];
         let n = self.link_to_reals(u, &mut reals);
+        if dir == DIR_T {
+            let pos = self.layout.pad_pos(face);
+            let buf = &mut self.data[parity.as_usize()][DIR_T];
+            return Self::write_reals(buf, &self.layout, pos, &reals[..n]);
+        }
         let fs = self.face_sites_dim(dir);
         let buf = &mut self.side_ghost[parity.as_usize()][dir];
         if buf.is_empty() {
@@ -192,18 +181,21 @@ impl<P: Precision> GaugeFieldCb<P> {
     }
 
     /// Load the ghost copy of `U_dir` at face site `face` of the backward
-    /// `dir`-boundary (the counterpart of [`GaugeFieldCb::set_ghost_link_dim`]).
-    pub fn ghost_link_dim(&self, parity: Parity, dir: usize, face: usize) -> Su3<P::Arith> {
-        if dir == 3 {
-            return self.ghost_link(parity, 3, face);
-        }
+    /// `dir`-boundary (the counterpart of [`GaugeFieldCb::set_ghost_link`]).
+    pub fn ghost_link(&self, parity: Parity, dir: usize, face: usize) -> Su3<P::Arith> {
+        let mut reals = [0.0f64; 18];
         let n = self.link_reals();
+        if dir == DIR_T {
+            let pos = self.layout.pad_pos(face);
+            let buf = &self.data[parity.as_usize()][DIR_T];
+            Self::read_reals(buf, &self.layout, pos, &mut reals[..n]);
+            return self.reals_to_link(&reals[..n]);
+        }
         let buf = &self.side_ghost[parity.as_usize()][dir];
         if buf.is_empty() {
             // Never written (lazy store): identity, matching a fresh field.
             return Su3::identity();
         }
-        let mut reals = [0.0f64; 18];
         for (k, r) in reals[..n].iter_mut().enumerate() {
             *r = P::load(buf[face * n + k]).to_f64();
         }
@@ -298,43 +290,35 @@ mod tests {
     }
 
     #[test]
-    fn ghost_links_live_in_pad_and_do_not_clobber_sites() {
-        let mut g = GaugeFieldCb::<Single>::new(dims(), true);
-        for cb in 0..g.sites() {
-            g.set_link(Parity::Odd, 3, cb, &sample_link(cb));
-        }
-        let faces = g.layout.pad;
-        for f in 0..faces {
-            g.set_ghost_link(Parity::Odd, 3, f, &sample_link(1000 + f));
-        }
-        for cb in 0..g.sites() {
-            let got: Su3<f64> = g.link(Parity::Odd, 3, cb).cast();
-            assert!((got - sample_link(cb)).norm_sqr() < 1e-10, "site clobbered at {cb}");
-        }
-        for f in 0..faces {
-            let got: Su3<f64> = g.ghost_link(Parity::Odd, 3, f).cast();
-            assert!((got - sample_link(1000 + f)).norm_sqr() < 1e-10);
-        }
-    }
-
-    #[test]
     fn side_ghost_links_roundtrip_and_t_routes_to_pad() {
         let mut g = GaugeFieldCb::<Double>::new(dims(), true);
+        for mu in 0..4 {
+            for cb in 0..g.sites() {
+                g.set_link(Parity::Even, mu, cb, &sample_link(10 * cb + mu));
+            }
+        }
+        assert_eq!(g.face_sites_dim(DIR_T), g.layout.pad);
         for dir in 0..4 {
             for f in 0..g.face_sites_dim(dir) {
-                g.set_ghost_link_dim(Parity::Even, dir, f, &sample_link(100 * dir + f));
+                g.set_ghost_link(Parity::Even, dir, f, &sample_link(1000 * (dir + 1) + f));
             }
         }
         for dir in 0..4 {
             for f in 0..g.face_sites_dim(dir) {
-                let got: Su3<f64> = g.ghost_link_dim(Parity::Even, dir, f).cast();
-                assert!((got - sample_link(100 * dir + f)).norm_sqr() < 1e-20);
+                let got: Su3<f64> = g.ghost_link(Parity::Even, dir, f).cast();
+                assert!((got - sample_link(1000 * (dir + 1) + f)).norm_sqr() < 1e-20);
             }
         }
-        // The T route is the pad: readable through the legacy accessor.
-        let via_pad: Su3<f64> = g.ghost_link(Parity::Even, 3, 0).cast();
-        assert!((via_pad - sample_link(300)).norm_sqr() < 1e-20);
-        // Unwritten parities stay unallocated (lazy side store).
+        // The T ghosts sit in the pad, beside the sites they must not clobber.
+        for mu in 0..4 {
+            for cb in 0..g.sites() {
+                let got: Su3<f64> = g.link(Parity::Even, mu, cb).cast();
+                assert!((got - sample_link(10 * cb + mu)).norm_sqr() < 1e-20, "site {cb}");
+            }
+        }
+        // Only X/Y/Z use the side store, and unwritten parities stay
+        // unallocated (lazy side store).
+        assert!(g.side_ghost[Parity::Even.as_usize()].iter().all(|v| !v.is_empty()));
         assert!(g.side_ghost[Parity::Odd.as_usize()].iter().all(|v| v.is_empty()));
     }
 

@@ -38,12 +38,6 @@ impl GaugeConfig {
         &mut self.links[self.dims.lex_index(c) * 4 + mu]
     }
 
-    /// Link by checkerboard address.
-    #[inline(always)]
-    pub fn link_cb(&self, parity: Parity, cb: usize, mu: usize) -> &Su3<f64> {
-        self.link(self.dims.cb_coord(parity, cb), mu)
-    }
-
     /// The product of links around the `μν` plaquette at `x`:
     /// `U_μ(x) U_ν(x+μ) U_μ†(x+ν) U_ν†(x)`.
     pub fn plaquette_matrix(&self, c: Coord, mu: usize, nu: usize) -> Su3<f64> {

@@ -227,14 +227,6 @@ impl<P: Precision> SpinorFieldCb<P> {
         self.update_fold_sites((), |(), cb, v| (f(cb, v), ()));
     }
 
-    /// Zero all site data (leaves ghosts untouched).
-    pub fn zero_sites(&mut self) {
-        let zero = Spinor::zero();
-        for cb in 0..self.sites() {
-            self.set(cb, &zero);
-        }
-    }
-
     /// Squared 2-norm over data sites only — ghosts are excluded, which is
     /// the whole point of storing them outside the blocks (Section VI-C:
     /// "when doing reductions, this end zone can be simply excluded").

@@ -1,7 +1,8 @@
 //! Storage-order pins: a field written through its accessors holds
 //! `P::store` of internal real `n` of site `cb` at `data[layout.index(cb, n)]`
-//! (Eq. 5), pad-resident ghost links at `layout.pad_index(slot, n)`, and
-//! nothing anywhere else.
+//! (Eq. 5), the T ghost links at `layout.pad_index(slot, n)` of the T block,
+//! and nothing anywhere else: the X/Y/Z blocks' pads stay at the default
+//! element, whatever ghost links are written.
 //!
 //! Checkpoints, face codecs and `io.rs` serialise `data` raw, so these
 //! tests are what says the bytes a field stores are fixed, whatever path
@@ -11,7 +12,7 @@
 use quda_fields::gauge_gen::{random_spinor_field, weak_field};
 use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
 use quda_fields::{CloverFieldCb, GaugeFieldCb, SpinorFieldCb};
-use quda_lattice::geometry::{LatticeDims, Parity};
+use quda_lattice::geometry::{LatticeDims, Parity, DIR_T};
 use quda_math::clover::CloverSite;
 use quda_math::complex::C64;
 use quda_math::real::Real;
@@ -82,11 +83,12 @@ fn gauge_order<P: Precision>(compressed: bool) {
             for cb in 0..sites {
                 g.set_link(p, mu, cb, &link(p, mu, cb));
             }
-            for face in 0..pad {
+            for face in 0..g.face_sites_dim(mu) {
                 g.set_ghost_link(p, mu, face, &link(p.other(), mu, face + 3));
             }
         }
     }
+    assert_eq!(g.face_sites_dim(DIR_T), pad);
     let store = |r: f64| P::store(P::Arith::from_f64(r));
     for p in [Parity::Even, Parity::Odd] {
         for mu in 0..4 {
@@ -96,7 +98,9 @@ fn gauge_order<P: Precision>(compressed: bool) {
                     expected.push((g.layout.index(cb, n), store(r)));
                 }
             }
-            for face in 0..pad {
+            // Only the T block's pad holds ghosts; X/Y/Z ghosts live off-block.
+            let pad_ghosts = if mu == DIR_T { pad } else { 0 };
+            for face in 0..pad_ghosts {
                 for (n, &r) in link_reals(&link(p.other(), mu, face + 3), rows).iter().enumerate() {
                     expected.push((g.layout.pad_index(face, n), store(r)));
                 }

@@ -356,7 +356,7 @@ pub fn exchange_gauge_ghosts<P: Precision>(
                         k += 2;
                     }
                 }
-                gauge.set_ghost_link_dim(parity, dim, face, &u);
+                gauge.set_ghost_link(parity, dim, face, &u);
             }
         }
     }
@@ -748,7 +748,7 @@ mod tests {
                 for face in 0..faces {
                     let c = Stencil::face_coord(&d, 2, p, d.z - 1, face);
                     let expect: Su3<f64> = gauge.link(p, 2, d.cb_index(c)).cast();
-                    let got: Su3<f64> = gauge.ghost_link_dim(p, 2, face).cast();
+                    let got: Su3<f64> = gauge.ghost_link(p, 2, face).cast();
                     assert!((got - expect).norm_sqr() < 1e-20, "parity {p:?} face {face}");
                 }
             }

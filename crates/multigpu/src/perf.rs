@@ -40,7 +40,7 @@ use quda_gpusim::stream::{EventId, Timeline};
 use quda_gpusim::transfer::{
     allreduce_time, network_time, pcie_time, CopyKind, Direction, NumaPlacement,
 };
-use quda_lattice::geometry::LatticeDims;
+use quda_lattice::geometry::{LatticeDims, DIR_T};
 use quda_lattice::layout::{species, NVec};
 use quda_lattice::partition::DecompPlan;
 
@@ -161,7 +161,7 @@ fn dslash_kernel(inp: &PerfInput, tag: PrecisionTag, sites: u64) -> f64 {
 /// axpy combine) over `sites` sites.
 fn clover_kernel(inp: &PerfInput, tag: PrecisionTag, sites: u64, axpy: bool) -> f64 {
     let b = tag.storage_bytes() as u64;
-    let reals = if axpy { 144 } else { 120 };
+    let reals = quda_dirac::flops::CLOVER_REALS_PER_SITE + if axpy { 24 } else { 0 };
     let bytes = sites * reals * b + half_extra(tag, 12) * sites;
     let flops = sites * (quda_dirac::flops::CLOVER_FLOPS_PER_SITE + if axpy { 48 } else { 0 });
     kernel_time(
@@ -209,15 +209,12 @@ pub fn dslash_time(inp: &PerfInput, tag: PrecisionTag) -> f64 {
             // arrive.
             let h2d_engine = if inp.gpu.copy_engines >= 2 { 4 } else { 1 };
             let mut wires = Vec::with_capacity(8); // two per cut dimension
-            let mut interior_sites = sites;
             for dim in plan.active_dims() {
                 let msg = face_bytes(tag, plan.face_sites_cb(dim));
                 let back = tl.enqueue(1, "d2h", copy(d2h_copies(tag), msg, Direction::D2H), &[]);
                 let fwd = tl.enqueue(1, "d2h", copy(d2h_copies(tag), msg, Direction::D2H), &[]);
                 wires.push((msg, tl.enqueue(2, "net-back", network_time(n, msg), &[back])));
                 wires.push((msg, tl.enqueue(3, "net-fwd", network_time(n, msg), &[fwd])));
-                // Both faces of every cut dimension run in the face kernel.
-                interior_sites = interior_sites.saturating_sub(2 * plan.face_sites_cb(dim) as u64);
             }
             let scattered: Vec<EventId> = wires
                 .into_iter()
@@ -226,11 +223,26 @@ pub fn dslash_time(inp: &PerfInput, tag: PrecisionTag) -> f64 {
                     tl.enqueue(h2d_engine, "h2d", cost, &[wire])
                 })
                 .collect();
-            tl.enqueue(0, "interior", dslash_kernel(inp, tag, interior_sites), &[]);
-            tl.enqueue(0, "faces", dslash_kernel(inp, tag, sites - interior_sites), &scattered);
+            // Both faces of every cut dimension run in the face kernel.
+            let interior = interior_sites(plan);
+            tl.enqueue(0, "interior", dslash_kernel(inp, tag, interior), &[]);
+            tl.enqueue(0, "faces", dslash_kernel(inp, tag, sites - interior), &scattered);
         }
     }
     tl.makespan()
+}
+
+/// Sites per parity on no face of a cut dimension: the local box shrunk by
+/// one slice at each end of every cut dimension, so a corner site is taken
+/// off once however many faces it lies on.
+fn interior_sites(plan: &DecompPlan) -> u64 {
+    let ld = plan.local_dims();
+    let mut volume = 1;
+    for dim in 0..4 {
+        let cut = if plan.open(dim) { 2 } else { 0 };
+        volume *= ld.extent(dim).saturating_sub(cut);
+    }
+    volume as u64 / 2
 }
 
 fn effective_bw(t: &quda_gpusim::calib::TransferCalib, dir: Direction, numa: NumaPlacement) -> f64 {
@@ -330,6 +342,20 @@ fn spinor_bytes(plan: &DecompPlan, tag: PrecisionTag) -> usize {
     layout.device_bytes(b) + norm + ghosts
 }
 
+/// Device bytes of the compressed gauge field on a rank of `plan`: eight
+/// padded blocks, whose T pads hold the T ghost links, plus both parities'
+/// X/Y/Z ghost links of every open dimension — what `GaugeFieldCb` holds
+/// once the exchange has filled its ghosts.
+fn gauge_bytes(plan: &DecompPlan, tag: PrecisionTag) -> usize {
+    let b = tag.storage_bytes();
+    let layout = species::gauge_cb(&plan.local_dims(), NVec::optimal_for_bytes(b), true);
+    let mut side_links = 0;
+    for dim in plan.active_dims().filter(|&d| d != DIR_T) {
+        side_links += 2 * plan.face_sites_cb(dim);
+    }
+    8 * layout.device_bytes(b) + side_links * layout.n_int * b
+}
+
 /// Device bytes one GPU needs to run the solver in `mode` on its share of
 /// `plan`.
 pub fn solver_memory_per_gpu(plan: &DecompPlan, mode: PrecisionMode) -> usize {
@@ -337,14 +363,11 @@ pub fn solver_memory_per_gpu(plan: &DecompPlan, mode: PrecisionMode) -> usize {
     let (outer, sloppy) = mode_tags(mode);
     let fields = |tag: PrecisionTag, spinors: usize| -> usize {
         let b = tag.storage_bytes();
-        let nvec = NVec::optimal_for_bytes(b);
-        let gauge_layout = species::gauge_cb(&ld, nvec, true);
-        let gauge_bytes = 8 * gauge_layout.device_bytes(b);
-        let clover_layout = species::clover_cb(&ld, nvec);
+        let clover_layout = species::clover_cb(&ld, NVec::optimal_for_bytes(b));
         let clover_norm = if tag.needs_norm() { clover_layout.sites * 4 } else { 0 };
         // T_oo and T_ee⁻¹.
         let clover_bytes = 2 * (clover_layout.device_bytes(b) + clover_norm);
-        spinors * spinor_bytes(plan, tag) + gauge_bytes + clover_bytes
+        spinors * spinor_bytes(plan, tag) + gauge_bytes(plan, tag) + clover_bytes
     };
     if mode.is_mixed() {
         // Outer: x, b̂ (doubling as the allocation r0 was taken from),
@@ -409,9 +432,13 @@ pub fn best_grid(inp: &PerfInput, ranks: usize) -> Option<(DecompPlan, f64)> {
 mod tests {
     use super::*;
     use crate::ghost::face_wire_bytes_dyn;
+    use quda_dirac::dslash::{dslash_site_count, DslashRegion};
     use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
-    use quda_fields::SpinorFieldCb;
+    use quda_fields::{GaugeFieldCb, SpinorFieldCb};
     use quda_gpusim::cards::gtx285;
+    use quda_lattice::geometry::Parity;
+    use quda_lattice::stencil::Stencil;
+    use quda_math::su3::Su3;
 
     fn inp(
         global: LatticeDims,
@@ -684,6 +711,49 @@ mod tests {
             ];
             for (tag, bytes) in TAGS.into_iter().zip(allocated) {
                 assert_eq!(spinor_bytes(plan, tag), bytes, "grid {plan} tag {tag:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn interior_sites_match_the_stencil_on_every_candidate_grid() {
+        let dims = LatticeDims::new(8, 8, 8, 16);
+        let plans: Vec<_> = [4, 16].into_iter().flat_map(|r| candidate_plans(dims, r)).collect();
+        assert!(plans.iter().any(|p| p.active_dims().count() > 2));
+        for plan in plans {
+            let stencil = Stencil::with_open(plan.local_dims(), plan.open_dims());
+            let exact = dslash_site_count(&stencil, DslashRegion::Interior) as u64;
+            assert_eq!(interior_sites(&plan), exact, "grid {plan}");
+        }
+    }
+
+    /// Bytes `GaugeFieldCb` holds for one local field of `plan` once every
+    /// open dimension's ghost links are written, as the exchange does.
+    fn allocated_gauge_bytes<P: Precision>(plan: &DecompPlan) -> usize {
+        let mut g = GaugeFieldCb::<P>::new(plan.local_dims(), true);
+        for dim in plan.active_dims() {
+            for parity in [Parity::Even, Parity::Odd] {
+                g.set_ghost_link(parity, dim, 0, &Su3::identity());
+            }
+        }
+        let elems = g.data.iter().flatten().map(Vec::len).sum::<usize>()
+            + g.side_ghost.iter().flatten().map(Vec::len).sum::<usize>();
+        elems * std::mem::size_of::<P::Elem>()
+    }
+
+    #[test]
+    fn gauge_bytes_match_allocated_fields() {
+        let plans = candidate_plans(LatticeDims::new(8, 8, 8, 16), 4);
+        assert!(plans.iter().any(|p| p.active_dims().any(|d| d != DIR_T)));
+        for plan in &plans {
+            let allocated = [
+                allocated_gauge_bytes::<Double>(plan),
+                allocated_gauge_bytes::<Single>(plan),
+                allocated_gauge_bytes::<Half>(plan),
+                allocated_gauge_bytes::<Quarter>(plan),
+            ];
+            for (tag, bytes) in TAGS.into_iter().zip(allocated) {
+                assert_eq!(gauge_bytes(plan, tag), bytes, "grid {plan} tag {tag:?}");
             }
         }
     }

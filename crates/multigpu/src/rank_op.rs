@@ -22,7 +22,6 @@ use quda_fields::precision::Precision;
 use quda_fields::SpinorFieldCb;
 use quda_lattice::geometry::{LatticeDims, Parity};
 use quda_lattice::partition::DecompPlan;
-use quda_math::complex::C64;
 use quda_obs::{Phase, Tracer};
 use quda_solvers::operator::{LinearOperator, OpFault};
 
@@ -275,33 +274,7 @@ impl<P: Precision> LinearOperator<P> for ParallelWilsonCloverOp<P> {
         self.matpc.op.dims.half_volume() as u64 * quda_dirac::flops::MATPC_FLOPS_PER_SITE
     }
 
-    fn reduce(&mut self, local: f64) -> f64 {
-        if self.fault.is_some() {
-            return f64::NAN;
-        }
-        match self.comm.allreduce_sum_f64(local) {
-            Ok(v) => v,
-            Err(e) => {
-                self.fault = Some(e);
-                f64::NAN
-            }
-        }
-    }
-
-    fn reduce_c(&mut self, local: C64) -> C64 {
-        if self.fault.is_some() {
-            return C64::new(f64::NAN, f64::NAN);
-        }
-        match self.comm.allreduce_vec(&[local.re, local.im]) {
-            Ok(v) => C64::new(v[0], v[1]),
-            Err(e) => {
-                self.fault = Some(e);
-                C64::new(f64::NAN, f64::NAN)
-            }
-        }
-    }
-
-    fn reduce_vec(&mut self, locals: &mut [f64]) {
+    fn reduce(&mut self, locals: &mut [f64]) {
         if self.fault.is_some() {
             locals.fill(f64::NAN);
             return;
@@ -632,7 +605,9 @@ mod tests {
     fn reductions_are_global() {
         let (cfg, plan, wp) = global_setup();
         let sums = on_ranks(&cfg, plan, wp, CommStrategy::NoOverlap, |rank, op| {
-            op.reduce(1.0 + rank as f64)
+            let mut local = [1.0 + rank as f64];
+            op.reduce(&mut local);
+            local[0]
         });
         assert_eq!(sums, vec![3.0, 3.0]); // 1 + 2
     }

@@ -318,11 +318,6 @@ impl SpanGuard {
         self.bytes = bytes;
     }
 
-    /// Add to the span's payload byte count.
-    pub fn add_bytes(&mut self, bytes: u64) {
-        self.bytes += bytes;
-    }
-
     /// Tag the span with the solver iteration it belongs to.
     pub fn set_iter(&mut self, iter: u64) {
         self.iter = iter;

@@ -63,7 +63,7 @@ pub fn bicgstab<P: Precision>(
     for k in 0..n {
         b_norm2[k] = traced(&tracer, Phase::Blas, || blas::norm2(&bs[k], &mut cs[k]));
     }
-    traced(&tracer, Phase::Reduce, || op.reduce_vec(&mut b_norm2));
+    traced(&tracer, Phase::Reduce, || op.reduce(&mut b_norm2));
     for k in 0..n {
         if b_norm2[k] == 0.0 {
             blas::zero(&mut xs[k]);
@@ -157,7 +157,7 @@ pub fn bicgstab<P: Precision>(
             red_a[2 * k] = r0v_local.re;
             red_a[2 * k + 1] = r0v_local.im;
         }
-        traced(&tracer, Phase::Reduce, || op.reduce_vec(&mut red_a));
+        traced(&tracer, Phase::Reduce, || op.reduce(&mut red_a));
         for k in 0..n {
             if !active[k] {
                 continue;
@@ -180,7 +180,7 @@ pub fn bicgstab<P: Precision>(
                 blas::caxpy_norm(-alpha, &vs[k], &mut rs[k], &mut cs[k])
             });
         }
-        traced(&tracer, Phase::Reduce, || op.reduce_vec(&mut red_b));
+        traced(&tracer, Phase::Reduce, || op.reduce(&mut red_b));
         for k in 0..n {
             if !stage[k] {
                 continue;
@@ -219,7 +219,7 @@ pub fn bicgstab<P: Precision>(
             red_d[3 * k + 1] = dot.im;
             red_d[3 * k + 2] = nn;
         }
-        traced(&tracer, Phase::Reduce, || op.reduce_vec(&mut red_d));
+        traced(&tracer, Phase::Reduce, || op.reduce(&mut red_d));
         for k in 0..n {
             if !stage[k] {
                 continue;
@@ -246,7 +246,7 @@ pub fn bicgstab<P: Precision>(
             red_d[3 * k + 2] = rho_local.im;
         }
         // ‖r‖² and ρ' in one collective.
-        traced(&tracer, Phase::Reduce, || op.reduce_vec(&mut red_d));
+        traced(&tracer, Phase::Reduce, || op.reduce(&mut red_d));
         for k in 0..n {
             if !stage[k] {
                 continue;

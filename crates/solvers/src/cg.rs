@@ -70,7 +70,7 @@ pub fn cgnr<P: Precision>(
     for k in 0..n {
         b_norm2[k] = traced(&tracer, Phase::Blas, || blas::norm2(&bs[k], &mut cs[k]));
     }
-    traced(&tracer, Phase::Reduce, || op.reduce_vec(&mut b_norm2));
+    traced(&tracer, Phase::Reduce, || op.reduce(&mut b_norm2));
     for k in 0..n {
         if b_norm2[k] == 0.0 {
             blas::zero(&mut xs[k]);
@@ -98,7 +98,7 @@ pub fn cgnr<P: Precision>(
         matvecs[k] += 1;
         bp_norm2[k] = blas::norm2(&bps[k], &mut cs[k]);
     }
-    traced(&tracer, Phase::Reduce, || op.reduce_vec(&mut bp_norm2));
+    traced(&tracer, Phase::Reduce, || op.reduce(&mut bp_norm2));
     let target2: Vec<f64> = (0..n).map(|k| params.tol * params.tol * bp_norm2[k]).collect();
 
     // r = b' − A x with A = M̂†M̂ (each x may carry an initial guess).
@@ -114,7 +114,7 @@ pub fn cgnr<P: Precision>(
         matvecs[k] += 2;
         rsq[k] = blas::xmy_norm(&bps[k], &mut rs[k], &mut cs[k]);
     }
-    traced(&tracer, Phase::Reduce, || op.reduce_vec(&mut rsq));
+    traced(&tracer, Phase::Reduce, || op.reduce(&mut rsq));
     for k in 0..n {
         if active[k] && rsq[k] <= target2[k] {
             converged[k] = true;
@@ -180,7 +180,7 @@ pub fn cgnr<P: Precision>(
             matvecs[k] += 2;
             red[k] = traced(&tracer, Phase::Blas, || blas::cdot(&ps[k], &aps[k], &mut cs[k]).re);
         }
-        traced(&tracer, Phase::Reduce, || op.reduce_vec(&mut red));
+        traced(&tracer, Phase::Reduce, || op.reduce(&mut red));
         for k in 0..n {
             if !active[k] {
                 continue;
@@ -204,7 +204,7 @@ pub fn cgnr<P: Precision>(
                 blas::caxpy_norm(C64::new(-alpha, 0.0), &aps[k], &mut rs[k], &mut cs[k])
             });
         }
-        traced(&tracer, Phase::Reduce, || op.reduce_vec(&mut red));
+        traced(&tracer, Phase::Reduce, || op.reduce(&mut red));
         for k in 0..n {
             if !active[k] {
                 continue;
@@ -238,7 +238,8 @@ pub fn cgnr<P: Precision>(
                 op.apply(from_mut(&mut mids[k]), from_mut(&mut xs[k]), &[true]);
                 op.apply_dagger(from_mut(&mut rs[k]), from_mut(&mut mids[k]), &[true]);
                 matvecs[k] += 2;
-                rsq[k] = op.reduce(blas::xmy_norm(&bps[k], &mut rs[k], &mut cs[k]));
+                rsq[k] = blas::xmy_norm(&bps[k], &mut rs[k], &mut cs[k]);
+                op.reduce(from_mut(&mut rsq[k]));
                 blas::copy(&mut ps[k], &rs[k], &mut cs[k]);
                 continue;
             }

@@ -28,7 +28,7 @@
 //!   checkpoint sink;
 //! * the per-lane reductions of each algorithmic point are packed, in lane
 //!   order, into **one fused vector allreduce**
-//!   ([`operator::LinearOperator::reduce_vec`]). A vector allreduce
+//!   ([`operator::LinearOperator::reduce`]). A vector allreduce
 //!   combines every component in the same rank order as a scalar
 //!   allreduce, so each lane's reduced values — and therefore its
 //!   iteration count and solution — do not depend on the rest of the

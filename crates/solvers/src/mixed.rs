@@ -133,7 +133,7 @@ pub fn bicgstab_reliable<H: Precision, L: Precision>(
     for k in 0..n {
         b_norm2[k] = traced(&tracer, Phase::Blas, || blas::norm2(&bs[k], &mut cs[k]));
     }
-    traced(&tracer, Phase::Reduce, || op_hi.reduce_vec(&mut b_norm2));
+    traced(&tracer, Phase::Reduce, || op_hi.reduce(&mut b_norm2));
     for k in 0..n {
         if b_norm2[k] == 0.0 {
             blas::zero(&mut xs[k]);
@@ -267,7 +267,7 @@ pub fn bicgstab_reliable<H: Precision, L: Precision>(
             red_a[2 * k] = r0v_local.re;
             red_a[2 * k + 1] = r0v_local.im;
         }
-        traced(&tracer, Phase::Reduce, || op_lo.reduce_vec(&mut red_a));
+        traced(&tracer, Phase::Reduce, || op_lo.reduce(&mut red_a));
         for k in 0..n {
             if !active[k] {
                 continue;
@@ -289,7 +289,7 @@ pub fn bicgstab_reliable<H: Precision, L: Precision>(
                 blas::caxpy_norm(-alpha, &vs[k], &mut rs[k], &mut cs[k])
             });
         }
-        traced(&tracer, Phase::Reduce, || op_lo.reduce_vec(&mut red_b));
+        traced(&tracer, Phase::Reduce, || op_lo.reduce(&mut red_b));
         for k in 0..n {
             if stage[k] && !red_b[k].is_finite() {
                 steps[k] = Step::Corrupt;
@@ -310,7 +310,7 @@ pub fn bicgstab_reliable<H: Precision, L: Precision>(
                 red_d[3 * k + 1] = dot.im;
                 red_d[3 * k + 2] = nn;
             }
-            traced(&tracer, Phase::Reduce, || op_lo.reduce_vec(&mut red_d));
+            traced(&tracer, Phase::Reduce, || op_lo.reduce(&mut red_d));
         }
         for k in 0..n {
             if !stage[k] {
@@ -340,7 +340,7 @@ pub fn bicgstab_reliable<H: Precision, L: Precision>(
             red_d[3 * k + 2] = rho_local.im;
         }
         if stage.iter().any(|&s| s) {
-            traced(&tracer, Phase::Reduce, || op_lo.reduce_vec(&mut red_d));
+            traced(&tracer, Phase::Reduce, || op_lo.reduce(&mut red_d));
         }
         for k in 0..n {
             if !stage[k] {
@@ -397,7 +397,10 @@ pub fn bicgstab_reliable<H: Precision, L: Precision>(
                     // The search direction p survives the update (single
                     // Krylov space); only ρ is re-evaluated against the
                     // refreshed residual.
-                    rho[k] = op_lo.reduce_c(blas::cdot(&r0s[k], &rs[k], &mut cs[k]));
+                    let local = blas::cdot(&r0s[k], &rs[k], &mut cs[k]);
+                    let mut global = [local.re, local.im];
+                    op_lo.reduce(&mut global);
+                    rho[k] = C64::new(global[0], global[1]);
                     // This state passed the high-precision check: refresh
                     // this lane's rollback checkpoint and deposit it for
                     // the elastic supervisor. The reliable-update decision
@@ -427,7 +430,9 @@ pub fn bicgstab_reliable<H: Precision, L: Precision>(
                 Step::Breakdown => {
                     // BiCGstab breakdown: re-seed the shadow residual.
                     blas::copy(&mut r0s[k], &rs[k], &mut cs[k]);
-                    rho[k] = C64::new(op_lo.reduce(blas::norm2(&rs[k], &mut cs[k])), 0.0);
+                    let mut r2 = [blas::norm2(&rs[k], &mut cs[k])];
+                    op_lo.reduce(&mut r2);
+                    rho[k] = C64::new(r2[0], 0.0);
                     blas::copy(&mut ps[k], &rs[k], &mut cs[k]);
                 }
                 Step::Corrupt => {
@@ -518,8 +523,9 @@ pub fn bicgstab_defect_correction<H: Precision, L: Precision>(
     let mut history: Vec<f64> = Vec::with_capacity(params.max_iter);
     let tracer = op_hi.tracer();
 
-    let b_local = traced(&tracer, Phase::Blas, || blas::norm2(b, &mut c));
-    let b_norm2 = traced(&tracer, Phase::Reduce, || op_hi.reduce(b_local));
+    let mut b_norm2 = [traced(&tracer, Phase::Blas, || blas::norm2(b, &mut c))];
+    traced(&tracer, Phase::Reduce, || op_hi.reduce(&mut b_norm2));
+    let b_norm2 = b_norm2[0];
     if b_norm2 == 0.0 {
         blas::zero(x);
         return SolveResult { converged: true, ..Default::default() };

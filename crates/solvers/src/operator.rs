@@ -13,7 +13,6 @@ use quda_dirac::NoHalo;
 use quda_fields::precision::Precision;
 use quda_fields::SpinorFieldCb;
 use quda_lattice::geometry::LatticeDims;
-use quda_math::complex::C64;
 use quda_obs::{Phase, Tracer};
 use std::slice::from_mut;
 
@@ -59,30 +58,18 @@ pub trait LinearOperator<P: Precision> {
     );
     /// Effective flops of one `apply`.
     fn flops_per_apply(&self) -> u64;
-    /// Globalize a local real reduction (allreduce on a partitioned run).
-    fn reduce(&mut self, local: f64) -> f64 {
-        local
-    }
-    /// Globalize a local complex reduction.
-    fn reduce_c(&mut self, local: C64) -> C64 {
-        local
-    }
-    /// Globalize a batch of local real reductions in place, one fused
-    /// collective for the whole slice.
+    /// Globalize a batch of local reductions in place: one collective
+    /// (an allreduce on a partitioned run) for the whole slice, the
+    /// identity on a single device.
     ///
-    /// The contract: component `k` on return is bit-identical to
-    /// `reduce(locals[k])` — a vector allreduce combines every component
-    /// in the same rank order as a scalar allreduce, so the blocked
-    /// solvers can fuse the per-RHS reductions of one algorithmic point
-    /// (packing complex values as re/im pairs) into a single collective
-    /// without perturbing any member's value. The default loops
-    /// [`LinearOperator::reduce`], which is exact for single-device
-    /// operators where reduction is the identity.
-    fn reduce_vec(&mut self, locals: &mut [f64]) {
-        for v in locals.iter_mut() {
-            *v = self.reduce(*v);
-        }
-    }
+    /// A real reduction is the one-element slice `[x]`, a complex one the
+    /// pair `[re, im]`. The contract: component `k` on return is
+    /// bit-identical whatever else shares the slice, because a vector
+    /// allreduce combines every component in the same rank order. That is
+    /// what lets the blocked solvers fuse the per-RHS reductions of one
+    /// algorithmic point into a single collective without perturbing any
+    /// member's value.
+    fn reduce(&mut self, _locals: &mut [f64]) {}
     /// Number of local data sites.
     fn sites(&self) -> usize {
         self.dims().half_volume()
@@ -92,7 +79,7 @@ pub trait LinearOperator<P: Precision> {
     /// A partitioned operator cannot return `Result` from the hot
     /// `apply`/`reduce` paths without penalizing every uniform-precision
     /// call site, so a failed exchange or reduction instead *poisons* the
-    /// operator: `apply` becomes a no-op, `reduce` returns NaN, and the
+    /// operator: `apply` becomes a no-op, `reduce` fills NaN, and the
     /// original typed error is parked here for the solvers to poll at
     /// iteration boundaries. The default (single-device) implementation
     /// never faults.
@@ -165,8 +152,9 @@ pub fn residual_norm2<P: Precision>(
 ) -> f64 {
     let tracer = op.tracer();
     traced(&tracer, Phase::Matvec, || op.apply(from_mut(r), from_mut(x), &[true]));
-    let local = traced(&tracer, Phase::Blas, || crate::blas::xmy_norm(b, r, counters));
-    traced(&tracer, Phase::Reduce, || op.reduce(local))
+    let mut norm2 = [traced(&tracer, Phase::Blas, || crate::blas::xmy_norm(b, r, counters))];
+    traced(&tracer, Phase::Reduce, || op.reduce(&mut norm2));
+    norm2[0]
 }
 
 /// Compute `rs[k] ← bs[k] − M̂ xs[k]` and the *global* `‖rs[k]‖²` into
@@ -175,8 +163,8 @@ pub fn residual_norm2<P: Precision>(
 ///
 /// Bit-identical per lane to [`residual_norm2`]: the
 /// [`LinearOperator::apply`] contract pins the batched mat-vec to the
-/// one-lane apply, and [`LinearOperator::reduce_vec`] combines each
-/// component in the same rank order as the scalar allreduce. Dead lanes
+/// one-lane apply, and [`LinearOperator::reduce`] combines each
+/// component in the same rank order as a one-element reduction. Dead lanes
 /// keep their `out` slot untouched locally (the collective still sums the
 /// stale slot; it is never read back).
 pub(crate) fn residual_norm2_multi<P: Precision>(
@@ -197,7 +185,7 @@ pub(crate) fn residual_norm2_multi<P: Precision>(
             });
         }
     }
-    traced(&tracer, Phase::Reduce, || op.reduce_vec(out));
+    traced(&tracer, Phase::Reduce, || op.reduce(out));
 }
 
 #[cfg(test)]
@@ -221,8 +209,10 @@ mod tests {
         wrapped.apply(from_mut(&mut out), from_mut(&mut x), &[true]);
         assert!(out.norm_sqr() > 0.0);
         assert_eq!(wrapped.flops_per_apply(), d.half_volume() as u64 * 3696);
-        // Default reductions are identity.
-        assert_eq!(wrapped.reduce(2.5), 2.5);
+        // The default reduction is the identity.
+        let mut locals = [2.5, -1.0];
+        wrapped.reduce(&mut locals);
+        assert_eq!(locals, [2.5, -1.0]);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::operator::LinearOperator;
 use crate::params::SolverParams;
 use quda_fields::precision::Precision;
 use quda_fields::SpinorFieldCb;
+use quda_math::complex::C64;
 use quda_math::real::Real;
 use std::slice::from_mut;
 
@@ -36,12 +37,26 @@ impl SpectrumEstimate {
     }
 }
 
+/// The global sum of one local real reduction.
+fn global_sum<P: Precision>(op: &mut dyn LinearOperator<P>, local: f64) -> f64 {
+    let mut sum = [local];
+    op.reduce(&mut sum);
+    sum[0]
+}
+
+/// The real part of the global sum of one local complex reduction.
+fn global_sum_re<P: Precision>(op: &mut dyn LinearOperator<P>, local: C64) -> f64 {
+    let mut sum = [local.re, local.im];
+    op.reduce(&mut sum);
+    sum[0]
+}
+
 fn normalize<P: Precision>(
     x: &mut SpinorFieldCb<P>,
     op: &mut dyn LinearOperator<P>,
     c: &mut BlasCounters,
 ) -> f64 {
-    let n2 = op.reduce(blas::norm2(x, c));
+    let n2 = global_sum(op, blas::norm2(x, c));
     let inv = 1.0 / n2.sqrt();
     for cb in 0..x.sites() {
         let v = x.get(cb).scale_re(P::Arith::from_f64(inv));
@@ -66,7 +81,7 @@ pub fn lambda_max<P: Precision>(
         op.apply(from_mut(&mut mid), from_mut(&mut x), ONE);
         op.apply_dagger(from_mut(&mut ax), from_mut(&mut mid), ONE);
         // Rayleigh quotient <x, Ax> (x normalized).
-        lambda = op.reduce_c(blas::cdot(&x, &ax, &mut c)).re;
+        lambda = global_sum_re(op, blas::cdot(&x, &ax, &mut c));
         std::mem::swap(&mut x, &mut ax);
         normalize(&mut x, op, &mut c);
     }
@@ -97,7 +112,7 @@ pub fn lambda_min<P: Precision>(
         // Rayleigh quotient of A at the new vector: λ_min ≈ <y,x>/<y,Ay>
         // ... simpler: x normalized, y = A⁻¹x, so <x, y> ≈ 1/λ along the
         // dominant small mode.
-        let xy = op.reduce_c(blas::cdot(&x, &y, &mut c)).re;
+        let xy = global_sum_re(op, blas::cdot(&x, &y, &mut c));
         lambda = 1.0 / xy;
         std::mem::swap(&mut x, &mut y);
         normalize(&mut x, op, &mut c);
@@ -120,26 +135,25 @@ fn solve_normal<P: Precision>(
     // roles by solving with the adjoint operator: wrap via closure is not
     // possible with the trait, so use CG on A directly:
     // A y = b with A Hermitian positive definite — plain CG.
-    let target2 = params.tol * params.tol * op.reduce(blas::norm2(b, c));
+    let target2 = params.tol * params.tol * global_sum(op, blas::norm2(b, c));
     let mut r = op.alloc();
     blas::copy(&mut r, b, c); // y = 0 ⇒ r = b
     let mut p = op.alloc();
     blas::copy(&mut p, &r, c);
     let mut mid = op.alloc();
     let mut ap = op.alloc();
-    let mut rsq = op.reduce(blas::norm2(&r, c));
+    let mut rsq = global_sum(op, blas::norm2(&r, c));
     let mut it = 0;
     while rsq > target2 && it < params.max_iter {
         op.apply(from_mut(&mut mid), from_mut(&mut p), ONE);
         op.apply_dagger(from_mut(&mut ap), from_mut(&mut mid), ONE);
-        let p_ap = op.reduce_c(blas::cdot(&p, &ap, c)).re;
+        let p_ap = global_sum_re(op, blas::cdot(&p, &ap, c));
         if p_ap <= 0.0 {
             break;
         }
         let alpha = rsq / p_ap;
         blas::axpy(alpha, &p, y, c);
-        let rsq_new =
-            op.reduce(blas::caxpy_norm(quda_math::complex::C64::new(-alpha, 0.0), &ap, &mut r, c));
+        let rsq_new = global_sum(op, blas::caxpy_norm(C64::new(-alpha, 0.0), &ap, &mut r, c));
         let beta = rsq_new / rsq;
         rsq = rsq_new;
         blas::xpay(&r, beta, &mut p, c);

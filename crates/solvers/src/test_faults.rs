@@ -6,16 +6,15 @@ use crate::operator::{LinearOperator, OpFault};
 use quda_fields::precision::Precision;
 use quda_fields::SpinorFieldCb;
 use quda_lattice::geometry::LatticeDims;
-use quda_math::complex::C64;
 
 /// Wraps an operator and corrupts the `corrupt_at`-th collective (1-based;
 /// 0 disables), or — when `fault` is set — behaves like a poisoned
 /// partitioned operator: every reduction returns NaN and the fault hook
 /// reports the error.
 ///
-/// A collective is one call to `reduce`, `reduce_c` or `reduce_vec`,
-/// whatever its width — one allreduce on a partitioned run — and a hit
-/// replaces that call's whole output with `corruption`.
+/// A collective is one call to `reduce`, whatever its width — one
+/// allreduce on a partitioned run — and a hit replaces that call's whole
+/// output with `corruption`.
 pub(crate) struct FaultyOp<P: Precision, O: LinearOperator<P>> {
     pub inner: O,
     pub corrupt_at: u64,
@@ -105,33 +104,13 @@ impl<P: Precision, O: LinearOperator<P>> LinearOperator<P> for FaultyOp<P, O> {
         self.inner.flops_per_apply()
     }
 
-    fn reduce(&mut self, local: f64) -> f64 {
-        if self.fault.is_some() {
-            return f64::NAN;
-        }
-        if self.hit() {
-            return self.corruption;
-        }
-        self.inner.reduce(local)
-    }
-
-    fn reduce_c(&mut self, local: C64) -> C64 {
-        if self.fault.is_some() {
-            return C64::new(f64::NAN, f64::NAN);
-        }
-        if self.hit() {
-            return C64::new(self.corruption, self.corruption);
-        }
-        self.inner.reduce_c(local)
-    }
-
-    fn reduce_vec(&mut self, locals: &mut [f64]) {
+    fn reduce(&mut self, locals: &mut [f64]) {
         if self.fault.is_some() {
             locals.fill(f64::NAN);
         } else if self.hit() {
             locals.fill(self.corruption);
         } else {
-            self.inner.reduce_vec(locals);
+            self.inner.reduce(locals);
         }
     }
 

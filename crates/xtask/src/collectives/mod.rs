@@ -10,7 +10,7 @@
 //! 1. extracts every function from the masked token view into a flat
 //!    model of call sites, branches and loops ([`model`]),
 //! 2. classifies calls into collective kinds — `allreduce_*`, `barrier`
-//!    and the solver-layer `reduce`/`reduce_c` are *symmetric* (every rank
+//!    and the solver-layer `reduce` are *symmetric* (every rank
 //!    must issue them), `send`/`recv` are *paired*,
 //! 3. closes over the call graph so wrappers of collectives count as
 //!    collective sites at their callers,

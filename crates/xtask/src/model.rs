@@ -171,14 +171,14 @@ impl<'a> Model<'a> {
 }
 
 /// Is this call one of the symmetric collective primitives by name?
-/// `reduce`/`reduce_c` count only as method calls in the solver and
-/// multi-GPU layers, where the global-reduction discipline (enforced by
-/// `cargo xtask lint`) reserves those names for the world-wide reduction —
+/// `reduce` counts only as a method call in the solver and multi-GPU
+/// layers, where the global-reduction discipline (enforced by
+/// `cargo xtask lint`) reserves the name for the world-wide reduction —
 /// and never in `blas.rs`, the designated local-part kernel module.
 pub fn base_symmetric(rel_path: &str, c: &CallSite) -> bool {
     match c.callee.as_str() {
         "allreduce_sum_f64" | "allreduce_max_f64" | "allreduce_vec" | "barrier" => true,
-        "reduce" | "reduce_c" => {
+        "reduce" => {
             c.is_method
                 && !rel_path.ends_with("/blas.rs")
                 && (rel_path.starts_with("crates/solvers/")
