@@ -290,6 +290,26 @@ mod tests {
     }
 
     #[test]
+    fn ghost_links_live_in_pad_and_do_not_clobber_sites() {
+        let mut g = GaugeFieldCb::<Single>::new(dims(), true);
+        for cb in 0..g.sites() {
+            g.set_link(Parity::Odd, DIR_T, cb, &sample_link(cb));
+        }
+        let faces = g.layout.pad;
+        for f in 0..faces {
+            g.set_ghost_link(Parity::Odd, DIR_T, f, &sample_link(1000 + f));
+        }
+        for cb in 0..g.sites() {
+            let got: Su3<f64> = g.link(Parity::Odd, DIR_T, cb).cast();
+            assert!((got - sample_link(cb)).norm_sqr() < 1e-10, "site clobbered at {cb}");
+        }
+        for f in 0..faces {
+            let got: Su3<f64> = g.ghost_link(Parity::Odd, DIR_T, f).cast();
+            assert!((got - sample_link(1000 + f)).norm_sqr() < 1e-10);
+        }
+    }
+
+    #[test]
     fn side_ghost_links_roundtrip_and_t_routes_to_pad() {
         let mut g = GaugeFieldCb::<Double>::new(dims(), true);
         for mu in 0..4 {
