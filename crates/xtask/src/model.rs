@@ -61,6 +61,9 @@ pub struct FnInfo {
     pub name: String,
     /// Byte offset of the name identifier.
     pub name_offset: usize,
+    /// Whether the first parameter is a `self` receiver — only such a
+    /// function can be the target of a method call.
+    pub takes_self: bool,
     /// Byte range inside the body braces.
     pub body: (usize, usize),
     /// Every call expression in the body, in source order.
@@ -122,6 +125,22 @@ pub struct Model<'a> {
     pub fns: Vec<FnInfo>,
     /// Names of functions that (transitively) issue a symmetric collective.
     pub performers: HashSet<String>,
+    /// The performers that take `self`: the only ones a method call
+    /// (`recv.f(..)`) can reach. A path call (`f(..)`, `T::f(..)`) can
+    /// reach either kind, so it is checked against [`Model::performers`].
+    pub method_performers: HashSet<String>,
+}
+
+/// Can call `c` reach a performer? A method call reaches only the
+/// `self`-taking ones, so a free fn sharing a method's name does not make
+/// every call of that method a collective.
+fn reaches_performer(
+    performers: &HashSet<String>,
+    method_performers: &HashSet<String>,
+    c: &CallSite,
+) -> bool {
+    let reachable = if c.is_method { method_performers } else { performers };
+    !PROPAGATION_STOP.contains(&c.callee.as_str()) && reachable.contains(&c.callee)
 }
 
 /// Ubiquitous trait-method names excluded from call-graph propagation:
@@ -137,20 +156,23 @@ impl<'a> Model<'a> {
     pub fn build(files: &'a [SourceFile]) -> Model<'a> {
         let fns = extract_fns(files);
         let mut performers: HashSet<String> = HashSet::new();
+        let mut method_performers: HashSet<String> = HashSet::new();
         loop {
             let mut changed = false;
             for f in &fns {
-                if performers.contains(&f.name) {
+                let kind = if f.takes_self { &method_performers } else { &performers };
+                if kind.contains(&f.name) {
                     continue;
                 }
                 let rel = &files[f.file].rel_path;
                 let performs = f.calls.iter().any(|c| {
-                    base_symmetric(rel, c)
-                        || (!PROPAGATION_STOP.contains(&c.callee.as_str())
-                            && performers.contains(&c.callee))
+                    base_symmetric(rel, c) || reaches_performer(&performers, &method_performers, c)
                 });
                 if performs {
                     performers.insert(f.name.clone());
+                    if f.takes_self {
+                        method_performers.insert(f.name.clone());
+                    }
                     changed = true;
                 }
             }
@@ -158,15 +180,14 @@ impl<'a> Model<'a> {
                 break;
             }
         }
-        Model { files, fns, performers }
+        Model { files, fns, performers, method_performers }
     }
 
     /// Does this call issue a symmetric collective — directly by name, or
     /// by calling a function the call-graph closure marked as a performer?
     pub fn is_symmetric_site(&self, f: &FnInfo, c: &CallSite) -> bool {
         base_symmetric(&self.files[f.file].rel_path, c)
-            || (!PROPAGATION_STOP.contains(&c.callee.as_str())
-                && self.performers.contains(&c.callee))
+            || reaches_performer(&self.performers, &self.method_performers, c)
     }
 }
 
@@ -284,6 +305,7 @@ fn extract_fns(files: &[SourceFile]) -> Vec<FnInfo> {
             let Some((name, name_offset, body)) = parse_fn(masked, at) else {
                 continue;
             };
+            let takes_self = takes_self(masked, name_offset + name.len());
             let Some(body) = body else {
                 continue; // bodyless trait declaration
             };
@@ -291,6 +313,7 @@ fn extract_fns(files: &[SourceFile]) -> Vec<FnInfo> {
                 file: fi,
                 name,
                 name_offset,
+                takes_self,
                 body,
                 calls: Vec::new(),
                 branches: Vec::new(),
@@ -310,6 +333,31 @@ fn extract_fns(files: &[SourceFile]) -> Vec<FnInfo> {
 /// A parsed `fn` header: name, name offset, and the body range (`None`
 /// for a bodyless trait method).
 type ParsedFn = (String, usize, Option<(usize, usize)>);
+
+/// Does the signature after the fn name (at `from`) open its parameter
+/// list with a `self` receiver (`self`, `mut self`, `&'a mut self`,
+/// `self: Box<Self>`)? Generic brackets are skipped, so an `Fn(..)` bound
+/// is not taken for the parameter list.
+fn takes_self(masked: &str, from: usize) -> bool {
+    let bytes = masked.as_bytes();
+    let mut depth = 0usize;
+    let mut k = from;
+    loop {
+        match bytes.get(k) {
+            None | Some(b'{' | b';') => return false,
+            Some(b'<') => depth += 1,
+            Some(b'>') if bytes[k - 1] != b'-' => depth = depth.saturating_sub(1),
+            Some(b'(') if depth == 0 => break,
+            _ => {}
+        }
+        k += 1;
+    }
+    let first = masked[k + 1..].split([',', ')']).next().unwrap_or("");
+    first
+        .split(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '_' || ch == '\''))
+        .find(|w| !w.is_empty() && !w.starts_with('\'') && *w != "mut")
+        == Some("self")
+}
 
 /// From the `fn` keyword at `at`: the name, its offset, and the body range
 /// (None for a bodyless trait method).
@@ -752,6 +800,30 @@ mod tests {
         assert!(m.performers.contains("leafy"));
         assert!(m.performers.contains("wrapper"));
         assert!(!m.performers.contains("unrelated"));
+    }
+
+    #[test]
+    fn receivers_are_recognised_through_generics_and_lifetimes() {
+        let src = "fn a(&self) {}\nfn b<F: Fn(u8) -> u8>(&'x mut self, f: F) {}\nfn c(self: Box<Self>) {}\nfn d(me: &Self) {}\nfn e<T>(t: T) {}\nfn f() {}\n";
+        let (_, fns) = model_of(src);
+        let kinds: Vec<(&str, bool)> =
+            fns.iter().map(|f| (f.name.as_str(), f.takes_self)).collect();
+        assert_eq!(
+            kinds,
+            [("a", true), ("b", true), ("c", true), ("d", false), ("e", false), ("f", false)]
+        );
+    }
+
+    #[test]
+    fn method_calls_reach_only_self_taking_performers() {
+        let src = "fn global(c: &C) { c.barrier(); }\nfn uses(&self) { self.plan.global(); }\nfn calls(&self) { global(self); }\n";
+        let files = vec![SourceFile::parse("crates/multigpu/src/demo.rs", src)];
+        let m = Model::build(&files);
+        assert!(m.performers.contains("global"));
+        assert!(!m.method_performers.contains("global"));
+        assert!(!m.performers.contains("uses"));
+        assert!(m.performers.contains("calls"));
+        assert!(m.method_performers.contains("calls"));
     }
 
     #[test]

@@ -66,6 +66,20 @@ fn removing_the_allow_comment_resurfaces_the_diagnostic() {
 }
 
 #[test]
+fn method_calls_reach_only_self_taking_performers() {
+    // A free fn `global` performs a collective; the method `Plan::global`
+    // does not. The rank-gated `self.global()` (12) is a method call, so
+    // it is clean; the path call `global(self)` (19) reaches the free
+    // performer, and the path call `Plan::sync(self)` (25) a `self`-taking
+    // one — a path call reaches either kind.
+    assert_diags(
+        "crates/multigpu/src/fixture.rs",
+        include_str!("fixtures/performer_kinds.rs"),
+        &[(19, 13, "rank-branch-collective"), (25, 19, "rank-branch-collective")],
+    );
+}
+
+#[test]
 fn rank_loop_fixture_exact_diagnostics() {
     // A collective in a loop bounded by the rank (9) and a send in a while
     // loop whose condition mentions the rank (21); the size-bounded loop
