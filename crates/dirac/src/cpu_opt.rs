@@ -2,12 +2,13 @@
 //! counterpart of the "9q" cluster's "highly optimized SSE routines"
 //! (Section VII-C).
 //!
-//! Unlike the device-layout kernels (which emulate GPU memory behaviour),
+//! Unlike the device-field kernels (which read 2-row links, reconstruct the
+//! third row and move each site through the layout's gather/scatter),
 //! this path is organized the way a CPU wants: site-major flat `f32`
 //! arrays (each site's 24 spinor reals contiguous — one or two cache
 //! lines), full 18-real links (no reconstruction arithmetic), precomputed
 //! flat neighbor tables, and Rayon parallelism over output sites. It is
-//! used to (a) cross-check the exotic layouts against a third independent
+//! used to (a) cross-check the device fields against a third independent
 //! implementation and (b) measure real sustained per-core Gflops to compare
 //! with the 2 Gflops/core the paper reports for Nehalem + SSE.
 

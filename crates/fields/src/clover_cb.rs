@@ -26,8 +26,7 @@ pub struct CloverFieldCb<P: Precision> {
 impl<P: Precision> CloverFieldCb<P> {
     /// Allocate with every site set to the identity clover term.
     pub fn new(dims: LatticeDims) -> Self {
-        let n_vec = NVec::optimal_for_bytes(P::STORAGE_BYTES);
-        let layout = species::clover_cb(&dims, n_vec);
+        let layout = species::clover_cb(&dims, NVec::SiteMajor);
         let data = vec![P::Elem::default(); layout.body_len()];
         let norm = if P::NEEDS_NORM { vec![1.0; layout.sites] } else { Vec::new() };
         let mut f = CloverFieldCb { dims, layout, data, norm };

@@ -2,13 +2,13 @@
 //! and the pad-resident ghost slice of Section VI-B.
 //!
 //! Storage is per parity and per direction: `data[parity][mu]` is one
-//! Eq. 5-blocked array of 12 (compressed) or 18 (full) reals per site. The
-//! pad of every block is one half spatial volume — exactly the size of one
-//! time-slice of links — so the ghost copy of `U_T(x−T̂)` from the backward
-//! neighbor is written into the pad of the T block at the face index of the
-//! site ("the ghost zone of link matrices can be hidden entirely in the
-//! padding", Fig. 2). X/Y/Z faces are not block pads; their ghost links
-//! live in `side_ghost`. One accessor pair,
+//! Eq. 5 array at `N_vec = N_int` — 12 (compressed) or 18 (full) contiguous
+//! reals per site, then the pad. The pad is one half spatial volume —
+//! exactly the size of one time-slice of links — so the ghost copy of
+//! `U_T(x−T̂)` from the backward neighbor is written into the pad of the T
+//! array at the face index of the site ("the ghost zone of link matrices
+//! can be hidden entirely in the padding", Fig. 2). X/Y/Z faces are not
+//! pads; their ghost links live in `side_ghost`. One accessor pair,
 //! [`GaugeFieldCb::ghost_link`]/[`GaugeFieldCb::set_ghost_link`], routes
 //! every direction.
 
@@ -43,8 +43,7 @@ pub struct GaugeFieldCb<P: Precision> {
 impl<P: Precision> GaugeFieldCb<P> {
     /// Allocate a unit (identity-link) field.
     pub fn new(dims: LatticeDims, compressed: bool) -> Self {
-        let n_vec = NVec::optimal_for_bytes(P::STORAGE_BYTES);
-        let layout = species::gauge_cb(&dims, n_vec, compressed);
+        let layout = species::gauge_cb(&dims, NVec::SiteMajor, compressed);
         let make = || vec![P::Elem::default(); layout.body_len()];
         let mut field = GaugeFieldCb {
             dims,

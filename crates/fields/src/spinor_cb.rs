@@ -1,8 +1,11 @@
 //! Single-parity ("checkerboard") spinor fields in the QUDA device layout.
 //!
 //! The even-odd preconditioned solver works entirely on one parity, so this
-//! is the workhorse vector type. Site storage follows Fig. 2: `24 / N_vec`
-//! blocks of `stride = V/2 + pad` short vectors. Every open dimension of a
+//! is the workhorse vector type. Site storage is Eq. 5 at `N_vec = N_int`:
+//! one block of `stride = V/2 + pad` sites, each site's 24 reals contiguous,
+//! which is the order a CPU core streams. The paper's 16-byte blocking of
+//! Fig. 2, which coalesces GPU threads, is modeled in `quda-multigpu`'s
+//! `perf.rs` and in `quda-gpusim`, not stored. Every open dimension of a
 //! process grid, T included, carries a ghost zone beside the body: `2 ×
 //! face_sites` half spinors, backward face first — Section VI-C's end zone,
 //! one per dimension. Keeping the ghosts outside the body means reductions
@@ -23,9 +26,9 @@ use quda_math::spinor::{HalfSpinor, Spinor, HALF_SPINOR_REALS, SPINOR_REALS};
 pub struct SpinorFieldCb<P: Precision> {
     /// Lattice extents (of the full lattice; the field covers one parity).
     pub dims: LatticeDims,
-    /// Memory layout (Eq. 5).
+    /// Memory layout (Eq. 5 at `N_vec = N_int`).
     pub layout: FieldLayout,
-    /// Blocked, padded site storage (Eq. 5).
+    /// Site-major, padded site storage (Eq. 5 at `N_vec = N_int`).
     pub data: Vec<P::Elem>,
     /// Per-site normalization constants (half and quarter precision only;
     /// otherwise empty).
@@ -48,8 +51,7 @@ impl<P: Precision> SpinorFieldCb<P> {
     /// Allocate a zero field with ghost zones for every open dimension of a
     /// 4-d process-grid decomposition.
     pub fn new_open(dims: LatticeDims, open: [bool; 4]) -> Self {
-        let n_vec = NVec::optimal_for_bytes(P::STORAGE_BYTES);
-        let layout = species::spinor_cb(&dims, n_vec);
+        let layout = species::spinor_cb(&dims, NVec::SiteMajor);
         let data = vec![P::Elem::default(); layout.body_len()];
         let norm = if P::NEEDS_NORM { vec![1.0; layout.sites] } else { Vec::new() };
         let mut ghost: [Vec<P::Elem>; 4] = Default::default();
@@ -164,25 +166,25 @@ impl<P: Precision> SpinorFieldCb<P> {
         }
     }
 
-    /// Per-block contiguous site storage as arithmetic values — `Some`
-    /// only for the float precisions, where the stored element *is* the
-    /// arithmetic type. Each item is one block's `n_vec × sites` live
-    /// reals; pads are excluded by construction, so
-    /// streaming kernels can consume the items directly (site `x` owns the
-    /// `n_vec` reals at `n_vec·x`, Eq. 5 with the block offset removed).
-    pub fn arith_blocks(&self) -> Option<impl Iterator<Item = &[P::Arith]>> {
-        let body = P::arith_view(&self.data)?;
-        let row = self.layout.n_vec * self.layout.stride();
-        let live = self.layout.n_vec * self.layout.sites;
-        Some(body.chunks_exact(row).map(move |r| &r[..live]))
+    /// The live site reals as arithmetic values — `Some` only for the float
+    /// precisions, where the stored element *is* the arithmetic type. Site
+    /// `x` owns the `SPINOR_REALS` reals at `SPINOR_REALS·x` (Eq. 5 at
+    /// `N_vec = N_int`); the pad is excluded, so streaming kernels consume
+    /// the slice directly.
+    pub fn arith_sites(&self) -> Option<&[P::Arith]> {
+        P::arith_view(&self.data[..self.live_reals()])
     }
 
-    /// Mutable counterpart of [`SpinorFieldCb::arith_blocks`].
-    pub fn arith_blocks_mut(&mut self) -> Option<impl Iterator<Item = &mut [P::Arith]>> {
-        let row = self.layout.n_vec * self.layout.stride();
-        let live = self.layout.n_vec * self.layout.sites;
-        let body = P::arith_view_mut(&mut self.data)?;
-        Some(body.chunks_exact_mut(row).map(move |r| &mut r[..live]))
+    /// Mutable counterpart of [`SpinorFieldCb::arith_sites`].
+    pub fn arith_sites_mut(&mut self) -> Option<&mut [P::Arith]> {
+        let live = self.live_reals();
+        P::arith_view_mut(&mut self.data[..live])
+    }
+
+    /// Length of the site-major run of live reals at the start of `data`.
+    fn live_reals(&self) -> usize {
+        debug_assert_eq!(self.layout.n_vec, self.layout.n_int, "storage is site-major");
+        self.layout.n_int * self.layout.sites
     }
 
     /// Sanctioned per-site write combinator: set every site to `f(cb)`.
@@ -472,30 +474,25 @@ mod tests {
         for cb in 0..f.sites() {
             f.set(cb, &sample_spinor(cb));
         }
-        // Rebuild every site from the block view alone (Eq. 5: real n of
-        // site x sits at offset n_vec·x + n%n_vec of block n/n_vec).
-        let nv = f.layout.n_vec;
-        let blocks: Vec<Vec<f64>> = f.arith_blocks().unwrap().map(|b| b.to_vec()).collect();
-        assert_eq!(blocks.len(), f.layout.blocks());
-        for cb in 0..f.sites() {
-            let mut reals = [0.0; 24];
-            for (n, r) in reals.iter_mut().enumerate() {
-                *r = blocks[n / nv][nv * cb + n % nv];
-            }
-            assert_eq!(Spinor::from_reals(&reals), f.get(cb));
+        // Rebuild every site from the site view alone (Eq. 5 at
+        // N_vec = N_int: real n of site x sits at offset 24·x + n).
+        let live = f.arith_sites().unwrap().to_vec();
+        assert_eq!(live.len(), SPINOR_REALS * f.sites());
+        for (cb, reals) in live.chunks_exact(SPINOR_REALS).enumerate() {
+            assert_eq!(Spinor::from_reals(reals), f.get(cb));
         }
-        // Writes through the mutable view land where `get` reads.
-        for b in f.arith_blocks_mut().unwrap() {
-            for r in b.iter_mut() {
-                *r *= 2.0;
-            }
+        // Writes through the mutable view land where `get` reads, and
+        // nowhere in the pad.
+        for r in f.arith_sites_mut().unwrap() {
+            *r *= 2.0;
         }
         for cb in 0..f.sites() {
             assert_eq!(f.get(cb), sample_spinor(cb).scale_re(2.0));
         }
+        assert!(f.data[live.len()..].iter().all(|&e| e == 0.0));
         // Normalized precisions have no direct view.
         let h = SpinorFieldCb::<Half>::new(dims(), false);
-        assert!(h.arith_blocks().is_none());
+        assert!(h.arith_sites().is_none());
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Storage-order pins: a field written through its accessors holds
 //! `P::store` of internal real `n` of site `cb` at `data[layout.index(cb, n)]`
-//! (Eq. 5), the T ghost links at `layout.pad_index(slot, n)` of the T block,
-//! and nothing anywhere else: the X/Y/Z blocks' pads stay at the default
-//! element, whatever ghost links are written.
+//! (Eq. 5), the T ghost links at `layout.pad_index(slot, n)` of the T array,
+//! and nothing anywhere else: the X/Y/Z arrays' pads stay at the default
+//! element, whatever ghost links are written. Every container stores Eq. 5
+//! at `N_vec = N_int`, so site `cb` is the run
+//! `data[n_int·cb .. n_int·(cb + 1)]`.
 //!
 //! Checkpoints, face codecs and `io.rs` serialise `data` raw, so these
 //! tests are what says the bytes a field stores are fixed, whatever path
@@ -13,6 +15,7 @@ use quda_fields::gauge_gen::{random_spinor_field, weak_field};
 use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
 use quda_fields::{CloverFieldCb, GaugeFieldCb, SpinorFieldCb};
 use quda_lattice::geometry::{LatticeDims, Parity, DIR_T};
+use quda_lattice::layout::FieldLayout;
 use quda_math::clover::CloverSite;
 use quda_math::complex::C64;
 use quda_math::real::Real;
@@ -43,6 +46,22 @@ fn assert_exactly<P: Precision>(data: &[P::Elem], expected: &[(usize, P::Elem)],
     }
 }
 
+/// Site-major storage: `n_vec == n_int`, and site `cb`'s stored elements
+/// are exactly the run `data[n_int·cb .. n_int·(cb + 1)]`.
+fn assert_site_run<P: Precision>(
+    layout: &FieldLayout,
+    data: &[P::Elem],
+    cb: usize,
+    stored: &[P::Elem],
+    what: &str,
+) {
+    assert_eq!(layout.n_vec, layout.n_int, "{what}: not site-major");
+    let run = &data[layout.n_int * cb..layout.n_int * (cb + 1)];
+    let got: Vec<Vec<u8>> = run.iter().map(|&e| bytes::<P>(e)).collect();
+    let want: Vec<Vec<u8>> = stored.iter().map(|&e| bytes::<P>(e)).collect();
+    assert_eq!(got, want, "{what} at {} site {cb}", P::NAME);
+}
+
 fn spinor_order<P: Precision>() {
     let d = dims();
     let host = random_spinor_field(d, 11);
@@ -60,8 +79,10 @@ fn spinor_order<P: Precision>() {
             assert_eq!(f.norm[cb], norm as f32);
             stored = stored.scale_re(P::Arith::from_f64(1.0 / norm));
         }
-        for (n, &r) in stored.to_reals().iter().enumerate() {
-            expected.push((f.layout.index(cb, n), P::store(r)));
+        let elems: Vec<P::Elem> = stored.to_reals().iter().map(|&r| P::store(r)).collect();
+        assert_site_run::<P>(&f.layout, &f.data, cb, &elems, "spinor");
+        for (n, &e) in elems.iter().enumerate() {
+            expected.push((f.layout.index(cb, n), e));
         }
     }
     assert_exactly::<P>(&f.data, &expected, "spinor");
@@ -92,10 +113,15 @@ fn gauge_order<P: Precision>(compressed: bool) {
     let store = |r: f64| P::store(P::Arith::from_f64(r));
     for p in [Parity::Even, Parity::Odd] {
         for mu in 0..4 {
+            let what = format!("gauge compressed={compressed} {p:?} mu={mu}");
+            let data = &g.data[p.as_usize()][mu];
             let mut expected = Vec::new();
             for cb in 0..sites {
-                for (n, &r) in link_reals(&link(p, mu, cb), rows).iter().enumerate() {
-                    expected.push((g.layout.index(cb, n), store(r)));
+                let elems: Vec<P::Elem> =
+                    link_reals(&link(p, mu, cb), rows).iter().map(|&r| store(r)).collect();
+                assert_site_run::<P>(&g.layout, data, cb, &elems, &what);
+                for (n, &e) in elems.iter().enumerate() {
+                    expected.push((g.layout.index(cb, n), e));
                 }
             }
             // Only the T block's pad holds ghosts; X/Y/Z ghosts live off-block.
@@ -105,8 +131,7 @@ fn gauge_order<P: Precision>(compressed: bool) {
                     expected.push((g.layout.pad_index(face, n), store(r)));
                 }
             }
-            let what = format!("gauge compressed={compressed} {p:?} mu={mu}");
-            assert_exactly::<P>(&g.data[p.as_usize()][mu], &expected, &what);
+            assert_exactly::<P>(data, &expected, &what);
         }
     }
 }
@@ -145,8 +170,11 @@ fn clover_order<P: Precision>() {
                 b.offdiag.iter_mut().for_each(|z| *z = z.scale(inv));
             }
         }
-        for (n, &r) in stored.to_reals().iter().enumerate() {
-            expected.push((f.layout.index(cb, n), P::store(P::Arith::from_f64(r))));
+        let elems: Vec<P::Elem> =
+            stored.to_reals().iter().map(|&r| P::store(P::Arith::from_f64(r))).collect();
+        assert_site_run::<P>(&f.layout, &f.data, cb, &elems, "clover");
+        for (n, &e) in elems.iter().enumerate() {
+            expected.push((f.layout.index(cb, n), e));
         }
     }
     assert_exactly::<P>(&f.data, &expected, "clover");

@@ -14,6 +14,13 @@
 //! i = N_vec * ( stride * (n / N_vec) + x ) + n % N_vec ,   stride = sites + pad
 //! ```
 //!
+//! The host containers store Eq. 5 at `N_vec = N_int` ([`NVec::SiteMajor`]):
+//! one block, so each site's reals are contiguous at `N_int · x` and the pad
+//! is one run of `pad` sites after the last one. That is the order a CPU
+//! core streams best; the paper's 16-byte blocking
+//! ([`NVec::optimal_for_bytes`]), which coalesces GPU threads, is what the
+//! device cost model charges.
+//!
 //! [`FieldLayout::index`] is that definition, kept as the test oracle (with
 //! [`FieldLayout::pad_index`] and [`FieldLayout::decompose`]). The field
 //! accessors never call it per real: they move a whole site through
@@ -30,7 +37,8 @@
 
 use crate::geometry::LatticeDims;
 
-/// Short-vector lengths used by QUDA (`float`, `float2`/`double`, `float4`).
+/// Short-vector lengths: QUDA's (`float`, `float2`/`double`, `float4`) and
+/// the site-major order the host containers store.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum NVec {
     /// Scalar loads.
@@ -39,16 +47,19 @@ pub enum NVec {
     N2,
     /// 4-wide (16-byte `float4`, optimal in single/half precision).
     N4,
+    /// One vector of all `N_int` reals: each site contiguous.
+    SiteMajor,
 }
 
 impl NVec {
-    /// Numeric value.
+    /// Numeric width for a field of `n_int` reals per site.
     #[inline(always)]
-    pub fn value(self) -> usize {
+    pub fn width(self, n_int: usize) -> usize {
         match self {
             NVec::N1 => 1,
             NVec::N2 => 2,
             NVec::N4 => 4,
+            NVec::SiteMajor => n_int,
         }
     }
 
@@ -65,6 +76,11 @@ impl NVec {
     }
 }
 
+/// The widths [`FieldLayout::gather`]/[`FieldLayout::scatter`] move at a
+/// compile-time width: the paper's short vectors and the site-major widths
+/// of the containers (compressed and full links, spinor, clover).
+const GATHER_WIDTHS: [usize; 7] = [1, 2, 4, 12, 18, 24, 72];
+
 /// Memory layout of one field (Eq. 5 of the paper).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FieldLayout {
@@ -79,10 +95,12 @@ pub struct FieldLayout {
 }
 
 impl FieldLayout {
-    /// Build a layout; `n_int` must be divisible by `n_vec`.
+    /// Build a layout; `n_int` must be divisible by `n_vec`, and the
+    /// resolved width must be one the site movers handle.
     pub fn new(sites: usize, pad: usize, n_int: usize, n_vec: NVec) -> Self {
-        let nv = n_vec.value();
+        let nv = n_vec.width(n_int);
         assert!(n_int % nv == 0, "n_int={n_int} not divisible by n_vec={nv}");
+        assert!(GATHER_WIDTHS.contains(&nv), "n_vec={nv} has no gather width");
         assert!(sites > 0);
         FieldLayout { sites, pad, n_int, n_vec: nv }
     }
@@ -143,6 +161,10 @@ impl FieldLayout {
             1 => gather_nv::<1, E, T>(buf, stride, pos, out, load),
             2 => gather_nv::<2, E, T>(buf, stride, pos, out, load),
             4 => gather_nv::<4, E, T>(buf, stride, pos, out, load),
+            12 => gather_nv::<12, E, T>(buf, stride, pos, out, load),
+            18 => gather_nv::<18, E, T>(buf, stride, pos, out, load),
+            24 => gather_nv::<24, E, T>(buf, stride, pos, out, load),
+            72 => gather_nv::<72, E, T>(buf, stride, pos, out, load),
             nv => unreachable!("n_vec {nv} is not an NVec width"),
         }
     }
@@ -165,6 +187,10 @@ impl FieldLayout {
             1 => scatter_nv::<1, E, T>(buf, stride, pos, reals, store),
             2 => scatter_nv::<2, E, T>(buf, stride, pos, reals, store),
             4 => scatter_nv::<4, E, T>(buf, stride, pos, reals, store),
+            12 => scatter_nv::<12, E, T>(buf, stride, pos, reals, store),
+            18 => scatter_nv::<18, E, T>(buf, stride, pos, reals, store),
+            24 => scatter_nv::<24, E, T>(buf, stride, pos, reals, store),
+            72 => scatter_nv::<72, E, T>(buf, stride, pos, reals, store),
             nv => unreachable!("n_vec {nv} is not an NVec width"),
         }
     }
@@ -250,14 +276,13 @@ pub mod species {
         FieldLayout::new(sites, pad, SPINOR_REALS, n_vec)
     }
 
-    /// Single-parity compressed gauge layout (per direction μ) with the
-    /// `Vs/2` pad that doubles as the ghost slice (Fig. 2).
+    /// Single-parity gauge layout (per direction μ), 12 reals per link
+    /// compressed or 18 full, with the `Vs/2` pad that doubles as the ghost
+    /// slice (Fig. 2).
     pub fn gauge_cb(dims: &LatticeDims, n_vec: NVec, compressed: bool) -> FieldLayout {
         let sites = dims.half_volume();
         let pad = dims.half_spatial_volume();
         let n_int = if compressed { LINK_COMPRESSED_REALS } else { LINK_FULL_REALS };
-        // 18 is not divisible by 4; full storage uses N2.
-        let n_vec = if !compressed && n_vec == NVec::N4 { NVec::N2 } else { n_vec };
         FieldLayout::new(sites, pad, n_int, n_vec)
     }
 
@@ -315,7 +340,7 @@ mod tests {
 
     #[test]
     fn cursor_matches_index_at_every_width() {
-        for nv in [NVec::N1, NVec::N2, NVec::N4] {
+        for nv in [NVec::N1, NVec::N2, NVec::N4, NVec::SiteMajor] {
             let l = FieldLayout::new(6, 2, 12, nv);
             let mut buf = vec![usize::MAX; l.body_len() + 2];
             for pos in 0..l.stride() {
@@ -387,11 +412,31 @@ mod tests {
     }
 
     #[test]
-    fn full_gauge_falls_back_to_n2() {
+    fn full_gauge_is_site_major_at_18_reals() {
         let dims = LatticeDims::new(4, 4, 4, 4);
-        let g = species::gauge_cb(&dims, NVec::N4, false);
+        let g = species::gauge_cb(&dims, NVec::SiteMajor, false);
         assert_eq!(g.n_int, 18);
-        assert_eq!(g.n_vec, 2);
+        assert_eq!(g.n_vec, 18);
+        assert_eq!(g.blocks(), 1);
+    }
+
+    #[test]
+    fn site_major_stores_each_site_contiguously() {
+        for n_int in [12, 18, 24, 72] {
+            let l = FieldLayout::new(10, 3, n_int, NVec::SiteMajor);
+            assert_eq!((l.n_vec, l.blocks()), (n_int, 1));
+            assert_eq!(l.body_len(), n_int * 13);
+            for x in 0..l.sites {
+                for n in 0..n_int {
+                    assert_eq!(l.index(x, n), n_int * x + n);
+                }
+            }
+            for slot in 0..l.pad {
+                for n in 0..n_int {
+                    assert_eq!(l.pad_index(slot, n), n_int * (l.sites + slot) + n);
+                }
+            }
+        }
     }
 
     #[test]
@@ -405,5 +450,11 @@ mod tests {
     #[should_panic(expected = "not divisible")]
     fn indivisible_nvec_rejected() {
         FieldLayout::new(10, 0, 18, NVec::N4);
+    }
+
+    #[test]
+    #[should_panic(expected = "no gather width")]
+    fn site_major_width_without_a_gather_arm_rejected() {
+        FieldLayout::new(10, 0, 6, NVec::SiteMajor);
     }
 }

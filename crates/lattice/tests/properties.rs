@@ -48,7 +48,7 @@ proptest! {
     #[test]
     fn layout_body_and_pad_partition_memory(
         d in arb_dims(),
-        nvec in prop_oneof![Just(NVec::N1), Just(NVec::N2), Just(NVec::N4)],
+        nvec in prop_oneof![Just(NVec::N1), Just(NVec::N2), Just(NVec::N4), Just(NVec::SiteMajor)],
     ) {
         let l = FieldLayout::new(d.half_volume(), d.half_spatial_volume(), 24, nvec);
         let mut kind = vec![0u8; l.body_len()]; // 0 untouched, 1 site, 2 pad
@@ -73,10 +73,10 @@ proptest! {
     #[test]
     fn gather_and_scatter_touch_exactly_the_eq5_elements(
         d in arb_dims(),
-        nvec in prop_oneof![Just(NVec::N1), Just(NVec::N2), Just(NVec::N4)],
+        nvec in prop_oneof![Just(NVec::N1), Just(NVec::N2), Just(NVec::N4), Just(NVec::SiteMajor)],
         n_int in prop_oneof![Just(12usize), Just(18), Just(24), Just(72)],
     ) {
-        prop_assume!(n_int % nvec.value() == 0);
+        prop_assume!(n_int % nvec.width(n_int) == 0);
         let l = FieldLayout::new(d.half_volume(), d.half_spatial_volume(), n_int, nvec);
         // The oracle: a block position is a site or `sites + slot`.
         let eq5 = |pos: usize, n: usize| {
@@ -121,10 +121,10 @@ proptest! {
     #[test]
     fn coalescing_holds_for_all_nvec(
         d in arb_dims(),
-        nvec in prop_oneof![Just(NVec::N2), Just(NVec::N4)],
+        nvec in prop_oneof![Just(NVec::N2), Just(NVec::N4), Just(NVec::SiteMajor)],
     ) {
         let l = FieldLayout::new(d.half_volume(), 16, 24, nvec);
-        let v = nvec.value();
+        let v = nvec.width(24);
         for n0 in (0..24).step_by(v) {
             for site in 0..l.sites.saturating_sub(1) {
                 prop_assert_eq!(l.index(site + 1, n0), l.index(site, n0) + v);

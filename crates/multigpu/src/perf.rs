@@ -122,7 +122,7 @@ pub fn face_bytes(tag: PrecisionTag, face_sites: usize) -> usize {
 /// `cudaMemcpy` calls needed to gather one face to the host: one per face
 /// block (12 / N_vec) plus one for the norms in half precision.
 pub fn d2h_copies(tag: PrecisionTag) -> usize {
-    let nvec = NVec::optimal_for_bytes(tag.storage_bytes()).value();
+    let nvec = NVec::optimal_for_bytes(tag.storage_bytes()).width(12);
     12 / nvec + usize::from(tag.needs_norm())
 }
 

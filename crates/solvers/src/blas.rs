@@ -12,9 +12,9 @@
 //!
 //! Each kernel has two implementations with bit-identical results:
 //!
-//! * a `fast` path for the float precisions, which streams the blocked
-//!   storage (Eq. 5) directly through `arith_blocks` — contiguous slices,
-//!   no per-real index computation, no bounds checks in the hot loop;
+//! * a `fast` path for the float precisions, which streams the site-major
+//!   storage (Eq. 5 at `N_vec = N_int`) directly through `arith_sites` —
+//!   one contiguous slice, no per-real index computation;
 //! * a per-site fallback for the normalized fixed-point precisions, built
 //!   on the sanctioned `SpinorFieldCb` combinators (`fill_sites`,
 //!   `fold_sites`, `update_fold_sites`), which own the quantization.
@@ -103,56 +103,49 @@ pub const OP_CDOT_NORM: BlasOp = BlasOp {
     is_reduction: true,
 };
 
-/// Direct streaming implementations over the blocked float storage.
+/// Direct streaming implementations over the site-major float storage.
 ///
 /// Every routine here is bit-identical to the per-site combinator path:
 /// the element-wise kernels apply the same scalar operations to the same
 /// stored reals (storage *is* the arithmetic type, `get`/`set` are pure
 /// load/store), and the reduction kernels replay the exact accumulation
-/// tree of `Spinor::norm_sqr`/`Spinor::dot` — per-colorvec partials
-/// folded from zero in ascending complex order, a four-way fold per site,
-/// and a global fold in ascending site order — out of tile-sized stack
-/// partials. No heap allocation anywhere, so steady-state solver
-/// iterations stay allocation-free.
+/// tree of `Spinor::norm_sqr`/`Spinor::dot` ([`fold_site`]) and fold the
+/// sites in ascending order. No heap allocation anywhere, so steady-state
+/// solver iterations stay allocation-free.
 mod fast {
     use super::*;
+    use core::ops::AddAssign;
+    use quda_math::spinor::SPINOR_REALS;
 
-    /// Sites per reduction tile: bounds the stack partials while letting
-    /// every block row be streamed in long contiguous runs.
-    const TILE: usize = 64;
-    /// Upper bound on `layout.blocks()` (24 reals/site, scalar worst case).
-    const MAX_BLOCKS: usize = 24;
-
-    /// Gather the per-block body slices into a stack array; `None` when
-    /// the precision has no direct arithmetic view.
-    fn blocks_of<'a, P: Precision>(
-        f: &'a SpinorFieldCb<P>,
-        out: &mut [&'a [P::Arith]; MAX_BLOCKS],
-    ) -> Option<usize> {
-        let mut n = 0;
-        for (slot, b) in out.iter_mut().zip(f.arith_blocks()?) {
-            *slot = b;
-            n += 1;
+    /// One site's reduction term: colorvec partials folded from `zero` in
+    /// ascending complex order, then a four-way fold of the partials from
+    /// `zero` — the tree of `Spinor::norm_sqr` and `Spinor::dot`. `term(k)`
+    /// is the contribution of the site's `k`-th complex.
+    #[inline(always)]
+    fn fold_site<S: Copy + AddAssign>(zero: S, mut term: impl FnMut(usize) -> S) -> S {
+        let mut site = zero;
+        for cv in 0..4 {
+            let mut part = zero;
+            for c in 0..3 {
+                part += term(3 * cv + c);
+            }
+            site += part;
         }
-        Some(n)
+        site
     }
 
     /// Zero every live real.
     pub fn fill_zero<P: Precision>(x: &mut SpinorFieldCb<P>) -> bool {
-        let Some(blocks) = x.arith_blocks_mut() else { return false };
-        for b in blocks {
-            b.fill(P::Arith::ZERO);
-        }
+        let Some(xs) = x.arith_sites_mut() else { return false };
+        xs.fill(P::Arith::ZERO);
         true
     }
 
     /// `dst ← src` over every live real.
     pub fn copy<P: Precision>(dst: &mut SpinorFieldCb<P>, src: &SpinorFieldCb<P>) -> bool {
-        let Some(s) = src.arith_blocks() else { return false };
-        let Some(d) = dst.arith_blocks_mut() else { return false };
-        for (db, sb) in d.zip(s) {
-            db.copy_from_slice(sb);
-        }
+        let Some(s) = src.arith_sites() else { return false };
+        let Some(d) = dst.arith_sites_mut() else { return false };
+        d.copy_from_slice(s);
         true
     }
 
@@ -162,12 +155,10 @@ mod fast {
         y: &mut SpinorFieldCb<P>,
         f: impl Fn(P::Arith, P::Arith) -> P::Arith,
     ) -> bool {
-        let Some(xb) = x.arith_blocks() else { return false };
-        let Some(yb) = y.arith_blocks_mut() else { return false };
-        for (xs, ys) in xb.zip(yb) {
-            for (xv, yv) in xs.iter().zip(ys.iter_mut()) {
-                *yv = f(*xv, *yv);
-            }
+        let Some(xs) = x.arith_sites() else { return false };
+        let Some(ys) = y.arith_sites_mut() else { return false };
+        for (xv, yv) in xs.iter().zip(ys.iter_mut()) {
+            *yv = f(*xv, *yv);
         }
         true
     }
@@ -178,14 +169,12 @@ mod fast {
         y: &mut SpinorFieldCb<P>,
         f: impl Fn(Complex<P::Arith>, Complex<P::Arith>) -> Complex<P::Arith>,
     ) -> bool {
-        let Some(xb) = x.arith_blocks() else { return false };
-        let Some(yb) = y.arith_blocks_mut() else { return false };
-        for (xs, ys) in xb.zip(yb) {
-            for (xz, yz) in xs.chunks_exact(2).zip(ys.chunks_exact_mut(2)) {
-                let v = f(Complex::new(xz[0], xz[1]), Complex::new(yz[0], yz[1]));
-                yz[0] = v.re;
-                yz[1] = v.im;
-            }
+        let Some(xs) = x.arith_sites() else { return false };
+        let Some(ys) = y.arith_sites_mut() else { return false };
+        for (xz, yz) in xs.chunks_exact(2).zip(ys.chunks_exact_mut(2)) {
+            let v = f(Complex::new(xz[0], xz[1]), Complex::new(yz[0], yz[1]));
+            yz[0] = v.re;
+            yz[1] = v.im;
         }
         true
     }
@@ -197,121 +186,41 @@ mod fast {
         w: &mut SpinorFieldCb<P>,
         f: impl Fn(Complex<P::Arith>, Complex<P::Arith>, Complex<P::Arith>) -> Complex<P::Arith>,
     ) -> bool {
-        let Some(ub) = u.arith_blocks() else { return false };
-        let Some(vb) = v.arith_blocks() else { return false };
-        let Some(wb) = w.arith_blocks_mut() else { return false };
-        for ((us, vs), ws) in ub.zip(vb).zip(wb) {
-            for ((uz, vz), wz) in
-                us.chunks_exact(2).zip(vs.chunks_exact(2)).zip(ws.chunks_exact_mut(2))
-            {
-                let r = f(
-                    Complex::new(uz[0], uz[1]),
-                    Complex::new(vz[0], vz[1]),
-                    Complex::new(wz[0], wz[1]),
-                );
-                wz[0] = r.re;
-                wz[1] = r.im;
-            }
+        let Some(us) = u.arith_sites() else { return false };
+        let Some(vs) = v.arith_sites() else { return false };
+        let Some(ws) = w.arith_sites_mut() else { return false };
+        for ((uz, vz), wz) in us.chunks_exact(2).zip(vs.chunks_exact(2)).zip(ws.chunks_exact_mut(2))
+        {
+            let r = f(
+                Complex::new(uz[0], uz[1]),
+                Complex::new(vz[0], vz[1]),
+                Complex::new(wz[0], wz[1]),
+            );
+            wz[0] = r.re;
+            wz[1] = r.im;
         }
         true
     }
 
-    /// Fold a tile's four colorvec partials per site and accumulate into
-    /// `acc`, replaying `Spinor::norm_sqr`'s four-way fold and the
-    /// site-order global fold.
-    fn fold_tile(partial: &[[f64; TILE]; 4], tl: usize, acc: &mut f64) {
-        let [p0, p1, p2, p3] = partial;
-        for (((&a0, &a1), &a2), &a3) in p0.iter().zip(p1).zip(p2).zip(p3).take(tl) {
-            let mut site = 0.0;
-            site += a0;
-            site += a1;
-            site += a2;
-            site += a3;
-            *acc += site;
-        }
-    }
-
-    /// Complex counterpart of [`fold_tile`] for `Spinor::dot`.
-    fn fold_tile_c(partial: &[[C64; TILE]; 4], tl: usize, acc: &mut C64) {
-        let [p0, p1, p2, p3] = partial;
-        for (((&a0, &a1), &a2), &a3) in p0.iter().zip(p1).zip(p2).zip(p3).take(tl) {
-            let mut site = C64::zero();
-            site += a0;
-            site += a1;
-            site += a2;
-            site += a3;
-            *acc += site;
-        }
-    }
-
     /// `‖x‖²` with the exact per-site fold tree.
     pub fn norm2<P: Precision>(x: &SpinorFieldCb<P>) -> Option<f64> {
-        let mut blk: [&[P::Arith]; MAX_BLOCKS] = [&[]; MAX_BLOCKS];
-        let nb = blocks_of(x, &mut blk)?;
-        let nv = x.layout.n_vec;
-        let half = nv / 2;
-        if half == 0 {
-            return None;
-        }
-        let sites = x.sites();
         let mut n = 0.0;
-        let mut t0 = 0;
-        while t0 < sites {
-            let tl = TILE.min(sites - t0);
-            // partial[cv][t] accumulates colorvec cv's complex norms of
-            // tile site t in ascending complex order — the fold of
-            // ColorVec::norm_sqr, started from 0.0.
-            let mut partial = [[0.0f64; TILE]; 4];
-            for (b, &body) in blk.iter().take(nb).enumerate() {
-                let seg = &body[nv * t0..nv * (t0 + tl)];
-                for (t, site) in seg.chunks_exact(nv).enumerate() {
-                    for (c, z) in site.chunks_exact(2).enumerate() {
-                        let cv = (b * half + c) / 3;
-                        partial[cv][t] += Complex::new(z[0], z[1]).norm_sqr().to_f64();
-                    }
-                }
-            }
-            fold_tile(&partial, tl, &mut n);
-            t0 += TILE;
+        for s in x.arith_sites()?.chunks_exact(SPINOR_REALS) {
+            n += fold_site(0.0, |k| Complex::new(s[2 * k], s[2 * k + 1]).norm_sqr().to_f64());
         }
         Some(n)
     }
 
     /// `⟨x, y⟩` with the exact per-site fold tree.
     pub fn cdot<P: Precision>(x: &SpinorFieldCb<P>, y: &SpinorFieldCb<P>) -> Option<C64> {
-        let mut xblk: [&[P::Arith]; MAX_BLOCKS] = [&[]; MAX_BLOCKS];
-        let mut yblk: [&[P::Arith]; MAX_BLOCKS] = [&[]; MAX_BLOCKS];
-        let nb = blocks_of(x, &mut xblk)?;
-        blocks_of(y, &mut yblk)?;
-        let nv = x.layout.n_vec;
-        let half = nv / 2;
-        if half == 0 {
-            return None;
-        }
-        let sites = x.sites();
+        let (xs, ys) = (x.arith_sites()?, y.arith_sites()?);
         let mut acc = C64::zero();
-        let mut t0 = 0;
-        while t0 < sites {
-            let tl = TILE.min(sites - t0);
-            let mut partial = [[C64::zero(); TILE]; 4];
-            for (b, (&xs, &ys)) in xblk.iter().zip(yblk.iter()).take(nb).enumerate() {
-                let xseg = &xs[nv * t0..nv * (t0 + tl)];
-                let yseg = &ys[nv * t0..nv * (t0 + tl)];
-                for (t, (xsite, ysite)) in
-                    xseg.chunks_exact(nv).zip(yseg.chunks_exact(nv)).enumerate()
-                {
-                    for (c, (xz, yz)) in
-                        xsite.chunks_exact(2).zip(ysite.chunks_exact(2)).enumerate()
-                    {
-                        let cv = (b * half + c) / 3;
-                        let xv = Complex::new(xz[0], xz[1]).cast::<f64>();
-                        let yv = Complex::new(yz[0], yz[1]).cast::<f64>();
-                        partial[cv][t] += xv.conj() * yv;
-                    }
-                }
-            }
-            fold_tile_c(&partial, tl, &mut acc);
-            t0 += TILE;
+        for (xsite, ysite) in xs.chunks_exact(SPINOR_REALS).zip(ys.chunks_exact(SPINOR_REALS)) {
+            acc += fold_site(C64::zero(), |k| {
+                let xv = Complex::new(xsite[2 * k], xsite[2 * k + 1]).cast::<f64>();
+                let yv = Complex::new(ysite[2 * k], ysite[2 * k + 1]).cast::<f64>();
+                xv.conj() * yv
+            });
         }
         Some(acc)
     }
@@ -321,44 +230,16 @@ mod fast {
         x: &SpinorFieldCb<P>,
         y: &SpinorFieldCb<P>,
     ) -> Option<(C64, f64)> {
-        let mut xblk: [&[P::Arith]; MAX_BLOCKS] = [&[]; MAX_BLOCKS];
-        let mut yblk: [&[P::Arith]; MAX_BLOCKS] = [&[]; MAX_BLOCKS];
-        let nb = blocks_of(x, &mut xblk)?;
-        blocks_of(y, &mut yblk)?;
-        let nv = x.layout.n_vec;
-        let half = nv / 2;
-        if half == 0 {
-            return None;
-        }
-        let sites = x.sites();
+        let (xs, ys) = (x.arith_sites()?, y.arith_sites()?);
         let mut dot = C64::zero();
         let mut n = 0.0;
-        let mut t0 = 0;
-        while t0 < sites {
-            let tl = TILE.min(sites - t0);
-            let mut dpart = [[C64::zero(); TILE]; 4];
-            let mut npart = [[0.0f64; TILE]; 4];
-            for (b, (&xs, &ys)) in xblk.iter().zip(yblk.iter()).take(nb).enumerate() {
-                let xseg = &xs[nv * t0..nv * (t0 + tl)];
-                let yseg = &ys[nv * t0..nv * (t0 + tl)];
-                for (t, (xsite, ysite)) in
-                    xseg.chunks_exact(nv).zip(yseg.chunks_exact(nv)).enumerate()
-                {
-                    for (c, (xz, yz)) in
-                        xsite.chunks_exact(2).zip(ysite.chunks_exact(2)).enumerate()
-                    {
-                        let cv = (b * half + c) / 3;
-                        let xa = Complex::new(xz[0], xz[1]);
-                        let xv = xa.cast::<f64>();
-                        let yv = Complex::new(yz[0], yz[1]).cast::<f64>();
-                        dpart[cv][t] += xv.conj() * yv;
-                        npart[cv][t] += xa.norm_sqr().to_f64();
-                    }
-                }
-            }
-            fold_tile_c(&dpart, tl, &mut dot);
-            fold_tile(&npart, tl, &mut n);
-            t0 += TILE;
+        for (xsite, ysite) in xs.chunks_exact(SPINOR_REALS).zip(ys.chunks_exact(SPINOR_REALS)) {
+            let xa = |k: usize| Complex::new(xsite[2 * k], xsite[2 * k + 1]);
+            dot += fold_site(C64::zero(), |k| {
+                let yv = Complex::new(ysite[2 * k], ysite[2 * k + 1]).cast::<f64>();
+                xa(k).cast::<f64>().conj() * yv
+            });
+            n += fold_site(0.0, |k| xa(k).norm_sqr().to_f64());
         }
         Some((dot, n))
     }
@@ -370,42 +251,17 @@ mod fast {
         y: &mut SpinorFieldCb<P>,
         f: impl Fn(Complex<P::Arith>, Complex<P::Arith>) -> Complex<P::Arith>,
     ) -> Option<f64> {
-        let mut xblk: [&[P::Arith]; MAX_BLOCKS] = [&[]; MAX_BLOCKS];
-        let nb = blocks_of(x, &mut xblk)?;
-        let nv = y.layout.n_vec;
-        let half = nv / 2;
-        if half == 0 {
-            return None;
-        }
-        let row = nv * y.layout.stride();
-        let live = nv * y.layout.sites;
-        let body_len = y.layout.body_len();
-        let ybody = P::arith_view_mut(&mut y.data[..body_len])?;
-        let sites = x.sites();
+        let xs = x.arith_sites()?;
+        let ys = y.arith_sites_mut()?;
         let mut n = 0.0;
-        let mut t0 = 0;
-        while t0 < sites {
-            let tl = TILE.min(sites - t0);
-            let mut partial = [[0.0f64; TILE]; 4];
-            for (b, yrow) in ybody.chunks_exact_mut(row).take(nb).enumerate() {
-                let yseg = &mut yrow[..live][nv * t0..nv * (t0 + tl)];
-                let xseg = &xblk[b][nv * t0..nv * (t0 + tl)];
-                for (t, (xsite, ysite)) in
-                    xseg.chunks_exact(nv).zip(yseg.chunks_exact_mut(nv)).enumerate()
-                {
-                    for (c, (xz, yz)) in
-                        xsite.chunks_exact(2).zip(ysite.chunks_exact_mut(2)).enumerate()
-                    {
-                        let v = f(Complex::new(xz[0], xz[1]), Complex::new(yz[0], yz[1]));
-                        yz[0] = v.re;
-                        yz[1] = v.im;
-                        let cv = (b * half + c) / 3;
-                        partial[cv][t] += v.norm_sqr().to_f64();
-                    }
-                }
-            }
-            fold_tile(&partial, tl, &mut n);
-            t0 += TILE;
+        for (xsite, ysite) in xs.chunks_exact(SPINOR_REALS).zip(ys.chunks_exact_mut(SPINOR_REALS)) {
+            n += fold_site(0.0, |k| {
+                let (re, im) = (2 * k, 2 * k + 1);
+                let v = f(Complex::new(xsite[re], xsite[im]), Complex::new(ysite[re], ysite[im]));
+                ysite[re] = v.re;
+                ysite[im] = v.im;
+                v.norm_sqr().to_f64()
+            });
         }
         Some(n)
     }
@@ -628,8 +484,8 @@ mod tests {
         f
     }
 
-    /// A lattice whose site count is not a multiple of the reduction tile,
-    /// so the partial-tile tail path is exercised.
+    /// A second lattice shape (96 sites per parity), so the bit-identity
+    /// checks do not rest on one site count.
     fn odd_dims() -> LatticeDims {
         LatticeDims::new(4, 4, 2, 6)
     }

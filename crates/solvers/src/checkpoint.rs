@@ -11,11 +11,12 @@
 //! one world incarnation can be validated before a replacement world trusts
 //! it: `"QCKP"` magic, format version, precision tag, local lattice
 //! geometry, the counter block, the raw *storage bytes* of each field's
-//! sites — the Eq. 5 body and, in half and quarter precision, the site
-//! norms (bit-exact — no quantization round trip, so serialize/deserialize
-//! is the identity for all four precisions) — and a trailing FNV-1a-64
-//! checksum over everything that precedes it. Corruption anywhere in the
-//! buffer surfaces as a typed [`CheckpointError`], never a panic.
+//! sites — the site-major Eq. 5 body and, in half and quarter precision,
+//! the site norms (bit-exact — no quantization round trip, so
+//! serialize/deserialize is the identity for all four precisions) — and a
+//! trailing FNV-1a-64 checksum over everything that precedes it.
+//! Corruption anywhere in the buffer surfaces as a typed
+//! [`CheckpointError`], never a panic.
 //!
 //! Ghost zones are not solver state: the next face exchange rewrites them
 //! before anything reads them. So a snapshot restores into a field of the
@@ -39,8 +40,11 @@ use std::fmt;
 /// Leading magic of every serialized checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"QCKP";
 
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u16 = 2;
+/// Current checkpoint format version. Version 3 carries the site-major
+/// body (Eq. 5 at `N_vec = N_int`); a version-2 body is the same length in
+/// the blocked order, so it is refused rather than decoded into scrambled
+/// sites.
+pub const CHECKPOINT_VERSION: u16 = 3;
 
 /// Why a checkpoint buffer was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -140,7 +140,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn version_1_buffer_with_a_valid_checksum_is_refused() {
-    assert_eq!(CHECKPOINT_VERSION, 2);
+    assert_eq!(CHECKPOINT_VERSION, 3);
     // A version-1 header: magic, version, double tag, no residual, 2⁴
     // dims, the open-faces mask, then the counters; the checksum is valid,
     // so only the version can reject it.
@@ -157,6 +157,23 @@ fn version_1_buffer_with_a_valid_checksum_is_refused() {
     let sum = fnv1a(&body);
     body.extend_from_slice(&sum.to_le_bytes());
     assert_eq!(SolverCheckpoint::from_bytes(&body), Err(CheckpointError::UnsupportedVersion(1)));
+}
+
+#[test]
+fn version_2_buffer_with_a_valid_checksum_is_refused() {
+    // A v2 payload is the blocked Eq. 5 body, byte for byte as long as the
+    // site-major one, so a v2 buffer would parse into scrambled sites. Take
+    // a valid buffer, stamp version 2 and re-seal the checksum: only the
+    // version can reject it.
+    let x = filled::<Double>(LatticeDims::new(2, 2, 2, 4), [false; 4], 7);
+    let ck = SolverCheckpoint::capture(CheckpointCounters::default(), &x, Some(&x));
+    let bytes = ck.to_bytes();
+    let mut body = bytes[..bytes.len() - 8].to_vec();
+    body[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let sum = fnv1a(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    assert_eq!(SolverCheckpoint::from_bytes(&body), Err(CheckpointError::UnsupportedVersion(2)));
+    assert_eq!(SolverCheckpoint::from_bytes(&bytes), Ok(ck));
 }
 
 /// Capture from a T-open field; restore into a closed and an all-open
