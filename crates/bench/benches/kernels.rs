@@ -133,20 +133,6 @@ fn bench_primitives(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    // The same sites through the block cursor the field accessors use:
-    // one gather of all 24 reals per site.
-    let data: Vec<f32> = (0..layout.body_len()).map(|i| i as f32).collect();
-    group.bench_function("layout_gather", |b| {
-        b.iter(|| {
-            let mut acc = 0.0f32;
-            let mut reals = [0.0f32; 24];
-            for site in (0..layout.sites).step_by(7) {
-                layout.gather(black_box(&data), site, &mut reals, |e| e);
-                acc += reals[0] + reals[23];
-            }
-            black_box(acc)
-        })
-    });
     // Projector roundtrip.
     let basis = SpinBasis::new(GammaBasis::NonRelativistic);
     let sp = random_spinor_field(LatticeDims::new(2, 2, 2, 2), 9).data[0];

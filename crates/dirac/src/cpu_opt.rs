@@ -3,7 +3,7 @@
 //! (Section VII-C).
 //!
 //! Unlike the device-field kernels (which read 2-row links, reconstruct the
-//! third row and move each site through the layout's gather/scatter),
+//! third row and convert each site's stored run through the precision),
 //! this path is organized the way a CPU wants: site-major flat `f32`
 //! arrays (each site's 24 spinor reals contiguous — one or two cache
 //! lines), full 18-real links (no reconstruction arithmetic), precomputed

@@ -2,9 +2,9 @@
 //!
 //! This is the Rust analog of QUDA's Wilson dslash CUDA kernel: it walks
 //! sites of one parity, gathers the eight projected neighbor half-spinors,
-//! multiplies by the (possibly compressed) links, and reconstructs — using
+//! multiplies by the 2-row compressed links, and reconstructs — using
 //! the compiled rank-2 projectors of [`quda_math::gamma::HalfProj`], the
-//! layout-aware field containers, and the ghost zones of Section VI for
+//! field containers' site runs, and the ghost zones of Section VI for
 //! every dimension the stencil marks open.
 //!
 //! Every face, T included, is shipped as the sender's projection
@@ -75,7 +75,7 @@ pub(crate) fn active_lanes<'a>(
 /// for `x` of `out_parity`, reading `input` (the opposite parity).
 ///
 /// With `dagger` the projector signs swap (the adjoint hopping term).
-/// Ghost zones of `input` (and the pad-resident ghost links of `gauge`)
+/// Ghost zones of `input` (and the ghost links of `gauge`)
 /// are consulted where the stencil says the neighbor is off-domain. This is
 /// batch 1 of [`dslash_cb_multi`].
 #[allow(clippy::too_many_arguments)]
@@ -110,7 +110,7 @@ pub fn dslash_cb<P: Precision>(
 /// masking in the blocked solvers). Per RHS the arithmetic — operand
 /// values, operation order, rounding — does not depend on which other
 /// lanes ride along, so a lane of a batch is bit-identical to that lane
-/// launched alone; the only difference is that the (possibly compressed)
+/// launched alone; the only difference is that the compressed
 /// link is decoded once per `(site, μ)` instead of once per RHS. The sweep
 /// is monomorphised on the active-lane count, so its per-site scratch is
 /// sized by the lanes that run, not by [`MAX_RHS_BATCH`].
@@ -673,7 +673,7 @@ mod tests {
             stencil: &Stencil,
         ) -> Vec<SpinorFieldCb<P>> {
             let d = cfg.dims;
-            let mut gauge = GaugeFieldCb::<P>::new(d, false);
+            let mut gauge = GaugeFieldCb::<P>::new(d, true);
             gauge.upload(cfg);
             let inputs: Vec<_> = hosts
                 .iter()
@@ -836,8 +836,8 @@ mod tests {
                 gather_face_site(&dev_open, &basis, &open, DIR_T, false, face, Parity::Odd, false);
             dev_g.set_ghost(DIR_T, false, face, &from_first);
         }
-        // Ghost links: the pad of the T-direction array must hold the links
-        // of the last time-slice (periodic self-copy), parity of x−T̂ = Odd.
+        // Ghost links: the T ghost store must hold the links of the last
+        // time-slice (periodic self-copy), parity of x−T̂ = Odd.
         let cfgd = d;
         for face in 0..half_vs {
             let cb_last = (cfgd.t - 1) * half_vs + face;

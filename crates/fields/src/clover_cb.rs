@@ -1,9 +1,8 @@
-//! Single-parity clover fields (72 packed reals per site) in the device
-//! layout, with half-precision normalization.
+//! Single-parity clover fields (72 packed reals per site, stored one site
+//! after another with no pad), with half-precision normalization.
 
 use crate::precision::Precision;
 use quda_lattice::geometry::LatticeDims;
-use quda_lattice::layout::{species, FieldLayout, NVec};
 use quda_math::clover::{CloverSite, CLOVER_REALS};
 use quda_math::real::Real;
 
@@ -15,9 +14,8 @@ use quda_math::real::Real;
 pub struct CloverFieldCb<P: Precision> {
     /// Lattice extents.
     pub dims: LatticeDims,
-    /// Memory layout.
-    pub layout: FieldLayout,
-    /// Packed element storage.
+    /// Packed element storage: `sites × 72` reals, site `cb` being the run
+    /// `data[72·cb .. 72·(cb + 1)]`.
     pub data: Vec<P::Elem>,
     /// Per-site normalization (half precision only).
     pub norm: Vec<f32>,
@@ -26,10 +24,10 @@ pub struct CloverFieldCb<P: Precision> {
 impl<P: Precision> CloverFieldCb<P> {
     /// Allocate with every site set to the identity clover term.
     pub fn new(dims: LatticeDims) -> Self {
-        let layout = species::clover_cb(&dims, NVec::SiteMajor);
-        let data = vec![P::Elem::default(); layout.body_len()];
-        let norm = if P::NEEDS_NORM { vec![1.0; layout.sites] } else { Vec::new() };
-        let mut f = CloverFieldCb { dims, layout, data, norm };
+        let sites = dims.half_volume();
+        let data = vec![P::Elem::default(); CLOVER_REALS * sites];
+        let norm = if P::NEEDS_NORM { vec![1.0; sites] } else { Vec::new() };
+        let mut f = CloverFieldCb { dims, data, norm };
         let id = CloverSite::<f64>::identity();
         for cb in 0..f.sites() {
             f.set(cb, &id);
@@ -40,7 +38,7 @@ impl<P: Precision> CloverFieldCb<P> {
     /// Number of sites (half volume).
     #[inline(always)]
     pub fn sites(&self) -> usize {
-        self.layout.sites
+        self.dims.half_volume()
     }
 
     /// Store the clover term at site `cb` (given in f64; truncated to `P`).
@@ -61,15 +59,20 @@ impl<P: Precision> CloverFieldCb<P> {
                 }
             }
         }
-        let reals = stored.to_reals();
-        self.layout.scatter(&mut self.data, cb, &reals, |r| P::store(P::Arith::from_f64(r)));
+        let run = &mut self.data[CLOVER_REALS * cb..CLOVER_REALS * (cb + 1)];
+        for (e, &r) in run.iter_mut().zip(&stored.to_reals()) {
+            *e = P::store(P::Arith::from_f64(r));
+        }
     }
 
     /// Load the clover term at site `cb`.
     pub fn get(&self, cb: usize) -> CloverSite<P::Arith> {
         debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
         let mut reals = [P::Arith::ZERO; CLOVER_REALS];
-        self.layout.gather(&self.data, cb, &mut reals, P::load);
+        let run = &self.data[CLOVER_REALS * cb..CLOVER_REALS * (cb + 1)];
+        for (r, &e) in reals.iter_mut().zip(run) {
+            *r = P::load(e);
+        }
         let mut site = CloverSite::from_reals(&reals);
         if P::NEEDS_NORM {
             let norm = P::Arith::from_f64(self.norm[cb] as f64);
@@ -87,7 +90,7 @@ impl<P: Precision> CloverFieldCb<P> {
 
     /// Device bytes occupied.
     pub fn device_bytes(&self) -> usize {
-        self.layout.device_bytes(P::STORAGE_BYTES) + self.norm.len() * 4
+        self.data.len() * P::STORAGE_BYTES + self.norm.len() * 4
     }
 }
 
@@ -164,6 +167,6 @@ mod tests {
     #[test]
     fn layout_has_72_reals_per_site() {
         let f = CloverFieldCb::<Double>::new(dims());
-        assert_eq!(f.layout.n_int, 72);
+        assert_eq!(f.data.len(), 72 * f.sites());
     }
 }

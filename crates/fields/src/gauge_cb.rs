@@ -1,21 +1,19 @@
-//! Gauge (link) fields in the QUDA device layout, with 2-row compression
-//! and the pad-resident ghost slice of Section VI-B.
+//! Gauge (link) fields on the host, in the paper's 2-row compression.
 //!
-//! Storage is per parity and per direction: `data[parity][mu]` is one
-//! Eq. 5 array at `N_vec = N_int` — 12 (compressed) or 18 (full) contiguous
-//! reals per site, then the pad. The pad is one half spatial volume —
-//! exactly the size of one time-slice of links — so the ghost copy of
-//! `U_T(x−T̂)` from the backward neighbor is written into the pad of the T
-//! array at the face index of the site ("the ghost zone of link matrices
-//! can be hidden entirely in the padding", Fig. 2). X/Y/Z faces are not
-//! pads; their ghost links live in `side_ghost`. One accessor pair,
-//! [`GaugeFieldCb::ghost_link`]/[`GaugeFieldCb::set_ghost_link`], routes
-//! every direction.
+//! Storage is per parity and per direction: `data[parity][mu]` holds
+//! `sites × 12` reals, link `cb` being the run `data[12·cb .. 12·(cb + 1)]`
+//! (the first two rows; the third is reconstructed on load, Section V-C2).
+//! There is no pad: on a GPU the pad of Eq. 5 breaks partition camping and
+//! hides the temporal ghost links (Fig. 2), and `quda-lattice`'s layout with
+//! `quda-multigpu`'s `perf.rs` model that. Here every partitioned dimension,
+//! T included, keeps its ghost links in its own store, `ghost[parity][dir]`,
+//! and one accessor pair, [`GaugeFieldCb::ghost_link`]/
+//! [`GaugeFieldCb::set_ghost_link`], serves all four.
 
 use crate::host::GaugeConfig;
 use crate::precision::Precision;
-use quda_lattice::geometry::{LatticeDims, Parity, DIR_T};
-use quda_lattice::layout::{species, FieldLayout, NVec};
+use quda_lattice::geometry::{LatticeDims, Parity};
+use quda_lattice::layout::species::LINK_COMPRESSED_REALS;
 use quda_lattice::stencil::Stencil;
 use quda_math::complex::Complex;
 use quda_math::real::Real;
@@ -26,39 +24,29 @@ use quda_math::su3::{Su3, Su3Compressed};
 pub struct GaugeFieldCb<P: Precision> {
     /// Lattice extents.
     pub dims: LatticeDims,
-    /// Per-direction layout (identical for all directions).
-    pub layout: FieldLayout,
-    /// Whether 2-row compression is active.
-    pub compressed: bool,
-    /// `data[parity][mu]`.
+    /// `data[parity][mu]`: `sites × 12` reals, one compressed link per site.
     pub data: [[Vec<P::Elem>; 4]; 2],
-    /// Ghost links for X/Y/Z decompositions: `side_ghost[parity][dir]` holds
-    /// the backward neighbor's boundary slice of `U_dir`, one link per face
-    /// site, allocated lazily on first write. The temporal ghost slice stays
-    /// in the pad of `data[parity][DIR_T]` (Section VI-B) — only X/Y/Z need
-    /// dedicated storage, because their faces are not block pads.
-    pub side_ghost: [[Vec<P::Elem>; 3]; 2],
+    /// Ghost links: `ghost[parity][dir]` holds the backward neighbor's
+    /// boundary slice of `U_dir`, one compressed link per face site,
+    /// allocated lazily on first write.
+    pub ghost: [[Vec<P::Elem>; 4]; 2],
 }
 
 impl<P: Precision> GaugeFieldCb<P> {
-    /// Allocate a unit (identity-link) field.
+    /// Allocate a unit (identity-link) field. Links are always stored
+    /// 2-row compressed; `compressed` must be `true`.
     pub fn new(dims: LatticeDims, compressed: bool) -> Self {
-        let layout = species::gauge_cb(&dims, NVec::SiteMajor, compressed);
-        let make = || vec![P::Elem::default(); layout.body_len()];
+        assert!(compressed, "links are stored 2-row compressed");
+        let make = || vec![P::Elem::default(); LINK_COMPRESSED_REALS * dims.half_volume()];
         let mut field = GaugeFieldCb {
             dims,
-            layout,
-            compressed,
             data: [[make(), make(), make(), make()], [make(), make(), make(), make()]],
-            side_ghost: [
-                [Vec::new(), Vec::new(), Vec::new()],
-                [Vec::new(), Vec::new(), Vec::new()],
-            ],
+            ghost: Default::default(),
         };
         let id = Su3::<f64>::identity();
         for parity in [Parity::Even, Parity::Odd] {
             for mu in 0..4 {
-                for cb in 0..layout.sites {
+                for cb in 0..field.sites() {
                     field.set_link(parity, mu, cb, &id);
                 }
             }
@@ -69,87 +57,41 @@ impl<P: Precision> GaugeFieldCb<P> {
     /// Number of sites per parity.
     #[inline(always)]
     pub fn sites(&self) -> usize {
-        self.layout.sites
+        self.dims.half_volume()
     }
 
-    /// Reals stored per link.
+    /// Store the first two rows of `u` as link `k` of `buf`.
     #[inline(always)]
-    pub fn link_reals(&self) -> usize {
-        self.layout.n_int
-    }
-
-    /// Write one link's reals to block position `pos` (a site, or
-    /// [`FieldLayout::pad_pos`] of a ghost slot).
-    fn write_reals(buf: &mut [P::Elem], layout: &FieldLayout, pos: usize, reals: &[f64]) {
-        layout.scatter(buf, pos, reals, |r| P::store(P::Arith::from_f64(r)));
-    }
-
-    /// Read one link's reals from block position `pos`.
-    fn read_reals(buf: &[P::Elem], layout: &FieldLayout, pos: usize, out: &mut [f64]) {
-        layout.gather(buf, pos, out, |e| P::load(e).to_f64());
-    }
-
-    /// Serialize `u` into `out` (stack scratch — link reads and writes sit
-    /// on the per-iteration dslash path and must not touch the heap);
-    /// returns the number of reals filled (12 compressed, 18 full).
-    fn link_to_reals(&self, u: &Su3<f64>, out: &mut [f64; 18]) -> usize {
-        let rows = if self.compressed { 2 } else { 3 };
-        let mut k = 0;
-        for i in 0..rows {
-            for j in 0..3 {
-                out[k] = u.m[i][j].re;
-                out[k + 1] = u.m[i][j].im;
-                k += 2;
-            }
+    fn write_link(buf: &mut [P::Elem], k: usize, u: &Su3<f64>) {
+        let run = &mut buf[LINK_COMPRESSED_REALS * k..LINK_COMPRESSED_REALS * (k + 1)];
+        for (pair, z) in run.chunks_exact_mut(2).zip(u.m[..2].iter().flatten()) {
+            pair[0] = P::store(P::Arith::from_f64(z.re));
+            pair[1] = P::store(P::Arith::from_f64(z.im));
         }
-        k
     }
 
-    fn reals_to_link(&self, reals: &[f64]) -> Su3<P::Arith> {
-        if self.compressed {
-            let mut c = Su3Compressed::<P::Arith>::default();
-            let mut k = 0;
-            for i in 0..2 {
-                for j in 0..3 {
-                    c.rows[i][j] = Complex::new(
-                        P::Arith::from_f64(reals[k]),
-                        P::Arith::from_f64(reals[k + 1]),
-                    );
-                    k += 2;
-                }
-            }
-            c.reconstruct()
-        } else {
-            let mut u = Su3::zero();
-            let mut k = 0;
-            for i in 0..3 {
-                for j in 0..3 {
-                    u.m[i][j] = Complex::new(
-                        P::Arith::from_f64(reals[k]),
-                        P::Arith::from_f64(reals[k + 1]),
-                    );
-                    k += 2;
-                }
-            }
-            u
+    /// Load link `k` of `buf` and reconstruct its third row.
+    #[inline(always)]
+    fn read_link(buf: &[P::Elem], k: usize) -> Su3<P::Arith> {
+        let run = &buf[LINK_COMPRESSED_REALS * k..LINK_COMPRESSED_REALS * (k + 1)];
+        let load = |e| P::Arith::from_f64(P::load(e).to_f64());
+        let mut c = Su3Compressed::<P::Arith>::default();
+        for (z, pair) in c.rows.iter_mut().flatten().zip(run.chunks_exact(2)) {
+            *z = Complex::new(load(pair[0]), load(pair[1]));
         }
+        c.reconstruct()
     }
 
     /// Store the link `U_μ` at checkerboard site `cb` of `parity`.
     pub fn set_link(&mut self, parity: Parity, mu: usize, cb: usize, u: &Su3<f64>) {
         debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
-        let mut reals = [0.0f64; 18];
-        let n = self.link_to_reals(u, &mut reals);
-        Self::write_reals(&mut self.data[parity.as_usize()][mu], &self.layout, cb, &reals[..n]);
+        Self::write_link(&mut self.data[parity.as_usize()][mu], cb, u);
     }
 
-    /// Load (and, if compressed, reconstruct) the link `U_μ` at `cb`.
+    /// Load and reconstruct the link `U_μ` at `cb`.
     pub fn link(&self, parity: Parity, mu: usize, cb: usize) -> Su3<P::Arith> {
         debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
-        let mut reals = [0.0f64; 18];
-        let n = self.link_reals();
-        Self::read_reals(&self.data[parity.as_usize()][mu], &self.layout, cb, &mut reals[..n]);
-        self.reals_to_link(&reals[..n])
+        Self::read_link(&self.data[parity.as_usize()][mu], cb)
     }
 
     /// Face sites per parity of a `dir`-boundary slice.
@@ -159,46 +101,25 @@ impl<P: Precision> GaugeFieldCb<P> {
     }
 
     /// Store the ghost copy of `U_dir` at face site `face` of the backward
-    /// `dir`-boundary. T lives in the pad of `data[parity][DIR_T]`
-    /// (Section VI-B); X/Y/Z go to `side_ghost`, allocated on first write.
+    /// `dir`-boundary, allocating the `dir` store on first write.
     pub fn set_ghost_link(&mut self, parity: Parity, dir: usize, face: usize, u: &Su3<f64>) {
-        let mut reals = [0.0f64; 18];
-        let n = self.link_to_reals(u, &mut reals);
-        if dir == DIR_T {
-            let pos = self.layout.pad_pos(face);
-            let buf = &mut self.data[parity.as_usize()][DIR_T];
-            return Self::write_reals(buf, &self.layout, pos, &reals[..n]);
-        }
         let fs = self.face_sites_dim(dir);
-        let buf = &mut self.side_ghost[parity.as_usize()][dir];
+        let buf = &mut self.ghost[parity.as_usize()][dir];
         if buf.is_empty() {
-            buf.resize(fs * n, P::Elem::default());
+            buf.resize(fs * LINK_COMPRESSED_REALS, P::Elem::default());
         }
-        for (k, &r) in reals[..n].iter().enumerate() {
-            buf[face * n + k] = P::store(P::Arith::from_f64(r));
-        }
+        Self::write_link(buf, face, u);
     }
 
     /// Load the ghost copy of `U_dir` at face site `face` of the backward
     /// `dir`-boundary (the counterpart of [`GaugeFieldCb::set_ghost_link`]).
     pub fn ghost_link(&self, parity: Parity, dir: usize, face: usize) -> Su3<P::Arith> {
-        let mut reals = [0.0f64; 18];
-        let n = self.link_reals();
-        if dir == DIR_T {
-            let pos = self.layout.pad_pos(face);
-            let buf = &self.data[parity.as_usize()][DIR_T];
-            Self::read_reals(buf, &self.layout, pos, &mut reals[..n]);
-            return self.reals_to_link(&reals[..n]);
-        }
-        let buf = &self.side_ghost[parity.as_usize()][dir];
+        let buf = &self.ghost[parity.as_usize()][dir];
         if buf.is_empty() {
             // Never written (lazy store): identity, matching a fresh field.
             return Su3::identity();
         }
-        for (k, r) in reals[..n].iter_mut().enumerate() {
-            *r = P::load(buf[face * n + k]).to_f64();
-        }
-        self.reals_to_link(&reals[..n])
+        Self::read_link(buf, face)
     }
 
     /// Upload an entire host configuration (both parities, all directions).
@@ -215,16 +136,18 @@ impl<P: Precision> GaugeFieldCb<P> {
         }
     }
 
-    /// Device bytes occupied by all 8 arrays.
+    /// Device bytes occupied by the 8 link arrays and every ghost store.
     pub fn device_bytes(&self) -> usize {
-        8 * self.layout.device_bytes(P::STORAGE_BYTES)
+        let elems: usize = self.data.iter().chain(&self.ghost).flatten().map(Vec::len).sum();
+        elems * P::STORAGE_BYTES
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precision::{Double, Half, Single};
+    use crate::precision::{Double, Half, Quarter, Single};
+    use quda_lattice::geometry::DIR_T;
     use quda_math::complex::C64;
 
     fn dims() -> LatticeDims {
@@ -265,15 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn full_storage_roundtrip() {
-        let mut g = GaugeFieldCb::<Double>::new(dims(), false);
-        assert_eq!(g.link_reals(), 18);
-        g.set_link(Parity::Even, 0, 3, &sample_link(9));
-        let got = g.link(Parity::Even, 0, 3);
-        assert!((got - sample_link(9)).norm_sqr() < 1e-28);
-    }
-
-    #[test]
     fn half_precision_links_stay_unitary_enough() {
         // Unitarity bounds elements to [-1,1], so direct quantization works
         // (Section V-C3) and the reconstructed link is near-unitary.
@@ -289,12 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn ghost_links_live_in_pad_and_do_not_clobber_sites() {
+    fn t_ghost_links_do_not_clobber_sites() {
         let mut g = GaugeFieldCb::<Single>::new(dims(), true);
         for cb in 0..g.sites() {
             g.set_link(Parity::Odd, DIR_T, cb, &sample_link(cb));
         }
-        let faces = g.layout.pad;
+        let faces = g.face_sites_dim(DIR_T);
         for f in 0..faces {
             g.set_ghost_link(Parity::Odd, DIR_T, f, &sample_link(1000 + f));
         }
@@ -309,14 +223,13 @@ mod tests {
     }
 
     #[test]
-    fn side_ghost_links_roundtrip_and_t_routes_to_pad() {
+    fn ghost_links_roundtrip_in_every_dimension() {
         let mut g = GaugeFieldCb::<Double>::new(dims(), true);
         for mu in 0..4 {
             for cb in 0..g.sites() {
                 g.set_link(Parity::Even, mu, cb, &sample_link(10 * cb + mu));
             }
         }
-        assert_eq!(g.face_sites_dim(DIR_T), g.layout.pad);
         for dir in 0..4 {
             for f in 0..g.face_sites_dim(dir) {
                 g.set_ghost_link(Parity::Even, dir, f, &sample_link(1000 * (dir + 1) + f));
@@ -328,17 +241,39 @@ mod tests {
                 assert!((got - sample_link(1000 * (dir + 1) + f)).norm_sqr() < 1e-20);
             }
         }
-        // The T ghosts sit in the pad, beside the sites they must not clobber.
         for mu in 0..4 {
             for cb in 0..g.sites() {
                 let got: Su3<f64> = g.link(Parity::Even, mu, cb).cast();
                 assert!((got - sample_link(10 * cb + mu)).norm_sqr() < 1e-20, "site {cb}");
             }
         }
-        // Only X/Y/Z use the side store, and unwritten parities stay
-        // unallocated (lazy side store).
-        assert!(g.side_ghost[Parity::Even.as_usize()].iter().all(|v| !v.is_empty()));
-        assert!(g.side_ghost[Parity::Odd.as_usize()].iter().all(|v| v.is_empty()));
+        // T is one dimension among four: each holds one link per face site,
+        // and unwritten parities stay unallocated (lazy store).
+        for dir in 0..4 {
+            let len = g.ghost[Parity::Even.as_usize()][dir].len();
+            assert_eq!(len, LINK_COMPRESSED_REALS * g.face_sites_dim(dir), "dir {dir}");
+        }
+        assert!(g.ghost[Parity::Odd.as_usize()].iter().all(|v| v.is_empty()));
+    }
+
+    /// A fresh field's unwritten ghost links read as the identity, like its
+    /// sites, in every dimension and at every precision.
+    fn unwritten_ghost_links_are_unit<P: Precision>() {
+        let g = GaugeFieldCb::<P>::new(dims(), true);
+        for p in [Parity::Even, Parity::Odd] {
+            for dir in 0..4 {
+                let u: Su3<f64> = g.ghost_link(p, dir, 0).cast();
+                assert!((u - Su3::identity()).norm_sqr() < 1e-24, "{} {p:?} dir {dir}", P::NAME);
+            }
+        }
+    }
+
+    #[test]
+    fn unwritten_ghost_links_are_unit_in_every_dimension() {
+        unwritten_ghost_links_are_unit::<Double>();
+        unwritten_ghost_links_are_unit::<Single>();
+        unwritten_ghost_links_are_unit::<Half>();
+        unwritten_ghost_links_are_unit::<Quarter>();
     }
 
     #[test]
@@ -363,11 +298,11 @@ mod tests {
 
     #[test]
     fn compression_halves_link_storage_not_quite() {
-        // 12 vs 18 reals per link.
-        let c = GaugeFieldCb::<Single>::new(dims(), true);
-        let f = GaugeFieldCb::<Single>::new(dims(), false);
-        assert_eq!(c.link_reals(), 12);
-        assert_eq!(f.link_reals(), 18);
-        assert!(c.device_bytes() < f.device_bytes());
+        // 12 stored reals per link against the 18 of a full link (what the
+        // ghost exchange sends on the wire).
+        let g = GaugeFieldCb::<Single>::new(dims(), true);
+        assert!(g.data.iter().flatten().all(|d| d.len() == 12 * g.sites()));
+        assert_eq!(g.device_bytes(), 8 * g.sites() * 12 * 4);
+        assert!(g.device_bytes() < 8 * g.sites() * 18 * 4);
     }
 }

@@ -1,11 +1,12 @@
-//! Single-parity ("checkerboard") spinor fields in the QUDA device layout.
+//! Single-parity ("checkerboard") spinor fields.
 //!
 //! The even-odd preconditioned solver works entirely on one parity, so this
-//! is the workhorse vector type. Site storage is Eq. 5 at `N_vec = N_int`:
-//! one block of `stride = V/2 + pad` sites, each site's 24 reals contiguous,
-//! which is the order a CPU core streams. The paper's 16-byte blocking of
-//! Fig. 2, which coalesces GPU threads, is modeled in `quda-multigpu`'s
-//! `perf.rs` and in `quda-gpusim`, not stored. Every open dimension of a
+//! is the workhorse vector type. The host stores sites only: `V/2 × 24`
+//! reals, site `cb` being the run `data[24·cb .. 24·(cb + 1)]`, which is
+//! the order a CPU core streams. The paper's 16-byte blocking and
+//! partition-camping pad (Eq. 5, Fig. 2), which serve GPU threads, are
+//! modeled in `quda-multigpu`'s `perf.rs` and in `quda-gpusim`, not
+//! allocated. Every open dimension of a
 //! process grid, T included, carries a ghost zone beside the body: `2 ×
 //! face_sites` half spinors, backward face first — Section VI-C's end zone,
 //! one per dimension. Keeping the ghosts outside the body means reductions
@@ -16,7 +17,6 @@
 use crate::host::HostSpinorField;
 use crate::precision::Precision;
 use quda_lattice::geometry::{LatticeDims, Parity};
-use quda_lattice::layout::{species, FieldLayout, NVec};
 use quda_lattice::stencil::Stencil;
 use quda_math::real::Real;
 use quda_math::spinor::{HalfSpinor, Spinor, HALF_SPINOR_REALS, SPINOR_REALS};
@@ -26,9 +26,7 @@ use quda_math::spinor::{HalfSpinor, Spinor, HALF_SPINOR_REALS, SPINOR_REALS};
 pub struct SpinorFieldCb<P: Precision> {
     /// Lattice extents (of the full lattice; the field covers one parity).
     pub dims: LatticeDims,
-    /// Memory layout (Eq. 5 at `N_vec = N_int`).
-    pub layout: FieldLayout,
-    /// Site-major, padded site storage (Eq. 5 at `N_vec = N_int`).
+    /// Site storage: `sites × 24` reals, one site after another.
     pub data: Vec<P::Elem>,
     /// Per-site normalization constants (half and quarter precision only;
     /// otherwise empty).
@@ -51,9 +49,9 @@ impl<P: Precision> SpinorFieldCb<P> {
     /// Allocate a zero field with ghost zones for every open dimension of a
     /// 4-d process-grid decomposition.
     pub fn new_open(dims: LatticeDims, open: [bool; 4]) -> Self {
-        let layout = species::spinor_cb(&dims, NVec::SiteMajor);
-        let data = vec![P::Elem::default(); layout.body_len()];
-        let norm = if P::NEEDS_NORM { vec![1.0; layout.sites] } else { Vec::new() };
+        let sites = dims.half_volume();
+        let data = vec![P::Elem::default(); SPINOR_REALS * sites];
+        let norm = if P::NEEDS_NORM { vec![1.0; sites] } else { Vec::new() };
         let mut ghost: [Vec<P::Elem>; 4] = Default::default();
         let mut ghost_norm: [Vec<f32>; 4] = Default::default();
         for dir in (0..4).filter(|&dir| open[dir]) {
@@ -64,13 +62,13 @@ impl<P: Precision> SpinorFieldCb<P> {
                 ghost_norm[dir] = vec![1.0; slots];
             }
         }
-        SpinorFieldCb { dims, layout, data, norm, ghost, ghost_norm }
+        SpinorFieldCb { dims, data, norm, ghost, ghost_norm }
     }
 
     /// Number of data sites (half volume).
     #[inline(always)]
     pub fn sites(&self) -> usize {
-        self.layout.sites
+        self.dims.half_volume()
     }
 
     /// Whether the field carries a ghost zone for dimension `dir`.
@@ -91,7 +89,10 @@ impl<P: Precision> SpinorFieldCb<P> {
     pub fn get(&self, cb: usize) -> Spinor<P::Arith> {
         debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
         let mut reals = [P::Arith::ZERO; SPINOR_REALS];
-        self.layout.gather(&self.data, cb, &mut reals, P::load);
+        let run = &self.data[SPINOR_REALS * cb..SPINOR_REALS * (cb + 1)];
+        for (r, &e) in reals.iter_mut().zip(run) {
+            *r = P::load(e);
+        }
         let mut sp = Spinor::from_reals(&reals);
         if P::NEEDS_NORM {
             sp = sp.scale_re(P::Arith::from_f64(self.norm[cb] as f64));
@@ -111,7 +112,10 @@ impl<P: Precision> SpinorFieldCb<P> {
             self.norm[cb] = norm as f32;
             stored = sp.scale_re(P::Arith::from_f64(1.0 / norm));
         }
-        self.layout.scatter(&mut self.data, cb, &stored.to_reals(), P::store);
+        let run = &mut self.data[SPINOR_REALS * cb..SPINOR_REALS * (cb + 1)];
+        for (e, &r) in run.iter_mut().zip(&stored.to_reals()) {
+            *e = P::store(r);
+        }
     }
 
     /// Read the ghost half spinor of dimension `dir` at face site `face`
@@ -166,29 +170,21 @@ impl<P: Precision> SpinorFieldCb<P> {
         }
     }
 
-    /// The live site reals as arithmetic values — `Some` only for the float
+    /// The site reals as arithmetic values — `Some` only for the float
     /// precisions, where the stored element *is* the arithmetic type. Site
-    /// `x` owns the `SPINOR_REALS` reals at `SPINOR_REALS·x` (Eq. 5 at
-    /// `N_vec = N_int`); the pad is excluded, so streaming kernels consume
-    /// the slice directly.
+    /// `x` owns the `SPINOR_REALS` reals at `SPINOR_REALS·x`, so streaming
+    /// kernels consume the slice directly.
     pub fn arith_sites(&self) -> Option<&[P::Arith]> {
-        P::arith_view(&self.data[..self.live_reals()])
+        P::arith_view(&self.data)
     }
 
     /// Mutable counterpart of [`SpinorFieldCb::arith_sites`].
     pub fn arith_sites_mut(&mut self) -> Option<&mut [P::Arith]> {
-        let live = self.live_reals();
-        P::arith_view_mut(&mut self.data[..live])
-    }
-
-    /// Length of the site-major run of live reals at the start of `data`.
-    fn live_reals(&self) -> usize {
-        debug_assert_eq!(self.layout.n_vec, self.layout.n_int, "storage is site-major");
-        self.layout.n_int * self.layout.sites
+        P::arith_view_mut(&mut self.data)
     }
 
     /// Sanctioned per-site write combinator: set every site to `f(cb)`.
-    /// The site loop lives here, next to the layout that defines it, so
+    /// The site loop lives here, next to the storage that defines it, so
     /// kernel modules stay free of element-wise indexing.
     pub fn fill_sites(&mut self, mut f: impl FnMut(usize) -> Spinor<P::Arith>) {
         for cb in 0..self.sites() {
@@ -230,7 +226,7 @@ impl<P: Precision> SpinorFieldCb<P> {
     }
 
     /// Squared 2-norm over data sites only — ghosts are excluded, which is
-    /// the whole point of storing them outside the blocks (Section VI-C:
+    /// the whole point of storing them beside the sites (Section VI-C:
     /// "when doing reductions, this end zone can be simply excluded").
     pub fn norm_sqr(&self) -> f64 {
         (0..self.sites()).map(|cb| self.get(cb).norm_sqr()).sum()
@@ -272,7 +268,7 @@ impl<P: Precision> SpinorFieldCb<P> {
             .map(|g| g.len() * P::STORAGE_BYTES)
             .chain(self.ghost_norm.iter().map(|n| n.len() * 4))
             .sum();
-        self.layout.device_bytes(P::STORAGE_BYTES) + self.norm.len() * 4 + ghosts
+        self.data.len() * P::STORAGE_BYTES + self.norm.len() * 4 + ghosts
     }
 }
 
@@ -445,7 +441,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(f.data.len(), f.layout.body_len());
+        assert_eq!(f.data.len(), SPINOR_REALS * f.sites());
         // Sites are untouched by ghost writes.
         for cb in 0..f.sites() {
             assert_eq!(f.get(cb), Spinor::zero());
@@ -474,22 +470,21 @@ mod tests {
         for cb in 0..f.sites() {
             f.set(cb, &sample_spinor(cb));
         }
-        // Rebuild every site from the site view alone (Eq. 5 at
-        // N_vec = N_int: real n of site x sits at offset 24·x + n).
+        // Rebuild every site from the site view alone (real n of site x
+        // sits at offset 24·x + n).
         let live = f.arith_sites().unwrap().to_vec();
         assert_eq!(live.len(), SPINOR_REALS * f.sites());
+        assert_eq!(live.len(), f.data.len());
         for (cb, reals) in live.chunks_exact(SPINOR_REALS).enumerate() {
             assert_eq!(Spinor::from_reals(reals), f.get(cb));
         }
-        // Writes through the mutable view land where `get` reads, and
-        // nowhere in the pad.
+        // Writes through the mutable view land where `get` reads.
         for r in f.arith_sites_mut().unwrap() {
             *r *= 2.0;
         }
         for cb in 0..f.sites() {
             assert_eq!(f.get(cb), sample_spinor(cb).scale_re(2.0));
         }
-        assert!(f.data[live.len()..].iter().all(|&e| e == 0.0));
         // Normalized precisions have no direct view.
         let h = SpinorFieldCb::<Half>::new(dims(), false);
         assert!(h.arith_sites().is_none());

@@ -1,10 +1,10 @@
 //! Storage-order pins: a field written through its accessors holds
-//! `P::store` of internal real `n` of site `cb` at `data[layout.index(cb, n)]`
-//! (Eq. 5), the T ghost links at `layout.pad_index(slot, n)` of the T array,
-//! and nothing anywhere else: the X/Y/Z arrays' pads stay at the default
-//! element, whatever ghost links are written. Every container stores Eq. 5
-//! at `N_vec = N_int`, so site `cb` is the run
-//! `data[n_int·cb .. n_int·(cb + 1)]`.
+//! `P::store` of internal real `n` of site `cb` at `data[N·cb + n]`, where
+//! `N` is the site's real count (24 spinor, 12 link, 72 clover), so site
+//! `cb` is the run `data[N·cb .. N·(cb + 1)]` and `data.len() == N·sites`:
+//! no pad. The gauge field's ghost links of every dimension, T included,
+//! are in `ghost[parity][dir]`, link `face` at `12·face + n`, and nothing
+//! is anywhere else.
 //!
 //! Checkpoints, face codecs and `io.rs` serialise `data` raw, so these
 //! tests are what says the bytes a field stores are fixed, whatever path
@@ -15,7 +15,6 @@ use quda_fields::gauge_gen::{random_spinor_field, weak_field};
 use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
 use quda_fields::{CloverFieldCb, GaugeFieldCb, SpinorFieldCb};
 use quda_lattice::geometry::{LatticeDims, Parity, DIR_T};
-use quda_lattice::layout::FieldLayout;
 use quda_math::clover::CloverSite;
 use quda_math::complex::C64;
 use quda_math::real::Real;
@@ -46,17 +45,11 @@ fn assert_exactly<P: Precision>(data: &[P::Elem], expected: &[(usize, P::Elem)],
     }
 }
 
-/// Site-major storage: `n_vec == n_int`, and site `cb`'s stored elements
-/// are exactly the run `data[n_int·cb .. n_int·(cb + 1)]`.
-fn assert_site_run<P: Precision>(
-    layout: &FieldLayout,
-    data: &[P::Elem],
-    cb: usize,
-    stored: &[P::Elem],
-    what: &str,
-) {
-    assert_eq!(layout.n_vec, layout.n_int, "{what}: not site-major");
-    let run = &data[layout.n_int * cb..layout.n_int * (cb + 1)];
+/// Site `cb`'s stored elements are exactly the run
+/// `data[n·cb .. n·(cb + 1)]`, `n = stored.len()`.
+fn assert_site_run<P: Precision>(data: &[P::Elem], cb: usize, stored: &[P::Elem], what: &str) {
+    let n = stored.len();
+    let run = &data[n * cb..n * (cb + 1)];
     let got: Vec<Vec<u8>> = run.iter().map(|&e| bytes::<P>(e)).collect();
     let want: Vec<Vec<u8>> = stored.iter().map(|&e| bytes::<P>(e)).collect();
     assert_eq!(got, want, "{what} at {} site {cb}", P::NAME);
@@ -80,24 +73,24 @@ fn spinor_order<P: Precision>() {
             stored = stored.scale_re(P::Arith::from_f64(1.0 / norm));
         }
         let elems: Vec<P::Elem> = stored.to_reals().iter().map(|&r| P::store(r)).collect();
-        assert_site_run::<P>(&f.layout, &f.data, cb, &elems, "spinor");
+        assert_site_run::<P>(&f.data, cb, &elems, "spinor");
         for (n, &e) in elems.iter().enumerate() {
-            expected.push((f.layout.index(cb, n), e));
+            expected.push((24 * cb + n, e));
         }
     }
+    assert_eq!(f.data.len(), 24 * f.sites());
     assert_exactly::<P>(&f.data, &expected, "spinor");
 }
 
-fn link_reals(u: &Su3<f64>, rows: usize) -> Vec<f64> {
-    (0..rows).flat_map(|i| (0..3).flat_map(move |j| [u.m[i][j].re, u.m[i][j].im])).collect()
+fn link_reals(u: &Su3<f64>) -> Vec<f64> {
+    (0..2).flat_map(|i| (0..3).flat_map(move |j| [u.m[i][j].re, u.m[i][j].im])).collect()
 }
 
-fn gauge_order<P: Precision>(compressed: bool) {
+fn gauge_order<P: Precision>() {
     let d = dims();
     let config = weak_field(d, 0.2, 5);
-    let mut g = GaugeFieldCb::<P>::new(d, compressed);
-    let rows = if compressed { 2 } else { 3 };
-    let (sites, pad) = (g.layout.sites, g.layout.pad);
+    let mut g = GaugeFieldCb::<P>::new(d, true);
+    let sites = g.sites();
     let link = |p: Parity, mu, k| *config.link(d.cb_coord(p, k % sites), mu);
     for p in [Parity::Even, Parity::Odd] {
         for mu in 0..4 {
@@ -109,29 +102,33 @@ fn gauge_order<P: Precision>(compressed: bool) {
             }
         }
     }
-    assert_eq!(g.face_sites_dim(DIR_T), pad);
+    assert_eq!(g.face_sites_dim(DIR_T), d.half_spatial_volume());
     let store = |r: f64| P::store(P::Arith::from_f64(r));
+    let stored =
+        |u: &Su3<f64>| -> Vec<P::Elem> { link_reals(u).iter().map(|&r| store(r)).collect() };
     for p in [Parity::Even, Parity::Odd] {
         for mu in 0..4 {
-            let what = format!("gauge compressed={compressed} {p:?} mu={mu}");
+            let what = format!("gauge {p:?} mu={mu}");
             let data = &g.data[p.as_usize()][mu];
+            assert_eq!(data.len(), 12 * sites, "{what}");
             let mut expected = Vec::new();
             for cb in 0..sites {
-                let elems: Vec<P::Elem> =
-                    link_reals(&link(p, mu, cb), rows).iter().map(|&r| store(r)).collect();
-                assert_site_run::<P>(&g.layout, data, cb, &elems, &what);
-                for (n, &e) in elems.iter().enumerate() {
-                    expected.push((g.layout.index(cb, n), e));
-                }
-            }
-            // Only the T block's pad holds ghosts; X/Y/Z ghosts live off-block.
-            let pad_ghosts = if mu == DIR_T { pad } else { 0 };
-            for face in 0..pad_ghosts {
-                for (n, &r) in link_reals(&link(p.other(), mu, face + 3), rows).iter().enumerate() {
-                    expected.push((g.layout.pad_index(face, n), store(r)));
-                }
+                let elems = stored(&link(p, mu, cb));
+                assert_site_run::<P>(data, cb, &elems, &what);
+                expected.extend(elems.into_iter().enumerate().map(|(n, e)| (12 * cb + n, e)));
             }
             assert_exactly::<P>(data, &expected, &what);
+            // Every dimension's ghost links, T's included, in its own store.
+            let what = format!("gauge ghost {p:?} dir={mu}");
+            let ghost = &g.ghost[p.as_usize()][mu];
+            assert_eq!(ghost.len(), 12 * g.face_sites_dim(mu), "{what}");
+            let mut expected = Vec::new();
+            for face in 0..g.face_sites_dim(mu) {
+                let elems = stored(&link(p.other(), mu, face + 3));
+                assert_site_run::<P>(ghost, face, &elems, &what);
+                expected.extend(elems.into_iter().enumerate().map(|(n, e)| (12 * face + n, e)));
+            }
+            assert_exactly::<P>(ghost, &expected, &what);
         }
     }
 }
@@ -172,11 +169,12 @@ fn clover_order<P: Precision>() {
         }
         let elems: Vec<P::Elem> =
             stored.to_reals().iter().map(|&r| P::store(P::Arith::from_f64(r))).collect();
-        assert_site_run::<P>(&f.layout, &f.data, cb, &elems, "clover");
+        assert_site_run::<P>(&f.data, cb, &elems, "clover");
         for (n, &e) in elems.iter().enumerate() {
-            expected.push((f.layout.index(cb, n), e));
+            expected.push((72 * cb + n, e));
         }
     }
+    assert_eq!(f.data.len(), 72 * f.sites());
     assert_exactly::<P>(&f.data, &expected, "clover");
 }
 
@@ -189,13 +187,11 @@ fn spinor_storage_order_is_eq5_at_every_precision() {
 }
 
 #[test]
-fn gauge_storage_order_is_eq5_with_ghosts_in_the_pad_at_every_precision() {
-    for compressed in [true, false] {
-        gauge_order::<Double>(compressed);
-        gauge_order::<Single>(compressed);
-        gauge_order::<Half>(compressed);
-        gauge_order::<Quarter>(compressed);
-    }
+fn gauge_storage_order_is_site_runs_with_ghosts_per_dimension_at_every_precision() {
+    gauge_order::<Double>();
+    gauge_order::<Single>();
+    gauge_order::<Half>();
+    gauge_order::<Quarter>();
 }
 
 #[test]

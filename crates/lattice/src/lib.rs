@@ -4,10 +4,10 @@
 //!
 //! * [`geometry`] — 4-d extents, lexicographic and even-odd (checkerboard)
 //!   site indexing, periodic neighbors (paper Fig. 1);
-//! * [`layout`] — the QUDA device field layout of Eqs. 3–5 and Fig. 2:
-//!   `Nvec` short-vector blocking (the paper's 16-byte vectors, or the
-//!   site-major `N_vec = N_int` the fields store), partition-camping pad,
-//!   gauge ghost slice in the pad;
+//! * [`layout`] — the QUDA device field layout of Eqs. 3–5 and Fig. 2 that
+//!   the device cost model charges: `Nvec` short-vector blocking, the
+//!   partition-camping pad, the gauge ghost slice in the pad (the host
+//!   fields store sites only);
 //! * [`stencil`] — precomputed neighbor tables that classify each hop
 //!   across an open dimension's boundary as a ghost reference;
 //! * [`partition`] — the process-grid decomposition; the 1-d temporal

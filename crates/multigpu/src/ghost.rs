@@ -310,8 +310,8 @@ pub fn exchange_spinor_ghosts<P: Precision>(
 /// in the program initialization"), for every partitioned dimension of
 /// `plan`: per open dimension and parity, each rank sends the `U_dim` links
 /// of its *last* dim-slice forward on that dimension's ring; the receiver
-/// stores them in the per-dimension ghost-link store (for T, the pad region
-/// of its own gauge arrays) consumed by the backward hop of the dslash.
+/// stores them in the per-dimension ghost-link store consumed by the
+/// backward hop of the dslash.
 pub fn exchange_gauge_ghosts<P: Precision>(
     comm: &mut Communicator,
     gauge: &mut GaugeFieldCb<P>,

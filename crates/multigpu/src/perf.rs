@@ -122,7 +122,7 @@ pub fn face_bytes(tag: PrecisionTag, face_sites: usize) -> usize {
 /// `cudaMemcpy` calls needed to gather one face to the host: one per face
 /// block (12 / N_vec) plus one for the norms in half precision.
 pub fn d2h_copies(tag: PrecisionTag) -> usize {
-    let nvec = NVec::optimal_for_bytes(tag.storage_bytes()).width(12);
+    let nvec = NVec::optimal_for_bytes(tag.storage_bytes()).width();
     12 / nvec + usize::from(tag.needs_norm())
 }
 
@@ -330,7 +330,7 @@ pub fn evaluate(inp: &PerfInput) -> PerfReport {
 /// Device bytes of one spinor field on a rank of `plan`: the padded body
 /// and its site norms, plus both faces' ghosts of every open dimension with
 /// their norms, laid out as on the wire — what `SpinorFieldCb::new_open`
-/// allocates.
+/// allocates on the host, plus the Eq. 5 pad the host does not store.
 fn spinor_bytes(plan: &DecompPlan, tag: PrecisionTag) -> usize {
     let b = tag.storage_bytes();
     let layout = species::spinor_cb(&plan.local_dims(), NVec::optimal_for_bytes(b));
@@ -344,11 +344,12 @@ fn spinor_bytes(plan: &DecompPlan, tag: PrecisionTag) -> usize {
 
 /// Device bytes of the compressed gauge field on a rank of `plan`: eight
 /// padded blocks, whose T pads hold the T ghost links, plus both parities'
-/// X/Y/Z ghost links of every open dimension — what `GaugeFieldCb` holds
-/// once the exchange has filled its ghosts.
+/// X/Y/Z ghost links of every open dimension. The host's `GaugeFieldCb`
+/// holds the same links with no pad, its T ghost links in a store of their
+/// own.
 fn gauge_bytes(plan: &DecompPlan, tag: PrecisionTag) -> usize {
     let b = tag.storage_bytes();
-    let layout = species::gauge_cb(&plan.local_dims(), NVec::optimal_for_bytes(b), true);
+    let layout = species::gauge_cb(&plan.local_dims(), NVec::optimal_for_bytes(b));
     let mut side_links = 0;
     for dim in plan.active_dims().filter(|&d| d != DIR_T) {
         side_links += 2 * plan.face_sites_cb(dim);
@@ -698,6 +699,12 @@ mod tests {
         elems * std::mem::size_of::<P::Elem>() + norms * std::mem::size_of::<f32>()
     }
 
+    /// Bytes of the Eq. 5 pad of one field species on a rank of `plan` at
+    /// `tag`: the device model stores it, the host does not.
+    fn pad_bytes(plan: &DecompPlan, tag: PrecisionTag, n_int: usize) -> usize {
+        plan.local_dims().half_spatial_volume() * n_int * tag.storage_bytes()
+    }
+
     #[test]
     fn spinor_bytes_match_allocated_fields() {
         let plans = candidate_plans(LatticeDims::new(8, 8, 8, 16), 4);
@@ -710,7 +717,8 @@ mod tests {
                 allocated_spinor_bytes::<Quarter>(plan),
             ];
             for (tag, bytes) in TAGS.into_iter().zip(allocated) {
-                assert_eq!(spinor_bytes(plan, tag), bytes, "grid {plan} tag {tag:?}");
+                let pad = pad_bytes(plan, tag, 24);
+                assert_eq!(spinor_bytes(plan, tag), bytes + pad, "grid {plan} tag {tag:?}");
             }
         }
     }
@@ -736,8 +744,7 @@ mod tests {
                 g.set_ghost_link(parity, dim, 0, &Su3::identity());
             }
         }
-        let elems = g.data.iter().flatten().map(Vec::len).sum::<usize>()
-            + g.side_ghost.iter().flatten().map(Vec::len).sum::<usize>();
+        let elems = g.data.iter().chain(&g.ghost).flatten().map(Vec::len).sum::<usize>();
         elems * std::mem::size_of::<P::Elem>()
     }
 
@@ -745,6 +752,8 @@ mod tests {
     fn gauge_bytes_match_allocated_fields() {
         let plans = candidate_plans(LatticeDims::new(8, 8, 8, 16), 4);
         assert!(plans.iter().any(|p| p.active_dims().any(|d| d != DIR_T)));
+        assert!(plans.iter().any(|p| p.active_dims().any(|d| d == DIR_T)));
+        assert!(plans.iter().any(|p| p.active_dims().all(|d| d != DIR_T)));
         for plan in &plans {
             let allocated = [
                 allocated_gauge_bytes::<Double>(plan),
@@ -753,7 +762,13 @@ mod tests {
                 allocated_gauge_bytes::<Quarter>(plan),
             ];
             for (tag, bytes) in TAGS.into_iter().zip(allocated) {
-                assert_eq!(gauge_bytes(plan, tag), bytes, "grid {plan} tag {tag:?}");
+                // The model's eight pads, less the two the T ghost links
+                // occupy when T is open: the host stores those links in
+                // its ghost store, counted in `bytes`.
+                let t_open = plan.active_dims().any(|d| d == DIR_T);
+                let pads = 8 - 2 * usize::from(t_open);
+                let pad = pads * pad_bytes(plan, tag, 12);
+                assert_eq!(gauge_bytes(plan, tag), bytes + pad, "grid {plan} tag {tag:?}");
             }
         }
     }

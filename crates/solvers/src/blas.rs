@@ -12,9 +12,9 @@
 //!
 //! Each kernel has two implementations with bit-identical results:
 //!
-//! * a `fast` path for the float precisions, which streams the site-major
-//!   storage (Eq. 5 at `N_vec = N_int`) directly through `arith_sites` —
-//!   one contiguous slice, no per-real index computation;
+//! * a `fast` path for the float precisions, which streams the site
+//!   storage (24 reals per site, one site after another) directly through
+//!   `arith_sites` — one contiguous slice, no per-real index computation;
 //! * a per-site fallback for the normalized fixed-point precisions, built
 //!   on the sanctioned `SpinorFieldCb` combinators (`fill_sites`,
 //!   `fold_sites`, `update_fold_sites`), which own the quantization.

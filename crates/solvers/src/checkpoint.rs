@@ -11,8 +11,8 @@
 //! one world incarnation can be validated before a replacement world trusts
 //! it: `"QCKP"` magic, format version, precision tag, local lattice
 //! geometry, the counter block, the raw *storage bytes* of each field's
-//! sites — the site-major Eq. 5 body and, in half and quarter precision,
-//! the site norms (bit-exact — no quantization round trip, so
+//! sites — `sites × 24` reals with no pad and, in half and quarter
+//! precision, the site norms (bit-exact — no quantization round trip, so
 //! serialize/deserialize is the identity for all four precisions) — and a
 //! trailing FNV-1a-64 checksum over everything that precedes it.
 //! Corruption anywhere in the buffer surfaces as a typed
@@ -40,11 +40,10 @@ use std::fmt;
 /// Leading magic of every serialized checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"QCKP";
 
-/// Current checkpoint format version. Version 3 carries the site-major
-/// body (Eq. 5 at `N_vec = N_int`); a version-2 body is the same length in
-/// the blocked order, so it is refused rather than decoded into scrambled
-/// sites.
-pub const CHECKPOINT_VERSION: u16 = 3;
+/// Current checkpoint format version. Version 4 carries the sites alone,
+/// one 24-real run per site. Versions 2 and 3 carried the Eq. 5 pad (2 in
+/// the blocked order), so they are refused rather than decoded.
+pub const CHECKPOINT_VERSION: u16 = 4;
 
 /// Why a checkpoint buffer was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -147,7 +146,7 @@ pub struct CheckpointCounters {
     pub last_update_r2: f64,
 }
 
-/// Raw little-endian storage bytes of one field's sites: the Eq. 5 body
+/// Raw little-endian storage bytes of one field's sites: the site reals
 /// and the site norms (empty above half precision).
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct FieldPayload {

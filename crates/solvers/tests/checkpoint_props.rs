@@ -140,7 +140,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn version_1_buffer_with_a_valid_checksum_is_refused() {
-    assert_eq!(CHECKPOINT_VERSION, 3);
+    assert_eq!(CHECKPOINT_VERSION, 4);
     // A version-1 header: magic, version, double tag, no residual, 2⁴
     // dims, the open-faces mask, then the counters; the checksum is valid,
     // so only the version can reject it.
@@ -159,21 +159,27 @@ fn version_1_buffer_with_a_valid_checksum_is_refused() {
     assert_eq!(SolverCheckpoint::from_bytes(&body), Err(CheckpointError::UnsupportedVersion(1)));
 }
 
-#[test]
-fn version_2_buffer_with_a_valid_checksum_is_refused() {
-    // A v2 payload is the blocked Eq. 5 body, byte for byte as long as the
-    // site-major one, so a v2 buffer would parse into scrambled sites. Take
-    // a valid buffer, stamp version 2 and re-seal the checksum: only the
-    // version can reject it.
+/// Take a valid buffer, stamp version `old` and re-seal the checksum: only
+/// the version can reject it.
+fn refuses_old_version(old: u16) {
     let x = filled::<Double>(LatticeDims::new(2, 2, 2, 4), [false; 4], 7);
     let ck = SolverCheckpoint::capture(CheckpointCounters::default(), &x, Some(&x));
     let bytes = ck.to_bytes();
     let mut body = bytes[..bytes.len() - 8].to_vec();
-    body[4..6].copy_from_slice(&2u16.to_le_bytes());
+    body[4..6].copy_from_slice(&old.to_le_bytes());
     let sum = fnv1a(&body);
     body.extend_from_slice(&sum.to_le_bytes());
-    assert_eq!(SolverCheckpoint::from_bytes(&body), Err(CheckpointError::UnsupportedVersion(2)));
+    assert_eq!(SolverCheckpoint::from_bytes(&body), Err(CheckpointError::UnsupportedVersion(old)));
     assert_eq!(SolverCheckpoint::from_bytes(&bytes), Ok(ck));
+}
+
+#[test]
+fn version_2_buffer_with_a_valid_checksum_is_refused() {
+    // A v2 body is the blocked Eq. 5 order and a v3 body the site-major one
+    // with the pad appended; either would parse into the wrong sites.
+    for old in [2, 3] {
+        refuses_old_version(old);
+    }
 }
 
 /// Capture from a T-open field; restore into a closed and an all-open
@@ -224,10 +230,16 @@ fn ckpt_bytes_of_the_ledger_probe_drop_by_the_end_zones_and_the_mask() {
     let end_zone = 2 * 256 * 12 * 8;
     let dropped = 2 * (end_zone + 6 * 8) + 1;
     assert_eq!(dropped, 98_401);
-    assert_eq!(ck.to_bytes().len(), V1_BYTES - dropped);
+    // Version 4 drops each field's Eq. 5 pad, 256 sites × 24 reals × 8 B:
+    // version 3 wrote 884,876 bytes.
+    const V3_BYTES: usize = 884_876;
+    assert_eq!(V1_BYTES - dropped, V3_BYTES);
+    let pad = 256 * 24 * 8;
+    assert_eq!(ck.to_bytes().len(), V3_BYTES - 2 * pad);
+    assert_eq!(ck.to_bytes().len(), 786_572);
     // What is left: the 101-byte v1 header less the mask, two sections per
-    // field (the padded body and the empty site norms), and the trailer.
-    let body = 24 * (dims.half_volume() + dims.half_spatial_volume()) * 8;
+    // field (the sites and the empty site norms), and the trailer.
+    let body = 24 * dims.half_volume() * 8;
     assert_eq!(ck.to_bytes().len(), 100 + 2 * (8 + body + 8) + 8);
     assert_eq!(ck.payload_bytes(), 2 * body);
 }

@@ -146,15 +146,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a of every site's stored elements in `(cb, n)` order (read through
-/// the Eq. 5 oracle `layout.index`, so the hash does not depend on where
-/// the layout puts a site's reals), then of the site norms.
+/// FNV-1a of every site's stored elements in `(cb, n)` order (site `cb`
+/// is the run `data[24·cb .. 24·(cb + 1)]`), then of the site norms.
 fn solution_fnv<P: Precision>(x: &SpinorFieldCb<P>) -> u64 {
     let mut bytes = Vec::new();
-    for cb in 0..x.sites() {
-        for n in 0..x.layout.n_int {
-            P::elem_to_le_bytes(x.data[x.layout.index(cb, n)], &mut bytes);
-        }
+    for &e in &x.data {
+        P::elem_to_le_bytes(e, &mut bytes);
     }
     for &n in &x.norm {
         bytes.extend_from_slice(&n.to_le_bytes());

@@ -25,8 +25,8 @@
 //!   (`crates/fields/src/*_cb.rs`, `lattice/src/layout.rs`) must not
 //!   divide or take a modulo by a runtime value inside a loop, nor call a
 //!   layout's per-real `.index(site, n)`/`.pad_index(slot, n)` there; a
-//!   site's reals move through `FieldLayout::gather`/`scatter`,
-//!   monomorphised on the vector width.
+//!   site is read as the container's slice `data[N·cb..N·(cb+1)]`
+//!   (`chunks_exact(N)`), `N` a compile-time constant.
 //!
 //! Findings use the same diagnostic format, `// quda-lint: allow(<rule>)`
 //! suppressions and test-code exemptions as the other passes.

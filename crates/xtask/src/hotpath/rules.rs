@@ -50,8 +50,8 @@ pub fn rule_list() -> [(&'static str, &'static str); 5] {
             HOT_DIV,
             "site-kernel and field-accessor loops must not divide or take a modulo by a runtime \
              value, nor address a layout per real through `.index(site, n)`/`.pad_index(..)`; \
-             walk a site's blocks with `FieldLayout::gather`/`scatter`, whose vector width is \
-             a compile-time constant",
+             read a site as the container's slice `data[N·cb..N·(cb+1)]` \
+             (`chunks_exact(N)`), whose width is a compile-time constant",
         ),
     ]
 }
@@ -81,8 +81,8 @@ fn is_site_kernel_file(rel_path: &str) -> bool {
 
 /// The field accessors `hot-div` polices beside the site kernels: the
 /// device field containers of `quda-fields` (`spinor_cb.rs`, `gauge_cb.rs`,
-/// `clover_cb.rs`) and the Eq. 5 layout itself — the code every kernel
-/// calls once per site. Gauge generation and host-side fields in the same
+/// `clover_cb.rs`), whose site accessors every kernel calls once per
+/// site, and the Eq. 5 layout of the device model. Gauge generation and host-side fields in the same
 /// crate run at setup only and stay out of scope.
 fn is_accessor_file(rel_path: &str) -> bool {
     (rel_path.starts_with("crates/fields/src/") && rel_path.ends_with("_cb.rs"))
@@ -384,8 +384,8 @@ pub fn hot_div(model: &Model, out: &mut Vec<Diagnostic>) {
                     c.offset,
                     format!(
                         "`.{}(..)` computes an Eq. 5 address per real inside a loop (a divide \
-                         and a modulo by the runtime n_vec each); move the site's reals with \
-                         FieldLayout::gather/scatter",
+                         and a modulo by the runtime n_vec each); read the site as the \
+                         container's slice data[N·cb..N·(cb+1)]",
                         c.callee
                     ),
                     out,

@@ -26,10 +26,10 @@ pub fn good_const_divisors<const NV: usize>(data: &mut [usize]) {
     }
 }
 
-pub fn good_hoisted_and_cursor(layout: &FieldLayout, data: &[f64], out: &mut [f64], n: usize) {
+pub fn good_hoisted_and_site_runs(layout: &FieldLayout, data: &[f64], out: &mut [f64], n: usize) {
     let block = n / layout.n_vec;
     let first = layout.index(block, 0);
-    for site in 0..layout.sites {
-        layout.gather(data, site, out, |e| e + first as f64);
+    for (o, run) in out.iter_mut().zip(data.chunks_exact(SPINOR_REALS)) {
+        *o = run[0] + first as f64;
     }
 }

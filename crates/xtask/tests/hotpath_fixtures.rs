@@ -124,8 +124,8 @@ fn hot_div_fixture_exact_diagnostics() {
     // `.pad_index` with a `/=` by a runtime value (18) and a divide by a
     // float literal (19). Integer-literal and ALL_CAPS divisors (literal,
     // hex, suffixed, const generic, path constant), and a divide or an
-    // `.index` hoisted above the loop that then walks sites through
-    // `gather`, are clean.
+    // `.index` hoisted above a loop that then walks the site runs with
+    // `chunks_exact`, are clean.
     let expected = [
         (3, 26, "hot-div"),
         (10, 23, "hot-div"),
