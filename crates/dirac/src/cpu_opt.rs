@@ -11,6 +11,11 @@
 //! used to (a) cross-check the device fields against a third independent
 //! implementation and (b) measure real sustained per-core Gflops to compare
 //! with the 2 Gflops/core the paper reports for Nehalem + SSE.
+//!
+//! Its spin projection stays the basis-generic
+//! [`HalfProj`](quda_math::gamma::HalfProj) tables, not the
+//! device kernels' fixed [`quda_math::nr`] code, so the two paths share no
+//! spin arithmetic.
 
 use quda_fields::host::{GaugeConfig, HostSpinorField};
 use quda_lattice::geometry::{LatticeDims, Parity};

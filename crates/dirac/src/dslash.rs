@@ -3,9 +3,16 @@
 //! This is the Rust analog of QUDA's Wilson dslash CUDA kernel: it walks
 //! sites of one parity, gathers the eight projected neighbor half-spinors,
 //! multiplies by the 2-row compressed links, and reconstructs — using
-//! the compiled rank-2 projectors of [`quda_math::gamma::HalfProj`], the
-//! field containers' site runs, and the ghost zones of Section VI for
+//! the field containers' site runs and the ghost zones of Section VI for
 //! every dimension the stencil marks open.
+//!
+//! The spin projection is fixed per `(μ, sign)`, as in the paper's kernels
+//! (Section V): each of the four directions is one hop function,
+//! monomorphised on `μ` and on the projector signs of its forward and
+//! backward hop, that projects and reconstructs with the adds and ±i
+//! rotations of [`quda_math::nr`] and reads no projector table. That is the
+//! non-relativistic basis, the only one an operator builds; a launch with
+//! any other [`SpinBasis`] panics rather than apply it as that basis.
 //!
 //! Every face, T included, is shipped as the sender's projection
 //! `P±μ ψ` and read back as stored. In the non-relativistic basis
@@ -20,9 +27,9 @@
 use quda_fields::precision::Precision;
 use quda_fields::{GaugeFieldCb, SpinorFieldCb};
 use quda_lattice::geometry::Parity;
-use quda_lattice::stencil::{BoundaryKind, Stencil};
-use quda_math::colorvec::ColorVec;
-use quda_math::gamma::SpinBasis;
+use quda_lattice::stencil::{BoundaryKind, ParityStencil, Stencil};
+use quda_math::gamma::{GammaBasis, SpinBasis};
+use quda_math::nr;
 use quda_math::spinor::{HalfSpinor, Spinor};
 use rayon::prelude::*;
 
@@ -112,8 +119,12 @@ pub fn dslash_cb<P: Precision>(
 /// lanes ride along, so a lane of a batch is bit-identical to that lane
 /// launched alone; the only difference is that the compressed
 /// link is decoded once per `(site, μ)` instead of once per RHS. The sweep
-/// is monomorphised on the active-lane count, so its per-site scratch is
-/// sized by the lanes that run, not by [`MAX_RHS_BATCH`].
+/// is monomorphised on the active-lane count and on `dagger`, so its
+/// per-site scratch is sized by the lanes that run, not by
+/// [`MAX_RHS_BATCH`], and its projector signs are constants.
+///
+/// Panics unless `basis` is the non-relativistic basis, the one the site
+/// kernel has compiled in.
 #[allow(clippy::too_many_arguments)]
 pub fn dslash_cb_multi<P: Precision>(
     outs: &mut [SpinorFieldCb<P>],
@@ -129,16 +140,25 @@ pub fn dslash_cb_multi<P: Precision>(
     assert_eq!(outs.len(), inputs.len(), "outs/inputs must pair up per RHS");
     assert_eq!(active.len(), inputs.len(), "active mask must cover every RHS");
     assert!(inputs.len() <= MAX_RHS_BATCH, "batch exceeds MAX_RHS_BATCH");
+    assert_nr(basis);
     // One arm per lane count below; widening the batch means adding arms.
     const _: () = assert!(MAX_RHS_BATCH == 8);
     let mut idx_buf = [0usize; MAX_RHS_BATCH];
     let idxs = active_lanes(active, &mut idx_buf);
+    // The forward hop projects with P+μ exactly under dagger, the backward
+    // hop with the other sign; both signs are passed, as stable Rust cannot
+    // negate a const parameter.
     macro_rules! sweep_by_count {
         ($($n:literal)+) => {
-            match idxs.len() {
-                $($n => sweep::<P, $n>(
-                    outs, gauge, inputs, idxs, out_parity, stencil, basis, dagger, region,
-                ),)+
+            match (idxs.len(), dagger) {
+                $(
+                    ($n, false) => sweep::<P, $n, false, true>(
+                        outs, gauge, inputs, idxs, out_parity, stencil, region,
+                    ),
+                    ($n, true) => sweep::<P, $n, true, false>(
+                        outs, gauge, inputs, idxs, out_parity, stencil, region,
+                    ),
+                )+
                 _ => {} // no active lane
             }
         };
@@ -146,18 +166,26 @@ pub fn dslash_cb_multi<P: Precision>(
     sweep_by_count!(1 2 3 4 5 6 7 8);
 }
 
+/// The site kernels compile in the non-relativistic spin projection
+/// ([`quda_math::nr`]); any other basis would be applied as if it were that
+/// one, so it is refused.
+fn assert_nr(basis: &SpinBasis) {
+    assert_eq!(
+        basis.basis,
+        GammaBasis::NonRelativistic,
+        "the Dslash kernels apply the non-relativistic spin basis only"
+    );
+}
+
 /// One launch over the `N` compacted lanes `idxs`: the region filter, the
 /// parallel/sequential split and the store loop of every Dslash.
-#[allow(clippy::too_many_arguments)]
-fn sweep<P: Precision, const N: usize>(
+fn sweep<P: Precision, const N: usize, const FWD_PLUS: bool, const BWD_PLUS: bool>(
     outs: &mut [SpinorFieldCb<P>],
     gauge: &GaugeFieldCb<P>,
     inputs: &[SpinorFieldCb<P>],
     idxs: &[usize],
     out_parity: Parity,
     stencil: &Stencil,
-    basis: &SpinBasis,
-    dagger: bool,
     region: DslashRegion,
 ) {
     let idxs: [usize; N] = std::array::from_fn(|k| idxs[k]);
@@ -171,7 +199,12 @@ fn sweep<P: Precision, const N: usize>(
     };
     let site_kernel = |cb: usize| -> Option<(usize, [Spinor<P::Arith>; N])> {
         in_region(cb).then(|| {
-            (cb, dslash_site(gauge, inputs, &idxs, out_parity, stencil, basis, dagger, cb))
+            (
+                cb,
+                dslash_site::<P, N, FWD_PLUS, BWD_PLUS>(
+                    gauge, inputs, &idxs, out_parity, table, cb,
+                ),
+            )
         })
     };
     let store = |(cb, accs): (usize, [Spinor<P::Arith>; N])| {
@@ -190,78 +223,90 @@ fn sweep<P: Precision, const N: usize>(
     }
 }
 
-/// The per-site gather-multiply-reconstruct for the `N` lanes `idxs`: the
-/// link (and neighbor/ghost bookkeeping) is resolved once per `(site, μ)`
-/// and reused across the block.
+/// The per-site gather-multiply-reconstruct for the `N` lanes `idxs`: one
+/// [`hop`] per direction, its projector signs fixed at compile time.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn dslash_site<P: Precision, const N: usize>(
+fn dslash_site<P: Precision, const N: usize, const FWD_PLUS: bool, const BWD_PLUS: bool>(
     gauge: &GaugeFieldCb<P>,
     inputs: &[SpinorFieldCb<P>],
     idxs: &[usize; N],
     out_parity: Parity,
-    stencil: &Stencil,
-    basis: &SpinBasis,
-    dagger: bool,
+    table: &ParityStencil,
     cb: usize,
 ) -> [Spinor<P::Arith>; N] {
-    let table = stencil.for_parity(out_parity);
-    let in_parity = out_parity.other();
     let mut accs = [Spinor::zero(); N];
-    // The projected half-spinor (two color vectors) of every lane, staged
-    // into one block per hop: the gather loop (neighbor resolution, ghost
-    // branches, projection) and the link-apply loop each stay tight, and
-    // the link is decoded once for the whole block.
-    let mut block = [[ColorVec::zero(); 2]; N];
-    for mu in 0..4 {
-        // Forward hop uses P−μ (P+μ under dagger); the link lives on the
-        // output site.
-        let proj_f = &basis.proj[mu][if dagger { 1 } else { 0 }];
-        let nref = table.fwd[mu][cb];
-        let u = gauge.link(out_parity, mu, cb);
-        for (h, &r) in block.iter_mut().zip(idxs) {
-            let input = &inputs[r];
-            *h = match nref.kind {
-                BoundaryKind::Interior => proj_f.project(&input.get(nref.idx as usize)),
-                // The sender already applied the projection.
-                BoundaryKind::GhostForward => input.get_ghost(mu, false, nref.idx as usize),
-                BoundaryKind::GhostBackward => {
-                    unreachable!("forward hop cannot use backward ghost")
-                }
-            }
-            .h;
-        }
-        for (acc, h) in accs.iter_mut().zip(&block) {
-            let t = HalfSpinor { h: [u.mul_vec(&h[0]), u.mul_vec(&h[1])] };
-            *acc += proj_f.reconstruct(&t);
-        }
-
-        // Backward hop uses P+μ (P−μ under dagger); the link lives on the
-        // neighbor site (or in the ghost store when off-domain).
-        let proj_b = &basis.proj[mu][if dagger { 0 } else { 1 }];
-        let nref = table.bwd[mu][cb];
-        let (u, from_ghost) = match nref.kind {
-            BoundaryKind::Interior => (gauge.link(in_parity, mu, nref.idx as usize), false),
-            BoundaryKind::GhostBackward => {
-                (gauge.ghost_link(in_parity, mu, nref.idx as usize), true)
-            }
-            BoundaryKind::GhostForward => unreachable!("backward hop cannot use forward ghost"),
-        };
-        for (h, &r) in block.iter_mut().zip(idxs) {
-            let input = &inputs[r];
-            *h = if from_ghost {
-                input.get_ghost(mu, true, nref.idx as usize)
-            } else {
-                proj_b.project(&input.get(nref.idx as usize))
-            }
-            .h;
-        }
-        for (acc, h) in accs.iter_mut().zip(&block) {
-            let t = HalfSpinor { h: [u.adj_mul_vec(&h[0]), u.adj_mul_vec(&h[1])] };
-            *acc += proj_b.reconstruct(&t);
-        }
-    }
+    let acc = &mut accs;
+    hop::<P, N, 0, FWD_PLUS, BWD_PLUS>(acc, gauge, inputs, idxs, out_parity, table, cb);
+    hop::<P, N, 1, FWD_PLUS, BWD_PLUS>(acc, gauge, inputs, idxs, out_parity, table, cb);
+    hop::<P, N, 2, FWD_PLUS, BWD_PLUS>(acc, gauge, inputs, idxs, out_parity, table, cb);
+    hop::<P, N, 3, FWD_PLUS, BWD_PLUS>(acc, gauge, inputs, idxs, out_parity, table, cb);
     accs
+}
+
+/// The forward and backward hop of direction `MU` for every lane: the link
+/// (and neighbor/ghost bookkeeping) is resolved once per hop and reused
+/// across the block. The forward hop projects with `P+μ` when `FWD_PLUS`
+/// (under dagger, `P−μ` otherwise), the backward hop when `BWD_PLUS`.
+#[inline(always)]
+fn hop<
+    P: Precision,
+    const N: usize,
+    const MU: usize,
+    const FWD_PLUS: bool,
+    const BWD_PLUS: bool,
+>(
+    accs: &mut [Spinor<P::Arith>; N],
+    gauge: &GaugeFieldCb<P>,
+    inputs: &[SpinorFieldCb<P>],
+    idxs: &[usize; N],
+    out_parity: Parity,
+    table: &ParityStencil,
+    cb: usize,
+) {
+    // The projected half-spinor of every lane, staged into one block per
+    // hop: the gather loop (neighbor resolution, ghost branches,
+    // projection) and the link-apply loop each stay tight, and the link is
+    // decoded once for the whole block.
+    let mut block = [HalfSpinor::zero(); N];
+    // Forward hop: the link lives on the output site.
+    let nref = table.fwd[MU][cb];
+    let u = gauge.link(out_parity, MU, cb);
+    for (h, &r) in block.iter_mut().zip(idxs) {
+        let input = &inputs[r];
+        *h = match nref.kind {
+            BoundaryKind::Interior => nr::project::<MU, FWD_PLUS, _>(&input.get(nref.idx as usize)),
+            // The sender already applied the projection.
+            BoundaryKind::GhostForward => input.get_ghost(MU, false, nref.idx as usize),
+            BoundaryKind::GhostBackward => unreachable!("forward hop cannot use backward ghost"),
+        };
+    }
+    for (acc, h) in accs.iter_mut().zip(&block) {
+        let t = HalfSpinor { h: [u.mul_vec(&h.h[0]), u.mul_vec(&h.h[1])] };
+        nr::accumulate::<MU, FWD_PLUS, _>(acc, &t);
+    }
+
+    // Backward hop: the link lives on the neighbor site (or in the ghost
+    // store when off-domain).
+    let nref = table.bwd[MU][cb];
+    let (u, from_ghost) = match nref.kind {
+        BoundaryKind::Interior => (gauge.link(out_parity.other(), MU, nref.idx as usize), false),
+        BoundaryKind::GhostBackward => {
+            (gauge.ghost_link(out_parity.other(), MU, nref.idx as usize), true)
+        }
+        BoundaryKind::GhostForward => unreachable!("backward hop cannot use forward ghost"),
+    };
+    for (h, &r) in block.iter_mut().zip(idxs) {
+        let input = &inputs[r];
+        *h = if from_ghost {
+            input.get_ghost(MU, true, nref.idx as usize)
+        } else {
+            nr::project::<MU, BWD_PLUS, _>(&input.get(nref.idx as usize))
+        };
+    }
+    for (acc, h) in accs.iter_mut().zip(&block) {
+        let t = HalfSpinor { h: [u.adj_mul_vec(&h.h[0]), u.adj_mul_vec(&h.h[1])] };
+        nr::accumulate::<MU, BWD_PLUS, _>(acc, &t);
+    }
 }
 
 /// Gather the projected half-spinor a neighbor will need from face site
@@ -271,7 +316,9 @@ fn dslash_site<P: Precision, const N: usize>(
 /// `to_forward` gathers the last (`true`) or first (`false`) `dir`-slice;
 /// `parity` is the checkerboard parity of `field`. The *sender* applies the
 /// full projection in every dimension ("only 12 numbers need be
-/// transferred"), so the receiver consumes the stored half directly.
+/// transferred"), with the same fixed [`nr::project`] the receiving hop
+/// would run, so the receiver consumes the stored half directly. Panics
+/// unless `basis` is the non-relativistic basis.
 #[allow(clippy::too_many_arguments)]
 pub fn gather_face_site<P: Precision>(
     field: &SpinorFieldCb<P>,
@@ -283,14 +330,25 @@ pub fn gather_face_site<P: Precision>(
     parity: Parity,
     dagger: bool,
 ) -> HalfSpinor<P::Arith> {
-    // A face sent forward becomes the receiver's backward ghost, which its
-    // backward hop consumes with proj[mu][dagger ? 0 : 1]; a face sent
-    // backward, its forward hop with proj[mu][dagger ? 1 : 0].
-    let proj = &basis.proj[dir][usize::from(to_forward != dagger)];
+    assert_nr(basis);
     let dims = stencil.dims;
     let fixed = if to_forward { dims.extent(dir) - 1 } else { 0 };
     let c = Stencil::face_coord(&dims, dir, parity, fixed, face);
-    proj.project(&field.get(dims.cb_index(c)))
+    let psi = field.get(dims.cb_index(c));
+    // A face sent forward becomes the receiver's backward ghost, which its
+    // backward hop consumes with P+μ (P−μ under dagger); a face sent
+    // backward, its forward hop with P−μ (P+μ under dagger).
+    match (dir, to_forward != dagger) {
+        (0, false) => nr::project::<0, false, _>(&psi),
+        (0, true) => nr::project::<0, true, _>(&psi),
+        (1, false) => nr::project::<1, false, _>(&psi),
+        (1, true) => nr::project::<1, true, _>(&psi),
+        (2, false) => nr::project::<2, false, _>(&psi),
+        (2, true) => nr::project::<2, true, _>(&psi),
+        (3, false) => nr::project::<3, false, _>(&psi),
+        (3, true) => nr::project::<3, true, _>(&psi),
+        _ => panic!("face direction {dir} is not in 0..4"),
+    }
 }
 
 /// Counts of work for one dslash launch, for the performance model. Face
@@ -369,6 +427,26 @@ mod tests {
             let got = out.get(cb).cast::<f64>();
             assert!((got - expect).norm_sqr() < 1e-20, "cb={cb}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-relativistic spin basis only")]
+    fn dslash_refuses_a_degrand_rossi_basis() {
+        let d = dims();
+        let (_, gauge, _, dev, _, stencil) = setup(d);
+        let basis = SpinBasis::new(GammaBasis::DeGrandRossi);
+        let mut out = SpinorFieldCb::<Double>::new(d, false);
+        dslash_cb(&mut out, &gauge, &dev, Parity::Even, &stencil, &basis, false, DslashRegion::All);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-relativistic spin basis only")]
+    fn face_gather_refuses_a_degrand_rossi_basis() {
+        let d = dims();
+        let (_, _, _, dev, _, _) = setup(d);
+        let basis = SpinBasis::new(GammaBasis::DeGrandRossi);
+        let open = Stencil::with_open(d, [true, false, false, false]);
+        gather_face_site(&dev, &basis, &open, 0, true, 0, Parity::Odd, false);
     }
 
     #[test]

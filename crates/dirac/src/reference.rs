@@ -4,10 +4,14 @@
 //! uses natural site ordering, dense 4×4 spin projectors, full 3×3 links,
 //! and f64 throughout. It exists so the layout-aware, projector-trick,
 //! precision-truncated device kernels have an independent ground truth.
+//! In particular it runs none of the fixed non-relativistic spin code of
+//! [`quda_math::nr`] and the clover apply's butterfly: projectors are the
+//! dense `1 ± γμ` matrices, and the clover term's basis change is the dense
+//! composition `S · A_chiral · S†` of [`mat4_apply`].
 //!
 //! Convention: spinor fields are expressed in the **non-relativistic**
 //! gamma basis (QUDA's internal basis); the clover term is packed in chiral
-//! blocks and applied through the basis map.
+//! blocks and conjugated into that basis by the dense transform `S`.
 
 use quda_fields::host::{GaugeConfig, HostSpinorField};
 use quda_math::clover::{CloverBasisMap, CloverSite};
@@ -121,7 +125,8 @@ pub fn apply_wilson_clover_host(
     let shift = params.diag_shift();
     for c in dims.coords() {
         let i = dims.lex_index(c);
-        let local = psi.get(c).scale_re(shift) + map.apply_nr(&clover[i], psi.get(c));
+        let chiral = clover[i].apply_chiral(&mat4_apply(&map.s_dag, psi.get(c)));
+        let local = psi.get(c).scale_re(shift) + mat4_apply(&map.s, &chiral);
         *out.get_mut(c) = local - hop.data[i].scale_re(0.5);
     }
     out

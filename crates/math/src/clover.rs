@@ -11,6 +11,7 @@
 //! parity; the inverse of a block is computed with a dense Hermitian solve
 //! and stored in the same packed form.
 
+use crate::colorvec::ColorVec;
 use crate::complex::{Complex, C64};
 use crate::gamma::{mat4_adjoint, nr_transform, Mat4};
 use crate::real::Real;
@@ -62,10 +63,10 @@ impl<T: Real> CloverBlock<T> {
     pub fn from_dense(m: &[[C64; BLOCK_DIM]; BLOCK_DIM]) -> Self {
         let mut b =
             CloverBlock { diag: [T::ZERO; BLOCK_DIM], offdiag: [Complex::zero(); BLOCK_OFFDIAG] };
-        for i in 0..BLOCK_DIM {
-            b.diag[i] = T::from_f64(m[i][i].re);
-            for j in 0..i {
-                let avg = (m[i][j] + m[j][i].conj()).scale(0.5);
+        for (i, row) in m.iter().enumerate() {
+            b.diag[i] = T::from_f64(row[i].re);
+            for (j, &z) in row[..i].iter().enumerate() {
+                let avg = (z + m[j][i].conj()).scale(0.5);
                 b.offdiag[tri_index(i, j)] = Complex::new(T::from_f64(avg.re), T::from_f64(avg.im));
             }
         }
@@ -74,30 +75,21 @@ impl<T: Real> CloverBlock<T> {
 
     /// Expand to a dense f64 matrix.
     pub fn to_dense(&self) -> [[C64; BLOCK_DIM]; BLOCK_DIM] {
-        let mut m = [[C64::zero(); BLOCK_DIM]; BLOCK_DIM];
-        for i in 0..BLOCK_DIM {
-            for j in 0..BLOCK_DIM {
-                m[i][j] = self.get(i, j).cast();
-            }
-        }
-        m
+        std::array::from_fn(|i| std::array::from_fn(|j| self.get(i, j).cast()))
     }
 
     /// Matrix-vector product on a 6-component complex vector.
     #[inline]
     pub fn mul_vec(&self, v: &[Complex<T>; BLOCK_DIM]) -> [Complex<T>; BLOCK_DIM] {
-        let mut out = [Complex::zero(); BLOCK_DIM];
-        for i in 0..BLOCK_DIM {
+        std::array::from_fn(|i| {
             let mut acc = v[i].scale(self.diag[i]);
-            for j in 0..BLOCK_DIM {
-                if j == i {
-                    continue;
+            for (j, &vj) in v.iter().enumerate() {
+                if j != i {
+                    acc = self.get(i, j).mul_add(vj, acc);
                 }
-                acc = self.get(i, j).mul_add(v[j], acc);
             }
-            out[i] = acc;
-        }
-        out
+            acc
+        })
     }
 
     /// Add `shift` to the diagonal (builds `4 + m + A` from `A`).
@@ -120,15 +112,10 @@ impl<T: Real> CloverBlock<T> {
 
     /// Precision cast.
     pub fn cast<U: Real>(&self) -> CloverBlock<U> {
-        let mut out =
-            CloverBlock { diag: [U::ZERO; BLOCK_DIM], offdiag: [Complex::zero(); BLOCK_OFFDIAG] };
-        for i in 0..BLOCK_DIM {
-            out.diag[i] = U::from_f64(self.diag[i].to_f64());
+        CloverBlock {
+            diag: self.diag.map(|d| U::from_f64(d.to_f64())),
+            offdiag: self.offdiag.map(|z| z.cast()),
         }
-        for k in 0..BLOCK_OFFDIAG {
-            out.offdiag[k] = self.offdiag[k].cast();
-        }
-        out
     }
 
     /// Sup-norm over the packed reals (for half-precision normalization).
@@ -143,10 +130,11 @@ impl<T: Real> CloverBlock<T> {
     /// Flatten to 36 reals (diag then offdiag pairs).
     pub fn to_reals(&self) -> [T; 36] {
         let mut out = [T::ZERO; 36];
-        out[..BLOCK_DIM].copy_from_slice(&self.diag);
-        for k in 0..BLOCK_OFFDIAG {
-            out[BLOCK_DIM + 2 * k] = self.offdiag[k].re;
-            out[BLOCK_DIM + 2 * k + 1] = self.offdiag[k].im;
+        let (diag, offdiag) = out.split_at_mut(BLOCK_DIM);
+        diag.copy_from_slice(&self.diag);
+        for (pair, z) in offdiag.chunks_exact_mut(2).zip(&self.offdiag) {
+            pair[0] = z.re;
+            pair[1] = z.im;
         }
         out
     }
@@ -157,8 +145,8 @@ impl<T: Real> CloverBlock<T> {
         let mut b =
             CloverBlock { diag: [T::ZERO; BLOCK_DIM], offdiag: [Complex::zero(); BLOCK_OFFDIAG] };
         b.diag.copy_from_slice(&r[..BLOCK_DIM]);
-        for k in 0..BLOCK_OFFDIAG {
-            b.offdiag[k] = Complex::new(r[BLOCK_DIM + 2 * k], r[BLOCK_DIM + 2 * k + 1]);
+        for (z, pair) in b.offdiag.iter_mut().zip(r[BLOCK_DIM..36].chunks_exact(2)) {
+            *z = Complex::new(pair[0], pair[1]);
         }
         b
     }
@@ -168,10 +156,13 @@ impl<T: Real> CloverBlock<T> {
 fn invert_dense6(a: &[[C64; BLOCK_DIM]; BLOCK_DIM]) -> Option<[[C64; BLOCK_DIM]; BLOCK_DIM]> {
     let n = BLOCK_DIM;
     let mut aug = [[C64::zero(); 2 * BLOCK_DIM]; BLOCK_DIM];
-    for i in 0..n {
-        aug[i][..n].copy_from_slice(&a[i]);
-        aug[i][n + i] = C64::one();
+    for (i, (row, a_row)) in aug.iter_mut().zip(a).enumerate() {
+        row[..n].copy_from_slice(a_row);
+        row[n + i] = C64::one();
     }
+    // The pivot walk of a 6×6 Gauss-Jordan elimination: it runs when the
+    // operator is built, once per site, never inside an apply.
+    // quda-lint: allow(hot-index)
     for col in 0..n {
         // Pivot.
         let mut best = col;
@@ -188,25 +179,26 @@ fn invert_dense6(a: &[[C64; BLOCK_DIM]; BLOCK_DIM]) -> Option<[[C64; BLOCK_DIM];
         }
         aug.swap(col, best);
         let pivot_inv = aug[col][col].inv();
-        for k in 0..2 * n {
-            aug[col][k] *= pivot_inv;
+        for z in aug[col].iter_mut() {
+            *z *= pivot_inv;
         }
-        for row in 0..n {
+        let pivot = aug[col];
+        for (row, r) in aug.iter_mut().enumerate() {
             if row == col {
                 continue;
             }
-            let factor = aug[row][col];
+            let factor = r[col];
             if factor.norm_sqr() == 0.0 {
                 continue;
             }
-            for k in 0..2 * n {
-                aug[row][k] -= factor * aug[col][k];
+            for (z, &p) in r.iter_mut().zip(&pivot) {
+                *z -= factor * p;
             }
         }
     }
     let mut out = [[C64::zero(); BLOCK_DIM]; BLOCK_DIM];
-    for i in 0..n {
-        out[i].copy_from_slice(&aug[i][n..]);
+    for (o, row) in out.iter_mut().zip(&aug) {
+        o.copy_from_slice(&row[n..]);
     }
     Some(out)
 }
@@ -309,11 +301,34 @@ impl CloverBasisMap {
         CloverBasisMap { s, s_dag }
     }
 
-    /// Apply a clover site term to a spinor given in the NR basis.
+    /// Apply a clover site term to a spinor given in the NR basis:
+    /// `S (A_chiral (S† ψ))`, with both basis changes written out as the
+    /// fixed butterflies `S† = (1/√2)[[I, −I], [I, I]]` and
+    /// `S = (1/√2)[[I, I], [−I, I]]`.
+    ///
+    /// Each row adds the dense rows' two terms in their order, scaled by the
+    /// map's own `1/√2`, and each stored row starts from `+0.0` as
+    /// [`mat4_apply`](crate::gamma::mat4_apply) does. So the result equals
+    /// the dense composition `S · A · S†` bit for bit; the `S†` rows skip
+    /// the start, which can only flip the sign of a zero that the stored
+    /// rows' start clears again.
     pub fn apply_nr<T: Real>(&self, a: &CloverSite<T>, psi: &Spinor<T>) -> Spinor<T> {
-        let chi = crate::gamma::mat4_apply(&self.s_dag, psi);
-        let achi = a.apply_chiral(&chi);
-        crate::gamma::mat4_apply(&self.s, &achi)
+        let r = T::from_f64(self.s[0][0].re);
+        let h = |v: &ColorVec<T>| v.scale_re(r);
+        let p = &psi.s;
+        let chi = Spinor {
+            s: [h(&p[0]) - h(&p[2]), h(&p[1]) - h(&p[3]), h(&p[0]) + h(&p[2]), h(&p[1]) + h(&p[3])],
+        };
+        let q = a.apply_chiral(&chi).s;
+        let z = ColorVec::zero();
+        Spinor {
+            s: [
+                z + h(&q[0]) + h(&q[2]),
+                z + h(&q[1]) + h(&q[3]),
+                z - h(&q[0]) + h(&q[2]),
+                z - h(&q[1]) + h(&q[3]),
+            ],
+        }
     }
 }
 
@@ -437,19 +452,58 @@ mod tests {
 
     #[test]
     fn nr_application_is_similarity_transform() {
-        // A_NR = S A_chiral S† as dense spin-color operators, checked on
-        // basis spinors.
-        let a = CloverSite { block: [sample_block(), sample_block()] };
+        // A_NR = S A_chiral S† as dense spin-color operators: the butterfly
+        // map equals the dense composition bit for bit, in both precisions,
+        // on the smooth sample and on spinors and clover terms drawn from
+        // signed zeros, subnormals and a few exact values, so that output
+        // rows summing two zeros of either sign occur.
+        fn check<T: Real>() {
+            let map = CloverBasisMap::new();
+            let pool = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 1e-310, -1e-310];
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            let mut draw = || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                T::from_f64(pool[(state % pool.len() as u64) as usize])
+            };
+            let bits = |sp: &Spinor<T>| sp.to_reals().map(|x| x.to_f64().to_bits());
+            let sample = sample_block().cast::<T>();
+            let mut cases = vec![(
+                CloverSite { block: [sample, sample.shifted(T::from_f64(-0.2))] },
+                sample_spinor().cast::<T>(),
+            )];
+            for _ in 0..500 {
+                let a = CloverSite::from_reals(&[(); CLOVER_REALS].map(|_| draw()));
+                let psi = Spinor::from_reals(&[(); 24].map(|_| draw()));
+                cases.push((a, psi));
+            }
+            // Spinors of signed zeros through terms of signed zeros: where
+            // a stored row adds two −0.0 (the zero spinor through the −0.0
+            // term does, in colour 0), only its +0.0 start gives the dense
+            // result's sign.
+            let zero = |z: f64| CloverBlock {
+                diag: [T::from_f64(z); BLOCK_DIM],
+                offdiag: [Complex::new(T::from_f64(z), T::from_f64(z)); BLOCK_OFFDIAG],
+            };
+            for a in [zero(0.0), zero(-0.0)].map(|b| CloverSite { block: [b, b] }) {
+                cases.push((a, Spinor::zero()));
+                for _ in 0..100 {
+                    cases.push((a, Spinor::from_reals(&[(); 24].map(|_| draw() * T::ZERO))));
+                }
+            }
+            for (a, psi) in &cases {
+                let via_map = map.apply_nr(a, psi);
+                let expect = mat4_apply(&map.s, &a.apply_chiral(&mat4_apply(&map.s_dag, psi)));
+                assert_eq!(bits(&via_map), bits(&expect), "{} a={a:?} psi={psi:?}", T::NAME);
+            }
+        }
         let map = CloverBasisMap::new();
         // S S† = 1.
         let prod = mat4_mul(&map.s, &map.s_dag);
         assert!(mat4_max_diff(&prod, &mat4_identity()) < 1e-12);
-        // Direct check: applying in NR basis equals conjugated application.
-        let psi = sample_spinor();
-        let via_map = map.apply_nr(&a, &psi);
-        let chi = mat4_apply(&map.s_dag, &psi);
-        let expect = mat4_apply(&map.s, &a.apply_chiral(&chi));
-        assert!((via_map - expect).norm_sqr() < 1e-24);
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * [`spinor::Spinor`] / [`spinor::HalfSpinor`] color-spinors,
 //! * [`gamma::SpinBasis`] gamma matrices in the DeGrand-Rossi and
 //!   non-relativistic bases, with compiled rank-2 projectors
-//!   ([`gamma::HalfProj`]),
+//!   ([`gamma::HalfProj`]) and the non-relativistic ones fixed per
+//!   direction and sign ([`nr`]),
 //! * the packed 72-real [`clover::CloverSite`] clover term, and
 //! * the 16-bit fixed-point storage format ([`half::Fixed16`]).
 
@@ -25,6 +26,7 @@ pub mod colorvec;
 pub mod complex;
 pub mod gamma;
 pub mod half;
+pub mod nr;
 pub mod real;
 pub mod spinor;
 pub mod su3;

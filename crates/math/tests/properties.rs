@@ -1,14 +1,18 @@
 //! Property-based tests of the per-site algebra: SU(3) structure under
-//! compression, projector identities, clover Hermiticity, and the
+//! compression, projector identities, the fixed non-relativistic projection
+//! against the projector tables, clover Hermiticity, and the
 //! half-precision quantization error bound — over randomized inputs.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use quda_math::clover::{CloverBlock, CloverSite, BLOCK_OFFDIAG};
 use quda_math::colorvec::ColorVec;
 use quda_math::complex::C64;
 use quda_math::gamma::{GammaBasis, SpinBasis};
 use quda_math::half::{dequantize_block, max_quantization_error, quantize_block, Fixed16};
-use quda_math::spinor::Spinor;
+use quda_math::nr;
+use quda_math::real::Real;
+use quda_math::spinor::{HalfSpinor, Spinor};
 use quda_math::su3::Su3;
 
 fn arb_c64() -> impl Strategy<Value = C64> {
@@ -40,6 +44,80 @@ fn arb_spinor() -> impl Strategy<Value = Spinor<f64>> {
         }
         sp
     })
+}
+
+/// The 24 reals of a spinor that exercises signed zeros and subnormals:
+/// per real a `kind` and a value in (−1, 1), read by [`edge_spinor`].
+fn arb_edge_reals() -> impl Strategy<Value = Vec<(u8, f64)>> {
+    proptest::collection::vec((0u8..7, -1.0f64..1.0), 24)
+}
+
+/// `kind` 0 is +0.0, 1 is −0.0, 2 the smallest subnormal with the sign of
+/// `x`, 3 a subnormal `x · MIN_POSITIVE`, anything else `x` itself — in
+/// `T`'s own format, so single precision sees its own subnormals.
+fn edge_spinor<T: Real>(reals: &[(u8, f64)]) -> Spinor<T> {
+    let f64_min = T::from_f64(f64::MIN_POSITIVE).to_f64() > 0.0;
+    let (tiny, min_pos) = if f64_min {
+        (f64::from_bits(1), f64::MIN_POSITIVE)
+    } else {
+        (f32::from_bits(1) as f64, f32::MIN_POSITIVE as f64)
+    };
+    let r: Vec<T> = reals
+        .iter()
+        .map(|&(kind, x)| match kind {
+            0 => T::from_f64(0.0),
+            1 => T::from_f64(-0.0),
+            2 => T::from_f64(tiny.copysign(x)),
+            3 => T::from_f64(x * min_pos),
+            _ => T::from_f64(x),
+        })
+        .collect();
+    Spinor::from_reals(&r)
+}
+
+/// The bit patterns of a spinor's reals (widening to f64 is exact, signed
+/// zeros and subnormals included).
+fn bits<T: Real>(sp: &Spinor<T>) -> Vec<u64> {
+    sp.to_reals().iter().map(|x| x.to_f64().to_bits()).collect()
+}
+
+/// One `(μ, sign)` hop of the Dslash site kernel through the fixed
+/// [`nr`] functions and through the basis's `HalfProj` tables, into a
+/// fresh `+0.0` accumulator and into the running pair `fixed`/`tables`:
+/// the projections must be equal and the accumulators identical in every
+/// bit.
+fn hop_matches_tables<const MU: usize, const PLUS: bool, T: Real>(
+    basis: &SpinBasis,
+    u: &Su3<T>,
+    psi: &Spinor<T>,
+    fixed: &mut Spinor<T>,
+    tables: &mut Spinor<T>,
+) -> Result<(), TestCaseError> {
+    let proj = &basis.proj[MU][usize::from(PLUS)];
+    let (h, h_ref) = (nr::project::<MU, PLUS, T>(psi), proj.project(psi));
+    prop_assert_eq!(h, h_ref, "project mu={} plus={}", MU, PLUS);
+    let link = |h: &HalfSpinor<T>| HalfSpinor { h: [u.mul_vec(&h.h[0]), u.mul_vec(&h.h[1])] };
+    for (f, t) in [(&mut Spinor::zero(), &mut Spinor::zero()), (fixed, tables)] {
+        nr::accumulate::<MU, PLUS, T>(f, &link(&h));
+        *t += proj.reconstruct(&link(&h_ref));
+        prop_assert_eq!(bits(f), bits(t), "accumulate mu={} plus={}", MU, PLUS);
+    }
+    Ok(())
+}
+
+/// All eight `(μ, sign)` hops, one spinor each, carried through one pair of
+/// accumulators that start at `+0.0` as the kernel's do.
+fn all_hops_match_tables<T: Real>(u: &Su3<T>, psis: &[Spinor<T>]) -> Result<(), TestCaseError> {
+    let basis = SpinBasis::new(GammaBasis::NonRelativistic);
+    let (f, t) = (&mut Spinor::zero(), &mut Spinor::zero());
+    hop_matches_tables::<0, false, T>(&basis, u, &psis[0], f, t)?;
+    hop_matches_tables::<0, true, T>(&basis, u, &psis[1], f, t)?;
+    hop_matches_tables::<1, false, T>(&basis, u, &psis[2], f, t)?;
+    hop_matches_tables::<1, true, T>(&basis, u, &psis[3], f, t)?;
+    hop_matches_tables::<2, false, T>(&basis, u, &psis[4], f, t)?;
+    hop_matches_tables::<2, true, T>(&basis, u, &psis[5], f, t)?;
+    hop_matches_tables::<3, false, T>(&basis, u, &psis[6], f, t)?;
+    hop_matches_tables::<3, true, T>(&basis, u, &psis[7], f, t)
 }
 
 proptest! {
@@ -92,6 +170,17 @@ proptest! {
                 prop_assert!((via_half - plus.apply_dense(&sp)).norm_sqr() < 1e-20);
             }
         }
+    }
+
+    #[test]
+    fn fixed_projection_matches_the_tables_bit_for_bit(
+        u in arb_su3(),
+        reals in proptest::collection::vec(arb_edge_reals(), 8),
+    ) {
+        let psis: Vec<Spinor<f64>> = reals.iter().map(|r| edge_spinor(r)).collect();
+        all_hops_match_tables(&u, &psis)?;
+        let psis: Vec<Spinor<f32>> = reals.iter().map(|r| edge_spinor(r)).collect();
+        all_hops_match_tables(&u.cast::<f32>(), &psis)?;
     }
 
     #[test]

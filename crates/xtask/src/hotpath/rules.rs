@@ -71,12 +71,21 @@ fn in_scope(rel_path: &str) -> bool {
 }
 
 /// The designated element-wise kernel modules `hot-index` polices: the
-/// files whose loops *are* the memory-bandwidth budget.
+/// files whose loops *are* the memory-bandwidth budget, and the per-site
+/// spin algebra the Dslash and clover kernels inline (`nr.rs`, `clover.rs`).
 fn is_site_kernel_file(rel_path: &str) -> bool {
     in_scope(rel_path)
-        && ["/blas.rs", "/su3.rs", "/cpu_opt.rs", "/dslash.rs", "/clover_apply.rs"]
-            .iter()
-            .any(|f| rel_path.ends_with(f))
+        && [
+            "/blas.rs",
+            "/su3.rs",
+            "/cpu_opt.rs",
+            "/dslash.rs",
+            "/clover_apply.rs",
+            "/nr.rs",
+            "/clover.rs",
+        ]
+        .iter()
+        .any(|f| rel_path.ends_with(f))
 }
 
 /// The field accessors `hot-div` polices beside the site kernels: the

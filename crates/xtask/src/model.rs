@@ -377,18 +377,23 @@ fn parse_fn(masked: &str, at: usize) -> Option<ParsedFn> {
     }
     let name = masked[i..j].to_string();
     // The signature (generics, params, return type, where clause) cannot
-    // contain a brace, so the first `{` opens the body; a `;` first means
-    // a trait declaration without a default body.
+    // contain a brace, so the first `{` opens the body; a `;` first, outside
+    // the brackets of an array type such as `-> [T; 36]`, means a trait
+    // declaration without a default body.
     let mut k = j;
+    let mut depth = 0i32;
     while k < bytes.len() {
         match bytes[k] {
             b'{' => {
                 let close = matching(bytes, k, b'{', b'}')?;
                 return Some((name, name_offset, Some((k + 1, close))));
             }
-            b';' => return Some((name, name_offset, None)),
-            _ => k += 1,
+            b'[' => depth += 1,
+            b']' => depth -= 1,
+            b';' if depth == 0 => return Some((name, name_offset, None)),
+            _ => {}
         }
+        k += 1;
     }
     None
 }

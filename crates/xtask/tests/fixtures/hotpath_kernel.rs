@@ -40,3 +40,11 @@ pub fn good_counter_not_index(x: &[f64], n: usize) -> f64 {
     }
     acc
 }
+
+pub fn bad_array_signature(x: &[f64], n: usize) -> [f64; 2] {
+    let mut out = [0.0; 2];
+    for i in 0..n {
+        out[0] += x[i];
+    }
+    out
+}

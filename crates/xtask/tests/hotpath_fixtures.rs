@@ -75,13 +75,15 @@ fn removing_the_allow_comment_resurfaces_the_diagnostic() {
 #[test]
 fn site_kernel_fixture_exact_diagnostics() {
     // Element-wise counted loops that index with their counter: the plain
-    // `0..n` form (2), the inclusive `0..=n` form (9), and the layout
-    // `get`/`set` round trip (16). The literal-bound unrolled loop, the
-    // chunks_exact block form and the counter that never indexes are clean.
+    // `0..n` form (2), the inclusive `0..=n` form (9), the layout
+    // `get`/`set` round trip (16), and a loop in a function whose signature
+    // holds an array type's `;` (46), which must not read as a bodyless
+    // declaration. The literal-bound unrolled loop, the chunks_exact block
+    // form and the counter that never indexes are clean.
     assert_diags(
         "crates/solvers/src/blas.rs",
         include_str!("fixtures/hotpath_kernel.rs"),
-        &[(2, 5, "hot-index"), (9, 5, "hot-index"), (16, 5, "hot-index")],
+        &[(2, 5, "hot-index"), (9, 5, "hot-index"), (16, 5, "hot-index"), (46, 5, "hot-index")],
     );
 }
 
