@@ -336,6 +336,7 @@ impl CloverBasisMap {
 mod tests {
     use super::*;
     use crate::gamma::{mat4_apply, mat4_identity, mat4_max_diff, mat4_mul};
+    use crate::spinor::SPINOR_REALS;
 
     fn sample_block() -> CloverBlock<f64> {
         let mut b = CloverBlock::identity();
@@ -475,7 +476,7 @@ mod tests {
             )];
             for _ in 0..500 {
                 let a = CloverSite::from_reals(&[(); CLOVER_REALS].map(|_| draw()));
-                let psi = Spinor::from_reals(&[(); 24].map(|_| draw()));
+                let psi = Spinor::from_reals(&[(); SPINOR_REALS].map(|_| draw()));
                 cases.push((a, psi));
             }
             // Spinors of signed zeros through terms of signed zeros: where
@@ -489,7 +490,10 @@ mod tests {
             for a in [zero(0.0), zero(-0.0)].map(|b| CloverSite { block: [b, b] }) {
                 cases.push((a, Spinor::zero()));
                 for _ in 0..100 {
-                    cases.push((a, Spinor::from_reals(&[(); 24].map(|_| draw() * T::ZERO))));
+                    cases.push((
+                        a,
+                        Spinor::from_reals(&[(); SPINOR_REALS].map(|_| draw() * T::ZERO)),
+                    ));
                 }
             }
             for (a, psi) in &cases {
