@@ -15,7 +15,12 @@
 //! Its spin projection stays the basis-generic
 //! [`HalfProj`](quda_math::gamma::HalfProj) tables, not the
 //! device kernels' fixed [`quda_math::nr`] code, so the two paths share no
-//! spin arithmetic.
+//! spin arithmetic. Each hop interprets those tables and adds a full
+//! 24-real `Spinor`, on purpose: an independent oracle must not share the
+//! kernel's shortcuts. The ledger's `dirac.dslash_vs_cpu_opt` divides by
+//! this path, so that ratio, and ROADMAP item 7's ≥ 0.8 target on it, are
+//! taken against a reference that pays the runtime spin algebra the device
+//! kernels compiled away, not against a tuned CPU ceiling.
 
 use quda_fields::host::{GaugeConfig, HostSpinorField};
 use quda_lattice::geometry::{LatticeDims, Parity};

@@ -23,9 +23,16 @@
 //! the open dimensions ([`DslashRegion`]) so the multi-GPU driver can
 //! overlap the interior computation with face communication (Section
 //! VI-D2).
+//!
+//! Like a thread of the paper's kernel, each worker writes the sites it
+//! computes where they live. A launch cuts every active output field into
+//! contiguous site ranges, one per core at or above `PAR_THRESHOLD` and
+//! one below it, and each worker stores its range in place through the
+//! field's one site store ([`SitesMut`]). Nothing is staged, and the
+//! sequential sweep is the one-worker case, run on the calling thread.
 
 use quda_fields::precision::Precision;
-use quda_fields::{GaugeFieldCb, SpinorFieldCb};
+use quda_fields::{GaugeFieldCb, SitesMut, SpinorFieldCb};
 use quda_lattice::geometry::Parity;
 use quda_lattice::stencil::{BoundaryKind, ParityStencil, Stencil};
 use quda_math::gamma::{GammaBasis, SpinBasis};
@@ -51,7 +58,11 @@ pub enum DslashRegion {
     FacesDim(usize),
 }
 
-/// Sites below this count run sequentially (rayon overhead dominates).
+/// Output sites at which a launch's sweep splits across every core; below
+/// it one worker, the calling thread, sweeps them all (a spawn costs more
+/// than it saves there). No workload reaches it: a `solve_volume_*` rank
+/// sweeps 2,048 checkerboard sites and a service rank 128, so only the
+/// 16³×32 kernel probes and the 8×8×8×16 tests run more than one worker.
 const PAR_THRESHOLD: usize = 4096;
 
 /// Largest number of right-hand sides one batched dslash sweep carries.
@@ -178,7 +189,13 @@ fn assert_nr(basis: &SpinBasis) {
 }
 
 /// One launch over the `N` compacted lanes `idxs`: the region filter, the
-/// parallel/sequential split and the store loop of every Dslash.
+/// worker split and the store of every Dslash. The output sites are cut
+/// into `w` contiguous ranges, one per core at or above [`PAR_THRESHOLD`]
+/// and a single range below it; each worker runs [`dslash_site`] over the
+/// region sites of its range and stores them in place, as a thread of the
+/// paper's kernel writes the one site it computes. No result is staged, and
+/// at `w = 1` the range runs on the calling thread with no spawn and no
+/// allocation.
 fn sweep<P: Precision, const N: usize, const FWD_PLUS: bool, const BWD_PLUS: bool>(
     outs: &mut [SpinorFieldCb<P>],
     gauge: &GaugeFieldCb<P>,
@@ -191,36 +208,37 @@ fn sweep<P: Precision, const N: usize, const FWD_PLUS: bool, const BWD_PLUS: boo
     let idxs: [usize; N] = std::array::from_fn(|k| idxs[k]);
     let table = stencil.for_parity(out_parity);
     let sites = inputs[idxs[0]].sites();
-    let in_region = |cb: usize| match region {
+    let in_region = |cb: &usize| match region {
         DslashRegion::All => true,
-        DslashRegion::Interior => table.last_face_dim[cb].is_none(),
-        DslashRegion::Faces => table.last_face_dim[cb].is_some(),
-        DslashRegion::FacesDim(d) => table.last_face_dim[cb] == Some(d as u8),
+        DslashRegion::Interior => table.last_face_dim[*cb].is_none(),
+        DslashRegion::Faces => table.last_face_dim[*cb].is_some(),
+        DslashRegion::FacesDim(d) => table.last_face_dim[*cb] == Some(d as u8),
     };
-    let site_kernel = |cb: usize| -> Option<(usize, [Spinor<P::Arith>; N])> {
-        in_region(cb).then(|| {
-            (
-                cb,
-                dslash_site::<P, N, FWD_PLUS, BWD_PLUS>(
-                    gauge, inputs, &idxs, out_parity, table, cb,
-                ),
-            )
-        })
-    };
-    let store = |(cb, accs): (usize, [Spinor<P::Arith>; N])| {
-        for (acc, &r) in accs.iter().zip(&idxs) {
-            outs[r].set(cb, acc);
+    let sweep_range = |lanes: &mut [SitesMut<'_, P>; N]| {
+        for cb in lanes[0].sites().filter(in_region) {
+            let accs = dslash_site::<P, N, FWD_PLUS, BWD_PLUS>(
+                gauge, inputs, &idxs, out_parity, table, cb,
+            );
+            for (lane, acc) in lanes.iter_mut().zip(&accs) {
+                lane.set(cb, acc);
+            }
         }
     };
-    if sites >= PAR_THRESHOLD {
-        let results: Vec<(usize, [Spinor<P::Arith>; N])> =
-            (0..sites).into_par_iter().filter_map(site_kernel).collect();
-        results.into_iter().for_each(store);
-    } else {
-        // Sequential launches write straight through: no intermediate
-        // buffer, so a steady-state solver iteration stays allocation-free.
-        (0..sites).filter_map(site_kernel).for_each(store);
+    let mut lanes = outs
+        .get_disjoint_mut(idxs)
+        .expect("active lanes are ascending and distinct")
+        .map(SpinorFieldCb::sites_mut);
+    let w = if sites >= PAR_THRESHOLD { rayon::current_num_threads() } else { 1 };
+    if w == 1 {
+        return sweep_range(&mut lanes);
     }
+    let per = sites.div_ceil(w);
+    let mut ranges = Vec::with_capacity(w);
+    while !lanes[0].sites().is_empty() {
+        let n = per.min(lanes[0].sites().len());
+        ranges.push(lanes.each_mut().map(|lane| lane.split_front(n)));
+    }
+    ranges.par_chunks_mut(1).for_each(|job| job.iter_mut().for_each(&sweep_range));
 }
 
 /// The per-site gather-multiply-reconstruct for the `N` lanes `idxs`: one
@@ -741,7 +759,9 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_batch_one_and_reference() {
         // 8×8×8×16 has PAR_THRESHOLD checkerboard sites, so every launch
-        // here runs the rayon branch of the sweep. Returns the batch-1
+        // here splits its sweep across every core, each worker storing its
+        // own range in place (at all four precisions, so the per-site norm
+        // is cut with the data at both norm precisions). Returns the batch-1
         // outputs (the n = 1 launches) after checking every lane of
         // batches of 3 and 8 against them bit for bit.
         fn batch_one<P: Precision>(
@@ -791,12 +811,12 @@ mod tests {
         let stencil = Stencil::new(d, false);
         let hosts: Vec<_> =
             (0..MAX_RHS_BATCH).map(|r| random_spinor_field(d, 60 + r as u64)).collect();
+        batch_one::<Single>(&cfg, &hosts, &basis, &stencil);
         batch_one::<Half>(&cfg, &hosts, &basis, &stencil);
+        batch_one::<Quarter>(&cfg, &hosts, &basis, &stencil);
         let singles = batch_one::<Double>(&cfg, &hosts, &basis, &stencil);
-        let references: Vec<HostSpinorField> = (0..hosts.len())
-            .into_par_iter()
-            .map(|r| apply_hopping_host(&cfg, &basis, &hosts[r]))
-            .collect();
+        let references: Vec<HostSpinorField> =
+            hosts.iter().map(|host| apply_hopping_host(&cfg, &basis, host)).collect();
         for (single, reference) in singles.iter().zip(&references) {
             for cb in 0..single.sites() {
                 let expect = *reference.get_cb(Parity::Even, cb);
@@ -809,72 +829,76 @@ mod tests {
     #[test]
     fn batched_dslash_region_split_matches_all() {
         // Interior + per-dimension faces through the batched kernel must
-        // partition the volume exactly like the single-RHS kernel does.
-        let d = dims();
-        let open = [true, false, false, true];
-        let stencil = Stencil::with_open(d, open);
-        let cfg = weak_field(d, 0.2, 23);
-        let mut gauge = GaugeFieldCb::<Double>::new(d, true);
-        gauge.upload(&cfg);
-        let basis = SpinBasis::new(GammaBasis::NonRelativistic);
-        let n = 3;
-        let inputs: Vec<SpinorFieldCb<Double>> = (0..n)
-            .map(|r| {
-                let host = random_spinor_field(d, 40 + r as u64);
-                let mut full = SpinorFieldCb::<Double>::new(d, false);
-                full.upload(&host, Parity::Odd);
-                let mut dev = SpinorFieldCb::<Double>::new_open(d, open);
-                for cb in 0..dev.sites() {
-                    dev.set(cb, &full.get(cb));
+        // partition the volume exactly like the single-RHS kernel does, on
+        // one worker (4×4×4×6) and split across every core (8×8×8×16). Each
+        // in-place store writes only its region's sites of the active
+        // lanes: the masked middle lane keeps its sentinel bit for bit, and
+        // after the interior launch every face site still holds it.
+        fn check(d: LatticeDims) {
+            let open = [true, false, false, true];
+            let stencil = Stencil::with_open(d, open);
+            let cfg = weak_field(d, 0.2, 23);
+            let mut gauge = GaugeFieldCb::<Double>::new(d, true);
+            gauge.upload(&cfg);
+            let basis = SpinBasis::new(GammaBasis::NonRelativistic);
+            let n = 3;
+            let inputs: Vec<SpinorFieldCb<Double>> = (0..n)
+                .map(|r| {
+                    let host = random_spinor_field(d, 40 + r as u64);
+                    let mut full = SpinorFieldCb::<Double>::new(d, false);
+                    full.upload(&host, Parity::Odd);
+                    let mut dev = SpinorFieldCb::<Double>::new_open(d, open);
+                    for cb in 0..dev.sites() {
+                        dev.set(cb, &full.get(cb));
+                    }
+                    dev
+                })
+                .collect();
+            let sentinel = Spinor::point(1, 2).scale_re(0.75);
+            let bits = |sp: Spinor<f64>| sp.to_reals().map(f64::to_bits);
+            let fresh = || -> Vec<SpinorFieldCb<Double>> {
+                (0..n)
+                    .map(|_| {
+                        let mut f = SpinorFieldCb::<Double>::new(d, false);
+                        f.fill_sites(|_| sentinel);
+                        f
+                    })
+                    .collect()
+            };
+            let active = [true, false, true];
+            let launch = |outs: &mut [SpinorFieldCb<Double>], region: DslashRegion| {
+                let (parity, stencil, basis) = (Parity::Even, &stencil, &basis);
+                dslash_cb_multi(
+                    outs, &gauge, &inputs, parity, stencil, basis, false, region, &active,
+                );
+            };
+            let mut all = fresh();
+            launch(&mut all, DslashRegion::All);
+            let mut split = fresh();
+            launch(&mut split, DslashRegion::Interior);
+            let faces = &stencil.for_parity(Parity::Even).last_face_dim;
+            for r in [0, 2] {
+                for (cb, _) in faces.iter().enumerate().filter(|(_, f)| f.is_some()) {
+                    assert_eq!(bits(split[r].get(cb)), bits(sentinel), "rhs={r} face cb={cb}");
                 }
-                dev
-            })
-            .collect();
-        let active = vec![true; n];
-        let mut all: Vec<SpinorFieldCb<Double>> =
-            (0..n).map(|_| SpinorFieldCb::<Double>::new(d, false)).collect();
-        dslash_cb_multi(
-            &mut all,
-            &gauge,
-            &inputs,
-            Parity::Even,
-            &stencil,
-            &basis,
-            false,
-            DslashRegion::All,
-            &active,
-        );
-        let mut split: Vec<SpinorFieldCb<Double>> =
-            (0..n).map(|_| SpinorFieldCb::<Double>::new(d, false)).collect();
-        dslash_cb_multi(
-            &mut split,
-            &gauge,
-            &inputs,
-            Parity::Even,
-            &stencil,
-            &basis,
-            false,
-            DslashRegion::Interior,
-            &active,
-        );
-        for dim in 0..4 {
-            dslash_cb_multi(
-                &mut split,
-                &gauge,
-                &inputs,
-                Parity::Even,
-                &stencil,
-                &basis,
-                false,
-                DslashRegion::FacesDim(dim),
-                &active,
-            );
-        }
-        for r in 0..n {
-            for cb in 0..all[r].sites() {
-                assert_eq!(all[r].get(cb), split[r].get(cb), "rhs={r} cb={cb}");
+            }
+            for dim in 0..4 {
+                launch(&mut split, DslashRegion::FacesDim(dim));
+            }
+            for r in 0..n {
+                for cb in 0..all[r].sites() {
+                    assert_eq!(all[r].get(cb), split[r].get(cb), "rhs={r} cb={cb}");
+                }
+            }
+            for cb in 0..d.half_volume() {
+                assert_eq!(bits(all[1].get(cb)), bits(sentinel), "masked lane, All, cb={cb}");
+                assert_eq!(bits(split[1].get(cb)), bits(sentinel), "masked lane, split, cb={cb}");
             }
         }
+        check(dims());
+        let d = LatticeDims::new(8, 8, 8, 16);
+        assert!(d.half_volume() >= PAR_THRESHOLD);
+        check(d);
     }
 
     #[test]

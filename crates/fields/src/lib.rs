@@ -32,4 +32,4 @@ pub use gauge_mc::GaugeMonteCarlo;
 pub use host::{GaugeConfig, HostSpinorField};
 pub use io::{load_gauge_file, read_gauge, save_gauge_file, write_gauge, GaugeIoError};
 pub use precision::{Double, Half, Precision, PrecisionTag, Single};
-pub use spinor_cb::SpinorFieldCb;
+pub use spinor_cb::{SitesMut, SpinorFieldCb};

@@ -20,6 +20,7 @@ use quda_lattice::geometry::{LatticeDims, Parity};
 use quda_lattice::stencil::Stencil;
 use quda_math::real::Real;
 use quda_math::spinor::{HalfSpinor, Spinor, HALF_SPINOR_REALS, SPINOR_REALS};
+use std::ops::Range;
 
 /// A single-parity spinor field with precision-`P` device storage.
 #[derive(Clone, Debug)]
@@ -101,21 +102,17 @@ impl<P: Precision> SpinorFieldCb<P> {
     }
 
     /// Write the spinor at checkerboard site `cb` (quantizing in half
-    /// precision with a freshly computed per-site normalization).
+    /// precision with a freshly computed per-site normalization): the
+    /// [`SitesMut`] store over the whole field.
     #[inline]
     pub fn set(&mut self, cb: usize, sp: &Spinor<P::Arith>) {
-        debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
-        let mut stored = *sp;
-        if P::NEEDS_NORM {
-            let norm = sp.max_abs();
-            let norm = if norm == 0.0 { 1.0 } else { norm };
-            self.norm[cb] = norm as f32;
-            stored = sp.scale_re(P::Arith::from_f64(1.0 / norm));
-        }
-        let run = &mut self.data[SPINOR_REALS * cb..SPINOR_REALS * (cb + 1)];
-        for (e, &r) in run.iter_mut().zip(&stored.to_reals()) {
-            *e = P::store(r);
-        }
+        self.sites_mut().set(cb, sp);
+    }
+
+    /// Every site of the field as one writable [`SitesMut`] range.
+    #[inline]
+    pub fn sites_mut(&mut self) -> SitesMut<'_, P> {
+        SitesMut { data: &mut self.data, norm: &mut self.norm, first: 0 }
     }
 
     /// Read the ghost half spinor of dimension `dir` at face site `face`
@@ -269,6 +266,60 @@ impl<P: Precision> SpinorFieldCb<P> {
             .chain(self.ghost_norm.iter().map(|n| n.len() * 4))
             .sum();
         self.data.len() * P::STORAGE_BYTES + self.norm.len() * 4 + ghosts
+    }
+}
+
+/// A contiguous range of a spinor field's sites, open for writing: the one
+/// site store. [`SpinorFieldCb::set`] stores through the range of the whole
+/// field; a threaded kernel cuts it into disjoint ranges with
+/// [`SitesMut::split_front`] and each worker stores into its own in place.
+/// In half and quarter precision the site's `data` run and its `norm` are
+/// written in lockstep.
+pub struct SitesMut<'a, P: Precision> {
+    data: &'a mut [P::Elem],
+    norm: &'a mut [f32],
+    /// Checkerboard index of the range's first site.
+    first: usize,
+}
+
+impl<'a, P: Precision> SitesMut<'a, P> {
+    /// The checkerboard sites this range covers.
+    #[inline]
+    pub fn sites(&self) -> Range<usize> {
+        self.first..self.first + self.data.len() / SPINOR_REALS
+    }
+
+    /// Detach the first `n` sites as a range of their own; `self` keeps the
+    /// rest. Panics if the range holds fewer than `n` sites.
+    pub fn split_front(&mut self, n: usize) -> SitesMut<'a, P> {
+        let (data, rest) = std::mem::take(&mut self.data).split_at_mut(SPINOR_REALS * n);
+        self.data = rest;
+        let norms = if P::NEEDS_NORM { n } else { 0 };
+        let (norm, rest) = std::mem::take(&mut self.norm).split_at_mut(norms);
+        self.norm = rest;
+        let first = self.first;
+        self.first += n;
+        SitesMut { data, norm, first }
+    }
+
+    /// Write the spinor at checkerboard site `cb`, which must lie in
+    /// [`SitesMut::sites`] (quantizing in half precision with a freshly
+    /// computed per-site normalization).
+    #[inline]
+    pub fn set(&mut self, cb: usize, sp: &Spinor<P::Arith>) {
+        debug_assert!(self.sites().contains(&cb), "site {cb} out of {:?}", self.sites());
+        let i = cb - self.first;
+        let mut stored = *sp;
+        if P::NEEDS_NORM {
+            let norm = sp.max_abs();
+            let norm = if norm == 0.0 { 1.0 } else { norm };
+            self.norm[i] = norm as f32;
+            stored = sp.scale_re(P::Arith::from_f64(1.0 / norm));
+        }
+        let run = &mut self.data[SPINOR_REALS * i..SPINOR_REALS * (i + 1)];
+        for (e, &r) in run.iter_mut().zip(&stored.to_reals()) {
+            *e = P::store(r);
+        }
     }
 }
 
