@@ -189,13 +189,11 @@ fn assert_nr(basis: &SpinBasis) {
 }
 
 /// One launch over the `N` compacted lanes `idxs`: the region filter, the
-/// worker split and the store of every Dslash. The output sites are cut
-/// into `w` contiguous ranges, one per core at or above [`PAR_THRESHOLD`]
-/// and a single range below it; each worker runs [`dslash_site`] over the
-/// region sites of its range and stores them in place, as a thread of the
-/// paper's kernel writes the one site it computes. No result is staged, and
-/// at `w = 1` the range runs on the calling thread with no spawn and no
-/// allocation.
+/// worker split and the store of every Dslash. Each of the `w` workers runs
+/// [`dslash_site`] over the region sites of one contiguous range of output
+/// sites and stores them in place. Below [`PAR_THRESHOLD`], `w = 1` and the
+/// range runs on the calling thread with no spawn and no allocation, which
+/// keeps a steady-state solver iteration allocation-free.
 fn sweep<P: Precision, const N: usize, const FWD_PLUS: bool, const BWD_PLUS: bool>(
     outs: &mut [SpinorFieldCb<P>],
     gauge: &GaugeFieldCb<P>,
