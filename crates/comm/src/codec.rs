@@ -3,13 +3,18 @@
 //! Ghost faces travel between ranks as raw byte messages, exactly like MPI
 //! buffers. These helpers pack and unpack the three storage element types
 //! (f64, f32, i16-fixed-point) plus the f32 normalization arrays that ride
-//! with half-precision faces.
+//! with half-precision faces. Packing writes every element into one
+//! pre-sized buffer; the bytes are each element's `to_le_bytes`, in order.
 //!
 //! On the wire every payload is wrapped in a 12-byte frame — a 4-byte
-//! little-endian length and an 8-byte FNV-1a checksum — so a truncated or
+//! little-endian length and an 8-byte [`checksum`] — so a truncated or
 //! bit-flipped message is *detected* at the receiver instead of being
 //! silently summed into the solve ([`unframe`] reports a typed
-//! [`DecodeError`]). The frame header is link-level bookkeeping and is not
+//! [`DecodeError`]). The checksum is a word-parallel FNV-1a that reads the
+//! payload eight bytes per step. Any corruption confined to one aligned
+//! 8-byte word of the payload, which includes every single-bit and
+//! single-byte flip, is detected with certainty; a truncation is caught by
+//! the length. The frame header is link-level bookkeeping and is not
 //! counted in the traffic statistics the performance model prices.
 
 use crate::error::DecodeError;
@@ -28,14 +33,56 @@ pub fn le_bytes<const N: usize>(bytes: &[u8]) -> [u8; N] {
     a
 }
 
-/// FNV-1a 64-bit hash of a byte slice — the per-message checksum.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a step. For a fixed `x` it is a bijection of `h`, and for a
+/// fixed `h` a bijection of `x` (the prime is odd, so the multiply is
+/// invertible mod 2^64).
+#[inline(always)]
+fn fnv_step(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(FNV_PRIME)
+}
+
+/// Word-parallel FNV-1a-64 of a byte slice — the per-message checksum.
+///
+/// The payload is read as little-endian 8-byte words; word `i` is folded
+/// into lane `i % 4` by one FNV-1a step (each lane starts at the FNV
+/// offset basis), so the four lanes' multiply chains overlap. The bytes
+/// after the last whole word are hashed one at a time, then the four lanes
+/// and finally the payload length are folded into the result.
+///
+/// Detection guarantee: every step is a bijection of the state and of the
+/// value folded in, so changing any one aligned 8-byte word, or any one
+/// byte of the tail, always changes the checksum; every single-bit and
+/// single-byte flip is one of these. A truncation is caught by the
+/// frame's length prefix before the checksum is compared.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let (words, tail) = bytes.as_chunks::<8>();
+    let (blocks, rest) = words.as_chunks::<4>();
+    let mut lanes = [FNV_OFFSET; 4];
+    // Four named lane steps rather than an inner loop: unoptimised builds,
+    // where the exhaustive bit-flip test runs, are about 4x faster so.
+    for [w0, w1, w2, w3] in blocks {
+        let [l0, l1, l2, l3] = lanes;
+        lanes = [
+            fnv_step(l0, u64::from_le_bytes(*w0)),
+            fnv_step(l1, u64::from_le_bytes(*w1)),
+            fnv_step(l2, u64::from_le_bytes(*w2)),
+            fnv_step(l3, u64::from_le_bytes(*w3)),
+        ];
     }
-    h
+    for (lane, word) in lanes.iter_mut().zip(rest) {
+        *lane = fnv_step(*lane, u64::from_le_bytes(*word));
+    }
+    let mut h = FNV_OFFSET;
+    for &b in tail {
+        h = fnv_step(h, b as u64);
+    }
+    for lane in lanes {
+        h = fnv_step(h, lane);
+    }
+    fnv_step(h, bytes.len() as u64)
 }
 
 /// Wrap a payload in a `[len u32][checksum u64][payload]` frame.
@@ -68,13 +115,31 @@ pub fn unframe(framed: &Bytes) -> Result<Bytes, DecodeError> {
     Ok(payload)
 }
 
+/// Append the little-endian bytes of every element of `data` to `buf` in
+/// one pass over a region sized up front: the bytes are exactly the
+/// concatenation of `to_le(x)` over `data`.
+pub fn extend_le<T: Copy, const N: usize>(
+    buf: &mut Vec<u8>,
+    data: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) {
+    let start = buf.len();
+    buf.resize(start + data.len() * N, 0);
+    for (dst, &x) in buf[start..].chunks_exact_mut(N).zip(data) {
+        dst.copy_from_slice(&to_le(x));
+    }
+}
+
+/// Pack `data` into a new buffer of little-endian bytes (see [`extend_le`]).
+pub fn pack_le<T: Copy, const N: usize>(data: &[T], to_le: impl Fn(T) -> [u8; N]) -> Bytes {
+    let mut buf = Vec::with_capacity(data.len() * N);
+    extend_le(&mut buf, data, to_le);
+    Bytes::from(buf)
+}
+
 /// Pack a slice of f64 into little-endian bytes.
 pub fn pack_f64(data: &[f64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(data.len() * 8);
-    for &x in data {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    buf.freeze()
+    pack_le(data, f64::to_le_bytes)
 }
 
 /// Unpack little-endian f64.
@@ -87,11 +152,7 @@ pub fn unpack_f64(bytes: &[u8]) -> Result<Vec<f64>, DecodeError> {
 
 /// Pack a slice of f32 into little-endian bytes.
 pub fn pack_f32(data: &[f32]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(data.len() * 4);
-    for &x in data {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    buf.freeze()
+    pack_le(data, f32::to_le_bytes)
 }
 
 /// Unpack little-endian f32.
@@ -104,11 +165,7 @@ pub fn unpack_f32(bytes: &[u8]) -> Result<Vec<f32>, DecodeError> {
 
 /// Pack a slice of i16 (the half-precision storage integers).
 pub fn pack_i16(data: &[i16]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(data.len() * 2);
-    for &x in data {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    buf.freeze()
+    pack_le(data, i16::to_le_bytes)
 }
 
 /// Unpack little-endian i16.
@@ -197,9 +254,36 @@ mod tests {
     }
 
     #[test]
-    fn checksum_is_stable() {
-        // FNV-1a of empty input is the offset basis.
-        assert_eq!(checksum(&[]), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(checksum(b"abc"), checksum(b"abd"));
+    fn checksum_known_answers() {
+        // Empty, a sub-word tail only, one whole block, and a block plus
+        // two tail words and a 3-byte tail.
+        let seq: Vec<u8> = (0u8..51).collect();
+        assert_eq!(checksum(&[]), 0x7f6e_4d21_b650_a5a3);
+        assert_eq!(checksum(b"abc"), 0x2545_70c3_c445_7d5c);
+        assert_eq!(checksum(&seq[..32]), 0x5cfe_d8c6_99ec_ecf3);
+        assert_eq!(checksum(&seq), 0x47cc_f553_ddf9_3c55);
+    }
+
+    /// Flip every bit of `payload` in turn; each flip must change the
+    /// checksum.
+    fn assert_every_bit_flip_detected(payload: &mut [u8]) {
+        let clean = checksum(payload);
+        for i in 0..payload.len() * 8 {
+            payload[i / 8] ^= 1 << (i % 8);
+            assert_ne!(checksum(payload), clean, "flip of bit {i} of {} bytes", payload.len());
+            payload[i / 8] ^= 1 << (i % 8);
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        for len in 0..=100usize {
+            let mut payload: Vec<u8> = (0..len).map(|i| (i * 151 + len) as u8).collect();
+            assert_every_bit_flip_detected(&mut payload);
+        }
+        // One solve_volume rank face: 256 sites of an 8^3 checkerboarded
+        // slice x 12 reals x 8 B = 24,576 B.
+        let face: Vec<f64> = (0..3072).map(|i| (i as f64 * 0.37).sin()).collect();
+        assert_every_bit_flip_detected(&mut pack_f64(&face).to_vec());
     }
 }

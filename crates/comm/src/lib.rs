@@ -26,8 +26,8 @@ pub mod tags;
 pub mod world;
 
 pub use codec::{
-    checksum, frame, le_bytes, pack_f32, pack_f64, pack_i16, unframe, unpack_f32, unpack_f64,
-    unpack_i16, FRAME_OVERHEAD,
+    checksum, extend_le, frame, le_bytes, pack_f32, pack_f64, pack_i16, pack_le, unframe,
+    unpack_f32, unpack_f64, unpack_i16, FRAME_OVERHEAD,
 };
 pub use error::{CommError, DecodeError};
 pub use fault::{CollectiveFault, FaultAction, FaultPlan};

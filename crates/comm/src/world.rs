@@ -11,8 +11,10 @@
 //! ## Resilience
 //!
 //! Every hot API returns a typed [`CommError`] instead of panicking or
-//! blocking forever. On the wire each message is a checksummed frame
-//! (see [`codec`](crate::codec)) carrying a per-`(peer, tag)` sequence
+//! blocking forever. On the wire each message is a frame carrying a
+//! word-parallel FNV-1a checksum of its payload (see
+//! [`codec`](crate::codec)), hashed by the sender and verified by the
+//! receiver before the payload is used, and a per-`(peer, tag)` sequence
 //! number, which lets the receiver detect corruption, discard duplicates,
 //! and notice gaps. A world-shared liveness board turns a dropped, panicked
 //! or fault-killed peer into [`CommError::RankDead`] within one timeout

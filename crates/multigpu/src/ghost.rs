@@ -49,10 +49,7 @@ use quda_obs::Phase;
 pub fn encode_face<P: Precision>(values: &[f64]) -> Bytes {
     match (P::NEEDS_NORM, P::STORAGE_BYTES) {
         (false, 8) => quda_comm::pack_f64(values),
-        (false, _) => {
-            let v32: Vec<f32> = values.iter().map(|&x| x as f32).collect();
-            quda_comm::pack_f32(&v32)
-        }
+        (false, _) => quda_comm::pack_le(values, |x| (x as f32).to_le_bytes()),
         (true, 1) => {
             // Quarter precision: 8-bit components with a shared per-site
             // f32 norm — the wire matches the storage width, like half.
@@ -61,8 +58,8 @@ pub fn encode_face<P: Precision>(values: &[f64]) -> Bytes {
             let mut norms = Vec::with_capacity(sites);
             half::quantize_sites8(values, HALF_SPINOR_REALS, &mut ints, &mut norms);
             let mut buf = Vec::with_capacity(values.len() + sites * 4);
-            buf.extend(ints.iter().map(|&q| q as u8));
-            buf.extend_from_slice(&quda_comm::pack_f32(&norms));
+            quda_comm::extend_le(&mut buf, &ints, i8::to_le_bytes);
+            quda_comm::extend_le(&mut buf, &norms, f32::to_le_bytes);
             Bytes::from(buf)
         }
         (true, _) => {
@@ -72,8 +69,8 @@ pub fn encode_face<P: Precision>(values: &[f64]) -> Bytes {
             let mut norms = Vec::with_capacity(sites);
             half::quantize_sites16(values, HALF_SPINOR_REALS, &mut ints, &mut norms);
             let mut buf = Vec::with_capacity(ints.len() * 2 + norms.len() * 4);
-            buf.extend_from_slice(&quda_comm::pack_i16(&ints));
-            buf.extend_from_slice(&quda_comm::pack_f32(&norms));
+            quda_comm::extend_le(&mut buf, &ints, i16::to_le_bytes);
+            quda_comm::extend_le(&mut buf, &norms, f32::to_le_bytes);
             Bytes::from(buf)
         }
     }

@@ -68,7 +68,7 @@ fn report(
     message: String,
     out: &mut Vec<Diagnostic>,
 ) {
-    if file.is_test_target() || file.is_test_line(file.line_of(offset)) {
+    if file.is_test_code(offset) {
         return;
     }
     crate::rules::emit(file, rule, offset, message, out);
@@ -77,7 +77,7 @@ fn report(
 /// Is the site at `offset` in `file` admissible as pairing evidence /
 /// subject to emission? Test code is neither.
 fn live_code(file: &SourceFile, offset: usize) -> bool {
-    !file.is_test_target() && !file.is_test_line(file.line_of(offset))
+    !file.is_test_code(offset)
 }
 
 /// Condensed condition text for messages.

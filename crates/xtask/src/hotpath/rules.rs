@@ -106,7 +106,7 @@ fn report(
     message: String,
     out: &mut Vec<Diagnostic>,
 ) {
-    if file.is_test_target() || file.is_test_line(file.line_of(offset)) {
+    if file.is_test_code(offset) {
         return;
     }
     crate::rules::emit(file, rule, offset, message, out);

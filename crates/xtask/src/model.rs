@@ -123,7 +123,9 @@ pub struct Model<'a> {
     pub files: &'a [SourceFile],
     /// Every function extracted from every file.
     pub fns: Vec<FnInfo>,
-    /// Names of functions that (transitively) issue a symmetric collective.
+    /// Names of live (non-test) functions that (transitively) issue a
+    /// symmetric collective. Test code never enters: no finding is emitted
+    /// in it, so a test helper must not lend its name to a live call.
     pub performers: HashSet<String>,
     /// The performers that take `self`: the only ones a method call
     /// (`recv.f(..)`) can reach. A path call (`f(..)`, `T::f(..)`) can
@@ -161,10 +163,11 @@ impl<'a> Model<'a> {
             let mut changed = false;
             for f in &fns {
                 let kind = if f.takes_self { &method_performers } else { &performers };
-                if kind.contains(&f.name) {
+                let file = &files[f.file];
+                if kind.contains(&f.name) || file.is_test_code(f.name_offset) {
                     continue;
                 }
-                let rel = &files[f.file].rel_path;
+                let rel = &file.rel_path;
                 let performs = f.calls.iter().any(|c| {
                     base_symmetric(rel, c) || reaches_performer(&performers, &method_performers, c)
                 });

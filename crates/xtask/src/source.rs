@@ -92,6 +92,12 @@ impl SourceFile {
             || p.contains("/examples/")
     }
 
+    /// Is the code at byte `offset` test code: in a test/bench/example
+    /// target or inside a `#[cfg(test)]`-gated item?
+    pub fn is_test_code(&self, offset: usize) -> bool {
+        self.is_test_target() || self.is_test_line(self.line_of(offset))
+    }
+
     /// Is `rule` suppressed on `line` via `// quda-lint: allow(...)` on the
     /// same line or the line directly above?
     pub fn is_allowed(&self, rule: &str, line: u32) -> bool {

@@ -143,6 +143,31 @@ fn test_code_is_exempt() {
 }
 
 #[test]
+fn test_only_performers_do_not_capture_live_calls() {
+    // `sweep` calls a local closure `run`; the only `fn run` that performs
+    // a collective is test code, so `sweep` is not a performer and the
+    // call after the rank-dependent early return (15) is clean. A test
+    // target's `fn run` does not capture the name either.
+    let text = include_str!("fixtures/test_performer.rs");
+    assert_diags("crates/multigpu/src/fixture.rs", text, &[]);
+    let helper = "pub fn run(c: &mut C) {\n    c.barrier();\n}\n";
+    let diags = collectives_texts(&[
+        ("crates/multigpu/src/fixture.rs", text),
+        ("crates/multigpu/tests/helper.rs", helper),
+    ]);
+    assert!(diags.is_empty(), "a test target's fn captured a live call: {diags:?}");
+}
+
+#[test]
+fn live_performers_of_the_same_shape_are_still_reported() {
+    // With the `#[cfg(test)]` gate gone, `run` is a live performer, so the
+    // closure call makes `sweep` one and its call after the early return
+    // is reported.
+    let text = include_str!("fixtures/test_performer.rs").replace("#[cfg(test)]\n", "");
+    assert_diags("crates/multigpu/src/fixture.rs", &text, &[(15, 14, "rank-branch-collective")]);
+}
+
+#[test]
 fn workspace_analysis_is_clean_and_skips_fixtures() {
     // `cargo xtask collectives` must pass on the real tree, and must never
     // trip over the deliberate hazards in tests/fixtures/.
