@@ -22,17 +22,21 @@ fn dims() -> LatticeDims {
     LatticeDims::new(8, 8, 8, 8)
 }
 
-/// The per-message wire cost: `frame` + `unframe` (checksum on both ends)
-/// of one face, and a double-precision face exchange looped back through
-/// a one-rank world at the 8³×8 rank shape.
+/// The per-message wire cost: `Frame::seal` + `Frame::verify` (checksum
+/// on both ends) of one face, and a double-precision face exchange looped
+/// back through a one-rank world at the 8³×8 rank shape.
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire");
     // One service-rank face (4³ slice, double) and one solve_volume rank
     // face (8³ slice, double): checkerboarded sites × 12 reals × 8 B.
     for (name, face_sites) in [("frame_unframe_3072B", 32), ("frame_unframe_24576B", 256)] {
-        let payload = quda_comm::pack_f64(&vec![0.25; face_sites * HALF_SPINOR_REALS]);
+        let mut frame = quda_comm::pack_f64(&vec![0.25; face_sites * HALF_SPINOR_REALS]);
         group.bench_function(name, |b| {
-            b.iter(|| quda_comm::unframe(&quda_comm::frame(black_box(&payload))).expect("frame"))
+            b.iter(|| {
+                let frame = black_box(&mut frame);
+                frame.seal();
+                frame.verify().expect("frame")
+            })
         });
     }
     let d = dims();

@@ -1,24 +1,26 @@
-//! Byte-level packing of face payloads, plus message framing.
+//! Wire frames, the frame checksum, and the f64 packing the collectives
+//! use.
 //!
-//! Ghost faces travel between ranks as raw byte messages, exactly like MPI
-//! buffers. These helpers pack and unpack the three storage element types
-//! (f64, f32, i16-fixed-point) plus the f32 normalization arrays that ride
-//! with half-precision faces. Packing writes every element into one
-//! pre-sized buffer; the bytes are each element's `to_le_bytes`, in order.
+//! Every message travels as one owned [`Frame`]: a single buffer holding a
+//! 12-byte header — a 4-byte little-endian payload length and an 8-byte
+//! [`checksum`] — followed by the payload, like an MPI buffer with a
+//! link-level header in front. The writer fills the payload in place
+//! (the face exchange encodes each gathered half spinor straight into it),
+//! [`Frame::seal`] writes the header over the same buffer, and the receiver
+//! runs [`Frame::verify`] and reads the payload where it landed: one buffer
+//! from gather to ghost zone, with no copy in between.
 //!
-//! On the wire every payload is wrapped in a 12-byte frame — a 4-byte
-//! little-endian length and an 8-byte [`checksum`] — so a truncated or
-//! bit-flipped message is *detected* at the receiver instead of being
-//! silently summed into the solve ([`unframe`] reports a typed
-//! [`DecodeError`]). The checksum is a word-parallel FNV-1a that reads the
-//! payload eight bytes per step. Any corruption confined to one aligned
-//! 8-byte word of the payload, which includes every single-bit and
-//! single-byte flip, is detected with certainty; a truncation is caught by
-//! the length. The frame header is link-level bookkeeping and is not
-//! counted in the traffic statistics the performance model prices.
+//! The header lets the receiver *detect* a truncated or bit-flipped
+//! message instead of silently summing it into the solve ([`Frame::verify`]
+//! reports a typed [`DecodeError`]). The checksum is a word-parallel FNV-1a
+//! that reads the payload eight bytes per step. Any corruption confined to
+//! one aligned 8-byte word of the payload, which includes every single-bit
+//! and single-byte flip, is detected with certainty; a truncation is caught
+//! by the length. The header is link-level bookkeeping and is not counted
+//! in the traffic statistics the performance model prices.
 
 use crate::error::DecodeError;
-use bytes::{Bytes, BytesMut};
+use std::ops::{Deref, DerefMut};
 
 /// Bytes of framing added to each wire message (length + checksum).
 pub const FRAME_OVERHEAD: usize = 12;
@@ -85,61 +87,80 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     fnv_step(h, bytes.len() as u64)
 }
 
-/// Wrap a payload in a `[len u32][checksum u64][payload]` frame.
-pub fn frame(payload: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(FRAME_OVERHEAD + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&checksum(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf.freeze()
-}
-
-/// Validate a frame and return its payload.
+/// One wire message in one owned buffer: the `[len u32][checksum u64]`
+/// header followed by the payload.
 ///
-/// Detects short frames ([`DecodeError::Truncated`]) and corrupted
-/// payloads ([`DecodeError::BadChecksum`]).
-pub fn unframe(framed: &Bytes) -> Result<Bytes, DecodeError> {
-    if framed.len() < FRAME_OVERHEAD {
-        return Err(DecodeError::Truncated { expected: FRAME_OVERHEAD, got: framed.len() });
-    }
-    let len = u32::from_le_bytes(le_bytes(&framed[0..4])) as usize;
-    let want = u64::from_le_bytes(le_bytes(&framed[4..12]));
-    if framed.len() != FRAME_OVERHEAD + len {
-        return Err(DecodeError::Truncated { expected: FRAME_OVERHEAD + len, got: framed.len() });
-    }
-    let payload = framed.slice(FRAME_OVERHEAD..framed.len());
-    let got = checksum(&payload);
-    if got != want {
-        return Err(DecodeError::BadChecksum { expected: want, got });
-    }
-    Ok(payload)
+/// A frame derefs to its payload, so a writer fills it in place and a
+/// reader decodes it where it landed. [`Frame::seal`] writes the header
+/// for the current payload (the communicator seals every frame it sends);
+/// [`Frame::verify`] checks a received one. Cloning copies the buffer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Frame {
+    /// Header and payload. Shorter than a header only after a truncation
+    /// on the wire, which [`Frame::verify`] reports.
+    pub(crate) buf: Vec<u8>,
 }
 
-/// Append the little-endian bytes of every element of `data` to `buf` in
-/// one pass over a region sized up front: the bytes are exactly the
-/// concatenation of `to_le(x)` over `data`.
-pub fn extend_le<T: Copy, const N: usize>(
-    buf: &mut Vec<u8>,
-    data: &[T],
-    to_le: impl Fn(T) -> [u8; N],
-) {
-    let start = buf.len();
-    buf.resize(start + data.len() * N, 0);
-    for (dst, &x) in buf[start..].chunks_exact_mut(N).zip(data) {
-        dst.copy_from_slice(&to_le(x));
+impl Frame {
+    /// A frame with a zero-filled payload of `len` bytes, to be written in
+    /// place.
+    pub fn zeroed(len: usize) -> Frame {
+        Frame { buf: vec![0; FRAME_OVERHEAD + len] }
+    }
+
+    /// Write the header for the current payload: its length and checksum.
+    pub fn seal(&mut self) {
+        let (header, payload) = self.buf.split_at_mut(FRAME_OVERHEAD);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
+    }
+
+    /// Check the header against the payload.
+    ///
+    /// Detects short frames ([`DecodeError::Truncated`]) and corrupted
+    /// payloads ([`DecodeError::BadChecksum`]).
+    pub fn verify(&self) -> Result<(), DecodeError> {
+        let framed = &self.buf;
+        if framed.len() < FRAME_OVERHEAD {
+            return Err(DecodeError::Truncated { expected: FRAME_OVERHEAD, got: framed.len() });
+        }
+        let len = u32::from_le_bytes(le_bytes(&framed[0..4])) as usize;
+        let want = u64::from_le_bytes(le_bytes(&framed[4..12]));
+        if framed.len() != FRAME_OVERHEAD + len {
+            return Err(DecodeError::Truncated {
+                expected: FRAME_OVERHEAD + len,
+                got: framed.len(),
+            });
+        }
+        let got = checksum(&framed[FRAME_OVERHEAD..]);
+        if got != want {
+            return Err(DecodeError::BadChecksum { expected: want, got });
+        }
+        Ok(())
     }
 }
 
-/// Pack `data` into a new buffer of little-endian bytes (see [`extend_le`]).
-pub fn pack_le<T: Copy, const N: usize>(data: &[T], to_le: impl Fn(T) -> [u8; N]) -> Bytes {
-    let mut buf = Vec::with_capacity(data.len() * N);
-    extend_le(&mut buf, data, to_le);
-    Bytes::from(buf)
+impl Deref for Frame {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.buf.get(FRAME_OVERHEAD..).unwrap_or_default()
+    }
 }
 
-/// Pack a slice of f64 into little-endian bytes.
-pub fn pack_f64(data: &[f64]) -> Bytes {
-    pack_le(data, f64::to_le_bytes)
+impl DerefMut for Frame {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        self.buf.get_mut(FRAME_OVERHEAD..).unwrap_or_default()
+    }
+}
+
+/// Pack a slice of f64 into a frame of little-endian bytes.
+pub fn pack_f64(data: &[f64]) -> Frame {
+    let mut frame = Frame::zeroed(data.len() * 8);
+    for (dst, x) in frame.chunks_exact_mut(8).zip(data) {
+        dst.copy_from_slice(&x.to_le_bytes());
+    }
+    frame
 }
 
 /// Unpack little-endian f64.
@@ -150,35 +171,22 @@ pub fn unpack_f64(bytes: &[u8]) -> Result<Vec<f64>, DecodeError> {
     Ok(bytes.chunks_exact(8).map(|c| f64::from_le_bytes(le_bytes(c))).collect())
 }
 
-/// Pack a slice of f32 into little-endian bytes.
-pub fn pack_f32(data: &[f32]) -> Bytes {
-    pack_le(data, f32::to_le_bytes)
-}
-
-/// Unpack little-endian f32.
-pub fn unpack_f32(bytes: &[u8]) -> Result<Vec<f32>, DecodeError> {
-    if bytes.len() % 4 != 0 {
-        return Err(DecodeError::LengthMismatch { element_size: 4, len: bytes.len() });
-    }
-    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(le_bytes(c))).collect())
-}
-
-/// Pack a slice of i16 (the half-precision storage integers).
-pub fn pack_i16(data: &[i16]) -> Bytes {
-    pack_le(data, i16::to_le_bytes)
-}
-
-/// Unpack little-endian i16.
-pub fn unpack_i16(bytes: &[u8]) -> Result<Vec<i16>, DecodeError> {
-    if bytes.len() % 2 != 0 {
-        return Err(DecodeError::LengthMismatch { element_size: 2, len: bytes.len() });
-    }
-    Ok(bytes.chunks_exact(2).map(|c| i16::from_le_bytes(le_bytes(c))).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sealed frame of `data`.
+    fn sealed(data: &[f64]) -> Frame {
+        let mut frame = pack_f64(data);
+        frame.seal();
+        frame
+    }
+
+    /// A frame holding exactly the bytes `wire`, as a faulty link would
+    /// deliver them.
+    fn received(wire: &[u8]) -> Frame {
+        Frame { buf: wire.to_vec() }
+    }
 
     #[test]
     fn f64_roundtrip() {
@@ -187,49 +195,38 @@ mod tests {
     }
 
     #[test]
-    fn f32_roundtrip() {
-        let data = vec![0.0f32, -1.5, 3.25e30];
-        assert_eq!(unpack_f32(&pack_f32(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn i16_roundtrip() {
-        let data = vec![0i16, 32767, -32768, 123];
-        assert_eq!(unpack_i16(&pack_i16(&data)).unwrap(), data);
-    }
-
-    #[test]
     fn ragged_payload_rejected() {
         assert_eq!(
             unpack_f64(&[1, 2, 3]),
             Err(DecodeError::LengthMismatch { element_size: 8, len: 3 })
         );
-        assert!(unpack_f32(&[0; 5]).is_err());
-        assert!(unpack_i16(&[0; 3]).is_err());
+        assert!(unpack_f64(&[0; 12]).is_err());
     }
 
     #[test]
     fn sizes_match_mpi_buffer_sizes() {
-        // A single-precision 12-component face site is 48 bytes on the wire.
-        assert_eq!(pack_f32(&[0.0; 12]).len(), 48);
-        // Half precision: 24 bytes + (separately) one 4-byte norm.
-        assert_eq!(pack_i16(&[0; 12]).len(), 24);
+        // A double-precision 12-component face site is 96 bytes of payload;
+        // the frame header rides in front of it in the same buffer.
+        let frame = sealed(&[0.0; 12]);
+        assert_eq!(frame.len(), 96);
+        assert_eq!(frame.buf.len(), 96 + FRAME_OVERHEAD);
     }
 
     #[test]
     fn frame_roundtrip() {
-        let payload = pack_f64(&[1.0, -2.5, 3.75]);
-        let framed = frame(&payload);
-        assert_eq!(framed.len(), payload.len() + FRAME_OVERHEAD);
-        assert_eq!(&unframe(&framed).unwrap()[..], &payload[..]);
+        let data = [1.0, -2.5, 3.75];
+        let framed = sealed(&data);
+        assert_eq!(framed.buf.len(), framed.len() + FRAME_OVERHEAD);
+        let got = received(&framed.buf);
+        assert_eq!(got.verify(), Ok(()));
+        assert_eq!(unpack_f64(&got).unwrap(), data);
     }
 
     #[test]
     fn frame_detects_bit_flip() {
-        let framed = frame(&pack_f64(&[42.0]));
-        let mut bad = framed.to_vec();
+        let mut bad = sealed(&[42.0]).buf;
         bad[FRAME_OVERHEAD + 3] ^= 0x10;
-        match unframe(&Bytes::from(bad)) {
+        match received(&bad).verify() {
             Err(DecodeError::BadChecksum { .. }) => {}
             other => panic!("expected BadChecksum, got {other:?}"),
         }
@@ -237,18 +234,21 @@ mod tests {
 
     #[test]
     fn frame_detects_truncation() {
-        let framed = frame(&pack_f64(&[1.0, 2.0]));
-        let cut = Bytes::from(framed[..framed.len() - 5].to_vec());
-        match unframe(&cut) {
+        let framed = sealed(&[1.0, 2.0]);
+        let wire = &framed.buf;
+        let cut = received(&wire[..wire.len() - 5]);
+        match cut.verify() {
             Err(DecodeError::Truncated { expected, got }) => {
-                assert_eq!(expected, framed.len());
-                assert_eq!(got, framed.len() - 5);
+                assert_eq!(expected, wire.len());
+                assert_eq!(got, wire.len() - 5);
             }
             other => panic!("expected Truncated, got {other:?}"),
         }
-        // Shorter than even a header:
+        // Shorter than even a header, whose payload reads as empty:
+        let stub = received(&[1u8, 2, 3]);
+        assert!(stub.is_empty());
         assert!(matches!(
-            unframe(&Bytes::from(vec![1u8, 2, 3])),
+            stub.verify(),
             Err(DecodeError::Truncated { expected: FRAME_OVERHEAD, got: 3 })
         ));
     }
@@ -284,6 +284,6 @@ mod tests {
         // One solve_volume rank face: 256 sites of an 8^3 checkerboarded
         // slice x 12 reals x 8 B = 24,576 B.
         let face: Vec<f64> = (0..3072).map(|i| (i as f64 * 0.37).sin()).collect();
-        assert_every_bit_flip_detected(&mut pack_f64(&face).to_vec());
+        assert_every_bit_flip_detected(&mut pack_f64(&face));
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! The message-passing substrate (the QMP/MPI substitute — see DESIGN.md
 //! §2): thread-ranks exchanging byte messages over channels with `(from,
-//! tag)` matching, deterministic allreduce collectives, and byte codecs for
-//! the three storage precisions. Traffic is counted per rank so the
-//! performance model can price every face exchange with the InfiniBand
-//! model from `quda-gpusim`.
+//! tag)` matching, deterministic allreduce collectives, and one owned
+//! [`Frame`] per message, which the face exchange encodes into in place.
+//! Traffic is counted per rank so the performance model can price every
+//! face exchange with the InfiniBand model from `quda-gpusim`.
 //!
 //! The layer is failure-aware (DESIGN.md §7): every hot API returns a typed
 //! [`CommError`], messages travel as checksummed frames with sequence
@@ -25,10 +25,7 @@ pub mod lockstep;
 pub mod tags;
 pub mod world;
 
-pub use codec::{
-    checksum, extend_le, frame, le_bytes, pack_f32, pack_f64, pack_i16, pack_le, unframe,
-    unpack_f32, unpack_f64, unpack_i16, FRAME_OVERHEAD,
-};
+pub use codec::{checksum, le_bytes, pack_f64, unpack_f64, Frame, FRAME_OVERHEAD};
 pub use error::{CommError, DecodeError};
 pub use fault::{CollectiveFault, FaultAction, FaultPlan};
 pub use lockstep::{CollectiveKind, LockstepConfig, LockstepRecord};

@@ -11,23 +11,26 @@
 //! ## Resilience
 //!
 //! Every hot API returns a typed [`CommError`] instead of panicking or
-//! blocking forever. On the wire each message is a frame carrying a
-//! word-parallel FNV-1a checksum of its payload (see
-//! [`codec`](crate::codec)), hashed by the sender and verified by the
-//! receiver before the payload is used, and a per-`(peer, tag)` sequence
-//! number, which lets the receiver detect corruption, discard duplicates,
-//! and notice gaps. A world-shared liveness board turns a dropped, panicked
-//! or fault-killed peer into [`CommError::RankDead`] within one timeout
-//! tick, and a link-level *pristine store* — the moral equivalent of NIC
-//! retransmit buffers on the paper's InfiniBand fabric — masks injected
-//! drops, truncations and bit-flips with bit-identical payloads, so a
-//! faulted run converges to exactly the fault-free result (DESIGN.md §7).
+//! blocking forever. Each message is one owned [`Frame`]: the sender seals
+//! the header (length plus a word-parallel FNV-1a checksum of the payload,
+//! see [`codec`](crate::codec)) into the buffer the payload was written in
+//! and moves that buffer through the channel; the receiver verifies it
+//! before use and hands the same buffer to the caller. A per-`(peer, tag)`
+//! sequence number lets the receiver detect corruption, discard
+//! duplicates, and notice gaps. A world-shared liveness board turns a
+//! dropped, panicked or fault-killed peer into [`CommError::RankDead`]
+//! within one timeout tick, and a link-level *pristine store* — the moral
+//! equivalent of NIC retransmit buffers on the paper's InfiniBand fabric,
+//! holding a sealed frame only when a [`FaultPlan`] drops or perturbs its
+//! wire copy — masks injected drops, truncations and bit-flips with
+//! bit-identical payloads, so a faulted run converges to exactly the
+//! fault-free result (DESIGN.md §7).
 
+use crate::codec::{Frame, FRAME_OVERHEAD};
 use crate::error::CommError;
 use crate::fault::{CollectiveFault, FaultAction, FaultPlan};
 use crate::lockstep::{self, CollectiveKind, LockstepConfig, LockstepState};
 use crate::tags;
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use quda_obs::{clock, Phase, Tracer};
 use std::collections::{HashMap, VecDeque};
@@ -45,7 +48,7 @@ struct Message {
     from: usize,
     tag: u32,
     seq: u64,
-    frame: Bytes,
+    frame: Frame,
 }
 
 /// Timeout and retry policy for one communicator.
@@ -104,10 +107,10 @@ struct WorldShared {
     /// Liveness board: `alive[r]` is cleared when rank `r`'s communicator
     /// is dropped (clean exit or panic) or a fault plan kills it.
     alive: Vec<AtomicBool>,
-    /// Link-level retransmit store: pristine payload copies keyed by
+    /// Link-level retransmit store: pristine sealed frames keyed by
     /// `(from, to, tag, seq)`, populated only when a fault perturbs the
     /// wire copy of a message.
-    pristine: Mutex<HashMap<(usize, usize, u32, u64), Bytes>>,
+    pristine: Mutex<HashMap<(usize, usize, u32, u64), Frame>>,
     /// The installed fault schedule, if any.
     plan: Option<FaultPlan>,
 }
@@ -230,11 +233,13 @@ impl Communicator {
     }
 
     /// Non-blocking send (channel buffered, like an eager-protocol MPI
-    /// send of a face-sized message). Fails with [`CommError::RankDead`]
-    /// if this rank was fault-killed or the destination endpoint is gone.
-    pub fn send(&mut self, to: usize, tag: u32, payload: Bytes) -> Result<(), CommError> {
+    /// send of a face-sized message): seals `frame`'s header in place and
+    /// moves the frame to `to`. Fails with [`CommError::RankDead`] if this
+    /// rank was fault-killed or the destination endpoint is gone.
+    pub fn send(&mut self, to: usize, tag: u32, mut frame: Frame) -> Result<(), CommError> {
         let mut span = self.tracer.span(Phase::CommSend);
-        span.set_bytes(payload.len() as u64);
+        let payload_len = frame.len();
+        span.set_bytes(payload_len as u64);
         let mut action = FaultAction::Deliver;
         if let Some(plan) = &self.shared.plan {
             if plan.is_dead(self.rank, self.total_sends) {
@@ -262,54 +267,54 @@ impl Communicator {
         };
         if !tags::is_internal(tag) {
             if let Some(ls) = &mut self.lockstep {
-                ls.record(CollectiveKind::Send, tag, payload.len() as u64, seq);
+                ls.record(CollectiveKind::Send, tag, payload_len as u64, seq);
             }
         }
         if let Some(plan) = &self.shared.plan {
             action = plan.decide(self.rank, to, tag, seq);
         }
         self.total_sends += 1;
-        self.sent_bytes += payload.len() as u64;
+        self.sent_bytes += payload_len as u64;
         self.sent_messages += 1;
-        let framed = crate::codec::frame(&payload);
+        frame.seal();
         match action {
-            FaultAction::Deliver => self.put(to, tag, seq, framed)?,
+            FaultAction::Deliver => self.put(to, tag, seq, frame)?,
             FaultAction::Drop => {
-                // The wire copy vanishes; the link keeps a pristine copy
+                // The wire copy vanishes; the link keeps the pristine frame
                 // for the receiver-driven retransmit path.
-                self.store_pristine(to, tag, seq, payload);
+                self.store_pristine(to, tag, seq, frame);
             }
             FaultAction::Delay => {
                 let latency =
                     self.shared.plan.as_ref().map(|p| p.delay_latency()).unwrap_or_default();
                 thread::sleep(latency);
-                self.put(to, tag, seq, framed)?;
+                self.put(to, tag, seq, frame)?;
             }
             FaultAction::Duplicate => {
-                self.put(to, tag, seq, framed.clone())?;
-                self.put_duplicate(to, tag, seq, framed);
+                self.put(to, tag, seq, frame.clone())?;
+                self.put_duplicate(to, tag, seq, frame);
             }
             FaultAction::Truncate => {
-                self.store_pristine(to, tag, seq, payload);
-                let cut = framed.len().saturating_sub(7);
-                self.put(to, tag, seq, framed.slice(0..cut))?;
+                self.store_pristine(to, tag, seq, frame.clone());
+                let cut = frame.buf.len().saturating_sub(7);
+                frame.buf.truncate(cut);
+                self.put(to, tag, seq, frame)?;
             }
             FaultAction::BitFlip => {
-                self.store_pristine(to, tag, seq, payload.clone());
-                let mut wire = framed.to_vec();
-                let idx = if payload.is_empty() {
+                self.store_pristine(to, tag, seq, frame.clone());
+                let idx = if payload_len == 0 {
                     4 // no payload bytes: corrupt the checksum field itself
                 } else {
-                    crate::codec::FRAME_OVERHEAD + (seq as usize).wrapping_mul(7919) % payload.len()
+                    FRAME_OVERHEAD + (seq as usize).wrapping_mul(7919) % payload_len
                 };
-                wire[idx] ^= 0x20;
-                self.put(to, tag, seq, Bytes::from(wire))?;
+                frame.buf[idx] ^= 0x20;
+                self.put(to, tag, seq, frame)?;
             }
         }
         Ok(())
     }
 
-    fn put(&mut self, to: usize, tag: u32, seq: u64, frame: Bytes) -> Result<(), CommError> {
+    fn put(&mut self, to: usize, tag: u32, seq: u64, frame: Frame) -> Result<(), CommError> {
         self.senders[to].send(Message { from: self.rank, tag, seq, frame }).map_err(|_| {
             self.shared.alive[to].store(false, Ordering::SeqCst);
             CommError::RankDead { rank: to }
@@ -321,11 +326,11 @@ impl Communicator {
     /// consumed the first copy, finished and hung up is healthy, so a copy
     /// the channel cannot deliver is a lost duplicate — no error, and the
     /// liveness board is left alone.
-    fn put_duplicate(&mut self, to: usize, tag: u32, seq: u64, frame: Bytes) {
+    fn put_duplicate(&mut self, to: usize, tag: u32, seq: u64, frame: Frame) {
         let _ = self.senders[to].send(Message { from: self.rank, tag, seq, frame });
     }
 
-    fn store_pristine(&self, to: usize, tag: u32, seq: u64, payload: Bytes) {
+    fn store_pristine(&self, to: usize, tag: u32, seq: u64, frame: Frame) {
         // A peer that panicked while holding the lock leaves the map intact
         // (insert/remove are single operations), so poison is stripped
         // rather than cascading the panic across surviving ranks.
@@ -333,10 +338,10 @@ impl Communicator {
             .pristine
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert((self.rank, to, tag, seq), payload);
+            .insert((self.rank, to, tag, seq), frame);
     }
 
-    fn take_pristine(&self, from: usize, tag: u32, seq: u64) -> Option<Bytes> {
+    fn take_pristine(&self, from: usize, tag: u32, seq: u64) -> Option<Frame> {
         self.shared
             .pristine
             .lock()
@@ -344,10 +349,10 @@ impl Communicator {
             .remove(&(from, self.rank, tag, seq))
     }
 
-    /// Try to produce the next-in-sequence payload for `(from, tag)` from
+    /// Try to produce the next-in-sequence frame for `(from, tag)` from
     /// the stash, the channel backlog, or the link-level pristine store —
     /// without blocking. Stale duplicates are purged along the way.
-    fn try_take(&mut self, from: usize, tag: u32) -> Result<Option<Bytes>, CommError> {
+    fn try_take(&mut self, from: usize, tag: u32) -> Result<Option<Frame>, CommError> {
         let expected = *self.recv_seq.entry((from, tag)).or_insert(0);
         for drained in [false, true] {
             if drained {
@@ -367,18 +372,18 @@ impl Communicator {
                 .position(|m| m.from == from && m.tag == tag && m.seq == expected)
                 .and_then(|pos| self.stash.remove(pos))
             {
-                match crate::codec::unframe(&m.frame) {
-                    Ok(payload) => {
+                match m.frame.verify() {
+                    Ok(()) => {
                         self.recv_seq.insert((from, tag), expected + 1);
-                        return Ok(Some(payload));
+                        return Ok(Some(m.frame));
                     }
                     Err(error) => {
                         self.stats.checksum_failures += 1;
                         return match self.take_pristine(from, tag, expected) {
-                            Some(payload) => {
+                            Some(frame) => {
                                 self.stats.recovered += 1;
                                 self.recv_seq.insert((from, tag), expected + 1);
-                                Ok(Some(payload))
+                                Ok(Some(frame))
                             }
                             None => Err(CommError::Decode { from, tag, error }),
                         };
@@ -388,10 +393,10 @@ impl Communicator {
         }
         // Not on the wire at all — maybe the link dropped it and kept a
         // pristine copy (receiver-driven retransmit).
-        if let Some(payload) = self.take_pristine(from, tag, expected) {
+        if let Some(frame) = self.take_pristine(from, tag, expected) {
             self.stats.recovered += 1;
             self.recv_seq.insert((from, tag), expected + 1);
-            return Ok(Some(payload));
+            return Ok(Some(frame));
         }
         Ok(None)
     }
@@ -401,32 +406,33 @@ impl Communicator {
         self.stash.iter().any(|m| m.from == from && m.tag == tag && m.seq > expected)
     }
 
-    /// Blocking receive matching `(from, tag)`; out-of-order messages are
-    /// stashed until asked for. Never hangs: a dead peer surfaces as
+    /// Blocking receive matching `(from, tag)`: the verified frame, whose
+    /// payload the caller reads in place (or seals and sends on).
+    /// Out-of-order messages are stashed until asked for. Never hangs: a dead peer surfaces as
     /// [`CommError::RankDead`], a missing message as
     /// [`CommError::Timeout`] (or [`CommError::RetriesExhausted`] once a
     /// sequence gap proves it went missing), and unrecoverable corruption
     /// as [`CommError::Decode`].
-    pub fn recv(&mut self, from: usize, tag: u32) -> Result<Bytes, CommError> {
+    pub fn recv(&mut self, from: usize, tag: u32) -> Result<Frame, CommError> {
         let mut span = self.tracer.span(Phase::CommRecv);
         let result = self.recv_inner(from, tag);
-        if let Ok(payload) = &result {
-            span.set_bytes(payload.len() as u64);
+        if let Ok(frame) = &result {
+            span.set_bytes(frame.len() as u64);
             if !tags::is_internal(tag) {
                 if let Some(ls) = &mut self.lockstep {
                     // recv_inner advanced the stream; the consumed seq is
                     // one behind the next-expected counter.
                     let seq = self.recv_seq.get(&(from, tag)).map_or(0, |s| s.saturating_sub(1));
-                    ls.record(CollectiveKind::Recv, tag, payload.len() as u64, seq);
+                    ls.record(CollectiveKind::Recv, tag, frame.len() as u64, seq);
                 }
             }
         }
         result
     }
 
-    fn recv_inner(&mut self, from: usize, tag: u32) -> Result<Bytes, CommError> {
-        if let Some(payload) = self.try_take(from, tag)? {
-            return Ok(payload);
+    fn recv_inner(&mut self, from: usize, tag: u32) -> Result<Frame, CommError> {
+        if let Some(frame) = self.try_take(from, tag)? {
+            return Ok(frame);
         }
         // All waiting is timed on the shared monotonic epoch so expired
         // ticks can be attributed as retry spans (lint: no-raw-instant).
@@ -438,16 +444,16 @@ impl Communicator {
             match self.receiver.recv_timeout(tick) {
                 Ok(m) => {
                     self.stash.push_back(m);
-                    if let Some(payload) = self.try_take(from, tag)? {
-                        return Ok(payload);
+                    if let Some(frame) = self.try_take(from, tag)? {
+                        return Ok(frame);
                     }
                 }
                 Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
                     if let Some(t0) = tick_start {
                         self.tracer.record_since(Phase::Retry, t0, 0);
                     }
-                    if let Some(payload) = self.try_take(from, tag)? {
-                        return Ok(payload);
+                    if let Some(frame) = self.try_take(from, tag)? {
+                        return Ok(frame);
                     }
                     self.stats.retries += 1;
                     if !self.is_alive(from) {
@@ -711,7 +717,7 @@ impl Drop for Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{frame, pack_f64, unpack_f64};
+    use crate::codec::{pack_f64, unpack_f64};
     use std::thread;
     use std::time::Instant;
 
@@ -946,7 +952,8 @@ mod tests {
         let mut world = comm_world_with(2, fast_config(), None);
         let mut c1 = world.pop().unwrap();
         let mut c0 = world.pop().unwrap();
-        let framed = frame(&pack_f64(&[1.0]));
+        let mut framed = pack_f64(&[1.0]);
+        framed.seal();
         c1.put(0, 5, 0, framed.clone()).unwrap();
         assert_eq!(unpack_f64(&c0.recv(1, 5).unwrap()).unwrap(), vec![1.0]);
         drop(c0);
@@ -982,9 +989,9 @@ mod tests {
         let mut c0 = world.pop().unwrap();
         // A message from the future (seq 5) with seq 0 lost without a
         // pristine copy: evidence of a hole the link cannot repair.
-        c1.senders[0]
-            .send(Message { from: 1, tag: 3, seq: 5, frame: frame(&pack_f64(&[0.0])) })
-            .unwrap();
+        let mut frame = pack_f64(&[0.0]);
+        frame.seal();
+        c1.senders[0].send(Message { from: 1, tag: 3, seq: 5, frame }).unwrap();
         assert_eq!(
             c0.recv(1, 3),
             Err(CommError::RetriesExhausted { from: 1, tag: 3, attempts: 3 })

@@ -69,33 +69,50 @@ pub fn max_quantization_error(norm: f32) -> f32 {
     norm * 0.5 / FIXED16_SCALE
 }
 
-/// Quantize `sites × block` f64 reals into raw 16-bit storage integers with
-/// one shared `f32` sup-norm per `block`-real site, appended to `norms`.
+/// Quantize one site block into 16-bit storage integers, one per real,
+/// with the block's shared sup-norm, which is returned as stored (`f32`).
 ///
 /// This is the single sanctioned path from float data to the half-precision
 /// wire/storage format outside this crate (Section VI-C: "the extra
-/// normalization constant for each (12 component) spinor"); an all-zero
-/// site gets norm 1.0 so dequantization stays well-defined.
+/// normalization constant for each (12 component) spinor"): each real is
+/// divided by the norm in f64 and rounded to f32 before quantization, and
+/// an all-zero site gets norm 1.0 so dequantization stays well-defined.
+pub fn quantize_site16(site: &[f64], ints: &mut [i16]) -> f32 {
+    quantize_site(site, ints, |x| Fixed16::quantize(x).0)
+}
+
+/// 8-bit (quarter precision) variant of [`quantize_site16`].
+pub fn quantize_site8(site: &[f64], ints: &mut [i8]) -> f32 {
+    quantize_site(site, ints, |x| Fixed8::quantize(x).0)
+}
+
+fn quantize_site<T>(site: &[f64], ints: &mut [T], quantize: impl Fn(f32) -> T) -> f32 {
+    assert_eq!(site.len(), ints.len(), "one integer per real");
+    let norm = site_norm(site);
+    for (q, &x) in ints.iter_mut().zip(site) {
+        *q = quantize((x / norm) as f32);
+    }
+    norm as f32
+}
+
+/// Quantize `sites × block` f64 reals with [`quantize_site16`], appending
+/// the integers to `ints` and one norm per `block`-real site to `norms`.
 pub fn quantize_sites16(values: &[f64], block: usize, ints: &mut Vec<i16>, norms: &mut Vec<f32>) {
     assert_eq!(values.len() % block, 0, "values must be whole site blocks");
-    for site in values.chunks_exact(block) {
-        let norm = site_norm(site);
-        norms.push(norm as f32);
-        for &x in site {
-            ints.push(Fixed16::quantize((x / norm) as f32).0);
-        }
+    let start = ints.len();
+    ints.resize(start + values.len(), 0);
+    for (site, q) in values.chunks_exact(block).zip(ints[start..].chunks_exact_mut(block)) {
+        norms.push(quantize_site16(site, q));
     }
 }
 
 /// 8-bit (quarter precision) variant of [`quantize_sites16`].
 pub fn quantize_sites8(values: &[f64], block: usize, ints: &mut Vec<i8>, norms: &mut Vec<f32>) {
     assert_eq!(values.len() % block, 0, "values must be whole site blocks");
-    for site in values.chunks_exact(block) {
-        let norm = site_norm(site);
-        norms.push(norm as f32);
-        for &x in site {
-            ints.push(Fixed8::quantize((x / norm) as f32).0);
-        }
+    let start = ints.len();
+    ints.resize(start + values.len(), 0);
+    for (site, q) in values.chunks_exact(block).zip(ints[start..].chunks_exact_mut(block)) {
+        norms.push(quantize_site8(site, q));
     }
 }
 

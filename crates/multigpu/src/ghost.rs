@@ -8,30 +8,33 @@
 //!    slices — the sender-side projection `P±μ ψ` in every dimension, "it is
 //!    true in general (for all directions) that only 12 numbers need be
 //!    transferred" (for T, where `P±4` is diagonal, a copy of two spin
-//!    components scaled by 2 — footnote 3),
+//!    components scaled by 2 — footnote 3) — encoding each one straight
+//!    into the payload of the [`Frame`] it sends,
 //! 2. sends the last-slice face *forward* on that dimension's ring (it
 //!    becomes the receiver's backward ghost) and the first-slice face
-//!    *backward*,
-//! 3. stores received faces in the spinor field's ghost zone for that
-//!    dimension, read back as stored by the Dslash.
+//!    *backward*; the communicator seals the frame in place and moves it,
+//! 3. copies each received payload into the spinor field's ghost zone for
+//!    that dimension, read back as stored by the Dslash.
 //!
-//! The send and receive halves are separate functions so the overlapped
-//! strategy can compute the interior volume between them and progress each
-//! direction independently (Section VI-D2).
+//! So a face crosses one buffer from gather to ghost zone, as in the
+//! paper's gather kernel writing the send buffer and the receive landing in
+//! the ghost zone (Fig. 3). The send and receive halves are separate
+//! functions so the overlapped strategy can compute the interior volume
+//! between them and progress each direction independently (Section VI-D2).
 //!
-//! Wire format matches the storage precision: f64 or f32 payloads for the
-//! float precisions; half precision sends the quantized `i16` components
-//! followed by one `f32` normalization per face site — "for half precision
-//! the extra normalization constant for each (12 component) spinor is also
-//! required" (Section VI-C). The format is identical for every dimension;
-//! only face areas and tags differ.
+//! The wire format is the ghost store's own layout: the storage elements of
+//! every site (f64, f32, or the quantized `i16`/`i8` components), then, in
+//! half and quarter precision, one `f32` normalization per face site — "for
+//! half precision the extra normalization constant for each (12 component)
+//! spinor is also required" (Section VI-C). Receiving is therefore a copy,
+//! never a decode and re-quantization. The format is identical for every
+//! dimension; only face areas and tags differ.
 //!
 //! There is one exchange: a slice of right-hand sides with an `active`
 //! mask, addressed by a plan and a dimension. The paper's single-field
 //! temporal exchange is the one-element slice on a `1×1×1×N` plan.
 
-use bytes::Bytes;
-use quda_comm::{tags, CommError, Communicator, DecodeError};
+use quda_comm::{le_bytes, tags, CommError, Communicator, DecodeError, Frame};
 use quda_dirac::gather_face_site;
 use quda_fields::precision::Precision;
 use quda_fields::{GaugeFieldCb, SpinorFieldCb};
@@ -40,44 +43,60 @@ use quda_lattice::partition::DecompPlan;
 use quda_lattice::stencil::Stencil;
 use quda_math::half;
 use quda_math::real::Real;
-use quda_math::spinor::{HalfSpinor, HALF_SPINOR_REALS};
+use quda_math::spinor::HALF_SPINOR_REALS;
 use quda_math::su3::Su3;
 use quda_obs::Phase;
 
 /// Encode a gathered face (one f64 per real, `faces × 12` entries) at the
-/// wire precision of `P`.
-pub fn encode_face<P: Precision>(values: &[f64]) -> Bytes {
+/// wire precision of `P`: [`send_faces`]'s per-site encoder, site by site.
+pub fn encode_face<P: Precision>(values: &[f64]) -> Frame {
+    assert_eq!(values.len() % HALF_SPINOR_REALS, 0, "values must be whole face sites");
+    let sites = values.len() / HALF_SPINOR_REALS;
+    let mut frame = Frame::zeroed(face_wire_bytes::<P>(sites));
+    for (s, site) in values.chunks_exact(HALF_SPINOR_REALS).enumerate() {
+        encode_site::<P>(site, &mut frame, sites, s);
+    }
+    frame
+}
+
+/// Write face site `s` of a `sites`-site payload at the wire precision of
+/// `P`: its 12 elements into the element run and, in half and quarter, its
+/// `f32` norm into the norm run that follows every element. Sites are
+/// independent, so a fused multi-RHS face is byte-identical to the
+/// concatenation of its per-RHS encodings.
+fn encode_site<P: Precision>(site: &[f64], payload: &mut [u8], sites: usize, s: usize) {
+    let run = HALF_SPINOR_REALS * P::STORAGE_BYTES;
+    let (elems, norms) = payload.split_at_mut(sites * run);
+    let (elems, norm) = (&mut elems[s * run..(s + 1) * run], 4 * s..4 * s + 4);
     match (P::NEEDS_NORM, P::STORAGE_BYTES) {
-        (false, 8) => quda_comm::pack_f64(values),
-        (false, _) => quda_comm::pack_le(values, |x| (x as f32).to_le_bytes()),
+        (false, 8) => put_le(elems, site, f64::to_le_bytes),
+        (false, _) => put_le(elems, site, |x| (x as f32).to_le_bytes()),
         (true, 1) => {
-            // Quarter precision: 8-bit components with a shared per-site
-            // f32 norm — the wire matches the storage width, like half.
-            let sites = values.len() / HALF_SPINOR_REALS;
-            let mut ints = Vec::with_capacity(values.len());
-            let mut norms = Vec::with_capacity(sites);
-            half::quantize_sites8(values, HALF_SPINOR_REALS, &mut ints, &mut norms);
-            let mut buf = Vec::with_capacity(values.len() + sites * 4);
-            quda_comm::extend_le(&mut buf, &ints, i8::to_le_bytes);
-            quda_comm::extend_le(&mut buf, &norms, f32::to_le_bytes);
-            Bytes::from(buf)
+            let mut ints = [0i8; HALF_SPINOR_REALS];
+            norms[norm].copy_from_slice(&half::quantize_site8(site, &mut ints).to_le_bytes());
+            put_le(elems, &ints, i8::to_le_bytes);
         }
         (true, _) => {
-            // Half precision: per-site quantization with a shared norm.
-            let sites = values.len() / HALF_SPINOR_REALS;
-            let mut ints = Vec::with_capacity(values.len());
-            let mut norms = Vec::with_capacity(sites);
-            half::quantize_sites16(values, HALF_SPINOR_REALS, &mut ints, &mut norms);
-            let mut buf = Vec::with_capacity(ints.len() * 2 + norms.len() * 4);
-            quda_comm::extend_le(&mut buf, &ints, i16::to_le_bytes);
-            quda_comm::extend_le(&mut buf, &norms, f32::to_le_bytes);
-            Bytes::from(buf)
+            let mut ints = [0i16; HALF_SPINOR_REALS];
+            norms[norm].copy_from_slice(&half::quantize_site16(site, &mut ints).to_le_bytes());
+            put_le(elems, &ints, i16::to_le_bytes);
         }
+    }
+}
+
+/// Write the little-endian bytes of each element of `src` into `dst`.
+fn put_le<T: Copy, const N: usize>(dst: &mut [u8], src: &[T], to_le: impl Fn(T) -> [u8; N]) {
+    for (d, &x) in dst.chunks_exact_mut(N).zip(src) {
+        d.copy_from_slice(&to_le(x));
     }
 }
 
 /// Decode a face payload back to f64 values, refilling `out` in place so
 /// a steady-state receive loop reuses the scratch buffer's capacity.
+///
+/// The exchange itself never decodes: [`recv_faces`] copies the wire into
+/// the ghost zone. Followed by `set_ghost` of each site, this is the
+/// reference that copy is tested against.
 ///
 /// The payload length is validated against what `sites` faces must occupy
 /// at precision `P` *before* any slicing, so a short or oversized message —
@@ -93,25 +112,20 @@ pub fn decode_face_into<P: Precision>(
     if bytes.len() != expected {
         return Err(DecodeError::Truncated { expected, got: bytes.len() });
     }
+    let (elems, norms) = bytes.split_at(sites * HALF_SPINOR_REALS * P::STORAGE_BYTES);
+    let norms: Vec<f32> = norms.chunks_exact(4).map(|c| f32::from_le_bytes(le_bytes(c))).collect();
     match (P::NEEDS_NORM, P::STORAGE_BYTES) {
-        (false, 8) => {
-            out.extend(bytes.chunks_exact(8).map(|c| f64::from_le_bytes(quda_comm::le_bytes(c))));
-        }
+        (false, 8) => out.extend(elems.chunks_exact(8).map(|c| f64::from_le_bytes(le_bytes(c)))),
         (false, _) => {
-            out.extend(
-                bytes.chunks_exact(4).map(|c| f32::from_le_bytes(quda_comm::le_bytes(c)) as f64),
-            );
+            out.extend(elems.chunks_exact(4).map(|c| f32::from_le_bytes(le_bytes(c)) as f64))
         }
         (true, 1) => {
-            let split = sites * HALF_SPINOR_REALS;
-            let norms = quda_comm::unpack_f32(&bytes[split..])?;
-            let ints: Vec<i8> = bytes[..split].iter().map(|&b| b as i8).collect();
+            let ints: Vec<i8> = elems.iter().map(|&b| b as i8).collect();
             half::dequantize_sites8(&ints, &norms, HALF_SPINOR_REALS, out);
         }
         (true, _) => {
-            let split = sites * HALF_SPINOR_REALS * 2;
-            let ints = quda_comm::unpack_i16(&bytes[..split])?;
-            let norms = quda_comm::unpack_f32(&bytes[split..])?;
+            let ints: Vec<i16> =
+                elems.chunks_exact(2).map(|c| i16::from_le_bytes(le_bytes(c))).collect();
             half::dequantize_sites16(&ints, &norms, HALF_SPINOR_REALS, out);
         }
     }
@@ -149,14 +163,15 @@ pub fn face_wire_bytes_dyn(
 /// `fields` (the X/Y/Z face enumerations are parity-dependent). A single
 /// field is the one-element slice with `active = &[true]`.
 ///
-/// The RHS blocks are concatenated face-by-face before encoding. Because
-/// every wire codec works in independent per-site blocks (plain reals for
-/// the float precisions, per-site quantization groups for half/quarter),
-/// encoding the concatenation is byte-identical to concatenating the
-/// per-RHS encodings — each RHS's decoded ghost values are bit-identical
-/// to what an exchange of that field alone would deliver, while the message
-/// *count* stays that of one RHS (the batching win: per-message latency and
-/// tag traffic amortize across the block).
+/// Each projected half spinor is encoded straight into the payload of the
+/// [`Frame`] that is sent, the RHS blocks one after another. Because every
+/// wire codec works in independent per-site blocks (plain reals for the
+/// float precisions, per-site quantization groups for half/quarter), the
+/// fused message is byte-identical to concatenating the per-RHS encodings —
+/// each RHS's ghost values are bit-identical to what an exchange of that
+/// field alone would deliver, while the message *count* stays that of one
+/// RHS (the batching win: per-message latency and tag traffic amortize
+/// across the block).
 #[allow(clippy::too_many_arguments)]
 pub fn send_faces<P: Precision>(
     comm: &mut Communicator,
@@ -173,23 +188,25 @@ pub fn send_faces<P: Precision>(
     let n_active = active.iter().filter(|&&a| a).count();
     assert!(n_active > 0, "face send needs at least one active RHS");
     let faces = fields[0].face_sites(dim);
+    let sites = n_active * faces;
     let rank = comm.rank();
     let tracer = comm.tracer().clone();
-    let gather_block = |to_forward: bool| -> Bytes {
+    let gather_block = |to_forward: bool| -> Frame {
         let mut gather = tracer.span(Phase::Gather);
-        let mut vals = Vec::with_capacity(n_active * faces * HALF_SPINOR_REALS);
-        for (field, _) in fields.iter().zip(active.iter()).filter(|(_, &a)| a) {
+        let mut frame = Frame::zeroed(face_wire_bytes::<P>(sites));
+        for (k, (field, _)) in fields.iter().zip(active).filter(|(_, &a)| a).enumerate() {
             assert!(field.has_ghost(dim), "field has no ghost zone for dim {dim}");
             for f in 0..faces {
                 let h = gather_face_site(field, basis, stencil, dim, to_forward, f, parity, dagger);
-                for r in h.to_reals() {
-                    vals.push(r.to_f64());
+                let mut site = [0.0; HALF_SPINOR_REALS];
+                for (x, r) in site.iter_mut().zip(h.to_reals()) {
+                    *x = r.to_f64();
                 }
+                encode_site::<P>(&site, &mut frame, sites, k * faces + f);
             }
         }
-        let wire = encode_face::<P>(&vals);
-        gather.set_bytes(wire.len() as u64);
-        wire
+        gather.set_bytes(frame.len() as u64);
+        frame
     };
     // Last dim-slices → forward neighbor on this dimension's ring.
     let fwd_wire = gather_block(true);
@@ -199,11 +216,18 @@ pub fn send_faces<P: Precision>(
     comm.send(plan.neighbor(rank, dim, false), tags::face(dim, false), bwd_wire)
 }
 
-/// Receive both fused faces of dimension `dim` and scatter each active
-/// RHS's segment into that field's ghost zone (the receiving half of
+/// Receive both fused faces of dimension `dim` and copy each active RHS's
+/// segment into that field's ghost zone (the receiving half of
 /// [`send_faces`]). The wire wait is attributed to the per-dimension phase
 /// ([`Phase::wire_dim`]), so a multi-dimensional trace shows each
 /// direction's exposed communication separately.
+///
+/// The wire carries the ghost store's own layout — elements at the storage
+/// precision, then one `f32` norm per site in half and quarter — so the
+/// scatter is a copy of each RHS's element run and norm run: no decode and
+/// no second quantization. A payload whose length is not that of
+/// `n_active × faces` sites is a [`DecodeError::Truncated`], reported
+/// before any ghost is written.
 pub fn recv_faces<P: Precision>(
     comm: &mut Communicator,
     fields: &mut [SpinorFieldCb<P>],
@@ -214,67 +238,79 @@ pub fn recv_faces<P: Precision>(
     assert_eq!(fields.len(), active.len());
     let n_active = active.iter().filter(|&&a| a).count();
     assert!(n_active > 0, "face receive needs at least one active RHS");
-    let faces = fields[0].face_sites(dim);
     let rank = comm.rank();
     let tag_fwd = tags::face(dim, true);
     let tag_bwd = tags::face(dim, false);
     let tracer = comm.tracer().clone();
-    // One fused scratch buffer serves both directions' decodes.
-    let mut values = Vec::with_capacity(n_active * faces * HALF_SPINOR_REALS);
-    let seg = faces * HALF_SPINOR_REALS;
     // From the backward neighbor: its last slices = our backward ghosts.
     let from = plan.neighbor(rank, dim, false);
-    let payload = {
+    let frame = {
         let mut wire = tracer.span(Phase::wire_dim(dim));
-        let payload = comm.recv(from, tag_fwd)?;
-        wire.set_bytes(payload.len() as u64);
-        payload
+        let frame = comm.recv(from, tag_fwd)?;
+        wire.set_bytes(frame.len() as u64);
+        frame
     };
     {
         let _scatter = tracer.span(Phase::Scatter);
-        decode_face_into::<P>(&payload, n_active * faces, &mut values)
-            .map_err(|error| CommError::Decode { from, tag: tag_fwd, error })?;
-        for (k, (field, _)) in fields.iter_mut().zip(active.iter()).filter(|(_, &a)| a).enumerate()
-        {
-            store_ghost(field, dim, true, &values[k * seg..(k + 1) * seg]);
-        }
+        store_faces(fields, active, dim, true, &frame).map_err(|error| CommError::Decode {
+            from,
+            tag: tag_fwd,
+            error,
+        })?;
     }
     // From the forward neighbor: its first slices = our forward ghosts.
     let from = plan.neighbor(rank, dim, true);
-    let payload = {
+    let frame = {
         let mut wire = tracer.span(Phase::wire_dim(dim));
-        let payload = comm.recv(from, tag_bwd)?;
-        wire.set_bytes(payload.len() as u64);
-        payload
+        let frame = comm.recv(from, tag_bwd)?;
+        wire.set_bytes(frame.len() as u64);
+        frame
     };
-    {
-        let _scatter = tracer.span(Phase::Scatter);
-        decode_face_into::<P>(&payload, n_active * faces, &mut values)
-            .map_err(|error| CommError::Decode { from, tag: tag_bwd, error })?;
-        for (k, (field, _)) in fields.iter_mut().zip(active.iter()).filter(|(_, &a)| a).enumerate()
-        {
-            store_ghost(field, dim, false, &values[k * seg..(k + 1) * seg]);
+    let _scatter = tracer.span(Phase::Scatter);
+    store_faces(fields, active, dim, false, &frame).map_err(|error| CommError::Decode {
+        from,
+        tag: tag_bwd,
+        error,
+    })
+}
+
+/// Copy each active RHS's block of a received face `payload` into the
+/// `backward` (else forward) half of that field's `dim` ghost zone: its
+/// elements into `ghost` and, in half and quarter, its norms into
+/// `ghost_norm`. A payload that is not exactly the active RHS's faces is
+/// rejected before anything is written.
+fn store_faces<P: Precision>(
+    fields: &mut [SpinorFieldCb<P>],
+    active: &[bool],
+    dim: usize,
+    backward: bool,
+    payload: &[u8],
+) -> Result<(), DecodeError> {
+    let n_active = active.iter().filter(|&&a| a).count();
+    let faces = fields[0].face_sites(dim);
+    let expected = face_wire_bytes::<P>(n_active * faces);
+    if payload.len() != expected {
+        return Err(DecodeError::Truncated { expected, got: payload.len() });
+    }
+    let run = faces * HALF_SPINOR_REALS * P::STORAGE_BYTES;
+    let (elems, norms) = payload.split_at(n_active * run);
+    let (lo, hi) = if backward { (0, faces) } else { (faces, 2 * faces) };
+    let lanes = fields.iter_mut().zip(active).filter(|(_, &a)| a).map(|(field, _)| field);
+    for (k, field) in lanes.enumerate() {
+        assert!(field.has_ghost(dim), "field has no ghost zone for dim {dim}");
+        let ghost = &mut field.ghost[dim][lo * HALF_SPINOR_REALS..hi * HALF_SPINOR_REALS];
+        let wire = elems[k * run..(k + 1) * run].chunks_exact(P::STORAGE_BYTES);
+        for (e, w) in ghost.iter_mut().zip(wire.filter_map(P::elem_from_le_bytes)) {
+            *e = w;
+        }
+        if P::NEEDS_NORM {
+            let wire = norms[4 * k * faces..4 * (k + 1) * faces].chunks_exact(4);
+            for (n, w) in field.ghost_norm[dim][lo..hi].iter_mut().zip(wire) {
+                *n = f32::from_le_bytes(le_bytes(w));
+            }
         }
     }
     Ok(())
-}
-
-fn store_ghost<P: Precision>(
-    field: &mut SpinorFieldCb<P>,
-    dim: usize,
-    backward: bool,
-    values: &[f64],
-) {
-    let faces = field.face_sites(dim);
-    assert_eq!(values.len(), faces * HALF_SPINOR_REALS);
-    for f in 0..faces {
-        let mut reals = [P::Arith::ZERO; HALF_SPINOR_REALS];
-        for (k, r) in reals.iter_mut().enumerate() {
-            *r = P::Arith::from_f64(values[f * HALF_SPINOR_REALS + k]);
-        }
-        let h = HalfSpinor::from_reals(&reals);
-        field.set_ghost(dim, backward, f, &h);
-    }
 }
 
 /// Blocking exchange over every partitioned dimension of `plan`, in
@@ -364,9 +400,10 @@ pub fn exchange_gauge_ghosts<P: Precision>(
 mod tests {
     use super::*;
     use quda_fields::gauge_gen::random_spinor_field;
-    use quda_fields::precision::{Double, Half, Single};
+    use quda_fields::precision::{Double, Half, Quarter, Single};
     use quda_lattice::geometry::{LatticeDims, DIR_T};
     use quda_math::gamma::{GammaBasis, SpinBasis};
+    use quda_math::spinor::HalfSpinor;
     use std::slice::{from_mut, from_ref};
 
     fn dims() -> LatticeDims {
@@ -573,7 +610,7 @@ mod tests {
         check::<Double>();
         check::<Single>();
         check::<Half>();
-        check::<quda_fields::precision::Quarter>();
+        check::<Quarter>();
     }
 
     #[test]
@@ -603,6 +640,228 @@ mod tests {
         let expect = face_wire_bytes_dyn(Half::STORAGE_BYTES, Half::NEEDS_NORM, faces, n) as u64;
         assert_eq!(comm.sent_bytes() - before, 2 * expect);
         recv_faces(&mut comm, &mut fields, &active, &plan, 3).unwrap();
+    }
+
+    /// The dimensions an exchange test covers on `plan`: the cut ones, or
+    /// all four on a one-rank plan, whose faces loop back (the periodic
+    /// wrap).
+    fn exchanged(plan: &DecompPlan) -> [bool; 4] {
+        if plan.is_partitioned() {
+            plan.open_dims()
+        } else {
+            [true; 4]
+        }
+    }
+
+    /// Lane `k` of `rank`'s fields on a `plan` world, uploaded from a seed
+    /// unique to the pair.
+    fn lane<P: Precision>(plan: &DecompPlan, rank: usize, k: usize) -> SpinorFieldCb<P> {
+        let d = plan.local_dims();
+        let mut f = SpinorFieldCb::<P>::new_open(d, exchanged(plan));
+        f.upload(&random_spinor_field(d, 100 + 10 * rank as u64 + k as u64), Parity::Odd);
+        f
+    }
+
+    /// The raw little-endian bytes of stored elements.
+    fn elem_bytes<P: Precision>(elems: &[P::Elem]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &e in elems {
+            P::elem_to_le_bytes(e, &mut out);
+        }
+        out
+    }
+
+    /// Assert that `got`'s ghost zones (every dimension) are bit-identical
+    /// to `want`'s.
+    fn assert_same_ghosts<P: Precision>(
+        got: &SpinorFieldCb<P>,
+        want: &SpinorFieldCb<P>,
+        what: &str,
+    ) {
+        for dim in 0..4 {
+            let (g, w) = (elem_bytes::<P>(&got.ghost[dim]), elem_bytes::<P>(&want.ghost[dim]));
+            assert!(g == w, "{what}: ghost of dim {dim} differs");
+            let bits = |f: &SpinorFieldCb<P>| -> Vec<u32> {
+                f.ghost_norm[dim].iter().map(|n| n.to_bits()).collect()
+            };
+            assert!(bits(got) == bits(want), "{what}: ghost norms of dim {dim} differ");
+        }
+    }
+
+    /// The ghosts `rank`'s lane `k` must hold after an exchange over every
+    /// open dimension of `plan`: each neighbor's gathered face, encoded,
+    /// decoded by `decode_face_into` and stored through `set_ghost` — the
+    /// dequantise-and-requantise path the exchange's wire copy replaced.
+    fn oracle_ghosts<P: Precision>(plan: &DecompPlan, rank: usize, k: usize) -> SpinorFieldCb<P> {
+        let d = plan.local_dims();
+        let open = exchanged(plan);
+        let (basis, stencil) =
+            (SpinBasis::new(GammaBasis::NonRelativistic), Stencil::with_open(d, open));
+        let mut want = SpinorFieldCb::<P>::new_open(d, open);
+        let mut decoded = Vec::new();
+        for dim in (0..4).filter(|&dim| open[dim]) {
+            // Backward ghost: the backward neighbor's forward-sent face.
+            for backward in [true, false] {
+                let src = lane::<P>(plan, plan.neighbor(rank, dim, !backward), k);
+                let faces = src.face_sites(dim);
+                let mut vals = Vec::new();
+                for f in 0..faces {
+                    let h = gather_face_site(
+                        &src,
+                        &basis,
+                        &stencil,
+                        dim,
+                        backward,
+                        f,
+                        Parity::Odd,
+                        false,
+                    );
+                    vals.extend(h.to_reals().iter().map(|r| r.to_f64()));
+                }
+                decode_face_into::<P>(&encode_face::<P>(&vals), faces, &mut decoded).unwrap();
+                for (f, site) in decoded.chunks_exact(HALF_SPINOR_REALS).enumerate() {
+                    let mut reals = [P::Arith::ZERO; HALF_SPINOR_REALS];
+                    for (r, &x) in reals.iter_mut().zip(site) {
+                        *r = P::Arith::from_f64(x);
+                    }
+                    want.set_ghost(dim, backward, f, &HalfSpinor::from_reals(&reals));
+                }
+            }
+        }
+        want
+    }
+
+    /// One blocking exchange on every rank of `plan`, then every lane
+    /// against the oracle; a masked lane keeps the ghosts it started with.
+    fn check_exchange_against_oracle<P: Precision>(plan: DecompPlan, active: &'static [bool]) {
+        let d = plan.local_dims();
+        let handles: Vec<_> = quda_comm::comm_world(plan.n_ranks())
+            .into_iter()
+            .map(|mut comm| {
+                std::thread::spawn(move || {
+                    let rank = comm.rank();
+                    let (basis, stencil) = (
+                        SpinBasis::new(GammaBasis::NonRelativistic),
+                        Stencil::with_open(d, exchanged(&plan)),
+                    );
+                    let mut fields: Vec<_> =
+                        (0..active.len()).map(|k| lane::<P>(&plan, rank, k)).collect();
+                    if plan.is_partitioned() {
+                        exchange_spinor_ghosts(
+                            &mut comm,
+                            &mut fields,
+                            active,
+                            &basis,
+                            &stencil,
+                            &plan,
+                            Parity::Odd,
+                            false,
+                        )
+                        .unwrap();
+                    } else {
+                        // No dimension is cut, so run the exchange's
+                        // per-dimension body on all four.
+                        for dim in 0..4 {
+                            send_faces(
+                                &mut comm,
+                                &fields,
+                                active,
+                                &basis,
+                                &stencil,
+                                &plan,
+                                dim,
+                                Parity::Odd,
+                                false,
+                            )
+                            .unwrap();
+                        }
+                        for dim in 0..4 {
+                            recv_faces(&mut comm, &mut fields, active, &plan, dim).unwrap();
+                        }
+                    }
+                    (rank, fields)
+                })
+            })
+            .collect();
+        for h in handles {
+            let (rank, fields) = h.join().unwrap();
+            for (k, field) in fields.iter().enumerate() {
+                let what = format!("{} rank {rank} lane {k} of {active:?}", P::NAME);
+                if active[k] {
+                    assert_same_ghosts(field, &oracle_ghosts::<P>(&plan, rank, k), &what);
+                } else {
+                    assert_same_ghosts(field, &lane::<P>(&plan, rank, k), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exchange_is_bit_identical_to_decode_and_set_ghost() {
+        fn check<P: Precision>() {
+            let one_rank = DecompPlan::new(LatticeDims::new(4, 4, 2, 4), [1, 1, 1, 1]);
+            let grid = DecompPlan::new(LatticeDims::new(8, 4, 2, 8), [2, 1, 1, 2]);
+            for plan in [one_rank, grid] {
+                check_exchange_against_oracle::<P>(plan, &[true]);
+                check_exchange_against_oracle::<P>(plan, &[true, false, true]);
+            }
+        }
+        check::<Double>();
+        check::<Single>();
+        check::<Half>();
+        check::<Quarter>();
+    }
+
+    #[test]
+    fn hostile_face_lengths_are_typed_errors_that_write_no_ghost() {
+        fn check<P: Precision>() {
+            let plan = self_plan();
+            let active = [true, false, true];
+            let fields: Vec<_> = (0..3).map(|k| lane::<P>(&plan, 0, k)).collect();
+            let good = face_wire_bytes::<P>(2 * fields[0].face_sites(DIR_T));
+            // Short and long by one byte, empty, and one lane's worth.
+            for len in [good - 1, good + 1, 0, good / 2] {
+                // Hostile first (backward-ghost) face, then a hostile second
+                // face after a well-formed first.
+                for (first, second) in [(len, good), (good, len)] {
+                    let mut world = quda_comm::comm_world(1);
+                    let mut comm = world.pop().unwrap();
+                    comm.send(0, tags::face(DIR_T, true), Frame::zeroed(first)).unwrap();
+                    comm.send(0, tags::face(DIR_T, false), Frame::zeroed(second)).unwrap();
+                    let mut got = fields.clone();
+                    let err = recv_faces(&mut comm, &mut got, &active, &plan, DIR_T).unwrap_err();
+                    let (bad_tag, written) = if first == len {
+                        (tags::face(DIR_T, true), 0)
+                    } else {
+                        (tags::face(DIR_T, false), fields[0].face_sites(DIR_T))
+                    };
+                    assert_eq!(
+                        err,
+                        CommError::Decode {
+                            from: 0,
+                            tag: bad_tag,
+                            error: DecodeError::Truncated { expected: good, got: len },
+                        }
+                    );
+                    // The hostile face wrote nothing; a well-formed first
+                    // face fills the backward ghosts (here with zeros).
+                    for (g, f) in got.iter().zip(&fields) {
+                        let zone = written * HALF_SPINOR_REALS..;
+                        let (ge, fe) = (
+                            elem_bytes::<P>(&g.ghost[DIR_T][zone.clone()]),
+                            elem_bytes::<P>(&f.ghost[DIR_T][zone]),
+                        );
+                        assert!(ge == fe, "{} hostile length {len} wrote a ghost", P::NAME);
+                        let (gn, fnorm) = (&g.ghost_norm[DIR_T], &f.ghost_norm[DIR_T]);
+                        assert_eq!(gn.get(written..), fnorm.get(written..), "{len}");
+                    }
+                }
+            }
+        }
+        check::<Double>();
+        check::<Single>();
+        check::<Half>();
+        check::<Quarter>();
     }
 
     /// Run the gauge ghost exchange on a two-rank `plan` whose ranks hold

@@ -4,22 +4,29 @@
 //! model must respect its structural invariants.
 
 use proptest::prelude::*;
+use quda_comm::{tags, Frame};
 use quda_dirac::{gather_face_site, WilsonCloverOp, WilsonParams};
 use quda_fields::gauge_gen::{random_spinor_field, weak_field};
 use quda_fields::host::HostSpinorField;
 use quda_fields::precision::{Double, Half, Precision, Quarter, Single};
 use quda_fields::SpinorFieldCb;
-use quda_lattice::geometry::{Coord, LatticeDims, Parity};
+use quda_lattice::geometry::{Coord, LatticeDims, Parity, DIR_T};
 use quda_lattice::partition::DecompPlan;
 use quda_lattice::stencil::Stencil;
 use quda_math::gamma::{GammaBasis, SpinBasis};
 use quda_math::half;
 use quda_math::real::Real;
-use quda_math::spinor::HALF_SPINOR_REALS;
+use quda_math::spinor::{HalfSpinor, HALF_SPINOR_REALS};
+use quda_multigpu::ghost::recv_faces;
 use quda_multigpu::perf::{candidate_plans, evaluate, PerfInput};
 use quda_multigpu::rank_op::{CommStrategy, ParallelWilsonCloverOp};
-use quda_multigpu::{exchange_spinor_ghosts, gather_spinor, slice_spinor, PrecisionMode};
+use quda_multigpu::{
+    decode_face_into, exchange_spinor_ghosts, face_wire_bytes, gather_spinor, slice_spinor,
+    PrecisionMode,
+};
 use quda_solvers::operator::LinearOperator;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::slice::from_mut;
 
 /// The codec's wire round trip, recomputed from the same public
@@ -121,6 +128,103 @@ fn codec_round_trip<P: Precision>(
             }
         }
     }
+}
+
+/// Write `sites` (each a norm and 12 storage integers) as the wire payload
+/// of one face at precision `P`: every site's elements, then every norm.
+fn wire_face<P: Precision>(sites: &[(f32, [i16; HALF_SPINOR_REALS])]) -> Frame {
+    let mut frame = Frame::zeroed(face_wire_bytes::<P>(sites.len()));
+    let (elems, norms) = frame.split_at_mut(sites.len() * HALF_SPINOR_REALS * P::STORAGE_BYTES);
+    let elems = elems.chunks_exact_mut(P::STORAGE_BYTES);
+    for (e, &q) in elems.zip(sites.iter().flat_map(|(_, ints)| ints)) {
+        // Little-endian: an i8 is the low byte of the same i16.
+        e.copy_from_slice(&q.to_le_bytes()[..P::STORAGE_BYTES]);
+    }
+    for (n, (norm, _)) in norms.chunks_exact_mut(4).zip(sites) {
+        n.copy_from_slice(&norm.to_le_bytes());
+    }
+    frame
+}
+
+/// Copying the wire into the ghost zone (what `recv_faces` does) must give
+/// `to_bits`-identical `ghost`/`ghost_norm` to dequantising the wire and
+/// re-quantising each site through `set_ghost`. `sites` is split over the
+/// two T faces of a one-rank world, filled up with all-zero sites.
+fn assert_copy_matches_requantise<P>(sites: &[(f32, [i16; HALF_SPINOR_REALS])])
+where
+    P: Precision,
+    P::Elem: PartialEq + std::fmt::Debug,
+{
+    let d = LatticeDims::new(32, 32, 16, 2);
+    let plan = DecompPlan::new(d, [1, 1, 1, 1]);
+    let mut world = quda_comm::comm_world(1);
+    let mut comm = world.pop().unwrap();
+    let faces = d.half_spatial_volume();
+    let zero = (1.0f32, [0i16; HALF_SPINOR_REALS]);
+    let mut vals = Vec::new();
+    let mut copied = SpinorFieldCb::<P>::new(d, true);
+    let mut oracle = SpinorFieldCb::<P>::new(d, true);
+    for chunk in sites.chunks(2 * faces) {
+        let mut chunk = chunk.to_vec();
+        chunk.resize(2 * faces, zero);
+        for (backward, face_sites) in [(true, &chunk[..faces]), (false, &chunk[faces..])] {
+            let wire = wire_face::<P>(face_sites);
+            decode_face_into::<P>(&wire, faces, &mut vals).unwrap();
+            for (f, site) in vals.chunks_exact(HALF_SPINOR_REALS).enumerate() {
+                let mut reals = [P::Arith::ZERO; HALF_SPINOR_REALS];
+                for (r, &x) in reals.iter_mut().zip(site) {
+                    *r = P::Arith::from_f64(x);
+                }
+                oracle.set_ghost(DIR_T, backward, f, &HalfSpinor::from_reals(&reals));
+            }
+            comm.send(0, tags::face(DIR_T, backward), wire).unwrap();
+        }
+        recv_faces(&mut comm, from_mut(&mut copied), &[true], &plan, DIR_T).unwrap();
+        let norms = copied.ghost_norm[DIR_T].iter().zip(&oracle.ghost_norm[DIR_T]);
+        if let Some(i) = norms.map(|(c, o)| c.to_bits() == o.to_bits()).position(|same| !same) {
+            panic!("{} norm of ghost slot {i} differs for {:?}", P::NAME, chunk[i]);
+        }
+        if let Some(i) = (0..copied.ghost[DIR_T].len())
+            .position(|i| copied.ghost[DIR_T][i] != oracle.ghost[DIR_T][i])
+        {
+            let (c, o) = (copied.ghost[DIR_T][i], oracle.ghost[DIR_T][i]);
+            let site = chunk[i / HALF_SPINOR_REALS];
+            panic!("{} ghost real {i}: copied {c:?}, requantised {o:?} for {site:?}", P::NAME);
+        }
+    }
+}
+
+/// Every storage integer `P`'s quantiser produces (`±i16::MAX`, `±i8::MAX`
+/// at most: it clamps), in one non-leading slot of a site whose leading
+/// slot is at `±max`, as a sup-norm-quantised site always is, over a fixed
+/// set of norms: 1.0, the normal f32 extremes, and draws over 2^±30; plus
+/// the all-zero site.
+fn exhaustive_sites<P: Precision>() -> Vec<(f32, [i16; HALF_SPINOR_REALS])> {
+    let max = if P::STORAGE_BYTES == 2 { i16::MAX } else { i8::MAX as i16 };
+    let mut rng = SmallRng::seed_from_u64(46);
+    let mut norms = vec![1.0f32, f32::MIN_POSITIVE, f32::MAX];
+    norms.extend((0..2).map(|_| (rng.gen::<f64>() * 60.0 - 30.0).exp2() as f32));
+    // The other slots hold a fixed in-range pattern of both signs.
+    let mut ints = [0i16; HALF_SPINOR_REALS];
+    for (j, q) in ints.iter_mut().enumerate() {
+        *q = (j as i16 * 37 % max) * if j % 2 == 0 { 1 } else { -1 };
+    }
+    let mut sites = vec![(1.0, [0; HALF_SPINOR_REALS])];
+    for &norm in &norms {
+        for lead in [max, -max] {
+            for v in -max..=max {
+                (ints[0], ints[7]) = (lead, v);
+                sites.push((norm, ints));
+            }
+        }
+    }
+    sites
+}
+
+#[test]
+fn copying_the_wire_equals_requantising_it() {
+    assert_copy_matches_requantise::<Half>(&exhaustive_sites::<Half>());
+    assert_copy_matches_requantise::<Quarter>(&exhaustive_sites::<Quarter>());
 }
 
 fn coord_get(c: Coord, dim: usize) -> usize {

@@ -79,8 +79,8 @@ pub fn decode_face_into_good(bytes: &[u8], out: &mut Vec<f64>) {
     out.extend(bytes.iter().map(|&b| b as f64));
 }
 
-pub fn pack_frame_good(values: &[f64]) -> Bytes {
-    Bytes::from_reals(values)
+pub fn pack_frame_good(values: &[f64]) -> Frame {
+    Frame::from_reals(values)
 }
 
 pub fn helper_returns_vec(n: usize) -> Vec<u8> {

@@ -30,7 +30,7 @@ fn general_fixture_exact_diagnostics() {
     // `.lock()` and a zero-arg `.read()` inside loops (37, 45), and two
     // codec entry points returning fresh Vecs — directly (69) and inside a
     // Result (73). The setup-time allocations, the hoisted guard, the
-    // `&mut` out-parameter decoder, the `Bytes` packer, the non-codec Vec
+    // `&mut` out-parameter decoder, the `Frame` packer, the non-codec Vec
     // helper and the allow-suppressed `format!` are all clean.
     assert_diags(
         "crates/multigpu/src/fixture.rs",
