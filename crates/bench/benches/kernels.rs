@@ -152,11 +152,15 @@ fn bench_primitives(c: &mut Criterion) {
         b.iter(|| black_box(black_box(&u).compress().reconstruct()))
     });
     // Half-precision quantization of one spinor.
-    let reals: Vec<f32> = (0..24).map(|i| (i as f32 * 0.31).sin()).collect();
+    let reals: [f32; 24] = std::array::from_fn(|i| (i as f32 * 0.31).sin());
     group.bench_function("fixed16_quantize_spinor", |b| {
         b.iter(|| {
             let mut out = [quda_math::half::Fixed16::default(); 24];
-            black_box(quda_math::half::quantize_block(black_box(&reals), &mut out))
+            black_box(quda_math::half::encode_site(
+                black_box(&reals),
+                &mut out,
+                quda_math::half::Fixed16::quantize,
+            ))
         })
     });
     group.finish();

@@ -28,7 +28,7 @@
 //! computes where they live. A launch cuts every active output field into
 //! contiguous site ranges, one per core at or above `PAR_THRESHOLD` and
 //! one below it, and each worker stores its range in place through the
-//! field's one site store ([`SitesMut`]). Nothing is staged, and the
+//! field's site store ([`SitesMut`]). Nothing is staged, and the
 //! sequential sweep is the one-worker case, run on the calling thread.
 
 use quda_fields::precision::Precision;

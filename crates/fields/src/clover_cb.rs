@@ -65,27 +65,11 @@ impl<P: Precision> CloverFieldCb<P> {
         }
     }
 
-    /// Load the clover term at site `cb`.
+    /// Load the clover term at site `cb` through the site codec
+    /// ([`Precision::load_site`]).
     pub fn get(&self, cb: usize) -> CloverSite<P::Arith> {
         debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
-        let mut reals = [P::Arith::ZERO; CLOVER_REALS];
-        let run = &self.data[CLOVER_REALS * cb..CLOVER_REALS * (cb + 1)];
-        for (r, &e) in reals.iter_mut().zip(run) {
-            *r = P::load(e);
-        }
-        let mut site = CloverSite::from_reals(&reals);
-        if P::NEEDS_NORM {
-            let norm = P::Arith::from_f64(self.norm[cb] as f64);
-            for b in site.block.iter_mut() {
-                for d in b.diag.iter_mut() {
-                    *d *= norm;
-                }
-                for z in b.offdiag.iter_mut() {
-                    *z = z.scale(norm);
-                }
-            }
-        }
-        site
+        CloverSite::from_reals(&P::load_site::<CLOVER_REALS>(&self.data, &self.norm, cb))
     }
 
     /// Device bytes occupied.

@@ -3,9 +3,12 @@
 //! QUDA's solvers are parameterized by a *storage* precision per field; half
 //! precision stores normalized `i16` and computes in `f32` (Section V-C3).
 //! The [`Precision`] trait carries both the storage element and the
-//! arithmetic type so field containers and kernels can be written once.
+//! arithmetic type so field containers and kernels can be written once,
+//! and one site codec ([`Precision::load_site`]/[`Precision::store_site`])
+//! through which every spinor and clover site read, and every spinor site
+//! and ghost write, converts between the two.
 
-use quda_math::half::{Fixed16, Fixed8};
+use quda_math::half::{decode_site, encode_site, Fixed16, Fixed8};
 use quda_math::real::Real;
 
 /// A storage precision for device fields.
@@ -25,25 +28,46 @@ pub trait Precision: Copy + Clone + Send + Sync + 'static {
     const TAG: PrecisionTag;
 
     /// Store a value already normalized to the representable range
-    /// (for half: `[-1, 1]`; for float types: any value).
+    /// (for half: `[-1, 1]`; for float types: any value). Fields store
+    /// whole sites through [`Precision::store_site`].
     fn store(x: Self::Arith) -> Self::Elem;
     /// Load a stored element back to the arithmetic type.
     fn load(e: Self::Elem) -> Self::Arith;
 
-    /// View a stored-element slice as arithmetic values, when storage *is*
-    /// the arithmetic type (the float precisions). `None` for the
-    /// normalized fixed-point precisions, whose elements are meaningless
-    /// without the per-site norm. This is the escape hatch that lets the
-    /// blas fast paths stream blocked storage directly instead of going
-    /// through per-site `get`/`set`.
-    fn arith_view(e: &[Self::Elem]) -> Option<&[Self::Arith]> {
-        let _ = e;
-        None
+    /// Load site `i` of a store whose sites are runs of `N` elements
+    /// (`norm` holds one entry per run, or nothing for the float
+    /// precisions): the site codec every spinor and clover read goes
+    /// through. For the float precisions it is a plain copy; for the
+    /// fixed-point ones each real is expanded and multiplied by the site's
+    /// norm ([`quda_math::half::decode_site`]).
+    #[inline(always)]
+    fn load_site<const N: usize>(data: &[Self::Elem], norm: &[f32], i: usize) -> [Self::Arith; N] {
+        let run = &data.as_chunks::<N>().0[i];
+        if Self::NEEDS_NORM {
+            decode_site(run, norm[i], Self::load)
+        } else {
+            run.map(Self::load)
+        }
     }
-    /// Mutable counterpart of [`Precision::arith_view`].
-    fn arith_view_mut(e: &mut [Self::Elem]) -> Option<&mut [Self::Arith]> {
-        let _ = e;
-        None
+
+    /// Store `site` as run `i`, the inverse of [`Precision::load_site`]. For
+    /// the fixed-point precisions the run gets a freshly computed norm
+    /// ([`quda_math::half::encode_site`]), written to `norm[i]`.
+    #[inline(always)]
+    fn store_site<const N: usize>(
+        data: &mut [Self::Elem],
+        norm: &mut [f32],
+        i: usize,
+        site: &[Self::Arith; N],
+    ) {
+        let run = &mut data.as_chunks_mut::<N>().0[i];
+        if Self::NEEDS_NORM {
+            norm[i] = encode_site(site, run, Self::store);
+        } else {
+            for (e, &x) in run.iter_mut().zip(site) {
+                *e = Self::store(x);
+            }
+        }
     }
 
     /// Append the *raw storage bytes* of `e` (little-endian) to `out`.
@@ -93,15 +117,6 @@ impl Precision for Double {
         e
     }
 
-    #[inline(always)]
-    fn arith_view(e: &[f64]) -> Option<&[f64]> {
-        Some(e)
-    }
-    #[inline(always)]
-    fn arith_view_mut(e: &mut [f64]) -> Option<&mut [f64]> {
-        Some(e)
-    }
-
     fn elem_to_le_bytes(e: f64, out: &mut Vec<u8>) {
         out.extend_from_slice(&e.to_le_bytes());
     }
@@ -125,15 +140,6 @@ impl Precision for Single {
     #[inline(always)]
     fn load(e: f32) -> f32 {
         e
-    }
-
-    #[inline(always)]
-    fn arith_view(e: &[f32]) -> Option<&[f32]> {
-        Some(e)
-    }
-    #[inline(always)]
-    fn arith_view_mut(e: &mut [f32]) -> Option<&mut [f32]> {
-        Some(e)
     }
 
     fn elem_to_le_bytes(e: f32, out: &mut Vec<u8>) {
@@ -317,19 +323,30 @@ mod tests {
     }
 
     #[test]
-    fn arith_view_is_identity_for_floats_only() {
-        let mut d = [1.0f64, -2.0];
-        assert_eq!(Double::arith_view(&d), Some(&[1.0f64, -2.0][..]));
-        assert!(Double::arith_view_mut(&mut d).is_some());
-        let mut s = [0.5f32];
-        assert_eq!(Single::arith_view(&s), Some(&[0.5f32][..]));
-        assert!(Single::arith_view_mut(&mut s).is_some());
-        let mut h = [Fixed16(100)];
-        assert!(Half::arith_view(&h).is_none());
-        assert!(Half::arith_view_mut(&mut h).is_none());
-        let mut q = [Fixed8(-3)];
-        assert!(Quarter::arith_view(&q).is_none());
-        assert!(Quarter::arith_view_mut(&mut q).is_none());
+    fn site_codec_copies_floats_and_normalizes_fixed_point() {
+        // Float precisions: a plain copy of run 1, no norm.
+        let site = [0.5f64, -2.0, 0.0, 1.25];
+        let mut d = [9.0f64; 8];
+        Double::store_site(&mut d, &mut [], 1, &site);
+        assert_eq!(d, [9.0, 9.0, 9.0, 9.0, 0.5, -2.0, 0.0, 1.25]);
+        assert_eq!(Double::load_site::<4>(&d, &[], 1), site);
+        // Fixed point: run 1 gets the sup-norm, its largest real maps to
+        // the full-scale integer, and run 0 is left alone.
+        let site = [0.5f32, -2.0, 0.0, 1.25];
+        let mut h = [Fixed16(3); 8];
+        let mut norm = [7.0f32; 2];
+        Half::store_site(&mut h, &mut norm, 1, &site);
+        assert_eq!(norm, [7.0, 2.0]);
+        assert_eq!((h[0], h[5], h[6]), (Fixed16(3), Fixed16(-i16::MAX), Fixed16(0)));
+        for (x, y) in Half::load_site::<4>(&h, &norm, 1).iter().zip(&site) {
+            assert!((x - y).abs() <= 2.0 * 0.5 / 32767.0 + f32::EPSILON);
+        }
+        // An all-zero run stores norm 1.
+        let mut q = [Fixed8(5); 4];
+        let mut qn = [0.0f32];
+        Quarter::store_site(&mut q, &mut qn, 0, &[0.0f32; 4]);
+        assert_eq!((q, qn), ([Fixed8(0); 4], [1.0]));
+        assert_eq!(Quarter::load_site::<4>(&q, &qn, 0), [0.0; 4]);
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::host::HostSpinorField;
 use crate::precision::Precision;
 use quda_lattice::geometry::{LatticeDims, Parity};
 use quda_lattice::stencil::Stencil;
-use quda_math::real::Real;
 use quda_math::spinor::{HalfSpinor, Spinor, HALF_SPINOR_REALS, SPINOR_REALS};
 use std::ops::Range;
 
@@ -88,25 +87,30 @@ impl<P: Precision> SpinorFieldCb<P> {
     /// Read the spinor at checkerboard site `cb`.
     #[inline]
     pub fn get(&self, cb: usize) -> Spinor<P::Arith> {
+        Spinor::from_reals(&self.load(cb))
+    }
+
+    /// Read the 24 reals of checkerboard site `cb` through the site codec
+    /// ([`Precision::load_site`]).
+    #[inline(always)]
+    pub fn load(&self, cb: usize) -> [P::Arith; SPINOR_REALS] {
         debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
-        let mut reals = [P::Arith::ZERO; SPINOR_REALS];
-        let run = &self.data[SPINOR_REALS * cb..SPINOR_REALS * (cb + 1)];
-        for (r, &e) in reals.iter_mut().zip(run) {
-            *r = P::load(e);
-        }
-        let mut sp = Spinor::from_reals(&reals);
-        if P::NEEDS_NORM {
-            sp = sp.scale_re(P::Arith::from_f64(self.norm[cb] as f64));
-        }
-        sp
+        P::load_site(&self.data, &self.norm, cb)
     }
 
     /// Write the spinor at checkerboard site `cb` (quantizing in half
-    /// precision with a freshly computed per-site normalization): the
-    /// [`SitesMut`] store over the whole field.
+    /// precision with a freshly computed per-site normalization).
     #[inline]
     pub fn set(&mut self, cb: usize, sp: &Spinor<P::Arith>) {
-        self.sites_mut().set(cb, sp);
+        self.store(cb, &sp.to_reals());
+    }
+
+    /// Write the 24 reals of checkerboard site `cb` through the site codec
+    /// ([`Precision::store_site`]).
+    #[inline(always)]
+    pub fn store(&mut self, cb: usize, site: &[P::Arith; SPINOR_REALS]) {
+        debug_assert!(cb < self.sites(), "site {cb} out of {}", self.sites());
+        P::store_site(&mut self.data, &mut self.norm, cb, site);
     }
 
     /// Every site of the field as one writable [`SitesMut`] range.
@@ -120,18 +124,11 @@ impl<P: Precision> SpinorFieldCb<P> {
     #[inline]
     pub fn get_ghost(&self, dir: usize, backward: bool, face: usize) -> HalfSpinor<P::Arith> {
         let slot = self.ghost_slot(dir, backward, face);
-        let base = slot * HALF_SPINOR_REALS;
-        let mut reals = [P::Arith::ZERO; HALF_SPINOR_REALS];
-        for (r, &e) in reals.iter_mut().zip(&self.ghost[dir][base..base + HALF_SPINOR_REALS]) {
-            *r = P::load(e);
-        }
-        let mut h = HalfSpinor::from_reals(&reals);
-        if P::NEEDS_NORM {
-            let norm = P::Arith::from_f64(self.ghost_norm[dir][slot] as f64);
-            h.h[0] = h.h[0].scale_re(norm);
-            h.h[1] = h.h[1].scale_re(norm);
-        }
-        h
+        HalfSpinor::from_reals(&P::load_site::<HALF_SPINOR_REALS>(
+            &self.ghost[dir],
+            &self.ghost_norm[dir],
+            slot,
+        ))
     }
 
     /// Write the ghost half spinor of dimension `dir` at face site `face`
@@ -139,20 +136,7 @@ impl<P: Precision> SpinorFieldCb<P> {
     #[inline]
     pub fn set_ghost(&mut self, dir: usize, backward: bool, face: usize, h: &HalfSpinor<P::Arith>) {
         let slot = self.ghost_slot(dir, backward, face);
-        let base = slot * HALF_SPINOR_REALS;
-        let mut stored = *h;
-        if P::NEEDS_NORM {
-            let norm = h.h[0].max_abs().max(h.h[1].max_abs());
-            let norm = if norm == 0.0 { 1.0 } else { norm };
-            self.ghost_norm[dir][slot] = norm as f32;
-            let inv = P::Arith::from_f64(1.0 / norm);
-            stored.h[0] = stored.h[0].scale_re(inv);
-            stored.h[1] = stored.h[1].scale_re(inv);
-        }
-        let reals = stored.to_reals();
-        for (e, &r) in self.ghost[dir][base..base + HALF_SPINOR_REALS].iter_mut().zip(&reals) {
-            *e = P::store(r);
-        }
+        P::store_site(&mut self.ghost[dir], &mut self.ghost_norm[dir], slot, &h.to_reals());
     }
 
     /// Half-spinor slot of face site `face` in the `dir` ghost zone.
@@ -167,59 +151,12 @@ impl<P: Precision> SpinorFieldCb<P> {
         }
     }
 
-    /// The site reals as arithmetic values — `Some` only for the float
-    /// precisions, where the stored element *is* the arithmetic type. Site
-    /// `x` owns the `SPINOR_REALS` reals at `SPINOR_REALS·x`, so streaming
-    /// kernels consume the slice directly.
-    pub fn arith_sites(&self) -> Option<&[P::Arith]> {
-        P::arith_view(&self.data)
-    }
-
-    /// Mutable counterpart of [`SpinorFieldCb::arith_sites`].
-    pub fn arith_sites_mut(&mut self) -> Option<&mut [P::Arith]> {
-        P::arith_view_mut(&mut self.data)
-    }
-
-    /// Sanctioned per-site write combinator: set every site to `f(cb)`.
-    /// The site loop lives here, next to the storage that defines it, so
-    /// kernel modules stay free of element-wise indexing.
+    /// Set every site to `f(cb)`, in ascending site order.
     pub fn fill_sites(&mut self, mut f: impl FnMut(usize) -> Spinor<P::Arith>) {
         for cb in 0..self.sites() {
             let v = f(cb);
             self.set(cb, &v);
         }
-    }
-
-    /// Sanctioned read-only fold over sites, in ascending site order (the
-    /// order every reduction kernel is defined to accumulate in).
-    pub fn fold_sites<A>(&self, init: A, mut f: impl FnMut(A, usize, Spinor<P::Arith>) -> A) -> A {
-        let mut acc = init;
-        for cb in 0..self.sites() {
-            acc = f(acc, cb, self.get(cb));
-        }
-        acc
-    }
-
-    /// Sanctioned read-modify-write over sites that threads an accumulator:
-    /// `f` maps `(acc, cb, old)` to `(new, acc)`; the new spinor is stored
-    /// back. This is the shape of the fused update+norm kernels.
-    pub fn update_fold_sites<A>(
-        &mut self,
-        init: A,
-        mut f: impl FnMut(A, usize, Spinor<P::Arith>) -> (Spinor<P::Arith>, A),
-    ) -> A {
-        let mut acc = init;
-        for cb in 0..self.sites() {
-            let (v, a) = f(acc, cb, self.get(cb));
-            self.set(cb, &v);
-            acc = a;
-        }
-        acc
-    }
-
-    /// Sanctioned read-modify-write over sites without an accumulator.
-    pub fn update_sites(&mut self, mut f: impl FnMut(usize, Spinor<P::Arith>) -> Spinor<P::Arith>) {
-        self.update_fold_sites((), |(), cb, v| (f(cb, v), ()));
     }
 
     /// Squared 2-norm over data sites only — ghosts are excluded, which is
@@ -269,12 +206,12 @@ impl<P: Precision> SpinorFieldCb<P> {
     }
 }
 
-/// A contiguous range of a spinor field's sites, open for writing: the one
-/// site store. [`SpinorFieldCb::set`] stores through the range of the whole
-/// field; a threaded kernel cuts it into disjoint ranges with
-/// [`SitesMut::split_front`] and each worker stores into its own in place.
-/// In half and quarter precision the site's `data` run and its `norm` are
-/// written in lockstep.
+/// A contiguous range of a spinor field's sites, open for writing. A
+/// threaded kernel cuts the whole field's range ([`SpinorFieldCb::sites_mut`])
+/// into disjoint ranges with [`SitesMut::split_front`] and each worker
+/// stores into its own in place, through the same site codec as
+/// [`SpinorFieldCb::store`]: in half and quarter precision the site's
+/// `data` run and its `norm` are written in lockstep.
 pub struct SitesMut<'a, P: Precision> {
     data: &'a mut [P::Elem],
     norm: &'a mut [f32],
@@ -308,18 +245,7 @@ impl<'a, P: Precision> SitesMut<'a, P> {
     #[inline]
     pub fn set(&mut self, cb: usize, sp: &Spinor<P::Arith>) {
         debug_assert!(self.sites().contains(&cb), "site {cb} out of {:?}", self.sites());
-        let i = cb - self.first;
-        let mut stored = *sp;
-        if P::NEEDS_NORM {
-            let norm = sp.max_abs();
-            let norm = if norm == 0.0 { 1.0 } else { norm };
-            self.norm[i] = norm as f32;
-            stored = sp.scale_re(P::Arith::from_f64(1.0 / norm));
-        }
-        let run = &mut self.data[SPINOR_REALS * i..SPINOR_REALS * (i + 1)];
-        for (e, &r) in run.iter_mut().zip(&stored.to_reals()) {
-            *e = P::store(r);
-        }
+        P::store_site(self.data, self.norm, cb - self.first, &sp.to_reals());
     }
 }
 
@@ -521,42 +447,40 @@ mod tests {
         for cb in 0..f.sites() {
             f.set(cb, &sample_spinor(cb));
         }
-        // Rebuild every site from the site view alone (real n of site x
-        // sits at offset 24·x + n).
-        let live = f.arith_sites().unwrap().to_vec();
-        assert_eq!(live.len(), SPINOR_REALS * f.sites());
-        assert_eq!(live.len(), f.data.len());
-        for (cb, reals) in live.chunks_exact(SPINOR_REALS).enumerate() {
-            assert_eq!(Spinor::from_reals(reals), f.get(cb));
+        // A site load is the site's run of the storage (real n of site x
+        // sits at offset 24·x + n), and nothing else.
+        assert_eq!(f.data.len(), SPINOR_REALS * f.sites());
+        for (cb, run) in f.data.chunks_exact(SPINOR_REALS).enumerate() {
+            assert_eq!(&f.load(cb)[..], run);
         }
-        // Writes through the mutable view land where `get` reads.
-        for r in f.arith_sites_mut().unwrap() {
-            *r *= 2.0;
+        // Site stores land where `get` reads.
+        for cb in 0..f.sites() {
+            let doubled = f.load(cb).map(|r| 2.0 * r);
+            f.store(cb, &doubled);
         }
         for cb in 0..f.sites() {
             assert_eq!(f.get(cb), sample_spinor(cb).scale_re(2.0));
         }
-        // Normalized precisions have no direct view.
-        let h = SpinorFieldCb::<Half>::new(dims(), false);
-        assert!(h.arith_sites().is_none());
+        // In half precision the load scales the run by the site's norm.
+        let mut h = SpinorFieldCb::<Half>::new(dims(), false);
+        h.set(3, &sample_spinor(3).cast());
+        let run = &h.data[SPINOR_REALS * 3..SPINOR_REALS * 4];
+        for (x, &e) in h.load(3).iter().zip(run) {
+            assert_eq!(*x, Half::load(e) * h.norm[3]);
+        }
     }
 
     #[test]
     fn combinators_match_explicit_loops() {
         let mut f = SpinorFieldCb::<Single>::new(dims(), false);
         f.fill_sites(|cb| sample_spinor(cb).cast());
-        for cb in 0..f.sites() {
-            assert_eq!(f.get(cb), sample_spinor(cb).cast::<f32>());
+        let mut g = SpinorFieldCb::<Single>::new(dims(), false);
+        for cb in 0..g.sites() {
+            g.set(cb, &sample_spinor(cb).cast());
         }
-        let n = f.fold_sites(0.0, |acc, _, v| acc + v.norm_sqr());
+        assert_eq!(f.data, g.data);
+        let n: f64 = (0..f.sites()).map(|cb| f.get(cb).norm_sqr()).sum();
         assert_eq!(n, f.norm_sqr());
-        let visited = f.update_fold_sites(0usize, |count, _, v| (v.scale_re(3.0), count + 1));
-        assert_eq!(visited, f.sites());
-        f.update_sites(|_, v| v.scale_re(1.0 / 3.0));
-        for cb in 0..f.sites() {
-            let expect = sample_spinor(cb).cast::<f32>().scale_re(3.0).scale_re(1.0 / 3.0);
-            assert_eq!(f.get(cb), expect);
-        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! precision loss of the half solver *real* rather than emulated — the mixed
 //! precision experiments rely on it.
 
+use crate::real::Real;
+
 /// Scale factor of the normalized 16-bit format: `i16::MAX`.
 pub const FIXED16_SCALE: f32 = i16::MAX as f32;
 
@@ -40,27 +42,53 @@ impl Fixed16 {
     }
 }
 
-/// Quantize a slice of reals sharing one normalization constant.
+/// Quantize one site run sharing one normalization constant: the field
+/// stores' codec (spinor sites and ghosts, through
+/// `Precision::store_site`).
 ///
-/// Returns the normalization used (the sup-norm of the data, or 1.0 for an
-/// all-zero block so dequantization stays well-defined).
-pub fn quantize_block(data: &[f32], out: &mut [Fixed16]) -> f32 {
-    assert_eq!(data.len(), out.len());
-    let norm = data.iter().fold(0.0f32, |m, x| m.max(x.abs()));
+/// The norm is the sup-norm of the run taken in f64 (1.0 for an all-zero
+/// run, so dequantization stays well-defined); every real is multiplied
+/// by the norm's f64 reciprocal rounded to `T` and then quantized.
+/// Returns the norm as stored (`f32`).
+///
+/// Kept out of line, like [`decode_site`], one copy per width `N`:
+/// inlined into a kernel, the site's array is split into scalars before
+/// LLVM's vectorizer runs, and the element loops stay scalar.
+#[inline(never)]
+pub fn encode_site<T: Real, Q, const N: usize>(
+    site: &[T; N],
+    run: &mut [Q; N],
+    quantize: impl Fn(T) -> Q,
+) -> f32 {
+    // The max of runs of six (one color vector), then of those: the same
+    // value as one running max, in chains short enough for LLVM to know
+    // that no partial max is NaN.
+    let norm = site
+        .chunks(6)
+        .map(|run| run.iter().map(|x| x.to_f64().abs()).fold(0.0, f64::max))
+        .fold(0.0, f64::max);
     let norm = if norm == 0.0 { 1.0 } else { norm };
-    let inv = 1.0 / norm;
-    for (o, &x) in out.iter_mut().zip(data) {
-        *o = Fixed16::quantize(x * inv);
+    let inv = T::from_f64(1.0 / norm);
+    for (q, &x) in run.iter_mut().zip(site) {
+        *q = quantize(x * inv);
     }
-    norm
+    norm as f32
 }
 
-/// Dequantize a block with its shared normalization.
-pub fn dequantize_block(data: &[Fixed16], norm: f32, out: &mut [f32]) {
-    assert_eq!(data.len(), out.len());
-    for (o, &q) in out.iter_mut().zip(data) {
-        *o = q.dequantize() * norm;
+/// Expand a site run with its shared normalization — the inverse of
+/// [`encode_site`].
+#[inline(never)]
+pub fn decode_site<T: Real, Q: Copy, const N: usize>(
+    run: &[Q; N],
+    norm: f32,
+    dequantize: impl Fn(Q) -> T,
+) -> [T; N] {
+    let norm = T::from_f64(norm as f64);
+    let mut site = [T::ZERO; N];
+    for (x, &q) in site.iter_mut().zip(run) {
+        *x = dequantize(q) * norm;
     }
+    site
 }
 
 /// Worst-case absolute error of the format for a block with norm `norm`:
@@ -72,11 +100,12 @@ pub fn max_quantization_error(norm: f32) -> f32 {
 /// Quantize one site block into 16-bit storage integers, one per real,
 /// with the block's shared sup-norm, which is returned as stored (`f32`).
 ///
-/// This is the single sanctioned path from float data to the half-precision
-/// wire/storage format outside this crate (Section VI-C: "the extra
+/// This is the face wire format's formula (Section VI-C: "the extra
 /// normalization constant for each (12 component) spinor"): each real is
 /// divided by the norm in f64 and rounded to f32 before quantization, and
 /// an all-zero site gets norm 1.0 so dequantization stays well-defined.
+/// The field stores' [`encode_site`] multiplies by the reciprocal instead,
+/// which can round a real to the neighbouring integer.
 pub fn quantize_site16(site: &[f64], ints: &mut [i16]) -> f32 {
     quantize_site(site, ints, |x| Fixed16::quantize(x).0)
 }
@@ -202,11 +231,10 @@ mod tests {
 
     #[test]
     fn block_roundtrip_error_bounded_by_norm() {
-        let data: Vec<f32> = (0..24).map(|i| ((i * 37 % 17) as f32 - 8.0) * 0.33).collect();
-        let mut q = vec![Fixed16::default(); 24];
-        let norm = quantize_block(&data, &mut q);
-        let mut back = vec![0.0f32; 24];
-        dequantize_block(&q, norm, &mut back);
+        let data: [f32; 24] = std::array::from_fn(|i| ((i * 37 % 17) as f32 - 8.0) * 0.33);
+        let mut q = [Fixed16::default(); 24];
+        let norm = encode_site(&data, &mut q, Fixed16::quantize);
+        let back = decode_site(&q, norm, Fixed16::dequantize);
         let bound = max_quantization_error(norm) * 1.001;
         for (a, b) in data.iter().zip(&back) {
             assert!((a - b).abs() <= bound, "{a} vs {b} (bound {bound})");
@@ -217,7 +245,7 @@ mod tests {
     fn norm_is_sup_norm() {
         let data = [0.25f32, -3.0, 1.5];
         let mut q = [Fixed16::default(); 3];
-        let norm = quantize_block(&data, &mut q);
+        let norm = encode_site(&data, &mut q, Fixed16::quantize);
         assert_eq!(norm, 3.0);
         // The largest-magnitude element maps to exactly ±1.
         assert_eq!(q[1].dequantize(), -1.0);
@@ -227,10 +255,9 @@ mod tests {
     fn zero_block_uses_unit_norm() {
         let data = [0.0f32; 8];
         let mut q = [Fixed16::default(); 8];
-        let norm = quantize_block(&data, &mut q);
+        let norm = encode_site(&data, &mut q, Fixed16::quantize);
         assert_eq!(norm, 1.0);
-        let mut back = [1.0f32; 8];
-        dequantize_block(&q, norm, &mut back);
+        let back: [f32; 8] = decode_site(&q, norm, Fixed16::dequantize);
         assert!(back.iter().all(|&x| x == 0.0));
     }
 

@@ -9,7 +9,7 @@ use quda_math::clover::{CloverBlock, CloverSite, BLOCK_OFFDIAG};
 use quda_math::colorvec::ColorVec;
 use quda_math::complex::C64;
 use quda_math::gamma::{GammaBasis, SpinBasis};
-use quda_math::half::{dequantize_block, max_quantization_error, quantize_block, Fixed16};
+use quda_math::half::{decode_site, encode_site, max_quantization_error, Fixed16};
 use quda_math::nr;
 use quda_math::real::Real;
 use quda_math::spinor::{HalfSpinor, Spinor};
@@ -221,10 +221,10 @@ proptest! {
 
     #[test]
     fn quantization_error_within_bound(vals in proptest::collection::vec(-100.0f32..100.0, 24)) {
-        let mut q = vec![Fixed16::default(); 24];
-        let norm = quantize_block(&vals, &mut q);
-        let mut back = vec![0.0f32; 24];
-        dequantize_block(&q, norm, &mut back);
+        let vals: [f32; 24] = vals.try_into().expect("24 reals drawn");
+        let mut q = [Fixed16::default(); 24];
+        let norm = encode_site(&vals, &mut q, Fixed16::quantize);
+        let back = decode_site(&q, norm, Fixed16::dequantize);
         let bound = max_quantization_error(norm) * 1.01 + 1e-12;
         for (a, b) in vals.iter().zip(&back) {
             prop_assert!((a - b).abs() <= bound, "{a} vs {b}, bound {bound}");

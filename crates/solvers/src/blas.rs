@@ -10,20 +10,24 @@
 //! All reductions run over data sites only — the ghost zones are excluded
 //! by construction (Section VI-C).
 //!
-//! Each kernel has two implementations with bit-identical results:
-//!
-//! * a `fast` path for the float precisions, which streams the site
-//!   storage (24 reals per site, one site after another) directly through
-//!   `arith_sites` — one contiguous slice, no per-real index computation;
-//! * a per-site fallback for the normalized fixed-point precisions, built
-//!   on the sanctioned `SpinorFieldCb` combinators (`fill_sites`,
-//!   `fold_sites`, `update_fold_sites`), which own the quantization.
+//! Each kernel is written once, for every storage precision: one loop
+//! over the sites in ascending order that loads each operand's 24 reals
+//! through the fields' site codec (`Precision::load_site`: a plain copy in
+//! double and single, a dequantize-and-scale in half and quarter), does
+//! its arithmetic on those reals and stores the result through the same
+//! codec (`Precision::store_site`, which normalizes and quantizes in half
+//! and quarter). The reductions fold each site with the tree of
+//! `Spinor::norm_sqr`/`Spinor::dot` (`fold_site`), so every kernel is
+//! bit-identical to its `get`/`set` + `Spinor` composition. No heap
+//! allocation anywhere, so steady-state solver iterations stay
+//! allocation-free.
 
 use quda_fields::precision::Precision;
 use quda_fields::SpinorFieldCb;
 use quda_math::complex::{Complex, C64};
 use quda_math::real::Real;
-use quda_math::spinor::Spinor;
+use quda_math::spinor::SPINOR_REALS;
+use std::ops::AddAssign;
 
 /// Identity of a fused kernel, with per-site costs for the perf model.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -103,176 +107,110 @@ pub const OP_CDOT_NORM: BlasOp = BlasOp {
     is_reduction: true,
 };
 
-/// Direct streaming implementations over the site-major float storage.
-///
-/// Every routine here is bit-identical to the per-site combinator path:
-/// the element-wise kernels apply the same scalar operations to the same
-/// stored reals (storage *is* the arithmetic type, `get`/`set` are pure
-/// load/store), and the reduction kernels replay the exact accumulation
-/// tree of `Spinor::norm_sqr`/`Spinor::dot` ([`fold_site`]) and fold the
-/// sites in ascending order. No heap allocation anywhere, so steady-state
-/// solver iterations stay allocation-free.
-mod fast {
-    use super::*;
-    use core::ops::AddAssign;
-    use quda_math::spinor::SPINOR_REALS;
-
-    /// One site's reduction term: colorvec partials folded from `zero` in
-    /// ascending complex order, then a four-way fold of the partials from
-    /// `zero` — the tree of `Spinor::norm_sqr` and `Spinor::dot`. `term(k)`
-    /// is the contribution of the site's `k`-th complex.
-    #[inline(always)]
-    fn fold_site<S: Copy + AddAssign>(zero: S, mut term: impl FnMut(usize) -> S) -> S {
-        let mut site = zero;
-        for cv in 0..4 {
-            let mut part = zero;
-            for c in 0..3 {
-                part += term(3 * cv + c);
-            }
-            site += part;
+/// One site's reduction term: colorvec partials folded from `zero` in
+/// ascending complex order, then a four-way fold of the partials from
+/// `zero` — the tree of `Spinor::norm_sqr` and `Spinor::dot`. `term(k)` is
+/// the contribution of the site's `k`-th complex.
+#[inline(always)]
+fn fold_site<S: Copy + AddAssign>(zero: S, mut term: impl FnMut(usize) -> S) -> S {
+    let mut site = zero;
+    for cv in 0..4 {
+        let mut part = zero;
+        for c in 0..3 {
+            part += term(3 * cv + c);
         }
-        site
+        site += part;
     }
+    site
+}
 
-    /// Zero every live real.
-    pub fn fill_zero<P: Precision>(x: &mut SpinorFieldCb<P>) -> bool {
-        let Some(xs) = x.arith_sites_mut() else { return false };
-        xs.fill(P::Arith::ZERO);
-        true
+/// The reals of one site, as the codec loads and stores them.
+type Site<A> = [A; SPINOR_REALS];
+
+/// The `k`-th complex of a site.
+#[inline(always)]
+fn cplx<A: Real>(s: &Site<A>, k: usize) -> Complex<A> {
+    Complex::new(s[2 * k], s[2 * k + 1])
+}
+
+/// `‖s‖²` of one site in f64.
+#[inline(always)]
+fn site_norm2<A: Real>(s: &Site<A>) -> f64 {
+    fold_site(0.0, |k| cplx(s, k).norm_sqr().to_f64())
+}
+
+/// `⟨x, y⟩` of one site in f64.
+#[inline(always)]
+fn site_dot<A: Real>(x: &Site<A>, y: &Site<A>) -> C64 {
+    fold_site(C64::zero(), |k| cplx(x, k).cast::<f64>().conj() * cplx(y, k).cast::<f64>())
+}
+
+/// Load, update and store every site of one field's storage in place,
+/// through the site codec, in ascending site order. The storage arrives as
+/// `&mut` slices, which the compiler knows alias no other operand, so it
+/// may interleave a site's stores with the loads that follow them.
+#[inline(always)]
+fn each_site_mut<P: Precision>(
+    data: &mut [P::Elem],
+    norm: &mut [f32],
+    mut f: impl FnMut(usize, &mut Site<P::Arith>),
+) {
+    for cb in 0..data.len() / SPINOR_REALS {
+        let mut site = P::load_site(data, norm, cb);
+        f(cb, &mut site);
+        P::store_site(data, norm, cb, &site);
     }
+}
 
-    /// `dst ← src` over every live real.
-    pub fn copy<P: Precision>(dst: &mut SpinorFieldCb<P>, src: &SpinorFieldCb<P>) -> bool {
-        let Some(s) = src.arith_sites() else { return false };
-        let Some(d) = dst.arith_sites_mut() else { return false };
-        d.copy_from_slice(s);
-        true
-    }
-
-    /// `y_i ← f(x_i, y_i)` over every live real.
-    pub fn zip2<P: Precision>(
-        x: &SpinorFieldCb<P>,
-        y: &mut SpinorFieldCb<P>,
-        f: impl Fn(P::Arith, P::Arith) -> P::Arith,
-    ) -> bool {
-        let Some(xs) = x.arith_sites() else { return false };
-        let Some(ys) = y.arith_sites_mut() else { return false };
-        for (xv, yv) in xs.iter().zip(ys.iter_mut()) {
-            *yv = f(*xv, *yv);
-        }
-        true
-    }
-
-    /// `y_k ← f(x_k, y_k)` over every live complex.
-    pub fn zip2c<P: Precision>(
-        x: &SpinorFieldCb<P>,
-        y: &mut SpinorFieldCb<P>,
-        f: impl Fn(Complex<P::Arith>, Complex<P::Arith>) -> Complex<P::Arith>,
-    ) -> bool {
-        let Some(xs) = x.arith_sites() else { return false };
-        let Some(ys) = y.arith_sites_mut() else { return false };
-        for (xz, yz) in xs.chunks_exact(2).zip(ys.chunks_exact_mut(2)) {
-            let v = f(Complex::new(xz[0], xz[1]), Complex::new(yz[0], yz[1]));
-            yz[0] = v.re;
-            yz[1] = v.im;
-        }
-        true
-    }
-
-    /// `w_k ← f(u_k, v_k, w_k)` over every live complex.
-    pub fn zip3c<P: Precision>(
-        u: &SpinorFieldCb<P>,
-        v: &SpinorFieldCb<P>,
-        w: &mut SpinorFieldCb<P>,
-        f: impl Fn(Complex<P::Arith>, Complex<P::Arith>, Complex<P::Arith>) -> Complex<P::Arith>,
-    ) -> bool {
-        let Some(us) = u.arith_sites() else { return false };
-        let Some(vs) = v.arith_sites() else { return false };
-        let Some(ws) = w.arith_sites_mut() else { return false };
-        for ((uz, vz), wz) in us.chunks_exact(2).zip(vs.chunks_exact(2)).zip(ws.chunks_exact_mut(2))
-        {
-            let r = f(
-                Complex::new(uz[0], uz[1]),
-                Complex::new(vz[0], vz[1]),
-                Complex::new(wz[0], wz[1]),
-            );
-            wz[0] = r.re;
-            wz[1] = r.im;
-        }
-        true
-    }
-
-    /// `‖x‖²` with the exact per-site fold tree.
-    pub fn norm2<P: Precision>(x: &SpinorFieldCb<P>) -> Option<f64> {
-        let mut n = 0.0;
-        for s in x.arith_sites()?.chunks_exact(SPINOR_REALS) {
-            n += fold_site(0.0, |k| Complex::new(s[2 * k], s[2 * k + 1]).norm_sqr().to_f64());
-        }
-        Some(n)
-    }
-
-    /// `⟨x, y⟩` with the exact per-site fold tree.
-    pub fn cdot<P: Precision>(x: &SpinorFieldCb<P>, y: &SpinorFieldCb<P>) -> Option<C64> {
-        let (xs, ys) = (x.arith_sites()?, y.arith_sites()?);
-        let mut acc = C64::zero();
-        for (xsite, ysite) in xs.chunks_exact(SPINOR_REALS).zip(ys.chunks_exact(SPINOR_REALS)) {
-            acc += fold_site(C64::zero(), |k| {
-                let xv = Complex::new(xsite[2 * k], xsite[2 * k + 1]).cast::<f64>();
-                let yv = Complex::new(ysite[2 * k], ysite[2 * k + 1]).cast::<f64>();
-                xv.conj() * yv
-            });
-        }
-        Some(acc)
-    }
-
-    /// Fused `(⟨x, y⟩, ‖x‖²)` with the exact per-site fold trees.
-    pub fn cdot_norm_a<P: Precision>(
-        x: &SpinorFieldCb<P>,
-        y: &SpinorFieldCb<P>,
-    ) -> Option<(C64, f64)> {
-        let (xs, ys) = (x.arith_sites()?, y.arith_sites()?);
-        let mut dot = C64::zero();
-        let mut n = 0.0;
-        for (xsite, ysite) in xs.chunks_exact(SPINOR_REALS).zip(ys.chunks_exact(SPINOR_REALS)) {
-            let xa = |k: usize| Complex::new(xsite[2 * k], xsite[2 * k + 1]);
-            dot += fold_site(C64::zero(), |k| {
-                let yv = Complex::new(ysite[2 * k], ysite[2 * k + 1]).cast::<f64>();
-                xa(k).cast::<f64>().conj() * yv
-            });
-            n += fold_site(0.0, |k| xa(k).norm_sqr().to_f64());
-        }
-        Some((dot, n))
-    }
-
-    /// Fused `y_k ← f(x_k, y_k); return ‖y‖²` with the exact fold tree —
-    /// the shape of `xmay_norm`, `xmy_norm` and `caxpy_norm`.
-    pub fn zip2c_norm<P: Precision>(
-        x: &SpinorFieldCb<P>,
-        y: &mut SpinorFieldCb<P>,
-        f: impl Fn(Complex<P::Arith>, Complex<P::Arith>) -> Complex<P::Arith>,
-    ) -> Option<f64> {
-        let xs = x.arith_sites()?;
-        let ys = y.arith_sites_mut()?;
-        let mut n = 0.0;
-        for (xsite, ysite) in xs.chunks_exact(SPINOR_REALS).zip(ys.chunks_exact_mut(SPINOR_REALS)) {
-            n += fold_site(0.0, |k| {
-                let (re, im) = (2 * k, 2 * k + 1);
-                let v = f(Complex::new(xsite[re], xsite[im]), Complex::new(ysite[re], ysite[im]));
-                ysite[re] = v.re;
-                ysite[im] = v.im;
+/// `y_k ← f(x_k, y_k)` over every complex of every site, returning the
+/// new `‖y‖²` when `NORM` is set (and 0 otherwise).
+#[inline(always)]
+fn update2<P: Precision, const NORM: bool>(
+    x: &SpinorFieldCb<P>,
+    y: &mut SpinorFieldCb<P>,
+    f: impl Fn(Complex<P::Arith>, Complex<P::Arith>) -> Complex<P::Arith>,
+) -> f64 {
+    debug_assert_eq!(x.sites(), y.sites());
+    let mut n = 0.0;
+    each_site_mut::<P>(&mut y.data, &mut y.norm, |cb, ys| {
+        let xs = x.load(cb);
+        n += fold_site(0.0, |k| {
+            let v = f(cplx(&xs, k), cplx(ys, k));
+            (ys[2 * k], ys[2 * k + 1]) = (v.re, v.im);
+            if NORM {
                 v.norm_sqr().to_f64()
-            });
+            } else {
+                0.0
+            }
+        });
+    });
+    n
+}
+
+/// `w_k ← f(u_k, v_k, w_k)` over every complex of every site.
+#[inline(always)]
+fn update3<P: Precision>(
+    u: &SpinorFieldCb<P>,
+    v: &SpinorFieldCb<P>,
+    w: &mut SpinorFieldCb<P>,
+    f: impl Fn(Complex<P::Arith>, Complex<P::Arith>, Complex<P::Arith>) -> Complex<P::Arith>,
+) {
+    debug_assert_eq!(u.sites(), w.sites());
+    debug_assert_eq!(v.sites(), w.sites());
+    each_site_mut::<P>(&mut w.data, &mut w.norm, |cb, ws| {
+        let (us, vs) = (u.load(cb), v.load(cb));
+        for (k, wz) in ws.chunks_exact_mut(2).enumerate() {
+            let r = f(cplx(&us, k), cplx(&vs, k), Complex::new(wz[0], wz[1]));
+            (wz[0], wz[1]) = (r.re, r.im);
         }
-        Some(n)
-    }
+    });
 }
 
 /// Set every site to zero.
 pub fn zero<P: Precision>(x: &mut SpinorFieldCb<P>) {
-    if fast::fill_zero(x) {
-        return;
+    for cb in 0..x.sites() {
+        x.store(cb, &[P::Arith::ZERO; SPINOR_REALS]);
     }
-    x.fill_sites(|_| Spinor::zero());
 }
 
 /// `dst ← src`.
@@ -282,8 +220,8 @@ pub fn copy<P: Precision>(
     c: &mut BlasCounters,
 ) {
     debug_assert_eq!(dst.sites(), src.sites());
-    if !fast::copy(dst, src) {
-        dst.fill_sites(|cb| src.get(cb));
+    for cb in 0..src.sites() {
+        dst.store(cb, &src.load(cb));
     }
     c.charge(&OP_COPY, src.sites());
 }
@@ -296,9 +234,7 @@ pub fn axpy<P: Precision>(
     c: &mut BlasCounters,
 ) {
     let a = P::Arith::from_f64(a);
-    if !fast::zip2(x, y, |xv, yv| yv + xv * a) {
-        y.update_sites(|cb, yv| yv + x.get(cb).scale_re(a));
-    }
+    update2::<P, false>(x, y, |xz, yz| yz + xz.scale(a));
     c.charge(&OP_AXPY, x.sites());
 }
 
@@ -310,9 +246,7 @@ pub fn xpay<P: Precision>(
     c: &mut BlasCounters,
 ) {
     let a = P::Arith::from_f64(a);
-    if !fast::zip2(x, y, |xv, yv| xv + yv * a) {
-        y.update_sites(|cb, yv| x.get(cb) + yv.scale_re(a));
-    }
+    update2::<P, false>(x, y, |xz, yz| xz + yz.scale(a));
     c.charge(&OP_XPAY, x.sites());
 }
 
@@ -324,9 +258,7 @@ pub fn caxpy<P: Precision>(
     c: &mut BlasCounters,
 ) {
     let a = cast_c::<P>(a);
-    if !fast::zip2c(x, y, |xz, yz| yz + xz * a) {
-        y.update_sites(|cb, yv| yv + x.get(cb).scale(a));
-    }
+    update2::<P, false>(x, y, |xz, yz| yz + xz * a);
     c.charge(&OP_CAXPY, x.sites());
 }
 
@@ -342,9 +274,7 @@ pub fn cxpaypbz<P: Precision>(
 ) {
     let a = cast_c::<P>(a);
     let b = cast_c::<P>(b);
-    if !fast::zip3c(x, y, z, |xz, yz, zz| xz + yz * a + zz * b) {
-        z.update_sites(|cb, zv| x.get(cb) + y.get(cb).scale(a) + zv.scale(b));
-    }
+    update3(x, y, z, |xz, yz, zz| xz + yz * a + zz * b);
     c.charge(&OP_CXPAYPBZ, x.sites());
 }
 
@@ -359,28 +289,28 @@ pub fn caxpbypz<P: Precision>(
 ) {
     let a = cast_c::<P>(a);
     let b = cast_c::<P>(b);
-    if !fast::zip3c(p, s, x, |pz, sz, xz| xz + pz * a + sz * b) {
-        x.update_sites(|cb, xv| xv + p.get(cb).scale(a) + s.get(cb).scale(b));
-    }
+    update3(p, s, x, |pz, sz, xz| xz + pz * a + sz * b);
     c.charge(&OP_CAXPBYPZ, p.sites());
 }
 
 /// `‖x‖²` with f64 accumulation (local part; the parallel solver allreduces).
 pub fn norm2<P: Precision>(x: &SpinorFieldCb<P>, c: &mut BlasCounters) -> f64 {
     c.charge(&OP_NORM2, x.sites());
-    match fast::norm2(x) {
-        Some(n) => n,
-        None => x.fold_sites(0.0, |n, _, v| n + v.norm_sqr()),
+    let mut n = 0.0;
+    for cb in 0..x.sites() {
+        n += site_norm2(&x.load(cb));
     }
+    n
 }
 
 /// `⟨x, y⟩` with f64 accumulation (local part).
 pub fn cdot<P: Precision>(x: &SpinorFieldCb<P>, y: &SpinorFieldCb<P>, c: &mut BlasCounters) -> C64 {
     c.charge(&OP_CDOT, x.sites());
-    match fast::cdot(x, y) {
-        Some(d) => d,
-        None => x.fold_sites(C64::zero(), |acc, cb, xv| acc + xv.dot(&y.get(cb))),
+    let mut d = C64::zero();
+    for cb in 0..x.sites() {
+        d += site_dot(&x.load(cb), &y.load(cb));
     }
+    d
 }
 
 /// Fused `y ← x − a·y; return ‖y‖²` (BiCGstab's `s = r − α v` step).
@@ -390,14 +320,8 @@ pub fn xmay_norm<P: Precision>(
     y: &mut SpinorFieldCb<P>,
     c: &mut BlasCounters,
 ) -> f64 {
-    let ac = cast_c::<P>(a);
-    let n = match fast::zip2c_norm(x, y, |xz, yz| xz - yz * ac) {
-        Some(n) => n,
-        None => y.update_fold_sites(0.0, |n, cb, yv| {
-            let v = x.get(cb) - yv.scale(ac);
-            (v, n + v.norm_sqr())
-        }),
-    };
+    let a = cast_c::<P>(a);
+    let n = update2::<P, true>(x, y, |xz, yz| xz - yz * a);
     c.charge(&OP_XMAY_NORM, x.sites());
     n
 }
@@ -411,13 +335,7 @@ pub fn xmy_norm<P: Precision>(
     y: &mut SpinorFieldCb<P>,
     c: &mut BlasCounters,
 ) -> f64 {
-    let n = match fast::zip2c_norm(x, y, |xz, yz| xz - yz) {
-        Some(n) => n,
-        None => y.update_fold_sites(0.0, |n, cb, yv| {
-            let v = x.get(cb) - yv;
-            (v, n + v.norm_sqr())
-        }),
-    };
+    let n = update2::<P, true>(x, y, |xz, yz| xz - yz);
     c.charge(&OP_XMAY_NORM, x.sites());
     n
 }
@@ -434,14 +352,8 @@ pub fn caxpy_norm<P: Precision>(
     y: &mut SpinorFieldCb<P>,
     c: &mut BlasCounters,
 ) -> f64 {
-    let ac = cast_c::<P>(a);
-    let n = match fast::zip2c_norm(x, y, |xz, yz| yz + xz * ac) {
-        Some(n) => n,
-        None => y.update_fold_sites(0.0, |n, cb, yv| {
-            let v = yv + x.get(cb).scale(ac);
-            (v, n + v.norm_sqr())
-        }),
-    };
+    let a = cast_c::<P>(a);
+    let n = update2::<P, true>(x, y, |xz, yz| yz + xz * a);
     c.charge(&OP_CAXPY_NORM, x.sites());
     n
 }
@@ -453,12 +365,13 @@ pub fn cdot_norm_a<P: Precision>(
     c: &mut BlasCounters,
 ) -> (C64, f64) {
     c.charge(&OP_CDOT_NORM, x.sites());
-    match fast::cdot_norm_a(x, y) {
-        Some(r) => r,
-        None => x.fold_sites((C64::zero(), 0.0), |(dot, n), cb, xs| {
-            (dot + xs.dot(&y.get(cb)), n + xs.norm_sqr())
-        }),
+    let (mut d, mut n) = (C64::zero(), 0.0);
+    for cb in 0..x.sites() {
+        let xs = x.load(cb);
+        d += site_dot(&xs, &y.load(cb));
+        n += site_norm2(&xs);
     }
+    (d, n)
 }
 
 #[inline(always)]
@@ -470,8 +383,9 @@ fn cast_c<P: Precision>(a: C64) -> Complex<P::Arith> {
 mod tests {
     use super::*;
     use quda_fields::gauge_gen::random_spinor_field;
-    use quda_fields::precision::{Double, Half, Single};
+    use quda_fields::precision::{Double, Half, Quarter, Single};
     use quda_lattice::geometry::{LatticeDims, Parity};
+    use quda_math::spinor::Spinor;
 
     fn dims() -> LatticeDims {
         LatticeDims::new(4, 4, 2, 4)
@@ -613,7 +527,7 @@ mod tests {
         // when the storage is f32.
         let d = dims();
         let mut x = SpinorFieldCb::<Single>::new(d, false);
-        let mut sp = quda_math::spinor::Spinor::<f32>::zero();
+        let mut sp = Spinor::<f32>::zero();
         sp.s[0].c[0].re = 1.0;
         for cb in 0..x.sites() {
             x.set(cb, &sp);
@@ -623,96 +537,155 @@ mod tests {
         assert_eq!(n, x.sites() as f64);
     }
 
-    /// The fast streaming paths must reproduce the per-site reference
-    /// *bit for bit*: same reals, same operations, same fold order. This
-    /// is what keeps solver trajectories byte-stable across the refactor.
-    fn assert_fast_paths_bit_identical<P: Precision>(d: LatticeDims) {
+    /// The per-site load every field read made before the site codec:
+    /// load each element, then scale the spinor by the site's norm.
+    fn oracle_get<P: Precision>(f: &SpinorFieldCb<P>, cb: usize) -> Spinor<P::Arith> {
+        let run = &f.data[SPINOR_REALS * cb..SPINOR_REALS * (cb + 1)];
+        let reals: Vec<P::Arith> = run.iter().map(|&e| P::load(e)).collect();
+        let sp = Spinor::from_reals(&reals);
+        if P::NEEDS_NORM {
+            sp.scale_re(P::Arith::from_f64(f.norm[cb] as f64))
+        } else {
+            sp
+        }
+    }
+
+    /// The matching per-site store: sup-norm (1 for a zero site), scale by
+    /// its reciprocal, store each element.
+    fn oracle_set<P: Precision>(f: &mut SpinorFieldCb<P>, cb: usize, sp: &Spinor<P::Arith>) {
+        let mut stored = *sp;
+        if P::NEEDS_NORM {
+            let norm = sp.max_abs();
+            let norm = if norm == 0.0 { 1.0 } else { norm };
+            f.norm[cb] = norm as f32;
+            stored = sp.scale_re(P::Arith::from_f64(1.0 / norm));
+        }
+        let run = &mut f.data[SPINOR_REALS * cb..SPINOR_REALS * (cb + 1)];
+        for (e, r) in run.iter_mut().zip(stored.to_reals()) {
+            *e = P::store(r);
+        }
+    }
+
+    /// `y_cb ← f(cb, y_cb)` site by site through the oracle load and store,
+    /// returning `Σ ‖new y_cb‖²` in ascending site order.
+    fn oracle_update<P: Precision>(
+        y: &mut SpinorFieldCb<P>,
+        f: impl Fn(usize, Spinor<P::Arith>) -> Spinor<P::Arith>,
+    ) -> f64 {
+        let mut n = 0.0;
+        for cb in 0..y.sites() {
+            let v = f(cb, oracle_get(y, cb));
+            n += v.norm_sqr();
+            oracle_set(y, cb, &v);
+        }
+        n
+    }
+
+    /// A field's stored bits: every element's storage bytes and every norm.
+    fn bits<P: Precision>(f: &SpinorFieldCb<P>) -> (Vec<u8>, Vec<u32>) {
+        let mut data = Vec::new();
+        for &e in &f.data {
+            P::elem_to_le_bytes(e, &mut data);
+        }
+        (data, f.norm.iter().map(|n| n.to_bits()).collect())
+    }
+
+    /// Every kernel must reproduce its `get`/`set` + `Spinor` composition
+    /// *bit for bit* — same reals, same operations, same fold order, same
+    /// stored elements and norms. This is what keeps solver trajectories
+    /// byte-stable. The oracle's load and store are written out here, apart
+    /// from the fields' site codec.
+    fn assert_kernels_bit_identical<P: Precision>(d: LatticeDims) {
         let x = field_p::<P>(d, 31);
         let y0 = field_p::<P>(d, 32);
+        let z0 = field_p::<P>(d, 33);
         let mut c = BlasCounters::default();
-        let a = C64::new(0.375, -1.25);
-        let ar = 0.8125;
+        let (a, b, ar) = (C64::new(0.375, -1.25), C64::new(-0.625, 0.5), 0.8125);
+        let (act, bct, art) = (cast_c::<P>(a), cast_c::<P>(b), P::Arith::from_f64(ar));
+        let get = oracle_get::<P>;
+        let same = |got: f64, want: f64, name: &str| {
+            assert_eq!(got.to_bits(), want.to_bits(), "{} {name}", P::NAME);
+        };
 
-        // norm2 / cdot / cdot_norm_a against explicit per-site folds.
-        let mut n_ref = 0.0;
-        let mut d_ref = C64::zero();
+        // Reductions against explicit per-site folds.
+        let (mut n_ref, mut d_ref) = (0.0, C64::zero());
         for cb in 0..x.sites() {
-            n_ref += x.get(cb).norm_sqr();
-            d_ref += x.get(cb).dot(&y0.get(cb));
+            n_ref += get(&x, cb).norm_sqr();
+            d_ref += get(&x, cb).dot(&get(&y0, cb));
         }
-        assert_eq!(norm2(&x, &mut c).to_bits(), n_ref.to_bits());
+        same(norm2(&x, &mut c), n_ref, "norm2");
         let dd = cdot(&x, &y0, &mut c);
-        assert_eq!((dd.re.to_bits(), dd.im.to_bits()), (d_ref.re.to_bits(), d_ref.im.to_bits()));
+        same(dd.re, d_ref.re, "cdot re");
+        same(dd.im, d_ref.im, "cdot im");
         let (dn, nn) = cdot_norm_a(&x, &y0, &mut c);
-        assert_eq!(dn.re.to_bits(), d_ref.re.to_bits());
-        assert_eq!(nn.to_bits(), n_ref.to_bits());
+        same(dn.re, d_ref.re, "cdot_norm_a re");
+        same(dn.im, d_ref.im, "cdot_norm_a im");
+        same(nn, n_ref, "cdot_norm_a norm");
 
-        // Element-wise kernels against a per-site get/set replay.
+        // Two-operand kernels, chained so each starts from the last result.
         let mut y = y0.clone();
         let mut y_ref = y0.clone();
         axpy(ar, &x, &mut y, &mut c);
-        let art = P::Arith::from_f64(ar);
-        for cb in 0..x.sites() {
-            let v = y_ref.get(cb) + x.get(cb).scale_re(art);
-            y_ref.set(cb, &v);
-        }
-        for cb in 0..x.sites() {
-            assert_eq!(y.get(cb), y_ref.get(cb), "axpy site {cb}");
-        }
+        oracle_update(&mut y_ref, |cb, yv| yv + get(&x, cb).scale_re(art));
+        assert_eq!(bits(&y), bits(&y_ref), "{} axpy", P::NAME);
+        xpay(&x, ar, &mut y, &mut c);
+        oracle_update(&mut y_ref, |cb, yv| get(&x, cb) + yv.scale_re(art));
+        assert_eq!(bits(&y), bits(&y_ref), "{} xpay", P::NAME);
         caxpy(a, &x, &mut y, &mut c);
-        let act = Complex::new(P::Arith::from_f64(a.re), P::Arith::from_f64(a.im));
-        for cb in 0..x.sites() {
-            let v = y_ref.get(cb) + x.get(cb).scale(act);
-            y_ref.set(cb, &v);
-        }
-        for cb in 0..x.sites() {
-            assert_eq!(y.get(cb), y_ref.get(cb), "caxpy site {cb}");
-        }
-
-        // Fused write+norm kernel against a per-site replay.
+        oracle_update(&mut y_ref, |cb, yv| yv + get(&x, cb).scale(act));
+        assert_eq!(bits(&y), bits(&y_ref), "{} caxpy", P::NAME);
         let n = xmay_norm(&x, a, &mut y, &mut c);
-        let mut n_ref2 = 0.0;
-        for cb in 0..x.sites() {
-            let v = x.get(cb) - y_ref.get(cb).scale(act);
-            n_ref2 += v.norm_sqr();
-            y_ref.set(cb, &v);
-        }
-        assert_eq!(n.to_bits(), n_ref2.to_bits());
-        for cb in 0..x.sites() {
-            assert_eq!(y.get(cb), y_ref.get(cb), "xmay_norm site {cb}");
-        }
+        same(n, oracle_update(&mut y_ref, |cb, yv| get(&x, cb) - yv.scale(act)), "xmay_norm");
+        assert_eq!(bits(&y), bits(&y_ref), "{} xmay_norm", P::NAME);
+        let n = xmy_norm(&x, &mut y, &mut c);
+        same(n, oracle_update(&mut y_ref, |cb, yv| get(&x, cb) - yv), "xmy_norm");
+        assert_eq!(bits(&y), bits(&y_ref), "{} xmy_norm", P::NAME);
+        let n = caxpy_norm(a, &x, &mut y, &mut c);
+        same(n, oracle_update(&mut y_ref, |cb, yv| yv + get(&x, cb).scale(act)), "caxpy_norm");
+        assert_eq!(bits(&y), bits(&y_ref), "{} caxpy_norm", P::NAME);
+
+        // Three-operand kernels, then copy and zero, on a third field.
+        let mut z = z0.clone();
+        let mut z_ref = z0;
+        cxpaypbz(&x, a, &y, b, &mut z, &mut c);
+        oracle_update(&mut z_ref, |cb, zv| {
+            get(&x, cb) + get(&y_ref, cb).scale(act) + zv.scale(bct)
+        });
+        assert_eq!(bits(&z), bits(&z_ref), "{} cxpaypbz", P::NAME);
+        caxpbypz(a, &x, b, &y, &mut z, &mut c);
+        oracle_update(&mut z_ref, |cb, zv| {
+            zv + get(&x, cb).scale(act) + get(&y_ref, cb).scale(bct)
+        });
+        assert_eq!(bits(&z), bits(&z_ref), "{} caxpbypz", P::NAME);
+        copy(&mut z, &y, &mut c);
+        oracle_update(&mut z_ref, |cb, _| get(&y_ref, cb));
+        assert_eq!(bits(&z), bits(&z_ref), "{} copy", P::NAME);
+        zero(&mut z);
+        oracle_update(&mut z_ref, |_, _| Spinor::zero());
+        assert_eq!(bits(&z), bits(&z_ref), "{} zero", P::NAME);
     }
 
     #[test]
-    fn fast_paths_bit_identical_double() {
-        assert_fast_paths_bit_identical::<Double>(dims());
-        assert_fast_paths_bit_identical::<Double>(odd_dims());
+    fn kernels_bit_identical_double() {
+        assert_kernels_bit_identical::<Double>(dims());
+        assert_kernels_bit_identical::<Double>(odd_dims());
     }
 
     #[test]
-    fn fast_paths_bit_identical_single() {
-        assert_fast_paths_bit_identical::<Single>(dims());
-        assert_fast_paths_bit_identical::<Single>(odd_dims());
+    fn kernels_bit_identical_single() {
+        assert_kernels_bit_identical::<Single>(dims());
+        assert_kernels_bit_identical::<Single>(odd_dims());
     }
 
     #[test]
-    fn half_precision_fallback_still_works() {
-        // Half has no direct view; the combinator path carries it.
-        let x = field_p::<Half>(odd_dims(), 41);
-        let mut y = field_p::<Half>(odd_dims(), 42);
-        let y0 = y.clone();
-        let mut c = BlasCounters::default();
-        axpy(0.5, &x, &mut y, &mut c);
-        for cb in 0..x.sites() {
-            let expect = y0.get(cb) + x.get(cb).scale_re(0.5);
-            let bound = expect.max_abs() / 16000.0 + 1e-5;
-            assert!((y.get(cb) - expect).max_abs() <= bound);
-        }
-        let n = norm2(&x, &mut c);
-        let mut n_ref = 0.0;
-        for cb in 0..x.sites() {
-            n_ref += x.get(cb).norm_sqr();
-        }
-        assert_eq!(n.to_bits(), n_ref.to_bits());
+    fn kernels_bit_identical_half() {
+        assert_kernels_bit_identical::<Half>(dims());
+        assert_kernels_bit_identical::<Half>(odd_dims());
+    }
+
+    #[test]
+    fn kernels_bit_identical_quarter() {
+        assert_kernels_bit_identical::<Quarter>(dims());
+        assert_kernels_bit_identical::<Quarter>(odd_dims());
     }
 }

@@ -15,9 +15,10 @@
 //!   workspace/scratch type.
 //! * `hot-index` — the designated site-kernel modules (`blas.rs`,
 //!   `su3.rs`, the dslash/clover kernels) must not iterate element-wise
-//!   via `for i in 0..n { a[i] ... }`; the sanctioned forms are field
-//!   combinators and `chunks_exact` block slices, which elide bounds
-//!   checks and autovectorize.
+//!   via `for i in 0..n { a[i] ... }`; the sanctioned forms are whole-site
+//!   loads and stores through the site codec (`Precision::load_site`/
+//!   `store_site`, one `N`-real run per call) and `chunks_exact` block
+//!   slices, which elide bounds checks and autovectorize.
 //! * `hot-lock` — no `Mutex`/`RwLock` acquisition inside a kernel loop.
 //! * `scratch-reuse` — hot pack/unpack/codec entry points take `&mut`
 //!   scratch buffers instead of returning freshly collected `Vec`s.

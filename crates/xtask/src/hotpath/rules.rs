@@ -33,8 +33,8 @@ pub fn rule_list() -> [(&'static str, &'static str); 5] {
         (
             HOT_INDEX,
             "site kernels must not iterate element-wise via `for i in 0..n { a[i] .. }`; use \
-             the sanctioned field combinators or chunks_exact block slices, which elide bounds \
-             checks and autovectorize",
+             whole-site loads and stores through the site codec or chunks_exact block slices, \
+             which elide bounds checks and autovectorize",
         ),
         (
             HOT_LOCK,
@@ -225,8 +225,8 @@ pub fn hot_index(model: &Model, out: &mut Vec<Diagnostic>) {
                     l.offset,
                     format!(
                         "element-wise indexed loop `for {} in {}` in a site-kernel module; \
-                         rewrite with field combinators or chunks_exact block slices so bounds \
-                         checks vanish and the loop autovectorizes",
+                         rewrite with whole-site codec loads/stores or chunks_exact block slices \
+                         so bounds checks vanish and the loop autovectorizes",
                         var,
                         l.header.trim().split_once(" in ").map_or("0..n", |(_, r)| r.trim()),
                     ),
